@@ -248,7 +248,8 @@ def uniform_splitting(
     (:func:`repro.local.sharded.uniform_splitting_sharded`): colors are
     keyed counter-based per ``(attempt seed, node)``, so attempts need no
     halo exchange at all and the accepted partition is bit-identical to a
-    ``method="dense", coins="keyed"`` run of the same seed.  Pass
+    ``method="dense", coins="keyed"`` run of the same seed (so
+    ``coins="keyed"`` must be passed; the default raises).  Pass
     ``executor`` (a live :class:`~repro.local.sharded.ShardedExecutor`) to
     keep shard workers hot across calls; ``shards`` sizes a throwaway one.
     """
@@ -258,7 +259,7 @@ def uniform_splitting(
         from repro.local.sharded import uniform_splitting_sharded
 
         require(
-            coins in ("philox", "keyed"),
+            coins == "keyed",
             f"dense-sharded runs keyed coins only, got coins={coins!r}",
         )
         if engine is None:

@@ -200,7 +200,9 @@ def luby_mis_workload(
         setup += shard_setup
         halo0 = ex.halo_seconds
         start = time.perf_counter()
-        mis, rounds = luby_mis(adj, seed=seed, method="dense-sharded", executor=ex)
+        mis, rounds = luby_mis(
+            adj, seed=seed, method="dense-sharded", coins="keyed", executor=ex
+        )
         solve = time.perf_counter() - start
         extras = {
             "shards": len(ex.plan),
@@ -303,8 +305,8 @@ def sinkless_workload(
         halo0 = ex.halo_seconds
         start = time.perf_counter()
         orientation, rounds = run_trial_and_fix(
-            adj, min_degree=2, seed=seed, method=backend, engine=engine,
-            executor=ex,
+            adj, min_degree=2, seed=seed, method=backend, coins="keyed",
+            engine=engine, executor=ex,
         )
         solve = time.perf_counter() - start
         extras = {
@@ -396,7 +398,7 @@ def splitting_workload(
         method=method,
         seed=seed,
         engine=engine,
-        coins="philox" if method in ("dense", "dense-sharded") else "replay",
+        coins={"dense": "philox", "dense-sharded": "keyed"}.get(method, "replay"),
         executor=executor,
     )
     solve = time.perf_counter() - start

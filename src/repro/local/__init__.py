@@ -1,8 +1,9 @@
 """LOCAL model: synchronous simulator, batched engine, dense kernels, ledger.
 
-The dense (numpy) kernels are exported lazily: ``repro.local.luby_mis_dense``
-etc. resolve on first access so importing the package never requires numpy
-— the pure-Python reference and engine paths keep working without it.
+Building a :class:`Network` needs numpy: its validation packs the CSR
+arrays every backend runs on.  The dense kernels and the sharded backend
+are exported lazily: ``repro.local.luby_mis_dense`` etc. resolve on first
+access, so importing the package does not load them.
 """
 
 from repro.local.complexity import (
@@ -88,7 +89,7 @@ _SHARDED_NAMES = frozenset(
 )
 
 
-def __getattr__(name):  # PEP 562: defer the numpy import to first use
+def __getattr__(name):  # PEP 562: defer the kernel imports to first use
     if name in _DENSE_NAMES:
         from repro.local import dense
 

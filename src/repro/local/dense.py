@@ -807,9 +807,8 @@ def sinkless_trial_dense(
     owner = _slot_owner(offsets)
     m = dst_node.shape[0]
 
-    pair_keys = owner * np.int64(n) + dst_node
     require(
-        np.unique(pair_keys).shape[0] == m,
+        engine.network.simple,
         "sinkless_trial_dense requires a simple graph (no multi-edges/self-loops)",
     )
     # partner[k]: the CSR slot on the other endpoint of slot k's edge.
@@ -960,9 +959,8 @@ def sinkless_trial_batched(
     m = dst_node.shape[0]
     k = len(seeds)
 
-    pair_keys = owner * np.int64(n) + dst_node
     require(
-        np.unique(pair_keys).shape[0] == m,
+        engine.network.simple,
         "sinkless_trial_batched requires a simple graph (no multi-edges/self-loops)",
     )
     partner = offsets[:-1][dst_node] + dst_port

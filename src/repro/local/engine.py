@@ -8,12 +8,13 @@ still running*.  That loop dominates every benchmark in this repository.
 :class:`CSREngine` executes the same algorithms with the same semantics —
 bit-identical outputs for a fixed seed — but restructures the hot path:
 
-* **CSR packing.**  Adjacency and port tables are flattened once into
-  contiguous arrays (``offsets``, ``dst_node``, ``dst_port``): the ports of
-  node ``i`` occupy slots ``offsets[i]:offsets[i+1]``, and a message sent on
-  slot ``k`` lands in the inbox of ``dst_node[k]`` under port
-  ``dst_port[k]``.  Packing is paid once per network and reused across runs
-  (multi-seed sweeps amortize it to nothing).
+* **CSR packing.**  Adjacency and port tables live in contiguous arrays
+  (``offsets``, ``dst_node``, ``dst_port``): the ports of node ``i`` occupy
+  slots ``offsets[i]:offsets[i+1]``, and a message sent on slot ``k`` lands
+  in the inbox of ``dst_node[k]`` under port ``dst_port[k]``.  The
+  :class:`~repro.local.network.Network` packs them with numpy in the same
+  sort pass that validates it, so an engine only borrows them and reuses
+  them across runs (multi-seed sweeps amortize them to nothing).
 
 * **Active-set tracking.**  Only non-halted nodes are visited in the send
   and receive phases, and inboxes are materialized lazily for nodes that
@@ -46,7 +47,7 @@ the simulation under growing round caps.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.local.network import (
     NO_BROADCAST,
@@ -55,7 +56,6 @@ from repro.local.network import (
     NodeView,
     RoundHooks,
     SimulationResult,
-    build_reverse_ports,
 )
 from repro.utils.rng import node_rng
 from repro.utils.validation import require
@@ -69,57 +69,29 @@ Probe = Callable[[int, List[NodeView]], bool]
 class CSREngine:
     """Reusable batched executor for one :class:`Network`.
 
-    Construction flattens the network's adjacency and port tables into CSR
-    arrays; :meth:`run` then executes any :class:`LocalAlgorithm` against
-    them.  Build once, run many times (different algorithms and seeds).
+    Construction borrows the network's packed CSR arrays; :meth:`run` then
+    executes any :class:`LocalAlgorithm` against them.  Build once, run many
+    times (different algorithms and seeds).
     """
 
     def __init__(self, network: Network):
         self.network = network
-        adjacency = network.adjacency
-        n = len(adjacency)
-        reverse_port = build_reverse_ports(adjacency)
-        offsets = [0] * (n + 1)
-        for i in range(n):
-            offsets[i + 1] = offsets[i] + len(adjacency[i])
-        m = offsets[n]
-        dst_node = [0] * m
-        dst_port = [0] * m
-        k = 0
-        for i in range(n):
-            rev = reverse_port[i]
-            for p, j in enumerate(adjacency[i]):
-                dst_node[k] = j
-                dst_port[k] = rev[p]
-                k += 1
-        self.offsets = offsets
-        self.dst_node = dst_node
-        self.dst_port = dst_port
-        # Per-node delivery slices: out_slots[i][p] = (dst node, dst port).
-        # Tuple lists iterate faster than indexing the flat arrays per slot.
-        self.out_slots = [
-            list(zip(dst_node[offsets[i]:offsets[i + 1]], dst_port[offsets[i]:offsets[i + 1]]))
-            for i in range(n)
-        ]
-        self._dense_arrays = None  # numpy mirrors, built lazily on first use
+        self.offsets = network.offsets
+        self.dst_node = network.dst_node
+        self.dst_port = network.dst_port
+        # Per-node delivery slices out_slots[i][p] = (dst node, dst port),
+        # built on the first run: tuple lists iterate faster than indexing
+        # the flat arrays per slot, and only this pure-Python path uses them.
+        self._out_slots: Optional[List[List[Tuple[int, int]]]] = None
 
     def dense_arrays(self):
         """The CSR layout as numpy int64 arrays ``(offsets, dst_node, dst_port)``.
 
-        Built on first call and cached; this is the substrate the vectorized
-        round kernels in :mod:`repro.local.dense` index into.  Requires
-        numpy (imported lazily so the pure-Python engine path works without
-        it).
+        These are the network's own read-only arrays, packed once when the
+        :class:`Network` was validated; this is the substrate the vectorized
+        round kernels in :mod:`repro.local.dense` index into.
         """
-        if self._dense_arrays is None:
-            import numpy as np
-
-            self._dense_arrays = (
-                np.asarray(self.offsets, dtype=np.int64),
-                np.asarray(self.dst_node, dtype=np.int64),
-                np.asarray(self.dst_port, dtype=np.int64),
-            )
-        return self._dense_arrays
+        return self.offsets, self.dst_node, self.dst_port
 
     @property
     def n(self) -> int:
@@ -151,8 +123,12 @@ class CSREngine:
         """
         require(max_rounds >= 0, f"max_rounds must be >= 0, got {max_rounds}")
         network = self.network
-        out_slots = self.out_slots
         n = self.n
+        if self._out_slots is None:
+            offsets = self.offsets.tolist()
+            pairs = list(zip(self.dst_node.tolist(), self.dst_port.tolist()))
+            self._out_slots = [pairs[offsets[i]:offsets[i + 1]] for i in range(n)]
+        out_slots = self._out_slots
 
         rng_start = time.perf_counter()
         views = [

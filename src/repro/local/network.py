@@ -25,10 +25,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import random
 import time
+
+import numpy as np
 
 from repro.utils.rng import node_rng
 from repro.utils.validation import require
@@ -70,21 +73,53 @@ class Network:
     ids:
         Unique identifiers (the LOCAL model's O(log n)-bit names).  Defaults
         to the node indices.
+
+    Validation also packs the graph into read-only int64 CSR arrays: the
+    ports of node ``i`` occupy slots ``offsets[i]:offsets[i+1]``, and slot
+    ``k`` leads to node ``dst_node[k]``, arriving there on port
+    ``dst_port[k]``.  One stable sort of the slot keys ``owner*n + dst``
+    and one of the reversed keys ``dst*n + owner`` check symmetry (with
+    multiplicities) and pair the k-th ``(u, v)`` slot with the k-th
+    ``(v, u)`` slot — the :func:`build_reverse_ports` rule.  ``simple``
+    records whether the graph has neither multi-edges nor self-loops.
     """
 
     def __init__(self, adjacency: Sequence[Sequence[int]], ids: Optional[Sequence[int]] = None):
         self.adjacency: Tuple[Tuple[int, ...], ...] = tuple(tuple(a) for a in adjacency)
         n = len(self.adjacency)
-        counts: Dict[Tuple[int, int], int] = {}
-        for i, nbrs in enumerate(self.adjacency):
-            for j in nbrs:
-                require(0 <= j < n, f"node {i} lists out-of-range neighbor {j}")
-                counts[(i, j)] = counts.get((i, j), 0) + 1
-        for (i, j), c in counts.items():
-            require(
-                counts.get((j, i), 0) == c,
-                f"asymmetric adjacency between nodes {i} and {j}",
-            )
+        degrees = np.fromiter(map(len, self.adjacency), dtype=np.int64, count=n)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=offsets[1:])
+        m = int(offsets[-1])
+        dst = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.int64, count=m)
+        owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
+
+        bad = np.flatnonzero((dst < 0) | (dst >= n))
+        if bad.shape[0]:
+            k = bad[0]
+            raise ValueError(f"node {owner[k]} lists out-of-range neighbor {dst[k]}")
+        key = owner * n + dst
+        rkey = dst * n + owner
+        order = np.argsort(key, kind="stable")
+        rorder = np.argsort(rkey, kind="stable")
+        key = key[order]
+        rkey = rkey[rorder]
+        mismatch = np.flatnonzero(key != rkey)
+        if mismatch.shape[0]:
+            d = mismatch[0]
+            # The smaller key at the first difference occurs more often on
+            # one side than on the other: its pair is asymmetric.
+            i, j = divmod(int(min(key[d], rkey[d])), n)
+            raise ValueError(f"asymmetric adjacency between nodes {i} and {j}")
+        self.simple: bool = not ((key[1:] == key[:-1]).any() or (owner == dst).any())
+        partner = np.empty(m, dtype=np.int64)
+        partner[rorder] = order
+        self.offsets = offsets
+        self.dst_node = dst
+        self.dst_port = partner - offsets[dst]
+        for arr in (self.offsets, self.dst_node, self.dst_port):
+            arr.flags.writeable = False
+
         if ids is None:
             ids = list(range(n))
         require(len(ids) == n, "ids must have one entry per node")

@@ -1246,11 +1246,8 @@ def sinkless_trial_sharded(
                 strict=strict, executor=ex,
             )
     ex = executor
-    offsets, dst_node, _ = engine.dense_arrays()
-    owner = np.repeat(np.arange(engine.n, dtype=np.int64), np.diff(offsets))
-    m = dst_node.shape[0]
     require(
-        np.unique(owner * np.int64(max(engine.n, 1)) + dst_node).shape[0] == m,
+        engine.network.simple,
         "sinkless_trial_sharded requires a simple graph (no multi-edges/self-loops)",
     )
     bound = _bound_of(faults)

@@ -127,8 +127,8 @@ def luby_mis(
     node-range shards and runs the rounds shard-local across a persistent
     process pool with per-round halo exchange
     (:func:`repro.local.sharded.luby_mis_sharded`) — bit-identical per
-    trial to ``method="dense", coins="keyed"`` (so ``coins`` must be
-    ``"keyed"`` or left at its default).  ``seed`` may be an int (one
+    trial to ``method="dense", coins="keyed"`` (so ``coins="keyed"`` must
+    be passed; the default raises).  ``seed`` may be an int (one
     trial) or a sequence of seeds (a batch run on hot shard workers,
     returning a list like ``dense-batched``); pass ``executor`` (a live
     :class:`~repro.local.sharded.ShardedExecutor`) to amortize
@@ -146,7 +146,7 @@ def luby_mis(
         from repro.local.sharded import ShardedExecutor, luby_mis_sharded_batch
 
         require(
-            coins in ("philox", "keyed"),
+            coins == "keyed",
             f"dense-sharded runs keyed coins only, got coins={coins!r}",
         )
         seeds = [seed] if isinstance(seed, int) else list(seed)

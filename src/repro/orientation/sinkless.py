@@ -245,7 +245,8 @@ def run_trial_and_fix(
     ``method="dense-sharded"`` runs the same trial across node-range CSR
     shards on a persistent process pool with one halo exchange per fix
     round (:func:`repro.local.sharded.sinkless_trial_sharded`) —
-    bit-identical per trial to ``method="dense", coins="keyed"``.  Pass
+    bit-identical per trial to ``method="dense", coins="keyed"`` (so
+    ``coins="keyed"`` must be passed; the default raises).  Pass
     ``executor`` (a live :class:`~repro.local.sharded.ShardedExecutor`) to
     keep shard workers hot across calls; ``shards`` sizes a throwaway one.
     """
@@ -262,7 +263,7 @@ def run_trial_and_fix(
         from repro.local.sharded import sinkless_trial_sharded
 
         require(
-            coins in ("philox", "keyed"),
+            coins == "keyed",
             f"dense-sharded runs keyed coins only, got coins={coins!r}",
         )
         if engine is None:

@@ -221,7 +221,7 @@ def run_scenario(
     metrics["solve_seconds"] = time.perf_counter() - solve_start
 
     metrics["n"] = network.n
-    metrics["m"] = sum(len(a) for a in network.adjacency) // 2
+    metrics["m"] = int(network.offsets[-1]) // 2
     metrics["setup_seconds"] = setup_seconds
     # Split the setup tax for the analytics layer: graph build + packing
     # (``pack_seconds``, 0.0 on a cell-cache hit) vs per-run RNG

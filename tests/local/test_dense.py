@@ -161,9 +161,18 @@ class TestSinklessReplayBitIdentity:
             )
 
     def test_multi_edge_rejected(self):
-        engine = CSREngine(Network([[1, 1], [0, 0]]))
-        with pytest.raises(ValueError):
-            sinkless_trial_dense(engine, seed=0)
+        from repro.local.dense import sinkless_trial_batched
+        from repro.local.sharded import sinkless_trial_sharded
+
+        for adj in ([[1, 1], [0, 0]], [[0, 1], [0]]):  # parallel edge, self-loop
+            engine = CSREngine(Network(adj))
+            for run in (
+                lambda: sinkless_trial_dense(engine, seed=0),
+                lambda: sinkless_trial_batched(engine, [0, 1]),
+                lambda: sinkless_trial_sharded(engine, seed=0, shards=2, workers=0),
+            ):
+                with pytest.raises(ValueError, match="requires a simple graph"):
+                    run()
 
     def test_trailing_isolated_nodes(self):
         # Regression companion to the Luby case: the sink checks (own-view
@@ -268,14 +277,14 @@ class TestPhiloxStatisticalValidity:
 
 
 class TestDenseArraysOnEngine:
-    def test_cached_and_consistent_with_python_lists(self):
+    def test_cached_and_shared_with_the_engine(self):
         adj = [[1, 1, 2], [0, 0, 2], [0, 1]]
         engine = CSREngine(Network(adj))
         offsets, dst_node, dst_port = engine.dense_arrays()
         assert engine.dense_arrays()[0] is offsets  # cached
-        assert list(offsets) == engine.offsets
-        assert list(dst_node) == engine.dst_node
-        assert list(dst_port) == engine.dst_port
+        assert offsets is engine.offsets
+        assert dst_node is engine.dst_node
+        assert dst_port is engine.dst_port
         assert offsets.dtype == dst_node.dtype == dst_port.dtype == np.int64
 
     def test_lazy_exports_resolve(self):

@@ -254,8 +254,8 @@ class TestEngineBehaviour:
     def test_csr_arrays_shape(self):
         adj = [[1, 1, 2], [0, 0, 2], [0, 1]]
         engine = CSREngine(Network(adj))
-        assert engine.offsets == [0, 3, 6, 8]
-        assert len(engine.dst_node) == len(engine.dst_port) == 8
+        assert engine.offsets.tolist() == [0, 3, 6, 8]
+        assert engine.dst_node.shape == engine.dst_port.shape == (8,)
         # every slot points back at a slot that points here
         for i in range(3):
             for p in range(engine.offsets[i], engine.offsets[i + 1]):

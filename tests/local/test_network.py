@@ -2,10 +2,12 @@
 
 from typing import Dict
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bipartite import BipartiteInstance
-from repro.local import LocalAlgorithm, Network, NodeView, run_local
+from repro.local import LocalAlgorithm, Network, NodeView, build_reverse_ports, run_local
 from tests.conftest import cycle_graph, path_graph
 
 
@@ -55,18 +57,89 @@ class EchoPorts(LocalAlgorithm):
         view.halted = True
 
 
+def packed_from_reverse_ports(adjacency):
+    """CSR ``(offsets, dst_node, dst_port)`` laid out from the per-slot
+    reference port tables of :func:`build_reverse_ports`."""
+    reverse_port = build_reverse_ports(adjacency)
+    offsets = [0]
+    for nbrs in adjacency:
+        offsets.append(offsets[-1] + len(nbrs))
+    dst_node = [j for nbrs in adjacency for j in nbrs]
+    dst_port = [q for ports in reverse_port for q in ports]
+    return offsets, dst_node, dst_port
+
+
+@st.composite
+def multigraph_cases(draw, max_nodes=12, max_edges=30):
+    """Symmetric adjacency with parallel edges, self-loops listed once or
+    twice, isolated nodes (``n`` may be 0) and shuffled port order, plus
+    default or custom ids."""
+    n = draw(st.integers(min_value=0, max_value=max_nodes))
+    adj = [[] for _ in range(n)]
+    if n:
+        node = st.integers(min_value=0, max_value=n - 1)
+        for u, v in draw(st.lists(st.tuples(node, node), max_size=max_edges)):
+            adj[u].append(v)
+            adj[v].append(u)
+        for u in draw(st.lists(node, max_size=3)):
+            adj[u].append(u)
+    adj = [draw(st.permutations(nbrs)) for nbrs in adj]
+    ids = draw(st.none() | st.lists(
+        st.integers(min_value=-10**9, max_value=10**9), min_size=n, max_size=n, unique=True
+    ))
+    return adj, ids
+
+
 class TestNetwork:
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            Network([[1], []])
+        cases = [
+            ([[1], []], "asymmetric adjacency between nodes 0 and 1"),
+            ([[1, 1], [0]], "asymmetric adjacency between nodes 0 and 1"),
+            ([[], [2, 2], [1]], "asymmetric adjacency between nodes 1 and 2"),
+        ]
+        for adj, message in cases:
+            with pytest.raises(ValueError, match=message):
+                Network(adj)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            Network([[5]])
+        cases = [
+            ([[5]], "node 0 lists out-of-range neighbor 5"),
+            ([[1], [-1]], "node 1 lists out-of-range neighbor -1"),
+            ([[1], [0, 2]], "node 1 lists out-of-range neighbor 2"),
+        ]
+        for adj, message in cases:
+            with pytest.raises(ValueError, match=message):
+                Network(adj)
 
     def test_rejects_duplicate_ids(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ids must be unique"):
             Network(path_graph(3), ids=[1, 1, 2])
+
+    def test_rejects_ids_of_wrong_length(self):
+        for ids in ([1, 2], [1, 2, 3, 4]):
+            with pytest.raises(ValueError, match="one entry per node"):
+                Network(path_graph(3), ids=ids)
+
+    @given(multigraph_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_pack_matches_reverse_port_tables(self, case):
+        adj, ids = case
+        net = Network(adj, ids=ids)
+        offsets, dst_node, dst_port = packed_from_reverse_ports(net.adjacency)
+        assert net.offsets.tolist() == offsets
+        assert net.dst_node.tolist() == dst_node
+        assert net.dst_port.tolist() == dst_port
+        assert net.offsets.dtype == net.dst_node.dtype == net.dst_port.dtype == np.int64
+        assert net.ids == (tuple(range(len(adj))) if ids is None else tuple(ids))
+        assert net.simple == all(
+            i not in nbrs and len(set(nbrs)) == len(nbrs) for i, nbrs in enumerate(adj)
+        )
+
+    def test_packed_arrays_are_read_only(self):
+        net = Network(path_graph(3))
+        for arr in (net.offsets, net.dst_node, net.dst_port):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
     def test_degree(self):
         net = Network(path_graph(3))

@@ -275,13 +275,15 @@ class TestPipelineDispatch:
         from repro.mis.luby import is_mis, luby_mis
 
         adj = random_sparse_graph(150, 8, seed=17)
-        mis, rounds = luby_mis(adj, seed=1, method="dense-sharded", shards=2)
+        mis, rounds = luby_mis(adj, seed=1, method="dense-sharded", coins="keyed",
+                               shards=2)
         engine = engine_of(adj)
         reference = luby_mis_dense(engine, seed=1, coins="keyed")
         assert mis == {int(i) for i in reference.in_mis.nonzero()[0]}
         assert rounds == reference.rounds
         assert is_mis(adj, mis)
-        batch = luby_mis(adj, seed=[0, 1], method="dense-sharded", shards=2)
+        batch = luby_mis(adj, seed=[0, 1], method="dense-sharded", coins="keyed",
+                         shards=2)
         assert batch[1] == (mis, rounds)
 
     def test_luby_mis_rejects_replay_coins(self):
@@ -290,12 +292,30 @@ class TestPipelineDispatch:
         with pytest.raises(Exception, match="keyed"):
             luby_mis([[1], [0]], method="dense-sharded", coins="replay")
 
+    def test_default_coins_rejected(self):
+        # The pipelines default to philox coins, which dense-sharded cannot
+        # run; it must refuse instead of silently switching to keyed coins.
+        from repro.apps.splitting import uniform_splitting
+        from repro.mis.luby import luby_mis
+        from repro.orientation.sinkless import run_trial_and_fix
+
+        adj = [[1], [0]]
+        spec = UniformSplittingSpec(eps=0.25, min_constrained_degree=8)
+        for call in (
+            lambda: luby_mis(adj, method="dense-sharded"),
+            lambda: run_trial_and_fix(adj, method="dense-sharded"),
+            lambda: uniform_splitting(adj, spec, method="dense-sharded"),
+        ):
+            with pytest.raises(ValueError, match="keyed coins only"):
+                call()
+
     def test_sinkless_dispatch(self):
         from repro.orientation.sinkless import run_trial_and_fix
 
         adj = random_regular_graph(60, 4, seed=18)
         orientation, rounds = run_trial_and_fix(
-            adj, min_degree=1, seed=1, method="dense-sharded", shards=2
+            adj, min_degree=1, seed=1, method="dense-sharded", coins="keyed",
+            shards=2,
         )
         engine = engine_of(adj)
         reference = sinkless_trial_dense(engine, min_degree=1, seed=1,
@@ -308,5 +328,5 @@ class TestPipelineDispatch:
         adj = random_sparse_graph(200, 24, seed=19)
         spec = UniformSplittingSpec(eps=0.25, min_constrained_degree=8)
         colors = uniform_splitting(adj, spec, seed=1, method="dense-sharded",
-                                   shards=2)
+                                   coins="keyed", shards=2)
         assert len(colors) == 200 and set(colors) <= {0, 1}

@@ -193,7 +193,7 @@ class TestDenseReplayUnderFaults:
                 strict=False,
             )
             assert dense.rounds == eng.rounds
-            offsets = engine.offsets
+            offsets = engine.offsets.tolist()
             slot_out = [False] * offsets[-1]
             for i, view in enumerate(eng.views):
                 for p, is_out in view.state.get("out", {}).items():
