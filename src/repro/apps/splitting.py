@@ -276,7 +276,7 @@ def uniform_splitting(
                 f"{method} uniform splitting failed {max_attempts} times; "
                 "constrained degrees are below the w.h.p. regime"
             )
-        return [int(c) for c in sharded.colors]
+        return sharded.colors.tolist()
 
     if method == "dense-batched":
         from repro.local.dense import uniform_splitting_batched
@@ -296,7 +296,7 @@ def uniform_splitting(
                 f"{method} uniform splitting failed {max_attempts} times; "
                 "constrained degrees are below the w.h.p. regime"
             )
-        return [[int(c) for c in batch.colors[t]] for t in range(len(batch))]
+        return [batch.colors[t].tolist() for t in range(len(batch))]
 
     if method in ("local", "dense"):
         rng = ensure_rng(seed)
@@ -321,8 +321,8 @@ def uniform_splitting(
                     ledger.charge_simulated(dense.rounds, "0-round-splitting+check")
                 accepted = bool(dense.ok)
                 if accepted or recover:
-                    colors = [int(c) for c in dense.colors]
-                    crashed = [bool(c) for c in dense.crashed]
+                    colors = dense.colors.tolist()
+                    crashed = dense.crashed.tolist()
             else:
                 result = engine.run(algorithm, max_rounds=1, seed=run_seed, hooks=hooks)
                 if ledger is not None:
@@ -361,7 +361,7 @@ def uniform_splitting(
             if ledger is not None and rep.repair_rounds:
                 ledger.charge_simulated(rep.repair_rounds, "splitting-repair")
             if accepted or rep.recovered:
-                return [int(c) for c in colors_arr]
+                return colors_arr.tolist()
         elif accepted:
             return colors
         raise RuntimeError(

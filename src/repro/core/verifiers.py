@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Set
 
+import numpy as np
+
 from repro.bipartite.instance import BLUE, RED, BipartiteInstance, Coloring
 from repro.core.problems import (
     UniformSplittingSpec,
@@ -20,6 +22,7 @@ from repro.core.problems import (
     weak_multicolor_bound_degree,
     weak_multicolor_required_colors,
 )
+from repro.local.network import csr_arrays
 from repro.utils.validation import require
 
 __all__ = [
@@ -31,6 +34,7 @@ __all__ = [
     "is_multicolor_splitting",
     "uniform_splitting_violations",
     "is_uniform_splitting",
+    "red_window_violators",
 ]
 
 
@@ -174,15 +178,17 @@ def uniform_splitting_violations(
     """
     n = len(adjacency)
     require(len(partition) == n, "partition must cover all nodes")
-    bad: List[int] = []
-    for v in range(n):
-        d = len(adjacency[v])
-        if not spec.constrains(d):
-            continue
-        red = sum(1 for w in adjacency[v] if partition[w] == RED)
-        if not (spec.lo(d) <= red <= spec.hi(d)):
-            bad.append(v)
-    return bad
+    _, owner, dst = csr_arrays(adjacency)
+    return np.flatnonzero(red_window_violators(owner, dst, partition, spec, n)).tolist()
+
+
+def red_window_violators(owner, dst, partition, spec: UniformSplittingSpec, n: int):
+    """Bool mask over the ``n`` nodes: counted over the slots
+    ``owner[k] -> dst[k]``, the node's degree is constrained by ``spec``
+    and its red-neighbor count lies outside the spec window."""
+    degree = np.bincount(owner, minlength=n)
+    red = np.bincount(owner[(np.asarray(partition) == RED)[dst]], minlength=n)
+    return spec.constrains(degree) & ((red < spec.lo(degree)) | (red > spec.hi(degree)))
 
 
 def is_uniform_splitting(

@@ -549,13 +549,13 @@ def engine_throughput_workload(
     replay = luby_mis_dense(engine, seed=seed, coins="replay")
     require(
         replay.rounds == fast.rounds
-        and [bool(x) for x in replay.in_mis]
+        and replay.in_mis.tolist()
         == [bool(v.state.get("in_mis")) for v in fast.views],
         "dense kernel (replayed coins) diverged from engine",
     )
     require(
         dense.completed
-        and is_mis(net.adjacency, {int(i) for i in dense.in_mis.nonzero()[0]}),
+        and is_mis(net.adjacency, set(dense.in_mis.nonzero()[0].tolist())),
         "dense kernel (philox coins) produced an invalid MIS",
     )
     return {

@@ -1044,7 +1044,7 @@ def dense_orientation(
     low = np.flatnonzero(owner < dst_node)
     srcs = np.where(out[low], owner[low], dst_node[low])
     dsts = np.where(out[low], dst_node[low], owner[low])
-    return {(int(u), int(v)): True for u, v in zip(srcs, dsts)}
+    return dict.fromkeys(zip(srcs.tolist(), dsts.tolist()), True)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ __all__ = [
     "SimulationResult",
     "NO_BROADCAST",
     "build_reverse_ports",
+    "csr_arrays",
 ]
 
 
@@ -59,6 +60,25 @@ class _NoBroadcast:
 
 #: Returned by :meth:`LocalAlgorithm.broadcast` to fall back to :meth:`send`.
 NO_BROADCAST = _NoBroadcast()
+
+
+def csr_arrays(
+    adjacency: Sequence[Sequence[int]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten an adjacency list into int64 slot arrays ``(offsets, owner, dst)``.
+
+    Node ``i`` owns slots ``offsets[i]:offsets[i+1]``, in port order, and
+    slot ``k`` is the edge ``owner[k] -> dst[k]``.  Nothing is validated.
+    """
+    n = len(adjacency)
+    degrees = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    dst = np.fromiter(
+        chain.from_iterable(adjacency), dtype=np.int64, count=int(offsets[-1])
+    )
+    owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    return offsets, owner, dst
 
 
 class Network:
@@ -87,12 +107,8 @@ class Network:
     def __init__(self, adjacency: Sequence[Sequence[int]], ids: Optional[Sequence[int]] = None):
         self.adjacency: Tuple[Tuple[int, ...], ...] = tuple(tuple(a) for a in adjacency)
         n = len(self.adjacency)
-        degrees = np.fromiter(map(len, self.adjacency), dtype=np.int64, count=n)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=offsets[1:])
+        offsets, owner, dst = csr_arrays(self.adjacency)
         m = int(offsets[-1])
-        dst = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.int64, count=m)
-        owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
 
         bad = np.flatnonzero((dst < 0) | (dst >= n))
         if bad.shape[0]:

@@ -23,10 +23,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.local.ledger import RoundLedger
 from repro.local.network import LocalAlgorithm, Network, NodeView
 from repro.local.engine import CSREngine, run_local_fast
-from repro.utils.validation import require
+from repro.utils.validation import require, require_nodes
 
 __all__ = ["LubyMIS", "luby_mis", "is_mis"]
 
@@ -169,7 +171,7 @@ def luby_mis(
             if ledger is not None:
                 ledger.charge_simulated(result.rounds, label)
             out.append(
-                ({int(i) for i in result.in_mis.nonzero()[0]}, result.rounds)
+                (set(np.flatnonzero(result.in_mis).tolist()), result.rounds)
             )
         return out[0] if isinstance(seed, int) else out
     if method == "dense-batched":
@@ -187,7 +189,7 @@ def luby_mis(
         )
         out: List[Tuple[Set[int], int]] = []
         for t in range(len(seeds)):
-            mis = {int(i) for i in batch.in_mis[t].nonzero()[0]}
+            mis = set(np.flatnonzero(batch.in_mis[t]).tolist())
             rounds_t = int(batch.rounds[t])
             if ledger is not None:
                 ledger.charge_simulated(rounds_t, label)
@@ -209,8 +211,7 @@ def luby_mis(
                 engine, faults, seed, result.in_mis.copy(), result.crashed.copy(),
                 result.rounds, max_rounds, ledger, label,
             )
-        mis = {int(i) for i in result.in_mis.nonzero()[0]}
-        return mis, result.rounds
+        return set(np.flatnonzero(result.in_mis).tolist()), result.rounds
     if engine is None and recover:
         engine = CSREngine(Network(adjacency))
     if engine is not None:
@@ -223,8 +224,6 @@ def luby_mis(
     if ledger is not None:
         ledger.charge_simulated(result.rounds, label)
     if recover:
-        import numpy as np
-
         from repro.scenarios.masks import DenseFaults
         from repro.scenarios.recovery import bound_stack
 
@@ -242,8 +241,6 @@ def luby_mis(
 
 def _repair_mis(engine, faults, seed, in_mis, crashed, rounds, max_rounds, ledger, label):
     """Shared ``recover=True`` tail: repair in place, return survivors' MIS."""
-    import numpy as np
-
     from repro.scenarios.recovery import luby_repair
 
     rep = luby_repair(
@@ -252,17 +249,16 @@ def _repair_mis(engine, faults, seed, in_mis, crashed, rounds, max_rounds, ledge
     )
     if ledger is not None and rep.repair_rounds:
         ledger.charge_simulated(rep.repair_rounds, label + "-repair")
-    mis = {int(i) for i in np.flatnonzero(in_mis & ~crashed)}
-    return mis, rep.last_round
+    return set(np.flatnonzero(in_mis & ~crashed).tolist()), rep.last_round
 
 
 def is_mis(adjacency: Sequence[Sequence[int]], mis: Set[int]) -> bool:
-    """Verify independence and maximality (domination)."""
+    """Verify independence and maximality (domination).
+
+    Raises ``ValueError`` if ``mis`` names a node outside ``range(n)``.
+    """
     n = len(adjacency)
-    for v in mis:
-        if any(w in mis for w in adjacency[v]):
-            return False  # not independent
-    for v in range(n):
-        if v not in mis and not any(w in mis for w in adjacency[v]):
-            return False  # not maximal
-    return True
+    require_nodes(np.fromiter(mis, dtype=np.int64, count=len(mis)), n, "MIS node")
+    # Independent and dominating means: a node is in the MIS exactly when
+    # its row has no MIS node.  Both sides are C-level passes over the rows.
+    return list(map(mis.isdisjoint, adjacency)) == list(map(mis.__contains__, range(n)))

@@ -22,16 +22,28 @@ Besides the verifier this module ships two constructive baselines:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import chain, islice
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.local.engine import CSREngine
-from repro.local.network import NO_BROADCAST, LocalAlgorithm, Network, NodeView
+from repro.local.network import (
+    NO_BROADCAST,
+    LocalAlgorithm,
+    Network,
+    NodeView,
+    csr_arrays,
+)
 from repro.utils.rng import SeedLike, ensure_rng
-from repro.utils.validation import require
+from repro.utils.validation import require, require_nodes
 
 __all__ = [
     "is_sinkless",
     "sinks",
+    "orientation_from_views",
+    "slot_state_from_views",
+    "survivors_sink_free",
     "greedy_sinkless_orientation",
     "TrialAndFixSinkless",
     "run_trial_and_fix",
@@ -42,8 +54,17 @@ __all__ = [
 GraphOrientation = Dict[Tuple[int, int], bool]
 
 
-def _edge_set(adj: Sequence[Sequence[int]]) -> Set[Tuple[int, int]]:
-    return {(u, v) for u in range(len(adj)) for v in adj[u] if u < v}
+def _arcs(orientation: GraphOrientation) -> np.ndarray:
+    """The orientation's ``(u, v)`` keys as a ``(k, 2)`` int64 array, in dict order."""
+    k = len(orientation)
+    return np.fromiter(
+        chain.from_iterable(orientation), dtype=np.int64, count=2 * k
+    ).reshape(k, 2)
+
+
+def _sink_mask(degrees: np.ndarray, tails: np.ndarray, min_degree: int) -> np.ndarray:
+    out_deg = np.bincount(tails, minlength=degrees.shape[0])
+    return (degrees >= min_degree) & (out_deg == 0)
 
 
 def sinks(
@@ -51,10 +72,10 @@ def sinks(
 ) -> List[int]:
     """Nodes of degree >= ``min_degree`` with no outgoing edge."""
     n = len(adj)
-    out_deg = [0] * n
-    for (u, v) in orientation:
-        out_deg[u] += 1
-    return [v for v in range(n) if len(adj[v]) >= min_degree and out_deg[v] == 0]
+    arcs = _arcs(orientation)
+    require_nodes(arcs, n, "orientation endpoint")
+    degrees = np.fromiter(map(len, adj), dtype=np.int64, count=n)
+    return np.flatnonzero(_sink_mask(degrees, arcs[:, 0], min_degree)).tolist()
 
 
 def is_sinkless(
@@ -63,18 +84,45 @@ def is_sinkless(
     """Verify a sinkless orientation.
 
     Checks (a) every edge is oriented exactly once, and (b) every node of
-    degree >= ``min_degree`` has an outgoing edge.
+    degree >= ``min_degree`` has an outgoing edge.  Parallel edges count
+    as one edge; self-loops are not edges.  An orientation key naming a
+    node outside ``range(n)``, a non-edge or an edge already oriented
+    raises ``ValueError``, for the first such key in dict order.
     """
-    edges = _edge_set(adj)
-    covered: Set[Tuple[int, int]] = set()
-    for (u, v) in orientation:
-        key = (min(u, v), max(u, v))
-        require(key in edges, f"orientation mentions non-edge {u, v}")
-        require(key not in covered, f"edge {key} oriented twice")
-        covered.add(key)
-    if covered != edges:
-        return False
-    return not sinks(adj, orientation, min_degree)
+    n = len(adj)
+    offsets, owner, dst = csr_arrays(adj)
+    arcs = _arcs(orientation)
+    lo, hi = arcs.min(axis=1), arcs.max(axis=1)
+    keys = lo * n + hi
+    lower = owner < dst
+    edges = np.sort(owner[lower] * n + dst[lower])
+    distinct = np.ones(edges.shape[0], dtype=bool)
+    distinct[1:] = edges[1:] != edges[:-1]  # parallel edges are one edge
+    edges = edges[distinct]
+    pos = np.searchsorted(edges, keys)
+    inside = (lo >= 0) & (hi < n)
+    known = inside & (pos < edges.shape[0])
+    known[known] = edges[pos[known]] == keys[known]
+    counts = np.bincount(pos[known], minlength=edges.shape[0])
+    if not known.all() or (counts > 1).any():
+        _raise_first_bad_arc(orientation, keys, inside, known, n)
+    if arcs.shape[0] != edges.shape[0]:
+        return False  # some edge is not oriented
+    return not _sink_mask(np.diff(offsets), arcs[:, 0], min_degree).any()
+
+
+def _raise_first_bad_arc(orientation, keys, inside, known, n) -> None:
+    """Raise for the first key that names a non-node, a non-edge or an edge
+    that an earlier key already oriented."""
+    order = np.argsort(keys, kind="stable")
+    repeat = np.zeros(keys.shape[0], dtype=bool)
+    repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    first = int(np.flatnonzero(~known | repeat)[0])
+    u, v = next(islice(orientation, first, None))
+    if not inside[first]:
+        require_nodes(np.array([u, v], dtype=np.int64), n, "orientation endpoint")
+    require(known[first], f"orientation mentions non-edge {u, v}")
+    raise ValueError(f"edge {(min(u, v), max(u, v))} oriented twice")
 
 
 def greedy_sinkless_orientation(
@@ -308,39 +356,25 @@ def run_trial_and_fix(
     def probe(round_no: int, views) -> bool:
         if round_no < 2:
             return False
-        orientation = _views_to_orientation(adj, _Views(views))
-        remaining = sinks(adj, orientation, min_degree)
-        if not recover:
-            return not remaining
-        # Survivor-aware stopping (the scenario runner's rule): crashes
-        # are silent, so the algorithm can do no better than this; the
-        # repair tail owns whatever defects remain.
-        return not any(not views[v].state.get("crashed") for v in remaining)
+        if recover:
+            return survivors_sink_free(adj, views, min_degree)
+        return not sinks(adj, orientation_from_views(adj, views), min_degree)
 
     if engine is None:
         engine = CSREngine(net)
     result = engine.run(algo, max_rounds=max_rounds, seed=seed, probe=probe, hooks=hooks)
     if recover:
-        import numpy as np
-
         from repro.scenarios.masks import DenseFaults
         from repro.scenarios.recovery import bound_stack
 
-        offsets, _, _ = engine.dense_arrays()
-        out = np.zeros(int(offsets[-1]), dtype=bool)
-        crashed = np.zeros(net.n, dtype=bool)
-        for i, view in enumerate(result.views):
-            base = int(offsets[i])
-            for p, is_out in view.state.get("out", {}).items():
-                out[base + p] = bool(is_out)
-            crashed[i] = bool(view.state.get("crashed"))
+        out, crashed = slot_state_from_views(engine.offsets, result.views)
         bound = bound_stack(hooks=hooks)
         repair_faults = DenseFaults(engine, bound) if bound else None
         return _repair_orientation(
             engine, repair_faults, seed, out, crashed, min_degree,
             result.rounds, max_rounds,
         )
-    orientation = _views_to_orientation(adj, result)
+    orientation = orientation_from_views(adj, result.views)
     if result.rounds >= 2 and not sinks(adj, orientation, min_degree):
         return orientation, result.rounds
     raise RuntimeError(f"no sinkless orientation after {max_rounds} rounds")
@@ -359,23 +393,42 @@ def _repair_orientation(engine, faults, seed, out, crashed, min_degree, rounds,
     return dense_orientation(engine, out), rep.last_round
 
 
-class _Views:
-    """Minimal result-shaped wrapper so the probe can reuse the extractor."""
+def orientation_from_views(adj: Sequence[Sequence[int]], views) -> GraphOrientation:
+    """Extract ``{(u, v): True}`` from trial-and-fix node states.
 
-    def __init__(self, views):
-        self.views = views
-
-
-def _views_to_orientation(adj: Sequence[Sequence[int]], result) -> GraphOrientation:
-    """Extract an orientation from node states (lower endpoint's view wins)."""
+    The lower-index endpoint's ``state["out"]`` is authoritative for each
+    edge — including frozen state of crashed nodes, which is exactly what
+    the rest of the network observes.
+    """
     orientation: GraphOrientation = {}
-    for i, view in enumerate(result.views):
-        out = view.state.get("out", {})
-        for p, is_out in out.items():
+    for i, view in enumerate(views):
+        for p, is_out in view.state.get("out", {}).items():
             j = adj[i][p]
             if i < j:
-                if is_out:
-                    orientation[(i, j)] = True
-                else:
-                    orientation[(j, i)] = True
+                orientation[(i, j) if is_out else (j, i)] = True
     return orientation
+
+
+def survivors_sink_free(adj: Sequence[Sequence[int]], views, min_degree: int = 1) -> bool:
+    """Whether no uncrashed node is a sink of the views' orientation.
+
+    The stop rule of a run under crash faults: crashes are silent, so the
+    algorithm can do no better, and a repair tail owns what remains.
+    """
+    remaining = sinks(adj, orientation_from_views(adj, views), min_degree)
+    return not any(not views[v].state.get("crashed") for v in remaining)
+
+
+def slot_state_from_views(offsets: np.ndarray, views) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-slot ``out`` bits and per-node crash flags from trial-and-fix node
+    states: the end-state arrays the repair layer consumes."""
+    outs = [view.state.get("out", {}) for view in views]
+    slots = np.fromiter(chain.from_iterable(outs), dtype=np.int64) + np.repeat(
+        offsets[:-1], np.fromiter(map(len, outs), dtype=np.int64, count=len(outs))
+    )
+    out = np.zeros(int(offsets[-1]), dtype=bool)
+    out[slots] = np.fromiter(
+        chain.from_iterable(map(dict.values, outs)), dtype=bool, count=slots.shape[0]
+    )
+    crashed = np.array([bool(view.state.get("crashed")) for view in views], dtype=bool)
+    return out, crashed

@@ -290,6 +290,17 @@ class BoundPerturbation:
         validate against the post-churn topology)."""
         return True
 
+    def edge_alive_final_mask(self, senders, ports):
+        """Optional vectorized form of :meth:`edge_alive_final`.
+
+        Same contract as :meth:`delivers_mask`: a bool array over the
+        parallel ``senders``/``ports`` arrays (True = in the final graph),
+        ``None`` for "every edge is final", or ``NotImplemented`` to
+        request the scalar fallback.  Must agree elementwise with
+        :meth:`edge_alive_final`.
+        """
+        return NotImplemented
+
 
 class Perturbation(ABC):
     """Declarative fault/adversary ingredient of a :class:`Scenario`."""

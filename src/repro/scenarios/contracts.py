@@ -8,25 +8,37 @@ boolean, so resilience becomes a measured axis rather than a pass/fail.
 
 Conventions shared by all contracts here:
 
+* the graph is an adjacency list or a :class:`~repro.local.network.Network`,
+  whose packed CSR arrays are then used as they are;
 * ``alive[i]`` — node ``i`` did not crash (a normally-terminated node is
   alive);
 * the *surviving graph* has the alive nodes and the edges whose
-  ``edge_ok(i, p)`` predicate holds on both endpoints' ports (the
-  conjunction of the perturbation stack's
-  :meth:`~repro.scenarios.base.BoundPerturbation.edge_alive_final`);
+  ``edge_ok`` holds on both endpoints' ports.  ``edge_ok`` is ``None``
+  (every edge survives), a per-slot bool mask in CSR slot order, or a
+  callable ``edge_ok(i, p)``.  :func:`final_edge_ok` builds the callable
+  for a perturbation stack (the conjunction of its
+  :meth:`~repro.scenarios.base.BoundPerturbation.edge_alive_final`), and
+  the contracts evaluate that one with the stack's vectorized masks;
 * degrees, degree thresholds and neighbor counts are all computed on the
   surviving graph.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.bipartite.instance import RED
+import numpy as np
+
+from repro.core.verifiers import red_window_violators
+from repro.local.network import Network, csr_arrays
+from repro.orientation.sinkless import _arcs, orientation_from_views
+from repro.scenarios.base import BoundPerturbation
+from repro.utils.validation import require, require_nodes
 
 __all__ = [
     "alive_mask",
     "final_edge_ok",
+    "edge_ok_slot_mask",
     "orientation_from_views",
     "mis_violations",
     "surviving_sinks",
@@ -34,7 +46,8 @@ __all__ = [
 ]
 
 Adjacency = Sequence[Sequence[int]]
-EdgeOk = Callable[[int, int], bool]
+Graph = Union[Adjacency, Network]
+EdgeOk = Union[None, np.ndarray, Callable[[int, int], bool]]
 
 
 def alive_mask(views) -> List[bool]:
@@ -42,71 +55,123 @@ def alive_mask(views) -> List[bool]:
     return [not v.state.get("crashed") for v in views]
 
 
-def final_edge_ok(bound) -> EdgeOk:
-    """Conjunction of the stack's final-graph edge predicates."""
+class _FinalEdgeOk:
+    """Conjunction of the ``edge_alive_final`` predicates of a stack."""
 
-    def ok(sender: int, port: int) -> bool:
-        return all(b.edge_alive_final(sender, port) for b in bound)
+    def __init__(self, bound):
+        self.bound = bound
 
-    return ok
+    def __call__(self, sender: int, port: int) -> bool:
+        return all(b.edge_alive_final(sender, port) for b in self.bound)
 
 
-def orientation_from_views(adjacency: Adjacency, views) -> Dict[Tuple[int, int], bool]:
-    """Extract ``{(u, v): True}`` from sinkless node states.
+def final_edge_ok(bound) -> Optional[Callable[[int, int], bool]]:
+    """Conjunction of the stack's final-graph edge predicates.
 
-    Same rule as the driver in :mod:`repro.orientation.sinkless`: the lower-
-    index endpoint's ``state["out"]`` is authoritative for each edge —
-    including frozen state of crashed nodes, which is exactly what the rest
-    of the network observes.
+    ``None`` when no perturbation overrides
+    :meth:`~repro.scenarios.base.BoundPerturbation.edge_alive_final`:
+    every edge is in the final graph.
     """
-    orientation: Dict[Tuple[int, int], bool] = {}
-    for i, view in enumerate(views):
-        out = view.state.get("out", {})
-        for p, is_out in out.items():
-            j = adjacency[i][p]
-            if i < j:
-                orientation[(i, j) if is_out else (j, i)] = True
-    return orientation
+    overriding = tuple(
+        b for b in bound
+        if type(b).edge_alive_final is not BoundPerturbation.edge_alive_final
+    )
+    return _FinalEdgeOk(overriding) if overriding else None
+
+
+def _slots(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(offsets, owner, dst)`` slot arrays of an adjacency list, or of the
+    packed CSR arrays of a Network or CSREngine."""
+    offsets = getattr(graph, "offsets", None)
+    if offsets is None:
+        return csr_arrays(graph)
+    owner = np.repeat(np.arange(offsets.shape[0] - 1, dtype=np.int64), np.diff(offsets))
+    return offsets, owner, graph.dst_node
+
+
+def _edge_mask(edge_ok: EdgeOk, offsets: np.ndarray, owner: np.ndarray):
+    """``edge_ok`` as a per-slot bool mask, or ``None`` when every edge is ok.
+
+    A stack's :func:`final_edge_ok` is evaluated through each member's
+    ``edge_alive_final_mask``; any other callable, and a member without a
+    mask, is called once per slot.
+    """
+    if edge_ok is None:
+        return None
+    if isinstance(edge_ok, np.ndarray):
+        require(edge_ok.shape == owner.shape, "edge_ok mask needs one entry per slot")
+        return edge_ok.astype(bool, copy=False)
+    ports = np.arange(owner.shape[0], dtype=np.int64) - offsets[owner]
+    if not isinstance(edge_ok, _FinalEdgeOk):
+        return np.fromiter(
+            map(edge_ok, owner.tolist(), ports.tolist()), dtype=bool, count=owner.shape[0]
+        )
+    mask = np.ones(owner.shape[0], dtype=bool)
+    for b in edge_ok.bound:
+        alive = b.edge_alive_final_mask(owner, ports)
+        if alive is NotImplemented:
+            alive = _edge_mask(b.edge_alive_final, offsets, owner)
+        if alive is not None:
+            mask &= alive
+    return mask
+
+
+def edge_ok_slot_mask(graph, bound) -> Optional[np.ndarray]:
+    """Per-slot final-graph membership mask, or ``None`` when trivial.
+
+    The vector form of :func:`final_edge_ok` over the CSR slots of
+    ``graph`` (a :class:`~repro.local.network.Network` or a
+    :class:`~repro.local.engine.CSREngine`), as the repair probes consume
+    it.
+    """
+    edge_ok = final_edge_ok(bound)
+    if edge_ok is None:
+        return None
+    offsets, owner, _ = _slots(graph)
+    return _edge_mask(edge_ok, offsets, owner)
+
+
+def _live_slots(offsets, owner, dst, alive, edge_ok: EdgeOk) -> np.ndarray:
+    """Slots of the surviving graph: both endpoints alive, ``edge_ok`` holds."""
+    live = alive[owner] & alive[dst]
+    mask = _edge_mask(edge_ok, offsets, owner)
+    return live if mask is None else live & mask
+
+
+def _alive_array(alive: Optional[Sequence[bool]], n: int) -> np.ndarray:
+    return np.ones(n, dtype=bool) if alive is None else np.asarray(alive, dtype=bool)
 
 
 def mis_violations(
-    adjacency: Adjacency,
+    adjacency: Graph,
     mis: Set[int],
     alive: Optional[Sequence[bool]] = None,
-    edge_ok: Optional[EdgeOk] = None,
+    edge_ok: EdgeOk = None,
 ) -> Tuple[int, int]:
     """MIS defects on the surviving graph.
 
     Returns ``(independence, domination)``: the number of surviving edges
     with both endpoints in the MIS, and the number of alive non-MIS nodes
     with no alive MIS neighbor over a surviving edge (isolated alive nodes
-    outside the MIS count — they are undominated).
+    outside the MIS count — they are undominated).  Independence counts a
+    surviving slot of the lower endpoint, so a one-sided ``edge_ok`` is
+    read from that side.
     """
-    n = len(adjacency)
-    if alive is None:
-        alive = [True] * n
-    independence = 0
-    domination = 0
-    for i in range(n):
-        if not alive[i]:
-            continue
-        dominated = i in mis
-        for p, j in enumerate(adjacency[i]):
-            if not alive[j]:
-                continue
-            if edge_ok is not None and not edge_ok(i, p):
-                continue
-            if j in mis:
-                if i in mis and i < j:
-                    independence += 1
-                dominated = True
-        if not dominated:
-            domination += 1
-    return independence, domination
+    offsets, owner, dst = _slots(adjacency)
+    n = offsets.shape[0] - 1
+    alive = _alive_array(alive, n)
+    ids = np.fromiter(mis, dtype=np.int64, count=len(mis))
+    require_nodes(ids, n, "MIS node")
+    in_mis = np.zeros(n, dtype=bool)
+    in_mis[ids] = True
+    to_mis = _live_slots(offsets, owner, dst, alive, edge_ok) & in_mis[dst]
+    independence = np.count_nonzero(to_mis & in_mis[owner] & (owner < dst))
+    dominated = in_mis | (np.bincount(owner[to_mis], minlength=n) > 0)
+    return int(independence), int(np.count_nonzero(alive & ~dominated))
 
 
 def surviving_sinks(
-    adjacency: Adjacency,
+    adjacency: Graph,
     orientation: Dict[Tuple[int, int], bool],
     alive: Sequence[bool],
     min_degree: int = 1,
@@ -118,27 +183,25 @@ def surviving_sinks(
     alive node.  (An outgoing edge into a crashed node no longer helps: in
     the surviving graph that edge is gone.)
     """
-    n = len(adjacency)
-    out_alive = [0] * n
-    for (u, v) in orientation:
-        if alive[u] and alive[v]:
-            out_alive[u] += 1
-    bad: List[int] = []
-    for i in range(n):
-        if not alive[i]:
-            continue
-        alive_degree = sum(1 for j in adjacency[i] if alive[j])
-        if alive_degree >= min_degree and out_alive[i] == 0:
-            bad.append(i)
-    return bad
+    offsets, owner, dst = _slots(adjacency)
+    n = offsets.shape[0] - 1
+    alive = _alive_array(alive, n)
+    arcs = _arcs(orientation)
+    require_nodes(arcs, n, "orientation endpoint")
+    tails = arcs[:, 0][alive[arcs[:, 0]] & alive[arcs[:, 1]]]
+    out_alive = np.bincount(tails, minlength=n)
+    alive_degree = np.bincount(owner[alive[dst]], minlength=n)
+    return np.flatnonzero(
+        alive & (alive_degree >= min_degree) & (out_alive == 0)
+    ).tolist()
 
 
 def splitting_violations(
-    adjacency: Adjacency,
+    adjacency: Graph,
     partition: Sequence,
     spec,
     alive: Optional[Sequence[bool]] = None,
-    edge_ok: Optional[EdgeOk] = None,
+    edge_ok: EdgeOk = None,
 ) -> List[int]:
     """Uniform-splitting defects on the surviving graph.
 
@@ -146,23 +209,9 @@ def splitting_violations(
     are all evaluated on the surviving graph; crashed (uncolored) nodes are
     neither constrained nor counted.
     """
-    n = len(adjacency)
-    if alive is None:
-        alive = [True] * n
-    bad: List[int] = []
-    for i in range(n):
-        if not alive[i]:
-            continue
-        degree = 0
-        red = 0
-        for p, j in enumerate(adjacency[i]):
-            if not alive[j]:
-                continue
-            if edge_ok is not None and not edge_ok(i, p):
-                continue
-            degree += 1
-            if partition[j] == RED:
-                red += 1
-        if spec.constrains(degree) and not (spec.lo(degree) <= red <= spec.hi(degree)):
-            bad.append(i)
-    return bad
+    offsets, owner, dst = _slots(adjacency)
+    n = offsets.shape[0] - 1
+    alive = _alive_array(alive, n)
+    live = _live_slots(offsets, owner, dst, alive, edge_ok)
+    bad = alive & red_window_violators(owner[live], dst[live], partition, spec, n)
+    return np.flatnonzero(bad).tolist()

@@ -343,3 +343,6 @@ class _BoundDrop(_BoundEdgeSet):
 
     def edge_alive_final(self, sender: int, port: int) -> bool:
         return not self._in_set(sender, port)
+
+    def edge_alive_final_mask(self, senders, ports):
+        return ~self._members_at(senders, ports)

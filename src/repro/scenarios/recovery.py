@@ -46,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.scenarios.contracts import edge_ok_slot_mask
 from repro.utils.rng import ensure_rng, keyed_u01, mix64
 from repro.utils.validation import require
 
@@ -131,37 +132,6 @@ def bound_stack(hooks=None, faults=None):
             return tuple(b)
         h = getattr(h, "inner", None)
     return ()
-
-
-def edge_ok_slot_mask(engine, bound):
-    """Per-slot final-graph membership mask, or ``None`` when trivial.
-
-    The conjunction of the stack's
-    :meth:`~repro.scenarios.base.BoundPerturbation.edge_alive_final`
-    predicates evaluated per CSR slot — the vector form of
-    :func:`~repro.scenarios.contracts.final_edge_ok` that the repair
-    probes consume.  Returns ``None`` when no perturbation overrides the
-    predicate (every edge final), skipping the O(m) sweep.
-    """
-    from repro.scenarios.base import BoundPerturbation
-
-    if all(
-        type(b).edge_alive_final is BoundPerturbation.edge_alive_final for b in bound
-    ):
-        return None
-    import numpy as np
-
-    from repro.local.dense import _slot_owner
-
-    offsets, _, _ = engine.dense_arrays()
-    owner = _slot_owner(offsets)
-    port = np.arange(offsets[-1], dtype=np.int64) - offsets[:-1][owner]
-    mask = np.ones(int(offsets[-1]), dtype=bool)
-    for k in range(int(offsets[-1])):
-        s, p = int(owner[k]), int(port[k])
-        if not all(b.edge_alive_final(s, p) for b in bound):
-            mask[k] = False
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +538,7 @@ def luby_mis_recovering(
         engine, DenseFaults(engine, bound), seed, in_mis, crashed,
         start_round=rounds + 1, max_rounds=max_rounds, cap=cap,
     )
-    mis = {int(i) for i in np.flatnonzero(in_mis & ~crashed)}
+    mis = set(np.flatnonzero(in_mis & ~crashed).tolist())
     return mis, repair.last_round, repair
 
 
@@ -593,8 +563,6 @@ def sinkless_recovering(
     scenario.  Returns ``(orientation, rounds, repair)`` with the
     authoritative orientation dict over all nodes.
     """
-    import numpy as np
-
     from repro.local.dense import dense_orientation
     from repro.scenarios.base import PerturbationHooks, bind_all
     from repro.scenarios.masks import DenseFaults
@@ -615,30 +583,22 @@ def sinkless_recovering(
         crashed = result.crashed.copy()
         rounds = result.rounds
     else:
-        from repro.orientation.sinkless import TrialAndFixSinkless, sinks
-        from repro.scenarios.contracts import alive_mask, orientation_from_views
+        from repro.orientation.sinkless import (
+            TrialAndFixSinkless,
+            slot_state_from_views,
+            survivors_sink_free,
+        )
 
         def probe(round_no, views):
-            if round_no < 2:
-                return False
-            orientation = orientation_from_views(network.adjacency, views)
-            alive = alive_mask(views)
-            return not any(
-                alive[v] for v in sinks(network.adjacency, orientation, min_degree)
+            return round_no >= 2 and survivors_sink_free(
+                network.adjacency, views, min_degree
             )
 
         result = engine.run(
             TrialAndFixSinkless(min_degree=min_degree), max_rounds=max_rounds,
             seed=seed, probe=probe, hooks=PerturbationHooks(bound),
         )
-        offsets, _, _ = engine.dense_arrays()
-        out = np.zeros(int(offsets[-1]), dtype=bool)
-        crashed = np.zeros(network.n, dtype=bool)
-        for i, view in enumerate(result.views):
-            base = int(offsets[i])
-            for p, is_out in view.state.get("out", {}).items():
-                out[base + p] = bool(is_out)
-            crashed[i] = bool(view.state.get("crashed"))
+        out, crashed = slot_state_from_views(engine.offsets, result.views)
         rounds = result.rounds
     repair = sinkless_repair(
         engine, DenseFaults(engine, bound), seed, out, crashed, min_degree,
@@ -719,4 +679,4 @@ def splitting_recovering(
         crashed, start_round=2, red=RED, blue=BLUE, cap=cap,
         edge_ok_mask=edge_ok_slot_mask(engine, attempt_bound),
     )
-    return [int(c) for c in colors], attempts + repair.repair_rounds, repair
+    return colors.tolist(), attempts + repair.repair_rounds, repair

@@ -35,7 +35,9 @@ schedules, so packing and mask setup are paid once per cell.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Union
+from typing import Optional, Union
+
+import numpy as np
 
 from repro.apps.splitting import ZeroRoundSplitting
 from repro.bipartite.generators import configuration_model_regular, random_sparse_graph
@@ -44,10 +46,15 @@ from repro.local.engine import CSREngine
 from repro.local.network import Network, run_local
 from repro.mis.luby import LubyMIS
 from repro.obs.hooks import TracingHooks
-from repro.orientation.sinkless import TrialAndFixSinkless, sinks
+from repro.orientation.sinkless import (
+    TrialAndFixSinkless,
+    slot_state_from_views,
+    survivors_sink_free,
+)
 from repro.scenarios.base import PerturbationHooks, bind_all, quiet_after, rewrite_all
 from repro.scenarios.contracts import (
     alive_mask,
+    edge_ok_slot_mask,
     final_edge_ok,
     mis_violations,
     orientation_from_views,
@@ -254,7 +261,6 @@ def run_scenario(
 
 def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, coins, layout=None,
               tracer=None, recover=False):
-    adjacency = network.adjacency
     edge_ok = final_edge_ok(bound)
     if backend == "dense":
         from repro.local.dense import luby_mis_dense
@@ -264,8 +270,8 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, coins, layo
             engine, seed=seed, coins=coins, max_rounds=max_rounds,
             faults=DenseFaults(engine, bound, layout=layout), tracer=tracer,
         )
-        alive = [not c for c in result.crashed]
-        mis = {int(i) for i in result.in_mis.nonzero()[0]}
+        alive = (~result.crashed).tolist()
+        mis = set(np.flatnonzero(result.in_mis).tolist())
         completed = result.completed
         rounds = result.rounds
     else:
@@ -286,8 +292,6 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, coins, layo
         rounds = result.rounds
     metrics = {}
     if recover:
-        import numpy as np
-
         from repro.scenarios.masks import DenseFaults
         from repro.scenarios.recovery import luby_repair
 
@@ -297,7 +301,7 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, coins, layo
         else:
             in_mis = np.array([bool(v.state.get("in_mis")) for v in result.views])
             crashed = np.array([bool(v.state.get("crashed")) for v in result.views])
-        pre_ind, pre_dom = mis_violations(adjacency, mis, alive=alive, edge_ok=edge_ok)
+        pre_ind, pre_dom = mis_violations(network, mis, alive=alive, edge_ok=edge_ok)
         # ``max_rounds`` bounds the base run only: a base run that stalled
         # against its cap is exactly the state repair exists for, so the
         # tail gets its own REPAIR_ROUND_CAP-bounded budget.
@@ -305,14 +309,14 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, coins, layo
             engine, DenseFaults(engine, bound, layout=layout), seed, in_mis,
             crashed, start_round=rounds + 1,
         )
-        alive = [not bool(c) for c in crashed]
-        mis = {i for i in range(network.n) if alive[i] and in_mis[i]}
+        alive = (~crashed).tolist()
+        mis = set(np.flatnonzero(in_mis & ~crashed).tolist())
         rounds = rep.last_round
         completed = bool(completed) or rep.recovered
         metrics["recovered"] = int(rep.recovered)
         metrics["repair_rounds"] = rep.repair_rounds
         metrics["violations_before_recovery"] = pre_ind + pre_dom
-    independence, domination = mis_violations(adjacency, mis, alive=alive, edge_ok=edge_ok)
+    independence, domination = mis_violations(network, mis, alive=alive, edge_ok=edge_ok)
     survivors = sum(alive)
     metrics.update({
         "rounds": rounds,
@@ -327,7 +331,7 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, coins, layo
     })
     state = {
         "pipeline": "luby",
-        "adjacency": adjacency,
+        "adjacency": network.adjacency,
         "mis": mis,
         "alive": alive,
         "edge_ok": edge_ok,
@@ -403,7 +407,7 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, coins,
             max_rounds=max_rounds, faults=DenseFaults(engine, bound, layout=layout),
             strict=False, tracer=tracer,
         )
-        alive = [not c for c in result.crashed]
+        alive = (~result.crashed).tolist()
         from repro.local.dense import dense_orientation
 
         orientation = dense_orientation(engine, result.out)
@@ -420,11 +424,7 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, coins,
         # is done.  Residual surviving-subgraph sinks are recorded as
         # violations below.  (This is exactly the dense kernel's probe.)
         def probe(round_no: int, views) -> bool:
-            if round_no < 2:
-                return False
-            orientation = orientation_from_views(adjacency, views)
-            alive = alive_mask(views)
-            return not any(alive[v] for v in sinks(adjacency, orientation, min_degree))
+            return round_no >= 2 and survivors_sink_free(adjacency, views, min_degree)
 
         result = engine.run(
             TrialAndFixSinkless(min_degree=min_degree),
@@ -433,13 +433,9 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, coins,
         alive = alive_mask(result.views)
         orientation = orientation_from_views(adjacency, result.views)
         rounds = result.rounds
-        completed = rounds >= 2 and not any(
-            alive[v] for v in sinks(adjacency, orientation, min_degree)
-        )
+        completed = rounds >= 2 and survivors_sink_free(adjacency, result.views, min_degree)
     metrics = {}
     if recover:
-        import numpy as np
-
         from repro.local.dense import dense_orientation
         from repro.scenarios.masks import DenseFaults
         from repro.scenarios.recovery import sinkless_repair
@@ -448,29 +444,22 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, coins,
             out = result.out
             crashed = result.crashed
         else:
-            offsets, _, _ = engine.dense_arrays()
-            out = np.zeros(int(offsets[-1]), dtype=bool)
-            crashed = np.zeros(network.n, dtype=bool)
-            for i, view in enumerate(result.views):
-                base = int(offsets[i])
-                for p, is_out in view.state.get("out", {}).items():
-                    out[base + p] = bool(is_out)
-                crashed[i] = bool(view.state.get("crashed"))
-        pre = len(surviving_sinks(adjacency, orientation, alive, min_degree))
+            out, crashed = slot_state_from_views(engine.offsets, result.views)
+        pre = len(surviving_sinks(network, orientation, alive, min_degree))
         # Base-run cap only; the repair tail is REPAIR_ROUND_CAP-bounded
         # (a base run livelocked by corrupted flips *needs* the tail).
         rep = sinkless_repair(
             engine, DenseFaults(engine, bound, layout=layout), seed, out,
             crashed, min_degree, start_round=rounds + 1,
         )
-        alive = [not bool(c) for c in crashed]
+        alive = (~crashed).tolist()
         orientation = dense_orientation(engine, out)
         rounds = rep.last_round
         completed = bool(completed) or rep.recovered
         metrics["recovered"] = int(rep.recovered)
         metrics["repair_rounds"] = rep.repair_rounds
         metrics["violations_before_recovery"] = pre
-    remaining = surviving_sinks(adjacency, orientation, alive, min_degree)
+    remaining = surviving_sinks(network, orientation, alive, min_degree)
     survivors = sum(alive)
     metrics.update({
         "rounds": rounds,
@@ -492,14 +481,11 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, coins,
 
 def _run_splitting(sc, network, engine, backend, seed, degree, coins, max_attempts,
                    fault_mode="replay", layout=None, tracer=None, recover=False):
-    adjacency = network.adjacency
     spec = UniformSplittingSpec(eps=sc.eps, min_constrained_degree=max(2, degree // 2))
     rng = ensure_rng(seed)
     if backend == "dense":
         from repro.local.dense import uniform_splitting_dense
         from repro.scenarios.masks import DenseFaults
-    partition: List[Optional[int]] = [None] * network.n
-    alive = [True] * network.n
     accepted = False
     attempts = 0
     rng_seconds = 0.0
@@ -518,10 +504,7 @@ def _run_splitting(sc, network, engine, backend, seed, degree, coins, max_attemp
                 faults=DenseFaults(engine, attempt_bound, layout=layout),
                 tracer=tracer,
             )
-            partition = [int(c) for c in result.colors]
-            alive = [not c for c in result.crashed]
             accepted = result.ok
-            rng_seconds += result.rng_seconds
         else:
             hooks = PerturbationHooks(attempt_bound)
             if tracer is not None and tracer.enabled:
@@ -532,18 +515,24 @@ def _run_splitting(sc, network, engine, backend, seed, degree, coins, max_attemp
             else:
                 result = engine.run(algorithm, max_rounds=1, seed=run_seed, hooks=hooks)
             alive = alive_mask(result.views)
-            partition = [
-                v.output[0] if alive[i] and v.output is not None else v.state.get("color")
-                for i, v in enumerate(result.views)
-            ]
             accepted = all(
                 v.output[1]
                 for i, v in enumerate(result.views)
                 if alive[i] and v.output is not None
             )
-            rng_seconds += result.rng_seconds
+        rng_seconds += result.rng_seconds
         if accepted:
             break
+    # Only the attempt that stood is converted to the end state.
+    if backend == "dense":
+        colors = result.colors.astype(np.int64)
+        crashed = result.crashed.copy()
+    else:
+        colors = np.array([
+            v.output[0] if alive[i] and v.output is not None else v.state.get("color")
+            for i, v in enumerate(result.views)
+        ], dtype=np.int64)
+        crashed = ~np.array(alive, dtype=bool)
     # Ground truth for the attempt that actually stood (its binding decides
     # the final edge set under edge-dropping perturbations).
     edge_ok = final_edge_ok(attempt_bound)
@@ -551,16 +540,12 @@ def _run_splitting(sc, network, engine, backend, seed, degree, coins, max_attemp
     completed = accepted
     metrics = {}
     if recover:
-        import numpy as np
-
         from repro.bipartite.instance import BLUE, RED
         from repro.scenarios.masks import DenseFaults
-        from repro.scenarios.recovery import edge_ok_slot_mask, splitting_repair
+        from repro.scenarios.recovery import splitting_repair
 
-        colors = np.asarray(partition, dtype=np.int64)
-        crashed = np.array([not a for a in alive], dtype=bool)
         pre = len(
-            splitting_violations(adjacency, partition, spec, alive=alive, edge_ok=edge_ok)
+            splitting_violations(network, colors, spec, alive=~crashed, edge_ok=edge_ok)
         )
         # Repair continues the final attempt's environment: its binding is
         # the schedule still in force and its run seed keys the repair coins.
@@ -569,23 +554,18 @@ def _run_splitting(sc, network, engine, backend, seed, degree, coins, max_attemp
             run_seed, colors, crashed, start_round=2, red=RED, blue=BLUE,
             edge_ok_mask=edge_ok_slot_mask(engine, attempt_bound),
         )
-        partition = [int(c) for c in colors]
-        alive = [not bool(c) for c in crashed]
         rounds = attempts + rep.repair_rounds
         completed = bool(accepted) or rep.recovered
         metrics["recovered"] = int(rep.recovered)
         metrics["repair_rounds"] = rep.repair_rounds
         metrics["violations_before_recovery"] = pre
-    bad = splitting_violations(
-        adjacency, partition, spec, alive=alive, edge_ok=edge_ok
-    )
-    survivors = sum(alive)
-    constrained = sum(
-        1
-        for i in range(network.n)
-        if alive[i]
-        and spec.constrains(sum(1 for j in adjacency[i] if alive[j]))
-    )
+    from repro.local.dense import _segment_sum
+
+    alive = ~crashed
+    bad = splitting_violations(network, colors, spec, alive=alive, edge_ok=edge_ok)
+    survivors = int(np.count_nonzero(alive))
+    alive_degree = _segment_sum(alive[network.dst_node].astype(np.int64), network.offsets)
+    constrained = int(np.count_nonzero(alive & spec.constrains(alive_degree)))
     metrics.update({
         "rounds": rounds,
         "completed": int(completed),
@@ -599,9 +579,9 @@ def _run_splitting(sc, network, engine, backend, seed, degree, coins, max_attemp
     })
     state = {
         "pipeline": "splitting",
-        "adjacency": adjacency,
-        "partition": partition,
-        "alive": alive,
+        "adjacency": network.adjacency,
+        "partition": colors.tolist(),
+        "alive": alive.tolist(),
         "spec": spec,
         "edge_ok": edge_ok,
     }

@@ -21,6 +21,15 @@ class TestIsMis:
     def test_empty_graph(self):
         assert is_mis([], set())
 
+    def test_negative_node_rejected(self):
+        # -1 must not wrap around to the last node and pass.
+        with pytest.raises(ValueError, match="MIS node -1 is not a node"):
+            is_mis(path_graph(3), {0, 2, -1})
+
+    def test_node_past_the_end_rejected(self):
+        with pytest.raises(ValueError, match="MIS node 3 is not a node"):
+            is_mis(path_graph(3), {0, 2, 3})
+
 
 class TestGreedy:
     def test_path(self):

@@ -47,6 +47,14 @@ class TestVerifier:
         with pytest.raises(ValueError):
             is_sinkless(adj, {(0, 2): True})
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_endpoint_outside_graph_rejected(self, bad):
+        orientation = {(0, 1): True, (2, 1): True, (2, bad): True}
+        with pytest.raises(ValueError, match=f"orientation endpoint {bad} is not a node"):
+            is_sinkless([[1], [0, 2], [1]], orientation)
+        with pytest.raises(ValueError, match=f"orientation endpoint {bad} is not a node"):
+            sinks([[1], [0, 2], [1]], orientation)
+
 
 class TestGreedyBaseline:
     def test_cycle(self):

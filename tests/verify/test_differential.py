@@ -1,0 +1,356 @@
+"""Differential suite: the array-native verifiers and fault contracts against
+the per-slot loops they replaced, kept here as reference oracles.
+
+Graphs cover multigraphs, self-loops, isolated nodes and ``n = 0``;
+partitions may leave nodes uncolored (``None``); ``edge_ok`` comes as
+``None``, a one-sided callable, a per-slot mask, or the final-graph
+predicate of a bound ``DropEdges`` stack.  On bad input both sides must
+raise the same exception type and message, for the first bad key in dict
+order.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.bipartite.instance import BLUE, RED
+from repro.core.problems import UniformSplittingSpec
+from repro.core.verifiers import uniform_splitting_violations
+from repro.local.network import Network
+from repro.mis import greedy_mis, is_mis
+from repro.orientation import is_sinkless
+from repro.scenarios.base import bind_all
+from repro.scenarios.contracts import (
+    edge_ok_slot_mask,
+    final_edge_ok,
+    mis_violations,
+    splitting_violations,
+    surviving_sinks,
+)
+from repro.scenarios.dynamic import DropEdges
+from repro.utils.validation import require
+
+EXAMPLES = settings(max_examples=200, deadline=None)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the per-slot loops the array implementations replaced.
+# ---------------------------------------------------------------------------
+
+
+def loop_is_mis(adjacency, mis):
+    for v in mis:
+        if any(w in mis for w in adjacency[v]):
+            return False
+    for v in range(len(adjacency)):
+        if v not in mis and not any(w in mis for w in adjacency[v]):
+            return False
+    return True
+
+
+def loop_sinks(adj, orientation, min_degree):
+    out_deg = [0] * len(adj)
+    for (u, v) in orientation:
+        out_deg[u] += 1
+    return [v for v in range(len(adj)) if len(adj[v]) >= min_degree and out_deg[v] == 0]
+
+
+def loop_is_sinkless(adj, orientation, min_degree=1):
+    edges = {(u, v) for u in range(len(adj)) for v in adj[u] if u < v}
+    covered = set()
+    for (u, v) in orientation:
+        key = (min(u, v), max(u, v))
+        require(key in edges, f"orientation mentions non-edge {u, v}")
+        require(key not in covered, f"edge {key} oriented twice")
+        covered.add(key)
+    if covered != edges:
+        return False
+    return not loop_sinks(adj, orientation, min_degree)
+
+
+def loop_uniform_splitting_violations(adjacency, partition, spec):
+    n = len(adjacency)
+    require(len(partition) == n, "partition must cover all nodes")
+    bad = []
+    for v in range(n):
+        d = len(adjacency[v])
+        if not spec.constrains(d):
+            continue
+        red = sum(1 for w in adjacency[v] if partition[w] == RED)
+        if not (spec.lo(d) <= red <= spec.hi(d)):
+            bad.append(v)
+    return bad
+
+
+def loop_mis_violations(adjacency, mis, alive=None, edge_ok=None):
+    n = len(adjacency)
+    if alive is None:
+        alive = [True] * n
+    independence = domination = 0
+    for i in range(n):
+        if not alive[i]:
+            continue
+        dominated = i in mis
+        for p, j in enumerate(adjacency[i]):
+            if not alive[j] or (edge_ok is not None and not edge_ok(i, p)):
+                continue
+            if j in mis:
+                if i in mis and i < j:
+                    independence += 1
+                dominated = True
+        if not dominated:
+            domination += 1
+    return independence, domination
+
+
+def loop_surviving_sinks(adjacency, orientation, alive, min_degree=1):
+    out_alive = [0] * len(adjacency)
+    for (u, v) in orientation:
+        if alive[u] and alive[v]:
+            out_alive[u] += 1
+    bad = []
+    for i in range(len(adjacency)):
+        if not alive[i]:
+            continue
+        alive_degree = sum(1 for j in adjacency[i] if alive[j])
+        if alive_degree >= min_degree and out_alive[i] == 0:
+            bad.append(i)
+    return bad
+
+
+def loop_splitting_violations(adjacency, partition, spec, alive=None, edge_ok=None):
+    n = len(adjacency)
+    if alive is None:
+        alive = [True] * n
+    bad = []
+    for i in range(n):
+        if not alive[i]:
+            continue
+        degree = red = 0
+        for p, j in enumerate(adjacency[i]):
+            if not alive[j] or (edge_ok is not None and not edge_ok(i, p)):
+                continue
+            degree += 1
+            if partition[j] == RED:
+                red += 1
+        if spec.constrains(degree) and not (spec.lo(degree) <= red <= spec.hi(degree)):
+            bad.append(i)
+    return bad
+
+
+def outcome(fn, *args, **kwargs):
+    """``("ok", result)``, or ``("raised", type, message)``."""
+    try:
+        return ("ok", fn(*args, **kwargs))
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return ("raised", type(exc), str(exc))
+
+
+# ---------------------------------------------------------------------------
+# Strategies.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def graphs(draw, max_nodes=10, max_edges=24):
+    """Symmetric adjacency with parallel edges, self-loops listed once or
+    twice, isolated nodes (``n`` may be 0) and shuffled port order."""
+    n = draw(st.integers(min_value=0, max_value=max_nodes))
+    adj = [[] for _ in range(n)]
+    if n:
+        node = st.integers(min_value=0, max_value=n - 1)
+        for u, v in draw(st.lists(st.tuples(node, node), max_size=max_edges)):
+            adj[u].append(v)
+            adj[v].append(u)
+        for u in draw(st.lists(node, max_size=2)):
+            adj[u].append(u)
+    return [draw(st.permutations(row)) for row in adj]
+
+
+def node_sets(n):
+    return st.sets(st.integers(min_value=0, max_value=n - 1)) if n else st.just(set())
+
+
+def alive_lists(n):
+    return st.none() | st.lists(st.booleans(), min_size=n, max_size=n)
+
+
+@st.composite
+def edge_oks(draw, adj):
+    """``(oracle predicate, argument)``: the argument is the predicate
+    itself, or its per-slot mask in CSR slot order."""
+    slots = [(i, p) for i in range(len(adj)) for p in range(len(adj[i]))]
+    if not slots or draw(st.booleans()):
+        return None, None
+    dropped = draw(st.frozensets(st.sampled_from(slots)))
+
+    def ok(i, p):
+        return (i, p) not in dropped
+
+    if draw(st.booleans()):
+        return ok, ok
+    return ok, np.array([ok(i, p) for i, p in slots], dtype=bool)
+
+
+@st.composite
+def specs(draw):
+    # eps = 1/4 or 1/10 puts integral degrees' bounds on integers, so red
+    # counts land exactly on them.
+    return UniformSplittingSpec(
+        eps=draw(st.sampled_from([0.1, 0.25]) | st.floats(min_value=0.05, max_value=0.45)),
+        min_constrained_degree=draw(st.integers(min_value=1, max_value=4)),
+    )
+
+
+@st.composite
+def orientations(draw, adj):
+    """Each edge oriented once in shuffled dict order, sometimes with an
+    edge left out or extra keys: reversed edges, non-edges, self-loops."""
+    n = len(adj)
+    edges = sorted({(min(u, v), max(u, v)) for u in range(n) for v in adj[u] if u != v})
+    arcs = [(u, v) if draw(st.booleans()) else (v, u) for u, v in edges]
+    if arcs and draw(st.booleans()):
+        arcs.pop(draw(st.integers(min_value=0, max_value=len(arcs) - 1)))
+    if n and draw(st.booleans()):
+        node = st.integers(min_value=0, max_value=n - 1)
+        arcs += draw(st.lists(st.tuples(node, node), max_size=2))
+        if edges:
+            arcs += [e[::-1] for e in draw(st.lists(st.sampled_from(edges), max_size=1))]
+    return dict.fromkeys(draw(st.permutations(arcs)), True)
+
+
+# ---------------------------------------------------------------------------
+# Verifiers.
+# ---------------------------------------------------------------------------
+
+
+@EXAMPLES
+@given(st.data())
+def test_is_mis_matches_loop(data):
+    adj = data.draw(graphs())
+    n = len(adj)
+    # A real MIS makes True verdicts common; toggling a drawn set breaks it.
+    mis = greedy_mis(adj, data.draw(st.permutations(range(n))))
+    if data.draw(st.booleans()):
+        mis ^= data.draw(node_sets(n))
+    assert is_mis(adj, mis) == loop_is_mis(adj, mis)
+
+
+@EXAMPLES
+@given(st.data())
+def test_is_sinkless_matches_loop(data):
+    adj = data.draw(graphs())
+    orientation = data.draw(orientations(adj))
+    min_degree = data.draw(st.integers(min_value=0, max_value=4))
+    assert outcome(is_sinkless, adj, orientation, min_degree) == outcome(
+        loop_is_sinkless, adj, orientation, min_degree
+    )
+
+
+@EXAMPLES
+@given(st.data())
+def test_uniform_splitting_violations_matches_loop(data):
+    adj = data.draw(graphs())
+    n = len(adj)
+    size = n + data.draw(st.sampled_from([0, 0, 0, 1, -1])) if n else 0
+    partition = data.draw(
+        st.lists(st.sampled_from([RED, BLUE, None]), min_size=size, max_size=size)
+    )
+    spec = data.draw(specs())
+    assert outcome(uniform_splitting_violations, adj, partition, spec) == outcome(
+        loop_uniform_splitting_violations, adj, partition, spec
+    )
+
+
+# ---------------------------------------------------------------------------
+# Contracts.
+# ---------------------------------------------------------------------------
+
+
+def as_graph(data, adj):
+    """The adjacency itself, or a Network over it."""
+    return Network(adj) if data.draw(st.booleans(), label="network") else adj
+
+
+@EXAMPLES
+@given(st.data())
+def test_mis_violations_matches_loop(data):
+    adj = data.draw(graphs())
+    mis = data.draw(node_sets(len(adj)))
+    alive = data.draw(alive_lists(len(adj)))
+    oracle, edge_ok = data.draw(edge_oks(adj))
+    assert mis_violations(as_graph(data, adj), mis, alive, edge_ok) == \
+        loop_mis_violations(adj, mis, alive, oracle)
+
+
+@EXAMPLES
+@given(st.data())
+def test_surviving_sinks_matches_loop(data):
+    adj = data.draw(graphs())
+    n = len(adj)
+    orientation = {}
+    if n:
+        node = st.integers(min_value=0, max_value=n - 1)
+        orientation = dict.fromkeys(data.draw(st.lists(st.tuples(node, node))), True)
+    alive = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    min_degree = data.draw(st.integers(min_value=0, max_value=4))
+    assert surviving_sinks(as_graph(data, adj), orientation, alive, min_degree) == \
+        loop_surviving_sinks(adj, orientation, alive, min_degree)
+
+
+@EXAMPLES
+@given(st.data())
+def test_splitting_violations_matches_loop(data):
+    adj = data.draw(graphs())
+    n = len(adj)
+    partition = data.draw(st.lists(st.sampled_from([RED, BLUE, None]), min_size=n, max_size=n))
+    spec = data.draw(specs())
+    alive = data.draw(alive_lists(n))
+    oracle, edge_ok = data.draw(edge_oks(adj))
+    assert splitting_violations(as_graph(data, adj), partition, spec, alive, edge_ok) == \
+        loop_splitting_violations(adj, partition, spec, alive, oracle)
+
+
+@EXAMPLES
+@given(st.data())
+def test_final_edge_masks_match_scalar_predicate(data):
+    adj = data.draw(graphs())
+    network = Network(adj)
+    bound = bind_all(
+        [DropEdges(fraction=data.draw(st.sampled_from([0.0, 0.3, 1.0])), at_round=2)],
+        network,
+        fault_seed=data.draw(st.integers(min_value=0, max_value=2**31)),
+        fault_mode=data.draw(st.sampled_from(["replay", "mask"])),
+    )
+    edge_ok = final_edge_ok(bound)
+
+    def scalar(i, p):
+        return bound[0].edge_alive_final(i, p)
+
+    slots = [(i, p) for i in range(len(adj)) for p in range(len(adj[i]))]
+    mask = edge_ok_slot_mask(network, bound)
+    assert mask.tolist() == [scalar(i, p) for i, p in slots]
+    n = len(adj)
+    mis = data.draw(node_sets(n))
+    partition = data.draw(st.lists(st.sampled_from([RED, BLUE]), min_size=n, max_size=n))
+    spec = data.draw(specs())
+    alive = data.draw(alive_lists(n))
+    assert mis_violations(network, mis, alive, edge_ok) == \
+        loop_mis_violations(adj, mis, alive, scalar)
+    assert splitting_violations(network, partition, spec, alive, edge_ok) == \
+        loop_splitting_violations(adj, partition, spec, alive, scalar)
+
+
+def test_identity_stack_has_no_final_edge_predicate():
+    network = Network([[1], [0]])
+    bound = bind_all([], network, fault_seed=0)
+    assert final_edge_ok(bound) is None
+    assert edge_ok_slot_mask(network, bound) is None
+
+
+def test_contracts_reject_nodes_outside_graph():
+    path = [[1], [0, 2], [1]]
+    with pytest.raises(ValueError, match="MIS node -1 is not a node"):
+        mis_violations(path, {0, 2, -1})
+    with pytest.raises(ValueError, match="orientation endpoint 3 is not a node"):
+        surviving_sinks(path, {(0, 1): True, (3, 2): True}, [True] * 3)
