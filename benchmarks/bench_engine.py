@@ -1,4 +1,4 @@
-"""E17/E18/E19 — execution-backend ladder on Luby MIS throughput.
+"""E17–E21 — execution-backend ladder on Luby MIS throughput.
 
 Three claims under test, all with equivalence asserted on every run and
 wall-clock ratios taken best-of-N with the GC paused (:func:`_harness.best_of`
@@ -25,19 +25,9 @@ wall-clock ratios taken best-of-N with the GC paused (:func:`_harness.best_of`
   2% of the untraced run, and a live :class:`repro.obs.Tracer` emits
   exactly one round record per executed round with matching active-set
   trajectories on all three backends.
-* **E22**: sharded execution — Luby across a 4-shard process pool with
-  per-round halo exchange (:func:`repro.local.sharded.luby_mis_sharded`)
-  beats the single-process dense kernel >= 2x at n = 1,000,000, deg ~20,
-  while staying bit-identical to ``coins="keyed"`` dense runs; partition
-  and halo-exchange seconds land as their own table columns and as
-  :mod:`repro.obs` span records.  Needs >= 4 cores (skips otherwise;
-  ``REPRO_E22_FORCE=1`` overrides), so CI runs it on main pushes only.
 """
 
-import os
 import time
-
-import pytest
 
 from repro.bipartite.generators import random_sparse_graph
 from repro.local import CSREngine, Network, run_local
@@ -409,97 +399,3 @@ def test_e21_noop_tracer_overhead(benchmark):
     assert overhead <= 0.02, (
         f"NullTracer run {overhead:+.2%} slower than untraced (gate: 2%)"
     )
-
-
-SHARDED_N = 1_000_000
-SHARDED_AVG_DEGREE = 20
-SHARDED_WORKERS = 4
-
-
-def test_e22_sharded_luby_speedup(benchmark):
-    """4-shard sharded Luby >= 2x over single-process dense at n = 1M.
-
-    Correctness first, at a size where the pool tax is visible: a 4-shard
-    run over real worker processes must be bit-identical to the
-    single-process ``coins="keyed"`` dense kernel (membership, crash
-    records, round count), and the attached tracer must carry one
-    ``sharded.partition`` and one ``sharded.halo_exchange`` span per
-    trial.  Then the gate: at n = 1,000,000, deg ~20, the hot 4-shard
-    executor must solve a trial >= 2x faster than ``luby_mis_dense``,
-    with partitioning and halo-exchange seconds reported as their own
-    columns (the overheads the speedup already absorbs).
-    """
-    from repro.local.dense import luby_mis_dense
-    from repro.local.sharded import ShardedExecutor, luby_mis_sharded
-    from repro.obs import Tracer
-
-    if (os.cpu_count() or 1) < SHARDED_WORKERS and not os.environ.get(
-        "REPRO_E22_FORCE"
-    ):
-        pytest.skip(
-            f"sharded speedup gate needs >= {SHARDED_WORKERS} cores "
-            f"(found {os.cpu_count()}); set REPRO_E22_FORCE=1 to override"
-        )
-
-    small = CSREngine(Network(random_sparse_graph(20_000, SHARDED_AVG_DEGREE,
-                                                  seed=22)))
-    small.dense_arrays()
-    seq = luby_mis_dense(small, seed=1, coins="keyed")
-    tracer = Tracer(backend="dense-sharded")
-    with ShardedExecutor(small, SHARDED_WORKERS, tracer=tracer) as ex:
-        shard = luby_mis_sharded(small, seed=1, executor=ex)
-    assert shard.rounds == seq.rounds
-    assert (shard.in_mis == seq.in_mis).all()
-    assert (shard.crashed == seq.crashed).all()
-    spans = [r for r in tracer.records if r.get("kind") == "span"]
-    assert {s["name"] for s in spans} == {
-        "sharded.partition", "sharded.halo_exchange"
-    }
-
-    adj = random_sparse_graph(SHARDED_N, SHARDED_AVG_DEGREE, seed=22)
-    engine = CSREngine(Network(adj))
-    engine.dense_arrays()
-
-    t_dense = best_of(lambda: luby_mis_dense(engine, seed=1, coins="keyed"),
-                      repeat=2)
-    with ShardedExecutor(engine, SHARDED_WORKERS) as ex:
-        result = luby_mis_sharded(engine, seed=1, executor=ex)  # warm the pool
-        t_sharded = best_of(
-            lambda: luby_mis_sharded(engine, seed=1, executor=ex), repeat=2
-        )
-        speedup = t_dense / t_sharded
-        if speedup < 2.0:
-            t_dense = min(t_dense, best_of(
-                lambda: luby_mis_dense(engine, seed=1, coins="keyed"), repeat=2
-            ))
-            t_sharded = min(t_sharded, best_of(
-                lambda: luby_mis_sharded(engine, seed=1, executor=ex), repeat=2
-            ))
-            speedup = t_dense / t_sharded
-        halo_before = ex.halo_seconds
-        timed = luby_mis_sharded(engine, seed=1, executor=ex)
-        t_halo = ex.halo_seconds - halo_before
-        t_partition = ex.plan.partition_seconds
-        assert timed.rounds == result.rounds
-
-        benchmark(lambda: luby_mis_sharded(engine, seed=1, executor=ex))
-    attach_rows(
-        benchmark,
-        "E22: sharded CSR execution vs single-process dense (Luby MIS)",
-        ["n", "avg deg", "shards", "rounds", "dense s", "sharded s",
-         "partition s", "halo s", "speedup"],
-        [
-            (
-                SHARDED_N,
-                SHARDED_AVG_DEGREE,
-                SHARDED_WORKERS,
-                result.rounds,
-                f"{t_dense:.3f}",
-                f"{t_sharded:.3f}",
-                f"{t_partition:.3f}",
-                f"{t_halo:.4f}",
-                f"{speedup:.2f}x",
-            )
-        ],
-    )
-    assert speedup >= 2.0, f"sharded backend only {speedup:.2f}x over dense"

@@ -63,6 +63,7 @@ if str(_SRC) not in sys.path:
 
 from repro.exp import ExperimentSpec, RetryPolicy, run_sweep  # noqa: E402
 from repro.exp.workloads import (  # noqa: E402
+    BACKENDS,
     chaos_attempts,
     chaos_exit,
     chaos_flaky,
@@ -83,15 +84,11 @@ def build_specs(quick: bool, num_seeds: int, backends=("engine", "dense"),
     """The sweep suite: every workload across topologies x backends.
 
     ``backends`` selects the execution-backend axis for the algorithm
-    workloads (``reference`` / ``engine`` / ``dense`` / ``dense-batched``
-    / ``dense-sharded``); the ``engine/throughput`` cell always measures
-    the first three side by side.  ``dense-batched`` cells chunk their
-    seeds into groups of ``trial_batch`` and solve each chunk in one
-    batched kernel call (see
-    :class:`repro.exp.runner.ExperimentSpec.batch_fn`); ``dense-sharded``
-    cells run each trial across a per-worker cached shard pool
-    (:func:`repro.exp.workloads.sharded_executor`), so one cell's seeds
-    share hot shard workers and report partition/halo seconds.
+    workloads (``reference`` / ``engine`` / ``dense`` / ``dense-batched``);
+    the ``engine/throughput`` cell always measures the first three side by
+    side.  ``dense-batched`` cells chunk their seeds into groups of
+    ``trial_batch`` and solve each chunk in one batched kernel call (see
+    :class:`repro.exp.runner.ExperimentSpec.batch_fn`).
     Scenario graphs are fixed per cell (trial seeds drive the coins), so
     every backend and every seed of a cell reuses one packed engine.
     """
@@ -132,8 +129,6 @@ def build_specs(quick: bool, num_seeds: int, backends=("engine", "dense"),
     methods = ["local", "dense", "random"]
     if "dense-batched" in backends:
         methods.append("dense-batched")
-    if "dense-sharded" in backends:
-        methods.append("dense-sharded")
     specs += [
         ExperimentSpec(
             f"splitting/{method}",
@@ -283,6 +278,11 @@ def _harden_specs(specs, timeout, retries):
 
 def run_sweeps(args) -> int:
     backends = tuple(b.strip() for b in args.backends.split(",") if b.strip())
+    unknown = sorted(set(backends) - set(BACKENDS))
+    if unknown:
+        print(f"unknown backend(s) {', '.join(unknown)}; choose from "
+              f"{', '.join(BACKENDS)}", file=sys.stderr)
+        return 2
     out = Path(
         args.out
         if args.out
@@ -532,8 +532,7 @@ def main() -> int:
     parser.add_argument("--backends", default="engine,dense",
                         help="comma-separated execution backends for the "
                         "algorithm workloads "
-                        "(reference,engine,dense,dense-batched,"
-                        "dense-sharded)")
+                        "(reference,engine,dense,dense-batched)")
     parser.add_argument("--trial-batch", type=positive_int, default=32,
                         metavar="K",
                         help="seeds per kernel call for dense-batched cells "

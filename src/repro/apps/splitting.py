@@ -202,8 +202,6 @@ def uniform_splitting(
     engine: Optional[CSREngine] = None,
     hooks=None,
     faults=None,
-    shards: Optional[int] = None,
-    executor=None,
     recover: bool = False,
 ) -> List[int]:
     """Split a general graph's nodes red/blue per the Section 4.1 spec.
@@ -240,43 +238,11 @@ def uniform_splitting(
     of master seeds in one kernel call: pass a sequence of seeds as
     ``seed`` and get back a list of color lists, one per seed, each
     bit-identical to a ``method="dense", coins="keyed"`` run of that seed
-    (:func:`repro.local.dense.uniform_splitting_batched`).  The ledger is
+    (:func:`repro.local.dense.uniform_splitting_batched`), so
+    ``coins="keyed"`` must be passed; the default raises.  The ledger is
     charged one verification round per attempt per trial.
-
-    ``method="dense-sharded"`` runs the identical Las-Vegas loop across
-    node-range CSR shards on a persistent process pool
-    (:func:`repro.local.sharded.uniform_splitting_sharded`): colors are
-    keyed counter-based per ``(attempt seed, node)``, so attempts need no
-    halo exchange at all and the accepted partition is bit-identical to a
-    ``method="dense", coins="keyed"`` run of the same seed (so
-    ``coins="keyed"`` must be passed; the default raises).  Pass
-    ``executor`` (a live :class:`~repro.local.sharded.ShardedExecutor`) to
-    keep shard workers hot across calls; ``shards`` sizes a throwaway one.
     """
     n = len(adjacency)
-
-    if method == "dense-sharded":
-        from repro.local.sharded import uniform_splitting_sharded
-
-        require(
-            coins == "keyed",
-            f"dense-sharded runs keyed coins only, got coins={coins!r}",
-        )
-        if engine is None:
-            engine = CSREngine(Network(adjacency))
-        sharded = uniform_splitting_sharded(
-            engine, spec, seed=seed, shards=shards, max_attempts=max_attempts,
-            red=RED, blue=BLUE, faults=faults, executor=executor,
-        )
-        if ledger is not None:
-            for _ in range(int(sharded.attempts)):
-                ledger.charge_simulated(1, "0-round-splitting+check")
-        if not sharded.ok:
-            raise RuntimeError(
-                f"{method} uniform splitting failed {max_attempts} times; "
-                "constrained degrees are below the w.h.p. regime"
-            )
-        return sharded.colors.tolist()
 
     if method == "dense-batched":
         from repro.local.dense import uniform_splitting_batched

@@ -49,7 +49,6 @@ from repro.utils.validation import require
 __all__ = [
     "build_topology",
     "scenario_engine",
-    "sharded_executor",
     "luby_mis_workload",
     "luby_mis_batch_workload",
     "sinkless_workload",
@@ -67,7 +66,7 @@ __all__ = [
 
 TOPOLOGIES = ("sparse", "regular", "torus", "grid", "powerlaw")
 
-BACKENDS = ("reference", "engine", "dense", "dense-batched", "dense-sharded")
+BACKENDS = ("reference", "engine", "dense", "dense-batched")
 
 
 def build_topology(
@@ -134,42 +133,6 @@ def scenario_engine(
     return engine, setup
 
 
-# Live sharded executors per (scenario cell, shard count), per worker
-# process.  Each entry pins one process per shard, so the cap is tight;
-# evicted executors are closed (pools shut down, shared memory unlinked).
-_SHARDED_CACHE: Dict[Tuple[str, int, int, int, int], Tuple[Any, float]] = {}
-_SHARDED_CACHE_MAX = 2
-
-
-def sharded_executor(
-    topology: str, n: int, degree: int, graph_seed: int, shards: int = 2
-) -> Tuple[Any, float]:
-    """A live :class:`~repro.local.sharded.ShardedExecutor` for one cell.
-
-    Built once per worker process (on top of :func:`scenario_engine`'s
-    cached packing) and reused by every trial of the cell, so shard workers
-    stay hot across a sweep's seeds.  Returns ``(executor, setup_seconds)``
-    with the same pay-once accounting as :func:`scenario_engine` —
-    ``setup_seconds`` covers topology + packing + partitioning + pool
-    spin-up on the call that pays them, 0.0 on cache hits.
-    """
-    from repro.local.sharded import ShardedExecutor
-
-    key = (topology, int(n), int(degree), int(graph_seed), int(shards))
-    cached = _SHARDED_CACHE.get(key)
-    if cached is not None:
-        return cached[0], 0.0
-    engine, setup = scenario_engine(topology, n, degree, graph_seed)
-    start = time.perf_counter()
-    executor = ShardedExecutor(engine, shards)
-    setup += time.perf_counter() - start
-    if len(_SHARDED_CACHE) >= _SHARDED_CACHE_MAX:
-        _, (old, _) = _SHARDED_CACHE.popitem()
-        old.close()
-    _SHARDED_CACHE[key] = (executor, setup)
-    return executor, setup
-
-
 def luby_mis_workload(
     seed: int,
     topology: str = "sparse",
@@ -177,56 +140,26 @@ def luby_mis_workload(
     degree: int = 8,
     backend: str = "engine",
     graph_seed: int = 1,
-    shards: int = 2,
 ) -> Dict[str, Any]:
-    """Luby MIS on the chosen backend; verifies the MIS before reporting.
-
-    ``backend="dense-sharded"`` runs across a per-process cached
-    :class:`~repro.local.sharded.ShardedExecutor` (``shards`` node-range
-    shards, one pooled worker each) and reports ``partition_seconds`` /
-    ``halo_seconds`` as their own metric columns.
-    """
+    """Luby MIS on the chosen backend; verifies the MIS before reporting."""
     require(
-        backend in ("reference", "engine", "dense", "dense-sharded"),
+        backend in ("reference", "engine", "dense"),
         f"unknown per-seed backend {backend!r} (dense-batched cells use "
         "luby_mis_batch_workload)",
     )
     engine, setup = scenario_engine(topology, n, degree, graph_seed)
     adj = engine.network.adjacency
     rng_seconds = 0.0
-    extras: Dict[str, Any] = {}
-    if backend == "dense-sharded":
-        ex, shard_setup = sharded_executor(topology, n, degree, graph_seed, shards)
-        setup += shard_setup
-        halo0 = ex.halo_seconds
-        start = time.perf_counter()
-        mis, rounds = luby_mis(
-            adj, seed=seed, method="dense-sharded", coins="keyed", executor=ex
-        )
-        solve = time.perf_counter() - start
-        extras = {
-            "shards": len(ex.plan),
-            "partition_seconds": ex.plan.partition_seconds,
-            "halo_seconds": ex.halo_seconds - halo0,
-        }
+    start = time.perf_counter()
+    if backend == "reference":
+        result = run_local(engine.network, LubyMIS(), seed=seed)
+        require(result.completed, "Luby MIS did not terminate within the round cap")
+        mis = {i for i, v in enumerate(result.views) if v.state.get("in_mis")}
+        rounds = result.rounds
+        rng_seconds = result.rng_seconds
     else:
-        start = time.perf_counter()
-        if backend == "reference":
-            result = run_local(engine.network, LubyMIS(), seed=seed)
-            require(
-                result.completed, "Luby MIS did not terminate within the round cap"
-            )
-            mis = {i for i, v in enumerate(result.views) if v.state.get("in_mis")}
-            rounds = result.rounds
-            rng_seconds = result.rng_seconds
-        else:
-            mis, rounds = luby_mis(
-                adj,
-                seed=seed,
-                method="dense" if backend == "dense" else "engine",
-                engine=engine,
-            )
-        solve = time.perf_counter() - start
+        mis, rounds = luby_mis(adj, seed=seed, method=backend, engine=engine)
+    solve = time.perf_counter() - start
     require(is_mis(adj, mis), "luby produced an invalid MIS")
     m = sum(len(a) for a in adj) // 2
     return {
@@ -239,7 +172,6 @@ def luby_mis_workload(
         "setup_seconds": setup,
         "pack_seconds": setup,
         "rng_seconds": rng_seconds,
-        **extras,
     }
 
 
@@ -262,7 +194,9 @@ def luby_mis_batch_workload(
     engine, setup = scenario_engine(topology, n, degree, graph_seed)
     adj = engine.network.adjacency
     start = time.perf_counter()
-    results = luby_mis(adj, seed=list(seeds), method="dense-batched", engine=engine)
+    results = luby_mis(
+        adj, seed=list(seeds), method="dense-batched", coins="keyed", engine=engine
+    )
     solve = (time.perf_counter() - start) / max(len(results), 1)
     m = sum(len(a) for a in adj) // 2
     out = []
@@ -288,38 +222,16 @@ def sinkless_workload(
     degree: int = 4,
     backend: str = "engine",
     graph_seed: int = 2,
-    shards: int = 2,
 ) -> Dict[str, Any]:
-    """Trial-and-fix sinkless orientation (probe-driven) on engine, dense,
-    or the sharded process pool (``backend="dense-sharded"``)."""
-    require(
-        backend in ("engine", "dense", "dense-sharded"),
-        f"unknown backend {backend!r}",
-    )
+    """Trial-and-fix sinkless orientation (probe-driven) on engine or dense."""
+    require(backend in ("engine", "dense"), f"unknown backend {backend!r}")
     engine, setup = scenario_engine(topology, n, degree, graph_seed)
     adj = engine.network.adjacency
-    extras: Dict[str, Any] = {}
-    if backend == "dense-sharded":
-        ex, shard_setup = sharded_executor(topology, n, degree, graph_seed, shards)
-        setup += shard_setup
-        halo0 = ex.halo_seconds
-        start = time.perf_counter()
-        orientation, rounds = run_trial_and_fix(
-            adj, min_degree=2, seed=seed, method=backend, coins="keyed",
-            engine=engine, executor=ex,
-        )
-        solve = time.perf_counter() - start
-        extras = {
-            "shards": len(ex.plan),
-            "partition_seconds": ex.plan.partition_seconds,
-            "halo_seconds": ex.halo_seconds - halo0,
-        }
-    else:
-        start = time.perf_counter()
-        orientation, rounds = run_trial_and_fix(
-            adj, min_degree=2, seed=seed, method=backend, engine=engine
-        )
-        solve = time.perf_counter() - start
+    start = time.perf_counter()
+    orientation, rounds = run_trial_and_fix(
+        adj, min_degree=2, seed=seed, method=backend, engine=engine
+    )
+    solve = time.perf_counter() - start
     require(is_sinkless(adj, orientation, min_degree=2), "orientation has a sink")
     return {
         "n": len(adj),
@@ -327,7 +239,6 @@ def sinkless_workload(
         "rounds": rounds,
         "solve_seconds": solve,
         "setup_seconds": setup,
-        **extras,
     }
 
 
@@ -348,7 +259,8 @@ def sinkless_batch_workload(
     adj = engine.network.adjacency
     start = time.perf_counter()
     results = run_trial_and_fix(
-        adj, min_degree=2, seed=list(seeds), method="dense-batched", engine=engine
+        adj, min_degree=2, seed=list(seeds), method="dense-batched", coins="keyed",
+        engine=engine,
     )
     solve = (time.perf_counter() - start) / max(len(results), 1)
     out = []
@@ -373,34 +285,18 @@ def splitting_workload(
     eps: float = 0.25,
     method: str = "local",
     graph_seed: int = 3,
-    shards: int = 2,
 ) -> Dict[str, Any]:
     """Uniform splitting (Section 4.1) via the requested method.
 
     ``method`` doubles as the backend axis here: ``"local"`` runs on the
     batched engine, ``"dense"`` on the numpy kernel (counter-based coins),
-    ``"dense-sharded"`` on the sharded process pool,
     ``"random"``/``"derandomized"`` are the centralized baselines.
     """
     engine, setup = scenario_engine(topology, n, degree, graph_seed)
     adj = engine.network.adjacency
     spec = UniformSplittingSpec(eps=eps, min_constrained_degree=max(2, degree // 2))
-    executor = None
-    if method == "dense-sharded":
-        executor, shard_setup = sharded_executor(
-            topology, n, degree, graph_seed, shards
-        )
-        setup += shard_setup
     start = time.perf_counter()
-    partition = uniform_splitting(
-        adj,
-        spec,
-        method=method,
-        seed=seed,
-        engine=engine,
-        coins={"dense": "philox", "dense-sharded": "keyed"}.get(method, "replay"),
-        executor=executor,
-    )
+    partition = uniform_splitting(adj, spec, method=method, seed=seed, engine=engine)
     solve = time.perf_counter() - start
     violations = uniform_splitting_violations(adj, partition, spec)
     require(not violations, f"splitting left {len(violations)} violated nodes")
@@ -436,7 +332,8 @@ def splitting_batch_workload(
     spec = UniformSplittingSpec(eps=eps, min_constrained_degree=max(2, degree // 2))
     start = time.perf_counter()
     partitions = uniform_splitting(
-        adj, spec, method="dense-batched", seed=list(seeds), engine=engine
+        adj, spec, method="dense-batched", seed=list(seeds), coins="keyed",
+        engine=engine,
     )
     solve = (time.perf_counter() - start) / max(len(partitions), 1)
     constrained = sum(1 for a in adj if spec.constrains(len(a)))

@@ -1,9 +1,9 @@
 """LOCAL model: synchronous simulator, batched engine, dense kernels, ledger.
 
 Building a :class:`Network` needs numpy: its validation packs the CSR
-arrays every backend runs on.  The dense kernels and the sharded backend
-are exported lazily: ``repro.local.luby_mis_dense`` etc. resolve on first
-access, so importing the package does not load them.
+arrays every backend runs on.  The dense kernels are exported lazily:
+``repro.local.luby_mis_dense`` etc. resolve on first access, so importing
+the package does not load them.
 """
 
 from repro.local.complexity import (
@@ -55,14 +55,6 @@ __all__ = [
     "sinkless_trial_dense",
     "dense_orientation",
     "uniform_splitting_dense",
-    # lazy sharded-backend exports (numpy + multiprocessing):
-    "ShardPlan",
-    "plan_shards",
-    "ShardedExecutor",
-    "luby_mis_sharded",
-    "luby_mis_sharded_batch",
-    "sinkless_trial_sharded",
-    "uniform_splitting_sharded",
 ]
 
 _DENSE_NAMES = frozenset(
@@ -76,26 +68,10 @@ _DENSE_NAMES = frozenset(
     }
 )
 
-_SHARDED_NAMES = frozenset(
-    {
-        "ShardPlan",
-        "plan_shards",
-        "ShardedExecutor",
-        "luby_mis_sharded",
-        "luby_mis_sharded_batch",
-        "sinkless_trial_sharded",
-        "uniform_splitting_sharded",
-    }
-)
-
 
 def __getattr__(name):  # PEP 562: defer the kernel imports to first use
     if name in _DENSE_NAMES:
         from repro.local import dense
 
         return getattr(dense, name)
-    if name in _SHARDED_NAMES:
-        from repro.local import sharded
-
-        return getattr(sharded, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -563,6 +563,15 @@ def _luby_phase1_fast(t, s_hash, n, node_idx, act0, uid_gt, offsets, dst_node,
     return (t * n + act_idx, pos_map[owner[live]], pos_map[dst_node[live]], live, sh)
 
 
+def _require_keyed(coins) -> None:
+    require(
+        coins == "keyed",
+        "trial-batched kernels draw keyed counter-based coins only, got "
+        f"coins={coins!r} (philox is a different coin law; replay streams "
+        "are consumption-ordered and cannot be batched)",
+    )
+
+
 def luby_mis_batched(
     engine: CSREngine,
     seeds: Sequence[int],
@@ -585,9 +594,9 @@ def luby_mis_batched(
 
     ``faults`` is one shared :class:`~repro.scenarios.masks.DenseFaults`
     schedule broadcast across the trial axis (per-round masks are built
-    once and reused by every trial).  ``coins`` accepts ``"keyed"`` or its
-    performance-default alias ``"philox"``; ``"replay"`` streams are
-    consumption-ordered and cannot be batched.
+    once and reused by every trial).  ``coins`` must be ``"keyed"``:
+    ``"philox"`` draws a different coin law and ``"replay"`` streams are
+    consumption-ordered, so neither can be batched.
 
     ``tracer`` records one ``batch_phase`` event per communal phase (the
     per-trial round semantics of the batched regime make per-round records
@@ -596,11 +605,7 @@ def luby_mis_batched(
     Returns a :class:`BatchedDenseResult` with ``in_mis`` and ``crashed``
     of shape ``(trials, n)``.
     """
-    require(
-        coins in ("keyed", "philox"),
-        "trial-batched kernels draw keyed counter-based coins "
-        "(replay streams are consumption-ordered and cannot be batched)",
-    )
+    _require_keyed(coins)
     require(max_rounds >= 0, f"max_rounds must be >= 0, got {max_rounds}")
     require(
         not getattr(faults, "corrupting", False),
@@ -941,11 +946,7 @@ def sinkless_trial_batched(
     *any* trial fails to orient within ``max_rounds``, mirroring the
     sequential driver; ``strict=False`` returns the incomplete rows.
     """
-    require(
-        coins in ("keyed", "philox"),
-        "trial-batched kernels draw keyed counter-based coins "
-        "(replay streams are consumption-ordered and cannot be batched)",
-    )
+    _require_keyed(coins)
     require(min_degree >= 1, f"min_degree must be >= 1, got {min_degree}")
     require(
         not getattr(faults, "corrupting", False),
@@ -1167,11 +1168,7 @@ def uniform_splitting_batched(
     attempts consumed (the per-trial ledger charge is one verification
     round per attempt, applied by the wrapper).
     """
-    require(
-        coins in ("keyed", "philox"),
-        "trial-batched kernels draw keyed counter-based coins "
-        "(replay streams are consumption-ordered and cannot be batched)",
-    )
+    _require_keyed(coins)
     require(max_attempts >= 1, f"max_attempts must be >= 1, got {max_attempts}")
     require(
         not getattr(faults, "corrupting", False),

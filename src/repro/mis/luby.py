@@ -92,8 +92,6 @@ def luby_mis(
     engine=None,
     hooks=None,
     faults=None,
-    shards: Optional[int] = None,
-    executor=None,
     recover: bool = False,
 ) -> Tuple[Set[int], int]:
     """Run Luby's MIS; returns (MIS node set, simulated rounds).
@@ -122,58 +120,17 @@ def luby_mis(
     kernel call: pass a sequence of seeds as ``seed`` and get back a list
     of ``(mis, rounds)`` pairs, one per seed, each bit-identical to a
     ``method="dense", coins="keyed"`` run of that seed
-    (:func:`repro.local.dense.luby_mis_batched`).  The ledger is charged
-    per trial.
-
-    ``method="dense-sharded"`` partitions the CSR arrays into ``shards``
-    node-range shards and runs the rounds shard-local across a persistent
-    process pool with per-round halo exchange
-    (:func:`repro.local.sharded.luby_mis_sharded`) — bit-identical per
-    trial to ``method="dense", coins="keyed"`` (so ``coins="keyed"`` must
-    be passed; the default raises).  ``seed`` may be an int (one
-    trial) or a sequence of seeds (a batch run on hot shard workers,
-    returning a list like ``dense-batched``); pass ``executor`` (a live
-    :class:`~repro.local.sharded.ShardedExecutor`) to amortize
-    partitioning and worker spin-up across calls.
+    (:func:`repro.local.dense.luby_mis_batched`), so ``coins="keyed"``
+    must be passed; the default raises.  The ledger is charged per trial.
     """
     require(
-        method in ("engine", "dense", "dense-batched", "dense-sharded"),
+        method in ("engine", "dense", "dense-batched"),
         f"unknown method {method!r}",
     )
     require(
         not recover or method in ("engine", "dense"),
         "recover=True requires method 'engine' or 'dense'",
     )
-    if method == "dense-sharded":
-        from repro.local.sharded import ShardedExecutor, luby_mis_sharded_batch
-
-        require(
-            coins == "keyed",
-            f"dense-sharded runs keyed coins only, got coins={coins!r}",
-        )
-        seeds = [seed] if isinstance(seed, int) else list(seed)
-        if executor is not None:
-            results = luby_mis_sharded_batch(
-                executor, seeds, max_rounds=max_rounds, faults=faults
-            )
-        else:
-            if engine is None:
-                engine = CSREngine(Network(adjacency))
-            with ShardedExecutor(engine, shards) as ex:
-                results = luby_mis_sharded_batch(
-                    ex, seeds, max_rounds=max_rounds, faults=faults
-                )
-        out: List[Tuple[Set[int], int]] = []
-        for result in results:
-            require(
-                result.completed, "Luby MIS did not terminate within the round cap"
-            )
-            if ledger is not None:
-                ledger.charge_simulated(result.rounds, label)
-            out.append(
-                (set(np.flatnonzero(result.in_mis).tolist()), result.rounds)
-            )
-        return out[0] if isinstance(seed, int) else out
     if method == "dense-batched":
         from repro.local.dense import luby_mis_batched
 

@@ -23,7 +23,7 @@ Besides the verifier this module ships two constructive baselines:
 from __future__ import annotations
 
 from itertools import chain, islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -252,8 +252,6 @@ def run_trial_and_fix(
     engine=None,
     hooks=None,
     faults=None,
-    shards: Optional[int] = None,
-    executor=None,
     recover: bool = False,
 ) -> Tuple[GraphOrientation, int]:
     """Run :class:`TrialAndFixSinkless` until globally sink-free.
@@ -288,39 +286,17 @@ def run_trial_and_fix(
     call: pass a sequence of seeds as ``seed`` and get back a list of
     ``(orientation, rounds)`` pairs, one per seed, each bit-identical to a
     ``method="dense", coins="keyed"`` run of that seed
-    (:func:`repro.local.dense.sinkless_trial_batched`).
-
-    ``method="dense-sharded"`` runs the same trial across node-range CSR
-    shards on a persistent process pool with one halo exchange per fix
-    round (:func:`repro.local.sharded.sinkless_trial_sharded`) —
-    bit-identical per trial to ``method="dense", coins="keyed"`` (so
-    ``coins="keyed"`` must be passed; the default raises).  Pass
-    ``executor`` (a live :class:`~repro.local.sharded.ShardedExecutor`) to
-    keep shard workers hot across calls; ``shards`` sizes a throwaway one.
+    (:func:`repro.local.dense.sinkless_trial_batched`), so
+    ``coins="keyed"`` must be passed; the default raises.
     """
     require(
-        method in ("engine", "dense", "dense-batched", "dense-sharded"),
+        method in ("engine", "dense", "dense-batched"),
         f"unknown method {method!r}",
     )
     require(
         not recover or method in ("engine", "dense"),
         "recover=True requires method 'engine' or 'dense'",
     )
-    if method == "dense-sharded":
-        from repro.local.dense import dense_orientation
-        from repro.local.sharded import sinkless_trial_sharded
-
-        require(
-            coins == "keyed",
-            f"dense-sharded runs keyed coins only, got coins={coins!r}",
-        )
-        if engine is None:
-            engine = CSREngine(Network(adj))
-        sharded = sinkless_trial_sharded(
-            engine, min_degree=min_degree, seed=seed, shards=shards,
-            max_rounds=max_rounds, faults=faults, executor=executor,
-        )
-        return dense_orientation(engine, sharded.out), sharded.rounds
     if method == "dense-batched":
         from repro.local.dense import dense_orientation, sinkless_trial_batched
 

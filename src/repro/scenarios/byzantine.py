@@ -4,8 +4,8 @@ Two harder fault families than the IID models in :mod:`repro.scenarios.faults`:
 
 * :class:`CorrelatedCrash` — spatially-clustered fail-stop faults: the
   victim set is a BFS ball around a coin-picked center (``mode="ball"``) or
-  a shard-aligned contiguous node-range (``mode="shard"``, the failure
-  domain of one :mod:`repro.local.sharded` worker dying).  Binding reuses
+  one contiguous node-range block (``mode="shard"``: nodes ``0..n-1`` cut
+  into ``count``-sized blocks, one of which dies).  Binding reuses
   the :class:`~repro.scenarios.faults._BoundCrash` schedule, so the whole
   vectorized crash-mask surface applies unchanged.
 * :class:`CorruptMessages` — a Byzantine channel adversary: each delivered
@@ -79,9 +79,9 @@ class CorrelatedCrash(Perturbation):
     ``mode="ball"`` grows a BFS ball around a center picked by one fault
     coin per node (lowest coin wins; the ball spills into the next-lowest
     unvisited center when a component is exhausted, so the count is always
-    met).  ``mode="shard"`` crashes one contiguous ``count``-sized
-    node-range block — the node-aligned failure domain of a sharded
-    worker — picked by a single fault coin.  Selection happens at bind
+    met).  ``mode="shard"`` crashes one contiguous node-range block —
+    nodes ``[start, start + count)`` with ``start`` a multiple of
+    ``count`` — picked by a single fault coin.  Selection happens at bind
     time under the bound ``fault_mode`` (one ``fault_u01_array`` kernel
     call in mask mode), and the bound schedule is the same vectorized
     :class:`~repro.scenarios.faults._BoundCrash` that :class:`CrashNodes`

@@ -171,10 +171,9 @@ register_scenario(Scenario(
     name="luby/crash-shard",
     pipeline="luby",
     perturbations=(CorrelatedCrash(fraction=0.125, at_round=3, mode="shard"),),
-    description="One contiguous node-range block (12.5% of the nodes, the "
-    "failure domain of a sharded worker dying) fail-stops before round 3; "
-    "node-range locality makes the victim set shard-aligned rather than "
-    "topology-aligned.",
+    description="One contiguous node-range block (12.5% of the nodes, "
+    "starting at a multiple of the block size) fail-stops before round 3; "
+    "the victim set is index-aligned rather than topology-aligned.",
 ))
 
 register_scenario(Scenario(

@@ -162,14 +162,12 @@ class TestSinklessReplayBitIdentity:
 
     def test_multi_edge_rejected(self):
         from repro.local.dense import sinkless_trial_batched
-        from repro.local.sharded import sinkless_trial_sharded
 
         for adj in ([[1, 1], [0, 0]], [[0, 1], [0]]):  # parallel edge, self-loop
             engine = CSREngine(Network(adj))
             for run in (
                 lambda: sinkless_trial_dense(engine, seed=0),
                 lambda: sinkless_trial_batched(engine, [0, 1]),
-                lambda: sinkless_trial_sharded(engine, seed=0, shards=2, workers=0),
             ):
                 with pytest.raises(ValueError, match="requires a simple graph"):
                     run()

@@ -15,8 +15,10 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.apps.splitting import uniform_splitting  # noqa: E402
 from repro.bipartite.generators import (  # noqa: E402
     configuration_model_regular,
+    random_regular_graph,
     random_sparse_graph,
 )
 from repro.core.problems import UniformSplittingSpec  # noqa: E402
@@ -29,8 +31,15 @@ from repro.local.dense import (  # noqa: E402
     uniform_splitting_batched,
     uniform_splitting_dense,
 )
+from repro.local.ledger import RoundLedger  # noqa: E402
+from repro.mis.luby import is_mis, luby_mis  # noqa: E402
+from repro.orientation.sinkless import run_trial_and_fix  # noqa: E402
 from repro.scenarios.base import bind_all  # noqa: E402
-from repro.scenarios.faults import CrashNodes, IIDMessageDrop  # noqa: E402
+from repro.scenarios.faults import (  # noqa: E402
+    CrashNodes,
+    IIDMessageDrop,
+    MuteHubs,
+)
 from repro.scenarios.masks import DenseFaults  # noqa: E402
 from repro.utils.rng import CoinTable, ensure_rng  # noqa: E402
 
@@ -96,12 +105,112 @@ class TestLubyBatchedBitIdentity:
         with pytest.raises(ValueError):
             luby_mis_batched(engine, [0, 1], coins="replay")
 
+    def test_seed_order_permutes_rows(self):
+        engine = sparse_engine(n=120, deg=5, gseed=4)
+        forward = luby_mis_batched(engine, SEEDS)
+        backward = luby_mis_batched(engine, SEEDS[::-1])
+        assert np.array_equal(forward.in_mis, backward.in_mis[::-1])
+        assert np.array_equal(forward.rounds, backward.rounds[::-1])
+
+    def test_duplicate_seeds_give_identical_rows(self):
+        engine = sparse_engine(n=120, deg=5, gseed=4)
+        batch = luby_mis_batched(engine, [3, 3, 8, 3])
+        for t in (1, 3):
+            assert np.array_equal(batch.in_mis[t], batch.in_mis[0])
+            assert int(batch.rounds[t]) == int(batch.rounds[0])
+        assert_luby_identical(engine, [3, 3, 8, 3], batch)
+
+
+def multigraph(n=40, extra=60, seed=3):
+    """A connected multigraph: a cycle plus repeated random parallel edges."""
+    adj = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
+    rng = ensure_rng(seed)
+    for _ in range(extra):
+        a = rng.randrange(n)
+        b = rng.randrange(n)
+        if a == b:
+            continue
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+GRAPH_SHAPES = [
+    pytest.param([], id="empty"),
+    pytest.param([[]], id="single-node"),
+    pytest.param([[1], [0], [3], [2]], id="two-edges"),
+    pytest.param([[], [2], [1], [], [5], [4], []], id="isolated-and-singletons"),
+    pytest.param(multigraph(), id="multigraph"),
+]
+
+
+class TestLubyBatchedGraphShapes:
+    """Degenerate and multi-edge CSR layouts keep per-trial identity."""
+
+    @pytest.mark.parametrize("adj", GRAPH_SHAPES)
+    def test_matches_sequential_keyed_runs(self, adj):
+        engine = CSREngine(Network(adj))
+        batch = luby_mis_batched(engine, SEEDS[:4])
+        assert batch.in_mis.shape == (4, len(adj))
+        assert bool(batch.completed.all())
+        assert_luby_identical(engine, SEEDS[:4], batch)
+
+    @pytest.mark.parametrize("max_rounds", [0, 1, 2, 3, 5])
+    def test_multigraph_round_caps_freeze_identically(self, max_rounds):
+        engine = CSREngine(Network(multigraph(n=60, extra=120, seed=4)))
+        batch = luby_mis_batched(engine, SEEDS, max_rounds=max_rounds)
+        assert_luby_identical(engine, SEEDS, batch, max_rounds=max_rounds)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda engine, coins: luby_mis_batched(
+            engine, [0, 1], coins=coins), id="luby_mis_batched"),
+        pytest.param(lambda engine, coins: sinkless_trial_batched(
+            engine, [0, 1], coins=coins), id="sinkless_trial_batched"),
+        pytest.param(lambda engine, coins: uniform_splitting_batched(
+            engine, UniformSplittingSpec(eps=0.3, min_constrained_degree=2), [0, 1],
+            coins=coins),
+            id="uniform_splitting_batched"),
+    ],
+)
+@pytest.mark.parametrize("coins", ["philox", "replay"])
+def test_batched_kernels_draw_keyed_coins_only(run, coins):
+    # philox is a different coin law and replay streams are
+    # consumption-ordered: neither may be silently swapped for keyed coins.
+    engine = regular_engine(n=20, deg=3, gseed=2)
+    with pytest.raises(ValueError, match="keyed counter-based coins only"):
+        run(engine, coins)
+
 
 class TestLubyBatchedFaulty:
     def test_mask_mode_scenario_identical(self):
         engine = sparse_engine(n=250, deg=6, gseed=5)
         perts = [CrashNodes(fraction=0.05, at_round=3), IIDMessageDrop(p=0.08)]
         bound = bind_all(perts, engine.network, fault_seed=99, fault_mode="mask")
+        faults = DenseFaults(engine, bound)
+        batch = luby_mis_batched(engine, SEEDS, faults=faults)
+        assert_luby_identical(engine, SEEDS, batch, faults=faults)
+
+    def test_full_fault_stack_identical(self):
+        # Crashes, a bounded drop window and adversarially muted hubs at once.
+        engine = sparse_engine(n=150, deg=8, gseed=6)
+        perts = (
+            CrashNodes(fraction=0.1, at_round=2),
+            IIDMessageDrop(p=0.15, from_round=1, until_round=4),
+            MuteHubs(),
+        )
+        bound = bind_all(perts, engine.network, fault_seed=11, fault_mode="mask")
+        faults = DenseFaults(engine, bound)
+        batch = luby_mis_batched(engine, SEEDS, faults=faults)
+        assert bool(batch.crashed.any())
+        assert_luby_identical(engine, SEEDS, batch, faults=faults)
+
+    def test_multigraph_under_crashes_identical(self):
+        engine = CSREngine(Network(multigraph()))
+        perts = (CrashNodes(fraction=0.1, at_round=1), IIDMessageDrop(p=0.1))
+        bound = bind_all(perts, engine.network, fault_seed=2, fault_mode="mask")
         faults = DenseFaults(engine, bound)
         batch = luby_mis_batched(engine, SEEDS, faults=faults)
         assert_luby_identical(engine, SEEDS, batch, faults=faults)
@@ -140,6 +249,25 @@ class TestSinklessBatchedBitIdentity:
             seq = sinkless_trial_dense(
                 engine, min_degree=3, seed=s, coins="keyed", faults=faults,
                 strict=False,
+            )
+            assert np.array_equal(batch.out[t], seq.out)
+            assert np.array_equal(batch.crashed[t], seq.crashed)
+            assert int(batch.rounds[t]) == seq.rounds
+            assert bool(batch.completed[t]) == seq.completed
+
+    @pytest.mark.parametrize("min_degree", [1, 2])
+    def test_drop_window_identical(self, min_degree):
+        engine = CSREngine(Network(random_regular_graph(60, 4, seed=7)))
+        perts = (IIDMessageDrop(p=0.1, from_round=1, until_round=3),)
+        bound = bind_all(perts, engine.network, fault_seed=3, fault_mode="mask")
+        faults = DenseFaults(engine, bound)
+        batch = sinkless_trial_batched(
+            engine, SEEDS, min_degree=min_degree, faults=faults, strict=False
+        )
+        for t, s in enumerate(SEEDS):
+            seq = sinkless_trial_dense(
+                engine, min_degree=min_degree, seed=s, coins="keyed",
+                faults=faults, strict=False,
             )
             assert np.array_equal(batch.out[t], seq.out)
             assert np.array_equal(batch.crashed[t], seq.crashed)
@@ -185,6 +313,32 @@ class TestSplittingBatchedBitIdentity:
             assert int(batch.attempts[t]) == attempts
             assert np.array_equal(batch.colors[t], seq.colors)
 
+    def test_irregular_degrees_match_sequential_retry_loops(self):
+        # Nodes below min_constrained_degree are unconstrained; the rest must
+        # split within eps on a graph whose degrees genuinely vary.
+        engine = CSREngine(Network(random_sparse_graph(200, 24, seed=12)))
+        spec = UniformSplittingSpec(eps=0.25, min_constrained_degree=8)
+        batch = uniform_splitting_batched(engine, spec, SEEDS[:4])
+        assert bool(batch.ok.all())
+        for t, s in enumerate(SEEDS[:4]):
+            seq, attempts = self.sequential_las_vegas(engine, spec, s, 64)
+            assert int(batch.attempts[t]) == attempts
+            assert np.array_equal(batch.colors[t], seq.colors)
+
+    def test_irregular_degrees_under_crashes_identical(self):
+        engine = CSREngine(Network(random_sparse_graph(200, 24, seed=8)))
+        spec = UniformSplittingSpec(eps=0.25, min_constrained_degree=8)
+        perts = (CrashNodes(fraction=0.05, at_round=1),)
+        bound = bind_all(perts, engine.network, fault_seed=5, fault_mode="mask")
+        faults = DenseFaults(engine, bound)
+        batch = uniform_splitting_batched(engine, spec, SEEDS[:4], faults=faults)
+        for t, s in enumerate(SEEDS[:4]):
+            seq, attempts = self.sequential_las_vegas(engine, spec, s, 64, faults)
+            assert bool(batch.ok[t]) == seq.ok
+            assert int(batch.attempts[t]) == attempts
+            assert np.array_equal(batch.colors[t], seq.colors)
+            assert np.array_equal(batch.crashed[t], seq.crashed)
+
     def test_mask_mode_scenario_identical(self):
         engine = CSREngine(Network(configuration_model_regular(200, 16, seed=3)))
         spec = UniformSplittingSpec(eps=0.3, min_constrained_degree=8)
@@ -198,6 +352,61 @@ class TestSplittingBatchedBitIdentity:
             assert int(batch.attempts[t]) == attempts
             assert np.array_equal(batch.colors[t], seq.colors)
             assert np.array_equal(batch.crashed[t], seq.crashed)
+
+
+@pytest.mark.parametrize(
+    "pipeline, adj, kwargs",
+    [
+        pytest.param(luby_mis, random_sparse_graph(120, 6, seed=5), {},
+                     id="luby_mis"),
+        pytest.param(run_trial_and_fix, configuration_model_regular(60, 4, seed=6),
+                     {"min_degree": 2}, id="run_trial_and_fix"),
+        pytest.param(uniform_splitting, configuration_model_regular(120, 16, seed=3),
+                     {"spec": UniformSplittingSpec(eps=0.3, min_constrained_degree=8)},
+                     id="uniform_splitting"),
+    ],
+)
+def test_pipeline_dense_batched_dispatch(pipeline, adj, kwargs):
+    """``method="dense-batched"`` through the public pipeline entry points."""
+    seeds = SEEDS[:4]
+    # The pipelines default to philox coins, a different coin law than the
+    # batched kernels draw: refuse rather than silently switch to keyed.
+    with pytest.raises(ValueError, match="keyed counter-based coins only"):
+        pipeline(adj, seed=seeds, method="dense-batched", **kwargs)
+    batch = pipeline(adj, seed=seeds, method="dense-batched", coins="keyed", **kwargs)
+    assert batch == [
+        pipeline(adj, seed=s, method="dense", coins="keyed", **kwargs) for s in seeds
+    ]
+    with pytest.raises(ValueError, match="unknown method"):
+        pipeline(adj, seed=0, method="dense-sharded", coins="keyed", **kwargs)
+
+
+PIPELINES = [
+    pytest.param(luby_mis, {}, id="luby_mis"),
+    pytest.param(run_trial_and_fix, {"min_degree": 2}, id="run_trial_and_fix"),
+    pytest.param(uniform_splitting,
+                 {"spec": UniformSplittingSpec(eps=0.3, min_constrained_degree=8)},
+                 id="uniform_splitting"),
+]
+
+
+@pytest.mark.parametrize("pipeline, kwargs", PIPELINES)
+def test_pipeline_dense_batched_rejects_replay_coins(pipeline, kwargs):
+    adj = configuration_model_regular(40, 4, seed=1)
+    with pytest.raises(ValueError, match="keyed counter-based coins only"):
+        pipeline(adj, seed=[0, 1], method="dense-batched", coins="replay", **kwargs)
+
+
+def test_pipeline_dense_batched_rows_are_valid_and_charged_per_trial():
+    adj = random_sparse_graph(150, 8, seed=17)
+    ledger = RoundLedger()
+    batch = luby_mis(adj, seed=SEEDS[:5], method="dense-batched", coins="keyed",
+                     ledger=ledger)
+    assert len(batch) == 5
+    for mis, _ in batch:
+        assert is_mis(adj, mis)
+    assert len(ledger) == 5
+    assert ledger.simulated_total() == sum(rounds for _, rounds in batch)
 
 
 class TestKeyedCoinTable:

@@ -291,4 +291,4 @@ class TestPipelineRecoverFlag:
         with pytest.raises(Exception, match="recover"):
             from repro.mis.luby import luby_mis
 
-            luby_mis(random_graph(1), method="dense-sharded", recover=True)
+            luby_mis(random_graph(1), method="dense-batched", recover=True)
