@@ -799,6 +799,13 @@ def sinkless_trial_dense(
     scenario schedules for sinkless orientation leave the proposal round
     clean.
 
+    Cost: round 1 and the initial per-node outward-slot counts (own view
+    and extracted view) are O(m).  Each fix round then costs O(n + touched
+    slots): sinks and the probe read the counts, and the counts move only
+    at the flipped slots and their partners.  Byzantine fix rounds rewrite
+    O(m) slots anyway and recount in full; their number is bounded by
+    the corruption window.
+
     ``tracer`` records one round record per executed round; ``active`` is
     the surviving (non-crashed) node count, matching the hook-traced
     reference where sinkless nodes never halt on their own.
@@ -837,6 +844,7 @@ def sinkless_trial_dense(
     constrained = degrees >= min_degree
     low_view = owner < dst_node  # extraction rule: lower *index* endpoint's view
     crashed = np.zeros(n, dtype=bool)
+    live = constrained  # constrained & ~crashed, refreshed on crash rounds
     faults_expired = getattr(faults, "expired", None)
     if faults is not None and getattr(faults, "corrupting", False):
         # The proposal round has no slot-state representation for rewritten
@@ -847,6 +855,18 @@ def sinkless_trial_dense(
             "sinkless_trial_dense requires a corruption-free proposal round",
         )
 
+    def effective(idx):
+        # The extracted orientation at slots ``idx``: the lower-index
+        # endpoint's slot is authoritative.
+        return np.where(low_view[idx], out[idx], ~out[partner[idx]])
+
+    def recount():
+        # Outward slots per node, own view and extracted view.
+        return (np.bincount(owner[out], minlength=n),
+                np.bincount(owner[effective(slice(None))], minlength=n))
+
+    own_cnt, eff_cnt = recount()
+
     for round_no in range(2, max_rounds + 1):
         if trace:
             phase_start = time.perf_counter()
@@ -856,10 +876,10 @@ def sinkless_trial_dense(
             crash = faults.crashed_at(round_no)
             if crash is not None:
                 crashed |= crash
+                live = constrained & ~crashed
         # Send phase: sinks by their own view flip one uniformly random port
         # (crashed nodes are frozen: no draws, no flips).
-        sinks_own = constrained & ~crashed & ~_segment_or(out, offsets)
-        sink_idx = np.flatnonzero(sinks_own)
+        sink_idx = np.flatnonzero(live & (own_cnt == 0))
         corrupt = None
         if faults is not None:
             corrupted_out = getattr(faults, "corrupted_out", None)
@@ -870,12 +890,12 @@ def sinkless_trial_dense(
             # ("flip" on a sink's chosen slot, "ok" elsewhere) and the
             # corruption flips that bit per delivered slot, so the set of
             # perceived flips is (chosen XOR corrupt) over live endpoints.
+            # O(m) slots change, so both counts are rebuilt in full.
+            is_flip = np.zeros(m, dtype=bool)
             if sink_idx.shape[0]:
                 ports = table.randints(sink_idx, degrees[sink_idx], tag=round_no)
                 chosen = offsets[:-1][sink_idx] + ports
                 out[chosen] = True
-            is_flip = np.zeros(m, dtype=bool)
-            if sink_idx.shape[0]:
                 is_flip[chosen] = True
             is_flip ^= corrupt
             mark = is_flip & ~crashed[owner] & ~crashed[dst_node]
@@ -883,9 +903,16 @@ def sinkless_trial_dense(
             if delivered is not None:
                 mark &= delivered
             out[partner[np.flatnonzero(mark)]] = False
+            own_cnt, eff_cnt = recount()
         elif sink_idx.shape[0]:
             ports = table.randints(sink_idx, degrees[sink_idx], tag=round_no)
             chosen = offsets[:-1][sink_idx] + ports
+            # Only the chosen slots and their partners change (a set closed
+            # under ``partner``, so it also covers every extracted-view
+            # change); the counts move by the per-slot deltas there.
+            touched = np.unique(np.concatenate((chosen, partner[chosen])))
+            own_old = out[touched].view(np.int8)
+            eff_old = effective(touched).view(np.int8)
             out[chosen] = True
             # Receive phase: the paired port is marked inward.  A doubly
             # flipped edge has each chosen slot as the other's partner, so
@@ -900,6 +927,9 @@ def sinkless_trial_dense(
                 if delivered is not None:
                     keep &= delivered[chosen]
                 out[partner[chosen[keep]]] = False
+            touched_owner = owner[touched]
+            np.add.at(own_cnt, touched_owner, out[touched].view(np.int8) - own_old)
+            np.add.at(eff_cnt, touched_owner, effective(touched).view(np.int8) - eff_old)
         rounds = round_no
         if trace:
             tracer.round(
@@ -907,10 +937,9 @@ def sinkless_trial_dense(
                 active=int(n - crashed.sum()),
                 seconds=time.perf_counter() - phase_start,
             )
-        # Probe: extract the orientation (lower-index endpoint's slot is
-        # authoritative) and stop at the first round with no live sink.
-        effective_out = np.where(low_view, out, ~out[partner])
-        if not (constrained & ~crashed & ~_segment_or(effective_out, offsets)).any():
+        # Probe: stop at the first round with no live sink in the extracted
+        # orientation.
+        if not (live & (eff_cnt == 0)).any():
             return DenseResult(
                 rounds, completed=True, rng_seconds=rng_seconds, out=out, crashed=crashed
             )

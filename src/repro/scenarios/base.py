@@ -45,7 +45,7 @@ from abc import ABC
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.local.network import Network, NodeView, RoundHooks
-from repro.utils.rng import node_rng
+from repro.utils.rng import _MASK64, _SM_GAMMA, _TO_U01, _fold64, mix64, node_rng
 from repro.utils.validation import require
 
 __all__ = [
@@ -85,37 +85,26 @@ def fault_u01(fault_seed: int, label: str, entity, *key) -> float:
 # ---------------------------------------------------------------------------
 # Counter-based fault coins (fault_mode="mask").
 #
-# A SplitMix64-style finalizer folded over the key components.  The scalar
-# (:func:`fault_u01_mix`) and vectorized (:func:`fault_u01_array`) forms
-# share this chain bit-for-bit, so a hooked engine run consulting scalar
-# decisions and a dense run consuming whole-round mask arrays see the same
-# fault schedule.  Not cryptographic — just a well-avalanched keyed hash.
+# The SplitMix64 chain of repro.utils.rng (:func:`~repro.utils.rng._fold64`)
+# folded over the key components.
+# The scalar (:func:`fault_u01_mix`) and vectorized (:func:`fault_u01_array`,
+# :func:`_fault_u01_slots`) forms share this chain bit-for-bit, so a hooked
+# engine run consulting scalar decisions and a dense run consuming
+# whole-round mask arrays see the same fault schedule.  Not cryptographic —
+# just a well-avalanched keyed hash.
 # ---------------------------------------------------------------------------
-
-_MASK64 = (1 << 64) - 1
-_SM_GAMMA = 0x9E3779B97F4A7C15
-_SM_M1 = 0xBF58476D1CE4E5B9
-_SM_M2 = 0x94D049BB133111EB
-_TO_U01 = 2.0 ** -53
 
 _SALT_HASHES: dict = {}
 
 
-def _salt_hash(label: str) -> int:
-    """Stable 64-bit hash of a salt label (cached — labels are few)."""
+def _seeded(fault_seed: int, label: str) -> int:
+    """The chain's first link: the fault seed mixed with a stable 64-bit
+    hash of the salt label (cached — labels are few)."""
     h = _SALT_HASHES.get(label)
     if h is None:
         digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
         h = _SALT_HASHES[label] = int.from_bytes(digest, "little")
-    return h
-
-
-def _mix64(z: int) -> int:
-    """SplitMix64 finalizer on python ints (mod 2^64)."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _SM_M1) & _MASK64
-    z = ((z ^ (z >> 27)) * _SM_M2) & _MASK64
-    return z ^ (z >> 31)
+    return mix64((fault_seed & _MASK64) ^ h)
 
 
 def fault_u01_mix(fault_seed: int, label: str, entity: int, *key: int) -> float:
@@ -127,10 +116,9 @@ def fault_u01_mix(fault_seed: int, label: str, entity: int, *key: int) -> float:
     (:func:`fault_u01_array` evaluates the identical chain on arrays).
     ``entity`` and every ``key`` component must be integers.
     """
-    h = _mix64((fault_seed & _MASK64) ^ _salt_hash(label))
-    h = _mix64((h + _SM_GAMMA) ^ (entity & _MASK64))
-    for k in key:
-        h = _mix64((h + _SM_GAMMA) ^ (k & _MASK64))
+    h = _seeded(fault_seed, label)
+    for k in (entity, *key):
+        h = mix64((h + _SM_GAMMA) ^ (k & _MASK64))
     return (h >> 11) * _TO_U01
 
 
@@ -138,7 +126,7 @@ def fault_u01_array(fault_seed: int, label: str, entity, *key, mode: str = "mask
     """One uniform per element of ``entity`` (float64 numpy array).
 
     ``mode="mask"`` runs the :func:`fault_u01_mix` chain as a vectorized
-    numpy kernel over ``(fault_seed, salt_hash(label), entity, *key)`` —
+    numpy kernel over ``(fault_seed, label, entity, *key)`` —
     every component may be an int array (elementwise) or a scalar
     (broadcast); elementwise results equal :func:`fault_u01_mix` bit-for-
     bit.  ``mode="replay"`` instead reproduces today's scalar
@@ -159,29 +147,32 @@ def fault_u01_array(fault_seed: int, label: str, entity, *key, mode: str = "mask
             ],
             dtype=np.float64,
         )
-    # Fold scalar components in python ints (numpy warns on uint64 scalar
-    # overflow) and switch to wrapping uint64 array arithmetic at the first
-    # array component; scalar folds before/after the switch stay bit-equal
-    # to :func:`fault_u01_mix` because both run the same chain mod 2^64.
-    h_int = _mix64((fault_seed & _MASK64) ^ _salt_hash(label))
-    h = None
-    for c in (entity, *key):
-        if not isinstance(c, int) and np.ndim(c) == 0:
-            c = int(c)
-        if isinstance(c, int):
-            if h is None:
-                h_int = _mix64((h_int + _SM_GAMMA) ^ (c & _MASK64))
-            else:
-                h = _mix64_np(np, (h + np.uint64(_SM_GAMMA)) ^ np.uint64(c & _MASK64))
-            continue
-        cu = _as_u64(np, c)
-        if h is None:
-            h = _mix64_np(np, np.uint64((h_int + _SM_GAMMA) & _MASK64) ^ cu)
-        else:
-            h = _mix64_np(np, (h + np.uint64(_SM_GAMMA)) ^ cu)
-    if h is None:  # every component was scalar: one-element degenerate call
-        return np.float64((h_int >> 11) * _TO_U01)
-    return (h >> np.uint64(11)) * _TO_U01
+    h = _fold64(np, _seeded(fault_seed, label), (entity, *key))
+    if isinstance(h, int):  # every component was scalar: one-element degenerate call
+        return np.float64((h >> 11) * _TO_U01)
+    h >>= np.uint64(11)
+    return h * _TO_U01
+
+
+def _fault_u01_slots(fault_seed: int, label: str, uids, round_no: int, senders, ports,
+                     mode: str = "mask"):
+    """Per-slot fault coins keyed ``(sender uid, round, port)``.
+
+    Equals ``fault_u01_array(fault_seed, label, uids[senders], round_no,
+    ports, mode=mode)`` elementwise, but in ``"mask"`` mode the chain's
+    ``(fault_seed, label, uid, round)`` prefix is hashed once per *node*
+    and gathered by ``senders``, so only the port link runs per slot —
+    one O(m) mix instead of three for a whole-round mask.  ``"replay"``
+    mode takes the exact scalar-chain path of :func:`fault_u01_array`.
+    """
+    if mode == "replay":
+        return fault_u01_array(fault_seed, label, uids[senders], round_no, ports, mode=mode)
+    import numpy as np
+
+    prefix = _fold64(np, _seeded(fault_seed, label), (uids, round_no))
+    h = _fold64(np, prefix[senders], (ports,), owned=True)
+    h >>= np.uint64(11)
+    return h * _TO_U01
 
 
 def _as_column(c, n: int):
@@ -189,23 +180,6 @@ def _as_column(c, n: int):
     if isinstance(c, (str, bytes, int, float)):
         return [c] * n
     return list(c)
-
-
-def _as_u64(np, x):
-    """Coerce an int scalar or array to uint64 (two's-complement wrap)."""
-    if isinstance(x, int):
-        return np.uint64(x & _MASK64)
-    a = np.asarray(x)
-    if a.dtype != np.uint64:
-        a = a.astype(np.int64, copy=False).astype(np.uint64)
-    return a
-
-
-def _mix64_np(np, z):
-    """SplitMix64 finalizer on uint64 arrays (wrapping multiply)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_SM_M1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM_M2)
-    return z ^ (z >> np.uint64(31))
 
 
 class BoundPerturbation:

@@ -31,6 +31,7 @@ from repro.local.network import Network
 from repro.scenarios.base import (
     BoundPerturbation,
     Perturbation,
+    _fault_u01_slots,
     fault_u01,
     fault_u01_array,
     fault_u01_mix,
@@ -205,8 +206,8 @@ class _BoundCorrupt(BoundPerturbation):
             import numpy as np
 
             self._uid_arr = np.asarray(self.ids, dtype=np.int64)
-        u = fault_u01_array(
-            self.fault_seed, "corrupt", self._uid_arr[senders], round_no, ports,
+        u = _fault_u01_slots(
+            self.fault_seed, "corrupt", self._uid_arr, round_no, senders, ports,
             mode=self.fault_mode,
         )
         return u < self.p

@@ -15,8 +15,8 @@ and ``fault_mode`` (see :func:`~repro.scenarios.base.fault_u01` /
 :func:`~repro.scenarios.base.fault_u01_mix`), so a faulty run is exactly
 reproducible and bit-identical across executors.  Every bound class
 implements the vectorized ``delivers_mask`` / ``crashes_mask`` surface:
-i.i.d. drops collapse to one counter-based hash kernel call per round,
-victim-set models to an ``np.isin`` / index scatter.
+i.i.d. drops collapse to a per-node hash prefix plus one per-slot mix per
+round, victim-set models to an ``np.isin`` / index scatter.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.local.network import Network
 from repro.scenarios.base import (
     BoundPerturbation,
     Perturbation,
+    _fault_u01_slots,
     fault_u01,
     fault_u01_array,
     fault_u01_mix,
@@ -175,11 +176,10 @@ class _BoundIIDDrop(BoundPerturbation):
             import numpy as np
 
             self._uid_arr = np.asarray(self.ids, dtype=np.int64)
-        # One hash-kernel call for the whole round (replay mode falls back
-        # to the scalar chain internally, elementwise-identical to
-        # ``delivers``).
-        u = fault_u01_array(
-            self.fault_seed, "drop", self._uid_arr[senders], round_no, ports,
+        # Per-node prefix plus one per-slot mix (replay mode falls back to
+        # the scalar chain internally, elementwise-identical to ``delivers``).
+        u = _fault_u01_slots(
+            self.fault_seed, "drop", self._uid_arr, round_no, senders, ports,
             mode=self.fault_mode,
         )
         return u >= self.p

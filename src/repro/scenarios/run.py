@@ -150,9 +150,8 @@ def run_scenario(
     stack's graph rewrites are still applied on top; such runs bypass the
     cell cache).  ``seed`` drives both the algorithm's coins and the fault
     schedule; ``graph_seed`` only the topology.  ``max_rounds`` defaults
-    per pipeline: 10_000 (luby), 400 (sinkless — every round pays an
-    O(n + m) probe, and a run that has not recovered by then is recorded
-    as incomplete, which is data).
+    per pipeline: 10_000 (luby), 400 (sinkless — a run that has not
+    recovered by then is recorded as incomplete, which is data).
 
     ``tracer`` (a :class:`~repro.obs.trace.Tracer`; None by default) records
     one round record per executed round — via
@@ -342,10 +341,14 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, coins, layo
 def _round_one_delivers_clean(b, network, layout) -> bool:
     """Whether perturbation ``b`` delivers every round-1 message.
 
-    Uses the vectorized mask when the dense slot layout is at hand (one
-    kernel call instead of an O(m) scalar sweep); falls back to the pure
-    per-message decision otherwise.
+    Trusts the ``drops_messages`` capability flag like
+    :class:`~repro.scenarios.masks.DenseFaults` does, then uses the
+    vectorized mask when the dense slot layout is at hand (one kernel call
+    instead of an O(m) scalar sweep); falls back to the pure per-message
+    decision otherwise.
     """
+    if not b.drops_messages:
+        return True
     if layout is not None:
         mask = b.delivers_mask(1, layout.out_sender, layout.out_port)
         if mask is not NotImplemented:

@@ -26,8 +26,8 @@ __all__ = [
 
 SeedLike = Union[None, int, random.Random]
 
-# SplitMix64 mixing chain (same constants as the fault-coin kernels in
-# repro.scenarios.base — the repo-wide counter-based hash idiom).
+# SplitMix64 mixing chain — the repo-wide counter-based hash idiom, shared
+# with the fault-coin kernels in repro.scenarios.base.
 _MASK64 = (1 << 64) - 1
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_M1 = 0xBF58476D1CE4E5B9
@@ -36,22 +36,51 @@ _TO_U01 = 2.0**-53
 
 
 def mix64(z: int) -> int:
-    """Pure-python SplitMix64 finalizer (used to pre-hash master seeds)."""
+    """Pure-python SplitMix64 finalizer (master seeds, scalar fault coins)."""
     z &= _MASK64
     z = ((z ^ (z >> 30)) * _SM_M1) & _MASK64
     z = ((z ^ (z >> 27)) * _SM_M2) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _mix64_np(np, z):
-    """Vectorized SplitMix64 finalizer over a uint64 *array*.
+def _fold64(np, h, components, owned: bool = False):
+    """Fold SplitMix64 links ``h = mix64((h + gamma) ^ c)`` over ``components``.
 
-    Array-only on purpose: numpy uint64 *scalar* arithmetic raises overflow
-    warnings on wrap-around, array arithmetic wraps silently.
+    The one hash chain behind :func:`keyed_hash53` and the fault coins.
+    Ints fold as python ints until the first int array, which may broadcast
+    ``h``; later links run in place on that fresh array (on ``h`` itself
+    when ``owned``) with one temporary buffer — arrays wrap silently where
+    numpy uint64 *scalars* would warn on overflow.  Returns an int if every
+    input was scalar, else a uint64 array.  Negative ints wrap as two's
+    complement.
     """
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_SM_M1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM_M2)
-    return z ^ (z >> np.uint64(31))
+    t = None
+    for c in components:
+        if not isinstance(c, int):
+            c = np.asarray(c)
+            c = int(c) if c.ndim == 0 else c.astype(np.int64, copy=False).view(np.uint64)
+        if isinstance(c, int):
+            if isinstance(h, int):
+                h = mix64((h + _SM_GAMMA) ^ (c & _MASK64))
+                continue
+            c = np.uint64(c & _MASK64)
+        if isinstance(h, int):
+            h = np.uint64((h + _SM_GAMMA) & _MASK64) ^ c
+        elif owned:
+            h += np.uint64(_SM_GAMMA)
+            h ^= c
+        else:
+            h = (h + np.uint64(_SM_GAMMA)) ^ c
+        owned = True
+        if t is None:
+            t = np.empty_like(h)
+        for shift, mult in ((30, _SM_M1), (27, _SM_M2)):
+            np.right_shift(h, np.uint64(shift), out=t)
+            h ^= t
+            h *= np.uint64(mult)
+        np.right_shift(h, np.uint64(31), out=t)
+        h ^= t
+    return h
 
 
 def keyed_hash53(np, seed_hash, counters, tag: int):
@@ -69,17 +98,9 @@ def keyed_hash53(np, seed_hash, counters, tag: int):
     tie-isomorphic* to comparing the ``(h >> 11) * 2**-53`` uniforms built
     from them: kernels may rank raw hashes and skip the float convert.
     """
-    u64 = np.uint64
-    c = np.asarray(counters)
-    if c.dtype != np.uint64:
-        c = c.astype(np.uint64)
-    if isinstance(seed_hash, int):
-        base = u64((seed_hash + _SM_GAMMA) & _MASK64) ^ c
-    else:
-        base = (seed_hash + u64(_SM_GAMMA)) ^ c
-    h = _mix64_np(np, base)
-    h = _mix64_np(np, (h + u64(_SM_GAMMA)) ^ u64(tag))
-    return h >> u64(11)
+    h = _fold64(np, seed_hash, (np.asarray(counters), tag))
+    h >>= np.uint64(11)
+    return h
 
 
 def keyed_u01(np, seed_hash, counters, tag: int):

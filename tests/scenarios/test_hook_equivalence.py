@@ -10,6 +10,8 @@ stacks x random seeds probe that exhaustively.
 
 import random
 
+import pytest
+
 from repro.apps.splitting import ZeroRoundSplitting
 from repro.bipartite.generators import random_sparse_graph
 from repro.core.problems import UniformSplittingSpec
@@ -22,6 +24,7 @@ from repro.local.dense import (
 from repro.mis.luby import LubyMIS
 from repro.orientation.sinkless import TrialAndFixSinkless, sinks
 from repro.scenarios import (
+    CorruptMessages,
     CrashNodes,
     DropEdges,
     EdgeChurn,
@@ -68,6 +71,49 @@ def assert_bit_identical(ref, fast):
     assert ref.completed == fast.completed
     assert ref.outputs() == fast.outputs()
     assert [v.state for v in ref.views] == [v.state for v in fast.views]
+
+
+def assert_sinkless_dense_matches_engine(rng, make_perts, max_rounds):
+    """One random simple graph: the replay-coin dense sinkless kernel under
+    the stack ``make_perts(rng)`` ends in the hooked engine's exact slot
+    states and round count."""
+    while True:
+        n = rng.randrange(4, 20)
+        adj = random_sparse_graph(n, 3.0, seed=rng.randrange(999))
+        if any(adj):
+            break
+    net = Network(adj)
+    engine = CSREngine(net)
+    seed = rng.randrange(10_000)
+    bound = bind_all(make_perts(rng), net, fault_seed=seed)
+    algo = TrialAndFixSinkless(min_degree=2)
+
+    # The same survivor-aware stopping rule the dense kernel checks
+    # internally (and the scenario runner uses), so both executors stop at
+    # the same round.
+    def probe(round_no, views):
+        if round_no < 2:
+            return False
+        orientation = orientation_from_views(adj, views)
+        alive = [not v.state.get("crashed") for v in views]
+        return not any(alive[v] for v in sinks(adj, orientation, 2))
+
+    eng = engine.run(algo, max_rounds=max_rounds, seed=seed,
+                     hooks=PerturbationHooks(bound), probe=probe)
+    dense = sinkless_trial_dense(
+        engine, min_degree=2, seed=seed, coins="replay",
+        max_rounds=max_rounds, faults=DenseFaults(engine, bound), strict=False,
+    )
+    assert dense.rounds == eng.rounds
+    offsets = engine.offsets.tolist()
+    slot_out = [False] * offsets[-1]
+    for i, view in enumerate(eng.views):
+        for p, is_out in view.state.get("out", {}).items():
+            slot_out[offsets[i] + p] = is_out
+    assert [bool(x) for x in dense.out] == slot_out
+    assert [bool(x) for x in dense.crashed] == [
+        bool(v.state.get("crashed")) for v in eng.views
+    ]
 
 
 class TestReferenceVsEngineUnderFaults:
@@ -160,48 +206,30 @@ class TestDenseReplayUnderFaults:
         # Crash-only schedules from round >= 2 (the dense kernel's fault
         # support window); compare slot states against the engine's views.
         rng = random.Random(57)
-        trials = 0
-        while trials < 10:
-            n = rng.randrange(4, 20)
-            adj = random_sparse_graph(n, 3.0, seed=rng.randrange(999))
-            if not any(adj):
-                continue
-            trials += 1
-            net = Network(adj)
-            engine = CSREngine(net)
-            seed = rng.randrange(10_000)
-            perts = (CrashNodes(fraction=0.2, at_round=rng.randrange(2, 5)),)
-            bound = bind_all(perts, net, fault_seed=seed)
-            max_rounds = 12
-            algo = TrialAndFixSinkless(min_degree=2)
-
-            # The same survivor-aware stopping rule the dense kernel checks
-            # internally (and the scenario runner uses), so both executors
-            # stop at the same round.
-            def probe(round_no, views):
-                if round_no < 2:
-                    return False
-                orientation = orientation_from_views(adj, views)
-                alive = [not v.state.get("crashed") for v in views]
-                return not any(alive[v] for v in sinks(adj, orientation, 2))
-
-            eng = engine.run(algo, max_rounds=max_rounds, seed=seed,
-                             hooks=PerturbationHooks(bound), probe=probe)
-            dense = sinkless_trial_dense(
-                engine, min_degree=2, seed=seed, coins="replay",
-                max_rounds=max_rounds, faults=DenseFaults(engine, bound),
-                strict=False,
+        for _ in range(10):
+            assert_sinkless_dense_matches_engine(
+                rng,
+                lambda r: (CrashNodes(fraction=0.2, at_round=r.randrange(2, 5)),),
+                max_rounds=12,
             )
-            assert dense.rounds == eng.rounds
-            offsets = engine.offsets.tolist()
-            slot_out = [False] * offsets[-1]
-            for i, view in enumerate(eng.views):
-                for p, is_out in view.state.get("out", {}).items():
-                    slot_out[offsets[i] + p] = is_out
-            assert [bool(x) for x in dense.out] == slot_out
-            assert [bool(x) for x in dense.crashed] == [
-                bool(v.state.get("crashed")) for v in eng.views
-            ]
+
+    @pytest.mark.parametrize("max_rounds", [2, 3, 5, 12])
+    @pytest.mark.parametrize("stack", ["drop", "corrupt", "crash+drop+corrupt"])
+    def test_sinkless_drop_and_corruption(self, stack, max_rounds):
+        # Drops exercise the incremental sink-count update on kept flips,
+        # corruption rounds (2..4) the full recount, the caps a mid-run stop.
+        perts = {
+            "drop": (IIDMessageDrop(p=0.3, from_round=2),),
+            "corrupt": (CorruptMessages(p=0.2, from_round=2, until_round=4),),
+            "crash+drop+corrupt": (
+                CrashNodes(fraction=0.2, at_round=3),
+                IIDMessageDrop(p=0.2, from_round=2, until_round=6),
+                CorruptMessages(p=0.2, from_round=2, until_round=4),
+            ),
+        }[stack]
+        rng = random.Random(max_rounds * 1000 + len(stack))
+        for _ in range(8):
+            assert_sinkless_dense_matches_engine(rng, lambda r: perts, max_rounds)
 
     def test_splitting_crash_and_drop(self):
         rng = random.Random(83)

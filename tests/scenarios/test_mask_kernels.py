@@ -22,6 +22,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.local import CSREngine, Network
 from repro.local.dense import luby_mis_dense
@@ -40,6 +41,7 @@ from repro.scenarios import (
     rewrite_all,
     run_scenario,
 )
+from repro.scenarios.base import _fault_u01_slots
 from repro.scenarios.masks import DenseFaults, SlotLayout
 
 
@@ -84,6 +86,55 @@ class TestCoinKernels:
         assert (u != w).mean() > 0.99
         assert (u != x).mean() > 0.99
         assert np.array_equal(u, fault_u01_array(1, "drop", ent, 1, mode="mask"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        uids=st.lists(
+            st.one_of(
+                st.integers(-(2**63), 2**63 - 1),
+                st.integers(2**63 - 8, 2**63 - 1),
+                st.integers(-8, -1),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        picks=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 40)), max_size=40),
+        round_no=st.sampled_from([1, 2, 7, 2**40]),
+    )
+    @example(seed=0, uids=[2**63 - 1, -1], picks=[], round_no=1)
+    @example(seed=2**64 - 1, uids=[-(2**63), 2**63 - 1, -1],
+             picks=[(2, 5), (0, 0), (2, 5), (1, 40), (0, 3)], round_no=2**40)
+    def test_slot_prefix_helper_matches_full_chain(self, seed, uids, picks, round_no):
+        # Per-node prefix + per-slot port link == the full per-slot chain,
+        # for repeated/unsorted senders, empty slot lists and extreme uids.
+        uid_arr = np.array(uids, dtype=np.int64)
+        senders = np.array([s % len(uids) for s, _ in picks], dtype=np.int64)
+        ports = np.array([p for _, p in picks], dtype=np.int64)
+        got = _fault_u01_slots(seed, "drop", uid_arr, round_no, senders, ports)
+        full = fault_u01_array(seed, "drop", uid_arr[senders], round_no, ports)
+        assert got.dtype == np.float64 and got.shape == senders.shape
+        assert np.array_equal(got, full)
+        assert got.tolist() == [
+            fault_u01_mix(seed, "drop", int(uid_arr[s]), round_no, int(p))
+            for s, p in zip(senders, ports)
+        ]
+
+    def test_slot_prefix_helper_replay_mode(self):
+        uid_arr = np.array([5, -3, 2**63 - 1, 0], dtype=np.int64)
+        senders = np.array([3, 0, 0, 2, 1, 3], dtype=np.int64)
+        ports = np.array([0, 4, 1, 2, 0, 0], dtype=np.int64)
+        for round_no in (1, 2**40):
+            got = _fault_u01_slots(
+                9, "corrupt", uid_arr, round_no, senders, ports, mode="replay"
+            )
+            assert got.tolist() == [
+                fault_u01(9, "corrupt", int(uid_arr[s]), round_no, int(p))
+                for s, p in zip(senders, ports)
+            ]
+        empty = np.array([], dtype=np.int64)
+        got = _fault_u01_slots(9, "corrupt", uid_arr, 1, empty, empty, mode="replay")
+        assert got.shape == (0,)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):

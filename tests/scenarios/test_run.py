@@ -99,6 +99,31 @@ class TestRunScenario:
                 with pytest.raises(ValueError, match="round 1 clean"):
                     run_scenario(sc, n=60, seed=1, backend=backend)
 
+    def test_sinkless_round_one_check_trusts_drop_flag(self, monkeypatch):
+        # A stack that cannot drop messages passes the round-1 delivery
+        # check without a per-message ``delivers`` sweep; a stack that can
+        # still gets checked and rejected.
+        from repro.scenarios import IIDMessageDrop
+        from repro.scenarios.base import BoundPerturbation
+
+        calls = []
+
+        def counting_delivers(self, round_no, sender, port):
+            calls.append(round_no)
+            return True
+
+        monkeypatch.setattr(BoundPerturbation, "delivers", counting_delivers)
+        metrics = run_scenario("sinkless/crash", n=200, seed=1, backend="dense")
+        assert metrics["crashed_nodes"] > 0
+        assert calls == []
+        early_drop = Scenario(
+            name="adhoc/sinkless-round-one-drop", pipeline="sinkless",
+            perturbations=(IIDMessageDrop(p=0.5, from_round=1),),
+            topology="regular", backends=("engine", "dense"),
+        )
+        with pytest.raises(ValueError, match="round 1 clean"):
+            run_scenario(early_drop, n=60, seed=1, backend="dense")
+
     def test_crash_scenarios_report_recovery(self):
         metrics = run_scenario("luby/crash", n=200, seed=0)
         assert metrics["crashed_nodes"] > 0
