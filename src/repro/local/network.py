@@ -137,10 +137,11 @@ class Network:
             arr.flags.writeable = False
 
         if ids is None:
-            ids = list(range(n))
-        require(len(ids) == n, "ids must have one entry per node")
-        require(len(set(ids)) == n, "ids must be unique")
-        self.ids: Tuple[int, ...] = tuple(int(x) for x in ids)
+            self.ids: Tuple[int, ...] = tuple(range(n))  # unique ints already
+        else:
+            require(len(ids) == n, "ids must have one entry per node")
+            require(len(set(ids)) == n, "ids must be unique")
+            self.ids = tuple(int(x) for x in ids)
 
     @property
     def n(self) -> int:

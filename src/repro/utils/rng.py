@@ -22,6 +22,7 @@ __all__ = [
     "mix64",
     "keyed_hash53",
     "keyed_u01",
+    "MTStream",
 ]
 
 SeedLike = Union[None, int, random.Random]
@@ -106,6 +107,107 @@ def keyed_hash53(np, seed_hash, counters, tag: int):
 def keyed_u01(np, seed_hash, counters, tag: int):
     """Uniforms in [0, 1) keyed by ``(seed, counter, tag)`` (float64 array)."""
     return keyed_hash53(np, seed_hash, counters, tag) * _TO_U01
+
+
+#: Methods that must be :class:`random.Random`'s own for its 32-bit word
+#: stream to be CPython's MT19937 and for ``randrange`` to read it as
+#: :class:`MTStream` assumes.
+_STREAM_METHODS = ("random", "getrandbits", "_randbelow", "randrange", "getstate", "setstate")
+#: Words drawn per ``random_raw`` call: bounds the uint64 temporaries.
+_WORD_BLOCK = 1 << 20
+
+
+def _mt19937_state(np, state) -> dict:
+    """numpy ``MT19937`` state at the next word of a ``getstate()`` tuple."""
+    internal = state[1]
+    key = np.array(internal[:-1], dtype=np.uint32)
+    return {"bit_generator": "MT19937", "state": {"key": key, "pos": internal[-1]}}
+
+
+class MTStream:
+    """Vectorized view of a :class:`random.Random`'s MT19937 word stream.
+
+    CPython's ``random.Random`` and numpy's ``MT19937`` run the same
+    generator: ``getrandbits(k)`` for ``k <= 32`` is the next 32-bit word
+    shifted right by ``32 - k``, so ``randrange(n)`` for ``0 < n < 2**32``
+    (``_randbelow_with_getrandbits``) is "take ``word >> (32 - k)`` with
+    ``k = n.bit_length()``, reject values ``>= n``".  :meth:`randbelow`
+    draws many such values at once from a copy of the generator's state;
+    :meth:`commit` then advances the caller's generator by exactly the words
+    the first ``draws`` of them consumed, so the caller ends in the state a
+    loop of ``draws`` ``randrange(n)`` calls would have left it in, and gets
+    the same values.
+
+    Only seeds whose stream *is* that generator are accepted: ``None``, an
+    ``int`` (or any other value ``random.Random`` seeds from), or a
+    ``random.Random`` whose stream methods are the base class's own.
+    Subclasses that replace them — ``random.SystemRandom`` reads the OS and
+    has no state — raise ``TypeError``.
+    """
+
+    def __init__(self, seed: SeedLike = None):
+        import numpy as np  # lazy: the pure-Python paths never need numpy
+
+        rng = ensure_rng(seed)
+        cls = type(rng)
+        if any(getattr(cls, name) is not getattr(random.Random, name) for name in _STREAM_METHODS):
+            raise TypeError(
+                "seed must be None, an int or a random.Random whose word stream is "
+                f"MT19937; {cls.__name__} overrides the stream methods"
+            )
+        self._np = np
+        self._rng = rng
+        self._start = rng.getstate()
+        self._bg = np.random.MT19937(0)
+        self._bg.state = _mt19937_state(np, self._start)
+        self._accepts = []  # per-block masks of the words randbelow accepted
+
+    def randbelow(self, n: int, words: int):
+        """``randrange(n)`` values read from the next ``words`` words (uint64).
+
+        Returns the accepted draws in stream order; a word the rejection
+        step skips yields nothing, so fewer than ``words`` values come back.
+        Successive calls continue the stream.  Requires ``0 < n < 2**32``.
+        """
+        np = self._np
+        shift = np.uint64(32 - n.bit_length())
+        parts = []
+        while words > 0:
+            w = self._bg.random_raw(min(words, _WORD_BLOCK))
+            words -= w.shape[0]
+            w >>= shift
+            ok = w < n
+            self._accepts.append(ok)
+            parts.append(w[ok])
+        if not parts:
+            return np.empty(0, dtype=np.uint64)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def commit(self, draws: int) -> None:
+        """Advance the caller's generator past the first ``draws`` values
+        :meth:`randbelow` returned, as many ``randrange`` calls would."""
+        np = self._np
+        used = 0
+        for ok in self._accepts:
+            if draws == 0:
+                break
+            hits = int(np.count_nonzero(ok))
+            if hits >= draws:
+                used += int(np.flatnonzero(ok)[draws - 1]) + 1
+                draws = 0
+            else:
+                draws -= hits
+                used += ok.shape[0]
+        if draws:
+            raise ValueError(f"commit() is {draws} draws past the drawn words")
+        bg = self._bg
+        bg.state = _mt19937_state(np, self._start)
+        bg.random_raw(used, output=False)
+        state = bg.state["state"]
+        version, _, gauss_next = self._start
+        self._rng.setstate(
+            (version, tuple(state["key"].tolist()) + (int(state["pos"]),), gauss_next)
+        )
 
 
 def ensure_rng(seed: SeedLike = None) -> random.Random:
