@@ -1,4 +1,5 @@
-"""E17–E21 — execution-backend ladder on Luby MIS throughput; E24 — setup cost.
+"""E17–E21 — execution-backend ladder on Luby MIS throughput; E24 — setup cost;
+E25 — early-exit splitting verification.
 
 Three claims under test, all with equivalence asserted on every run and
 wall-clock ratios taken best-of-N with the GC paused (:func:`_harness.best_of`
@@ -29,13 +30,23 @@ wall-clock ratios taken best-of-N with the GC paused (:func:`_harness.best_of`
   :func:`random_sparse_graph` at n = 100,000, average degree 20 takes at
   most 1.5x the time :class:`repro.local.Network` takes to validate the
   same graph (the sequential sampling loop took ~4.7x).
+* **E25**: rejected splitting attempts stop at the first violator — one
+  recovering ``splitting/byzantine`` trial (n = 4,000, deg 40, dense,
+  mask-mode faults: 64 fault-blinded attempts, all rejected, plus the
+  repair tail) takes at most 2.5x the time of 64 clean, accepted
+  :func:`repro.local.dense.uniform_splitting_dense` attempts on the same
+  graph, each of which checks every slot (a full pass per rejected
+  attempt made it ~5x).
 """
 
 import time
 
 from repro.bipartite.generators import random_sparse_graph
+from repro.core.problems import UniformSplittingSpec
 from repro.local import CSREngine, Network, run_local
+from repro.local.dense import uniform_splitting_dense
 from repro.mis.luby import LubyMIS
+from repro.scenarios import run_scenario
 
 from _harness import attach_rows, best_of
 
@@ -440,3 +451,39 @@ def test_e24_sparse_generation_vs_validation(benchmark):
         ],
     )
     assert ratio <= 1.5, f"generation takes {ratio:.2f}x validation (gate: 1.5x)"
+
+
+def test_e25_rejected_splitting_attempts_stop_early(benchmark):
+    """A fault-blinded splitting trial costs <= 2.5x 64 full-pass attempts."""
+
+    def trial():
+        return run_scenario("splitting/byzantine", n=4_000, seed=25, backend="dense",
+                            fault_mode="mask", recover=True, return_state=True)
+
+    metrics, state = trial()
+    assert metrics["attempts"] == 64 and metrics["accepted"] == 0
+    assert metrics["recovered"] == 1
+    engine = CSREngine(Network(state["adjacency"]))
+    # Wide bounds: every clean attempt is accepted, so each checks all m slots.
+    spec = UniformSplittingSpec(eps=0.45, min_constrained_degree=20)
+
+    def clean():
+        return [uniform_splitting_dense(engine, spec, seed=s).ok for s in range(64)]
+
+    assert all(clean())
+    t_trial = best_of(trial)
+    t_clean = best_of(clean)
+    ratio = t_trial / t_clean
+    if ratio > 2.5:
+        t_trial = min(t_trial, best_of(trial))
+        t_clean = min(t_clean, best_of(clean))
+        ratio = t_trial / t_clean
+
+    benchmark.pedantic(trial, rounds=1, iterations=1)
+    attach_rows(
+        benchmark,
+        "E25: recovering splitting/byzantine trial vs 64 clean dense attempts",
+        ["n", "m", "trial s", "64 clean s", "ratio"],
+        [(4_000, metrics["m"], f"{t_trial:.3f}", f"{t_clean:.3f}", f"{ratio:.2f}x")],
+    )
+    assert ratio <= 2.5, f"byzantine trial takes {ratio:.2f}x 64 clean attempts (gate: 2.5x)"

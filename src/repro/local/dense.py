@@ -231,10 +231,6 @@ def _ragged_slots(offsets: np.ndarray, degrees: np.ndarray, idx: np.ndarray) -> 
     return np.arange(total, dtype=np.int64) + base
 
 
-def _uids(engine: CSREngine) -> np.ndarray:
-    return np.asarray(engine.network.ids, dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
 # Luby MIS.
 # ---------------------------------------------------------------------------
@@ -343,7 +339,7 @@ def luby_mis_dense(
     trace = tracer is not None and tracer.enabled
     offsets, dst_node, _ = engine.dense_arrays()
     n = engine.n
-    uid = _uids(engine)
+    uid = engine.network.uid_array
     rng_start = time.perf_counter()
     table = as_coin_table(coins, seed, engine.network.ids)
     rng_seconds = time.perf_counter() - rng_start
@@ -614,7 +610,7 @@ def luby_mis_batched(
     trace = tracer is not None and tracer.enabled
     offsets, dst_node, _ = engine.dense_arrays()
     n = engine.n
-    uid = _uids(engine)
+    uid = engine.network.uid_array
     owner = _slot_owner(offsets)
     degrees = np.diff(offsets)
     m = dst_node.shape[0]
@@ -814,7 +810,7 @@ def sinkless_trial_dense(
     trace = tracer is not None and tracer.enabled
     offsets, dst_node, dst_port = engine.dense_arrays()
     n = engine.n
-    uid = _uids(engine)
+    uid = engine.network.uid_array
     degrees = np.diff(offsets)
     owner = _slot_owner(offsets)
     m = dst_node.shape[0]
@@ -983,7 +979,7 @@ def sinkless_trial_batched(
     )
     offsets, dst_node, dst_port = engine.dense_arrays()
     n = engine.n
-    uid = _uids(engine)
+    uid = engine.network.uid_array
     degrees = np.diff(offsets)
     owner = _slot_owner(offsets)
     m = dst_node.shape[0]
@@ -1082,6 +1078,32 @@ def dense_orientation(
 # ---------------------------------------------------------------------------
 
 
+#: Slots in the first verification block of :func:`uniform_splitting_dense`;
+#: each later block doubles the slots checked so far.
+VERIFY_FIRST_BLOCK = 4096
+
+
+def _verify_blocks(offsets: np.ndarray) -> list:
+    """Node boundaries ``[0, b1, ..., n]`` of growing verification blocks.
+
+    Block ``i`` ends at the first node boundary at or past slot
+    ``VERIFY_FIRST_BLOCK * (2**(i+1) - 1)``, so the checked prefix doubles
+    block by block and a whole pass takes O(log m) blocks.  Nodes without
+    slots ride in whichever block covers their position.
+    """
+    m = int(offsets[-1])
+    targets = []
+    target = VERIFY_FIRST_BLOCK
+    while target < m:
+        targets.append(target)
+        target = 2 * target + VERIFY_FIRST_BLOCK
+    bounds = [0]
+    for cut in np.searchsorted(offsets, targets).tolist() + [offsets.shape[0] - 1]:
+        if cut > bounds[-1]:
+            bounds.append(cut)
+    return bounds
+
+
 def uniform_splitting_dense(
     engine: CSREngine,
     spec,
@@ -1104,15 +1126,28 @@ def uniform_splitting_dense(
     ``faults`` (a :class:`~repro.scenarios.masks.DenseFaults`) mirrors the
     hooked engine on the single round: every node still draws its color in
     ``init`` (crashes land *after* init, so the replay draw count is
-    unchanged), but crashed nodes neither broadcast nor verify, and dropped
-    color messages are excluded from the red-neighbor counts — ``ok`` is
-    then the surviving nodes' own (possibly fault-blinded) verdict, exactly
-    what the distributed Las-Vegas loop would act on.
+    unchanged), but crashed nodes neither broadcast nor verify, dropped
+    color messages are excluded from the red-neighbor counts and corrupted
+    ones arrive with the opposite color — ``ok`` is then the surviving
+    nodes' own (possibly fault-blinded) verdict, exactly what the
+    distributed Las-Vegas loop would act on.
+
+    One violating node rejects the attempt, so the check runs over
+    contiguous node blocks whose slot counts double (see
+    :func:`_verify_blocks`) and stops at the first block holding a live
+    constrained node outside ``[lo, hi]``.  Fault masks are built
+    receive-side for the checked slots only
+    (:meth:`~repro.scenarios.masks.DenseFaults.delivered_in_range`).  A
+    rejected attempt therefore costs O(n) for the colors plus the slots up
+    to the end of its first violating block — at most about twice the
+    slots before its first violator, past the first block — and an
+    accepted one checks all m slots.
 
     Returns a :class:`DenseResult` with ``colors`` (int array), ``ok``
-    (bool: every live constrained node inside ``[lo, hi]``) and ``crashed``
-    (bool array); ``rounds`` is 1, the verification round, matching the
-    engine's charge.
+    (bool: every live constrained node inside ``[lo, hi]``), ``crashed``
+    (bool array) and ``slots_checked`` (the slots verified before the
+    verdict, also on the tracer's round record); ``rounds`` is 1, the
+    verification round, matching the engine's charge.
     """
     trace = tracer is not None and tracer.enabled
     offsets, dst_node, _ = engine.dense_arrays()
@@ -1127,31 +1162,39 @@ def uniform_splitting_dense(
     u = table.uniforms(np.arange(n, dtype=np.int64), tag=1)
     colors = np.where(u < 0.5, red, blue)
     crashed = np.zeros(n, dtype=bool)
-    is_red = colors[dst_node] == red
-    if faults is not None:
-        corrupted_in = getattr(faults, "corrupted_in", None)
-        if corrupted_in is not None:
-            flip = corrupted_in(1)
+    crash = None if faults is None else faults.crashed_at(1)
+    if crash is not None:
+        crashed |= crash
+    is_red = colors == red
+    # spec.lo / spec.hi / spec.constrains are affine in the degree, so they
+    # vectorize directly over the degree array.  An unconstrained or
+    # crashed node accepts any count.
+    constrained = spec.constrains(degrees) & ~crashed
+    lo = np.where(constrained, spec.lo(degrees), -np.inf)
+    hi = np.where(constrained, spec.hi(degrees), np.inf)
+    ok = True
+    slots_checked = 0
+    bounds = _verify_blocks(offsets)
+    slot_bounds = offsets[bounds].tolist()
+    for a, b, start, stop in zip(bounds, bounds[1:], slot_bounds, slot_bounds[1:]):
+        senders = dst_node[start:stop]
+        sent = is_red[senders]
+        if faults is not None:
+            flip = faults.corrupted_in_range(1, start, stop)
             if flip is not None:
                 # Byzantine color broadcast: a corrupted slot carries the
                 # opposite color (RED <-> BLUE is the whole vocabulary).
-                is_red = is_red ^ flip
-    sent = is_red.astype(np.int64)
-    if faults is not None:
-        crash = faults.crashed_at(1)
-        if crash is not None:
-            crashed |= crash
-            sent &= ~crashed[dst_node]
-        heard = faults.delivered_in(1)
-        if heard is not None:
-            sent &= heard
-    red_nbrs = _segment_sum(sent, offsets)
-    # spec.lo / spec.hi / spec.constrains are affine in the degree, so they
-    # vectorize directly over the degree array.
-    constrained = spec.constrains(degrees) & ~crashed
-    ok = bool(
-        (~constrained | ((red_nbrs >= spec.lo(degrees)) & (red_nbrs <= spec.hi(degrees)))).all()
-    )
+                sent ^= flip
+            if crash is not None:
+                sent &= ~crashed[senders]
+            heard = faults.delivered_in_range(1, start, stop)
+            if heard is not None:
+                sent &= heard
+        red_nbrs = _segment_sum(sent.astype(np.int64), offsets[a : b + 1] - start)
+        slots_checked += stop - start
+        ok = bool(((red_nbrs >= lo[a:b]) & (red_nbrs <= hi[a:b])).all())
+        if not ok:
+            break
     if trace:
         # Every node decides and halts in the single verification round
         # (crashed nodes are halted too), so the post-round active count is
@@ -1161,10 +1204,12 @@ def uniform_splitting_dense(
             active=0,
             survivors=int(n - crashed.sum()),
             ok=ok,
+            slots_checked=slots_checked,
             seconds=time.perf_counter() - phase_start,
         )
     return DenseResult(
-        1, completed=True, rng_seconds=rng_seconds, colors=colors, ok=ok, crashed=crashed
+        1, completed=True, rng_seconds=rng_seconds, colors=colors, ok=ok,
+        crashed=crashed, slots_checked=slots_checked,
     )
 
 

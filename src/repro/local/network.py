@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -147,6 +148,17 @@ class Network:
     def n(self) -> int:
         """Number of nodes."""
         return len(self.adjacency)
+
+    @cached_property
+    def uid_array(self) -> np.ndarray:
+        """``ids`` as a read-only int64 array, built on first use.
+
+        Fault models rebind on every Las-Vegas attempt; they share this one
+        array instead of converting the id tuple per binding.
+        """
+        uids = np.asarray(self.ids, dtype=np.int64)
+        uids.flags.writeable = False
+        return uids
 
     def degree(self, i: int) -> int:
         """Degree (number of ports) of node ``i``."""

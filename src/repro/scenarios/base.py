@@ -154,22 +154,33 @@ def fault_u01_array(fault_seed: int, label: str, entity, *key, mode: str = "mask
     return h * _TO_U01
 
 
+def _slot_prefix(fault_seed: int, label: str, uids, round_no: int):
+    """The per-node ``(fault_seed, label, uid, round)`` prefix of the mask-
+    mode chain, one uint64 per node (see :func:`_fault_u01_slots`)."""
+    import numpy as np
+
+    return _fold64(np, _seeded(fault_seed, label), (uids, round_no))
+
+
 def _fault_u01_slots(fault_seed: int, label: str, uids, round_no: int, senders, ports,
-                     mode: str = "mask"):
+                     mode: str = "mask", prefix=None):
     """Per-slot fault coins keyed ``(sender uid, round, port)``.
 
     Equals ``fault_u01_array(fault_seed, label, uids[senders], round_no,
     ports, mode=mode)`` elementwise, but in ``"mask"`` mode the chain's
     ``(fault_seed, label, uid, round)`` prefix is hashed once per *node*
     and gathered by ``senders``, so only the port link runs per slot —
-    one O(m) mix instead of three for a whole-round mask.  ``"replay"``
+    one O(m) mix instead of three for a whole-round mask.  A caller that
+    asks for one round in several slot ranges passes the
+    :func:`_slot_prefix` it already holds as ``prefix``.  ``"replay"``
     mode takes the exact scalar-chain path of :func:`fault_u01_array`.
     """
     if mode == "replay":
         return fault_u01_array(fault_seed, label, uids[senders], round_no, ports, mode=mode)
     import numpy as np
 
-    prefix = _fold64(np, _seeded(fault_seed, label), (uids, round_no))
+    if prefix is None:
+        prefix = _slot_prefix(fault_seed, label, uids, round_no)
     h = _fold64(np, prefix[senders], (ports,), owned=True)
     h >>= np.uint64(11)
     return h * _TO_U01

@@ -29,14 +29,12 @@ from typing import Optional
 
 from repro.local.network import Network
 from repro.scenarios.base import (
-    BoundPerturbation,
     Perturbation,
-    _fault_u01_slots,
     fault_u01,
     fault_u01_array,
     fault_u01_mix,
 )
-from repro.scenarios.faults import _BoundCrash
+from repro.scenarios.faults import _BoundCrash, _BoundSlotCoins
 from repro.utils.validation import require
 
 __all__ = ["CorrelatedCrash", "CorruptMessages", "corrupt_payload", "FORGED_PRIORITY"]
@@ -118,8 +116,7 @@ class CorrelatedCrash(Perturbation):
             return _BoundCrash(tuple(victims), self.at_round)
         import numpy as np  # lazy, like the fault-coin kernels
 
-        ids = np.asarray(network.ids, dtype=np.int64)
-        u = fault_u01_array(fault_seed, "crash-ball", ids, mode=fault_mode)
+        u = fault_u01_array(fault_seed, "crash-ball", network.uid_array, mode=fault_mode)
         centers = np.argsort(u, kind="stable")
         victims: list = []
         seen = set()
@@ -165,52 +162,22 @@ class CorruptMessages(Perturbation):
         self, network: Network, fault_seed: int, fault_mode: str = "replay"
     ) -> "_BoundCorrupt":
         return _BoundCorrupt(
-            network.ids, fault_seed, self.p, self.from_round, self.until_round,
+            network, fault_seed, self.p, self.from_round, self.until_round,
             fault_mode,
         )
 
 
-class _BoundCorrupt(BoundPerturbation):
+class _BoundCorrupt(_BoundSlotCoins):
     corrupts_messages = True
-
-    def __init__(self, ids, fault_seed, p, from_round, until_round, fault_mode="replay"):
-        self.ids = ids
-        self.fault_seed = fault_seed
-        self.p = p
-        self.from_round = from_round
-        self.until_round = until_round
-        self.quiet_after = until_round
-        self.fault_mode = fault_mode
-        self._uid_arr = None
-
-    def _quiet(self, round_no: int) -> bool:
-        if round_no < self.from_round:
-            return True
-        return self.until_round is not None and round_no > self.until_round
+    label = "corrupt"
 
     def corrupts(self, round_no: int, sender: int, port: int) -> bool:
-        if self._quiet(round_no):
-            return False
-        if self.fault_mode == "mask":
-            u = fault_u01_mix(
-                self.fault_seed, "corrupt", self.ids[sender], round_no, port
-            )
-        else:
-            u = fault_u01(self.fault_seed, "corrupt", self.ids[sender], round_no, port)
-        return u < self.p
+        return not self._quiet(round_no) and self._u01(round_no, sender, port) < self.p
 
     def corrupts_mask(self, round_no: int, senders, ports):
         if self._quiet(round_no):
             return None
-        if self._uid_arr is None:
-            import numpy as np
-
-            self._uid_arr = np.asarray(self.ids, dtype=np.int64)
-        u = _fault_u01_slots(
-            self.fault_seed, "corrupt", self._uid_arr, round_no, senders, ports,
-            mode=self.fault_mode,
-        )
-        return u < self.p
+        return self._u01_slots(round_no, senders, ports) < self.p
 
     def corrupt_payload(self, message):
         return corrupt_payload(message)

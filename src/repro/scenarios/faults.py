@@ -28,6 +28,7 @@ from repro.scenarios.base import (
     BoundPerturbation,
     Perturbation,
     _fault_u01_slots,
+    _slot_prefix,
     fault_u01,
     fault_u01_array,
     fault_u01_mix,
@@ -78,8 +79,7 @@ class CrashNodes(Perturbation):
         else:
             import numpy as np  # lazy, like the fault-coin kernels
 
-            ids = np.asarray(network.ids, dtype=np.int64)
-            u = fault_u01_array(fault_seed, "crash", ids, mode=fault_mode)
+            u = fault_u01_array(fault_seed, "crash", network.uid_array, mode=fault_mode)
             # Stable argsort ties match the stable python sort the replay
             # selection historically ran, so replay mode stays bit-compatible.
             victims = np.argsort(u, kind="stable")[:count].tolist()
@@ -135,54 +135,70 @@ class IIDMessageDrop(Perturbation):
         self, network: Network, fault_seed: int, fault_mode: str = "replay"
     ) -> "_BoundIIDDrop":
         return _BoundIIDDrop(
-            network.ids, fault_seed, self.p, self.from_round, self.until_round,
+            network, fault_seed, self.p, self.from_round, self.until_round,
             fault_mode,
         )
 
 
-class _BoundIIDDrop(BoundPerturbation):
-    drops_messages = True
+class _BoundSlotCoins(BoundPerturbation):
+    """One fault coin per message ``(sender uid, round, port)`` inside the
+    window ``[from_round, until_round]``: the shared body of i.i.d. drops
+    and Byzantine corruption, whose schedules differ only in ``label``.
 
-    def __init__(self, ids, fault_seed, p, from_round, until_round, fault_mode="replay"):
-        self.ids = ids
+    In ``"mask"`` fault mode the per-node half of the coin chain is kept
+    for the last round asked, so a round queried slot range by slot range
+    hashes each node once.
+    """
+
+    label = ""
+
+    def __init__(self, network, fault_seed, p, from_round, until_round, fault_mode="replay"):
+        self.network = network
         self.fault_seed = fault_seed
         self.p = p
         self.from_round = from_round
         self.until_round = until_round
         self.quiet_after = until_round
         self.fault_mode = fault_mode
-        self._uid_arr = None
+        self._prefix = None  # (round_no, per-node prefix), mask mode only
 
     def _quiet(self, round_no: int) -> bool:
         if round_no < self.from_round:
             return True
         return self.until_round is not None and round_no > self.until_round
 
-    def delivers(self, round_no: int, sender: int, port: int) -> bool:
-        if self._quiet(round_no):
-            return True
+    def _u01(self, round_no: int, sender: int, port: int) -> float:
+        coin = fault_u01_mix if self.fault_mode == "mask" else fault_u01
+        return coin(self.fault_seed, self.label, self.network.ids[sender], round_no, port)
+
+    def _u01_slots(self, round_no: int, senders, ports):
+        # Per-node prefix plus one per-slot mix (replay mode falls back to
+        # the scalar chain internally, elementwise-identical to _u01).
+        uids = self.network.uid_array
+        prefix = None
         if self.fault_mode == "mask":
-            u = fault_u01_mix(
-                self.fault_seed, "drop", self.ids[sender], round_no, port
-            )
-        else:
-            u = fault_u01(self.fault_seed, "drop", self.ids[sender], round_no, port)
-        return u >= self.p
+            if self._prefix is None or self._prefix[0] != round_no:
+                self._prefix = (
+                    round_no, _slot_prefix(self.fault_seed, self.label, uids, round_no)
+                )
+            prefix = self._prefix[1]
+        return _fault_u01_slots(
+            self.fault_seed, self.label, uids, round_no, senders, ports,
+            mode=self.fault_mode, prefix=prefix,
+        )
+
+
+class _BoundIIDDrop(_BoundSlotCoins):
+    drops_messages = True
+    label = "drop"
+
+    def delivers(self, round_no: int, sender: int, port: int) -> bool:
+        return self._quiet(round_no) or self._u01(round_no, sender, port) >= self.p
 
     def delivers_mask(self, round_no: int, senders, ports):
         if self._quiet(round_no):
             return None
-        if self._uid_arr is None:
-            import numpy as np
-
-            self._uid_arr = np.asarray(self.ids, dtype=np.int64)
-        # Per-node prefix plus one per-slot mix (replay mode falls back to
-        # the scalar chain internally, elementwise-identical to ``delivers``).
-        u = _fault_u01_slots(
-            self.fault_seed, "drop", self._uid_arr, round_no, senders, ports,
-            mode=self.fault_mode,
-        )
-        return u >= self.p
+        return self._u01_slots(round_no, senders, ports) >= self.p
 
 
 class MuteHubs(Perturbation):

@@ -13,13 +13,25 @@ vectorized path, so any stack stays exactly equivalent to the hooked
 engine (property-tested in ``tests/scenarios/test_hook_equivalence.py``
 and ``tests/scenarios/test_mask_kernels.py``).
 
-Three structural savings over the per-slot-loop implementation this
-replaces:
+Two ways to ask for a receiving-side mask:
 
-* ``delivered_in`` is a **gather** of ``delivered_out`` through the CSR
-  partner permutation (``delivered_in[k] == delivered_out[partner(k)]``,
-  both sides of a slot name the same (sender, port) message) instead of a
-  second O(m) sweep;
+* the **cached full-round** masks ``delivered_in(r)`` / ``corrupted_in(r)``
+  are a **gather** of the outgoing masks through the CSR partner
+  permutation (``delivered_in[k] == delivered_out[partner(k)]``: both
+  sides of a slot name the same (sender, port) message), so a kernel that
+  needs both views pays one O(m) build;
+* the **slot-range** masks ``delivered_in_range(r, a, b)`` /
+  ``corrupted_in_range(r, a, b)`` equal ``delivered_in(r)[a:b]`` /
+  ``corrupted_in(r)[a:b]`` but run the same builders directly on the
+  receive-side coordinates ``(dst_node[a:b], dst_port[a:b])`` — the
+  message on slot ``k`` was sent by ``dst_node[k]`` on its port
+  ``dst_port[k]`` — so a kernel that stops early (the splitting
+  verification) pays only for the slots it reads, and no whole-round
+  outgoing mask is built.  They share the cache, keyed by range, so a
+  faults object reused across Las-Vegas attempts builds each range once.
+
+Further savings over the per-slot-loop implementation this replaces:
+
 * rounds past the stack's quiet horizon (``max(quiet_after)``) reuse one
   **steady-state** mask — ``None`` for stacks that heal, the frozen
   deletion mask for :class:`~repro.scenarios.dynamic.DropEdges` — so long
@@ -47,11 +59,12 @@ class SlotLayout:
     """Per-engine CSR slot coordinates shared by every :class:`DenseFaults`.
 
     ``out_sender[k]`` / ``out_port[k]`` read slot ``k`` as an *outgoing*
-    message (sender = slot owner); ``partner[k]`` is the CSR slot on the
-    other endpoint of slot ``k``'s edge, so a gather through it converts an
-    outgoing mask into the receiving-side view.  Building these is O(m);
-    cache one per engine (the scenario runner does) so mask setup
-    amortizes across trial seeds.
+    message (sender = slot owner); ``dst_node[k]`` / ``dst_port[k]`` (the
+    engine's own arrays) read it as the *received* message; ``partner[k]``
+    is the CSR slot on the other endpoint of slot ``k``'s edge, so a gather
+    through it converts an outgoing mask into the receiving-side view.
+    Building these is O(m); cache one per engine (the scenario runner
+    does) so mask setup amortizes across trial seeds.
     """
 
     def __init__(self, engine: CSREngine):
@@ -60,6 +73,8 @@ class SlotLayout:
         offsets, dst_node, dst_port = engine.dense_arrays()
         n = engine.n
         self.n = n
+        self.dst_node = dst_node
+        self.dst_port = dst_port
         self.out_sender = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
         self.out_port = (
             np.arange(offsets[-1], dtype=np.int64) - offsets[:-1][self.out_sender]
@@ -74,9 +89,10 @@ class DenseFaults:
     ``None``); ``delivered_out(r)`` — per-slot mask of the slot as an
     *outgoing* message (sender = slot owner); ``delivered_in(r)`` — per-slot
     mask of the slot as the *receiving* side, computed as the partner-gather
-    of ``delivered_out(r)``.  ``expired(r)`` tells a kernel the stack can
-    never inject from round ``r`` on, so its loop may drop the faults
-    object entirely.
+    of ``delivered_out(r)``; ``delivered_in_range(r, a, b)`` — the same
+    mask for slots ``a:b`` only, built receive-side (``corrupted_*`` alike).
+    ``expired(r)`` tells a kernel the stack can never inject from round
+    ``r`` on, so its loop may drop the faults object entirely.
 
     Pass a cached :class:`SlotLayout` to amortize the O(m) coordinate
     build across seeds; the fault schedule itself comes from ``bound``
@@ -143,15 +159,17 @@ class DenseFaults:
             self._cache[key] = self._build(kind, self.quiet + 1)
         return self._cache[key]
 
-    def _lookup(self, kind: str, round_no: int):
+    def _lookup(self, kind: str, round_no: int, span=None):
         if self.quiet is not None and round_no > self.quiet:
-            return self._steady(kind)
-        key = (kind, round_no)
+            if span is None:
+                return self._steady(kind)
+            round_no = self.quiet + 1
+        key = (kind, round_no) if span is None else (kind, round_no, span)
         if key not in self._cache:
             # Build before the eviction check: an "in" build re-enters
             # _lookup for its "out" mask, so evicting first would let the
             # nested insert push the cache one past the cap.
-            value = self._build(kind, round_no)
+            value = self._build(kind, round_no, span)
             if len(self._cache) >= self.CACHE_MAX:
                 # FIFO eviction; steady entries are re-derivable, and
                 # rounds mostly advance, so dropping the oldest is safe.
@@ -159,18 +177,24 @@ class DenseFaults:
             self._cache[key] = value
         return self._cache[key]
 
-    def _build(self, kind: str, round_no: int):
+    def _build(self, kind: str, round_no: int, span=None):
+        layout = self.layout
         if kind == "crash":
             return self._build_crash(round_no)
         if kind == "out":
-            return self._build_out(round_no)
+            return self._build_out(round_no, layout.out_sender, layout.out_port)
         if kind == "cout":
-            return self._build_corrupt(round_no)
-        if kind == "cin":
-            cout = self._lookup("cout", round_no)
-            return None if cout is None else cout[self.layout.partner]
-        out = self._lookup("out", round_no)
-        return None if out is None else out[self.layout.partner]
+            return self._build_corrupt(round_no, layout.out_sender, layout.out_port)
+        if span is not None:
+            # Receive side of slots [start, stop): the message on slot k was
+            # sent by dst_node[k] on its port dst_port[k].
+            start, stop = span
+            coords = (layout.dst_node[start:stop], layout.dst_port[start:stop])
+            if kind == "cin":
+                return self._build_corrupt(round_no, *coords)
+            return self._build_out(round_no, *coords)
+        out = self._lookup("cout" if kind == "cin" else "out", round_no)
+        return None if out is None else out[layout.partner]
 
     def _build_crash(self, round_no: int):
         np = self._np
@@ -188,35 +212,28 @@ class DenseFaults:
             mask = part if mask is None else (mask | part)
         return mask
 
-    def _build_out(self, round_no: int):
-        senders = self.layout.out_sender
-        ports = self.layout.out_port
+    def _build_out(self, round_no: int, senders, ports):
+        """Per-message delivery mask (True = delivered) for the messages
+        ``(senders[k], ports[k])``: AND over the droppers."""
         mask = None
         for b in self._droppers:
             part = b.delivers_mask(round_no, senders, ports)
             if part is NotImplemented:
-                part = self._scalar_sweep(b, round_no, senders, ports)
+                part = self._scalar_sweep(b.delivers, round_no, senders, ports)
             if part is None:
                 continue
             mask = part if mask is None else (mask & part)
         return mask
 
-    def _build_corrupt(self, round_no: int):
-        """Per-slot corruption mask (True = payload rewritten), outgoing
-        view.  OR over the corrupters — any one rewrite leaves the payload
-        corrupted for the semantic masks the kernels apply."""
-        senders = self.layout.out_sender
-        ports = self.layout.out_port
-        np = self._np
+    def _build_corrupt(self, round_no: int, senders, ports):
+        """Per-message corruption mask (True = payload rewritten).  OR over
+        the corrupters — any one rewrite leaves the payload corrupted for
+        the semantic masks the kernels apply."""
         mask = None
         for b in self._corrupters:
             part = b.corrupts_mask(round_no, senders, ports)
             if part is NotImplemented:
-                part = np.zeros(senders.shape[0], dtype=bool)
-                corrupts = b.corrupts
-                for k in range(senders.shape[0]):
-                    if corrupts(round_no, int(senders[k]), int(ports[k])):
-                        part[k] = True
+                part = self._scalar_sweep(b.corrupts, round_no, senders, ports)
                 if not part.any():
                     part = None
             if part is None:
@@ -224,16 +241,13 @@ class DenseFaults:
             mask = part if mask is None else (mask | part)
         return mask
 
-    def _scalar_sweep(self, b, round_no: int, senders, ports):
-        """O(m) fallback over the pure scalar decision (third-party
+    def _scalar_sweep(self, decide, round_no: int, senders, ports):
+        """Per-message fallback over a pure scalar decision (third-party
         perturbations without a vectorized path)."""
-        np = self._np
-        out = np.ones(senders.shape[0], dtype=bool)
-        delivers = b.delivers
-        for k in range(senders.shape[0]):
-            if not delivers(round_no, int(senders[k]), int(ports[k])):
-                out[k] = False
-        return out
+        return self._np.fromiter(
+            (decide(round_no, int(s), int(p)) for s, p in zip(senders, ports)),
+            dtype=bool, count=senders.shape[0],
+        )
 
     def crashed_at(self, round_no: int):
         """Bool node mask of crashes scheduled at ``round_no``, or None."""
@@ -264,3 +278,17 @@ class DenseFaults:
         if not self._corrupters:
             return None
         return self._lookup("cin", round_no)
+
+    def delivered_in_range(self, round_no: int, start: int, stop: int):
+        """``delivered_in(round_no)[start:stop]``, built for just those
+        slots on the receiving side (no whole-round mask, no gather)."""
+        if not self._droppers:
+            return None
+        return self._lookup("in", round_no, (start, stop))
+
+    def corrupted_in_range(self, round_no: int, start: int, stop: int):
+        """``corrupted_in(round_no)[start:stop]``, built like
+        :meth:`delivered_in_range`."""
+        if not self._corrupters:
+            return None
+        return self._lookup("cin", round_no, (start, stop))

@@ -175,12 +175,12 @@ def luby_repair(
     """
     import numpy as np
 
-    from repro.local.dense import _segment_or, _slot_owner, _uids
+    from repro.local.dense import _segment_or, _slot_owner
 
     offsets, dst_node, _ = engine.dense_arrays()
     nbr = dst_node
     owner = _slot_owner(offsets)
-    uid = _uids(engine)
+    uid = engine.network.uid_array
     n = engine.n
     node_idx = np.arange(n, dtype=np.int64)
     sh = repair_hash(seed)
@@ -634,15 +634,10 @@ def splitting_recovering(
     from repro.scenarios.masks import DenseFaults
 
     require(method in ("engine", "dense"), f"unknown method {method!r}")
+    require(max_attempts >= 1, f"max_attempts must be >= 1, got {max_attempts}")
     engine = _build_engine(adjacency, engine)
     network = engine.network
     rng = ensure_rng(seed)
-    run_seed = 0
-    colors = np.full(network.n, BLUE, dtype=np.int64)
-    crashed = np.zeros(network.n, dtype=bool)
-    attempt_bound = ()
-    accepted = False
-    attempts = 0
     for attempts in range(1, max_attempts + 1):
         run_seed = rng.randrange(2**31)
         attempt_bound = bind_all(perturbations, network, run_seed, fault_mode)

@@ -183,6 +183,7 @@ def run_scenario(
         "the sinkless pipeline has no reference-mode driver (probe-driven); "
         "use backend='engine' or 'dense'",
     )
+    require(max_attempts >= 1, f"max_attempts must be >= 1, got {max_attempts}")
     if degree is None:
         degree = sc.degree if sc.degree is not None else _DEFAULT_DEGREE[sc.pipeline]
     if max_rounds is None:
@@ -489,8 +490,6 @@ def _run_splitting(sc, network, engine, backend, seed, degree, coins, max_attemp
     if backend == "dense":
         from repro.local.dense import uniform_splitting_dense
         from repro.scenarios.masks import DenseFaults
-    accepted = False
-    attempts = 0
     rng_seconds = 0.0
     for attempts in range(1, max_attempts + 1):
         run_seed = rng.randrange(2**31)

@@ -141,6 +141,21 @@ class TestNetwork:
             with pytest.raises(ValueError):
                 arr[0] = 1
 
+    def test_uid_array_is_built_once_and_read_only(self):
+        from repro.scenarios import CorruptMessages, IIDMessageDrop, bind_all
+
+        net = Network(path_graph(3), ids=[30, 10, 20])
+        uids = net.uid_array
+        assert uids.tolist() == [30, 10, 20] and uids.dtype == np.int64
+        with pytest.raises(ValueError):
+            uids[0] = 1
+        # Every binding's fault coins read the network's one array.
+        for attempt in range(3):
+            for b in bind_all((IIDMessageDrop(0.5), CorruptMessages(0.5)), net, attempt, "mask"):
+                b.delivers_mask(1, net.dst_node, net.dst_port)
+                b.corrupts_mask(1, net.dst_node, net.dst_port)
+                assert b.network.uid_array is uids
+
     def test_degree(self):
         net = Network(path_graph(3))
         assert [net.degree(i) for i in range(3)] == [1, 2, 1]

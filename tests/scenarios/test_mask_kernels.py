@@ -187,6 +187,36 @@ class TestMasksMatchScalarDecisions:
             got_crash = crash if crash is not None else np.zeros(net.n, bool)
             assert np.array_equal(got_crash, scalar_crashed(bound, net.n, round_no))
 
+    @pytest.mark.parametrize("sc", all_scenarios(), ids=lambda s: s.name)
+    @pytest.mark.parametrize("fault_mode", ["replay", "mask"])
+    def test_slot_range_masks_equal_whole_round_slices(self, sc, fault_mode):
+        # Range masks are built receive-side from (dst_node, dst_port); the
+        # whole-round ones are partner gathers of the outgoing masks.
+        rng = random.Random(sc.name)
+        adjacency, ids = rewrite_all(sc.perturbations, small_graph(rng.randrange(991)))
+        net = Network(adjacency, ids=ids)
+        engine = CSREngine(net)
+        m = int(net.offsets[-1])
+        cuts = sorted(rng.randrange(m + 1) for _ in range(6))
+        spans = [(0, m), (0, 0), (m, m)] + list(zip(cuts, cuts[1:]))
+        bound = bind_all(sc.perturbations, net, fault_seed=17, fault_mode=fault_mode)
+        whole = DenseFaults(engine, bound)
+        ranged = DenseFaults(engine, bound)
+        for round_no in (1, 2, 3, 5, 40):
+            din = whole.delivered_in(round_no)
+            cin = whole.corrupted_in(round_no)
+            for a, b in spans:
+                got = ranged.delivered_in_range(round_no, a, b)
+                want = np.ones(m, bool) if din is None else din
+                assert np.array_equal(
+                    np.ones(b - a, bool) if got is None else got, want[a:b]
+                ), (sc.name, fault_mode, round_no, a, b)
+                got = ranged.corrupted_in_range(round_no, a, b)
+                want = np.zeros(m, bool) if cin is None else cin
+                assert np.array_equal(
+                    np.zeros(b - a, bool) if got is None else got, want[a:b]
+                ), (sc.name, fault_mode, round_no, a, b)
+
     def test_scalar_fallback_for_unvectorized_perturbations(self):
         from repro.scenarios.base import BoundPerturbation, Perturbation
 

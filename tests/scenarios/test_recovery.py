@@ -287,6 +287,14 @@ class TestPipelineRecoverFlag:
         )
         assert len(colors) == 30
 
+    @pytest.mark.parametrize("method", ["engine", "dense"])
+    def test_splitting_rejects_zero_attempts(self, method):
+        with pytest.raises(ValueError, match="max_attempts must be >= 1"):
+            splitting_recovering(
+                circulant(n=30, k=4), SPLITTING_SPEC, SPLITTING_STACK,
+                method=method, max_attempts=0,
+            )
+
     def test_recover_rejects_unsupported_methods(self):
         with pytest.raises(Exception, match="recover"):
             from repro.mis.luby import luby_mis

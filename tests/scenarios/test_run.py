@@ -75,6 +75,11 @@ class TestRunScenario:
                 if key in eng:
                     assert ref[key] == eng[key], (name, key)
 
+    @pytest.mark.parametrize("backend", ["dense", "engine"])
+    def test_zero_attempts_rejected(self, backend):
+        with pytest.raises(ValueError, match="max_attempts must be >= 1"):
+            run_scenario("splitting/byzantine", n=60, backend=backend, max_attempts=0)
+
     def test_unsupported_backend_rejected(self):
         with pytest.raises(ValueError, match="supports backends"):
             run_scenario("sinkless/crash", n=100, backend="reference")
