@@ -19,8 +19,11 @@ wall-clock ratios taken best-of-N with the GC paused (:func:`_harness.best_of`
   of an ``IIDMessageDrop(p=0.05)`` scenario at n = 100,000, deg ~20 at
   >= 8x the per-slot-loop (replay) baseline, and a full faulty mask-mode
   Luby run completes; both timings land in the BENCH json rows.
-* **E20**: trial batching — solving many seeds in one batched kernel call
-  beats the per-trial dense loop >= 4x.
+* **E20**: trial batching — solving 64 seeds in one batched Luby kernel
+  call beats the per-trial dense loop >= 1.1x, and takes at most 0.6 s.
+  The loop's kernel reduces only live slots per phase, which cut the
+  ratio from ~4x; the absolute bound keeps the batched call itself from
+  slowing down.
 * **E21**: observability is free when off — a dense Luby run at
   n = 100,000 with the default :class:`repro.obs.NullTracer` stays within
   2% of the untraced run, and a live :class:`repro.obs.Tracer` emits
@@ -244,13 +247,22 @@ BATCH_AVG_DEGREE = 20
 BATCH_TRIALS = 64
 
 
+#: Lower bound on E20's loop/batched ratio (1.34-1.76x measured on a 2-core
+#: container; 4.0 before ``luby_mis_dense`` reduced live slots only).
+BATCH_MIN_SPEEDUP = 1.1
+#: Upper bound on the batched call's best-of-3 time (0.22-0.39 s measured
+#: on a 2-core container, plus noise headroom).
+BATCH_MAX_SECONDS = 0.6
+
+
 def test_e20_trial_batched_dense_mis_speedup(benchmark):
-    """Trial-batched dense Luby >= 4x over the per-trial dense loop.
+    """Trial-batched dense Luby >= 1.1x over the per-trial dense loop.
 
     One :func:`~repro.local.dense.luby_mis_batched` call advances all 64
     seeds of a sweep cell (per-trial cache-hot phase 1, communal pooled
     tail once frontiers are small) against the baseline every sweep ran
-    before: 64 sequential ``luby_mis_dense`` calls.  Correctness first:
+    before: 64 sequential ``luby_mis_dense`` calls, each reducing only
+    its live slots per phase.  Correctness first:
     spot-check trials of the batch must be bit-identical to sequential
     ``coins="keyed"`` runs, and the per-trial round counts must be ragged
     (trials genuinely finish at different rounds and freeze).
@@ -279,7 +291,7 @@ def test_e20_trial_batched_dense_mis_speedup(benchmark):
     t_loop = best_of(per_trial_loop, repeat=2)
     t_batch = best_of(lambda: luby_mis_batched(engine, seeds), repeat=3)
     speedup = t_loop / t_batch
-    if speedup < 4.0:
+    if speedup < BATCH_MIN_SPEEDUP or t_batch > BATCH_MAX_SECONDS:
         t_loop = min(t_loop, best_of(per_trial_loop, repeat=2))
         t_batch = min(t_batch, best_of(lambda: luby_mis_batched(engine, seeds), repeat=3))
         speedup = t_loop / t_batch
@@ -300,7 +312,10 @@ def test_e20_trial_batched_dense_mis_speedup(benchmark):
             )
         ],
     )
-    assert speedup >= 4.0, f"batched kernel only {speedup:.2f}x over the per-trial loop"
+    assert speedup >= BATCH_MIN_SPEEDUP, (
+        f"batched kernel only {speedup:.2f}x over the per-trial loop"
+    )
+    assert t_batch <= BATCH_MAX_SECONDS, f"batched kernel took {t_batch:.3f} s"
 
 
 def test_e17_engine_mis_large_sweep_scales(benchmark):

@@ -72,9 +72,7 @@ from repro.exp.workloads import (  # noqa: E402
     luby_mis_batch_workload,
     luby_mis_workload,
     scenario_workload,
-    sinkless_batch_workload,
     sinkless_workload,
-    splitting_batch_workload,
     splitting_workload,
 )
 
@@ -86,9 +84,10 @@ def build_specs(quick: bool, num_seeds: int, backends=("engine", "dense"),
     ``backends`` selects the execution-backend axis for the algorithm
     workloads (``reference`` / ``engine`` / ``dense`` / ``dense-batched``);
     the ``engine/throughput`` cell always measures the first three side by
-    side.  ``dense-batched`` cells chunk their seeds into groups of
-    ``trial_batch`` and solve each chunk in one batched kernel call (see
-    :class:`repro.exp.runner.ExperimentSpec.batch_fn`).
+    side.  ``dense-batched`` applies to the MIS cells only (Luby is the one
+    pipeline with a trial-batched kernel): they chunk their seeds into
+    groups of ``trial_batch`` and solve each chunk in one batched kernel
+    call (see :class:`repro.exp.runner.ExperimentSpec.batch_fn`).
     Scenario graphs are fixed per cell (trial seeds drive the coins), so
     every backend and every seed of a cell reuses one packed engine.
     """
@@ -114,31 +113,21 @@ def build_specs(quick: bool, num_seeds: int, backends=("engine", "dense"),
         ExperimentSpec(
             f"sinkless/{topology}@{backend}",
             sinkless_workload,
-            {"topology": topology, "n": 1_000 * scale, "degree": 4}
-            if backend == "dense-batched"
-            else {"topology": topology, "n": 1_000 * scale, "degree": 4,
-                  "backend": backend},
+            {"topology": topology, "n": 1_000 * scale, "degree": 4, "backend": backend},
             seeds=seeds,
-            batch_fn=sinkless_batch_workload if backend == "dense-batched" else None,
-            trial_batch=trial_batch,
         )
         for topology in ("regular", "torus")
         for backend in backends
-        if backend != "reference"  # sinkless has no reference-mode driver
+        if backend in ("engine", "dense")  # no reference driver, no batched kernel
     ]
-    methods = ["local", "dense", "random"]
-    if "dense-batched" in backends:
-        methods.append("dense-batched")
     specs += [
         ExperimentSpec(
             f"splitting/{method}",
             splitting_workload,
             {"topology": "sparse", "n": 500 * scale, "degree": 48, "method": method},
             seeds=seeds,
-            batch_fn=splitting_batch_workload if method == "dense-batched" else None,
-            trial_batch=trial_batch,
         )
-        for method in methods
+        for method in ("local", "dense", "random")
     ]
     specs.append(
         ExperimentSpec(
@@ -535,7 +524,7 @@ def main() -> int:
                         "(reference,engine,dense,dense-batched)")
     parser.add_argument("--trial-batch", type=positive_int, default=32,
                         metavar="K",
-                        help="seeds per kernel call for dense-batched cells "
+                        help="seeds per kernel call for dense-batched MIS cells "
                         "(default 32)")
     parser.add_argument("--scenarios", nargs="?", const="all", default=None,
                         metavar="NAMES",

@@ -234,35 +234,20 @@ def uniform_splitting(
     surviving graph even when the fault-blinded acceptance was wrong (or
     never fired).
 
-    ``method="dense-batched"`` runs the Las-Vegas loop for a whole batch
-    of master seeds in one kernel call: pass a sequence of seeds as
-    ``seed`` and get back a list of color lists, one per seed, each
-    bit-identical to a ``method="dense", coins="keyed"`` run of that seed
-    (:func:`repro.local.dense.uniform_splitting_batched`), so
-    ``coins="keyed"`` must be passed; the default raises.  The ledger is
-    charged one verification round per attempt per trial.
+    There is no batched method: for many master seeds, loop
+    ``method="dense"`` over them with one shared ``engine``.
+    ``max_attempts`` must be at least 1 for the Las-Vegas methods
+    (``random``, ``local``, ``dense``).
     """
+    require(
+        method in ("derandomized", "random", "local", "dense"),
+        f"unknown method {method!r}",
+    )
+    require(
+        method == "derandomized" or max_attempts >= 1,
+        f"max_attempts must be >= 1, got {max_attempts}",
+    )
     n = len(adjacency)
-
-    if method == "dense-batched":
-        from repro.local.dense import uniform_splitting_batched
-
-        if engine is None:
-            engine = CSREngine(Network(adjacency))
-        batch = uniform_splitting_batched(
-            engine, spec, list(seed), coins=coins, max_attempts=max_attempts,
-            red=RED, blue=BLUE, faults=faults,
-        )
-        if ledger is not None:
-            for t in range(len(batch)):
-                for _ in range(int(batch.attempts[t])):
-                    ledger.charge_simulated(1, "0-round-splitting+check")
-        if not bool(batch.ok.all()):
-            raise RuntimeError(
-                f"{method} uniform splitting failed {max_attempts} times; "
-                "constrained degrees are below the w.h.p. regime"
-            )
-        return [batch.colors[t].tolist() for t in range(len(batch))]
 
     if method in ("local", "dense"):
         rng = ensure_rng(seed)
@@ -350,7 +335,6 @@ def uniform_splitting(
             "constrained degrees are below the w.h.p. regime"
         )
 
-    require(method == "derandomized", f"unknown method {method!r}")
     order, num_colors = processing_order(inst, ledger=ledger)
     if ledger is not None:
         ledger.charge(slocal_conversion_rounds(num_colors, radius=2), "slocal-conversion")

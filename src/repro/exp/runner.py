@@ -75,8 +75,8 @@ class ExperimentSpec:
     into groups of up to ``trial_batch`` and each chunk becomes ONE task
     calling ``batch_fn(seeds=chunk, **params)``, which must return a list
     of per-seed metric dicts (same order as the chunk).  This is how the
-    dense-batched kernels receive whole seed batches in one call instead
-    of one pool task per seed; ``fn`` remains the per-seed fallback others
+    dense-batched Luby kernel receives whole seed batches in one call
+    instead of one pool task per seed; ``fn`` remains the per-seed fallback others
     (and documentation of the cell's semantics) use.
 
     ``timeout`` is a per-task wall-clock deadline in seconds (pooled

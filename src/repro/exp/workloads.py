@@ -52,9 +52,7 @@ __all__ = [
     "luby_mis_workload",
     "luby_mis_batch_workload",
     "sinkless_workload",
-    "sinkless_batch_workload",
     "splitting_workload",
-    "splitting_batch_workload",
     "engine_throughput_workload",
     "scenario_workload",
     "chaos_crash",
@@ -242,41 +240,6 @@ def sinkless_workload(
     }
 
 
-def sinkless_batch_workload(
-    seeds,
-    topology: str = "regular",
-    n: int = 1000,
-    degree: int = 4,
-    graph_seed: int = 2,
-) -> List[Dict[str, Any]]:
-    """Trial-and-fix sinkless orientation for a whole seed batch at once.
-
-    The ``backend="dense-batched"`` counterpart of :func:`sinkless_workload`:
-    one :func:`~repro.local.dense.sinkless_trial_batched` call runs every
-    seed's fix rounds in lockstep (finished trials freeze).
-    """
-    engine, setup = scenario_engine(topology, n, degree, graph_seed)
-    adj = engine.network.adjacency
-    start = time.perf_counter()
-    results = run_trial_and_fix(
-        adj, min_degree=2, seed=list(seeds), method="dense-batched", coins="keyed",
-        engine=engine,
-    )
-    solve = (time.perf_counter() - start) / max(len(results), 1)
-    out = []
-    for i, (orientation, rounds) in enumerate(results):
-        require(is_sinkless(adj, orientation, min_degree=2), "orientation has a sink")
-        out.append({
-            "n": len(adj),
-            "m": len(orientation),
-            "rounds": rounds,
-            "solve_seconds": solve,
-            "trial_batch": len(results),
-            "setup_seconds": setup if i == 0 else 0.0,
-        })
-    return out
-
-
 def splitting_workload(
     seed: int,
     topology: str = "sparse",
@@ -307,49 +270,6 @@ def splitting_workload(
         "solve_seconds": solve,
         "setup_seconds": setup,
     }
-
-
-def splitting_batch_workload(
-    seeds,
-    topology: str = "sparse",
-    n: int = 500,
-    degree: int = 40,
-    eps: float = 0.25,
-    method: str = "dense-batched",
-    graph_seed: int = 3,
-) -> List[Dict[str, Any]]:
-    """Uniform splitting Las-Vegas loops for a whole seed batch at once.
-
-    The ``method="dense-batched"`` counterpart of :func:`splitting_workload`:
-    one :func:`~repro.local.dense.uniform_splitting_batched` call drives
-    every master seed's retry loop attempt-by-attempt (resolved trials
-    freeze).  ``method`` only labels the cell's backend axis in the sweep
-    records (the splitting cells have no ``@backend`` name suffix).
-    """
-    require(method == "dense-batched", f"unknown batched method {method!r}")
-    engine, setup = scenario_engine(topology, n, degree, graph_seed)
-    adj = engine.network.adjacency
-    spec = UniformSplittingSpec(eps=eps, min_constrained_degree=max(2, degree // 2))
-    start = time.perf_counter()
-    partitions = uniform_splitting(
-        adj, spec, method="dense-batched", seed=list(seeds), coins="keyed",
-        engine=engine,
-    )
-    solve = (time.perf_counter() - start) / max(len(partitions), 1)
-    constrained = sum(1 for a in adj if spec.constrains(len(a)))
-    out = []
-    for i, partition in enumerate(partitions):
-        violations = uniform_splitting_violations(adj, partition, spec)
-        require(not violations, f"splitting left {len(violations)} violated nodes")
-        out.append({
-            "n": len(adj),
-            "constrained": constrained,
-            "violations": len(violations),
-            "solve_seconds": solve,
-            "trial_batch": len(partitions),
-            "setup_seconds": setup if i == 0 else 0.0,
-        })
-    return out
 
 
 def scenario_workload(

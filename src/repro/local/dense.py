@@ -26,10 +26,11 @@ Coin contract (see :class:`~repro.utils.rng.CoinTable`):
 * ``coins="philox"`` uses a counter-based numpy stream with O(1) setup —
   **distribution-identical** runs for performance work.
 * ``coins="keyed"`` keys every value by ``(seed, counter, round tag)`` —
-  order-insensitive, which is what lets a *trial-batched* kernel
-  (:func:`luby_mis_batched`, :func:`sinkless_trial_batched`,
-  :func:`uniform_splitting_batched`) reproduce k sequential keyed runs
-  bit-for-bit while advancing all k trials through shared array passes.
+  order-insensitive, which is what lets the one *trial-batched* kernel,
+  :func:`luby_mis_batched`, reproduce k sequential keyed runs bit-for-bit
+  while advancing all k trials through shared array passes.  Sinkless
+  orientation and splitting have no batched kernel: a loop over their
+  per-trial kernels is faster.
 
 Each kernel documents exactly which hook-level draws it replays; any change
 to the corresponding :class:`LocalAlgorithm` must be mirrored here (the
@@ -47,9 +48,7 @@ from repro.local.engine import CSREngine
 from repro.utils.rng import (
     CoinTable,
     as_coin_table,
-    ensure_rng,
     keyed_hash53,
-    keyed_u01,
     mix64,
 )
 from repro.utils.validation import require
@@ -61,10 +60,8 @@ __all__ = [
     "luby_mis_dense",
     "luby_mis_batched",
     "sinkless_trial_dense",
-    "sinkless_trial_batched",
     "dense_orientation",
     "uniform_splitting_dense",
-    "uniform_splitting_batched",
 ]
 
 
@@ -175,41 +172,6 @@ def _segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _segment_or_2d(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`_segment_or` over a ``(trials, slots)`` array.
-
-    One ``reduceat`` along axis 1 advances every trial's neighborhood OR at
-    once — the trial-batched kernels' workhorse.  Same empty/trailing
-    segment guards as the 1D version.
-    """
-    k = values.shape[0]
-    m = values.shape[1]
-    n = offsets.shape[0] - 1
-    out = np.zeros((k, n), dtype=bool)
-    if m == 0:
-        return out
-    starts = offsets[:-1]
-    j = int(np.searchsorted(starts, m))
-    out[:, :j] = np.logical_or.reduceat(values, starts[:j], axis=1)
-    out[:, starts == offsets[1:]] = False
-    return out
-
-
-def _segment_sum_2d(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`_segment_sum` over a ``(trials, slots)`` array."""
-    k = values.shape[0]
-    m = values.shape[1]
-    n = offsets.shape[0] - 1
-    out = np.zeros((k, n), dtype=values.dtype)
-    if m == 0:
-        return out
-    starts = offsets[:-1]
-    j = int(np.searchsorted(starts, m))
-    out[:, :j] = np.add.reduceat(values, starts[:j], axis=1)
-    out[:, starts == offsets[1:]] = 0
-    return out
-
-
 def _slot_owner(offsets: np.ndarray) -> np.ndarray:
     """``owner[k]`` = the node whose CSR row contains slot ``k``."""
     n = offsets.shape[0] - 1
@@ -236,13 +198,19 @@ def _ragged_slots(offsets: np.ndarray, degrees: np.ndarray, idx: np.ndarray) -> 
 # ---------------------------------------------------------------------------
 
 
+def _owner_or(own: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Per-node logical OR of ``values`` over slots owned by ``own``."""
+    out = np.zeros(n, dtype=bool)
+    out[own[np.flatnonzero(values)]] = True
+    return out
+
+
 def luby_round_dense(
     active: np.ndarray,
     r: np.ndarray,
     uid: np.ndarray,
-    offsets: np.ndarray,
-    dst_node: np.ndarray,
-    owner: np.ndarray,
+    own: np.ndarray,
+    nbr: np.ndarray,
     active2: "np.ndarray" = None,
     heard1: "np.ndarray" = None,
     heard2: "np.ndarray" = None,
@@ -252,15 +220,20 @@ def luby_round_dense(
     """One Luby phase (priority exchange + announcement) as array ops.
 
     ``active`` is the per-node frontier mask, ``r`` the per-node priority
-    coins (only entries of active nodes are read).  Returns
-    ``(joining, killed)``: nodes that enter the MIS this phase, and nodes
-    eliminated because a neighbor joined.  The priority order is the
-    engine's tuple compare ``(r, uid)`` — ties on ``r`` (possible across
-    independent replay streams) break on uid, exactly like
-    :class:`~repro.mis.luby.LubyMIS`, so there is no float-tie hazard.
+    coins (only entries of active nodes are read).  ``own``/``nbr`` are the
+    owner and neighbor of each slot in a set of CSR slots holding every
+    slot whose two endpoints are both active — all ``m`` slots, or only
+    those: a slot with an inactive endpoint can neither suppress a join
+    nor carry a kill.  Returns ``(joining, killed)``: nodes that enter the
+    MIS this phase, and nodes eliminated because a neighbor joined.  The
+    priority order is the engine's tuple compare ``(r, uid)`` — ties on
+    ``r`` (possible across independent replay streams) break on uid,
+    exactly like :class:`~repro.mis.luby.LubyMIS`, so there is no float-tie
+    hazard.
 
     The optional fault arguments mirror the hooked engine's semantics on a
-    faulty environment (all default to the clean-run behaviour):
+    faulty environment (all default to the clean-run behaviour); the
+    per-slot masks are aligned with ``own``/``nbr``:
 
     * ``heard1`` — per-slot delivery mask for the priority round: a dropped
       priority does not suppress the receiver's join;
@@ -278,15 +251,20 @@ def luby_round_dense(
       corrupted announcement from an active sender arrives with its
       join/stay bit flipped.
     """
+    n = active.shape[0]
     # Slot k: does the (active) neighbor at this slot beat the slot's owner?
-    nbr = dst_node
-    nbr_better = (r[nbr] > r[owner]) | ((r[nbr] == r[owner]) & (uid[nbr] > uid[owner]))
+    r_nbr = r[nbr]
+    r_own = r[own]
+    nbr_better = r_nbr > r_own
+    tie = r_nbr == r_own
+    if tie.any():
+        nbr_better |= tie & (uid[nbr] > uid[own])
     if corrupt1 is not None:
         nbr_better |= corrupt1  # forged winner: beats any genuine priority
     nbr_better &= active[nbr]
     if heard1 is not None:
         nbr_better &= heard1
-    joining = active & ~_segment_or(nbr_better, offsets)
+    joining = active & ~_owner_or(own, nbr_better, n)
     if active2 is None:
         active2 = active
     else:
@@ -297,7 +275,7 @@ def luby_round_dense(
         announced = (announced ^ corrupt2) & active2[nbr]
     if heard2 is not None:
         announced = announced & heard2
-    killed = active2 & ~joining & _segment_or(announced, offsets)
+    killed = active2 & ~joining & _owner_or(own, announced, n)
     return joining, killed
 
 
@@ -326,14 +304,25 @@ def luby_mis_dense(
     a faulty dense run is bit-identical to the engine under the same
     perturbation stack.
 
+    Cost: each phase reduces only the *live slots*, those whose two
+    endpoints are both still on the frontier (see
+    :func:`luby_round_dense`), and drops the rest as the frontier shrinks.
+    Phase 1 costs O(m); every later phase O(live slots + n), and Luby's
+    frontier decays geometrically, so a whole run reduces little more than
+    m slots where a sweep of every slot per phase would reduce phases * m.
+    Fault masks still cover all m slots per round; the phase reads them at
+    the live slots only.
+
     ``tracer`` (a :class:`~repro.obs.trace.Tracer`; None or a NullTracer by
     default) records one round record per executed round — the same round
     numbers, active-set sizes and total as a hook-traced engine run of the
     same seed (mask-based delivery accounting means the dense records omit
-    the per-round delivered/dropped message counts).
+    the per-round delivered/dropped message counts).  Each phase's even
+    round record also carries ``slots``, the live slots it reduced.
 
-    Returns a :class:`DenseResult` with ``in_mis`` (bool array of length n)
-    and ``crashed`` (bool array; all-False on a clean run).
+    Returns a :class:`DenseResult` with ``in_mis`` (bool array of length n),
+    ``crashed`` (bool array; all-False on a clean run) and
+    ``slots_reduced`` (live slots reduced over the whole run).
     """
     require(max_rounds >= 0, f"max_rounds must be >= 0, got {max_rounds}")
     trace = tracer is not None and tracer.enabled
@@ -348,8 +337,18 @@ def luby_mis_dense(
     in_mis = degrees == 0  # isolated nodes join immediately (init)
     active = ~in_mis
     crashed = np.zeros(n, dtype=bool)
-    owner = _slot_owner(offsets)
     r = np.zeros(n, dtype=np.float64)
+    # The live slots' endpoints (both on the frontier at the phase start;
+    # round-1 crashers stay in until the phase ends, which the phase body
+    # allows), compacted after each phase.  Their slot indices are kept
+    # only while fault masks need them.
+    own = _slot_owner(offsets)
+    nbr = dst_node
+    slots = None if faults is None else np.arange(dst_node.shape[0], dtype=np.int64)
+    slots_reduced = 0
+
+    def at_live(mask):
+        return None if mask is None else mask[slots]
 
     # Past the stack's quiet horizon no fault can occur, so the loop drops
     # the faults object and the recovery tail runs at fault-free cost
@@ -362,7 +361,7 @@ def luby_mis_dense(
             break
         round1 = rounds + 1
         if faults is not None and faults_expired is not None and faults_expired(round1):
-            faults = None
+            faults = slots = None
         if faults is not None:
             crash = faults.crashed_at(round1)
             if crash is not None:
@@ -395,24 +394,31 @@ def luby_mis_dense(
             if crash is not None:
                 crashed |= active & crash
                 active2 = active & ~crash
-            heard1 = faults.delivered_in(round1)
-            heard2 = faults.delivered_in(round2)
+            heard1 = at_live(faults.delivered_in(round1))
+            heard2 = at_live(faults.delivered_in(round2))
             corrupted_in = getattr(faults, "corrupted_in", None)
             if corrupted_in is not None:
-                corrupt1 = corrupted_in(round1)
-                corrupt2 = corrupted_in(round2)
+                corrupt1 = at_live(corrupted_in(round1))
+                corrupt2 = at_live(corrupted_in(round2))
         joining, killed = luby_round_dense(
-            active, r, uid, offsets, dst_node, owner,
+            active, r, uid, own, nbr,
             active2=active2, heard1=heard1, heard2=heard2,
             corrupt1=corrupt1, corrupt2=corrupt2,
         )
         in_mis |= joining
         active = (active if active2 is None else active2) & ~(joining | killed)
+        reduced = own.shape[0]
+        slots_reduced += reduced
+        keep = active[own] & active[nbr]
+        own, nbr = own[keep], nbr[keep]
+        if slots is not None:
+            slots = slots[keep]
         rounds += 1
         if trace:
             tracer.round(
                 rounds,
                 active=int(active.sum()),
+                slots=reduced,
                 seconds=time.perf_counter() - phase_start,
             )
     return DenseResult(
@@ -421,6 +427,7 @@ def luby_mis_dense(
         rng_seconds=rng_seconds,
         in_mis=in_mis,
         crashed=crashed,
+        slots_reduced=slots_reduced,
     )
 
 
@@ -807,6 +814,7 @@ def sinkless_trial_dense(
     reference where sinkless nodes never halt on their own.
     """
     require(min_degree >= 1, f"min_degree must be >= 1, got {min_degree}")
+    require(max_rounds >= 0, f"max_rounds must be >= 0, got {max_rounds}")
     trace = tracer is not None and tracer.enabled
     offsets, dst_node, dst_port = engine.dense_arrays()
     n = engine.n
@@ -944,117 +952,6 @@ def sinkless_trial_dense(
     return DenseResult(
         rounds, completed=False, rng_seconds=rng_seconds, out=out, crashed=crashed
     )
-
-
-def sinkless_trial_batched(
-    engine: CSREngine,
-    seeds: Sequence[int],
-    min_degree: int = 1,
-    coins="keyed",
-    max_rounds: int = 200,
-    faults=None,
-    strict: bool = True,
-) -> BatchedDenseResult:
-    """Trial-and-fix sinkless orientation for a batch of seeds at once.
-
-    Per trial this is exactly ``sinkless_trial_dense(engine, min_degree,
-    seed=s, coins="keyed", ...)`` — same slot states, round counts and
-    crash records — but the fix rounds run in lockstep over ``(trial,
-    slot)`` grids: one 2D segment-mask pass finds every trial's sinks, one
-    keyed-hash call draws every flip port, and one flat scatter applies the
-    flips (scatter order preserves the doubly-flipped-edge-ends-inward
-    reference quirk within each trial).  Trials finishing early freeze
-    (their rows stop flipping and leave the probe); survivors iterate.
-
-    ``faults`` is one shared :class:`~repro.scenarios.masks.DenseFaults`
-    schedule broadcast across the trial axis.  ``strict=True`` raises if
-    *any* trial fails to orient within ``max_rounds``, mirroring the
-    sequential driver; ``strict=False`` returns the incomplete rows.
-    """
-    _require_keyed(coins)
-    require(min_degree >= 1, f"min_degree must be >= 1, got {min_degree}")
-    require(
-        not getattr(faults, "corrupting", False),
-        "trial-batched kernels do not implement Byzantine corruption masks",
-    )
-    offsets, dst_node, dst_port = engine.dense_arrays()
-    n = engine.n
-    uid = engine.network.uid_array
-    degrees = np.diff(offsets)
-    owner = _slot_owner(offsets)
-    m = dst_node.shape[0]
-    k = len(seeds)
-
-    require(
-        engine.network.simple,
-        "sinkless_trial_batched requires a simple graph (no multi-edges/self-loops)",
-    )
-    partner = offsets[:-1][dst_node] + dst_port
-
-    sh = np.array([mix64(int(s)) for s in seeds], dtype=np.uint64)
-    rounds = np.ones(k, dtype=np.int64)
-    completed = np.zeros(k, dtype=bool)
-    crashed = np.zeros((k, n), dtype=bool)
-    if k == 0:
-        return BatchedDenseResult(
-            seeds, rounds, completed, out=np.zeros((0, m), dtype=bool), crashed=crashed
-        )
-
-    # Round 1: the sequential kernel keys its full-graph uniform_runs call
-    # by position-within-call, which *is* the CSR slot index — so the
-    # batched grid replays the identical coins per (trial, slot).
-    slot_idx = np.arange(m, dtype=np.int64)
-    coins1 = keyed_u01(np, sh[:, None], slot_idx, 1) < 0.5
-    higher = uid[owner] > uid[dst_node]
-    out = np.where(higher[None, :], coins1, ~coins1[:, partner])
-
-    constrained = degrees >= min_degree
-    low_view = owner < dst_node
-    running = np.ones(k, dtype=bool)
-    faults_expired = getattr(faults, "expired", None)
-    outf = out.ravel()
-
-    for round_no in range(2, max_rounds + 1):
-        if faults is not None and faults_expired is not None and faults_expired(round_no):
-            faults = None
-        if faults is not None:
-            crash = faults.crashed_at(round_no)
-            if crash is not None:
-                crashed[running] |= crash
-        sinks_own = (
-            running[:, None] & constrained[None, :] & ~crashed
-            & ~_segment_or_2d(out, offsets)
-        )
-        t_idx, v_idx = np.nonzero(sinks_own)
-        if t_idx.shape[0]:
-            # Sequential randints keys each draw by the node index, so the
-            # batched call hashes (seed_t, node, round) per flat sink.
-            ports = (
-                keyed_u01(np, sh[t_idx], v_idx, round_no) * degrees[v_idx]
-            ).astype(np.int64)
-            chosen = offsets[:-1][v_idx] + ports
-            base = t_idx * m
-            outf[base + chosen] = True
-            if faults is None:
-                outf[base + partner[chosen]] = False
-            else:
-                keep = ~crashed[t_idx, dst_node[chosen]]
-                delivered = faults.delivered_out(round_no)
-                if delivered is not None:
-                    keep &= delivered[chosen]
-                outf[(base + partner[chosen])[keep]] = False
-        rounds[running] = round_no
-        effective_out = np.where(low_view[None, :], out, ~out[:, partner])
-        live = (
-            constrained[None, :] & ~crashed & ~_segment_or_2d(effective_out, offsets)
-        ).any(axis=1)
-        completed[running & ~live] = True
-        running &= live
-        if not running.any():
-            return BatchedDenseResult(seeds, rounds, completed, out=out, crashed=crashed)
-    if strict:
-        raise RuntimeError(f"no sinkless orientation after {max_rounds} rounds")
-    return BatchedDenseResult(seeds, rounds, completed, out=out, crashed=crashed)
 
 
 def dense_orientation(
@@ -1210,95 +1107,4 @@ def uniform_splitting_dense(
     return DenseResult(
         1, completed=True, rng_seconds=rng_seconds, colors=colors, ok=ok,
         crashed=crashed, slots_checked=slots_checked,
-    )
-
-
-def uniform_splitting_batched(
-    engine: CSREngine,
-    spec,
-    seeds: Sequence[int],
-    coins="keyed",
-    max_attempts: int = 64,
-    red: int = 0,
-    blue: int = 1,
-    faults=None,
-) -> BatchedDenseResult:
-    """The uniform-splitting Las-Vegas loop for a batch of master seeds.
-
-    Per trial this is exactly the ``method="dense"`` loop of
-    :func:`repro.apps.splitting.uniform_splitting` with ``coins="keyed"``:
-    each master seed drives its own ``random.Random`` stream of per-attempt
-    run seeds (bit-identical to the sequential loop's draws), and each
-    attempt is one 0-round splitting + verification.  The batching is per
-    attempt: all still-unresolved trials color and verify together on one
-    ``(trial, node)`` coin grid and one 2D segment sum.  Resolved trials
-    freeze; a trial that exhausts ``max_attempts`` keeps its last colors
-    with ``ok=False`` (the wrapper decides whether that is fatal).
-
-    ``faults`` masks are constant across attempts (every attempt replays
-    the same single verification round), so they are built once and
-    broadcast.  Returns a :class:`BatchedDenseResult` with per-trial
-    ``colors``, ``ok``, ``attempts`` and ``crashed``; ``rounds`` counts the
-    attempts consumed (the per-trial ledger charge is one verification
-    round per attempt, applied by the wrapper).
-    """
-    _require_keyed(coins)
-    require(max_attempts >= 1, f"max_attempts must be >= 1, got {max_attempts}")
-    require(
-        not getattr(faults, "corrupting", False),
-        "trial-batched kernels do not implement Byzantine corruption masks",
-    )
-    offsets, dst_node, _ = engine.dense_arrays()
-    n = engine.n
-    degrees = np.diff(offsets)
-    k = len(seeds)
-
-    colors = np.full((k, n), blue, dtype=np.int64)
-    ok = np.zeros(k, dtype=bool)
-    attempts = np.zeros(k, dtype=np.int64)
-    if k == 0:
-        return BatchedDenseResult(
-            seeds, attempts, ok.copy(), colors=colors, ok=ok,
-            attempts=attempts, crashed=np.zeros((k, n), dtype=bool),
-        )
-
-    crashed_base = np.zeros(n, dtype=bool)
-    heard = None
-    if faults is not None:
-        crash = faults.crashed_at(1)
-        if crash is not None:
-            crashed_base = crash.copy()
-        heard = faults.delivered_in(1)
-    constrained = spec.constrains(degrees) & ~crashed_base
-    lo = spec.lo(degrees)
-    hi = spec.hi(degrees)
-    node_idx = np.arange(n, dtype=np.int64)
-
-    rngs = [ensure_rng(int(s)) for s in seeds]
-    pend = np.arange(k, dtype=np.int64)
-    for attempt_no in range(1, max_attempts + 1):
-        run_hashes = np.array(
-            [mix64(rngs[t].randrange(2**31)) for t in pend], dtype=np.uint64
-        )
-        u = keyed_u01(np, run_hashes[:, None], node_idx, 1)
-        cols = np.where(u < 0.5, red, blue)
-        sent = (cols[:, dst_node] == red).astype(np.int64)
-        if crashed_base.any():
-            sent &= ~crashed_base[dst_node][None, :]
-        if heard is not None:
-            sent &= heard[None, :]
-        red_nbrs = _segment_sum_2d(sent, offsets)
-        ok_rows = (
-            ~constrained[None, :] | ((red_nbrs >= lo) & (red_nbrs <= hi))
-        ).all(axis=1)
-        colors[pend] = cols
-        attempts[pend] = attempt_no
-        ok[pend[ok_rows]] = True
-        pend = pend[~ok_rows]
-        if pend.shape[0] == 0:
-            break
-    crashed = np.broadcast_to(crashed_base, (k, n)).copy()
-    return BatchedDenseResult(
-        seeds, attempts.copy(), ok.copy(),
-        colors=colors, ok=ok, attempts=attempts, crashed=crashed,
     )

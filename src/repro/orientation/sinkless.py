@@ -282,34 +282,10 @@ def run_trial_and_fix(
     the same fault schedule.  The fault schedule must leave round 1 (the
     proposal exchange) clean.
 
-    ``method="dense-batched"`` solves a whole batch of seeds in one kernel
-    call: pass a sequence of seeds as ``seed`` and get back a list of
-    ``(orientation, rounds)`` pairs, one per seed, each bit-identical to a
-    ``method="dense", coins="keyed"`` run of that seed
-    (:func:`repro.local.dense.sinkless_trial_batched`), so
-    ``coins="keyed"`` must be passed; the default raises.
+    There is no batched method: for many seeds, loop ``method="dense"``
+    over them with one shared ``engine``.
     """
-    require(
-        method in ("engine", "dense", "dense-batched"),
-        f"unknown method {method!r}",
-    )
-    require(
-        not recover or method in ("engine", "dense"),
-        "recover=True requires method 'engine' or 'dense'",
-    )
-    if method == "dense-batched":
-        from repro.local.dense import dense_orientation, sinkless_trial_batched
-
-        if engine is None:
-            engine = CSREngine(Network(adj))
-        batch = sinkless_trial_batched(
-            engine, list(seed), min_degree=min_degree, coins=coins,
-            max_rounds=max_rounds, faults=faults,
-        )
-        return [
-            (dense_orientation(engine, batch.out[t]), int(batch.rounds[t]))
-            for t in range(len(batch))
-        ]
+    require(method in ("engine", "dense"), f"unknown method {method!r}")
     if method == "dense":
         from repro.local.dense import dense_orientation, sinkless_trial_dense
 

@@ -78,6 +78,13 @@ class TestRandomSplitting:
         with pytest.raises(ValueError):
             uniform_splitting(dense_graph, spec_for(dense_graph, 0.2), method="magic")
 
+    @pytest.mark.parametrize("method", ["dense", "local", "random"])
+    def test_zero_attempts_rejected_up_front(self, dense_graph, method):
+        # No attempt is made, so "failed 0 times" would blame the graph.
+        with pytest.raises(ValueError, match="max_attempts must be >= 1"):
+            uniform_splitting(dense_graph, spec_for(dense_graph, 0.2), method=method,
+                              seed=1, max_attempts=0)
+
 
 class TestCliqueGadgets:
     def test_min_degree_lifted(self):

@@ -161,16 +161,10 @@ class TestSinklessReplayBitIdentity:
             )
 
     def test_multi_edge_rejected(self):
-        from repro.local.dense import sinkless_trial_batched
-
         for adj in ([[1, 1], [0, 0]], [[0, 1], [0]]):  # parallel edge, self-loop
             engine = CSREngine(Network(adj))
-            for run in (
-                lambda: sinkless_trial_dense(engine, seed=0),
-                lambda: sinkless_trial_batched(engine, [0, 1]),
-            ):
-                with pytest.raises(ValueError, match="requires a simple graph"):
-                    run()
+            with pytest.raises(ValueError, match="requires a simple graph"):
+                sinkless_trial_dense(engine, seed=0)
 
     def test_trailing_isolated_nodes(self):
         # Regression companion to the Luby case: the sink checks (own-view

@@ -1,10 +1,9 @@
-"""Trial-batched dense kernels: bit-identity to sequential keyed runs.
+"""The trial-batched Luby kernel: bit-identity to sequential keyed runs.
 
 The contract under test (``repro/local/dense.py``): a batched run over
-seeds ``s1..sk`` is **bit-identical** — MIS membership, orientation slot
-states, splitting colors, round counts, completion flags and crash
-records — to ``k`` independent sequential ``coins="keyed"`` runs of the
-same kernel, because every coin is a pure hash of ``(seed, counter,
+seeds ``s1..sk`` is **bit-identical** — MIS membership, round counts,
+completion flags and crash records — to ``k`` independent sequential
+``coins="keyed"`` runs of the same kernel, because every coin is a pure hash of ``(seed, counter,
 round)`` and the batched kernels recompute exactly those hashes at
 whatever (trial, node, round) triples are still active.  Property-tested
 on random graphs, including a mask-mode faulty scenario, ragged
@@ -18,7 +17,6 @@ np = pytest.importorskip("numpy")
 from repro.apps.splitting import uniform_splitting  # noqa: E402
 from repro.bipartite.generators import (  # noqa: E402
     configuration_model_regular,
-    random_regular_graph,
     random_sparse_graph,
 )
 from repro.core.problems import UniformSplittingSpec  # noqa: E402
@@ -26,10 +24,6 @@ from repro.local import CSREngine, Network  # noqa: E402
 from repro.local.dense import (  # noqa: E402
     luby_mis_batched,
     luby_mis_dense,
-    sinkless_trial_batched,
-    sinkless_trial_dense,
-    uniform_splitting_batched,
-    uniform_splitting_dense,
 )
 from repro.local.ledger import RoundLedger  # noqa: E402
 from repro.mis.luby import is_mis, luby_mis  # noqa: E402
@@ -167,12 +161,6 @@ class TestLubyBatchedGraphShapes:
     [
         pytest.param(lambda engine, coins: luby_mis_batched(
             engine, [0, 1], coins=coins), id="luby_mis_batched"),
-        pytest.param(lambda engine, coins: sinkless_trial_batched(
-            engine, [0, 1], coins=coins), id="sinkless_trial_batched"),
-        pytest.param(lambda engine, coins: uniform_splitting_batched(
-            engine, UniformSplittingSpec(eps=0.3, min_constrained_degree=2), [0, 1],
-            coins=coins),
-            id="uniform_splitting_batched"),
     ],
 )
 @pytest.mark.parametrize("coins", ["philox", "replay"])
@@ -225,145 +213,11 @@ class TestLubyBatchedFaulty:
             assert_luby_identical(engine, SEEDS, batch, faults=faults, max_rounds=cap)
 
 
-class TestSinklessBatchedBitIdentity:
-    def test_matches_sequential_keyed_runs(self):
-        engine = regular_engine()
-        batch = sinkless_trial_batched(engine, SEEDS, min_degree=3)
-        for t, s in enumerate(SEEDS):
-            seq = sinkless_trial_dense(engine, min_degree=3, seed=s, coins="keyed")
-            assert np.array_equal(batch.out[t], seq.out)
-            assert int(batch.rounds[t]) == seq.rounds
-            assert bool(batch.completed[t]) == seq.completed
-        # fix rounds are ragged across seeds
-        assert np.unique(batch.rounds).shape[0] >= 2
-
-    def test_mask_mode_scenario_identical(self):
-        engine = regular_engine()
-        perts = [CrashNodes(fraction=0.04, at_round=2), IIDMessageDrop(p=0.05)]
-        bound = bind_all(perts, engine.network, fault_seed=17, fault_mode="mask")
-        faults = DenseFaults(engine, bound)
-        batch = sinkless_trial_batched(
-            engine, SEEDS, min_degree=3, faults=faults, strict=False
-        )
-        for t, s in enumerate(SEEDS):
-            seq = sinkless_trial_dense(
-                engine, min_degree=3, seed=s, coins="keyed", faults=faults,
-                strict=False,
-            )
-            assert np.array_equal(batch.out[t], seq.out)
-            assert np.array_equal(batch.crashed[t], seq.crashed)
-            assert int(batch.rounds[t]) == seq.rounds
-            assert bool(batch.completed[t]) == seq.completed
-
-    @pytest.mark.parametrize("min_degree", [1, 2])
-    def test_drop_window_identical(self, min_degree):
-        engine = CSREngine(Network(random_regular_graph(60, 4, seed=7)))
-        perts = (IIDMessageDrop(p=0.1, from_round=1, until_round=3),)
-        bound = bind_all(perts, engine.network, fault_seed=3, fault_mode="mask")
-        faults = DenseFaults(engine, bound)
-        batch = sinkless_trial_batched(
-            engine, SEEDS, min_degree=min_degree, faults=faults, strict=False
-        )
-        for t, s in enumerate(SEEDS):
-            seq = sinkless_trial_dense(
-                engine, min_degree=min_degree, seed=s, coins="keyed",
-                faults=faults, strict=False,
-            )
-            assert np.array_equal(batch.out[t], seq.out)
-            assert np.array_equal(batch.crashed[t], seq.crashed)
-            assert int(batch.rounds[t]) == seq.rounds
-            assert bool(batch.completed[t]) == seq.completed
-
-    def test_strict_raises_when_any_trial_unfinished(self):
-        engine = regular_engine()
-        with pytest.raises(RuntimeError):
-            sinkless_trial_batched(engine, SEEDS, min_degree=3, max_rounds=1)
-
-
-class TestSplittingBatchedBitIdentity:
-    def sequential_las_vegas(self, engine, spec, seed, max_attempts, faults=None):
-        rng = ensure_rng(int(seed))
-        for attempt in range(1, max_attempts + 1):
-            run_seed = rng.randrange(2**31)
-            dense = uniform_splitting_dense(
-                engine, spec, seed=run_seed, coins="keyed", faults=faults
-            )
-            if dense.ok:
-                return dense, attempt
-        return dense, max_attempts
-
-    def test_matches_sequential_retry_loops(self):
-        engine = CSREngine(Network(configuration_model_regular(200, 16, seed=3)))
-        # eps tight enough that some seeds retry, loose enough that all land
-        spec = UniformSplittingSpec(eps=0.3, min_constrained_degree=8)
-        batch = uniform_splitting_batched(engine, spec, SEEDS)
-        for t, s in enumerate(SEEDS):
-            seq, attempts = self.sequential_las_vegas(engine, spec, s, 64)
-            assert bool(batch.ok[t]) == seq.ok
-            assert int(batch.attempts[t]) == attempts
-            assert np.array_equal(batch.colors[t], seq.colors)
-
-    def test_exhausted_trials_keep_last_colors(self):
-        engine = CSREngine(Network(configuration_model_regular(200, 16, seed=3)))
-        spec = UniformSplittingSpec(eps=0.12, min_constrained_degree=8)
-        batch = uniform_splitting_batched(engine, spec, SEEDS, max_attempts=5)
-        for t, s in enumerate(SEEDS):
-            seq, attempts = self.sequential_las_vegas(engine, spec, s, 5)
-            assert bool(batch.ok[t]) == seq.ok
-            assert int(batch.attempts[t]) == attempts
-            assert np.array_equal(batch.colors[t], seq.colors)
-
-    def test_irregular_degrees_match_sequential_retry_loops(self):
-        # Nodes below min_constrained_degree are unconstrained; the rest must
-        # split within eps on a graph whose degrees genuinely vary.
-        engine = CSREngine(Network(random_sparse_graph(200, 24, seed=12)))
-        spec = UniformSplittingSpec(eps=0.25, min_constrained_degree=8)
-        batch = uniform_splitting_batched(engine, spec, SEEDS[:4])
-        assert bool(batch.ok.all())
-        for t, s in enumerate(SEEDS[:4]):
-            seq, attempts = self.sequential_las_vegas(engine, spec, s, 64)
-            assert int(batch.attempts[t]) == attempts
-            assert np.array_equal(batch.colors[t], seq.colors)
-
-    def test_irregular_degrees_under_crashes_identical(self):
-        engine = CSREngine(Network(random_sparse_graph(200, 24, seed=8)))
-        spec = UniformSplittingSpec(eps=0.25, min_constrained_degree=8)
-        perts = (CrashNodes(fraction=0.05, at_round=1),)
-        bound = bind_all(perts, engine.network, fault_seed=5, fault_mode="mask")
-        faults = DenseFaults(engine, bound)
-        batch = uniform_splitting_batched(engine, spec, SEEDS[:4], faults=faults)
-        for t, s in enumerate(SEEDS[:4]):
-            seq, attempts = self.sequential_las_vegas(engine, spec, s, 64, faults)
-            assert bool(batch.ok[t]) == seq.ok
-            assert int(batch.attempts[t]) == attempts
-            assert np.array_equal(batch.colors[t], seq.colors)
-            assert np.array_equal(batch.crashed[t], seq.crashed)
-
-    def test_mask_mode_scenario_identical(self):
-        engine = CSREngine(Network(configuration_model_regular(200, 16, seed=3)))
-        spec = UniformSplittingSpec(eps=0.3, min_constrained_degree=8)
-        perts = [CrashNodes(fraction=0.05, at_round=1), IIDMessageDrop(p=0.05)]
-        bound = bind_all(perts, engine.network, fault_seed=23, fault_mode="mask")
-        faults = DenseFaults(engine, bound)
-        batch = uniform_splitting_batched(engine, spec, SEEDS, faults=faults)
-        for t, s in enumerate(SEEDS):
-            seq, attempts = self.sequential_las_vegas(engine, spec, s, 64, faults)
-            assert bool(batch.ok[t]) == seq.ok
-            assert int(batch.attempts[t]) == attempts
-            assert np.array_equal(batch.colors[t], seq.colors)
-            assert np.array_equal(batch.crashed[t], seq.crashed)
-
-
 @pytest.mark.parametrize(
     "pipeline, adj, kwargs",
     [
         pytest.param(luby_mis, random_sparse_graph(120, 6, seed=5), {},
                      id="luby_mis"),
-        pytest.param(run_trial_and_fix, configuration_model_regular(60, 4, seed=6),
-                     {"min_degree": 2}, id="run_trial_and_fix"),
-        pytest.param(uniform_splitting, configuration_model_regular(120, 16, seed=3),
-                     {"spec": UniformSplittingSpec(eps=0.3, min_constrained_degree=8)},
-                     id="uniform_splitting"),
     ],
 )
 def test_pipeline_dense_batched_dispatch(pipeline, adj, kwargs):
@@ -383,10 +237,6 @@ def test_pipeline_dense_batched_dispatch(pipeline, adj, kwargs):
 
 PIPELINES = [
     pytest.param(luby_mis, {}, id="luby_mis"),
-    pytest.param(run_trial_and_fix, {"min_degree": 2}, id="run_trial_and_fix"),
-    pytest.param(uniform_splitting,
-                 {"spec": UniformSplittingSpec(eps=0.3, min_constrained_degree=8)},
-                 id="uniform_splitting"),
 ]
 
 
@@ -395,6 +245,25 @@ def test_pipeline_dense_batched_rejects_replay_coins(pipeline, kwargs):
     adj = configuration_model_regular(40, 4, seed=1)
     with pytest.raises(ValueError, match="keyed counter-based coins only"):
         pipeline(adj, seed=[0, 1], method="dense-batched", coins="replay", **kwargs)
+
+
+@pytest.mark.parametrize(
+    "pipeline, kwargs",
+    [
+        pytest.param(run_trial_and_fix, {"min_degree": 2}, id="run_trial_and_fix"),
+        pytest.param(uniform_splitting,
+                     {"spec": UniformSplittingSpec(eps=0.3, min_constrained_degree=8)},
+                     id="uniform_splitting"),
+    ],
+)
+@pytest.mark.parametrize("method", ["dense-batched", "dense-sharded"])
+def test_pipelines_without_batched_kernel_reject_batched_method(pipeline, kwargs, method):
+    # Sinkless orientation and splitting have no trial-batched kernel (a
+    # loop of method="dense" runs is faster): the method is unknown there.
+    adj = configuration_model_regular(40, 4, seed=1)
+    for seed in ([0, 1], 0):
+        with pytest.raises(ValueError, match="unknown method"):
+            pipeline(adj, seed=seed, method=method, coins="keyed", **kwargs)
 
 
 def test_pipeline_dense_batched_rows_are_valid_and_charged_per_trial():

@@ -90,3 +90,9 @@ class TestTrialAndFix:
         adj = random_regular_graph(30, 6, seed=6)
         _, rounds = run_trial_and_fix(adj, seed=3)
         assert rounds <= 30
+
+    @pytest.mark.parametrize("method", ["engine", "dense"])
+    def test_negative_round_cap_rejected(self, method):
+        adj = random_regular_graph(24, 4, seed=5)
+        with pytest.raises(ValueError, match="max_rounds must be >= 0"):
+            run_trial_and_fix(adj, seed=2, max_rounds=-3, method=method)

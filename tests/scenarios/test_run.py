@@ -272,3 +272,21 @@ class TestExpIntegration:
         with pytest.raises(ValueError, match="fault mode"):
             mod.build_scenario_specs(True, 1, "luby/crash", ("engine",),
                                      fault_mode="philox")
+
+    def test_cli_batched_backend_schedules_mis_cells_only(self):
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[2] / "benchmarks" / "run_experiments.py"
+        spec = importlib.util.spec_from_file_location("run_experiments", path)
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        cells = mod.build_specs(True, 2, backends=("dense", "dense-batched"))
+        batched = [c for c in cells if c.batch_fn is not None]
+        assert batched and all(c.name.startswith("mis/") for c in batched)
+        assert {c.name for c in batched} == {
+            c.name for c in cells if c.name.endswith("@dense-batched")
+        }
+        names = {c.name for c in cells}
+        assert {"mis/sparse@dense", "sinkless/regular@dense", "splitting/dense"} <= names
+        assert not any("dense-batched" in n for n in names if not n.startswith("mis/"))
