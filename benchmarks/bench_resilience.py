@@ -39,13 +39,12 @@ def test_e23_recovery_restores_contracts(benchmark):
     rows = []
     for name, backend in RESILIENCE_CELLS:
         plain = [
-            run_scenario(name, n=RESILIENCE_N, seed=s, backend=backend,
-                         coins="replay")
+            run_scenario(name, n=RESILIENCE_N, seed=s, backend=backend)
             for s in RESILIENCE_SEEDS
         ]
         recovering = [
             run_scenario(name, n=RESILIENCE_N, seed=s, backend=backend,
-                         coins="replay", recover=True)
+                         recover=True)
             for s in RESILIENCE_SEEDS
         ]
         recovered_fraction = _mean(m["recovered"] for m in recovering)
@@ -77,7 +76,7 @@ def test_e23_recovery_restores_contracts(benchmark):
 
     benchmark(
         lambda: run_scenario("luby/byzantine", n=RESILIENCE_N, seed=0,
-                             backend="dense", coins="replay", recover=True)
+                             backend="dense", recover=True)
     )
     attach_rows(
         benchmark,

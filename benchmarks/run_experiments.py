@@ -18,7 +18,6 @@ Usage::
     python benchmarks/run_experiments.py --out BENCH_ci.json
     python benchmarks/run_experiments.py --scenarios all  # + resilience cells
     python benchmarks/run_experiments.py --scenarios luby/crash,sinkless/crash
-    python benchmarks/run_experiments.py --scenarios all --fault-mode mask
     python benchmarks/run_experiments.py --scenarios all --recover  # + repair tails
     python benchmarks/run_experiments.py --scenarios all --trace  # round traces
     python benchmarks/run_experiments.py --legacy-tables  # old E1-E16 scrape
@@ -141,16 +140,13 @@ def build_specs(quick: bool, num_seeds: int, backends=("engine", "dense"),
 
 
 def build_scenario_specs(quick: bool, num_seeds: int, names: str, backends,
-                         fault_mode: str = "replay", trace_out=None,
-                         recover: bool = False):
+                         trace_out=None, recover: bool = False):
     """Scenario cells for the ``--scenarios`` axis (resilience metrics).
 
     ``names`` is ``"all"`` or a comma-separated list of registry names from
     :mod:`repro.scenarios`; one cell per (scenario, supported backend in
     ``backends``).  Each trial seed drives both the algorithm coins and the
-    deterministic fault schedule; ``fault_mode`` picks the fault-coin
-    kernel (``"replay"`` — historical bit-identity schedule, ``"mask"`` —
-    vectorized counter-based masks, the perf mode for dense cells).
+    deterministic fault schedule, identically on every backend.
     ``trace_out`` threads a round-trace jsonl path into every cell: each
     trial then records per-round tracer spans (see :mod:`repro.obs`) and
     appends them to that file.  ``recover=True`` adds a ``+recover``
@@ -159,10 +155,8 @@ def build_scenario_specs(quick: bool, num_seeds: int, names: str, backends,
     plain-vs-recovering comparison (``recovered``, ``repair_rounds``,
     ``violations_before_recovery``) per scenario.
     """
-    from repro.scenarios import FAULT_MODES, get_scenario, scenario_names
+    from repro.scenarios import get_scenario, scenario_names
 
-    if fault_mode not in FAULT_MODES:
-        raise ValueError(f"unknown fault mode {fault_mode!r}; expected {FAULT_MODES}")
     selected = scenario_names() if names == "all" else [
         s.strip() for s in names.split(",") if s.strip()
     ]
@@ -174,8 +168,7 @@ def build_scenario_specs(quick: bool, num_seeds: int, names: str, backends,
         for backend in backends:
             if backend not in sc.backends:
                 continue
-            params = {"scenario": name, "n": n, "backend": backend,
-                      "fault_mode": fault_mode}
+            params = {"scenario": name, "n": n, "backend": backend}
             if trace_out:
                 params["trace_out"] = trace_out
             specs.append(
@@ -284,7 +277,7 @@ def run_sweeps(args) -> int:
                         trial_batch=args.trial_batch)
     if args.scenarios is not None:
         specs += build_scenario_specs(
-            args.quick, args.seeds, args.scenarios, backends, args.fault_mode,
+            args.quick, args.seeds, args.scenarios, backends,
             trace_out=trace_out, recover=args.recover,
         )
     elif trace_out:
@@ -542,12 +535,6 @@ def main() -> int:
                         "tail (repro.scenarios.recovery), recording "
                         "recovered / repair_rounds / "
                         "violations_before_recovery next to the plain cell")
-    parser.add_argument("--fault-mode", choices=("replay", "mask"),
-                        default="replay",
-                        help="fault-coin kernel for --scenarios cells: "
-                        "'replay' (historical bit-identity schedule) or "
-                        "'mask' (vectorized counter-based masks, the perf "
-                        "mode for large dense sweeps)")
     parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                         help="per-task wall-clock deadline (pooled runs): a "
                         "hung worker is killed, the pool rebuilt, and the "

@@ -39,7 +39,7 @@ __all__ = [
 #: ``attempts`` (executions the fault-tolerant runner charged, > 1 when a
 #: trial was retried); v4 splits the setup tax into ``pack_seconds``
 #: (graph build + CSR packing) and ``rng_seconds`` (per-run RNG
-#: construction — the O(n) node_rng tax).  Older rows load fine — readers
+#: construction).  Older rows load fine — readers
 #: treat the keys as 0.0 / 1 when absent (``pack_seconds`` defaults to the
 #: row's ``setup_seconds``).
 HISTORY_SCHEMA = 4

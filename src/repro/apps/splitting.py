@@ -198,7 +198,6 @@ def uniform_splitting(
     method: str = "derandomized",
     seed: SeedLike = None,
     max_attempts: int = 64,
-    coins="philox",
     engine: Optional[CSREngine] = None,
     hooks=None,
     faults=None,
@@ -214,11 +213,9 @@ def uniform_splitting(
     (:class:`ZeroRoundSplitting`) on the batched engine, with the validity
     check distributed to the nodes themselves; ``method="dense"`` runs the
     identical Las-Vegas loop through the vectorized numpy kernel
-    (:func:`repro.local.dense.uniform_splitting_dense`) — with the default
-    counter-based ``coins="philox"`` it is distribution-identical with
-    O(1) per-attempt setup (the performance mode, like the other dense
-    pipelines), with ``coins="replay"`` the accepted partition is
-    bit-identical to ``method="local"`` for the same seed.  A prebuilt
+    (:func:`repro.local.dense.uniform_splitting_dense`), which draws the
+    same keyed node coins, so its accepted partition is bit-identical to
+    ``method="local"`` for the same seed.  A prebuilt
     ``engine`` over the same adjacency amortizes CSR packing across calls
     (used by the ``local`` and ``dense`` methods only).
 
@@ -265,7 +262,7 @@ def uniform_splitting(
             run_seed = rng.randrange(2**31)
             if method == "dense":
                 dense = uniform_splitting_dense(
-                    engine, spec, seed=run_seed, coins=coins, red=RED, blue=BLUE,
+                    engine, spec, seed=run_seed, red=RED, blue=BLUE,
                     faults=faults,
                 )
                 if ledger is not None:

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.bipartite.instance import BLUE, RED, BipartiteInstance, Coloring
 from repro.local.ledger import RoundLedger
-from repro.utils.rng import SeedLike, ensure_rng, node_rng
+from repro.utils.rng import SeedLike, ensure_rng, keyed_u01
 
 __all__ = ["ShatteringOutcome", "shatter", "unsatisfied_probability_estimate"]
 
@@ -75,7 +75,7 @@ def shatter(
     # Coloring phase — private coins per variable.
     tentative: List[Optional[int]] = []
     for v in range(inst.n_right):
-        coin = node_rng(master, v, "shatter").random()
+        coin = keyed_u01(master, "shatter", v)
         if coin < 0.25:
             tentative.append(RED)
         elif coin < 0.5:

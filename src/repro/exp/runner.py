@@ -127,8 +127,7 @@ class TrialResult:
     attempts: int = 1  #: executions charged (retries + the recorded outcome)
     #: the setup tax split (schema v3): ``pack_seconds`` is the graph build
     #: + CSR packing share of ``setup_seconds``; ``rng_seconds`` the per-run
-    #: RNG construction (node_rng views or coin-table build) — the O(n)
-    #: setup tax the ROADMAP tracks, now measurable per trial.
+    #: coin construction of the node views (0 for the dense kernels).
     pack_seconds: float = 0.0
     rng_seconds: float = 0.0
 

@@ -16,8 +16,8 @@ one-off build cost from per-trial solve cost.
 
 Algorithm workloads take a ``backend`` axis (``"reference"`` — the dict
 simulator, ``"engine"`` — the batched CSR engine, ``"dense"`` — the
-vectorized numpy kernels with counter-based coins) so one sweep JSON can
-record all three side by side.
+vectorized numpy kernels; all three draw the same keyed coins) so one
+sweep JSON can record all three side by side.
 
 These are the workloads ``benchmarks/run_experiments.py`` fans out; tests
 run them inline through the same entry points.
@@ -192,9 +192,7 @@ def luby_mis_batch_workload(
     engine, setup = scenario_engine(topology, n, degree, graph_seed)
     adj = engine.network.adjacency
     start = time.perf_counter()
-    results = luby_mis(
-        adj, seed=list(seeds), method="dense-batched", coins="keyed", engine=engine
-    )
+    results = luby_mis(adj, seed=list(seeds), method="dense-batched", engine=engine)
     solve = (time.perf_counter() - start) / max(len(results), 1)
     m = sum(len(a) for a in adj) // 2
     out = []
@@ -252,7 +250,7 @@ def splitting_workload(
     """Uniform splitting (Section 4.1) via the requested method.
 
     ``method`` doubles as the backend axis here: ``"local"`` runs on the
-    batched engine, ``"dense"`` on the numpy kernel (counter-based coins),
+    batched engine, ``"dense"`` on the numpy kernel,
     ``"random"``/``"derandomized"`` are the centralized baselines.
     """
     engine, setup = scenario_engine(topology, n, degree, graph_seed)
@@ -279,7 +277,6 @@ def scenario_workload(
     degree: int = None,
     backend: str = "engine",
     graph_seed: int = 5,
-    fault_mode: str = "replay",
     recover: bool = False,
     trace_out: str = None,
 ) -> Dict[str, Any]:
@@ -293,10 +290,7 @@ def scenario_workload(
     curate.
 
     The trial seed drives both the algorithm's coins and the deterministic
-    fault schedule; ``fault_mode`` picks the fault-coin kernel
-    (``"replay"`` — the historical bit-identity schedule, ``"mask"`` — the
-    vectorized counter-based kernel for large-n dense sweeps).  The
-    returned metrics are the scenario runner's resilience channels
+    fault schedule.  The returned metrics are the scenario runner's resilience channels
     (``violations``, ``survivors``, ``rounds_to_recover``, ...) which land
     in the BENCH json next to the throughput numbers.  Scenario graphs are
     rewritten per scenario (relabelings, multi-edge lifts), so these cells
@@ -317,8 +311,7 @@ def scenario_workload(
         tracer = Tracer(trial=seed, backend=backend, scenario=scenario)
     metrics = run_scenario(
         scenario, n=n, degree=degree, seed=seed, graph_seed=graph_seed,
-        backend=backend, fault_mode=fault_mode, recover=recover,
-        tracer=tracer,
+        backend=backend, recover=recover, tracer=tracer,
     )
     if tracer is not None:
         tracer.flush(trace_out)
@@ -335,12 +328,10 @@ def engine_throughput_workload(
     """Reference vs engine vs dense on Luby MIS over one fixed graph.
 
     This is the perf-trajectory metric CI tracks across PRs: all three
-    backends execute the same scenario, the reference and engine runs are
-    asserted bit-identical (as is a dense run fed replayed coins), and the
-    recorded speedups are their wall-clock ratios — ``speedup`` is
-    reference/engine (the PR-1 trajectory metric), ``dense_speedup`` is
-    engine/dense with the dense kernel on its counter-based coins (its
-    performance mode).
+    backends execute the same scenario, all three runs are asserted
+    bit-identical, and the recorded speedups are their wall-clock ratios —
+    ``speedup`` is reference/engine (the PR-1 trajectory metric),
+    ``dense_speedup`` is engine/dense.
     """
     from repro.local.dense import luby_mis_dense
 
@@ -356,24 +347,22 @@ def engine_throughput_workload(
     t_engine = time.perf_counter() - start
 
     start = time.perf_counter()
-    dense = luby_mis_dense(engine, seed=seed, coins="philox")
+    dense = luby_mis_dense(engine, seed=seed)
     t_dense = time.perf_counter() - start
 
     require(
         reference.outputs() == fast.outputs() and reference.rounds == fast.rounds,
         "engine diverged from reference",
     )
-    replay = luby_mis_dense(engine, seed=seed, coins="replay")
     require(
-        replay.rounds == fast.rounds
-        and replay.in_mis.tolist()
-        == [bool(v.state.get("in_mis")) for v in fast.views],
-        "dense kernel (replayed coins) diverged from engine",
+        dense.rounds == fast.rounds
+        and dense.in_mis.tolist() == [bool(v.state.get("in_mis")) for v in fast.views],
+        "dense kernel diverged from engine",
     )
     require(
         dense.completed
         and is_mis(net.adjacency, set(dense.in_mis.nonzero()[0].tolist())),
-        "dense kernel (philox coins) produced an invalid MIS",
+        "dense kernel produced an invalid MIS",
     )
     return {
         "n": net.n,

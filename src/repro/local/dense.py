@@ -2,39 +2,36 @@
 
 :class:`~repro.local.engine.CSREngine` removed the reference simulator's
 dict overhead, but its hot loop still makes O(active) Python hook calls
-(``init``/``broadcast``/``send``/``receive``) per round and pays ~9 µs per
-node of :func:`~repro.utils.rng.node_rng` setup.  For the paper's randomized
-pipelines — Luby MIS, trial-and-fix sinkless orientation, 0-round uniform
-splitting — the per-node logic is a few comparisons, so at n >= 10^5 the
-interpreter *is* the cost.
+(``init``/``broadcast``/``send``/``receive``) per round.  For the paper's
+randomized pipelines — Luby MIS, trial-and-fix sinkless orientation,
+0-round uniform splitting — the per-node logic is a few comparisons, so at
+n >= 10^5 the interpreter *is* the cost.
 
 The kernels here execute an entire round of one specific algorithm as
 masked array arithmetic over the engine's CSR layout
-(:meth:`CSREngine.dense_arrays`): candidate coin draws come from a
-:class:`~repro.utils.rng.CoinTable`, neighborhood reductions are
+(:meth:`CSREngine.dense_arrays`): neighborhood reductions are
 ``np.logical_or.reduceat`` / ``np.add.reduceat`` over the CSR segments, and
 the per-slot owner array ``np.repeat(arange(n), degrees)`` turns "compare
 me against each neighbor" into two gathers and a compare.
 
-Coin contract (see :class:`~repro.utils.rng.CoinTable`):
+Coins follow the one keyed law of :mod:`repro.utils.rng`: a node's ``k``-th
+draw in round ``r`` is ``u(seed, "node", uid, r, k)``, exactly what
+:class:`~repro.utils.rng.NodeCoins` hands the executors' node views.  A
+kernel computes the draws its algorithm's hooks make as one array per
+round (:func:`~repro.utils.rng.keyed_u01_array`, or
+:func:`~repro.utils.rng.keyed_u01_slots` for one draw per port), so every
+kernel is **bit-identical** to :class:`CSREngine` and
+:func:`~repro.local.network.run_local` for any seed and fault stack, with
+O(1) coin setup.  Because a coin is a pure function of its key, the one
+*trial-batched* kernel, :func:`luby_mis_batched`, reproduces k sequential
+runs bit for bit while advancing all k trials through shared array passes.
+Sinkless orientation and splitting have no batched kernel: a loop over
+their per-trial kernels is faster.
 
-* ``coins="replay"`` feeds the kernels the *exact* per-node ``node_rng``
-  streams the engine consumes, in the same per-node draw order, so outputs
-  and round counts are **bit-identical** to :class:`CSREngine` (and hence to
-  :func:`~repro.local.network.run_local`).  O(n) setup — for tests and
-  cross-checks.
-* ``coins="philox"`` uses a counter-based numpy stream with O(1) setup —
-  **distribution-identical** runs for performance work.
-* ``coins="keyed"`` keys every value by ``(seed, counter, round tag)`` —
-  order-insensitive, which is what lets the one *trial-batched* kernel,
-  :func:`luby_mis_batched`, reproduce k sequential keyed runs bit-for-bit
-  while advancing all k trials through shared array passes.  Sinkless
-  orientation and splitting have no batched kernel: a loop over their
-  per-trial kernels is faster.
-
-Each kernel documents exactly which hook-level draws it replays; any change
-to the corresponding :class:`LocalAlgorithm` must be mirrored here (the
-equivalence property tests in ``tests/local/test_dense.py`` enforce this).
+Each kernel documents exactly which hook-level draws it computes; any
+change to the corresponding :class:`LocalAlgorithm` must be mirrored here
+(the equivalence property in ``tests/scenarios/test_hook_equivalence.py``
+enforces this).
 """
 
 from __future__ import annotations
@@ -46,10 +43,11 @@ import numpy as np
 
 from repro.local.engine import CSREngine
 from repro.utils.rng import (
-    CoinTable,
-    as_coin_table,
+    NODE_COINS,
     keyed_hash53,
-    mix64,
+    keyed_u01_array,
+    keyed_u01_slots,
+    seed_link,
 )
 from repro.utils.validation import require
 
@@ -66,19 +64,13 @@ __all__ = [
 
 
 class DenseResult:
-    """Outcome of a dense kernel run: per-node arrays instead of NodeViews.
+    """Outcome of a dense kernel run: per-node arrays instead of NodeViews."""
 
-    ``rng_seconds`` is the wall time of coin-table construction (the
-    kernels' analogue of the executors' per-node ``node_rng`` setup — the
-    O(n) RNG tax the ROADMAP tracks; O(1) for counter-based coin kinds).
-    """
+    __slots__ = ("rounds", "completed", "data")
 
-    __slots__ = ("rounds", "completed", "rng_seconds", "data")
-
-    def __init__(self, rounds: int, completed: bool, rng_seconds: float = 0.0, **data):
+    def __init__(self, rounds: int, completed: bool, **data):
         self.rounds = rounds
         self.completed = completed
-        self.rng_seconds = rng_seconds
         self.data = data
 
     def __getattr__(self, name):
@@ -97,16 +89,15 @@ class BatchedDenseResult:
     (ragged termination): a finished trial's rows are frozen at their final
     state while survivors keep iterating.  :meth:`trial` slices one trial
     back out as a :class:`DenseResult`, bit-identical to the corresponding
-    sequential ``coins="keyed"`` run of the same kernel.
+    sequential run of the same kernel.
     """
 
-    __slots__ = ("seeds", "rounds", "completed", "rng_seconds", "data")
+    __slots__ = ("seeds", "rounds", "completed", "data")
 
-    def __init__(self, seeds, rounds, completed, rng_seconds: float = 0.0, **data):
+    def __init__(self, seeds, rounds, completed, **data):
         self.seeds = list(seeds)
         self.rounds = rounds
         self.completed = completed
-        self.rng_seconds = rng_seconds
         self.data = data
 
     def __getattr__(self, name):
@@ -119,14 +110,10 @@ class BatchedDenseResult:
         return len(self.seeds)
 
     def trial(self, t: int) -> DenseResult:
-        """The ``t``-th trial's slice as a sequential-shaped result.
-
-        The batch-wide RNG setup time is amortized evenly across trials.
-        """
+        """The ``t``-th trial's slice as a sequential-shaped result."""
         return DenseResult(
             int(self.rounds[t]),
             bool(self.completed[t]),
-            rng_seconds=self.rng_seconds / max(len(self.seeds), 1),
             **{key: value[t] for key, value in self.data.items()},
         )
 
@@ -227,7 +214,7 @@ def luby_round_dense(
     nor carry a kill.  Returns ``(joining, killed)``: nodes that enter the
     MIS this phase, and nodes eliminated because a neighbor joined.  The
     priority order is the engine's tuple compare ``(r, uid)`` — ties on
-    ``r`` (possible across independent replay streams) break on uid,
+    ``r`` (possible, if rarely, between 53-bit coins) break on uid,
     exactly like :class:`~repro.mis.luby.LubyMIS`, so there is no float-tie
     hazard.
 
@@ -282,7 +269,6 @@ def luby_round_dense(
 def luby_mis_dense(
     engine: CSREngine,
     seed: int = 0,
-    coins="philox",
     max_rounds: int = 10_000,
     faults=None,
     tracer=None,
@@ -290,19 +276,18 @@ def luby_mis_dense(
     """Luby's MIS as dense phases; same semantics as running
     :class:`~repro.mis.luby.LubyMIS` on the engine.
 
-    Replayed draws per engine hook call: one ``random()`` per *active* node
-    per odd (priority) round, nothing on even rounds; degree-0 nodes join
-    the MIS in ``init`` and never draw.  With ``coins="replay"`` the
-    returned ``in_mis`` mask and round count are bit-identical to the
-    engine's outputs for the same seed.
+    Draws per engine hook call: one ``random()`` per *active* node per odd
+    (priority) round ``r``, the coin ``u(seed, "node", uid, r, 0)``, and
+    nothing on even rounds; degree-0 nodes join the MIS in ``init`` and
+    never draw.  The returned ``in_mis`` mask and round count are
+    bit-identical to the engine's outputs for the same seed.
 
     ``faults`` (a :class:`~repro.scenarios.masks.DenseFaults`, or any object
     with ``crashed_at``/``delivered_in``) is the masked-array equivalent of
     running the engine with scenario hooks: crashed nodes leave the frontier
     before drawing (and never join), dropped priority/announcement messages
-    are excluded from the neighborhood reductions.  With ``coins="replay"``
-    a faulty dense run is bit-identical to the engine under the same
-    perturbation stack.
+    are excluded from the neighborhood reductions.  A faulty dense run is
+    bit-identical to the engine under the same perturbation stack.
 
     Cost: each phase reduces only the *live slots*, those whose two
     endpoints are both still on the frontier (see
@@ -329,9 +314,6 @@ def luby_mis_dense(
     offsets, dst_node, _ = engine.dense_arrays()
     n = engine.n
     uid = engine.network.uid_array
-    rng_start = time.perf_counter()
-    table = as_coin_table(coins, seed, engine.network.ids)
-    rng_seconds = time.perf_counter() - rng_start
     degrees = np.diff(offsets)
 
     in_mis = degrees == 0  # isolated nodes join immediately (init)
@@ -367,14 +349,11 @@ def luby_mis_dense(
             if crash is not None:
                 crashed |= active & crash
                 active = active & ~crash
-        # Odd round: active nodes draw priorities (index order, like the
-        # engine's broadcast sweep — per-node replay streams make the
-        # cross-node order immaterial, the per-node draw count exact).  The
-        # round tag keys the keyed kind; philox/replay ignore it.
+        # Odd round: every active node draws its first coin of the round.
         if trace:
             phase_start = time.perf_counter()
         act_idx = np.flatnonzero(active)
-        r[act_idx] = table.uniforms(act_idx, tag=round1)
+        r[act_idx] = keyed_u01_array(seed, NODE_COINS, uid[act_idx], round1, 0)
         rounds += 1
         if trace:
             # Post-round-1-crash frontier == the reference's non-halted
@@ -385,8 +364,10 @@ def luby_mis_dense(
                 seconds=time.perf_counter() - phase_start,
             )
             phase_start = time.perf_counter()
-        if rounds + 1 > max_rounds:
-            break  # engine would stop after the odd round, mid-phase
+        if rounds + 1 > max_rounds or act_idx.shape[0] == 0:
+            # The engine stops after the odd round: at the cap (mid-phase),
+            # or when round-1 crashes halted the whole frontier.
+            break
         active2 = heard1 = heard2 = corrupt1 = corrupt2 = None
         if faults is not None:
             round2 = rounds + 1
@@ -424,7 +405,6 @@ def luby_mis_dense(
     return DenseResult(
         rounds,
         completed=not active.any(),
-        rng_seconds=rng_seconds,
         in_mis=in_mis,
         crashed=crashed,
         slots_reduced=slots_reduced,
@@ -448,9 +428,9 @@ def luby_mis_dense(
 #   trial per phase — the "one pass, many seeds" payoff, since Luby's
 #   frontier decays geometrically and the tail phases dominate the count.
 #
-# Coins are ``keyed`` (pure hash of (seed, node, round)), so the batched
-# run is bit-identical to k sequential ``coins="keyed"`` runs — enforced by
-# the property tests in tests/local/test_dense_batched.py.
+# Coins are keyed (pure hash of (seed, "node", uid, round, 0)), so the
+# batched run is bit-identical to k sequential runs — enforced by the
+# property tests in tests/local/test_dense_batched.py.
 # ---------------------------------------------------------------------------
 
 
@@ -483,14 +463,16 @@ def _merge_states(parts):
     return tuple(np.concatenate(c) for c in cols)
 
 
-def _luby_phase_batched(state, n, round1, uid_gt, in_mis_flat, crashed_flat, faults):
+def _luby_phase_batched(state, n, round1, uid, uid_gt, in_mis_flat, crashed_flat, faults):
     """One full Luby phase (rounds ``round1``, ``round1 + 1``) on one
-    compressed state; returns the surviving state.
+    compressed state; returns the surviving state and the nodes that drew
+    in ``round1`` (the frontier after its crashes: a trial with none left
+    stops after ``round1``, like the engine).
 
     Mirrors the sequential loop body of :func:`luby_mis_dense` exactly:
     round-1 crashes leave before drawing, priorities are 53-bit keyed
-    hashes (rank-isomorphic to the keyed uniforms the sequential kernel
-    compares, ties broken by uid), dropped priorities don't suppress joins,
+    hashes (rank-isomorphic to the uniforms the sequential kernel compares,
+    ties broken by uid), dropped priorities don't suppress joins,
     round-2 crashers neither join nor announce, dropped announcements don't
     kill.  Fault masks are shared across every trial in the state.
     """
@@ -506,8 +488,8 @@ def _luby_phase_batched(state, n, round1, uid_gt, in_mis_flat, crashed_flat, fau
                 )
     N = nodes.shape[0]
     if N == 0:
-        return nodes, o_pos, n_pos, slots, sh
-    r = keyed_hash53(np, sh, nodes % n, round1)
+        return (nodes, o_pos, n_pos, slots, sh), nodes
+    r = keyed_hash53(sh, uid[nodes % n], round1, 0)
     ro = r[o_pos]
     rn = r[n_pos]
     better = (rn > ro) | ((rn == ro) & uid_gt[slots])
@@ -533,10 +515,10 @@ def _luby_phase_batched(state, n, round1, uid_gt, in_mis_flat, crashed_flat, fau
     keep = ~joining & ~killed
     if crash2 is not None:
         keep &= ~crash2
-    return _compress_state(keep, nodes, o_pos, n_pos, slots, sh)
+    return _compress_state(keep, nodes, o_pos, n_pos, slots, sh), nodes
 
 
-def _luby_phase1_fast(t, s_hash, n, node_idx, act0, uid_gt, offsets, dst_node,
+def _luby_phase1_fast(t, s_hash, n, uid, act0, uid_gt, offsets, dst_node,
                       owner, degrees, in_mis_row, pos_map):
     """Fault-free phase 1 for one trial, full-graph arrays (cache-hot).
 
@@ -546,7 +528,7 @@ def _luby_phase1_fast(t, s_hash, n, node_idx, act0, uid_gt, offsets, dst_node,
     O(joining/surviving slots), not O(m).  Returns the compressed state of
     phase-2 survivors, or ``None`` when the trial finished at round 2.
     """
-    rt = keyed_hash53(np, s_hash, node_idx, 1)
+    rt = keyed_hash53(s_hash, uid, 1, 0)
     ro = rt[owner]
     rn = rt[dst_node]
     better = (rn > ro) | ((rn == ro) & uid_gt)
@@ -566,19 +548,9 @@ def _luby_phase1_fast(t, s_hash, n, node_idx, act0, uid_gt, offsets, dst_node,
     return (t * n + act_idx, pos_map[owner[live]], pos_map[dst_node[live]], live, sh)
 
 
-def _require_keyed(coins) -> None:
-    require(
-        coins == "keyed",
-        "trial-batched kernels draw keyed counter-based coins only, got "
-        f"coins={coins!r} (philox is a different coin law; replay streams "
-        "are consumption-ordered and cannot be batched)",
-    )
-
-
 def luby_mis_batched(
     engine: CSREngine,
     seeds: Sequence[int],
-    coins="keyed",
     max_rounds: int = 10_000,
     faults=None,
     pool_pairs: int = 4096,
@@ -587,7 +559,7 @@ def luby_mis_batched(
     """Luby's MIS for a batch of seeds on one graph, in one kernel call.
 
     Per trial this is exactly ``luby_mis_dense(engine, seed=s,
-    coins="keyed", max_rounds=..., faults=...)`` — same MIS membership,
+    max_rounds=..., faults=...)`` — same MIS membership,
     crash records, round counts and completion flags, bit for bit — but the
     trials advance together: phase 1 runs per trial over cache-hot full
     arrays, and once a trial's frontier is small (``pool_pairs`` live pairs
@@ -597,9 +569,7 @@ def luby_mis_batched(
 
     ``faults`` is one shared :class:`~repro.scenarios.masks.DenseFaults`
     schedule broadcast across the trial axis (per-round masks are built
-    once and reused by every trial).  ``coins`` must be ``"keyed"``:
-    ``"philox"`` draws a different coin law and ``"replay"`` streams are
-    consumption-ordered, so neither can be batched.
+    once and reused by every trial).
 
     ``tracer`` records one ``batch_phase`` event per communal phase (the
     per-trial round semantics of the batched regime make per-round records
@@ -608,7 +578,6 @@ def luby_mis_batched(
     Returns a :class:`BatchedDenseResult` with ``in_mis`` and ``crashed``
     of shape ``(trials, n)``.
     """
-    _require_keyed(coins)
     require(max_rounds >= 0, f"max_rounds must be >= 0, got {max_rounds}")
     require(
         not getattr(faults, "corrupting", False),
@@ -634,9 +603,8 @@ def luby_mis_batched(
 
     imf = in_mis.ravel()
     crf = crashed.ravel()
-    seed_hashes = [mix64(int(s)) for s in seeds]
+    seed_hashes = [seed_link(int(s), NODE_COINS) for s in seeds]
     uid_gt = uid[dst_node] > uid[owner]
-    node_idx = np.arange(n, dtype=np.int64)
     pos_map = np.empty(n, dtype=np.int64)
     faults_expired = getattr(faults, "expired", None)
 
@@ -664,7 +632,7 @@ def luby_mis_batched(
     if faults is None:
         for t, s_hash in enumerate(seed_hashes):
             st = _luby_phase1_fast(
-                t, s_hash, n, node_idx, act0, uid_gt, offsets, dst_node,
+                t, s_hash, n, uid, act0, uid_gt, offsets, dst_node,
                 owner, degrees, in_mis[t], pos_map,
             )
             if st is None:
@@ -682,9 +650,9 @@ def luby_mis_batched(
                 t * n + act_idx0, o_pos0, n_pos0, slots0,
                 np.full(act_idx0.shape[0], s_hash, dtype=np.uint64),
             )
-            st = _luby_phase_batched(state, n, 1, uid_gt, imf, crf, faults)
+            st, drew = _luby_phase_batched(state, n, 1, uid, uid_gt, imf, crf, faults)
             if st[0].shape[0] == 0:
-                rounds[t] = 2
+                rounds[t] = 2 if drew.shape[0] else 1
             else:
                 singles[t] = st
 
@@ -736,19 +704,21 @@ def luby_mis_batched(
             parts = ([pool] if pool is not None else []) + [singles.pop(t) for t in small]
             pool = _merge_states(parts)
         for t in list(singles):
-            st = _luby_phase_batched(singles[t], n, round1, uid_gt, imf, crf, faults)
+            st, drew = _luby_phase_batched(singles[t], n, round1, uid, uid_gt, imf, crf, faults)
             if st[0].shape[0] == 0:
-                rounds[t] = round2
+                rounds[t] = round2 if drew.shape[0] else round1
                 del singles[t]
             else:
                 singles[t] = st
         if pool is not None:
             before = pool[0]
-            pool = _luby_phase_batched(pool, n, round1, uid_gt, imf, crf, faults)
+            pool, drew = _luby_phase_batched(pool, n, round1, uid, uid_gt, imf, crf, faults)
             if pool[0].shape[0] != before.shape[0]:
                 had = np.bincount(before // n, minlength=k) > 0
+                mid = np.bincount(drew // n, minlength=k) > 0
                 have = np.bincount(pool[0] // n, minlength=k) > 0
-                rounds[had & ~have] = round2
+                rounds[had & ~mid] = round1
+                rounds[mid & ~have] = round2
                 if pool[0].shape[0] == 0:
                     pool = None
         round_no = round2
@@ -764,7 +734,6 @@ def sinkless_trial_dense(
     engine: CSREngine,
     min_degree: int = 1,
     seed: int = 0,
-    coins="philox",
     max_rounds: int = 200,
     faults=None,
     strict: bool = True,
@@ -827,18 +796,23 @@ def sinkless_trial_dense(
         engine.network.simple,
         "sinkless_trial_dense requires a simple graph (no multi-edges/self-loops)",
     )
+    crashed = np.zeros(n, dtype=bool)
+    if n == 0 or max_rounds == 0:
+        # The engine stops before round 1: nobody is active or no round is
+        # allowed, so nothing is proposed and the probe never fires.
+        if strict:
+            raise RuntimeError(f"no sinkless orientation after {max_rounds} rounds")
+        return DenseResult(0, completed=False, out=np.zeros(m, dtype=bool), crashed=crashed)
     # partner[k]: the CSR slot on the other endpoint of slot k's edge.
     partner = offsets[:-1][dst_node] + dst_port
 
-    rng_start = time.perf_counter()
-    table = as_coin_table(coins, seed, engine.network.ids)
-    rng_seconds = time.perf_counter() - rng_start
-
-    # Round 1: per-port proposals, higher-uid endpoint's coin wins; the
-    # winner's coin True means "winner's side points outward".
+    # Round 1: per-port proposals (port p is the node's draw p of the
+    # round), higher-uid endpoint's coin wins; the winner's coin True means
+    # "winner's side points outward".
     if trace:
         phase_start = time.perf_counter()
-    coins1 = table.uniform_runs(np.arange(n, dtype=np.int64), degrees, tag=1) < 0.5
+    ports = np.arange(m, dtype=np.int64) - offsets[:-1][owner]
+    coins1 = keyed_u01_slots(seed, NODE_COINS, uid, 1, owner, ports) < 0.5
     higher = uid[owner] > uid[dst_node]
     out = np.where(higher, coins1, ~coins1[partner])
     rounds = 1
@@ -847,7 +821,6 @@ def sinkless_trial_dense(
 
     constrained = degrees >= min_degree
     low_view = owner < dst_node  # extraction rule: lower *index* endpoint's view
-    crashed = np.zeros(n, dtype=bool)
     live = constrained  # constrained & ~crashed, refreshed on crash rounds
     faults_expired = getattr(faults, "expired", None)
     if faults is not None and getattr(faults, "corrupting", False):
@@ -868,6 +841,11 @@ def sinkless_trial_dense(
         # Outward slots per node, own view and extracted view.
         return (np.bincount(owner[out], minlength=n),
                 np.bincount(owner[effective(slice(None))], minlength=n))
+
+    def flip_ports(sinks, round_no):
+        # Each sink's first draw of the round: randrange(degree).
+        u = keyed_u01_array(seed, NODE_COINS, uid[sinks], round_no, 0)
+        return (u * degrees[sinks]).astype(np.int64)
 
     own_cnt, eff_cnt = recount()
 
@@ -897,8 +875,7 @@ def sinkless_trial_dense(
             # O(m) slots change, so both counts are rebuilt in full.
             is_flip = np.zeros(m, dtype=bool)
             if sink_idx.shape[0]:
-                ports = table.randints(sink_idx, degrees[sink_idx], tag=round_no)
-                chosen = offsets[:-1][sink_idx] + ports
+                chosen = offsets[:-1][sink_idx] + flip_ports(sink_idx, round_no)
                 out[chosen] = True
                 is_flip[chosen] = True
             is_flip ^= corrupt
@@ -909,8 +886,7 @@ def sinkless_trial_dense(
             out[partner[np.flatnonzero(mark)]] = False
             own_cnt, eff_cnt = recount()
         elif sink_idx.shape[0]:
-            ports = table.randints(sink_idx, degrees[sink_idx], tag=round_no)
-            chosen = offsets[:-1][sink_idx] + ports
+            chosen = offsets[:-1][sink_idx] + flip_ports(sink_idx, round_no)
             # Only the chosen slots and their partners change (a set closed
             # under ``partner``, so it also covers every extracted-view
             # change); the counts move by the per-slot deltas there.
@@ -944,14 +920,10 @@ def sinkless_trial_dense(
         # Probe: stop at the first round with no live sink in the extracted
         # orientation.
         if not (live & (eff_cnt == 0)).any():
-            return DenseResult(
-                rounds, completed=True, rng_seconds=rng_seconds, out=out, crashed=crashed
-            )
+            return DenseResult(rounds, completed=True, out=out, crashed=crashed)
     if strict:
         raise RuntimeError(f"no sinkless orientation after {max_rounds} rounds")
-    return DenseResult(
-        rounds, completed=False, rng_seconds=rng_seconds, out=out, crashed=crashed
-    )
+    return DenseResult(rounds, completed=False, out=out, crashed=crashed)
 
 
 def dense_orientation(
@@ -1005,7 +977,6 @@ def uniform_splitting_dense(
     engine: CSREngine,
     spec,
     seed: int = 0,
-    coins="philox",
     red: int = 0,
     blue: int = 1,
     faults=None,
@@ -1014,16 +985,15 @@ def uniform_splitting_dense(
     """One attempt of the 0-round splitting + 1-round verification, dense.
 
     Mirrors :class:`~repro.apps.splitting.ZeroRoundSplitting` for one run
-    seed: every node draws one coin in ``init`` (index order) and colors
-    itself red iff the coin is < 1/2; the verification round counts each
+    seed: every node draws one coin in ``init``, ``u(seed, "node", uid, 0,
+    0)``, and colors itself red iff the coin is < 1/2; the verification round counts each
     node's red neighbors over its CSR segment and checks the spec bounds for
     constrained degrees.  The Las-Vegas retry loop lives in
     :func:`repro.apps.splitting.uniform_splitting` (``method="dense"``).
 
     ``faults`` (a :class:`~repro.scenarios.masks.DenseFaults`) mirrors the
     hooked engine on the single round: every node still draws its color in
-    ``init`` (crashes land *after* init, so the replay draw count is
-    unchanged), but crashed nodes neither broadcast nor verify, dropped
+    ``init`` (crashes land *after* init), but crashed nodes neither broadcast nor verify, dropped
     color messages are excluded from the red-neighbor counts and corrupted
     ones arrive with the opposite color — ``ok`` is then the surviving
     nodes' own (possibly fault-blinded) verdict, exactly what the
@@ -1050,13 +1020,10 @@ def uniform_splitting_dense(
     offsets, dst_node, _ = engine.dense_arrays()
     n = engine.n
     degrees = np.diff(offsets)
-    rng_start = time.perf_counter()
-    table = as_coin_table(coins, seed, engine.network.ids)
-    rng_seconds = time.perf_counter() - rng_start
 
     if trace:
         phase_start = time.perf_counter()
-    u = table.uniforms(np.arange(n, dtype=np.int64), tag=1)
+    u = keyed_u01_array(seed, NODE_COINS, engine.network.uid_array, 0, 0)
     colors = np.where(u < 0.5, red, blue)
     crashed = np.zeros(n, dtype=bool)
     crash = None if faults is None else faults.crashed_at(1)
@@ -1105,6 +1072,6 @@ def uniform_splitting_dense(
             seconds=time.perf_counter() - phase_start,
         )
     return DenseResult(
-        1, completed=True, rng_seconds=rng_seconds, colors=colors, ok=ok,
+        1, completed=True, colors=colors, ok=ok,
         crashed=crashed, slots_checked=slots_checked,
     )

@@ -27,8 +27,8 @@ bit-identical outputs for a fixed seed — but restructures the hot path:
   then skips the ``{port: message}`` dict construction entirely and writes
   the message across the node's CSR slice in a tight loop.
 
-Equivalence with the reference is structural, not accidental: both derive
-per-node coins from the same ``node_rng``, call ``init``/``broadcast``/
+Equivalence with the reference is structural, not accidental: both draw
+the same keyed node coins (:class:`~repro.utils.rng.NodeCoins`), call ``init``/``broadcast``/
 ``send``/``receive`` for the same nodes in the same index order, and pair
 multi-edge ports with the same order-of-appearance rule
 (:func:`repro.local.network.build_reverse_ports`).  Inbox dicts are even
@@ -57,7 +57,7 @@ from repro.local.network import (
     RoundHooks,
     SimulationResult,
 )
-from repro.utils.rng import node_rng
+from repro.utils.rng import CoinClock, NodeCoins
 from repro.utils.validation import require
 
 __all__ = ["CSREngine", "run_local_fast"]
@@ -130,18 +130,14 @@ class CSREngine:
             self._out_slots = [pairs[offsets[i]:offsets[i + 1]] for i in range(n)]
         out_slots = self._out_slots
 
+        clock = CoinClock()
         rng_start = time.perf_counter()
+        coins = NodeCoins.for_nodes(seed, network.ids, clock)
+        rng_seconds = time.perf_counter() - rng_start
         views = [
-            NodeView(
-                index=i,
-                uid=network.ids[i],
-                degree=len(out_slots[i]),
-                n=n,
-                rng=node_rng(seed, network.ids[i]),
-            )
+            NodeView(index=i, uid=network.ids[i], degree=len(out_slots[i]), n=n, rng=coins[i])
             for i in range(n)
         ]
-        rng_seconds = time.perf_counter() - rng_start
         init = algorithm.init
         for view in views:
             init(view)
@@ -161,6 +157,7 @@ class CSREngine:
         for round_no in range(1, max_rounds + 1):
             if not active:
                 break
+            clock.round = round_no
             if hooks is not None:
                 # Crashes injected here drop out of the frontier before the
                 # send phase — the reference skips them via ``view.halted``.

@@ -16,9 +16,10 @@ The simulator here is faithful to that definition:
   forwards it to a :class:`repro.local.ledger.RoundLedger` as a *simulated*
   charge.
 
-Randomized LOCAL algorithms receive per-node private coin sources derived
-from a master seed (see :func:`repro.utils.rng.node_rng`), keeping runs
-reproducible without correlating nodes.
+Randomized LOCAL algorithms receive per-node private coins keyed by the
+master seed, the node's uid, the round and the draw within the round (see
+:class:`repro.utils.rng.NodeCoins`), keeping runs reproducible without
+correlating nodes.
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ from functools import cached_property
 from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import random
 import time
 
 import numpy as np
 
-from repro.utils.rng import node_rng
+from repro.utils.rng import CoinClock, NodeCoins
 from repro.utils.validation import require
 
 __all__ = [
@@ -192,7 +192,7 @@ class NodeView:
     uid: int  #: the node's unique identifier (visible to the algorithm)
     degree: int  #: number of incident ports
     n: int  #: number of nodes in the network (known in the LOCAL model)
-    rng: random.Random  #: private coins
+    rng: NodeCoins  #: private coins (``random()``, ``randrange(b)``)
     state: Dict[str, Any] = field(default_factory=dict)  #: private memory
     output: Any = None  #: final output once set
     halted: bool = False  #: whether the node has terminated
@@ -296,8 +296,8 @@ class SimulationResult:
     rounds: int  #: number of executed rounds
     views: List[NodeView]  #: final node views (outputs in ``view.output``)
     completed: bool  #: True iff all nodes halted before the round cap
-    #: wall time of per-node RNG construction (the O(n) ``node_rng`` setup
-    #: tax the ROADMAP tracks; see also ``TrialResult.rng_seconds``)
+    #: wall time of per-node coin construction (one hash per node; see
+    #: also ``TrialResult.rng_seconds``)
     rng_seconds: float = 0.0
 
     def outputs(self) -> List[Any]:
@@ -357,18 +357,14 @@ def run_local(
     n = network.n
     reverse_port = build_reverse_ports(network.adjacency)
 
+    clock = CoinClock()
     rng_start = time.perf_counter()
+    coins = NodeCoins.for_nodes(seed, network.ids, clock)
+    rng_seconds = time.perf_counter() - rng_start
     views = [
-        NodeView(
-            index=i,
-            uid=network.ids[i],
-            degree=network.degree(i),
-            n=n,
-            rng=node_rng(seed, network.ids[i]),
-        )
+        NodeView(index=i, uid=network.ids[i], degree=network.degree(i), n=n, rng=coins[i])
         for i in range(n)
     ]
-    rng_seconds = time.perf_counter() - rng_start
     for view in views:
         algorithm.init(view)
 
@@ -376,6 +372,7 @@ def run_local(
     for round_no in range(1, max_rounds + 1):
         if all(v.halted for v in views):
             break
+        clock.round = round_no
         if hooks is not None:
             hooks.before_round(round_no, views)
         inboxes: List[Dict[int, Any]] = [{} for _ in range(n)]

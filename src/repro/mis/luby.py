@@ -88,7 +88,6 @@ def luby_mis(
     max_rounds: int = 10_000,
     label: str = "luby-mis",
     method: str = "engine",
-    coins="philox",
     engine=None,
     hooks=None,
     faults=None,
@@ -99,11 +98,9 @@ def luby_mis(
     ``method="engine"`` (default) executes on the batched CSR engine, which
     is bit-identical to the reference :func:`repro.local.network.run_local`
     for a fixed seed.  ``method="dense"`` executes the vectorized numpy
-    kernel (:func:`repro.local.dense.luby_mis_dense`): with
-    ``coins="replay"`` it reproduces the engine's outputs bit-for-bit, with
-    the default counter-based ``coins="philox"`` it is
-    distribution-identical and O(1)-setup — the mode for n >= 10^5.  Pass a
-    prebuilt ``engine`` (:class:`~repro.local.engine.CSREngine` over the
+    kernel (:func:`repro.local.dense.luby_mis_dense`), which draws the same
+    keyed node coins and so reproduces the engine's outputs bit for bit —
+    the method for n >= 10^5.  Pass a prebuilt ``engine`` (:class:`~repro.local.engine.CSREngine` over the
     same adjacency) to amortize CSR packing across calls.
 
     A faulty environment (see :mod:`repro.scenarios`) plugs in through
@@ -119,9 +116,9 @@ def luby_mis(
     ``method="dense-batched"`` solves a whole *batch* of seeds in one
     kernel call: pass a sequence of seeds as ``seed`` and get back a list
     of ``(mis, rounds)`` pairs, one per seed, each bit-identical to a
-    ``method="dense", coins="keyed"`` run of that seed
-    (:func:`repro.local.dense.luby_mis_batched`), so ``coins="keyed"``
-    must be passed; the default raises.  The ledger is charged per trial.
+    ``method="dense"`` run of that seed
+    (:func:`repro.local.dense.luby_mis_batched`).  The ledger is charged
+    per trial.
     """
     require(
         method in ("engine", "dense", "dense-batched"),
@@ -137,9 +134,7 @@ def luby_mis(
         if engine is None:
             engine = CSREngine(Network(adjacency))
         seeds = list(seed)
-        batch = luby_mis_batched(
-            engine, seeds, coins=coins, max_rounds=max_rounds, faults=faults
-        )
+        batch = luby_mis_batched(engine, seeds, max_rounds=max_rounds, faults=faults)
         require(
             bool(batch.completed.all()),
             "Luby MIS did not terminate within the round cap",
@@ -157,9 +152,7 @@ def luby_mis(
 
         if engine is None:
             engine = CSREngine(Network(adjacency))
-        result = luby_mis_dense(
-            engine, seed=seed, coins=coins, max_rounds=max_rounds, faults=faults
-        )
+        result = luby_mis_dense(engine, seed=seed, max_rounds=max_rounds, faults=faults)
         require(result.completed, "Luby MIS did not terminate within the round cap")
         if ledger is not None:
             ledger.charge_simulated(result.rounds, label)

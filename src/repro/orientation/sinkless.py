@@ -248,7 +248,6 @@ def run_trial_and_fix(
     seed: int = 0,
     max_rounds: int = 200,
     method: str = "engine",
-    coins="philox",
     engine=None,
     hooks=None,
     faults=None,
@@ -265,11 +264,9 @@ def run_trial_and_fix(
     fix round" accounting.
 
     ``method="dense"`` runs the vectorized numpy kernel
-    (:func:`repro.local.dense.sinkless_trial_dense`): bit-identical
-    orientation and round count with ``coins="replay"``,
-    distribution-identical with the default O(1)-setup ``coins="philox"``.
-    Pass a prebuilt ``engine`` over the same adjacency to amortize CSR
-    packing across calls.  Returns the orientation and the round count.
+    (:func:`repro.local.dense.sinkless_trial_dense`): the same keyed node
+    coins, so a bit-identical orientation and round count.  Pass a prebuilt
+    ``engine`` over the same adjacency to amortize CSR packing across calls.  Returns the orientation and the round count.
 
     ``hooks`` (engine method) / ``faults`` (dense method) inject a faulty
     environment, see :mod:`repro.scenarios` — note the default probe here
@@ -292,7 +289,7 @@ def run_trial_and_fix(
         if engine is None:
             engine = CSREngine(Network(adj))
         dense = sinkless_trial_dense(
-            engine, min_degree=min_degree, seed=seed, coins=coins,
+            engine, min_degree=min_degree, seed=seed,
             max_rounds=max_rounds, faults=faults, strict=not recover,
         )
         if recover:

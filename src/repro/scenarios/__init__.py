@@ -6,9 +6,8 @@ turns *unclean* conditions into a first-class experimental axis.  A
 schedule x validity contract — executed by :func:`run_scenario` on any of
 the three backends (reference simulator, batched CSR engine, dense numpy
 kernels) with **deterministic** fault schedules: every fault decision is a
-pure function of the trial seed, so faulty runs are reproducible and
-bit-identical between the reference and the engine (and, with replayed
-coins, the dense kernels).
+pure function of the trial seed, and so is every node coin, so faulty runs
+are reproducible and bit-identical across all three backends.
 
 Vocabulary:
 
@@ -31,14 +30,10 @@ sweep CLI: ``python benchmarks/run_experiments.py --scenarios all``.
 
 from repro.scenarios.adversary import AdversarialIDs, MultiEdgeLift, PortScramble
 from repro.scenarios.base import (
-    FAULT_MODES,
     BoundPerturbation,
     Perturbation,
     PerturbationHooks,
     bind_all,
-    fault_u01,
-    fault_u01_array,
-    fault_u01_mix,
     quiet_after,
     rewrite_all,
 )
@@ -61,7 +56,6 @@ from repro.scenarios.dynamic import (
     EdgeChurn,
     LateEdges,
     edge_key_triples,
-    edge_keys,
 )
 from repro.scenarios.faults import CrashNodes, IIDMessageDrop, MuteHubs
 from repro.scenarios.recovery import (
@@ -69,7 +63,6 @@ from repro.scenarios.recovery import (
     RepairResult,
     luby_mis_recovering,
     luby_repair,
-    repair_hash,
     sinkless_recovering,
     sinkless_repair,
     splitting_recovering,
@@ -92,10 +85,6 @@ __all__ = [
     "bind_all",
     "rewrite_all",
     "quiet_after",
-    "FAULT_MODES",
-    "fault_u01",
-    "fault_u01_mix",
-    "fault_u01_array",
     # perturbations
     "CrashNodes",
     "IIDMessageDrop",
@@ -107,7 +96,6 @@ __all__ = [
     "EdgeChurn",
     "LateEdges",
     "DropEdges",
-    "edge_keys",
     "edge_key_triples",
     "AdversarialIDs",
     "PortScramble",
@@ -122,7 +110,6 @@ __all__ = [
     # recovery
     "RepairResult",
     "REPAIR_ROUND_CAP",
-    "repair_hash",
     "luby_repair",
     "sinkless_repair",
     "splitting_repair",

@@ -8,8 +8,8 @@ run with ``strict=True``: the verifier-checked contract must hold exactly.
 
 Because they are rewrite-only, all three bind to the identity
 :class:`~repro.scenarios.base.BoundPerturbation`, whose vectorized
-``delivers_mask`` / ``crashes_mask`` surface is trivially fault-free in
-every fault mode — the dense adapter's capability flags skip their mask
+``delivers_mask`` / ``crashes_mask`` surface is trivially fault-free —
+the dense adapter's capability flags skip their mask
 builds entirely, so adversarial scenarios keep the fault-free hot path.
 """
 
@@ -30,10 +30,10 @@ class AdversarialIDs(Perturbation):
     """Degree-rank relabeling: identifiers ordered by degree.
 
     ``order="hubs_high"`` gives the highest-degree nodes the largest uids
-    (they win every uid tie-break and own the highest-priority coin
-    streams); ``"hubs_low"`` inverts that.  Since each node's private coins
-    are a pure function of its uid, this also adversarially reassigns the
-    coin streams — a naming attack the analyses must be indifferent to.
+    (they win every uid tie-break); ``"hubs_low"`` inverts that.  Since
+    each node's private coins are keyed by its uid on every backend, this
+    also adversarially reassigns the coins — a naming attack the analyses
+    must be indifferent to.
     """
 
     def __init__(self, order: str = "hubs_high"):

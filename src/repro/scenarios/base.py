@@ -19,40 +19,25 @@ Because every decision is a pure function of ``(fault_seed, round, where)``
 executors, which ``tests/scenarios/test_hook_equivalence.py`` property-
 tests.
 
-Fault coins come in two **fault modes**, mirroring the philox/replay split
-of :class:`~repro.utils.rng.CoinTable`:
-
-* ``fault_mode="replay"`` — coins from :func:`fault_u01`, built on the same
-  :func:`~repro.utils.rng.node_rng` machinery as the nodes' private coins
-  but under a disjoint ``"fault/..."`` salt namespace.  This is the
-  historical schedule the bit-identity property tests pin; evaluating one
-  coin costs a sha512-seeded ``random.Random`` (~9 µs), so large-n mask
-  builds pay an O(m) interpreter loop.
-* ``fault_mode="mask"`` — coins from :func:`fault_u01_mix`, a SplitMix64-
-  style integer mix over ``(fault_seed, salt_hash, entity, *key)``.  The
-  same chain vectorizes to one numpy kernel call per round
-  (:func:`fault_u01_array`), so a faulty dense round costs about as much
-  as a fault-free one.  Schedules are deterministic per seed and
-  distribution-identical to replay mode, but draw *different* values —
-  within one mode every executor still agrees bit-for-bit, because scalar
-  and array kernels share the mixing chain exactly.
+Fault coins are the repo's one keyed coin law
+(:func:`~repro.utils.rng.keyed_u01`): a fault decision draws
+``u(fault_seed, label, *key)`` with a label per fault family (``"drop"``,
+``"crash"``, ``"churn"``, ...), disjoint from the nodes' ``"node"`` coins.
+The scalar chain the hooked executors consult and the vectorized one the
+dense masks build (:func:`~repro.utils.rng.keyed_u01_array`,
+:func:`~repro.utils.rng.keyed_u01_slots`) agree bit for bit, so a faulty
+dense round costs about as much as a fault-free one and every executor
+sees the same schedule.
 """
 
 from __future__ import annotations
 
-import hashlib
 from abc import ABC
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.local.network import Network, NodeView, RoundHooks
-from repro.utils.rng import _MASK64, _SM_GAMMA, _TO_U01, _fold64, mix64, node_rng
-from repro.utils.validation import require
 
 __all__ = [
-    "FAULT_MODES",
-    "fault_u01",
-    "fault_u01_mix",
-    "fault_u01_array",
     "Perturbation",
     "BoundPerturbation",
     "PerturbationHooks",
@@ -62,135 +47,6 @@ __all__ = [
 ]
 
 Adjacency = List[List[int]]
-
-#: Supported fault-coin modes (see module docstring).
-FAULT_MODES = ("replay", "mask")
-
-
-def fault_u01(fault_seed: int, label: str, entity, *key) -> float:
-    """One deterministic uniform in ``[0, 1)`` per (seed, label, entity, key).
-
-    A pure function — repeated calls with the same arguments return the same
-    value, so the executors may evaluate fault decisions in any order (or
-    several times) without diverging.  Built on :func:`node_rng` with a
-    ``fault/``-prefixed salt, keeping fault coins independent of the node
-    coin streams ``{seed}/{uid}/`` that the algorithms consume.
-    """
-    salt = "fault/" + label
-    if key:
-        salt += "/" + "/".join(str(k) for k in key)
-    return node_rng(fault_seed, entity, salt=salt).random()
-
-
-# ---------------------------------------------------------------------------
-# Counter-based fault coins (fault_mode="mask").
-#
-# The SplitMix64 chain of repro.utils.rng (:func:`~repro.utils.rng._fold64`)
-# folded over the key components.
-# The scalar (:func:`fault_u01_mix`) and vectorized (:func:`fault_u01_array`,
-# :func:`_fault_u01_slots`) forms share this chain bit-for-bit, so a hooked
-# engine run consulting scalar decisions and a dense run consuming
-# whole-round mask arrays see the same fault schedule.  Not cryptographic —
-# just a well-avalanched keyed hash.
-# ---------------------------------------------------------------------------
-
-_SALT_HASHES: dict = {}
-
-
-def _seeded(fault_seed: int, label: str) -> int:
-    """The chain's first link: the fault seed mixed with a stable 64-bit
-    hash of the salt label (cached — labels are few)."""
-    h = _SALT_HASHES.get(label)
-    if h is None:
-        digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
-        h = _SALT_HASHES[label] = int.from_bytes(digest, "little")
-    return mix64((fault_seed & _MASK64) ^ h)
-
-
-def fault_u01_mix(fault_seed: int, label: str, entity: int, *key: int) -> float:
-    """Counter-based uniform in ``[0, 1)`` — the ``"mask"``-mode coin.
-
-    Same contract as :func:`fault_u01` (pure function of its arguments,
-    order-insensitive) but built on integer mixing instead of sha512-seeded
-    generators, so it costs nanoseconds and vectorizes
-    (:func:`fault_u01_array` evaluates the identical chain on arrays).
-    ``entity`` and every ``key`` component must be integers.
-    """
-    h = _seeded(fault_seed, label)
-    for k in (entity, *key):
-        h = mix64((h + _SM_GAMMA) ^ (k & _MASK64))
-    return (h >> 11) * _TO_U01
-
-
-def fault_u01_array(fault_seed: int, label: str, entity, *key, mode: str = "mask"):
-    """One uniform per element of ``entity`` (float64 numpy array).
-
-    ``mode="mask"`` runs the :func:`fault_u01_mix` chain as a vectorized
-    numpy kernel over ``(fault_seed, label, entity, *key)`` —
-    every component may be an int array (elementwise) or a scalar
-    (broadcast); elementwise results equal :func:`fault_u01_mix` bit-for-
-    bit.  ``mode="replay"`` instead reproduces today's scalar
-    :func:`fault_u01` values exactly, element by element — an O(len)
-    interpreter loop that exists for the bit-identity property tests and
-    the replay fallback, not for speed (entities/keys may be any objects
-    the scalar form accepts, e.g. string edge keys).
-    """
-    import numpy as np  # lazy: the pure-python scenario paths never need it
-
-    require(mode in FAULT_MODES, f"unknown fault coin mode {mode!r}")
-    if mode == "replay":
-        cols = [_as_column(c, len(entity)) for c in key]
-        return np.array(
-            [
-                fault_u01(fault_seed, label, e, *(c[i] for c in cols))
-                for i, e in enumerate(entity)
-            ],
-            dtype=np.float64,
-        )
-    h = _fold64(np, _seeded(fault_seed, label), (entity, *key))
-    if isinstance(h, int):  # every component was scalar: one-element degenerate call
-        return np.float64((h >> 11) * _TO_U01)
-    h >>= np.uint64(11)
-    return h * _TO_U01
-
-
-def _slot_prefix(fault_seed: int, label: str, uids, round_no: int):
-    """The per-node ``(fault_seed, label, uid, round)`` prefix of the mask-
-    mode chain, one uint64 per node (see :func:`_fault_u01_slots`)."""
-    import numpy as np
-
-    return _fold64(np, _seeded(fault_seed, label), (uids, round_no))
-
-
-def _fault_u01_slots(fault_seed: int, label: str, uids, round_no: int, senders, ports,
-                     mode: str = "mask", prefix=None):
-    """Per-slot fault coins keyed ``(sender uid, round, port)``.
-
-    Equals ``fault_u01_array(fault_seed, label, uids[senders], round_no,
-    ports, mode=mode)`` elementwise, but in ``"mask"`` mode the chain's
-    ``(fault_seed, label, uid, round)`` prefix is hashed once per *node*
-    and gathered by ``senders``, so only the port link runs per slot —
-    one O(m) mix instead of three for a whole-round mask.  A caller that
-    asks for one round in several slot ranges passes the
-    :func:`_slot_prefix` it already holds as ``prefix``.  ``"replay"``
-    mode takes the exact scalar-chain path of :func:`fault_u01_array`.
-    """
-    if mode == "replay":
-        return fault_u01_array(fault_seed, label, uids[senders], round_no, ports, mode=mode)
-    import numpy as np
-
-    if prefix is None:
-        prefix = _slot_prefix(fault_seed, label, uids, round_no)
-    h = _fold64(np, prefix[senders], (ports,), owned=True)
-    h >>= np.uint64(11)
-    return h * _TO_U01
-
-
-def _as_column(c, n: int):
-    """Broadcast a replay-mode key component to ``n`` elements."""
-    if isinstance(c, (str, bytes, int, float)):
-        return [c] * n
-    return list(c)
 
 
 class BoundPerturbation:
@@ -263,9 +119,8 @@ class BoundPerturbation:
         coordinates; returns a bool array of the same length (True =
         delivered), ``None`` for "everything delivered this round", or
         ``NotImplemented`` to request the scalar fallback.  Must agree
-        elementwise with :meth:`delivers` — in ``"replay"`` fault mode that
-        pins it to the historical :func:`fault_u01` schedule, in ``"mask"``
-        mode both sides consult the same :func:`fault_u01_mix` chain.
+        elementwise with :meth:`delivers`; both sides consult the same
+        keyed coin chain.
         """
         return NotImplemented
 
@@ -294,18 +149,9 @@ class Perturbation(ABC):
         """Graph-level transform applied before the network is built."""
         return adjacency, ids
 
-    def bind(
-        self, network: Network, fault_seed: int, fault_mode: str = "replay"
-    ) -> BoundPerturbation:
-        """Bind the per-round fault schedule to a concrete network.
-
-        ``fault_mode`` selects the coin kernel: ``"replay"`` (the
-        historical :func:`fault_u01` schedule, bit-identity tested) or
-        ``"mask"`` (the vectorizable :func:`fault_u01_mix` schedule —
-        distribution-identical, cheap at scale).  Perturbations without
-        runtime coins (graph rewrites, degree-ranked victim sets) bind
-        identically in both modes.
-        """
+    def bind(self, network: Network, fault_seed: int) -> BoundPerturbation:
+        """Bind the per-round fault schedule to a concrete network; its
+        coins are keyed by ``fault_seed``."""
         return BoundPerturbation()
 
 
@@ -326,11 +172,9 @@ def bind_all(
     perturbations: Sequence[Perturbation],
     network: Network,
     fault_seed: int,
-    fault_mode: str = "replay",
 ) -> Tuple[BoundPerturbation, ...]:
-    """Bind every perturbation to one ``(network, fault_seed, mode)``."""
-    require(fault_mode in FAULT_MODES, f"unknown fault_mode {fault_mode!r}")
-    return tuple(p.bind(network, fault_seed, fault_mode) for p in perturbations)
+    """Bind every perturbation to one ``(network, fault_seed)``."""
+    return tuple(p.bind(network, fault_seed) for p in perturbations)
 
 
 def quiet_after(bound: Sequence[BoundPerturbation]) -> Optional[int]:
@@ -349,8 +193,10 @@ class PerturbationHooks(RoundHooks):
     ``before_round`` crashes scheduled nodes (setting ``view.halted`` and
     the ``state["crashed"]`` marker contracts key off); ``deliver`` is the
     conjunction of the stack's pure delivery decisions; ``transform``
-    applies the Byzantine payload rewrites of every corrupting
-    perturbation whose pure ``corrupts`` decision fires.  Create a fresh
+    applies the Byzantine payload rewrite of the first corrupting
+    perturbation whose pure ``corrupts`` decision fires — a message is
+    corrupted or not, however many corrupters fire, exactly as the dense
+    kernels OR the corrupters' masks.  Create a fresh
     instance per run — the ``crashed`` set is per-run bookkeeping (the
     decisions themselves are pure, so two instances over the same stack
     behave identically).
@@ -379,5 +225,5 @@ class PerturbationHooks(RoundHooks):
     def transform(self, round_no: int, sender: int, port: int, message):
         for b in self._corrupters:
             if b.corrupts(round_no, sender, port):
-                message = b.corrupt_payload(message)
+                return b.corrupt_payload(message)
         return message

@@ -11,10 +11,9 @@ Two harder fault families than the IID models in :mod:`repro.scenarios.faults`:
 * :class:`CorruptMessages` — a Byzantine channel adversary: each delivered
   message is independently rewritten with probability ``p`` during the
   active window.  The *decision* (which slots are corrupted) runs on the
-  counter-based :func:`~repro.scenarios.base.fault_u01_array` kernels with
-  a replay mode, exactly like drops, so mask-mode corruption schedules
-  stay vectorized and bit-identical across the hooked executors and the
-  dense kernels.  The *rewrite* (:func:`corrupt_payload`) is one pure
+  keyed coin kernels exactly like drops, so corruption schedules stay
+  vectorized and bit-identical across the hooked executors and the dense
+  kernels.  The *rewrite* (:func:`corrupt_payload`) is one pure
   payload function covering the three shipped pipelines' vocabularies —
   forged Luby priorities, flipped join/stay and flip/ok bits, flipped
   proposal coins and splitting colors — which the dense kernels mirror as
@@ -28,13 +27,9 @@ from collections import deque
 from typing import Optional
 
 from repro.local.network import Network
-from repro.scenarios.base import (
-    Perturbation,
-    fault_u01,
-    fault_u01_array,
-    fault_u01_mix,
-)
+from repro.scenarios.base import Perturbation
 from repro.scenarios.faults import _BoundCrash, _BoundSlotCoins
+from repro.utils.rng import keyed_u01, keyed_u01_array
 from repro.utils.validation import require
 
 __all__ = ["CorrelatedCrash", "CorruptMessages", "corrupt_payload", "FORGED_PRIORITY"]
@@ -81,8 +76,8 @@ class CorrelatedCrash(Perturbation):
     met).  ``mode="shard"`` crashes one contiguous node-range block —
     nodes ``[start, start + count)`` with ``start`` a multiple of
     ``count`` — picked by a single fault coin.  Selection happens at bind
-    time under the bound ``fault_mode`` (one ``fault_u01_array`` kernel
-    call in mask mode), and the bound schedule is the same vectorized
+    time (one :func:`~repro.utils.rng.keyed_u01_array` call for the ball
+    centers), and the bound schedule is the same vectorized
     :class:`~repro.scenarios.faults._BoundCrash` that :class:`CrashNodes`
     uses, so ``quiet_after``/steady-mask reuse apply unchanged.
     """
@@ -95,9 +90,7 @@ class CorrelatedCrash(Perturbation):
         self.at_round = at_round
         self.mode = mode
 
-    def bind(
-        self, network: Network, fault_seed: int, fault_mode: str = "replay"
-    ) -> _BoundCrash:
+    def bind(self, network: Network, fault_seed: int) -> _BoundCrash:
         n = network.n
         count = int(round(self.fraction * n))
         if self.fraction > 0 and n > 0:
@@ -106,17 +99,14 @@ class CorrelatedCrash(Perturbation):
         if count == 0:
             return _BoundCrash((), self.at_round)
         if self.mode == "shard":
-            if fault_mode == "mask":
-                u = fault_u01_mix(fault_seed, "crash-shard", 0)
-            else:
-                u = fault_u01(fault_seed, "crash-shard", 0)
+            u = keyed_u01(fault_seed, "crash-shard", 0)
             blocks = (n + count - 1) // count
             start = min(int(u * blocks), blocks - 1) * count
             victims = range(start, min(start + count, n))
             return _BoundCrash(tuple(victims), self.at_round)
         import numpy as np  # lazy, like the fault-coin kernels
 
-        u = fault_u01_array(fault_seed, "crash-ball", network.uid_array, mode=fault_mode)
+        u = keyed_u01_array(fault_seed, "crash-ball", network.uid_array)
         centers = np.argsort(u, kind="stable")
         victims: list = []
         seen = set()
@@ -158,13 +148,8 @@ class CorruptMessages(Perturbation):
         self.from_round = from_round
         self.until_round = until_round
 
-    def bind(
-        self, network: Network, fault_seed: int, fault_mode: str = "replay"
-    ) -> "_BoundCorrupt":
-        return _BoundCorrupt(
-            network, fault_seed, self.p, self.from_round, self.until_round,
-            fault_mode,
-        )
+    def bind(self, network: Network, fault_seed: int) -> "_BoundCorrupt":
+        return _BoundCorrupt(network, fault_seed, self.p, self.from_round, self.until_round)
 
 
 class _BoundCorrupt(_BoundSlotCoins):

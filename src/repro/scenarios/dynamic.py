@@ -13,12 +13,9 @@ Edges are identified by canonical keys ``(min uid, max uid, k)`` where
 order-of-appearance pairing rule
 (:func:`~repro.local.network.build_reverse_ports`) — both endpoints of a
 parallel edge derive the same key, so up/down decisions are symmetric per
-edge, never per direction.  In ``"replay"`` fault mode the key is the
-string ``"{lo}:{hi}:{k}"`` fed to :func:`~repro.scenarios.base.fault_u01`
-(the historical schedule); in ``"mask"`` mode the integer triple feeds the
-counter-based :func:`~repro.scenarios.base.fault_u01_mix` chain, which
-vectorizes to one hash-kernel call per round over the flat per-slot key
-arrays (:func:`edge_key_triples`).
+edge, never per direction.  The integer triple keys the fault coin
+(:func:`~repro.utils.rng.keyed_u01`), which vectorizes to one hash-kernel
+call per round over the flat per-slot key arrays (:func:`edge_key_triples`).
 """
 
 from __future__ import annotations
@@ -26,37 +23,11 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.local.network import Network
-from repro.scenarios.base import (
-    BoundPerturbation,
-    Perturbation,
-    fault_u01,
-    fault_u01_array,
-    fault_u01_mix,
-)
+from repro.scenarios.base import BoundPerturbation, Perturbation
+from repro.utils.rng import keyed_u01, keyed_u01_array
 from repro.utils.validation import require
 
-__all__ = ["edge_keys", "edge_key_triples", "EdgeChurn", "LateEdges", "DropEdges"]
-
-
-def edge_keys(network: Network) -> List[List[str]]:
-    """Canonical per-port edge keys: ``keys[i][p]`` names the edge behind
-    node ``i``'s port ``p``, identically from both endpoints.
-
-    The key is ``"{min uid}:{max uid}:{k}"`` with ``k`` the occurrence
-    index of the pair — the k-th ``j`` in ``adjacency[i]`` pairs with the
-    k-th ``i`` in ``adjacency[j]``, so both directions count to the same
-    ``k``.  The string form of :func:`edge_key_triples` (one shared
-    pairing loop, so replay-mode string keys and mask-mode integer triples
-    can never disagree on which ports share an edge coin).
-    """
-    offsets, lo_col, hi_col, k_col = edge_key_triples(network)
-    return [
-        [
-            f"{lo_col[s]}:{hi_col[s]}:{k_col[s]}"
-            for s in range(offsets[i], offsets[i + 1])
-        ]
-        for i in range(len(network.adjacency))
-    ]
+__all__ = ["edge_key_triples", "EdgeChurn", "LateEdges", "DropEdges"]
 
 
 def edge_key_triples(network: Network) -> Tuple[list, list, list, list]:
@@ -64,9 +35,10 @@ def edge_key_triples(network: Network) -> Tuple[list, list, list, list]:
 
     Returns ``(offsets, lo, hi, k)`` python lists where slot
     ``offsets[i] + p`` holds the ``(min uid, max uid, occurrence)`` triple
-    of the edge behind node ``i``'s port ``p`` — the integer form of
-    :func:`edge_keys`, shared by both endpoints, ready to feed the
-    vectorized :func:`~repro.scenarios.base.fault_u01_array` mask kernel.
+    of the edge behind node ``i``'s port ``p``: the k-th ``j`` in
+    ``adjacency[i]`` pairs with the k-th ``i`` in ``adjacency[j]``, so both
+    endpoints derive the same triple, ready to feed the vectorized
+    :func:`~repro.utils.rng.keyed_u01_array` mask kernel.
     """
     adjacency = network.adjacency
     ids = network.ids
@@ -88,81 +60,39 @@ def edge_key_triples(network: Network) -> Tuple[list, list, list, list]:
 
 
 class _EdgeKeyed(BoundPerturbation):
-    """Shared machinery: per-slot canonical edge keys in the bound mode.
-
-    Replay mode stores the string keys (fed to the sha512 ``fault_u01``);
-    mask mode stores the integer triples as numpy columns for the
-    vectorized kernel plus scalar ``fault_u01_mix`` reads.  Both expose
-    ``_slot(sender, port)`` indexing into the flat layout.
-    """
+    """Shared machinery: per-slot canonical edge keys as numpy columns, for
+    the vectorized coin kernel and the scalar coin reads alike."""
 
     drops_messages = True
 
-    def __init__(self, network: Network, fault_mode: str):
-        self.fault_mode = fault_mode
-        if fault_mode == "mask":
-            import numpy as np
+    def __init__(self, network: Network):
+        import numpy as np
 
-            offsets, lo, hi, k = edge_key_triples(network)
-            self._offsets = offsets
-            self._lo = np.asarray(lo, dtype=np.int64)
-            self._hi = np.asarray(hi, dtype=np.int64)
-            self._k = np.asarray(k, dtype=np.int64)
-            self._offsets_arr = np.asarray(offsets, dtype=np.int64)
-            self._keys = None
-            self._flat_keys = None
-        else:
-            keys = edge_keys(network)
-            self._keys = keys
-            self._offsets = None
-            self._flat_keys = None
-
-    def _flat_string_keys(self) -> list:
-        """Flat per-slot string keys (replay mode), built on first use."""
-        if self._flat_keys is None:
-            offsets = [0]
-            flat: List[str] = []
-            for row in self._keys:
-                flat.extend(row)
-                offsets.append(len(flat))
-            self._offsets = offsets
-            self._flat_keys = flat
-        return self._flat_keys
+        offsets, lo, hi, k = edge_key_triples(network)
+        self._offsets = offsets
+        self._lo = np.asarray(lo, dtype=np.int64)
+        self._hi = np.asarray(hi, dtype=np.int64)
+        self._k = np.asarray(k, dtype=np.int64)
+        self._offsets_arr = np.asarray(offsets, dtype=np.int64)
 
     def _slots(self, senders, ports):
         """Flat slot indices for parallel (sender, port) arrays."""
-        if self.fault_mode == "mask":
-            return self._offsets_arr[senders] + ports
-        import numpy as np
-
-        self._flat_string_keys()
-        return np.asarray(self._offsets, dtype=np.int64)[senders] + ports
+        return self._offsets_arr[senders] + ports
 
     def _edge_u01(self, label: str, senders, ports, *round_key):
         """Per-slot edge-keyed uniforms for the given round key, vectorized."""
         slots = self._slots(senders, ports)
-        if self.fault_mode == "mask":
-            return fault_u01_array(
-                self.fault_seed, label,
-                self._lo[slots], self._hi[slots], self._k[slots], *round_key,
-                mode="mask",
-            )
-        flat = self._flat_string_keys()
-        return fault_u01_array(
-            self.fault_seed, label, [flat[s] for s in slots], *round_key,
-            mode="replay",
+        return keyed_u01_array(
+            self.fault_seed, label, self._lo[slots], self._hi[slots], self._k[slots],
+            *round_key,
         )
 
     def _edge_u01_scalar(self, label: str, sender: int, port: int, *round_key):
         """One edge-keyed uniform — the scalar twin of :meth:`_edge_u01`."""
-        if self.fault_mode == "mask":
-            s = self._offsets[sender] + port
-            return fault_u01_mix(
-                self.fault_seed, label,
-                int(self._lo[s]), int(self._hi[s]), int(self._k[s]), *round_key,
-            )
-        return fault_u01(
-            self.fault_seed, label, self._keys[sender][port], *round_key
+        s = self._offsets[sender] + port
+        return keyed_u01(
+            self.fault_seed, label,
+            int(self._lo[s]), int(self._hi[s]), int(self._k[s]), *round_key,
         )
 
 
@@ -190,19 +120,15 @@ class EdgeChurn(Perturbation):
         self.from_round = from_round
         self.until_round = until_round
 
-    def bind(
-        self, network: Network, fault_seed: int, fault_mode: str = "replay"
-    ) -> "_BoundChurn":
+    def bind(self, network: Network, fault_seed: int) -> "_BoundChurn":
         return _BoundChurn(
-            network, fault_seed, self.p_down, self.from_round, self.until_round,
-            fault_mode,
+            network, fault_seed, self.p_down, self.from_round, self.until_round
         )
 
 
 class _BoundChurn(_EdgeKeyed):
-    def __init__(self, network, fault_seed, p_down, from_round, until_round,
-                 fault_mode="replay"):
-        super().__init__(network, fault_mode)
+    def __init__(self, network, fault_seed, p_down, from_round, until_round):
+        super().__init__(network)
         self.fault_seed = fault_seed
         self.p_down = p_down
         self.from_round = from_round
@@ -228,46 +154,18 @@ class _BoundChurn(_EdgeKeyed):
 class _BoundEdgeSet(_EdgeKeyed):
     """Shared machinery: a fixed edge subset that is down inside a window."""
 
-    def __init__(self, network, fault_seed, label, fraction, fault_mode="replay"):
-        super().__init__(network, fault_mode)
+    def __init__(self, network, fault_seed, label, fraction):
+        super().__init__(network)
         self.fault_seed = fault_seed
         # One coin per *edge* (not per direction): both ports of an edge see
-        # the same key and therefore the same membership decision.  Replay
-        # mode keeps the historical per-key sha512 coins; mask mode computes
-        # the whole membership array with one vectorized hash-kernel call.
-        if fault_mode == "mask":
-            self._member = (
-                fault_u01_array(
-                    fault_seed, label, self._lo, self._hi, self._k, mode="mask"
-                )
-                < fraction
-            )
-            self._member_rows = None
-        else:
-            self._member_rows = [
-                [fault_u01(fault_seed, label, key) < fraction for key in row]
-                for row in self._keys
-            ]
-            self._member = None
+        # the same key and therefore the same membership decision.
+        self._member = keyed_u01_array(fault_seed, label, self._lo, self._hi, self._k) < fraction
 
     def _in_set(self, sender: int, port: int) -> bool:
-        if self._member_rows is not None:
-            return self._member_rows[sender][port]
         return bool(self._member[self._offsets[sender] + port])
 
-    def _member_flat(self):
-        """Flat per-slot membership bools as a numpy array."""
-        if self._member is None:
-            import numpy as np
-
-            self._flat_string_keys()  # populates self._offsets
-            self._member = np.array(
-                [m for row in self._member_rows for m in row], dtype=bool
-            )
-        return self._member
-
     def _members_at(self, senders, ports):
-        return self._member_flat()[self._slots(senders, ports)]
+        return self._member[self._slots(senders, ports)]
 
 
 class LateEdges(Perturbation):
@@ -285,15 +183,13 @@ class LateEdges(Perturbation):
         self.fraction = fraction
         self.at_round = at_round
 
-    def bind(
-        self, network: Network, fault_seed: int, fault_mode: str = "replay"
-    ) -> "_BoundLate":
-        return _BoundLate(network, fault_seed, self.fraction, self.at_round, fault_mode)
+    def bind(self, network: Network, fault_seed: int) -> "_BoundLate":
+        return _BoundLate(network, fault_seed, self.fraction, self.at_round)
 
 
 class _BoundLate(_BoundEdgeSet):
-    def __init__(self, network, fault_seed, fraction, at_round, fault_mode="replay"):
-        super().__init__(network, fault_seed, "late", fraction, fault_mode)
+    def __init__(self, network, fault_seed, fraction, at_round):
+        super().__init__(network, fault_seed, "late", fraction)
         self.at_round = at_round
         self.quiet_after = at_round - 1
 
@@ -321,15 +217,13 @@ class DropEdges(Perturbation):
         self.fraction = fraction
         self.at_round = at_round
 
-    def bind(
-        self, network: Network, fault_seed: int, fault_mode: str = "replay"
-    ) -> "_BoundDrop":
-        return _BoundDrop(network, fault_seed, self.fraction, self.at_round, fault_mode)
+    def bind(self, network: Network, fault_seed: int) -> "_BoundDrop":
+        return _BoundDrop(network, fault_seed, self.fraction, self.at_round)
 
 
 class _BoundDrop(_BoundEdgeSet):
-    def __init__(self, network, fault_seed, fraction, at_round, fault_mode="replay"):
-        super().__init__(network, fault_seed, "dropedge", fraction, fault_mode)
+    def __init__(self, network, fault_seed, fraction, at_round):
+        super().__init__(network, fault_seed, "dropedge", fraction)
         self.at_round = at_round
         self.quiet_after = at_round
 

@@ -11,9 +11,8 @@ Three classic fault models from the distributed-computing literature:
   algorithms whose progress is carried by hubs.
 
 All schedules are deterministic functions of the bind-time ``fault_seed``
-and ``fault_mode`` (see :func:`~repro.scenarios.base.fault_u01` /
-:func:`~repro.scenarios.base.fault_u01_mix`), so a faulty run is exactly
-reproducible and bit-identical across executors.  Every bound class
+(keyed coins, see :func:`~repro.utils.rng.keyed_u01`), so a faulty run is
+exactly reproducible and bit-identical across executors.  Every bound class
 implements the vectorized ``delivers_mask`` / ``crashes_mask`` surface:
 i.i.d. drops collapse to a per-node hash prefix plus one per-slot mix per
 round, victim-set models to an ``np.isin`` / index scatter.
@@ -24,15 +23,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.local.network import Network
-from repro.scenarios.base import (
-    BoundPerturbation,
-    Perturbation,
-    _fault_u01_slots,
-    _slot_prefix,
-    fault_u01,
-    fault_u01_array,
-    fault_u01_mix,
-)
+from repro.scenarios.base import BoundPerturbation, Perturbation
+from repro.utils.rng import keyed_u01, keyed_u01_array, keyed_u01_slots, slot_prefix
 from repro.utils.validation import require
 
 __all__ = ["CrashNodes", "IIDMessageDrop", "MuteHubs"]
@@ -45,13 +37,10 @@ class CrashNodes(Perturbation):
     ``fraction > 0``) is selected either uniformly (``select="random"``,
     keyed by fault coins on the node uids) or adversarially
     (``select="hubs"``: the highest-degree nodes go first).  Victim
-    selection happens once at bind time and follows the fault-coin mode:
-    ``fault_mode="mask"`` draws every node's selection coin in one
-    counter-based :func:`~repro.scenarios.base.fault_u01_array` kernel
-    call (no per-node RNG construction — the bind is O(n) numpy work, not
-    O(n) sha512 ``random.Random`` builds), while ``fault_mode="replay"``
-    reproduces the historical per-node :func:`fault_u01` selection
-    bit-for-bit.  ``select="hubs"`` is coin-free and mode-independent.
+    selection happens once at bind time: the nodes with the lowest
+    ``u(fault_seed, "crash", uid)`` coins, drawn in one
+    :func:`~repro.utils.rng.keyed_u01_array` call.  ``select="hubs"`` is
+    coin-free.
     """
 
     def __init__(self, fraction: float = 0.1, at_round: int = 3, select: str = "random"):
@@ -62,9 +51,7 @@ class CrashNodes(Perturbation):
         self.at_round = at_round
         self.select = select
 
-    def bind(
-        self, network: Network, fault_seed: int, fault_mode: str = "replay"
-    ) -> "_BoundCrash":
+    def bind(self, network: Network, fault_seed: int) -> "_BoundCrash":
         n = network.n
         count = int(round(self.fraction * n))
         if self.fraction > 0 and n > 0:
@@ -79,9 +66,7 @@ class CrashNodes(Perturbation):
         else:
             import numpy as np  # lazy, like the fault-coin kernels
 
-            u = fault_u01_array(fault_seed, "crash", network.uid_array, mode=fault_mode)
-            # Stable argsort ties match the stable python sort the replay
-            # selection historically ran, so replay mode stays bit-compatible.
+            u = keyed_u01_array(fault_seed, "crash", network.uid_array)
             victims = np.argsort(u, kind="stable")[:count].tolist()
         return _BoundCrash(tuple(sorted(int(v) for v in victims)), self.at_round)
 
@@ -131,13 +116,8 @@ class IIDMessageDrop(Perturbation):
         self.from_round = from_round
         self.until_round = until_round
 
-    def bind(
-        self, network: Network, fault_seed: int, fault_mode: str = "replay"
-    ) -> "_BoundIIDDrop":
-        return _BoundIIDDrop(
-            network, fault_seed, self.p, self.from_round, self.until_round,
-            fault_mode,
-        )
+    def bind(self, network: Network, fault_seed: int) -> "_BoundIIDDrop":
+        return _BoundIIDDrop(network, fault_seed, self.p, self.from_round, self.until_round)
 
 
 class _BoundSlotCoins(BoundPerturbation):
@@ -145,22 +125,20 @@ class _BoundSlotCoins(BoundPerturbation):
     window ``[from_round, until_round]``: the shared body of i.i.d. drops
     and Byzantine corruption, whose schedules differ only in ``label``.
 
-    In ``"mask"`` fault mode the per-node half of the coin chain is kept
-    for the last round asked, so a round queried slot range by slot range
-    hashes each node once.
+    The per-node half of the coin chain is kept for the last round asked,
+    so a round queried slot range by slot range hashes each node once.
     """
 
     label = ""
 
-    def __init__(self, network, fault_seed, p, from_round, until_round, fault_mode="replay"):
+    def __init__(self, network, fault_seed, p, from_round, until_round):
         self.network = network
         self.fault_seed = fault_seed
         self.p = p
         self.from_round = from_round
         self.until_round = until_round
         self.quiet_after = until_round
-        self.fault_mode = fault_mode
-        self._prefix = None  # (round_no, per-node prefix), mask mode only
+        self._prefix = None  # (round_no, per-node prefix)
 
     def _quiet(self, round_no: int) -> bool:
         if round_no < self.from_round:
@@ -168,23 +146,16 @@ class _BoundSlotCoins(BoundPerturbation):
         return self.until_round is not None and round_no > self.until_round
 
     def _u01(self, round_no: int, sender: int, port: int) -> float:
-        coin = fault_u01_mix if self.fault_mode == "mask" else fault_u01
-        return coin(self.fault_seed, self.label, self.network.ids[sender], round_no, port)
+        return keyed_u01(self.fault_seed, self.label, self.network.ids[sender], round_no, port)
 
     def _u01_slots(self, round_no: int, senders, ports):
-        # Per-node prefix plus one per-slot mix (replay mode falls back to
-        # the scalar chain internally, elementwise-identical to _u01).
+        # Per-node prefix plus one per-slot mix, elementwise equal to _u01.
         uids = self.network.uid_array
-        prefix = None
-        if self.fault_mode == "mask":
-            if self._prefix is None or self._prefix[0] != round_no:
-                self._prefix = (
-                    round_no, _slot_prefix(self.fault_seed, self.label, uids, round_no)
-                )
-            prefix = self._prefix[1]
-        return _fault_u01_slots(
+        if self._prefix is None or self._prefix[0] != round_no:
+            self._prefix = (round_no, slot_prefix(self.fault_seed, self.label, uids, round_no))
+        return keyed_u01_slots(
             self.fault_seed, self.label, uids, round_no, senders, ports,
-            mode=self.fault_mode, prefix=prefix,
+            prefix=self._prefix[1],
         )
 
 
@@ -213,9 +184,7 @@ class MuteHubs(Perturbation):
         self.count = count
         self.until_round = until_round
 
-    def bind(
-        self, network: Network, fault_seed: int, fault_mode: str = "replay"
-    ) -> "_BoundMute":
+    def bind(self, network: Network, fault_seed: int) -> "_BoundMute":
         order = sorted(
             range(network.n),
             key=lambda i: (-len(network.adjacency[i]), -network.ids[i]),

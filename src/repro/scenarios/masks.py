@@ -4,14 +4,13 @@ The dense kernels (:mod:`repro.local.dense`) execute whole rounds as numpy
 array ops, so faults reach them as per-round *masks* instead of per-message
 hook calls: a boolean crash mask over nodes and boolean delivery masks over
 CSR slots.  :class:`DenseFaults` builds those masks from the stack's
-vectorized ``delivers_mask`` / ``crashes_mask`` decisions — in ``"mask"``
-fault mode one counter-based hash per node for the (seed, uid, round)
-prefix plus one mix per slot for the port, per dropper per round; the
-scalar-chain replay in ``"replay"`` mode — and falls back to a
-per-slot sweep of the pure scalar ``delivers`` for perturbations without a
-vectorized path, so any stack stays exactly equivalent to the hooked
-engine (property-tested in ``tests/scenarios/test_hook_equivalence.py``
-and ``tests/scenarios/test_mask_kernels.py``).
+vectorized ``delivers_mask`` / ``crashes_mask`` decisions — one keyed hash
+per node for the (seed, uid, round) prefix plus one mix per slot for the
+port, per dropper per round — and falls back to a per-slot sweep of the
+pure scalar ``delivers`` for perturbations without a vectorized path, so
+any stack stays exactly equivalent to the hooked engine (property-tested
+in ``tests/scenarios/test_hook_equivalence.py`` and
+``tests/scenarios/test_mask_kernels.py``).
 
 Two ways to ask for a receiving-side mask:
 
@@ -96,8 +95,7 @@ class DenseFaults:
 
     Pass a cached :class:`SlotLayout` to amortize the O(m) coordinate
     build across seeds; the fault schedule itself comes from ``bound``
-    (whose fault mode was fixed at
-    :func:`~repro.scenarios.base.bind_all` time).
+    (see :func:`~repro.scenarios.base.bind_all`).
     """
 
     #: FIFO cap on cached per-round masks (never-settling stacks only need

@@ -29,10 +29,9 @@ Three structural properties make the repair layer exact and cheap to test:
   stack's quiet horizon every detection is exact, so a stable repair state
   implies **zero contract violations** — certified independently by the
   exact oracle in :mod:`repro.verify.certify`.
-* **Keyed repair coins.**  All repair randomness flows through
-  :func:`~repro.utils.rng.keyed_u01` under a dedicated salt
-  (:func:`repair_hash`), pure in ``(seed, node, round)`` — no consumption
-  order, so executors may evaluate repair decisions in any order without
+* **Keyed repair coins.**  All repair randomness is the keyed coin
+  ``u(seed, "repair", uid, round)`` (:func:`~repro.utils.rng.keyed_u01_array`,
+  label :data:`REPAIR_COINS`), pure in its key — no consumption order, so executors may evaluate repair decisions in any order without
   diverging, and the repair coins never perturb the base algorithm's
   streams.
 
@@ -47,13 +46,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.scenarios.contracts import edge_ok_slot_mask
-from repro.utils.rng import ensure_rng, keyed_u01, mix64
+from repro.utils.rng import ensure_rng, keyed_u01_array
 from repro.utils.validation import require
 
 __all__ = [
-    "REPAIR_SALT",
+    "REPAIR_COINS",
     "REPAIR_ROUND_CAP",
-    "repair_hash",
     "RepairResult",
     "bound_stack",
     "edge_ok_slot_mask",
@@ -65,18 +63,13 @@ __all__ = [
     "splitting_recovering",
 ]
 
-#: Salt xored into the (pre-hashed) trial seed so repair coins live in a
-#: namespace disjoint from both the algorithm coins and the fault coins.
-REPAIR_SALT = 0x5EC0_7E5A_1A9B_D00D
+#: Coin label of the repair layer: disjoint from the algorithm's ``"node"``
+#: coins and every fault label.
+REPAIR_COINS = "repair"
 
 #: Default bound on repair rounds — a backstop for never-settling fault
 #: schedules, far above the O(log n) tail a settling schedule needs.
 REPAIR_ROUND_CAP = 256
-
-
-def repair_hash(seed: int) -> int:
-    """64-bit key for the repair coin chain (pure function of the seed)."""
-    return mix64(mix64(int(seed)) ^ REPAIR_SALT)
 
 
 @dataclass(frozen=True)
@@ -182,8 +175,6 @@ def luby_repair(
     owner = _slot_owner(offsets)
     uid = engine.network.uid_array
     n = engine.n
-    node_idx = np.arange(n, dtype=np.int64)
-    sh = repair_hash(seed)
 
     active = np.zeros(n, dtype=bool)
     used = 0
@@ -221,7 +212,7 @@ def luby_repair(
             crashed |= crash
         alive = ~crashed
         act = active & alive
-        pri = keyed_u01(np, sh, node_idx, r1)
+        pri = keyed_u01_array(seed, REPAIR_COINS, uid, r1)
         better = (pri[nbr] > pri[owner]) | (
             (pri[nbr] == pri[owner]) & (uid[nbr] > uid[owner])
         )
@@ -300,8 +291,7 @@ def sinkless_repair(
     partner = offsets[:-1][dst_node] + dst_port
     low_view = owner < dst_node
     n = engine.n
-    node_idx = np.arange(n, dtype=np.int64)
-    sh = repair_hash(seed)
+    uid = engine.network.uid_array
 
     used = 0
     last = start_round - 1
@@ -339,7 +329,7 @@ def sinkless_repair(
             (np.zeros(1, dtype=np.int64), np.cumsum(live.astype(np.int64)))
         )[:-1]
         rank = exc - exc[offsets[:-1][owner]]
-        target = (keyed_u01(np, sh, node_idx, rb) * alive_deg).astype(np.int64)
+        target = (keyed_u01_array(seed, REPAIR_COINS, uid, rb) * alive_deg).astype(np.int64)
         chosen = live & sink[owner] & (rank == target[owner])
         out[chosen] = True
         corrupted_out = getattr(faults, "corrupted_out", None)
@@ -407,8 +397,7 @@ def splitting_repair(
 
     offsets, dst_node, _ = engine.dense_arrays()
     n = engine.n
-    node_idx = np.arange(n, dtype=np.int64)
-    sh = repair_hash(seed)
+    uid = engine.network.uid_array
 
     def true_violations(alive):
         live = alive[dst_node]
@@ -462,7 +451,7 @@ def splitting_repair(
         if dinb is not None:
             nack = nack & dinb
         redraw = alive & (violator | _segment_or(nack, offsets))
-        fresh = np.where(keyed_u01(np, sh, node_idx, rb) < 0.5, red, blue)
+        fresh = np.where(keyed_u01_array(seed, REPAIR_COINS, uid, rb) < 0.5, red, blue)
         colors[redraw] = fresh[redraw]
         used += 1
         last = rb
@@ -490,9 +479,7 @@ def luby_mis_recovering(
     adjacency,
     perturbations=(),
     seed: int = 0,
-    fault_mode: str = "replay",
     method: str = "engine",
-    coins="replay",
     max_rounds: int = 10_000,
     cap: int = REPAIR_ROUND_CAP,
     engine=None,
@@ -501,8 +488,8 @@ def luby_mis_recovering(
 
     Runs the base pipeline under the bound perturbation stack on the
     requested backend (``method="engine"`` — hooked CSR engine,
-    ``method="dense"`` — masked numpy kernel, bit-identical to the engine
-    with ``coins="replay"``), then applies :func:`luby_repair`.  Returns
+    ``method="dense"`` — masked numpy kernel, bit-identical to the engine),
+    then applies :func:`luby_repair`.  Returns
     ``(mis, rounds, repair)``: the surviving nodes' MIS set, the total
     simulated rounds (base + repair tail) and the :class:`RepairResult`.
     """
@@ -513,13 +500,12 @@ def luby_mis_recovering(
 
     require(method in ("engine", "dense"), f"unknown method {method!r}")
     engine = _build_engine(adjacency, engine)
-    bound = bind_all(perturbations, engine.network, seed, fault_mode)
+    bound = bind_all(perturbations, engine.network, seed)
     if method == "dense":
         from repro.local.dense import luby_mis_dense
 
         result = luby_mis_dense(
-            engine, seed=seed, coins=coins, max_rounds=max_rounds,
-            faults=DenseFaults(engine, bound),
+            engine, seed=seed, max_rounds=max_rounds, faults=DenseFaults(engine, bound),
         )
         in_mis = result.in_mis.copy()
         crashed = result.crashed.copy()
@@ -547,9 +533,7 @@ def sinkless_recovering(
     perturbations=(),
     min_degree: int = 1,
     seed: int = 0,
-    fault_mode: str = "replay",
     method: str = "engine",
-    coins="replay",
     max_rounds: int = 400,
     cap: int = REPAIR_ROUND_CAP,
     engine=None,
@@ -570,12 +554,12 @@ def sinkless_recovering(
     require(method in ("engine", "dense"), f"unknown method {method!r}")
     engine = _build_engine(adjacency, engine)
     network = engine.network
-    bound = bind_all(perturbations, network, seed, fault_mode)
+    bound = bind_all(perturbations, network, seed)
     if method == "dense":
         from repro.local.dense import sinkless_trial_dense
 
         result = sinkless_trial_dense(
-            engine, min_degree=min_degree, seed=seed, coins=coins,
+            engine, min_degree=min_degree, seed=seed,
             max_rounds=max_rounds, faults=DenseFaults(engine, bound),
             strict=False,
         )
@@ -612,9 +596,7 @@ def splitting_recovering(
     spec,
     perturbations=(),
     seed: int = 0,
-    fault_mode: str = "replay",
     method: str = "engine",
-    coins="replay",
     max_attempts: int = 64,
     cap: int = REPAIR_ROUND_CAP,
     engine=None,
@@ -640,12 +622,12 @@ def splitting_recovering(
     rng = ensure_rng(seed)
     for attempts in range(1, max_attempts + 1):
         run_seed = rng.randrange(2**31)
-        attempt_bound = bind_all(perturbations, network, run_seed, fault_mode)
+        attempt_bound = bind_all(perturbations, network, run_seed)
         if method == "dense":
             from repro.local.dense import uniform_splitting_dense
 
             result = uniform_splitting_dense(
-                engine, spec, seed=run_seed, coins=coins, red=RED, blue=BLUE,
+                engine, spec, seed=run_seed, red=RED, blue=BLUE,
                 faults=DenseFaults(engine, attempt_bound),
             )
             colors = result.colors.astype(np.int64).copy()

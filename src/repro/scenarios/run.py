@@ -17,13 +17,10 @@ runner (:mod:`repro.exp`) records straight into the BENCH json:
 * solution quality (``mis_size``, ``attempts``, ...) and the standard
   ``solve_seconds`` / ``setup_seconds`` timing channels.
 
-Fault coins and node coins both derive from the trial ``seed`` but under
-disjoint salt namespaces, so one seed axis drives the whole trial
-reproducibly (see :func:`~repro.scenarios.base.fault_u01`).  The
-``fault_mode`` knob selects the coin kernel — ``"replay"`` (historical,
-bit-identity tested) or ``"mask"`` (counter-based, vectorized — the
-performance mode for large-n dense sweeps); within either mode all
-backends agree on the schedule.
+Fault coins and node coins are both keyed by the trial ``seed``, under
+disjoint labels (see :func:`~repro.utils.rng.keyed_u01`), so one seed axis
+drives the whole trial reproducibly and every backend computes the same
+run bit for bit.
 
 Scenario cells are amortized like the :func:`~repro.exp.workloads.scenario_engine`
 cache: the built graph, packed engine and dense slot layout for one
@@ -128,9 +125,8 @@ def run_scenario(
     backend: str = "engine",
     adjacency=None,
     max_rounds: Optional[int] = None,
-    coins: str = "philox",
     max_attempts: int = 64,
-    fault_mode: str = "replay",
+    fault_mode: str = "mask",
     tracer=None,
     recover: bool = False,
     return_state: bool = False,
@@ -140,13 +136,10 @@ def run_scenario(
     ``scenario`` is a registry name or a :class:`Scenario`;
     ``backend`` one of the scenario's supported executors (``reference`` —
     hooked :func:`run_local`, ``engine`` — hooked :class:`CSREngine`,
-    ``dense`` — masked numpy kernels; ``coins`` selects the dense coin
-    table, ``"replay"`` for engine-bit-identical runs).  ``fault_mode``
-    selects the fault-coin kernel: ``"replay"`` reproduces the historical
-    scalar schedule exactly (the bit-identity mode), ``"mask"`` uses the
-    counter-based vectorized kernel — distribution-identical and cheap at
-    large n, still bit-identical *across backends* for one mode.
-    ``adjacency`` overrides the default scenario graph (the perturbation
+    ``dense`` — masked numpy kernels); all three compute the same run bit
+    for bit.  ``fault_mode`` accepts only ``"mask"``, the keyed fault
+    coins every run uses; any other value, such as the removed replay mode,
+    raises ``ValueError``.  ``adjacency`` overrides the default scenario graph (the perturbation
     stack's graph rewrites are still applied on top; such runs bypass the
     cell cache).  ``seed`` drives both the algorithm's coins and the fault
     schedule; ``graph_seed`` only the topology.  ``max_rounds`` defaults
@@ -173,6 +166,11 @@ def run_scenario(
     pipeline's solution and parameters) — the input shape of the exact
     certification oracle (:mod:`repro.verify.certify`).
     """
+    if fault_mode != "mask":
+        raise ValueError(
+            f"fault_mode={fault_mode!r} is not supported: the replay fault mode was "
+            "removed and every fault coin is keyed; 'mask' is the only value"
+        )
     sc = get_scenario(scenario) if isinstance(scenario, str) else scenario
     require(
         backend in sc.backends,
@@ -206,24 +204,24 @@ def run_scenario(
         )
         setup_seconds = time.perf_counter() - setup_start
 
-    bound = bind_all(sc.perturbations, network, fault_seed=seed, fault_mode=fault_mode)
+    bound = bind_all(sc.perturbations, network, fault_seed=seed)
     quiet = quiet_after(bound)
 
     solve_start = time.perf_counter()
     if sc.pipeline == "luby":
         metrics, state = _run_luby(
-            sc, network, engine, bound, backend, seed, max_rounds, coins, layout,
+            sc, network, engine, bound, backend, seed, max_rounds, layout,
             tracer=tracer, recover=recover,
         )
     elif sc.pipeline == "sinkless":
         metrics, state = _run_sinkless(
-            sc, network, engine, bound, backend, seed, max_rounds, coins, layout,
+            sc, network, engine, bound, backend, seed, max_rounds, layout,
             tracer=tracer, recover=recover,
         )
     else:
         metrics, state = _run_splitting(
-            sc, network, engine, backend, seed, degree, coins, max_attempts,
-            fault_mode, layout, tracer=tracer, recover=recover,
+            sc, network, engine, backend, seed, degree, max_attempts, layout,
+            tracer=tracer, recover=recover,
         )
     metrics["solve_seconds"] = time.perf_counter() - solve_start
 
@@ -231,9 +229,9 @@ def run_scenario(
     metrics["m"] = int(network.offsets[-1]) // 2
     metrics["setup_seconds"] = setup_seconds
     # Split the setup tax for the analytics layer: graph build + packing
-    # (``pack_seconds``, 0.0 on a cell-cache hit) vs per-run RNG
-    # construction (``rng_seconds``, the ROADMAP's O(n) node_rng tax; the
-    # pipelines record it into metrics from their result objects).
+    # (``pack_seconds``, 0.0 on a cell-cache hit) vs per-run coin
+    # construction (``rng_seconds``; the pipelines record it into metrics
+    # from their result objects, and the dense kernels have none).
     metrics["pack_seconds"] = setup_seconds
     metrics.setdefault("rng_seconds", 0.0)
     if quiet is not None and quiet > 0:
@@ -259,7 +257,7 @@ def run_scenario(
     return metrics
 
 
-def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, coins, layout=None,
+def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, layout=None,
               tracer=None, recover=False):
     edge_ok = final_edge_ok(bound)
     if backend == "dense":
@@ -267,7 +265,7 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, coins, layo
         from repro.scenarios.masks import DenseFaults
 
         result = luby_mis_dense(
-            engine, seed=seed, coins=coins, max_rounds=max_rounds,
+            engine, seed=seed, max_rounds=max_rounds,
             faults=DenseFaults(engine, bound, layout=layout), tracer=tracer,
         )
         alive = (~result.crashed).tolist()
@@ -376,8 +374,8 @@ def _round_one_corruption_free(b, network, layout) -> bool:
     )
 
 
-def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, coins,
-                  layout=None, tracer=None, recover=False):
+def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, layout=None,
+                  tracer=None, recover=False):
     adjacency = network.adjacency
     min_degree = sc.min_degree
     # Fault schedules for sinkless must leave round 1 (the proposal
@@ -407,7 +405,7 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, coins,
         from repro.scenarios.masks import DenseFaults
 
         result = sinkless_trial_dense(
-            engine, min_degree=min_degree, seed=seed, coins=coins,
+            engine, min_degree=min_degree, seed=seed,
             max_rounds=max_rounds, faults=DenseFaults(engine, bound, layout=layout),
             strict=False, tracer=tracer,
         )
@@ -483,8 +481,8 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, coins,
     return metrics, state
 
 
-def _run_splitting(sc, network, engine, backend, seed, degree, coins, max_attempts,
-                   fault_mode="replay", layout=None, tracer=None, recover=False):
+def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts, layout=None,
+                   tracer=None, recover=False):
     spec = UniformSplittingSpec(eps=sc.eps, min_constrained_degree=max(2, degree // 2))
     rng = ensure_rng(seed)
     if backend == "dense":
@@ -497,12 +495,10 @@ def _run_splitting(sc, network, engine, backend, seed, degree, coins, max_attemp
         # schedule rebinds on the attempt's own seed — otherwise a lossy
         # environment would replay the identical drop pattern against all
         # retries (a frozen adversary instead of an i.i.d. channel).
-        attempt_bound = bind_all(
-            sc.perturbations, network, fault_seed=run_seed, fault_mode=fault_mode
-        )
+        attempt_bound = bind_all(sc.perturbations, network, fault_seed=run_seed)
         if backend == "dense":
             result = uniform_splitting_dense(
-                engine, spec, seed=run_seed, coins=coins,
+                engine, spec, seed=run_seed,
                 faults=DenseFaults(engine, attempt_bound, layout=layout),
                 tracer=tracer,
             )
@@ -522,7 +518,7 @@ def _run_splitting(sc, network, engine, backend, seed, degree, coins, max_attemp
                 for i, v in enumerate(result.views)
                 if alive[i] and v.output is not None
             )
-        rng_seconds += result.rng_seconds
+        rng_seconds += getattr(result, "rng_seconds", 0.0)
         if accepted:
             break
     # Only the attempt that stood is converted to the end state.

@@ -1,34 +1,45 @@
 """Deterministic random-number plumbing.
 
 Every randomized algorithm in this library takes either a seed or a
-:class:`random.Random` instance.  In the LOCAL model each node flips private
-coins; we model this by deriving one child generator per node from a master
-seed, which keeps runs reproducible while preserving the independence
-structure the analyses rely on (a node's bits are a pure function of the
-master seed and its identifier, untouched by other nodes' consumption).
+:class:`random.Random` instance.  Coins that the LOCAL model gives to
+nodes, and every fault and repair decision the scenarios make, come from
+one keyed law instead of a stream: the uniform
+
+    u(seed, label, c1, c2, ...) = SplitMix64 chain over (seed, label, c1, c2, ...)
+
+is a pure function of its key, so any executor may draw it in any order,
+or several times, and get the same value.  A node's private coin is
+``u(seed, "node", uid, round, draw)``: it depends only on the seed, the
+node's identifier, the round and how many coins the node already drew
+in that round, which is the independence structure the analyses rely on.
+:func:`keyed_u01` is the scalar form and :func:`keyed_u01_array` the numpy
+form; both run the same chain bit for bit.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
-from typing import Optional, Sequence, Union
+from typing import Union
 
 __all__ = [
     "ensure_rng",
-    "spawn",
-    "node_rng",
-    "CoinTable",
-    "as_coin_table",
     "mix64",
-    "keyed_hash53",
+    "NODE_COINS",
+    "seed_link",
     "keyed_u01",
+    "keyed_hash53",
+    "keyed_u01_array",
+    "keyed_u01_slots",
+    "slot_prefix",
+    "CoinClock",
+    "NodeCoins",
     "MTStream",
 ]
 
 SeedLike = Union[None, int, random.Random]
 
-# SplitMix64 mixing chain — the repo-wide counter-based hash idiom, shared
-# with the fault-coin kernels in repro.scenarios.base.
+# SplitMix64 mixing chain — the one keyed-coin law (see the module doc).
 _MASK64 = (1 << 64) - 1
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_M1 = 0xBF58476D1CE4E5B9
@@ -37,7 +48,7 @@ _TO_U01 = 2.0**-53
 
 
 def mix64(z: int) -> int:
-    """Pure-python SplitMix64 finalizer (master seeds, scalar fault coins)."""
+    """Pure-python SplitMix64 finalizer (one link of the keyed chain)."""
     z &= _MASK64
     z = ((z ^ (z >> 30)) * _SM_M1) & _MASK64
     z = ((z ^ (z >> 27)) * _SM_M2) & _MASK64
@@ -47,7 +58,7 @@ def mix64(z: int) -> int:
 def _fold64(np, h, components, owned: bool = False):
     """Fold SplitMix64 links ``h = mix64((h + gamma) ^ c)`` over ``components``.
 
-    The one hash chain behind :func:`keyed_hash53` and the fault coins.
+    The one hash chain behind every keyed coin (:func:`keyed_u01_array`).
     Ints fold as python ints until the first int array, which may broadcast
     ``h``; later links run in place on that fresh array (on ``h`` itself
     when ``owned``) with one temporary buffer — arrays wrap silently where
@@ -84,29 +95,143 @@ def _fold64(np, h, components, owned: bool = False):
     return h
 
 
-def keyed_hash53(np, seed_hash, counters, tag: int):
-    """53-bit counter-based hash of ``(seed, counter, tag)`` as uint64 array.
+#: Label of the nodes' private coins ``u(seed, NODE_COINS, uid, round, draw)``.
+NODE_COINS = "node"
 
-    ``seed_hash`` is :func:`mix64` of the master seed — either one python
-    int broadcast over every counter (a single trial), or a uint64 array
-    aligned with ``counters`` carrying per-element seeds (the trial-batched
-    kernels' pooled phases, where one flat array mixes nodes of many
-    trials).  ``counters`` is the per-draw key (node index, slot index, or
-    call position) and ``tag`` the round number, so every value is a pure
-    function of ``(seed, counter, tag)`` — no consumption order anywhere.
+_LABEL_HASHES: dict = {}
 
-    The top 53 bits are returned so that comparing hashes is *order- and
-    tie-isomorphic* to comparing the ``(h >> 11) * 2**-53`` uniforms built
-    from them: kernels may rank raw hashes and skip the float convert.
+
+def seed_link(seed: int, label: str) -> int:
+    """The chain's first link: the seed mixed with a stable 64-bit hash of
+    ``label`` (cached — labels are few)."""
+    h = _LABEL_HASHES.get(label)
+    if h is None:
+        digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
+        h = _LABEL_HASHES[label] = int.from_bytes(digest, "little")
+    return mix64((seed & _MASK64) ^ h)
+
+
+def keyed_u01(seed: int, label: str, *key: int) -> float:
+    """The keyed uniform ``u(seed, label, *key)`` in ``[0, 1)``.
+
+    A pure function of its arguments, so callers may evaluate it in any
+    order.  Every ``key`` component must be an integer (negative ones wrap
+    as two's complement).  :func:`keyed_u01_array` runs the same chain.
     """
-    h = _fold64(np, seed_hash, (np.asarray(counters), tag))
+    h = seed_link(seed, label)
+    for k in key:
+        h = mix64((h + _SM_GAMMA) ^ (k & _MASK64))
+    return (h >> 11) * _TO_U01
+
+
+def keyed_hash53(link, *key):
+    """The top 53 bits of the chain from ``link`` over ``key`` (uint64 array).
+
+    ``link`` is one :func:`seed_link` or a uint64 array of them, one per
+    element (a kernel mixing several seeds in one array).  Comparing these
+    hashes is order- and tie-isomorphic to comparing the uniforms
+    ``hash * 2**-53`` built from them, so kernels may rank them directly.
+    """
+    import numpy as np  # lazy: the pure-python paths never need it
+
+    h = _fold64(np, link, key)
+    if isinstance(h, int):  # every input was scalar
+        return np.uint64(h >> 11)
     h >>= np.uint64(11)
     return h
 
 
-def keyed_u01(np, seed_hash, counters, tag: int):
-    """Uniforms in [0, 1) keyed by ``(seed, counter, tag)`` (float64 array)."""
-    return keyed_hash53(np, seed_hash, counters, tag) * _TO_U01
+def keyed_u01_array(seed: int, label: str, *key):
+    """:func:`keyed_u01` elementwise over numpy arrays (float64 array).
+
+    Every component may be an int array (elementwise) or an int
+    (broadcast); the results equal :func:`keyed_u01` bit for bit.
+    """
+    return keyed_hash53(seed_link(seed, label), *key) * _TO_U01
+
+
+def slot_prefix(seed: int, label: str, uids, round_no: int):
+    """The per-node ``(seed, label, uid, round)`` prefix of the chain, one
+    uint64 per node (see :func:`keyed_u01_slots`)."""
+    import numpy as np
+
+    return _fold64(np, seed_link(seed, label), (uids, round_no))
+
+
+def keyed_u01_slots(seed: int, label: str, uids, round_no: int, nodes, draws,
+                    prefix=None):
+    """Per-slot uniforms ``u(seed, label, uids[nodes], round_no, draws)``.
+
+    Equals :func:`keyed_u01_array` on those arguments elementwise, but the
+    ``(seed, label, uid, round)`` prefix is hashed once per *node* and
+    gathered by ``nodes``, so only the last link runs per slot.  A caller
+    that asks for one round in several slot ranges passes the
+    :func:`slot_prefix` it already holds as ``prefix``.
+    """
+    import numpy as np
+
+    if prefix is None:
+        prefix = slot_prefix(seed, label, uids, round_no)
+    h = _fold64(np, prefix[nodes], (draws,), owned=True)
+    h >>= np.uint64(11)
+    return h * _TO_U01
+
+
+class CoinClock:
+    """The executor's current round, shared by every node's coins.
+
+    An executor sets ``round`` before each round's hook calls; it is 0
+    while ``init`` runs.
+    """
+
+    __slots__ = ("round",)
+
+    def __init__(self) -> None:
+        self.round = 0
+
+
+class NodeCoins:
+    """One node's private coins: its ``k``-th draw in round ``r`` is
+    ``u(seed, NODE_COINS, uid, r, k)``.
+
+    Implements the two :class:`random.Random` methods the algorithms use.
+    ``randrange(b)`` is ``floor(u * b)``, the same float product the dense
+    kernels take, so both backends pick the same port.  Setup is one hash
+    per node; there is no stream to seed.
+    """
+
+    __slots__ = ("_prefix", "_clock", "_round", "_draw")
+
+    def __init__(self, link: int, uid: int, clock: CoinClock):
+        # ``link`` is seed_link(seed, NODE_COINS), hashed once per run.
+        self._prefix = mix64((link + _SM_GAMMA) ^ (uid & _MASK64))
+        self._clock = clock
+        self._round = 0
+        self._draw = 0
+
+    @staticmethod
+    def for_nodes(seed: int, uids, clock: CoinClock) -> list:
+        """One :class:`NodeCoins` per uid, all reading ``clock``."""
+        link = seed_link(seed, NODE_COINS)
+        return [NodeCoins(link, uid, clock) for uid in uids]
+
+    def random(self) -> float:
+        """The node's next coin in ``[0, 1)``."""
+        round_no = self._clock.round
+        if round_no != self._round:
+            self._round = round_no
+            self._draw = 0
+        draw = self._draw
+        self._draw = draw + 1
+        h = mix64((self._prefix + _SM_GAMMA) ^ round_no)
+        h = mix64((h + _SM_GAMMA) ^ draw)
+        return (h >> 11) * _TO_U01
+
+    def randrange(self, bound: int) -> int:
+        """A uniform integer in ``[0, bound)``, as ``floor(u * bound)``."""
+        if bound < 1:
+            raise ValueError(f"empty range for randrange({bound})")
+        return int(self.random() * bound)
 
 
 #: Methods that must be :class:`random.Random`'s own for its 32-bit word
@@ -220,153 +345,3 @@ def ensure_rng(seed: SeedLike = None) -> random.Random:
     if isinstance(seed, random.Random):
         return seed
     return random.Random(seed)
-
-
-def spawn(rng: random.Random, label: str) -> random.Random:
-    """Derive an independent child generator keyed by ``label``."""
-    return random.Random(f"{rng.getrandbits(64)}/{label}")
-
-
-def node_rng(master_seed: int, node_id: int, salt: str = "") -> random.Random:
-    """Private coin source for one node, a pure function of seed and id."""
-    return random.Random(f"{master_seed}/{node_id}/{salt}")
-
-
-class CoinTable:
-    """Per-node coin supply for the dense (vectorized) execution backend.
-
-    The dense round kernels in :mod:`repro.local.dense` consume randomness
-    in bulk — one array of uniforms per phase instead of ``n`` individual
-    ``random.Random`` calls.  A :class:`CoinTable` abstracts where those
-    arrays come from, with two contracts:
-
-    ``kind="philox"`` (default)
-        Coins are drawn from one numpy counter-based Philox stream keyed by
-        the master seed.  Setup is O(1) — no per-node generator objects —
-        which is the whole point at n >= 10^5, where building ``n``
-        sha512-seeded :func:`node_rng` instances (~9 µs each) would dominate
-        the run.  Runs are deterministic per seed and *distribution-identical*
-        to the engine (same independent-uniform law), but **not bit-identical**
-        to it: the values drawn depend on how many nodes are active each
-        phase, not on node identity.  Use for performance runs; validity is
-        covered by the statistical tests.
-
-    ``kind="replay"``
-        Coins are replayed from the exact per-node :func:`node_rng` streams
-        the reference simulator and :class:`~repro.local.engine.CSREngine`
-        consume, one stream per node keyed by the node's uid.  A dense
-        kernel that draws the same number of coins per node per phase as the
-        engine's hook calls therefore produces **bit-identical** outputs.
-        Setup is O(n) — this mode exists for equivalence testing and exact
-        cross-checks, not speed.
-
-    ``kind="keyed"``
-        Every value is a pure function of ``(master seed, counter, tag)``
-        via the SplitMix64 chain of :func:`keyed_u01` — no stream, no
-        consumption order, O(1) setup.  The ``tag`` argument the dense
-        kernels pass (the round number) becomes part of the key, so the
-        *same* value is produced no matter which call draws it, or whether
-        it is drawn at all.  This is the contract that makes a trial-batched
-        kernel run **bit-identical** to k independent sequential ``keyed``
-        runs: the batched kernels recompute exactly these hashes at
-        whatever (trial, node, round) triples are still active.
-        Distribution-identical to the other kinds, bit-identical to neither.
-
-    Kernels must route *every* random decision through this table (uniform
-    coins via :meth:`uniforms`/:meth:`uniform_runs`, port choices via
-    :meth:`randints`) so the replay contract stays exact, and must pass
-    their round number as ``tag`` so the keyed contract stays pure (philox
-    and replay ignore the tag).
-    """
-
-    KINDS = ("philox", "replay", "keyed")
-
-    def __init__(self, seed: int, ids: Sequence[int], kind: str = "philox"):
-        import numpy as np  # lazy: the pure-Python paths never need numpy
-
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown coin table kind {kind!r}; expected one of {self.KINDS}")
-        self._np = np
-        self.kind = kind
-        self.seed = seed
-        self._gen = None
-        self._streams = None
-        self._seed_hash = None
-        if kind == "philox":
-            # Counter-based bit generator: O(1) setup regardless of n.
-            self._gen = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
-        elif kind == "replay":
-            self._streams = [node_rng(seed, uid) for uid in ids]
-        else:
-            self._seed_hash = mix64(seed)
-
-    def uniforms(self, idx, tag: int = 0) -> "object":
-        """One uniform in [0, 1) per node index in ``idx`` (float64 array).
-
-        In replay mode the value for node ``i`` is the next ``random()`` of
-        that node's own stream; in philox mode values come off the shared
-        counter stream in order; in keyed mode the value is the pure hash
-        of ``(seed, i, tag)``.
-        """
-        np = self._np
-        idx = np.asarray(idx, dtype=np.int64)
-        if self._seed_hash is not None:
-            return keyed_u01(np, self._seed_hash, idx, tag)
-        if self._gen is not None:
-            return self._gen.random(idx.shape[0])
-        streams = self._streams
-        return np.array([streams[i].random() for i in idx], dtype=np.float64)
-
-    def uniform_runs(self, idx, counts, tag: int = 0) -> "object":
-        """``counts[k]`` consecutive uniforms for node ``idx[k]``, concatenated.
-
-        Matches a per-node loop that draws ``counts[k]`` values in a row from
-        node ``idx[k]``'s stream (e.g. one coin per port in port order).  In
-        keyed mode the counter is the *position within the call* — a kernel
-        drawing one coin per CSR slot over all nodes therefore keys each
-        value by its slot index, which is what the batched kernels replay.
-        """
-        np = self._np
-        idx = np.asarray(idx, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        total = int(counts.sum())
-        if self._seed_hash is not None:
-            return keyed_u01(np, self._seed_hash, np.arange(total, dtype=np.int64), tag)
-        if self._gen is not None:
-            return self._gen.random(total)
-        out = np.empty(total, dtype=np.float64)
-        k = 0
-        streams = self._streams
-        for i, c in zip(idx, counts):
-            s = streams[i]
-            for _ in range(c):
-                out[k] = s.random()
-                k += 1
-        return out
-
-    def randints(self, idx, bounds, tag: int = 0) -> "object":
-        """One integer in ``[0, bounds[k])`` per node index in ``idx``.
-
-        Replay mode calls each node's ``randrange`` (bit-identical to the
-        engine's port choice); philox and keyed modes map uniforms through
-        ``floor`` (the float rounding bias at these bound sizes is < 2^-40 —
-        far below anything the statistical tests can see).
-        """
-        np = self._np
-        idx = np.asarray(idx, dtype=np.int64)
-        bounds = np.asarray(bounds, dtype=np.int64)
-        if self._seed_hash is not None:
-            return (keyed_u01(np, self._seed_hash, idx, tag) * bounds).astype(np.int64)
-        if self._gen is not None:
-            return (self._gen.random(idx.shape[0]) * bounds).astype(np.int64)
-        streams = self._streams
-        return np.array(
-            [streams[i].randrange(b) for i, b in zip(idx, bounds)], dtype=np.int64
-        )
-
-
-def as_coin_table(coins, seed: int, ids: Sequence[int]) -> CoinTable:
-    """Coerce ``coins`` (a kind string or an existing table) to a CoinTable."""
-    if isinstance(coins, CoinTable):
-        return coins
-    return CoinTable(seed, ids, kind=coins)

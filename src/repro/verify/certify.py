@@ -352,10 +352,8 @@ def certify_scenario(
     n: int = 48,
     seed: int = 0,
     backend: str = "engine",
-    fault_mode: str = "replay",
     recover: bool = True,
     graph_seed: int = 1,
-    coins: str = "replay",
     strict: bool = True,
 ) -> Dict[str, Union[int, str, List[str]]]:
     """Run one scenario trial and certify its contract verdicts exactly.
@@ -383,7 +381,7 @@ def certify_scenario(
     sc = get_scenario(scenario) if isinstance(scenario, str) else scenario
     metrics, state = run_scenario(
         sc, n=n, seed=seed, graph_seed=graph_seed, backend=backend,
-        coins=coins, fault_mode=fault_mode, recover=recover, return_state=True,
+        recover=recover, return_state=True,
     )
     adjacency = state["adjacency"]
     alive = state["alive"]
@@ -429,7 +427,6 @@ def certify_scenario(
     report: Dict[str, Union[int, str, List[str]]] = {
         "scenario": sc.name,
         "backend": backend,
-        "fault_mode": fault_mode,
         "violations": metrics["violations"],
         "exact_violations": exact_total,
         "recovered": int(metrics.get("recovered", 0)),
@@ -447,7 +444,6 @@ def certify_scenario(
 def certify_all(
     n: int = 48,
     seed: int = 0,
-    fault_mode: str = "replay",
     recover: bool = True,
     strict: bool = True,
 ) -> List[Dict[str, Union[int, str, List[str]]]]:
@@ -456,8 +452,7 @@ def certify_all(
 
     return [
         certify_scenario(
-            sc, n=n, seed=seed, backend=backend, fault_mode=fault_mode,
-            recover=recover, strict=strict,
+            sc, n=n, seed=seed, backend=backend, recover=recover, strict=strict,
         )
         for sc in all_scenarios()
         for backend in sc.backends

@@ -69,11 +69,15 @@ class TestShatteringLocal:
 
     def test_statistically_matches_central_implementation(self):
         """The simulator and the central shortcut implement the same random
-        process: their unsatisfied-rate estimates should agree closely."""
+        process: their unsatisfied-rate estimates should agree closely.
+
+        One trial's rate has a spread of about 0.27 on this instance, so
+        the difference of two 100-trial means has a spread of about 0.04,
+        well inside the 0.1 tolerance."""
         inst = random_left_regular(80, 80, 10, seed=19)
         local_unsat = 0
         central_unsat = 0
-        trials = 15
+        trials = 100
         for t in range(trials):
             _, satisfied, _ = run_shattering_local(inst, seed=t)
             local_unsat += satisfied.count(False)

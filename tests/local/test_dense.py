@@ -1,18 +1,17 @@
-"""Dense-backend tests: replay bit-identity and philox statistical validity.
+"""Dense-backend tests: bit-identity edge cases and statistical validity.
 
 Two contracts from ``repro/local/dense.py``:
 
-* with ``coins="replay"`` every dense kernel is **bit-identical** to the
-  CSR engine (itself bit-identical to ``run_local``) — same outputs and
-  round counts for any graph and seed; property-tested here on random
-  graphs at n <= 200 across seeds;
-* with ``coins="philox"`` runs are **distribution-identical**: every
-  output must satisfy the algorithm's validity predicate (independence +
-  maximality, sinklessness, splitting discrepancy bounds), checked across
-  many seeds.
+* every dense kernel is **bit-identical** to the CSR engine (itself
+  bit-identical to ``run_local``) — same outputs and round counts for any
+  graph and seed.  The hypothesis property in
+  ``tests/scenarios/test_hook_equivalence.py`` covers random graphs, seeds
+  and fault stacks; the cases here pin structured topologies, degenerate
+  CSR layouts and the public pipeline entry points;
+* the keyed coins are fair: every output must satisfy the algorithm's
+  validity predicate (independence + maximality, sinklessness, splitting
+  discrepancy bounds), checked across many seeds.
 """
-
-import random
 
 import pytest
 
@@ -42,26 +41,8 @@ def engine_mis(engine, seed, max_rounds=10_000):
     return [bool(v.state.get("in_mis")) for v in result.views], result.rounds, result.completed
 
 
-class TestLubyReplayBitIdentity:
-    """dense(replay) == engine == run_local, property-tested at n <= 200."""
-
-    def test_random_sparse_graphs(self):
-        for trial in range(8):
-            rng = random.Random(trial)
-            n = rng.randint(2, 200)
-            adj = random_sparse_graph(n, min(n - 1, rng.uniform(0.5, 8)), seed=trial)
-            net = Network(adj)
-            engine = CSREngine(net)
-            for seed in (0, 1, 7):
-                mis, rounds, completed = engine_mis(engine, seed)
-                dense = luby_mis_dense(engine, seed=seed, coins="replay")
-                assert dense.rounds == rounds
-                assert dense.completed == completed
-                assert [bool(x) for x in dense.in_mis] == mis
-                # ... and the engine agrees with the reference simulator.
-                ref = run_local(net, LubyMIS(), seed=seed)
-                assert ref.rounds == rounds
-                assert [bool(v.state.get("in_mis")) for v in ref.views] == mis
+class TestLubyBitIdentity:
+    """dense == engine == run_local on structured and degenerate graphs."""
 
     def test_structured_topologies_and_shuffled_ids(self):
         nets = [
@@ -73,9 +54,12 @@ class TestLubyReplayBitIdentity:
             engine = CSREngine(net)
             for seed in (3, 11):
                 mis, rounds, _ = engine_mis(engine, seed)
-                dense = luby_mis_dense(engine, seed=seed, coins="replay")
+                dense = luby_mis_dense(engine, seed=seed)
                 assert dense.rounds == rounds
                 assert [bool(x) for x in dense.in_mis] == mis
+                ref = run_local(net, LubyMIS(), seed=seed)
+                assert ref.rounds == rounds
+                assert [bool(v.state.get("in_mis")) for v in ref.views] == mis
 
     def test_multi_edges_supported(self):
         # Parallel edges just duplicate priority comparisons; outputs match.
@@ -83,14 +67,14 @@ class TestLubyReplayBitIdentity:
         engine = CSREngine(Network(adj))
         for seed in (0, 5):
             mis, rounds, _ = engine_mis(engine, seed)
-            dense = luby_mis_dense(engine, seed=seed, coins="replay")
+            dense = luby_mis_dense(engine, seed=seed)
             assert dense.rounds == rounds and [bool(x) for x in dense.in_mis] == mis
 
     def test_edgeless_and_tiny_graphs(self):
         for adj in ([], [[]], [[], []], [[1], [0]]):
             engine = CSREngine(Network(adj))
             mis, rounds, completed = engine_mis(engine, 0)
-            dense = luby_mis_dense(engine, seed=0, coins="replay")
+            dense = luby_mis_dense(engine, seed=0)
             assert dense.rounds == rounds and dense.completed == completed
             assert [bool(x) for x in dense.in_mis] == mis
 
@@ -107,7 +91,7 @@ class TestLubyReplayBitIdentity:
             engine = CSREngine(Network(adj))
             for seed in (0, 1, 2, 5):
                 mis, rounds, completed = engine_mis(engine, seed)
-                dense = luby_mis_dense(engine, seed=seed, coins="replay")
+                dense = luby_mis_dense(engine, seed=seed)
                 assert [bool(x) for x in dense.in_mis] == mis, (adj, seed)
                 assert dense.rounds == rounds and dense.completed == completed
                 assert is_mis(adj, {int(i) for i in dense.in_mis.nonzero()[0]})
@@ -117,7 +101,7 @@ class TestLubyReplayBitIdentity:
         engine = CSREngine(Network(adj))
         for cap in (0, 1, 2, 3):
             mis, rounds, completed = engine_mis(engine, 1, max_rounds=cap)
-            dense = luby_mis_dense(engine, seed=1, coins="replay", max_rounds=cap)
+            dense = luby_mis_dense(engine, seed=1, max_rounds=cap)
             assert dense.rounds == rounds
             assert dense.completed == completed
 
@@ -125,23 +109,14 @@ class TestLubyReplayBitIdentity:
         adj = random_sparse_graph(80, 5, seed=4)
         for seed in (0, 2):
             assert luby_mis(adj, seed=seed) == luby_mis(
-                adj, seed=seed, method="dense", coins="replay"
+                adj, seed=seed, method="dense"
             )
 
 
-class TestSinklessReplayBitIdentity:
-    def test_regular_graphs(self):
-        for trial in range(4):
-            adj = configuration_model_regular(50, 4, seed=trial)
-            engine = CSREngine(Network(adj))
-            for seed in (0, 3):
-                orientation, rounds = run_trial_and_fix(adj, min_degree=2, seed=seed)
-                dense = sinkless_trial_dense(engine, min_degree=2, seed=seed, coins="replay")
-                assert dense.rounds == rounds
-                assert dense_orientation(engine, dense.out) == orientation
-
-    def test_torus_and_sparse(self):
+class TestSinklessBitIdentity:
+    def test_regular_torus_and_sparse(self):
         graphs = [
+            configuration_model_regular(50, 4, seed=0),
             grid_graph(6, 7, periodic=True),
             random_sparse_graph(60, 5, seed=8),
         ]
@@ -149,7 +124,7 @@ class TestSinklessReplayBitIdentity:
             engine = CSREngine(Network(adj))
             for seed in (1, 4):
                 orientation, rounds = run_trial_and_fix(adj, min_degree=1, seed=seed)
-                dense = sinkless_trial_dense(engine, min_degree=1, seed=seed, coins="replay")
+                dense = sinkless_trial_dense(engine, min_degree=1, seed=seed)
                 assert dense.rounds == rounds
                 assert dense_orientation(engine, dense.out) == orientation
 
@@ -157,7 +132,7 @@ class TestSinklessReplayBitIdentity:
         adj = configuration_model_regular(40, 4, seed=5)
         for seed in (0, 2):
             assert run_trial_and_fix(adj, min_degree=2, seed=seed) == run_trial_and_fix(
-                adj, min_degree=2, seed=seed, method="dense", coins="replay"
+                adj, min_degree=2, seed=seed, method="dense"
             )
 
     def test_multi_edge_rejected(self):
@@ -173,7 +148,7 @@ class TestSinklessReplayBitIdentity:
         engine = CSREngine(Network(adj))
         for seed in (0, 1, 3):
             orientation, rounds = run_trial_and_fix(adj, min_degree=2, seed=seed)
-            dense = sinkless_trial_dense(engine, min_degree=2, seed=seed, coins="replay")
+            dense = sinkless_trial_dense(engine, min_degree=2, seed=seed)
             assert dense.rounds == rounds
             assert dense_orientation(engine, dense.out) == orientation
 
@@ -185,13 +160,13 @@ class TestSinklessReplayBitIdentity:
             sinkless_trial_dense(engine, min_degree=2, seed=0, max_rounds=1)
 
 
-class TestSplittingReplayBitIdentity:
+class TestSplittingBitIdentity:
     def test_partition_matches_local_method(self):
         adj = random_sparse_graph(200, 40.0, seed=3)
         spec = UniformSplittingSpec(eps=0.25, min_constrained_degree=15)
         for seed in (0, 1, 5):
             local = uniform_splitting(adj, spec, method="local", seed=seed)
-            dense = uniform_splitting(adj, spec, method="dense", seed=seed, coins="replay")
+            dense = uniform_splitting(adj, spec, method="dense", seed=seed)
             assert local == dense
 
     def test_trailing_isolated_nodes(self):
@@ -203,7 +178,7 @@ class TestSplittingReplayBitIdentity:
         spec = UniformSplittingSpec(eps=0.45, min_constrained_degree=2)
         for run_seed in range(6):
             result = engine.run(ZeroRoundSplitting(spec), max_rounds=1, seed=run_seed)
-            dense = uniform_splitting_dense(engine, spec, seed=run_seed, coins="replay")
+            dense = uniform_splitting_dense(engine, spec, seed=run_seed)
             assert [int(c) for c in dense.colors] == [c for c, _ in result.outputs()]
             assert dense.ok == all(ok for _, ok in result.outputs())
 
@@ -215,21 +190,21 @@ class TestSplittingReplayBitIdentity:
         spec = UniformSplittingSpec(eps=0.3, min_constrained_degree=10)
         for run_seed in (0, 1, 2, 99):
             result = engine.run(ZeroRoundSplitting(spec), max_rounds=1, seed=run_seed)
-            dense = uniform_splitting_dense(engine, spec, seed=run_seed, coins="replay")
+            dense = uniform_splitting_dense(engine, spec, seed=run_seed)
             assert [int(c) for c in dense.colors] == [c for c, _ in result.outputs()]
             assert dense.ok == all(ok for _, ok in result.outputs())
             assert dense.rounds == result.rounds == 1
 
 
-class TestPhiloxStatisticalValidity:
-    """Counter-based coins: outputs must satisfy the validity predicates."""
+class TestStatisticalValidity:
+    """Keyed coins: outputs must satisfy the validity predicates."""
 
     def test_mis_independence_and_maximality(self):
         for trial in range(3):
             adj = random_sparse_graph(300, 6, seed=trial)
             engine = CSREngine(Network(adj))
             for seed in range(8):
-                dense = luby_mis_dense(engine, seed=seed, coins="philox")
+                dense = luby_mis_dense(engine, seed=seed)
                 assert dense.completed
                 assert is_mis(adj, {int(i) for i in dense.in_mis.nonzero()[0]})
 
@@ -238,7 +213,7 @@ class TestPhiloxStatisticalValidity:
             adj = configuration_model_regular(120, 3, seed=trial)
             engine = CSREngine(Network(adj))
             for seed in range(6):
-                dense = sinkless_trial_dense(engine, min_degree=3, seed=seed, coins="philox")
+                dense = sinkless_trial_dense(engine, min_degree=3, seed=seed)
                 orientation = dense_orientation(engine, dense.out)
                 assert is_sinkless(adj, orientation, min_degree=3)
                 assert dense.rounds >= 2
@@ -251,7 +226,7 @@ class TestPhiloxStatisticalValidity:
         red_fractions = []
         for seed in range(50):
             partition = uniform_splitting(
-                adj, spec, method="dense", seed=seed, coins="philox", engine=engine
+                adj, spec, method="dense", seed=seed, engine=engine
             )
             assert not uniform_splitting_violations(adj, partition, spec)
             red_fractions.append(partition.count(0) / n)
@@ -260,11 +235,11 @@ class TestPhiloxStatisticalValidity:
         assert abs(mean - 0.5) < 0.05
         assert min(red_fractions) > 0.35 and max(red_fractions) < 0.65
 
-    def test_philox_luby_rounds_logarithmic(self):
+    def test_luby_rounds_logarithmic(self):
         # O(log n) w.h.p.: generous cap, but it must not blow up.
         adj = random_sparse_graph(2000, 10, seed=1)
         engine = CSREngine(Network(adj))
-        dense = luby_mis_dense(engine, seed=0, coins="philox")
+        dense = luby_mis_dense(engine, seed=0)
         assert dense.completed and dense.rounds <= 40
 
 
@@ -285,3 +260,22 @@ class TestDenseArraysOnEngine:
         assert local.luby_mis_dense is luby_mis_dense
         with pytest.raises(AttributeError):
             local.not_a_kernel
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda adj: luby_mis(adj, seed=0, coins="philox"),
+        lambda adj: run_trial_and_fix(adj, seed=0, method="dense", coins="replay"),
+        lambda adj: uniform_splitting(
+            adj, UniformSplittingSpec(eps=0.3, min_constrained_degree=1),
+            method="dense", seed=0, coins="keyed",
+        ),
+        lambda adj: luby_mis_dense(CSREngine(Network(adj)), seed=0, coins="philox"),
+    ],
+    ids=["luby_mis", "run_trial_and_fix", "uniform_splitting", "luby_mis_dense"],
+)
+def test_removed_coins_keyword_fails_loudly(call):
+    # One coin law: there is no coin kind left to choose.
+    with pytest.raises(TypeError, match="coins"):
+        call([[1, 2], [0, 2], [0, 1]])

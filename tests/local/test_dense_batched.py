@@ -1,13 +1,13 @@
-"""The trial-batched Luby kernel: bit-identity to sequential keyed runs.
+"""The trial-batched Luby kernel: bit-identity to sequential runs.
 
 The contract under test (``repro/local/dense.py``): a batched run over
 seeds ``s1..sk`` is **bit-identical** — MIS membership, round counts,
-completion flags and crash records — to ``k`` independent sequential
-``coins="keyed"`` runs of the same kernel, because every coin is a pure hash of ``(seed, counter,
-round)`` and the batched kernels recompute exactly those hashes at
-whatever (trial, node, round) triples are still active.  Property-tested
-on random graphs, including a mask-mode faulty scenario, ragged
-termination, and mid-phase ``max_rounds`` caps.
+completion flags and crash records — to ``k`` independent sequential runs
+of the same kernel, because every coin is a pure hash of ``(seed, "node",
+uid, round, draw)`` and the batched kernel recomputes exactly those hashes
+at whatever (trial, node, round) triples are still active.  Tested on
+random graphs, including faulty scenarios, ragged termination, and
+mid-phase ``max_rounds`` caps.
 """
 
 import pytest
@@ -35,7 +35,7 @@ from repro.scenarios.faults import (  # noqa: E402
     MuteHubs,
 )
 from repro.scenarios.masks import DenseFaults  # noqa: E402
-from repro.utils.rng import CoinTable, ensure_rng  # noqa: E402
+from repro.utils.rng import ensure_rng  # noqa: E402
 
 SEEDS = list(range(10))
 
@@ -50,7 +50,7 @@ def regular_engine(n=120, deg=4, gseed=11):
 
 def assert_luby_identical(engine, seeds, batch, **kwargs):
     for t, s in enumerate(seeds):
-        seq = luby_mis_dense(engine, seed=s, coins="keyed", **kwargs)
+        seq = luby_mis_dense(engine, seed=s, **kwargs)
         assert np.array_equal(batch.in_mis[t], seq.in_mis)
         assert np.array_equal(batch.crashed[t], seq.crashed)
         assert int(batch.rounds[t]) == seq.rounds
@@ -90,14 +90,9 @@ class TestLubyBatchedBitIdentity:
         engine = sparse_engine(n=80, deg=4, gseed=2)
         batch = luby_mis_batched(engine, [0, 1])
         one = batch.trial(1)
-        seq = luby_mis_dense(engine, seed=1, coins="keyed")
+        seq = luby_mis_dense(engine, seed=1)
         assert np.array_equal(one.in_mis, seq.in_mis)
         assert one.rounds == seq.rounds
-
-    def test_replay_coins_rejected(self):
-        engine = sparse_engine(n=40, deg=3, gseed=1)
-        with pytest.raises(ValueError):
-            luby_mis_batched(engine, [0, 1], coins="replay")
 
     def test_seed_order_permutes_rows(self):
         engine = sparse_engine(n=120, deg=5, gseed=4)
@@ -156,27 +151,11 @@ class TestLubyBatchedGraphShapes:
         assert_luby_identical(engine, SEEDS, batch, max_rounds=max_rounds)
 
 
-@pytest.mark.parametrize(
-    "run",
-    [
-        pytest.param(lambda engine, coins: luby_mis_batched(
-            engine, [0, 1], coins=coins), id="luby_mis_batched"),
-    ],
-)
-@pytest.mark.parametrize("coins", ["philox", "replay"])
-def test_batched_kernels_draw_keyed_coins_only(run, coins):
-    # philox is a different coin law and replay streams are
-    # consumption-ordered: neither may be silently swapped for keyed coins.
-    engine = regular_engine(n=20, deg=3, gseed=2)
-    with pytest.raises(ValueError, match="keyed counter-based coins only"):
-        run(engine, coins)
-
-
 class TestLubyBatchedFaulty:
-    def test_mask_mode_scenario_identical(self):
+    def test_crash_and_drop_scenario_identical(self):
         engine = sparse_engine(n=250, deg=6, gseed=5)
         perts = [CrashNodes(fraction=0.05, at_round=3), IIDMessageDrop(p=0.08)]
-        bound = bind_all(perts, engine.network, fault_seed=99, fault_mode="mask")
+        bound = bind_all(perts, engine.network, fault_seed=99)
         faults = DenseFaults(engine, bound)
         batch = luby_mis_batched(engine, SEEDS, faults=faults)
         assert_luby_identical(engine, SEEDS, batch, faults=faults)
@@ -189,7 +168,7 @@ class TestLubyBatchedFaulty:
             IIDMessageDrop(p=0.15, from_round=1, until_round=4),
             MuteHubs(),
         )
-        bound = bind_all(perts, engine.network, fault_seed=11, fault_mode="mask")
+        bound = bind_all(perts, engine.network, fault_seed=11)
         faults = DenseFaults(engine, bound)
         batch = luby_mis_batched(engine, SEEDS, faults=faults)
         assert bool(batch.crashed.any())
@@ -198,7 +177,7 @@ class TestLubyBatchedFaulty:
     def test_multigraph_under_crashes_identical(self):
         engine = CSREngine(Network(multigraph()))
         perts = (CrashNodes(fraction=0.1, at_round=1), IIDMessageDrop(p=0.1))
-        bound = bind_all(perts, engine.network, fault_seed=2, fault_mode="mask")
+        bound = bind_all(perts, engine.network, fault_seed=2)
         faults = DenseFaults(engine, bound)
         batch = luby_mis_batched(engine, SEEDS, faults=faults)
         assert_luby_identical(engine, SEEDS, batch, faults=faults)
@@ -206,11 +185,26 @@ class TestLubyBatchedFaulty:
     def test_faulty_mid_phase_caps(self):
         engine = sparse_engine(n=150, deg=5, gseed=9)
         perts = [CrashNodes(fraction=0.06, at_round=2), IIDMessageDrop(p=0.1)]
-        bound = bind_all(perts, engine.network, fault_seed=4, fault_mode="mask")
+        bound = bind_all(perts, engine.network, fault_seed=4)
         faults = DenseFaults(engine, bound)
         for cap in (1, 2, 3, 4, 5):
             batch = luby_mis_batched(engine, SEEDS, faults=faults, max_rounds=cap)
             assert_luby_identical(engine, SEEDS, batch, faults=faults, max_rounds=cap)
+
+    @pytest.mark.parametrize("at_round", [1, 3, 5])
+    @pytest.mark.parametrize("pool_pairs", [0, 10**9])
+    def test_whole_frontier_crash_stops_after_the_odd_round(self, at_round, pool_pairs):
+        # Like the engine, a trial whose frontier crashes entirely at the
+        # start of an odd round executes that round and no more, on its own
+        # and in the communal pool alike.
+        engine = sparse_engine(n=150, deg=5, gseed=9)
+        bound = bind_all([CrashNodes(fraction=1.0, at_round=at_round)], engine.network, 2)
+        faults = DenseFaults(engine, bound)
+        batch = luby_mis_batched(engine, SEEDS, faults=faults, pool_pairs=pool_pairs)
+        assert_luby_identical(engine, SEEDS, batch, faults=faults)
+        running = batch.rounds >= at_round  # trials not finished before the crash
+        assert running.any()
+        assert (batch.rounds[running] == at_round).all()
 
 
 @pytest.mark.parametrize(
@@ -223,28 +217,10 @@ class TestLubyBatchedFaulty:
 def test_pipeline_dense_batched_dispatch(pipeline, adj, kwargs):
     """``method="dense-batched"`` through the public pipeline entry points."""
     seeds = SEEDS[:4]
-    # The pipelines default to philox coins, a different coin law than the
-    # batched kernels draw: refuse rather than silently switch to keyed.
-    with pytest.raises(ValueError, match="keyed counter-based coins only"):
-        pipeline(adj, seed=seeds, method="dense-batched", **kwargs)
-    batch = pipeline(adj, seed=seeds, method="dense-batched", coins="keyed", **kwargs)
-    assert batch == [
-        pipeline(adj, seed=s, method="dense", coins="keyed", **kwargs) for s in seeds
-    ]
+    batch = pipeline(adj, seed=seeds, method="dense-batched", **kwargs)
+    assert batch == [pipeline(adj, seed=s, method="dense", **kwargs) for s in seeds]
     with pytest.raises(ValueError, match="unknown method"):
-        pipeline(adj, seed=0, method="dense-sharded", coins="keyed", **kwargs)
-
-
-PIPELINES = [
-    pytest.param(luby_mis, {}, id="luby_mis"),
-]
-
-
-@pytest.mark.parametrize("pipeline, kwargs", PIPELINES)
-def test_pipeline_dense_batched_rejects_replay_coins(pipeline, kwargs):
-    adj = configuration_model_regular(40, 4, seed=1)
-    with pytest.raises(ValueError, match="keyed counter-based coins only"):
-        pipeline(adj, seed=[0, 1], method="dense-batched", coins="replay", **kwargs)
+        pipeline(adj, seed=0, method="dense-sharded", **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -263,64 +239,15 @@ def test_pipelines_without_batched_kernel_reject_batched_method(pipeline, kwargs
     adj = configuration_model_regular(40, 4, seed=1)
     for seed in ([0, 1], 0):
         with pytest.raises(ValueError, match="unknown method"):
-            pipeline(adj, seed=seed, method=method, coins="keyed", **kwargs)
+            pipeline(adj, seed=seed, method=method, **kwargs)
 
 
 def test_pipeline_dense_batched_rows_are_valid_and_charged_per_trial():
     adj = random_sparse_graph(150, 8, seed=17)
     ledger = RoundLedger()
-    batch = luby_mis(adj, seed=SEEDS[:5], method="dense-batched", coins="keyed",
-                     ledger=ledger)
+    batch = luby_mis(adj, seed=SEEDS[:5], method="dense-batched", ledger=ledger)
     assert len(batch) == 5
     for mis, _ in batch:
         assert is_mis(adj, mis)
     assert len(ledger) == 5
     assert ledger.simulated_total() == sum(rounds for _, rounds in batch)
-
-
-class TestKeyedCoinTable:
-    """The keyed kind is a pure function of (seed, counter, tag)."""
-
-    def test_purity_and_order_insensitivity(self):
-        table = CoinTable(42, range(10), kind="keyed")
-        idx = np.array([3, 1, 4], dtype=np.int64)
-        a = table.uniforms(idx, tag=5)
-        b = table.uniforms(idx, tag=5)
-        assert np.array_equal(a, b)  # drawing twice changes nothing
-        # per-element values don't depend on which call draws them
-        single = table.uniforms(np.array([1], dtype=np.int64), tag=5)
-        assert a[1] == single[0]
-
-    def test_tag_and_seed_dependence(self):
-        idx = np.arange(32, dtype=np.int64)
-        t42 = CoinTable(42, range(32), kind="keyed")
-        assert not np.array_equal(t42.uniforms(idx, tag=1), t42.uniforms(idx, tag=2))
-        t43 = CoinTable(43, range(32), kind="keyed")
-        assert not np.array_equal(t42.uniforms(idx, tag=1), t43.uniforms(idx, tag=1))
-
-    def test_values_are_uniform_range(self):
-        table = CoinTable(7, range(1000), kind="keyed")
-        u = table.uniforms(np.arange(1000, dtype=np.int64), tag=1)
-        assert ((u >= 0) & (u < 1)).all()
-        assert 0.4 < u.mean() < 0.6
-
-    def test_randints_respect_bounds(self):
-        table = CoinTable(7, range(100), kind="keyed")
-        bounds = np.arange(1, 101, dtype=np.int64)
-        draws = table.randints(np.arange(100, dtype=np.int64), bounds, tag=3)
-        assert ((draws >= 0) & (draws < bounds)).all()
-
-    def test_uniform_runs_keyed_by_call_position(self):
-        table = CoinTable(9, range(10), kind="keyed")
-        counts = np.array([2, 3, 1], dtype=np.int64)
-        full = table.uniform_runs(np.array([0, 1, 2]), counts, tag=1)
-        assert full.shape[0] == 6
-        again = table.uniform_runs(np.array([0, 1, 2]), counts, tag=1)
-        assert np.array_equal(full, again)
-
-    def test_philox_and_replay_ignore_tag(self):
-        idx = np.arange(8, dtype=np.int64)
-        for kind in ("philox", "replay"):
-            a = CoinTable(1, range(8), kind=kind).uniforms(idx, tag=1)
-            b = CoinTable(1, range(8), kind=kind).uniforms(idx, tag=9)
-            assert np.array_equal(a, b)

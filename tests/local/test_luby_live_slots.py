@@ -5,8 +5,8 @@ whose two endpoints are both still on the frontier, and compacts them as
 the frontier shrinks.  The oracle below is the kernel body it replaced:
 every phase reduces all ``m`` slots with segment reductions over the CSR
 rows.  Both must return the same ``in_mis``, ``crashed``, ``rounds``,
-``completed`` and traced round records for any graph, coin kind, fault
-stack, fault mode and round cap.
+``completed`` and traced round records for any graph, seed, fault stack
+and round cap.
 """
 
 import numpy as np
@@ -27,7 +27,7 @@ from repro.scenarios import (
     rewrite_all,
 )
 from repro.scenarios.masks import DenseFaults
-from repro.utils.rng import as_coin_table
+from repro.utils.rng import NODE_COINS, keyed_u01_array
 
 EXAMPLES = settings(max_examples=150, deadline=None)
 
@@ -56,12 +56,11 @@ def full_sweep_round(active, r, uid, offsets, dst_node, owner, active2=None,
     return joining, killed
 
 
-def full_sweep_luby(engine, seed, coins, max_rounds, faults, tracer):
+def full_sweep_luby(engine, seed, max_rounds, faults, tracer):
     """The old ``luby_mis_dense`` body: ``(in_mis, crashed, rounds, completed)``."""
     offsets, dst_node, _ = engine.dense_arrays()
     n = engine.n
     uid = engine.network.uid_array
-    table = as_coin_table(coins, seed, engine.network.ids)
     degrees = np.diff(offsets)
     in_mis = degrees == 0
     active = ~in_mis
@@ -82,10 +81,10 @@ def full_sweep_luby(engine, seed, coins, max_rounds, faults, tracer):
                 crashed |= active & crash
                 active = active & ~crash
         act_idx = np.flatnonzero(active)
-        r[act_idx] = table.uniforms(act_idx, tag=round1)
+        r[act_idx] = keyed_u01_array(seed, NODE_COINS, uid[act_idx], round1, 0)
         rounds += 1
         tracer.round(round1, active=int(active.sum()), seconds=0.0)
-        if rounds + 1 > max_rounds:
+        if rounds + 1 > max_rounds or act_idx.shape[0] == 0:
             break
         active2 = heard1 = heard2 = corrupt1 = corrupt2 = None
         if faults is not None:
@@ -149,8 +148,6 @@ def cases(draw):
         "stack": tuple(draw(st.lists(FAULTS, max_size=3))),
         "seed": draw(st.integers(0, 2**31 - 1)),
         "fault_seed": draw(st.integers(0, 2**31 - 1)),
-        "fault_mode": draw(st.sampled_from(["replay", "mask"])),
-        "coins": draw(st.sampled_from(["philox", "replay", "keyed"])),
         "max_rounds": draw(st.sampled_from([0, 1, 2, 3, 5, 7, 10_000])),
     }
 
@@ -163,16 +160,16 @@ def test_live_slot_kernel_matches_the_full_sweep(case):
     def faults():
         if not case["stack"]:
             return None
-        bound = bind_all(case["stack"], engine.network, case["fault_seed"], case["fault_mode"])
+        bound = bind_all(case["stack"], engine.network, case["fault_seed"])
         return DenseFaults(engine, bound)
 
     want_tracer, got_tracer = Tracer(), Tracer()
     in_mis, crashed, rounds, completed = full_sweep_luby(
-        engine, case["seed"], case["coins"], case["max_rounds"], faults(), want_tracer
+        engine, case["seed"], case["max_rounds"], faults(), want_tracer
     )
     got = luby_mis_dense(
-        engine, seed=case["seed"], coins=case["coins"], max_rounds=case["max_rounds"],
-        faults=faults(), tracer=got_tracer,
+        engine, seed=case["seed"], max_rounds=case["max_rounds"], faults=faults(),
+        tracer=got_tracer,
     )
     assert np.array_equal(got.in_mis, in_mis)
     assert np.array_equal(got.crashed, crashed)
@@ -197,35 +194,34 @@ GRID_STACKS = {
 
 
 @pytest.mark.parametrize("stack", GRID_STACKS.values(), ids=GRID_STACKS.keys())
-@pytest.mark.parametrize("coins", ["philox", "keyed", "replay"])
-@pytest.mark.parametrize("fault_mode", ["replay", "mask"])
-def test_live_slot_kernel_matches_the_full_sweep_on_a_grid(stack, coins, fault_mode):
+def test_live_slot_kernel_matches_the_full_sweep_on_a_grid(stack):
     # Later-phase crashes leave a crashed node's stale priority on live
     # slots for one phase; these graphs are large enough that some node
-    # is still on the frontier when that happens.
-    for n, seed, caps in ((50, 1, (1, 2, 3, 5, 10_000)), (300, 2, (3, 10_000))):
-        engine = CSREngine(Network(random_sparse_graph(n, 6, seed=n + seed)))
-        for cap in caps:
-            faults = [
-                DenseFaults(engine, bind_all(stack, engine.network, seed, fault_mode))
-                if stack else None
-                for _ in range(2)
-            ]
-            in_mis, crashed, rounds, completed = full_sweep_luby(
-                engine, seed, coins, cap, faults[0], Tracer()
-            )
-            got = luby_mis_dense(engine, seed=seed, coins=coins, max_rounds=cap,
-                                 faults=faults[1])
-            assert np.array_equal(got.in_mis, in_mis)
-            assert np.array_equal(got.crashed, crashed)
-            assert (got.rounds, got.completed) == (rounds, completed)
+    # is still on the frontier when that happens.  Six seeds per graph
+    # and cap vary both the coins and the fault schedule.
+    for n, graph_seed, caps in ((50, 1, (1, 2, 3, 5, 10_000)), (300, 2, (3, 10_000))):
+        engine = CSREngine(Network(random_sparse_graph(n, 6, seed=n + graph_seed)))
+        for seed in range(10 * graph_seed, 10 * graph_seed + 6):
+            for cap in caps:
+                faults = [
+                    DenseFaults(engine, bind_all(stack, engine.network, seed))
+                    if stack else None
+                    for _ in range(2)
+                ]
+                in_mis, crashed, rounds, completed = full_sweep_luby(
+                    engine, seed, cap, faults[0], Tracer()
+                )
+                got = luby_mis_dense(engine, seed=seed, max_rounds=cap, faults=faults[1])
+                assert np.array_equal(got.in_mis, in_mis)
+                assert np.array_equal(got.crashed, crashed)
+                assert (got.rounds, got.completed) == (rounds, completed)
 
 
 def test_first_phase_reduces_every_slot_and_later_phases_fewer():
     engine = CSREngine(Network(random_sparse_graph(2_000, 12, seed=5)))
     m = engine.dense_arrays()[1].shape[0]
     tracer = Tracer()
-    result = luby_mis_dense(engine, seed=1, coins="keyed", tracer=tracer)
+    result = luby_mis_dense(engine, seed=1, tracer=tracer)
     slots = [r["slots"] for r in tracer.round_records() if "slots" in r]
     assert len(slots) == result.rounds // 2
     assert slots[0] == m
@@ -238,7 +234,7 @@ def test_live_slots_reduced_stay_near_one_sweep(seed):
     # live slots of a whole run add up to about 1.11-1.13 * m.
     engine = CSREngine(Network(random_sparse_graph(10_000, 20, seed=20)))
     m = engine.dense_arrays()[1].shape[0]
-    result = luby_mis_dense(engine, seed=seed, coins="keyed")
+    result = luby_mis_dense(engine, seed=seed)
     assert result.completed
     assert result.rounds >= 8
     assert m <= result.slots_reduced < 1.5 * m

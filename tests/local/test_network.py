@@ -151,7 +151,7 @@ class TestNetwork:
             uids[0] = 1
         # Every binding's fault coins read the network's one array.
         for attempt in range(3):
-            for b in bind_all((IIDMessageDrop(0.5), CorruptMessages(0.5)), net, attempt, "mask"):
+            for b in bind_all((IIDMessageDrop(0.5), CorruptMessages(0.5)), net, attempt):
                 b.delivers_mask(1, net.dst_node, net.dst_port)
                 b.corrupts_mask(1, net.dst_node, net.dst_port)
                 assert b.network.uid_array is uids

@@ -34,19 +34,18 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.scenarios.masks import DenseFaults
-from repro.utils.rng import as_coin_table
+from repro.utils.rng import NODE_COINS, keyed_u01_array
 
 EXAMPLES = settings(max_examples=150, deadline=None)
 
 
-def full_pass_splitting(engine, spec, seed, coins, red, blue, faults):
+def full_pass_splitting(engine, spec, seed, red, blue, faults):
     """The single-pass kernel body: ``(ok, colors, crashed, bad)``, where
     ``bad`` marks the nodes that reject the attempt."""
     offsets, dst_node, _ = engine.dense_arrays()
     n = engine.n
     degrees = np.diff(offsets)
-    table = as_coin_table(coins, seed, engine.network.ids)
-    u = table.uniforms(np.arange(n, dtype=np.int64), tag=1)
+    u = keyed_u01_array(seed, NODE_COINS, engine.network.uid_array, 0, 0)
     colors = np.where(u < 0.5, red, blue)
     crashed = np.zeros(n, dtype=bool)
     is_red = colors[dst_node] == red
@@ -73,7 +72,7 @@ class ScalarOnly(Perturbation):
     """Drops and corrupts by a coordinate hash, with only the scalar
     ``delivers``/``corrupts``: :class:`DenseFaults` must sweep it."""
 
-    def bind(self, network, fault_seed, fault_mode="replay"):
+    def bind(self, network, fault_seed):
         b = BoundPerturbation()
         b.drops_messages = True
         b.corrupts_messages = True
@@ -118,8 +117,6 @@ def cases(draw):
         "stack": stack,
         "seed": draw(st.integers(0, 2**31 - 1)),
         "fault_seed": draw(st.integers(0, 2**31 - 1)),
-        "fault_mode": draw(st.sampled_from(["replay", "mask"])),
-        "coins": draw(st.sampled_from(["philox", "replay", "keyed"])),
         "first_block": draw(st.sampled_from([1, 2, 3, 7, 4096])),
     }
 
@@ -133,15 +130,15 @@ def test_blocked_kernel_matches_the_full_pass(case):
     def faults():
         if not case["stack"]:
             return None
-        bound = bind_all(case["stack"], engine.network, case["fault_seed"], case["fault_mode"])
+        bound = bind_all(case["stack"], engine.network, case["fault_seed"])
         return DenseFaults(engine, bound)
 
     for spec in case["specs"]:
-        args = (engine, spec, case["seed"], case["coins"], 0, 1)
+        args = (engine, spec, case["seed"], 0, 1)
         ok, colors, crashed, bad = full_pass_splitting(*args, faults())
         with mock.patch.object(dense, "VERIFY_FIRST_BLOCK", case["first_block"]):
             got = uniform_splitting_dense(
-                engine, spec, seed=case["seed"], coins=case["coins"], faults=faults()
+                engine, spec, seed=case["seed"], faults=faults()
             )
             bounds = _verify_blocks(engine.offsets)
         assert got.ok == ok
@@ -163,11 +160,11 @@ def test_reused_faults_give_the_same_verdicts():
     engine = CSREngine(Network(adj))
     spec = UniformSplittingSpec(eps=0.3, min_constrained_degree=6)
     bound = bind_all((CorruptMessages(p=0.05, until_round=1), IIDMessageDrop(0.05)),
-                     engine.network, 9, "mask")
+                     engine.network, 9)
     shared = DenseFaults(engine, bound)
     with mock.patch.object(dense, "VERIFY_FIRST_BLOCK", 64):
         for seed in range(12):
-            ok, colors, _, _ = full_pass_splitting(engine, spec, seed, "philox", 0, 1, shared)
+            ok, colors, _, _ = full_pass_splitting(engine, spec, seed, 0, 1, shared)
             got = uniform_splitting_dense(engine, spec, seed=seed, faults=shared)
             assert got.ok == ok and np.array_equal(got.colors, colors)
 
@@ -195,7 +192,7 @@ def test_rejected_attempts_stop_early_on_byzantine_splitting():
     # than 60% of them (about 47% at this seed).
     tracer = Tracer()
     metrics = run_scenario("splitting/byzantine", n=4000, seed=1, backend="dense",
-                           fault_mode="mask", tracer=tracer)
+                           tracer=tracer)
     records = tracer.round_records()
     assert metrics["attempts"] == 64 and metrics["accepted"] == 0
     assert len(records) == 64 and not any(r["ok"] for r in records)

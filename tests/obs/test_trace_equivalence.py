@@ -1,9 +1,9 @@
 """Cross-backend trace equivalence.
 
-The backends are bit-identical under replayed coins (the scenario layer's
-core invariant), so their *traces* must agree too: same number of round
-records as executed rounds, same per-round active-set trajectory, same
-violation count.  This pins the dense kernels' explicit trace points to
+The backends are bit-identical (every one draws the same keyed coins),
+so their *traces* must agree too: same number of round records as
+executed rounds, same per-round active-set trajectory, same violation
+count.  This pins the dense kernels' explicit trace points to
 the hook-based executors' ``TracingHooks`` accounting — a dense trace
 point placed on the wrong side of a phase boundary shows up here as a
 diverging active count even though the run outputs still match.
@@ -23,7 +23,7 @@ CASES = ["luby/crash", "sinkless/crash", "splitting/drop-iid"]
 def _traced_run(name, backend, seed=3):
     tracer = Tracer(backend=backend, scenario=name)
     metrics = run_scenario(
-        name, n=200, seed=seed, backend=backend, coins="replay", tracer=tracer
+        name, n=200, seed=seed, backend=backend, tracer=tracer
     )
     return tracer, metrics
 
@@ -67,7 +67,7 @@ def test_scenario_runner_emits_a_result_event():
 
 
 def test_untraced_and_traced_runs_return_identical_metrics():
-    plain = run_scenario("luby/crash", n=200, seed=3, backend="dense", coins="replay")
+    plain = run_scenario("luby/crash", n=200, seed=3, backend="dense")
     tracer, traced = _traced_run("luby/crash", "dense")
     # tracing must be a pure observer: pop wall-time metrics, compare the rest
     for metrics in (plain, traced):

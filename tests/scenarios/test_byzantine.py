@@ -9,9 +9,9 @@ Byzantine message corruption.
   unknown payloads through;
 * **hook equivalence** — the Byzantine scenarios produce bit-identical
   metrics across every backend they register (reference hooks, engine
-  hooks, dense corruption masks) in both fault modes, because the
-  corruption *decision* runs on the shared ``fault_u01`` kernels and the
-  *rewrite* is mirrored as per-slot semantic masks.
+  hooks, dense corruption masks), because the corruption *decision* runs
+  on the shared keyed coin kernels and the *rewrite* is mirrored as
+  per-slot semantic masks.
 """
 
 import random
@@ -44,25 +44,24 @@ def connected_graph(seed, n=40, extra=40):
     return adj
 
 
-def victims_of(pert, net, seed, fault_mode="replay"):
-    bound = pert.bind(net, seed, fault_mode)
+def victims_of(pert, net, seed):
+    bound = pert.bind(net, seed)
     return sorted(bound.crashes(pert.at_round))
 
 
 class TestCorrelatedCrash:
     @pytest.mark.parametrize("mode", ["ball", "shard"])
-    @pytest.mark.parametrize("fault_mode", ["replay", "mask"])
-    def test_victim_count_and_schedule(self, mode, fault_mode):
+    def test_victim_count_and_schedule(self, mode):
         net = Network(connected_graph(1))
         for fraction in (0.1, 0.25, 0.5):
             pert = CorrelatedCrash(fraction, at_round=3, mode=mode)
-            bound = pert.bind(net, 7, fault_mode)
+            bound = pert.bind(net, 7)
             victims = sorted(bound.crashes(3))
             assert len(victims) == max(1, round(fraction * net.n))
             assert bound.crashes(2) == () and bound.crashes(4) == ()
             assert bound.quiet_after == 3
             # Deterministic per bound seed, no hidden global state.
-            assert victims == victims_of(pert, net, 7, fault_mode)
+            assert victims == victims_of(pert, net, 7)
 
     def test_ball_mode_victims_are_connected(self):
         for seed in range(5):
@@ -147,18 +146,13 @@ class TestByzantineHookEquivalence:
         "name", ["luby/byzantine", "sinkless/byzantine", "splitting/byzantine",
                  "luby/crash-correlated", "luby/crash-shard"],
     )
-    @pytest.mark.parametrize("fault_mode", ["replay", "mask"])
-    def test_backends_agree(self, name, fault_mode):
+    def test_backends_agree(self, name):
         sc = get_scenario(name)
-        runs = [
-            run_scenario(sc, n=64, seed=3, backend=backend, coins="replay",
-                         fault_mode=fault_mode)
-            for backend in sc.backends
-        ]
+        runs = [run_scenario(sc, n=64, seed=3, backend=backend) for backend in sc.backends]
         keys = [k for k in runs[0] if not k.endswith("_seconds")]
         for backend, m in zip(sc.backends[1:], runs[1:]):
             for k in keys:
-                assert m[k] == runs[0][k], (name, backend, fault_mode, k)
+                assert m[k] == runs[0][k], (name, backend, k)
 
     def test_corruption_changes_outcomes(self):
         clean = run_scenario("luby/crash", n=64, seed=3, backend="engine")

@@ -1,29 +1,32 @@
-"""Property tests: deterministic-fault runs are bit-identical across backends.
+"""One property: reference, engine and dense compute the same run.
 
-The scenario subsystem's core guarantee: because every fault decision is a
-pure function of ``(fault_seed, round, coordinates)``, a perturbed run is
-*bit-identical* between the reference simulator and the batched engine for
-any algorithm, and — with replayed coins — between the engine and the
-dense kernels for the shipped pipelines.  Random graphs x random fault
-stacks x random seeds probe that exhaustively.
+Every node coin is the keyed uniform ``u(seed, "node", uid, round, draw)``
+and every fault decision a keyed coin of the trial seed, so for any graph
+or multigraph, any identifiers, any seed, any stack of the registered
+runtime perturbations and any round cap, the reference simulator, the CSR
+engine and the dense kernels must agree bit for bit — outputs, round
+counts and crash records — for Luby MIS, trial-and-fix sinkless
+orientation and 0-round uniform splitting.
 """
 
 import random
 
-import pytest
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.splitting import ZeroRoundSplitting
-from repro.bipartite.generators import random_sparse_graph
 from repro.core.problems import UniformSplittingSpec
 from repro.local import CSREngine, Network, run_local
-from repro.local.dense import (
-    luby_mis_dense,
-    sinkless_trial_dense,
-    uniform_splitting_dense,
-)
+from repro.local.dense import luby_mis_dense, sinkless_trial_dense, uniform_splitting_dense
 from repro.mis.luby import LubyMIS
-from repro.orientation.sinkless import TrialAndFixSinkless, sinks
+from repro.orientation.sinkless import (
+    TrialAndFixSinkless,
+    slot_state_from_views,
+    survivors_sink_free,
+)
 from repro.scenarios import (
+    AdversarialIDs,
+    CorrelatedCrash,
     CorruptMessages,
     CrashNodes,
     DropEdges,
@@ -32,239 +35,193 @@ from repro.scenarios import (
     LateEdges,
     MuteHubs,
     PerturbationHooks,
+    PortScramble,
+    Scenario,
     bind_all,
-    orientation_from_views,
+    get_scenario,
+    run_scenario,
 )
 from repro.scenarios.masks import DenseFaults
 
+SPLIT_SPEC = UniformSplittingSpec(eps=0.25, min_constrained_degree=3)
+SINKLESS_MIN_DEGREE = 2
 
-def random_multigraph(rng, n):
-    """Random sparse symmetric adjacency, occasionally with multi-edges."""
+P = st.sampled_from([0.1, 0.3, 0.6])
+UNTIL = st.one_of(st.none(), st.integers(1, 6))
+
+#: Every registered runtime perturbation, any schedule.
+RUNTIME = st.one_of(
+    st.builds(CrashNodes, fraction=P, at_round=st.integers(1, 5),
+              select=st.sampled_from(["random", "hubs"])),
+    st.builds(CorrelatedCrash, fraction=P, at_round=st.integers(1, 5),
+              mode=st.sampled_from(["ball", "shard"])),
+    st.builds(IIDMessageDrop, p=P, until_round=UNTIL),
+    st.builds(MuteHubs, count=st.integers(1, 3), until_round=st.integers(1, 5)),
+    st.builds(EdgeChurn, p_down=P, until_round=UNTIL),
+    st.builds(LateEdges, fraction=P, at_round=st.integers(2, 5)),
+    st.builds(DropEdges, fraction=P, at_round=st.integers(1, 5)),
+    st.builds(CorruptMessages, p=P, until_round=UNTIL),
+)
+
+#: The same families with a clean round 1, which trial-and-fix requires.
+FROM_ROUND_TWO = st.one_of(
+    st.builds(CrashNodes, fraction=P, at_round=st.integers(2, 5)),
+    st.builds(IIDMessageDrop, p=P, from_round=st.just(2), until_round=st.integers(2, 6)),
+    st.builds(IIDMessageDrop, p=P, from_round=st.integers(2, 4)),
+    st.builds(EdgeChurn, p_down=P, from_round=st.integers(2, 4)),
+    st.builds(DropEdges, fraction=P, at_round=st.integers(2, 5)),
+    st.builds(CorruptMessages, p=P, from_round=st.just(2), until_round=st.integers(2, 5)),
+)
+
+
+@st.composite
+def cases(draw):
+    n = draw(st.integers(0, 14))
+    pairs = []
+    if n >= 2:
+        pairs = draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n
+        ))
+    return {
+        "n": n,
+        "pairs": [(u, v) for u, v in pairs if u != v],
+        "uids": draw(st.lists(st.integers(-(2**40), 2**40), min_size=n, max_size=n,
+                              unique=True)),
+        "seed": draw(st.integers(0, 2**32)),
+        "stack": tuple(draw(st.lists(RUNTIME, max_size=3))),
+        "sinkless_stack": tuple(draw(st.lists(FROM_ROUND_TWO, max_size=2))),
+        "max_rounds": draw(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 60])),
+    }
+
+
+def adjacency(n, pairs, simple=False):
+    """Symmetric adjacency over loop-free ``pairs``; ``simple`` keeps each
+    undirected pair once."""
+    if simple:
+        pairs = sorted({(min(u, v), max(u, v)) for u, v in pairs})
     adj = [[] for _ in range(n)]
-    for _ in range(rng.randrange(0, 2 * n)):
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u == v:
-            continue
+    for u, v in pairs:
         adj[u].append(v)
         adj[v].append(u)
     return adj
 
 
-def random_stack(rng):
-    """A random non-empty subset of runtime perturbations."""
-    pool = [
-        CrashNodes(fraction=rng.choice([0.1, 0.3]), at_round=rng.randrange(1, 5)),
-        IIDMessageDrop(p=rng.choice([0.1, 0.4]), until_round=rng.choice([None, 3])),
-        MuteHubs(count=rng.randrange(1, 4), until_round=rng.randrange(1, 5)),
-        EdgeChurn(p_down=rng.choice([0.2, 0.5])),
-        LateEdges(fraction=0.4, at_round=rng.randrange(2, 5)),
-        # Steady state != all-deliver: exercises the quiet-horizon
-        # steady-mask reuse in DenseFaults.
-        DropEdges(fraction=0.3, at_round=rng.randrange(1, 5)),
-    ]
-    k = rng.randrange(1, 4)
-    return tuple(rng.sample(pool, k))
+def hooks(stack, net, seed):
+    """A fresh hooked-executor view of the stack bound to ``seed``."""
+    return PerturbationHooks(bind_all(stack, net, seed))
 
 
-def assert_bit_identical(ref, fast):
-    assert ref.rounds == fast.rounds
-    assert ref.completed == fast.completed
-    assert ref.outputs() == fast.outputs()
-    assert [v.state for v in ref.views] == [v.state for v in fast.views]
+def faults(engine, stack, seed):
+    """The dense kernels' mask view of the same binding."""
+    return DenseFaults(engine, bind_all(stack, engine.network, seed))
 
 
-def assert_sinkless_dense_matches_engine(rng, make_perts, max_rounds):
-    """One random simple graph: the replay-coin dense sinkless kernel under
-    the stack ``make_perts(rng)`` ends in the hooked engine's exact slot
-    states and round count."""
-    while True:
-        n = rng.randrange(4, 20)
-        adj = random_sparse_graph(n, 3.0, seed=rng.randrange(999))
-        if any(adj):
-            break
-    net = Network(adj)
+def crashed(views):
+    return [bool(v.state.get("crashed")) for v in views]
+
+
+def assert_same_run(ref, eng):
+    assert (ref.rounds, ref.completed) == (eng.rounds, eng.completed)
+    assert ref.outputs() == eng.outputs()
+    assert [v.state for v in ref.views] == [v.state for v in eng.views]
+
+
+def check_luby(net, seed, stack, max_rounds):
     engine = CSREngine(net)
-    seed = rng.randrange(10_000)
-    bound = bind_all(make_perts(rng), net, fault_seed=seed)
-    algo = TrialAndFixSinkless(min_degree=2)
+    kwargs = dict(max_rounds=max_rounds, seed=seed)
+    ref = run_local(net, LubyMIS(), hooks=hooks(stack, net, seed), **kwargs)
+    eng = engine.run(LubyMIS(), hooks=hooks(stack, net, seed), **kwargs)
+    assert_same_run(ref, eng)
+    dense = luby_mis_dense(engine, faults=faults(engine, stack, seed), **kwargs)
+    assert (dense.rounds, dense.completed) == (eng.rounds, eng.completed)
+    assert dense.in_mis.tolist() == [bool(v.state.get("in_mis")) for v in eng.views]
+    assert dense.crashed.tolist() == crashed(eng.views)
 
-    # The same survivor-aware stopping rule the dense kernel checks
-    # internally (and the scenario runner uses), so both executors stop at
-    # the same round.
+
+def check_sinkless(net, seed, stack, max_rounds):
+    engine = CSREngine(net)
+    adj = net.adjacency
+
+    # The survivor-aware stop of the dense kernel and the scenario runner.
     def probe(round_no, views):
-        if round_no < 2:
-            return False
-        orientation = orientation_from_views(adj, views)
-        alive = [not v.state.get("crashed") for v in views]
-        return not any(alive[v] for v in sinks(adj, orientation, 2))
+        return round_no >= 2 and survivors_sink_free(adj, views, SINKLESS_MIN_DEGREE)
 
-    eng = engine.run(algo, max_rounds=max_rounds, seed=seed,
-                     hooks=PerturbationHooks(bound), probe=probe)
+    algo = TrialAndFixSinkless(min_degree=SINKLESS_MIN_DEGREE)
+    eng = engine.run(algo, max_rounds=max_rounds, seed=seed, probe=probe,
+                     hooks=hooks(stack, net, seed))
+    # The reference has no probe: capped at the engine's stopping round it
+    # must end in the same states.
+    ref = run_local(net, algo, max_rounds=eng.rounds, seed=seed,
+                    hooks=hooks(stack, net, seed))
+    assert_same_run(ref, eng)
     dense = sinkless_trial_dense(
-        engine, min_degree=2, seed=seed, coins="replay",
-        max_rounds=max_rounds, faults=DenseFaults(engine, bound), strict=False,
+        engine, min_degree=SINKLESS_MIN_DEGREE, seed=seed, max_rounds=max_rounds,
+        faults=faults(engine, stack, seed), strict=False,
     )
+    out, dead = slot_state_from_views(engine.offsets, eng.views)
     assert dense.rounds == eng.rounds
-    offsets = engine.offsets.tolist()
-    slot_out = [False] * offsets[-1]
-    for i, view in enumerate(eng.views):
-        for p, is_out in view.state.get("out", {}).items():
-            slot_out[offsets[i] + p] = is_out
-    assert [bool(x) for x in dense.out] == slot_out
-    assert [bool(x) for x in dense.crashed] == [
-        bool(v.state.get("crashed")) for v in eng.views
-    ]
+    assert dense.completed == (eng.rounds >= 2 and survivors_sink_free(
+        adj, eng.views, SINKLESS_MIN_DEGREE))
+    assert np.array_equal(dense.out, out)
+    assert np.array_equal(dense.crashed, dead)
 
 
-class TestReferenceVsEngineUnderFaults:
-    def test_luby_random_fault_stacks(self):
-        rng = random.Random(1234)
-        for trial in range(25):
-            adj = random_multigraph(rng, rng.randrange(2, 25))
-            net = Network(adj)
-            perts = random_stack(rng)
-            seed = rng.randrange(10_000)
-            bound = bind_all(perts, net, fault_seed=seed)
-            ref = run_local(net, LubyMIS(), max_rounds=60, seed=seed,
-                            hooks=PerturbationHooks(bound))
-            fast = CSREngine(net).run(LubyMIS(), max_rounds=60, seed=seed,
-                                      hooks=PerturbationHooks(bound))
-            assert_bit_identical(ref, fast)
-
-    def test_sinkless_random_fault_stacks(self):
-        # TrialAndFixSinkless exercises the non-broadcast send path and the
-        # defensive round-1 receive (missing proposals under faults).
-        rng = random.Random(99)
-        for trial in range(15):
-            adj = random_multigraph(rng, rng.randrange(2, 18))
-            net = Network(adj)
-            perts = random_stack(rng)
-            seed = rng.randrange(10_000)
-            bound = bind_all(perts, net, fault_seed=seed)
-            algo = TrialAndFixSinkless(min_degree=2)
-            ref = run_local(net, algo, max_rounds=12, seed=seed,
-                            hooks=PerturbationHooks(bound))
-            fast = CSREngine(net).run(algo, max_rounds=12, seed=seed,
-                                      hooks=PerturbationHooks(bound))
-            assert_bit_identical(ref, fast)
-
-    def test_splitting_random_fault_stacks(self):
-        rng = random.Random(7)
-        spec = UniformSplittingSpec(eps=0.25, min_constrained_degree=3)
-        for trial in range(15):
-            adj = random_multigraph(rng, rng.randrange(2, 20))
-            net = Network(adj)
-            perts = random_stack(rng)
-            seed = rng.randrange(10_000)
-            bound = bind_all(perts, net, fault_seed=seed)
-            algo = ZeroRoundSplitting(spec)
-            ref = run_local(net, algo, max_rounds=1, seed=seed,
-                            hooks=PerturbationHooks(bound))
-            fast = CSREngine(net).run(algo, max_rounds=1, seed=seed,
-                                      hooks=PerturbationHooks(bound))
-            assert_bit_identical(ref, fast)
+def check_splitting(net, seed, stack):
+    engine = CSREngine(net)
+    algo = ZeroRoundSplitting(SPLIT_SPEC)
+    ref = run_local(net, algo, max_rounds=1, seed=seed, hooks=hooks(stack, net, seed))
+    eng = engine.run(algo, max_rounds=1, seed=seed, hooks=hooks(stack, net, seed))
+    assert_same_run(ref, eng)
+    dense = uniform_splitting_dense(engine, SPLIT_SPEC, seed=seed,
+                                    faults=faults(engine, stack, seed))
+    assert dense.colors.tolist() == [v.state["color"] for v in eng.views]
+    assert dense.ok == all(v.output[1] for v in eng.views if v.output is not None)
+    assert dense.crashed.tolist() == crashed(eng.views)
 
 
-class TestDenseReplayUnderFaults:
-    """Dense kernels fed replayed coins + fault masks == hooked engine."""
+@settings(max_examples=200, deadline=None)
+@given(cases())
+@example({"n": 0, "pairs": [], "uids": [], "seed": 0, "stack": (),
+          "sinkless_stack": (), "max_rounds": 60})
+@example({"n": 4, "pairs": [(0, 1), (0, 1), (1, 2), (2, 0)], "uids": [9, -4, 0, 2**40],
+          "seed": 3, "stack": (CrashNodes(0.3, at_round=3), CorruptMessages(0.3)),
+          "sinkless_stack": (CrashNodes(0.3, at_round=2),), "max_rounds": 0})
+def test_every_backend_computes_the_same_run(case):
+    n, pairs, uids, seed = case["n"], case["pairs"], case["uids"], case["seed"]
+    multi = Network(adjacency(n, pairs), ids=uids)
+    check_luby(multi, seed, case["stack"], case["max_rounds"])
+    check_splitting(multi, seed, case["stack"])
+    simple = Network(adjacency(n, pairs, simple=True), ids=uids)
+    check_sinkless(simple, seed, case["sinkless_stack"], case["max_rounds"])
 
-    def test_luby_crash_and_drop(self):
-        import numpy as np
 
-        rng = random.Random(31)
-        for trial in range(12):
-            adj = random_multigraph(rng, rng.randrange(2, 30))
-            net = Network(adj)
-            engine = CSREngine(net)
-            perts = random_stack(rng)
-            seed = rng.randrange(10_000)
-            bound = bind_all(perts, net, fault_seed=seed)
-            eng = engine.run(LubyMIS(), max_rounds=40, seed=seed,
-                             hooks=PerturbationHooks(bound))
-            faults = DenseFaults(engine, bound)
-            # delivered_in is defined as the partner-gather of
-            # delivered_out: both sides of a slot name the same message.
-            for round_no in (1, 2, 3, eng.rounds or 1):
-                out = faults.delivered_out(round_no)
-                din = faults.delivered_in(round_no)
-                if out is None:
-                    assert din is None
-                else:
-                    assert np.array_equal(din, out[faults.layout.partner])
-            dense = luby_mis_dense(engine, seed=seed, coins="replay",
-                                   max_rounds=40, faults=faults)
-            assert dense.rounds == eng.rounds
-            assert dense.completed == eng.completed
-            assert [bool(x) for x in dense.in_mis] == [
-                bool(v.state.get("in_mis")) for v in eng.views
-            ]
-            assert [bool(x) for x in dense.crashed] == [
-                bool(v.state.get("crashed")) for v in eng.views
-            ]
-
-    def test_sinkless_crash(self):
-        # Crash-only schedules from round >= 2 (the dense kernel's fault
-        # support window); compare slot states against the engine's views.
-        rng = random.Random(57)
-        for _ in range(10):
-            assert_sinkless_dense_matches_engine(
-                rng,
-                lambda r: (CrashNodes(fraction=0.2, at_round=r.randrange(2, 5)),),
-                max_rounds=12,
-            )
-
-    @pytest.mark.parametrize("max_rounds", [2, 3, 5, 12])
-    @pytest.mark.parametrize("stack", ["drop", "corrupt", "crash+drop+corrupt"])
-    def test_sinkless_drop_and_corruption(self, stack, max_rounds):
-        # Drops exercise the incremental sink-count update on kept flips,
-        # corruption rounds (2..4) the full recount, the caps a mid-run stop.
-        perts = {
-            "drop": (IIDMessageDrop(p=0.3, from_round=2),),
-            "corrupt": (CorruptMessages(p=0.2, from_round=2, until_round=4),),
-            "crash+drop+corrupt": (
-                CrashNodes(fraction=0.2, at_round=3),
-                IIDMessageDrop(p=0.2, from_round=2, until_round=6),
-                CorruptMessages(p=0.2, from_round=2, until_round=4),
-            ),
-        }[stack]
-        rng = random.Random(max_rounds * 1000 + len(stack))
-        for _ in range(8):
-            assert_sinkless_dense_matches_engine(rng, lambda r: perts, max_rounds)
-
-    def test_splitting_crash_and_drop(self):
-        rng = random.Random(83)
-        spec = UniformSplittingSpec(eps=0.25, min_constrained_degree=3)
-        for trial in range(12):
-            adj = random_multigraph(rng, rng.randrange(2, 25))
-            net = Network(adj)
-            engine = CSREngine(net)
-            seed = rng.randrange(10_000)
-            perts = random_stack(rng)
-            bound = bind_all(perts, net, fault_seed=seed)
-            eng = engine.run(ZeroRoundSplitting(spec), max_rounds=1, seed=seed,
-                             hooks=PerturbationHooks(bound))
-            dense = uniform_splitting_dense(
-                engine, spec, seed=seed, coins="replay",
-                faults=DenseFaults(engine, bound),
-            )
-            assert [int(c) for c in dense.colors] == [
-                v.state["color"] for v in eng.views
-            ]
-            alive_ok = all(
-                v.output[1] for v in eng.views if v.output is not None
-            )
-            assert dense.ok == alive_ok
-            assert [bool(c) for c in dense.crashed] == [
-                bool(v.state.get("crashed")) for v in eng.views
-            ]
+def test_adversarial_naming_renames_dense_coins_too():
+    # Regression: the dense coins once ignored uids, so a renaming changed
+    # nothing the dense kernel could see and dense parted from the engine.
+    named = {
+        backend: run_scenario("luby/adversarial-naming", n=300, seed=4,
+                              backend=backend, return_state=True)[1]["mis"]
+        for backend in ("engine", "dense")
+    }
+    assert named["dense"] == named["engine"]
+    sc = get_scenario("luby/adversarial-naming")
+    assert isinstance(sc.perturbations[0], AdversarialIDs)
+    ports_only = Scenario(name="adhoc/ports-only", pipeline="luby",
+                          perturbations=sc.perturbations[1:], strict=True)
+    assert all(isinstance(p, PortScramble) for p in ports_only.perturbations)
+    unnamed = run_scenario(ports_only, n=300, seed=4, backend="dense",
+                           return_state=True)[1]["mis"]
+    assert unnamed != named["dense"]
 
 
 def test_pure_decisions_are_order_insensitive():
     """Consulting a bound stack twice (any order) gives the same answers."""
     rng = random.Random(5)
-    adj = random_multigraph(rng, 12)
+    pairs = [(rng.randrange(12), rng.randrange(12)) for _ in range(30)]
+    adj = adjacency(12, [(u, v) for u, v in pairs if u != v])
     net = Network(adj)
-    perts = random_stack(rng)
+    perts = (CrashNodes(0.3, at_round=2), IIDMessageDrop(0.3), EdgeChurn(0.4),
+             DropEdges(0.3, at_round=2))
     bound_a = bind_all(perts, net, fault_seed=42)
     bound_b = bind_all(perts, net, fault_seed=42)
     queries = [

@@ -15,14 +15,14 @@ from repro.scenarios import (
     MuteHubs,
     PortScramble,
     bind_all,
-    edge_keys,
-    fault_u01,
+    edge_key_triples,
     mis_violations,
     quiet_after,
     rewrite_all,
     splitting_violations,
     surviving_sinks,
 )
+from repro.utils.rng import NODE_COINS, keyed_u01
 from tests.conftest import cycle_graph
 
 
@@ -33,19 +33,17 @@ def star_graph(n):
 
 class TestFaultCoins:
     def test_pure_and_seed_sensitive(self):
-        a = fault_u01(1, "drop", 7, 3, 0)
-        assert a == fault_u01(1, "drop", 7, 3, 0)
-        assert a != fault_u01(2, "drop", 7, 3, 0)
-        assert a != fault_u01(1, "drop", 7, 4, 0)
-        assert a != fault_u01(1, "churn", 7, 3, 0)
+        a = keyed_u01(1, "drop", 7, 3, 0)
+        assert a == keyed_u01(1, "drop", 7, 3, 0)
+        assert a != keyed_u01(2, "drop", 7, 3, 0)
+        assert a != keyed_u01(1, "drop", 7, 4, 0)
+        assert a != keyed_u01(1, "churn", 7, 3, 0)
         assert 0.0 <= a < 1.0
 
     def test_independent_of_node_coin_namespace(self):
-        # A fault coin never equals the node's first private coin for the
-        # same (seed, uid) — disjoint salt namespaces.
-        from repro.utils.rng import node_rng
-
-        assert fault_u01(3, "drop", 5) != node_rng(3, 5).random()
+        # A message's fault coin is not the sender's private coin for the
+        # same (seed, uid, round, port/draw) key — disjoint labels.
+        assert keyed_u01(3, "drop", 5, 1, 0) != keyed_u01(3, NODE_COINS, 5, 1, 0)
 
 
 class TestCrashNodes:
@@ -75,50 +73,27 @@ class TestCrashNodes:
         with pytest.raises(ValueError):
             CrashNodes(select="typo")
 
-    def test_replay_selection_matches_historical_per_node_coins(self):
-        # The vectorized bind must reproduce the original selection rule
-        # bit-for-bit in replay mode: stable-sort the nodes by their scalar
-        # fault_u01("crash") coin and take the first `count`.
+    def test_selection_takes_the_lowest_crash_coins(self):
+        # The vectorized bind stable-sorts the nodes by their scalar
+        # keyed crash coin and takes the first `count`.
         net = Network(cycle_graph(40))
-        bound = CrashNodes(fraction=0.25, at_round=1).bind(
-            net, fault_seed=9, fault_mode="replay"
-        )
-        order = sorted(range(net.n),
-                       key=lambda i: fault_u01(9, "crash", net.ids[i]))
+        bound = CrashNodes(fraction=0.25, at_round=1).bind(net, fault_seed=9)
+        order = sorted(range(net.n), key=lambda i: keyed_u01(9, "crash", net.ids[i]))
         assert bound.crashes(1) == tuple(sorted(order[:10]))
 
-    def test_mask_selection_is_deterministic_and_sized(self):
+    def test_selection_is_deterministic_and_sized(self):
         net = Network(cycle_graph(40))
-        first = CrashNodes(fraction=0.25, at_round=1).bind(
-            net, fault_seed=9, fault_mode="mask"
-        )
-        again = CrashNodes(fraction=0.25, at_round=1).bind(
-            net, fault_seed=9, fault_mode="mask"
-        )
-        other_seed = CrashNodes(fraction=0.25, at_round=1).bind(
-            net, fault_seed=10, fault_mode="mask"
-        )
+        first = CrashNodes(fraction=0.25, at_round=1).bind(net, fault_seed=9)
+        again = CrashNodes(fraction=0.25, at_round=1).bind(net, fault_seed=9)
+        other_seed = CrashNodes(fraction=0.25, at_round=1).bind(net, fault_seed=10)
         assert first.crashes(1) == again.crashes(1)
         assert len(first.crashes(1)) == 10
         assert first.crashes(1) != other_seed.crashes(1)
 
     def test_zero_fraction_skips_selection(self):
         net = Network(cycle_graph(6))
-        for mode in ("replay", "mask"):
-            bound = CrashNodes(fraction=0.0, at_round=1).bind(
-                net, fault_seed=0, fault_mode=mode
-            )
-            assert bound.crashes(1) == ()
-
-    def test_hub_selection_is_mode_independent(self):
-        net = Network(star_graph(8))
-        replay = CrashNodes(fraction=0.1, select="hubs").bind(
-            net, 0, fault_mode="replay"
-        )
-        mask = CrashNodes(fraction=0.1, select="hubs").bind(
-            net, 0, fault_mode="mask"
-        )
-        assert replay.victims == mask.victims == (0,)
+        bound = CrashNodes(fraction=0.0, at_round=1).bind(net, fault_seed=0)
+        assert bound.crashes(1) == ()
 
 
 class TestMessageDrops:
@@ -154,7 +129,11 @@ class TestDynamicEdges:
     def test_edge_keys_symmetric_across_multiedges(self):
         adj = [[1, 1, 2], [0, 0], [0]]
         net = Network(adj)
-        keys = edge_keys(net)
+        offsets, lo, hi, k = edge_key_triples(net)
+        keys = [
+            [(lo[s], hi[s], k[s]) for s in range(offsets[i], offsets[i + 1])]
+            for i in range(net.n)
+        ]
         # The two parallel (0,1) edges get distinct keys, matched in order
         # of appearance on both sides.
         assert keys[0][0] == keys[1][0]

@@ -90,50 +90,37 @@ def deterministic(metrics):
 class TestRecoveringVariantsBitIdentity:
     """engine vs dense: identical (output, rounds, RepairResult)."""
 
-    @pytest.mark.parametrize("fault_mode", ["replay", "mask"])
-    def test_luby(self, fault_mode):
+    def test_luby(self):
         for trial in range(4):
             adj = random_graph(100 + trial)
-            eng = luby_mis_recovering(
-                adj, LUBY_STACK, seed=trial, fault_mode=fault_mode,
-                method="engine",
-            )
-            den = luby_mis_recovering(
-                adj, LUBY_STACK, seed=trial, fault_mode=fault_mode,
-                method="dense", coins="replay",
-            )
+            eng = luby_mis_recovering(adj, LUBY_STACK, seed=trial, method="engine")
+            den = luby_mis_recovering(adj, LUBY_STACK, seed=trial, method="dense")
             assert eng == den
             mis, rounds, rep = eng
             assert isinstance(rep, RepairResult)
             assert rep.last_round == rounds
             assert rep.recovered
 
-    @pytest.mark.parametrize("fault_mode", ["replay", "mask"])
-    def test_sinkless(self, fault_mode):
+    def test_sinkless(self):
         adj = circulant(n=24, k=3)
         for seed in (0, 1, 2):
             eng = sinkless_recovering(
-                adj, SINKLESS_STACK, min_degree=3, seed=seed,
-                fault_mode=fault_mode, method="engine",
+                adj, SINKLESS_STACK, min_degree=3, seed=seed, method="engine"
             )
             den = sinkless_recovering(
-                adj, SINKLESS_STACK, min_degree=3, seed=seed,
-                fault_mode=fault_mode, method="dense", coins="replay",
+                adj, SINKLESS_STACK, min_degree=3, seed=seed, method="dense"
             )
             assert eng == den
             assert eng[2].recovered
 
-    @pytest.mark.parametrize("fault_mode", ["replay", "mask"])
-    def test_splitting(self, fault_mode):
+    def test_splitting(self):
         adj = circulant(n=30, k=4)
         for seed in (0, 1):
             eng = splitting_recovering(
-                adj, SPLITTING_SPEC, SPLITTING_STACK, seed=seed,
-                fault_mode=fault_mode, method="engine",
+                adj, SPLITTING_SPEC, SPLITTING_STACK, seed=seed, method="engine"
             )
             den = splitting_recovering(
-                adj, SPLITTING_SPEC, SPLITTING_STACK, seed=seed,
-                fault_mode=fault_mode, method="dense", coins="replay",
+                adj, SPLITTING_SPEC, SPLITTING_STACK, seed=seed, method="dense"
             )
             assert eng == den
             assert eng[2].recovered
@@ -142,7 +129,7 @@ class TestRecoveringVariantsBitIdentity:
 class TestBoundedTruncation:
     def _full_and_base(self, adj, seed):
         full = luby_mis_recovering(
-            adj, LUBY_STACK, seed=seed, method="dense", coins="replay"
+            adj, LUBY_STACK, seed=seed, method="dense"
         )
         return full, full[1] - full[2].repair_rounds
 
@@ -160,7 +147,7 @@ class TestBoundedTruncation:
             adj, LUBY_STACK, seed=seed, method="engine", max_rounds=capped
         )
         den = luby_mis_recovering(
-            adj, LUBY_STACK, seed=seed, method="dense", coins="replay",
+            adj, LUBY_STACK, seed=seed, method="dense",
             max_rounds=capped,
         )
         assert eng == den
@@ -172,7 +159,7 @@ class TestBoundedTruncation:
         adj = random_graph(321)
         full, base = self._full_and_base(adj, 3)
         none = luby_mis_recovering(
-            adj, LUBY_STACK, seed=3, method="dense", coins="replay", cap=0
+            adj, LUBY_STACK, seed=3, method="dense", cap=0
         )
         assert none[2].repair_rounds == 0
         assert none[1] == base
@@ -185,7 +172,7 @@ class TestRunScenarioRecover:
         sc = get_scenario(name)
         per_backend = []
         for backend in sc.backends:
-            m = run_scenario(sc, n=60, seed=5, backend=backend, coins="replay",
+            m = run_scenario(sc, n=60, seed=5, backend=backend,
                              recover=True)
             per_backend.append((backend, m))
             assert m["violations"] == 0, (name, backend)
@@ -228,7 +215,7 @@ class TestRunScenarioRecover:
     def test_every_registered_scenario_supports_recovery(self):
         for sc in all_scenarios():
             m = run_scenario(sc, n=48, seed=1, backend=sc.backends[0],
-                             coins="replay", recover=True)
+                             recover=True)
             assert m["recovered"] == 1, sc.name
             assert "repair_rounds" in m
 
@@ -246,7 +233,7 @@ class TestPipelineRecoverFlag:
         bound = bind_all(LUBY_STACK, net, fault_seed=4)
         want = luby_mis_recovering(adj, LUBY_STACK, seed=4, method="dense",
                                    engine=engine)
-        mis, rounds = luby_mis(adj, seed=4, method="dense", coins="replay",
+        mis, rounds = luby_mis(adj, seed=4, method="dense",
                                engine=engine,
                                faults=DenseFaults(engine, bound), recover=True)
         assert (mis, rounds) == (want[0], want[1])
@@ -264,7 +251,7 @@ class TestPipelineRecoverFlag:
         engine = CSREngine(Network(adj))
         bound = bind_all(SINKLESS_STACK, engine.network, fault_seed=1)
         orientation, rounds = run_trial_and_fix(
-            adj, min_degree=3, seed=1, method="dense", coins="replay",
+            adj, min_degree=3, seed=1, method="dense",
             engine=engine, faults=DenseFaults(engine, bound), recover=True,
         )
         want = sinkless_recovering(adj, SINKLESS_STACK, min_degree=3, seed=1,
@@ -282,7 +269,7 @@ class TestPipelineRecoverFlag:
         engine = CSREngine(Network(adj))
         bound = bind_all(SPLITTING_STACK, engine.network, fault_seed=6)
         colors = uniform_splitting(
-            adj, SPLITTING_SPEC, method="local", seed=6, coins="replay",
+            adj, SPLITTING_SPEC, method="local", seed=6,
             engine=engine, faults=DenseFaults(engine, bound), recover=True,
         )
         assert len(colors) == 30

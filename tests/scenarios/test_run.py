@@ -59,13 +59,20 @@ class TestRunScenario:
     @pytest.mark.parametrize(
         "name", [s.name for s in all_scenarios() if "dense" in s.backends]
     )
-    def test_dense_replay_matches_engine(self, name):
+    def test_dense_matches_engine(self, name):
         engine_metrics = run_scenario(name, n=150, seed=5, backend="engine")
-        dense_metrics = run_scenario(name, n=150, seed=5, backend="dense",
-                                     coins="replay")
+        dense_metrics = run_scenario(name, n=150, seed=5, backend="dense")
         for key in ("rounds", "completed", "violations", "survivors", "mis_size"):
             if key in engine_metrics:
                 assert dense_metrics[key] == engine_metrics[key], (name, key)
+
+    def test_removed_fault_modes_fail_loudly(self):
+        # "mask" names the keyed fault coins every run draws; the replay
+        # mode is gone, and so is any other value.
+        assert run_scenario("luby/crash", n=60, seed=1, fault_mode="mask")["n"] == 60
+        for mode in ("replay", "philox"):
+            with pytest.raises(ValueError, match="replay fault mode was removed"):
+                run_scenario("luby/crash", n=60, seed=1, fault_mode=mode)
 
     def test_reference_matches_engine(self):
         for name in ("luby/crash", "luby/drop-iid", "splitting/drop-iid"):
@@ -178,7 +185,7 @@ class TestDriverPassThrough:
         via_hooks, r1 = luby_mis(adj, seed=9, engine=engine,
                                  hooks=PerturbationHooks(bound))
         via_faults, r2 = luby_mis(adj, seed=9, engine=engine, method="dense",
-                                  coins="replay", faults=DenseFaults(engine, bound))
+                                  faults=DenseFaults(engine, bound))
         assert via_hooks == via_faults and r1 == r2
 
     def test_trial_and_fix_hooks_reach_the_engine(self):
@@ -263,15 +270,9 @@ class TestExpIntegration:
         explicit = mod.build_scenario_specs(False, 3, "luby/crash", ("engine",))
         assert [c.name for c in explicit] == ["scenario/luby/crash@engine"]
         assert explicit[0].seeds == (0, 1, 2)
-        assert explicit[0].params["fault_mode"] == "replay"  # default knob
-        masked = mod.build_scenario_specs(True, 1, "luby/crash", ("dense",),
-                                          fault_mode="mask")
-        assert masked[0].params["fault_mode"] == "mask"
+        assert "fault_mode" not in explicit[0].params
         with pytest.raises(ValueError):
             mod.build_scenario_specs(True, 1, "luby/typo", ("engine",))
-        with pytest.raises(ValueError, match="fault mode"):
-            mod.build_scenario_specs(True, 1, "luby/crash", ("engine",),
-                                     fault_mode="philox")
 
     def test_cli_batched_backend_schedules_mis_cells_only(self):
         import importlib.util

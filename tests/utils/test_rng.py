@@ -2,9 +2,19 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.utils.rng import CoinTable, as_coin_table, ensure_rng, node_rng, spawn
+from repro.utils.rng import (
+    NODE_COINS,
+    CoinClock,
+    NodeCoins,
+    ensure_rng,
+    keyed_hash53,
+    keyed_u01,
+    keyed_u01_array,
+    seed_link,
+)
 
 
 class TestEnsureRng:
@@ -22,99 +32,72 @@ class TestEnsureRng:
         assert ensure_rng(rng) is rng
 
 
-class TestNodeRng:
-    def test_pure_function_of_seed_and_id(self):
-        assert node_rng(5, 3).random() == node_rng(5, 3).random()
+class TestKeyedCoins:
+    """u(seed, label, *key) is a pure function of its key."""
 
-    def test_different_nodes_independent_streams(self):
-        assert node_rng(5, 3).random() != node_rng(5, 4).random()
+    def test_pure_and_separated_along_every_key_axis(self):
+        a = keyed_u01(5, "node", 3, 1, 0)
+        assert a == keyed_u01(5, "node", 3, 1, 0)
+        others = [
+            keyed_u01(6, "node", 3, 1, 0),
+            keyed_u01(5, "drop", 3, 1, 0),
+            keyed_u01(5, "node", 4, 1, 0),
+            keyed_u01(5, "node", 3, 2, 0),
+            keyed_u01(5, "node", 3, 1, 1),
+        ]
+        assert a not in others
 
-    def test_salt_separates_streams(self):
-        assert node_rng(5, 3, "a").random() != node_rng(5, 3, "b").random()
+    def test_array_form_matches_scalar_chain(self):
+        uids = np.array([0, 7, -3, 2**63 - 1, -(2**63)], dtype=np.int64)
+        got = keyed_u01_array(11, "node", uids, 4, 2)
+        assert got.dtype == np.float64
+        assert got.tolist() == [keyed_u01(11, "node", int(u), 4, 2) for u in uids]
+
+    def test_hash53_ranks_like_the_uniforms(self):
+        uids = np.arange(1000, dtype=np.int64)
+        h = keyed_hash53(seed_link(3, "node"), uids, 1, 0)
+        assert np.array_equal(h * 2.0**-53, keyed_u01_array(3, "node", uids, 1, 0))
+        # Per-element links (several seeds in one array) fold the same way.
+        links = np.array([seed_link(s, "node") for s in (3, 4)], dtype=np.uint64)
+        two = keyed_hash53(links, np.array([5, 5]), 1, 0)
+        assert two.tolist() == [int(keyed_hash53(seed_link(s, "node"), 5, 1, 0))
+                                for s in (3, 4)]
+
+    def test_values_are_uniform(self):
+        u = keyed_u01_array(7, "node", np.arange(20_000, dtype=np.int64), 1, 0)
+        assert ((u >= 0) & (u < 1)).all()
+        assert abs(float(u.mean()) - 0.5) < 0.02
+
+
+class TestNodeCoins:
+    """A node's k-th draw in round r is u(seed, "node", uid, r, k)."""
+
+    def test_draws_follow_the_clock_and_the_draw_count(self):
+        clock = CoinClock()
+        coins = NodeCoins.for_nodes(9, [42, -1], clock)
+        assert coins[0].random() == keyed_u01(9, NODE_COINS, 42, 0, 0)
+        assert coins[0].random() == keyed_u01(9, NODE_COINS, 42, 0, 1)
+        clock.round = 3
+        assert coins[0].random() == keyed_u01(9, NODE_COINS, 42, 3, 0)
+        assert coins[1].random() == keyed_u01(9, NODE_COINS, -1, 3, 0)
+        clock.round = 4
+        assert coins[1].random() == keyed_u01(9, NODE_COINS, -1, 4, 0)
 
     def test_other_nodes_consumption_is_irrelevant(self):
-        a = node_rng(5, 3)
-        b = node_rng(5, 4)
-        b.random()  # consuming b's bits must not perturb a
-        assert a.random() == node_rng(5, 3).random()
+        clock = CoinClock()
+        a, b = NodeCoins.for_nodes(5, [3, 4], clock)
+        b.random()
+        b.random()
+        (fresh,) = NodeCoins.for_nodes(5, [3], CoinClock())
+        assert a.random() == fresh.random()
 
-
-class TestSpawn:
-    def test_deterministic_given_parent_state(self):
-        a = spawn(random.Random(1), "x").random()
-        b = spawn(random.Random(1), "x").random()
-        assert a == b
-
-    def test_labels_separate(self):
-        parent = random.Random(1)
-        parent2 = random.Random(1)
-        assert spawn(parent, "x").random() != spawn(parent2, "y").random()
-
-
-class TestCoinTable:
-    """The dense backend's coin supply: replay exactness + philox contract."""
-
-    IDS = [10, 11, 12, 13, 14]
-
-    def test_replay_matches_node_rng_streams(self):
-        np = pytest.importorskip("numpy")
-        table = CoinTable(7, self.IDS, kind="replay")
-        # Interleaved draws across nodes must track each node's own stream.
-        a = table.uniforms([0, 2, 4])
-        b = table.uniforms([0, 1, 2, 3, 4])
-        streams = {uid: node_rng(7, uid) for uid in self.IDS}
-        expect_a = [streams[10].random(), streams[12].random(), streams[14].random()]
-        expect_b = [streams[uid].random() for uid in self.IDS]
-        assert list(a) == expect_a
-        assert list(b) == expect_b
-        assert a.dtype == np.float64
-
-    def test_replay_uniform_runs_draw_in_port_order(self):
-        pytest.importorskip("numpy")
-        table = CoinTable(3, self.IDS, kind="replay")
-        out = table.uniform_runs([1, 3], [2, 3])
-        s1, s3 = node_rng(3, 11), node_rng(3, 13)
-        assert list(out) == [s1.random(), s1.random(), s3.random(), s3.random(), s3.random()]
-
-    def test_replay_randints_use_randrange(self):
-        pytest.importorskip("numpy")
-        table = CoinTable(9, self.IDS, kind="replay")
-        out = table.randints([0, 4], [5, 3])
-        assert list(out) == [node_rng(9, 10).randrange(5), node_rng(9, 14).randrange(3)]
-
-    def test_philox_deterministic_per_seed(self):
-        pytest.importorskip("numpy")
-        a = CoinTable(5, self.IDS).uniforms(range(5))
-        b = CoinTable(5, self.IDS).uniforms(range(5))
-        c = CoinTable(6, self.IDS).uniforms(range(5))
-        assert list(a) == list(b)
-        assert list(a) != list(c)
-
-    def test_philox_bounds_and_shapes(self):
-        np = pytest.importorskip("numpy")
-        table = CoinTable(1, self.IDS)
-        u = table.uniforms(range(5))
-        assert u.shape == (5,) and ((u >= 0) & (u < 1)).all()
-        r = table.randints([0, 1, 2], [1, 4, 7])
-        assert r.shape == (3,)
-        assert (r >= 0).all() and (r < np.array([1, 4, 7])).all()
-        runs = table.uniform_runs([0, 1], [3, 0])
-        assert runs.shape == (3,)
-
-    def test_philox_setup_is_o1(self):
-        # The whole point: no per-node generator objects.
-        pytest.importorskip("numpy")
-        table = CoinTable(0, range(10**7))
-        assert table.uniforms([0]).shape == (1,)
-
-    def test_unknown_kind_rejected(self):
-        pytest.importorskip("numpy")
+    def test_randrange_is_floor_of_u_times_bound(self):
+        clock = CoinClock()
+        clock.round = 2
+        (coins,) = NodeCoins.for_nodes(1, [8], clock)
+        for draw, bound in enumerate((1, 2, 7, 1000)):
+            got = coins.randrange(bound)
+            assert got == int(keyed_u01(1, NODE_COINS, 8, 2, draw) * bound)
+            assert 0 <= got < bound
         with pytest.raises(ValueError):
-            CoinTable(0, self.IDS, kind="sha512")
-
-    def test_as_coin_table_passthrough_and_coercion(self):
-        pytest.importorskip("numpy")
-        table = CoinTable(2, self.IDS, kind="replay")
-        assert as_coin_table(table, 99, []) is table
-        made = as_coin_table("philox", 2, self.IDS)
-        assert isinstance(made, CoinTable) and made.kind == "philox"
+            coins.randrange(0)

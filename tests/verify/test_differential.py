@@ -320,7 +320,6 @@ def test_final_edge_masks_match_scalar_predicate(data):
         [DropEdges(fraction=data.draw(st.sampled_from([0.0, 0.3, 1.0])), at_round=2)],
         network,
         fault_seed=data.draw(st.integers(min_value=0, max_value=2**31)),
-        fault_mode=data.draw(st.sampled_from(["replay", "mask"])),
     )
     edge_ok = final_edge_ok(bound)
 
