@@ -13,6 +13,8 @@ Two contracts from ``repro/local/dense.py``:
   discrepancy bounds), checked across many seeds.
 """
 
+import random
+
 import pytest
 
 np = pytest.importorskip("numpy")
@@ -43,6 +45,24 @@ def engine_mis(engine, seed, max_rounds=10_000):
 
 class TestLubyBitIdentity:
     """dense == engine == run_local on structured and degenerate graphs."""
+
+    def test_random_sparse_graphs(self):
+        for trial in range(8):
+            rng = random.Random(trial)
+            n = rng.randint(2, 200)
+            adj = random_sparse_graph(n, min(n - 1, rng.uniform(0.5, 8)), seed=trial)
+            net = Network(adj)
+            engine = CSREngine(net)
+            for seed in (0, 1, 7):
+                mis, rounds, completed = engine_mis(engine, seed)
+                dense = luby_mis_dense(engine, seed=seed)
+                assert dense.rounds == rounds
+                assert dense.completed == completed
+                assert [bool(x) for x in dense.in_mis] == mis
+                # ... and the engine agrees with the reference simulator.
+                ref = run_local(net, LubyMIS(), seed=seed)
+                assert ref.rounds == rounds
+                assert [bool(v.state.get("in_mis")) for v in ref.views] == mis
 
     def test_structured_topologies_and_shuffled_ids(self):
         nets = [
@@ -114,6 +134,16 @@ class TestLubyBitIdentity:
 
 
 class TestSinklessBitIdentity:
+    def test_regular_graphs(self):
+        for trial in range(4):
+            adj = configuration_model_regular(50, 4, seed=trial)
+            engine = CSREngine(Network(adj))
+            for seed in (0, 3):
+                orientation, rounds = run_trial_and_fix(adj, min_degree=2, seed=seed)
+                dense = sinkless_trial_dense(engine, min_degree=2, seed=seed)
+                assert dense.rounds == rounds
+                assert dense_orientation(engine, dense.out) == orientation
+
     def test_regular_torus_and_sparse(self):
         graphs = [
             configuration_model_regular(50, 4, seed=0),

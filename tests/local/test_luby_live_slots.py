@@ -9,11 +9,13 @@ rows.  Both must return the same ``in_mis``, ``crashed``, ``rounds``,
 and round cap.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bipartite.generators import random_sparse_graph
+from repro.bipartite.generators import grid_graph, random_sparse_graph
 from repro.local import CSREngine, Network
 from repro.local.dense import _segment_or, _slot_owner, luby_mis_dense
 from repro.obs import Tracer
@@ -193,15 +195,67 @@ GRID_STACKS = {
 }
 
 
+def wide_uids(n, seed):
+    """``n`` distinct int64 identifiers spread over the whole range,
+    including both extremes and -1 (all ones as a two's-complement key)."""
+    rng = random.Random(seed)
+    uids = {-(2**63), 2**63 - 1, -1, 0}
+    while len(uids) < n:
+        uids.add(rng.getrandbits(64) - 2**63)
+    uids = sorted(uids)[:n]
+    rng.shuffle(uids)
+    return uids
+
+
+def with_hubs(adj, hubs, spokes, seed):
+    """``adj`` plus ``hubs`` new nodes, each wired to ``spokes`` others."""
+    rng = random.Random(seed)
+    n = len(adj)
+    adj = [list(row) for row in adj] + [[] for _ in range(hubs)]
+    for h in range(n, n + hubs):
+        for v in rng.sample(range(n), spokes):
+            adj[h].append(v)
+            adj[v].append(h)
+    return adj
+
+
+#: Graph families for the grid: ``(network, first seed, caps)`` per graph.
+GRID_GRAPHS = {
+    "sparse": lambda: [
+        (Network(random_sparse_graph(50, 6, seed=51)), 10, (1, 2, 3, 5, 10_000)),
+        (Network(random_sparse_graph(300, 6, seed=302)), 20, (3, 10_000)),
+    ],
+    "multigraph": lambda: [
+        (Network(rewrite_all((MultiEdgeLift(times=2),),
+                             random_sparse_graph(80, 5, seed=7))[0]),
+         30, (1, 2, 3, 5, 10_000)),
+    ],
+    "torus": lambda: [
+        (Network(grid_graph(12, 12, periodic=True)), 40, (1, 3, 10_000)),
+    ],
+    "hubs": lambda: [
+        (Network(with_hubs(random_sparse_graph(200, 3, seed=9), 4, 40, seed=9)),
+         50, (2, 3, 10_000)),
+    ],
+    "wide-uids": lambda: [
+        (Network(random_sparse_graph(120, 6, seed=4), ids=wide_uids(120, 4)),
+         60, (1, 2, 3, 10_000)),
+    ],
+}
+
+
 @pytest.mark.parametrize("stack", GRID_STACKS.values(), ids=GRID_STACKS.keys())
-def test_live_slot_kernel_matches_the_full_sweep_on_a_grid(stack):
+@pytest.mark.parametrize("graphs", GRID_GRAPHS.values(), ids=GRID_GRAPHS.keys())
+def test_live_slot_kernel_matches_the_full_sweep_on_a_grid(graphs, stack):
     # Later-phase crashes leave a crashed node's stale priority on live
     # slots for one phase; these graphs are large enough that some node
     # is still on the frontier when that happens.  Six seeds per graph
-    # and cap vary both the coins and the fault schedule.
-    for n, graph_seed, caps in ((50, 1, (1, 2, 3, 5, 10_000)), (300, 2, (3, 10_000))):
-        engine = CSREngine(Network(random_sparse_graph(n, 6, seed=n + graph_seed)))
-        for seed in range(10 * graph_seed, 10 * graph_seed + 6):
+    # and cap vary both the coins and the fault schedule.  Multi-edges
+    # repeat a slot pair, hubs concentrate the mute and crash victims,
+    # and extreme uids key both the coins and the tie-breaks.
+    for network, first_seed, caps in graphs():
+        engine = CSREngine(network)
+        for seed in range(first_seed, first_seed + 6):
             for cap in caps:
                 faults = [
                     DenseFaults(engine, bind_all(stack, engine.network, seed))

@@ -7,14 +7,20 @@ runtime perturbations and any round cap, the reference simulator, the CSR
 engine and the dense kernels must agree bit for bit — outputs, round
 counts and crash records — for Luby MIS, trial-and-fix sinkless
 orientation and 0-round uniform splitting.
+
+Fixed-seed regressions pin the same agreement on larger random
+multigraphs and fault stacks than the property draws, and on the dense
+sinkless kernel's drop, corruption and round-cap paths.
 """
 
 import random
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.splitting import ZeroRoundSplitting
+from repro.bipartite.generators import random_sparse_graph
 from repro.core.problems import UniformSplittingSpec
 from repro.local import CSREngine, Network, run_local
 from repro.local.dense import luby_mis_dense, sinkless_trial_dense, uniform_splitting_dense
@@ -193,6 +199,139 @@ def test_every_backend_computes_the_same_run(case):
     check_splitting(multi, seed, case["stack"])
     simple = Network(adjacency(n, pairs, simple=True), ids=uids)
     check_sinkless(simple, seed, case["sinkless_stack"], case["max_rounds"])
+
+
+def random_multigraph(rng, n):
+    """Random sparse symmetric adjacency, occasionally with multi-edges."""
+    adj = [[] for _ in range(n)]
+    for _ in range(rng.randrange(0, 2 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            adj[u].append(v)
+            adj[v].append(u)
+    return adj
+
+
+def random_stack(rng):
+    """A random non-empty subset of runtime perturbations."""
+    pool = [
+        CrashNodes(fraction=rng.choice([0.1, 0.3]), at_round=rng.randrange(1, 5)),
+        IIDMessageDrop(p=rng.choice([0.1, 0.4]), until_round=rng.choice([None, 3])),
+        MuteHubs(count=rng.randrange(1, 4), until_round=rng.randrange(1, 5)),
+        EdgeChurn(p_down=rng.choice([0.2, 0.5])),
+        LateEdges(fraction=0.4, at_round=rng.randrange(2, 5)),
+        # Steady state != all-deliver: exercises the quiet-horizon
+        # steady-mask reuse in DenseFaults.
+        DropEdges(fraction=0.3, at_round=rng.randrange(1, 5)),
+        CorruptMessages(p=0.2, until_round=rng.choice([None, 4])),
+    ]
+    return tuple(rng.sample(pool, rng.randrange(1, 4)))
+
+
+def simple_sparse_network(rng):
+    """A random simple graph on 4..19 nodes with at least one edge."""
+    while True:
+        adj = random_sparse_graph(rng.randrange(4, 20), 3.0, seed=rng.randrange(999))
+        if any(adj):
+            return Network(adj)
+
+
+class TestReferenceVsEngineUnderFaults:
+    """Fixed-seed regressions on graphs larger than the property draws."""
+
+    def test_luby_random_fault_stacks(self):
+        rng = random.Random(1234)
+        for _ in range(25):
+            net = Network(random_multigraph(rng, rng.randrange(2, 25)))
+            stack, seed = random_stack(rng), rng.randrange(10_000)
+            ref = run_local(net, LubyMIS(), max_rounds=60, seed=seed,
+                            hooks=hooks(stack, net, seed))
+            eng = CSREngine(net).run(LubyMIS(), max_rounds=60, seed=seed,
+                                     hooks=hooks(stack, net, seed))
+            assert_same_run(ref, eng)
+
+    def test_sinkless_random_fault_stacks(self):
+        # Multigraphs and round-1 faults: the non-broadcast send path and
+        # the defensive round-1 receive (missing proposals under faults).
+        rng = random.Random(99)
+        algo = TrialAndFixSinkless(min_degree=2)
+        for _ in range(15):
+            net = Network(random_multigraph(rng, rng.randrange(2, 18)))
+            stack, seed = random_stack(rng), rng.randrange(10_000)
+            ref = run_local(net, algo, max_rounds=12, seed=seed,
+                            hooks=hooks(stack, net, seed))
+            eng = CSREngine(net).run(algo, max_rounds=12, seed=seed,
+                                     hooks=hooks(stack, net, seed))
+            assert_same_run(ref, eng)
+
+    def test_splitting_random_fault_stacks(self):
+        rng = random.Random(7)
+        algo = ZeroRoundSplitting(SPLIT_SPEC)
+        for _ in range(15):
+            net = Network(random_multigraph(rng, rng.randrange(2, 20)))
+            stack, seed = random_stack(rng), rng.randrange(10_000)
+            ref = run_local(net, algo, max_rounds=1, seed=seed,
+                            hooks=hooks(stack, net, seed))
+            eng = CSREngine(net).run(algo, max_rounds=1, seed=seed,
+                                     hooks=hooks(stack, net, seed))
+            assert_same_run(ref, eng)
+
+
+class TestDenseUnderFaults:
+    """Dense kernels fed fault masks == hooked engine, on fixed seeds."""
+
+    def test_luby_crash_and_drop(self):
+        rng = random.Random(31)
+        for _ in range(12):
+            net = Network(random_multigraph(rng, rng.randrange(2, 30)))
+            stack, seed = random_stack(rng), rng.randrange(10_000)
+            engine = CSREngine(net)
+            masks = faults(engine, stack, seed)
+            # delivered_in is defined as the partner-gather of
+            # delivered_out: both sides of a slot name the same message.
+            for round_no in (1, 2, 3, 7):
+                out = masks.delivered_out(round_no)
+                if out is None:
+                    assert masks.delivered_in(round_no) is None
+                else:
+                    assert np.array_equal(masks.delivered_in(round_no),
+                                          out[masks.layout.partner])
+            check_luby(net, seed, stack, max_rounds=40)
+
+    def test_sinkless_crash(self):
+        # Crash-only schedules from round >= 2 (the dense kernel's fault
+        # support window).
+        rng = random.Random(57)
+        for _ in range(10):
+            stack = (CrashNodes(fraction=0.2, at_round=rng.randrange(2, 5)),)
+            check_sinkless(simple_sparse_network(rng), rng.randrange(10_000), stack,
+                           max_rounds=12)
+
+    @pytest.mark.parametrize("max_rounds", [2, 3, 5, 12])
+    @pytest.mark.parametrize("stack", ["drop", "corrupt", "crash+drop+corrupt"])
+    def test_sinkless_drop_and_corruption(self, stack, max_rounds):
+        # Drops exercise the incremental sink-count update on kept flips,
+        # corruption rounds (2..4) the full recount, the caps a mid-run stop.
+        perts = {
+            "drop": (IIDMessageDrop(p=0.3, from_round=2),),
+            "corrupt": (CorruptMessages(p=0.2, from_round=2, until_round=4),),
+            "crash+drop+corrupt": (
+                CrashNodes(fraction=0.2, at_round=3),
+                IIDMessageDrop(p=0.2, from_round=2, until_round=6),
+                CorruptMessages(p=0.2, from_round=2, until_round=4),
+            ),
+        }[stack]
+        rng = random.Random(max_rounds * 1000 + len(stack))
+        for _ in range(8):
+            check_sinkless(simple_sparse_network(rng), rng.randrange(10_000), perts,
+                           max_rounds)
+
+    def test_splitting_crash_and_drop(self):
+        rng = random.Random(83)
+        for _ in range(12):
+            net = Network(random_multigraph(rng, rng.randrange(2, 25)))
+            seed = rng.randrange(10_000)
+            check_splitting(net, seed, random_stack(rng))
 
 
 def test_adversarial_naming_renames_dense_coins_too():

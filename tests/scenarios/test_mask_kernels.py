@@ -6,10 +6,11 @@ Three layers of guarantees:
   :func:`keyed_u01_slots` match the scalar :func:`keyed_u01` chain bit
   for bit (scalar and vectorized executors may interleave decisions in any
   order);
-* **mask surface** — for every registered scenario the
-  :class:`DenseFaults` masks equal a per-slot scalar sweep of the pure
-  ``delivers`` / ``crashes`` decisions, and ``delivered_in`` is the
-  partner-gather of ``delivered_out``;
+* **mask surface** — for every registered scenario, on index uids and on
+  uids spread over the whole int64 range, the :class:`DenseFaults` masks
+  equal a per-slot scalar sweep of the pure ``delivers`` / ``crashes``
+  decisions, and ``delivered_in`` is the partner-gather of
+  ``delivered_out``;
 * **lifecycle** — rounds past the quiet horizon reuse one steady-state
   mask (persistent deletions stay down, healed stacks return ``None``),
   and never-settling stacks keep a bounded cache.
@@ -46,6 +47,25 @@ def small_graph(seed, n=24, edges=70):
             adj[u].append(v)
             adj[v].append(u)
     return adj
+
+
+def wide_ids(n, seed):
+    """``n`` distinct int64 identifiers across the whole range, both
+    extremes and -1 included: the fault coins are keyed on these uids."""
+    rng = random.Random(seed)
+    ids = {-(2**63), 2**63 - 1, -1, 0}
+    while len(ids) < n:
+        ids.add(rng.getrandbits(64) - 2**63)
+    ids = sorted(ids)[:n]
+    rng.shuffle(ids)
+    return ids
+
+
+#: Identifier layouts the scenarios' rewrites start from.
+ID_LAYOUTS = {
+    "index-ids": lambda n, seed: None,
+    "wide-ids": wide_ids,
+}
 
 
 class TestCoinKernels:
@@ -125,8 +145,10 @@ class TestMasksMatchScalarDecisions:
     """DenseFaults masks == the per-slot scalar sweep, per scenario."""
 
     @pytest.mark.parametrize("sc", all_scenarios(), ids=lambda s: s.name)
-    def test_registered_scenario_masks(self, sc):
-        adjacency, ids = rewrite_all(sc.perturbations, small_graph(hash(sc.name) % 997))
+    @pytest.mark.parametrize("layout_ids", ID_LAYOUTS.values(), ids=ID_LAYOUTS.keys())
+    def test_registered_scenario_masks(self, layout_ids, sc):
+        base = small_graph(hash(sc.name) % 997)
+        adjacency, ids = rewrite_all(sc.perturbations, base, layout_ids(len(base), 3))
         net = Network(adjacency, ids=ids)
         engine = CSREngine(net)
         layout = SlotLayout(engine)
@@ -148,11 +170,13 @@ class TestMasksMatchScalarDecisions:
             assert np.array_equal(got_crash, scalar_crashed(bound, net.n, round_no))
 
     @pytest.mark.parametrize("sc", all_scenarios(), ids=lambda s: s.name)
-    def test_slot_range_masks_equal_whole_round_slices(self, sc):
+    @pytest.mark.parametrize("layout_ids", ID_LAYOUTS.values(), ids=ID_LAYOUTS.keys())
+    def test_slot_range_masks_equal_whole_round_slices(self, layout_ids, sc):
         # Range masks are built receive-side from (dst_node, dst_port); the
         # whole-round ones are partner gathers of the outgoing masks.
         rng = random.Random(sc.name)
-        adjacency, ids = rewrite_all(sc.perturbations, small_graph(rng.randrange(991)))
+        base = small_graph(rng.randrange(991))
+        adjacency, ids = rewrite_all(sc.perturbations, base, layout_ids(len(base), 4))
         net = Network(adjacency, ids=ids)
         engine = CSREngine(net)
         m = int(net.offsets[-1])

@@ -74,13 +74,28 @@ class TestRunScenario:
             with pytest.raises(ValueError, match="replay fault mode was removed"):
                 run_scenario("luby/crash", n=60, seed=1, fault_mode=mode)
 
-    def test_reference_matches_engine(self):
-        for name in ("luby/crash", "luby/drop-iid", "splitting/drop-iid"):
-            ref = run_scenario(name, n=120, seed=2, backend="reference")
-            eng = run_scenario(name, n=120, seed=2, backend="engine")
-            for key in ("rounds", "completed", "violations", "survivors", "mis_size"):
-                if key in eng:
-                    assert ref[key] == eng[key], (name, key)
+    @pytest.mark.parametrize(
+        "name", [s.name for s in all_scenarios() if "reference" in s.backends]
+    )
+    def test_reference_matches_engine(self, name):
+        # Same coins, same fault schedule: every metric but the timings.
+        ref = run_scenario(name, n=120, seed=2, backend="reference")
+        eng = run_scenario(name, n=120, seed=2, backend="engine")
+        assert set(ref) == set(eng)
+        for key in eng:
+            if not key.endswith("_seconds"):
+                assert ref[key] == eng[key], (name, key)
+
+    @pytest.mark.parametrize(
+        "name", [s.name for s in all_scenarios() if "dense" in s.backends]
+    )
+    def test_every_scenario_end_to_end_on_dense(self, name):
+        metrics = run_scenario(name, n=200, seed=3, backend="dense")
+        assert REQUIRED_METRICS <= set(metrics)
+        assert metrics["survivors"] + metrics["crashed_nodes"] == metrics["n"]
+        assert metrics["violations"] >= 0
+        if get_scenario(name).strict:
+            assert metrics["violations"] == 0 and metrics["completed"] == 1
 
     @pytest.mark.parametrize("backend", ["dense", "engine"])
     def test_zero_attempts_rejected(self, backend):

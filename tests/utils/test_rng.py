@@ -13,6 +13,7 @@ from repro.utils.rng import (
     keyed_hash53,
     keyed_u01,
     keyed_u01_array,
+    mix64,
     seed_link,
 )
 
@@ -68,6 +69,25 @@ class TestKeyedCoins:
         assert ((u >= 0) & (u < 1)).all()
         assert abs(float(u.mean()) - 0.5) < 0.02
 
+    def test_mix64_is_the_splitmix64_finalizer(self):
+        # The published SplitMix64 stream for seed 1234567: state += gamma,
+        # then the finalizer.
+        state, got = 1234567, []
+        for _ in range(5):
+            state = (state + 0x9E3779B97F4A7C15) % 2**64
+            got.append(mix64(state))
+        assert got == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821,
+        ]
+
+    def test_coin_law_is_pinned(self):
+        # Changing the label hash, the link order or the 53-bit cut would
+        # silently change every recorded run; these values must not move.
+        assert keyed_u01(0, NODE_COINS, 0, 1, 0).hex() == "0x1.05d33e396b590p-1"
+        assert keyed_u01(7, "crash", -1).hex() == "0x1.033ef22df40c1p-1"
+        assert keyed_u01(2**64 - 1, "drop", 2**63 - 1, 3, 5).hex() == "0x1.24bc5a899b2c0p-5"
+
 
 class TestNodeCoins:
     """A node's k-th draw in round r is u(seed, "node", uid, r, k)."""
@@ -90,6 +110,19 @@ class TestNodeCoins:
         b.random()
         (fresh,) = NodeCoins.for_nodes(5, [3], CoinClock())
         assert a.random() == fresh.random()
+
+    @pytest.mark.parametrize("uid", [0, 1, -1, 2**40 + 3, 2**63 - 1, -(2**63)])
+    def test_scalar_coins_match_the_array_kernel(self, uid):
+        # NodeCoins folds python ints, the dense kernels int64 arrays: the
+        # two's-complement wrap of any int64 uid must agree.
+        clock = CoinClock()
+        (coins,) = NodeCoins.for_nodes(13, [uid], clock)
+        uids = np.array([uid], dtype=np.int64)
+        for round_no in (0, 1, 2, 2**31):
+            clock.round = round_no
+            for draw in range(3):
+                want = keyed_u01_array(13, NODE_COINS, uids, round_no, draw)
+                assert coins.random() == float(want[0])
 
     def test_randrange_is_floor_of_u_times_bound(self):
         clock = CoinClock()
