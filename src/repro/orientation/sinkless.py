@@ -294,7 +294,7 @@ def run_trial_and_fix(
         )
         if recover:
             return _repair_orientation(
-                engine, faults, seed, dense.out.copy(), dense.crashed.copy(),
+                engine, faults, seed, dense.out, dense.crashed,
                 min_degree, dense.rounds, max_rounds,
             )
         return dense_orientation(engine, dense.out), dense.rounds

@@ -57,6 +57,7 @@ __all__ = [
     "edge_ok_slot_mask",
     "luby_repair",
     "sinkless_repair",
+    "sinkless_violations",
     "splitting_repair",
     "luby_mis_recovering",
     "sinkless_recovering",
@@ -249,6 +250,32 @@ def luby_repair(
 # ---------------------------------------------------------------------------
 
 
+def _slot_views(engine):
+    """CSR slot arrays of the repair: ``offsets``, ``dst_node``, ``owner``,
+    the partner slot (same edge, other endpoint) and whether the owner is
+    the lower-index, authoritative endpoint."""
+    from repro.local.dense import _slot_owner
+
+    offsets, dst_node, dst_port = engine.dense_arrays()
+    owner = _slot_owner(offsets)
+    return offsets, dst_node, owner, offsets[:-1][dst_node] + dst_port, owner < dst_node
+
+
+def _extracted(out, partner, low_view, idx=slice(None)):
+    """The extracted orientation at slots ``idx``: the lower-index
+    endpoint's slot decides the edge's direction."""
+    low = low_view[idx]
+    return (low & out[idx]) | ~(low | out[partner[idx]])
+
+
+def _per_node(owner, mask, n):
+    """Per-node count of a slot mask (a weighted bincount, so the
+    irregular masked slots are never gathered)."""
+    import numpy as np
+
+    return np.bincount(owner, weights=mask, minlength=n).astype(np.int64)
+
+
 def sinkless_repair(
     engine,
     faults,
@@ -259,6 +286,7 @@ def sinkless_repair(
     start_round: int,
     max_rounds: Optional[int] = None,
     cap: int = REPAIR_ROUND_CAP,
+    tracer=None,
 ) -> RepairResult:
     """Detect-and-repair for sinkless orientations (mutates the arrays).
 
@@ -281,74 +309,148 @@ def sinkless_repair(
       announcements travel under the round's delivery and corruption
       masks with the base kernel's exact semantics (a corrupted slot
       flips ``flip`` <-> ``ok``).
+
+    Cost: O(m) for the first reconcile, for a reconcile with a delivery or
+    corruption mask and the reconcile after it, for the recount after a
+    crash, and for reading a fix round's corruption mask.  Every other
+    phase costs O(n + touched slots): per-node counts of live ports and of
+    live outward slots (own view and extracted view) answer the sink test
+    and the probe and move by per-slot deltas, a mask-free reconcile
+    re-reads only the slots the previous fix round touched (every other
+    heard view already agrees with its partner), and the fix round draws
+    coins and ranks live ports for the sinks alone.
+
+    ``tracer`` records one round record per repair round; ``active`` is
+    the surviving node count, as in
+    :func:`~repro.local.dense.sinkless_trial_dense`.
     """
+    import time
+
     import numpy as np
 
-    from repro.local.dense import _segment_or, _segment_sum, _slot_owner
+    from repro.local.dense import _ragged_slots
 
-    offsets, dst_node, dst_port = engine.dense_arrays()
-    owner = _slot_owner(offsets)
-    partner = offsets[:-1][dst_node] + dst_port
-    low_view = owner < dst_node
+    trace = tracer is not None and tracer.enabled
+    offsets, dst_node, owner, partner, low_view = _slot_views(engine)
+    degrees = np.diff(offsets)
     n = engine.n
     uid = engine.network.uid_array
+    # A self-loop slot is its own partner and flips at every reconcile.
+    loops = np.flatnonzero(owner == dst_node)
+    corrupted_out = getattr(faults, "corrupted_out", None)
 
+    def counted(idx):
+        live = ~crashed[dst_node[idx]]
+        eff = _extracted(out, partner, low_view, idx)
+        return (out[idx] & live).view(np.int8), (eff & live).view(np.int8)
+
+    def shift(idx, before):
+        # Move the counts by the per-slot deltas at ``idx`` (closed under
+        # ``partner``, so it covers every extracted-view change).
+        after = counted(idx)
+        np.add.at(own_cnt, owner[idx], after[0] - before[0])
+        np.add.at(eff_cnt, owner[idx], after[1] - before[1])
+
+    def recount():
+        # Live ports, accountability, and live outward slots (own and
+        # extracted view) per node.
+        deg = _per_node(owner, ~crashed[dst_node], n)
+        own, eff = (_per_node(owner, c, n) for c in counted(slice(None)))
+        return deg, ~crashed & (deg >= min_degree), own, eff
+
+    def traced(round_no, start):
+        if trace:
+            tracer.round(round_no, active=int(n - crashed.sum()),
+                         seconds=time.perf_counter() - start)
+
+    alive_deg, accountable, own_cnt, eff_cnt = recount()
     used = 0
     last = start_round - 1
     recovered = False
+    touched = None  # slots that may disagree with their partner; None = any
     while _budget(last, used, 2, max_rounds, cap):
         # --- reconcile round ----------------------------------------------
         r = last + 1
+        start = time.perf_counter() if trace else 0.0
         crash, din, cin = _round_masks(faults, r)
-        if crash is not None:
+        stale = crash is not None  # a crash moves the counts at every slot
+        if stale:
             crashed |= crash
-        alive = ~crashed
-        claim = out[partner]  # sender's own view of the shared edge
+        masked = din is not None or cin is not None
+        full = touched is None or masked
+        cand = slice(None) if full else touched
+        claim = out[partner[cand]]  # sender's own view of the shared edge
         if cin is not None:
-            claim = claim ^ cin
-        heard = alive[dst_node] & alive[owner]
+            claim ^= cin[cand]
+        # Only the non-authoritative side adopts ``~claim``: the slots it
+        # changes are those still equal to the claim.
+        adopt = ~low_view[cand] & ~crashed[dst_node[cand]] & ~crashed[owner[cand]]
         if din is not None:
-            heard = heard & din
-        adopt = heard & ~low_view  # only the non-authoritative side adopts
-        out[adopt] = ~claim[adopt]
+            adopt &= din[cand]
+        moved = adopt & (out[cand] == claim)
+        moved = np.flatnonzero(moved) if full else cand[moved]
+        span = np.unique(np.concatenate((moved, partner[moved])))
+        before = counted(span)
+        out[moved] = ~out[moved]
+        shift(span, before)
         used += 1
         last = r
+        traced(r, start)
         # --- fix round ----------------------------------------------------
         rb = last + 1
+        start = time.perf_counter() if trace else 0.0
         crash = faults.crashed_at(rb) if faults is not None else None
         if crash is not None:
             crashed |= crash
-        alive = ~crashed
-        live = alive[dst_node]
-        alive_deg = _segment_sum(live.astype(np.int64), offsets)
-        accountable = alive & (alive_deg >= min_degree)
-        sink = accountable & ~_segment_or(out & live, offsets)
-        # Choose each sink's flip among its live ports: rank the live
-        # slots within the segment and pick the keyed-uniform index.
-        exc = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(live.astype(np.int64)))
-        )[:-1]
-        rank = exc - exc[offsets[:-1][owner]]
-        target = (keyed_u01_array(seed, REPAIR_COINS, uid, rb) * alive_deg).astype(np.int64)
-        chosen = live & sink[owner] & (rank == target[owner])
-        out[chosen] = True
-        corrupted_out = getattr(faults, "corrupted_out", None)
+        if stale or crash is not None:
+            alive_deg, accountable, own_cnt, eff_cnt = recount()
+        sinks = np.flatnonzero(accountable & (own_cnt == 0))
+        # Each sink flips its keyed-uniform index among its live ports:
+        # live slots are numbered across the sinks' segments in order.
+        slots = _ragged_slots(offsets, degrees, sinks)
+        live = ~crashed[dst_node[slots]]
+        ports = alive_deg[sinks]
+        target = (keyed_u01_array(seed, REPAIR_COINS, uid[sinks], rb) * ports).astype(np.int64)
+        pick = np.where(target < ports, np.cumsum(ports) - ports + target, -1)
+        chosen = slots[live & (np.cumsum(live) - 1 == np.repeat(pick, degrees[sinks]))]
         cout = corrupted_out(rb) if corrupted_out is not None else None
         dout = faults.delivered_out(rb) if faults is not None else None
-        is_flip = chosen if cout is None else (chosen ^ cout)
-        mark = is_flip & alive[owner] & alive[dst_node]
+        # Announced flips: corruption turns "flip" <-> "ok" on any slot.
+        flip = chosen if cout is None else np.setxor1d(chosen, np.flatnonzero(cout))
+        heard = flip[~crashed[owner[flip]] & ~crashed[dst_node[flip]]]
         if dout is not None:
-            mark = mark & dout
-        out[partner[np.flatnonzero(mark)]] = False
+            heard = heard[dout[heard]]
+        span = np.unique(np.concatenate((chosen, partner[chosen], heard, partner[heard], loops)))
+        before = counted(span)
+        out[chosen] = True
+        out[partner[heard]] = False
+        shift(span, before)
+        # A masked reconcile may have left disagreements anywhere.
+        touched = None if masked else span
         used += 1
         last = rb
+        traced(rb, start)
         # --- contract probe (authoritative orientation) -------------------
-        eff = np.where(low_view, out, ~out[partner])
-        good = _segment_or(eff & live, offsets)
-        if not (accountable & ~good).any():
+        if not (accountable & (eff_cnt == 0)).any():
             recovered = True
             break
     return RepairResult(recovered=recovered, repair_rounds=used, last_round=last)
+
+
+def sinkless_violations(engine, out, crashed, min_degree: int) -> int:
+    """Alive accountable nodes (>= ``min_degree`` alive neighbors) with no
+    outgoing edge to an alive neighbor in the extracted orientation of the
+    slot state ``out``: :func:`~repro.scenarios.contracts.surviving_sinks`
+    on :func:`~repro.local.dense.dense_orientation`, without building the
+    orientation dict.  Like ``dense_orientation`` it drops self-loops, so
+    it differs from :func:`sinkless_repair`'s probe, which counts a
+    self-loop slot whose extracted bit is set as an outgoing edge."""
+    _, dst_node, owner, partner, low_view = _slot_views(engine)
+    live = ~crashed[dst_node]
+    outward = _extracted(out, partner, low_view) & live & (owner != dst_node)
+    good = _per_node(owner, outward, engine.n)
+    accountable = ~crashed & (_per_node(owner, live, engine.n) >= min_degree)
+    return int((accountable & (good == 0)).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,8 @@ def run_scenario(
     faults keep landing).  ``rounds`` then includes the repair tail (and
     so does ``rounds_to_recover``), ``violations`` is recomputed on the
     repaired state, and the metrics gain ``recovered``/``repair_rounds``/
-    ``violations_before_recovery``.  Repair rounds are not traced.
+    ``violations_before_recovery``.  The sinkless repair tail traces its
+    rounds like the base run; the other repair tails are not traced.
 
     ``return_state=True`` returns ``(metrics, state)`` where ``state``
     holds the end state the contract was judged on (``alive`` plus the
@@ -409,10 +410,7 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, layout=
             max_rounds=max_rounds, faults=DenseFaults(engine, bound, layout=layout),
             strict=False, tracer=tracer,
         )
-        alive = (~result.crashed).tolist()
-        from repro.local.dense import dense_orientation
-
-        orientation = dense_orientation(engine, result.out)
+        out, crashed = result.out, result.crashed
         completed = result.completed
         rounds = result.rounds
     else:
@@ -432,35 +430,35 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, layout=
             TrialAndFixSinkless(min_degree=min_degree),
             max_rounds=max_rounds, seed=seed, probe=probe, hooks=hooks,
         )
-        alive = alive_mask(result.views)
-        orientation = orientation_from_views(adjacency, result.views)
         rounds = result.rounds
         completed = rounds >= 2 and survivors_sink_free(adjacency, result.views, min_degree)
+        if recover:
+            out, crashed = slot_state_from_views(engine.offsets, result.views)
+        else:
+            alive = alive_mask(result.views)
+            orientation = orientation_from_views(adjacency, result.views)
     metrics = {}
     if recover:
-        from repro.local.dense import dense_orientation
         from repro.scenarios.masks import DenseFaults
-        from repro.scenarios.recovery import sinkless_repair
+        from repro.scenarios.recovery import sinkless_repair, sinkless_violations
 
-        if backend == "dense":
-            out = result.out
-            crashed = result.crashed
-        else:
-            out, crashed = slot_state_from_views(engine.offsets, result.views)
-        pre = len(surviving_sinks(network, orientation, alive, min_degree))
+        pre = sinkless_violations(engine, out, crashed, min_degree)
         # Base-run cap only; the repair tail is REPAIR_ROUND_CAP-bounded
         # (a base run livelocked by corrupted flips *needs* the tail).
         rep = sinkless_repair(
             engine, DenseFaults(engine, bound, layout=layout), seed, out,
-            crashed, min_degree, start_round=rounds + 1,
+            crashed, min_degree, start_round=rounds + 1, tracer=tracer,
         )
-        alive = (~crashed).tolist()
-        orientation = dense_orientation(engine, out)
         rounds = rep.last_round
         completed = bool(completed) or rep.recovered
         metrics["recovered"] = int(rep.recovered)
         metrics["repair_rounds"] = rep.repair_rounds
         metrics["violations_before_recovery"] = pre
+    if recover or backend == "dense":
+        from repro.local.dense import dense_orientation
+
+        alive = (~crashed).tolist()
+        orientation = dense_orientation(engine, out)
     remaining = surviving_sinks(network, orientation, alive, min_degree)
     survivors = sum(alive)
     metrics.update({
