@@ -1,4 +1,4 @@
-"""E17–E21 — execution-backend ladder on Luby MIS throughput; E24 — setup cost;
+"""E17–E19, E21 — execution-backend ladder on Luby MIS throughput; E24 — setup cost;
 E25 — early-exit splitting verification; E26 — incremental sinkless repair.
 
 Three claims under test, all with equivalence asserted on every run and
@@ -19,11 +19,6 @@ wall-clock ratios taken best-of-N with the GC paused (:func:`_harness.best_of`
   ``IIDMessageDrop(p=0.05)`` scenario in at most 0.12 s, and a full faulty
   Luby run (a fresh mask every round: the drops never settle) completes in
   at most 1.8 s; both timings land in the BENCH json rows.
-* **E20**: trial batching — solving 64 seeds in one batched Luby kernel
-  call beats the per-trial dense loop >= 1.1x, and takes at most 0.6 s.
-  The loop's kernel reduces only live slots per phase, which cut the
-  ratio from ~4x; the absolute bound keeps the batched call itself from
-  slowing down.
 * **E21**: observability is free when off — a dense Luby run at
   n = 100,000 with the default :class:`repro.obs.NullTracer` stays within
   2% of the untraced run, and a live :class:`repro.obs.Tracer` emits
@@ -237,82 +232,6 @@ def test_e19_keyed_fault_masks_dense_mis(benchmark):
     assert t_faulty_run <= FAULTY_RUN_MAX_SECONDS, (
         f"faulty Luby run took {t_faulty_run:.3f} s"
     )
-
-
-BATCH_N = 10_000
-BATCH_AVG_DEGREE = 20
-BATCH_TRIALS = 64
-
-
-#: Lower bound on E20's loop/batched ratio (1.34-1.76x measured on a 2-core
-#: container; 4.0 before ``luby_mis_dense`` reduced live slots only).
-BATCH_MIN_SPEEDUP = 1.1
-#: Upper bound on the batched call's best-of-3 time (0.22-0.39 s measured
-#: on a 2-core container, plus noise headroom).
-BATCH_MAX_SECONDS = 0.6
-
-
-def test_e20_trial_batched_dense_mis_speedup(benchmark):
-    """Trial-batched dense Luby >= 1.1x over the per-trial dense loop.
-
-    One :func:`~repro.local.dense.luby_mis_batched` call advances all 64
-    seeds of a sweep cell (per-trial cache-hot phase 1, communal pooled
-    tail once frontiers are small) against the baseline every sweep ran
-    before: 64 sequential ``luby_mis_dense`` calls, each reducing only
-    its live slots per phase.  Correctness first:
-    spot-check trials of the batch must be bit-identical to sequential
-    runs, and the per-trial round counts must be ragged
-    (trials genuinely finish at different rounds and freeze).
-    """
-    from repro.local.dense import luby_mis_batched, luby_mis_dense
-
-    adj = random_sparse_graph(BATCH_N, BATCH_AVG_DEGREE, seed=20)
-    engine = CSREngine(Network(adj))
-    engine.dense_arrays()
-    seeds = list(range(BATCH_TRIALS))
-
-    batch = luby_mis_batched(engine, seeds)
-    assert bool(batch.completed.all())
-    for s in (0, 17, 63):
-        seq = luby_mis_dense(engine, seed=s)
-        assert (batch.in_mis[s] == seq.in_mis).all()
-        assert int(batch.rounds[s]) == seq.rounds
-    import numpy as np
-
-    assert np.unique(batch.rounds).shape[0] >= 2, "expected ragged round counts"
-
-    def per_trial_loop():
-        for s in seeds:
-            luby_mis_dense(engine, seed=s)
-
-    t_loop = best_of(per_trial_loop, repeat=2)
-    t_batch = best_of(lambda: luby_mis_batched(engine, seeds), repeat=3)
-    speedup = t_loop / t_batch
-    if speedup < BATCH_MIN_SPEEDUP or t_batch > BATCH_MAX_SECONDS:
-        t_loop = min(t_loop, best_of(per_trial_loop, repeat=2))
-        t_batch = min(t_batch, best_of(lambda: luby_mis_batched(engine, seeds), repeat=3))
-        speedup = t_loop / t_batch
-
-    benchmark(lambda: luby_mis_batched(engine, seeds))
-    attach_rows(
-        benchmark,
-        "E20: trial-batched dense kernel vs per-trial dense loop (Luby MIS)",
-        ["n", "avg deg", "trials", "loop s", "batched s", "speedup"],
-        [
-            (
-                BATCH_N,
-                BATCH_AVG_DEGREE,
-                BATCH_TRIALS,
-                f"{t_loop:.3f}",
-                f"{t_batch:.3f}",
-                f"{speedup:.2f}x",
-            )
-        ],
-    )
-    assert speedup >= BATCH_MIN_SPEEDUP, (
-        f"batched kernel only {speedup:.2f}x over the per-trial loop"
-    )
-    assert t_batch <= BATCH_MAX_SECONDS, f"batched kernel took {t_batch:.3f} s"
 
 
 def test_e17_engine_mis_large_sweep_scales(benchmark):

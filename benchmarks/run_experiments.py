@@ -68,7 +68,6 @@ from repro.exp.workloads import (  # noqa: E402
     chaos_flaky,
     chaos_hang,
     engine_throughput_workload,
-    luby_mis_batch_workload,
     luby_mis_workload,
     scenario_workload,
     sinkless_workload,
@@ -76,19 +75,15 @@ from repro.exp.workloads import (  # noqa: E402
 )
 
 
-def build_specs(quick: bool, num_seeds: int, backends=("engine", "dense"),
-                trial_batch: int = 32):
+def build_specs(quick: bool, num_seeds: int, backends=("engine", "dense")):
     """The sweep suite: every workload across topologies x backends.
 
     ``backends`` selects the execution-backend axis for the algorithm
-    workloads (``reference`` / ``engine`` / ``dense`` / ``dense-batched``);
-    the ``engine/throughput`` cell always measures the first three side by
-    side.  ``dense-batched`` applies to the MIS cells only (Luby is the one
-    pipeline with a trial-batched kernel): they chunk their seeds into
-    groups of ``trial_batch`` and solve each chunk in one batched kernel
-    call (see :class:`repro.exp.runner.ExperimentSpec.batch_fn`).
-    Scenario graphs are fixed per cell (trial seeds drive the coins), so
-    every backend and every seed of a cell reuses one packed engine.
+    workloads (``reference`` / ``engine`` / ``dense``); the
+    ``engine/throughput`` cell always measures all three side by side.
+    Every seed of every cell is one task.  Scenario graphs are fixed per
+    cell (trial seeds drive the coins), so every backend and every seed of
+    a cell reuses one packed engine.
     """
     seeds = tuple(range(num_seeds))
     scale = 1 if quick else 4
@@ -98,12 +93,8 @@ def build_specs(quick: bool, num_seeds: int, backends=("engine", "dense"),
         ExperimentSpec(
             f"mis/{topology}@{backend}",
             luby_mis_workload,
-            {"topology": topology, "n": mis_n, "degree": 12}
-            if backend == "dense-batched"
-            else {"topology": topology, "n": mis_n, "degree": 12, "backend": backend},
+            {"topology": topology, "n": mis_n, "degree": 12, "backend": backend},
             seeds=seeds,
-            batch_fn=luby_mis_batch_workload if backend == "dense-batched" else None,
-            trial_batch=trial_batch,
         )
         for topology in ("sparse", "regular", "torus", "powerlaw")
         for backend in backends
@@ -117,7 +108,7 @@ def build_specs(quick: bool, num_seeds: int, backends=("engine", "dense"),
         )
         for topology in ("regular", "torus")
         for backend in backends
-        if backend in ("engine", "dense")  # no reference driver, no batched kernel
+        if backend in ("engine", "dense")  # no reference driver
     ]
     specs += [
         ExperimentSpec(
@@ -273,8 +264,7 @@ def run_sweeps(args) -> int:
     trace_out = None
     if args.trace is not None:
         trace_out = args.trace or f"{out}.trace.jsonl"
-    specs = build_specs(args.quick, args.seeds, backends=backends,
-                        trial_batch=args.trial_batch)
+    specs = build_specs(args.quick, args.seeds, backends=backends)
     if args.scenarios is not None:
         specs += build_scenario_specs(
             args.quick, args.seeds, args.scenarios, backends,
@@ -513,12 +503,7 @@ def main() -> int:
                         help="pool size (0 = inline, default = cpu count)")
     parser.add_argument("--backends", default="engine,dense",
                         help="comma-separated execution backends for the "
-                        "algorithm workloads "
-                        "(reference,engine,dense,dense-batched)")
-    parser.add_argument("--trial-batch", type=positive_int, default=32,
-                        metavar="K",
-                        help="seeds per kernel call for dense-batched MIS cells "
-                        "(default 32)")
+                        "algorithm workloads (reference,engine,dense)")
     parser.add_argument("--scenarios", nargs="?", const="all", default=None,
                         metavar="NAMES",
                         help="also sweep fault/adversary scenarios: 'all' or "

@@ -125,17 +125,12 @@ class RetryPolicy:
 
 @dataclass
 class Task:
-    """One schedulable unit: a (spec, seed) trial or a (spec, seed-chunk) batch.
-
-    ``seed`` holds an ``int`` for per-seed cells and a ``tuple`` of seeds
-    for batched cells (the same dispatch convention as
-    :meth:`repro.exp.runner.ExperimentSpec.trials`).
-    """
+    """One schedulable unit: a (spec, seed) trial."""
 
     name: str
     fn: Callable[..., Any]
     params: Dict[str, Any]
-    seed: Any
+    seed: int
     timeout: Optional[float] = None
     retry: Optional[RetryPolicy] = None
     #: executions charged to this task (failures + the final outcome)
@@ -149,33 +144,24 @@ class Task:
     #: monotonic deadline of the current execution (inf when no timeout)
     deadline: float = field(default=math.inf, repr=False)
 
-    def seeds(self) -> Tuple[int, ...]:
-        return self.seed if isinstance(self.seed, tuple) else (self.seed,)
 
-
-def _synth_failures(task: Task, error: str, elapsed: float) -> List[Any]:
-    """Error :class:`TrialResult` rows for a task that never returned.
+def _synth_failure(task: Task, error: str, elapsed: float) -> Any:
+    """Error :class:`TrialResult` row for a task that never returned.
 
     Timeout and crash victims produce no worker-side result, so the parent
-    synthesizes one failed row per seed (batch wall-clock split evenly,
-    matching ``_run_batch``), each carrying a *copy* of the params dict.
+    synthesizes the failed row, carrying a *copy* of the params dict.
     """
     from repro.exp.runner import TrialResult
 
-    seeds = task.seeds()
-    share = elapsed / max(len(seeds), 1)
-    return [
-        TrialResult(
-            experiment=task.name,
-            seed=s,
-            params=dict(task.params),
-            metrics={},
-            elapsed=share,
-            error=error,
-            attempts=task.attempts,
-        )
-        for s in seeds
-    ]
+    return TrialResult(
+        experiment=task.name,
+        seed=task.seed,
+        params=dict(task.params),
+        metrics={},
+        elapsed=elapsed,
+        error=error,
+        attempts=task.attempts,
+    )
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -271,14 +257,13 @@ class ResilientExecutor:
         return self._new_pool()
 
     def _submit(self, pool: ProcessPoolExecutor, task: Task) -> None:
-        from repro.exp.runner import _run_batch, _run_trial
+        from repro.exp.runner import _run_trial
 
-        runner = _run_batch if isinstance(task.seed, tuple) else _run_trial
         task.dispatched_at = time.monotonic()
         task.deadline = (
             task.dispatched_at + task.timeout if task.timeout else math.inf
         )
-        future = pool.submit(runner, task.name, task.fn, task.params, task.seed)
+        future = pool.submit(_run_trial, task.name, task.fn, task.params, task.seed)
         self.in_flight[future] = task
         self._count("executor.dispatches")
 
@@ -318,16 +303,15 @@ class ResilientExecutor:
 
     # -- outcome handling --------------------------------------------------
 
-    def _finalize(self, task: Task, results: List[Any]) -> None:
-        for result in results:
-            result.attempts = task.attempts
-            self.on_result(result)
+    def _finalize(self, task: Task, result: Any) -> None:
+        result.attempts = task.attempts
+        self.on_result(result)
 
     def _requeue(self, task: Task, delay: float = 0.0) -> None:
         task.not_before = time.monotonic() + delay
         self.queue.append(task)
 
-    def _failed(self, task: Task, error: str, results: Optional[List[Any]] = None) -> None:
+    def _failed(self, task: Task, error: str, result: Any = None) -> None:
         """Charge one failed execution; retry within budget or quarantine."""
         task.attempts += 1
         policy = task.retry
@@ -343,20 +327,18 @@ class ResilientExecutor:
         if policy is not None and task.attempts >= policy.max_attempts:
             self._count("executor.quarantines")
         elapsed = time.monotonic() - task.dispatched_at if task.dispatched_at else 0.0
-        if results is None:
-            results = _synth_failures(task, error, elapsed)
-        self._finalize(task, results)
+        if result is None:
+            result = _synth_failure(task, error, elapsed)
+        self._finalize(task, result)
 
-    def _completed(self, task: Task, outcome: Any) -> None:
+    def _completed(self, task: Task, result: Any) -> None:
         """A future returned normally; the workload may still have failed."""
-        results = outcome if isinstance(outcome, list) else [outcome]
-        error = next((r.error for r in results if r.error), None)
-        if error is not None:
-            self._failed(task, error, results)
+        if result.error is not None:
+            self._failed(task, result.error, result)
             return
         task.attempts += 1
         task.solo = False
-        self._finalize(task, results)
+        self._finalize(task, result)
 
     def _heal(self, pool: ProcessPoolExecutor, suspects: List[Task]) -> ProcessPoolExecutor:
         """The pool broke: attribute the crash, or isolate the suspects.

@@ -71,14 +71,7 @@ RESULTS_SCHEMA = 3
 class ExperimentSpec:
     """One sweep cell: a workload, its parameters, and the seeds to run.
 
-    With ``batch_fn`` set the cell is *trial-batched*: seeds are chunked
-    into groups of up to ``trial_batch`` and each chunk becomes ONE task
-    calling ``batch_fn(seeds=chunk, **params)``, which must return a list
-    of per-seed metric dicts (same order as the chunk).  This is how the
-    dense-batched Luby kernel receives whole seed batches in one call
-    instead of one pool task per seed; ``fn`` remains the per-seed fallback others
-    (and documentation of the cell's semantics) use.
-
+    Every seed is one task calling ``fn(seed=seed, **params)``.
     ``timeout`` is a per-task wall-clock deadline in seconds (pooled
     execution only — an inline run cannot preempt itself): an overdue
     task's worker is killed, the pool rebuilt, and the trial recorded as
@@ -90,27 +83,12 @@ class ExperimentSpec:
     fn: Workload
     params: Dict[str, Any] = field(default_factory=dict)
     seeds: Sequence[int] = (0, 1, 2)
-    batch_fn: Optional[Workload] = None
-    trial_batch: int = 32
     timeout: Optional[float] = None
     retry: Optional[RetryPolicy] = None
 
-    def trials(self) -> List[Tuple[str, Workload, Dict[str, Any], Any]]:
-        """The (name, fn, params, seed-or-seed-chunk) tuples to fan out.
-
-        Per-seed cells yield one tuple per seed; batched cells yield one
-        tuple per chunk with the seed slot holding a ``tuple`` of seeds
-        (:func:`run_sweep` dispatches on that shape).
-        """
-        if self.batch_fn is None:
-            return [(self.name, self.fn, dict(self.params), int(s)) for s in self.seeds]
-        require(self.trial_batch >= 1, "trial_batch must be >= 1")
-        seeds = [int(s) for s in self.seeds]
-        chunks = [
-            tuple(seeds[i : i + self.trial_batch])
-            for i in range(0, len(seeds), self.trial_batch)
-        ]
-        return [(self.name, self.batch_fn, dict(self.params), c) for c in chunks]
+    def trials(self) -> List[Tuple[str, Workload, Dict[str, Any], int]]:
+        """The (name, fn, params, seed) tuples to fan out, one per seed."""
+        return [(self.name, self.fn, dict(self.params), int(s)) for s in self.seeds]
 
 
 @dataclass
@@ -220,53 +198,6 @@ def _run_trial(
         pack_seconds=float(pack),
         rng_seconds=float(rng),
     )
-
-
-def _run_batch(
-    name: str, fn: Workload, params: Dict[str, Any], seeds: Tuple[int, ...]
-) -> List[TrialResult]:
-    """Execute one seed-batch task; one :class:`TrialResult` per seed.
-
-    The workload runs once for the whole chunk, so per-seed wall-clock is
-    the batch total split evenly (the kernel advances all trials together;
-    no finer attribution exists).  A batch that raises fails every seed in
-    it — still data, not a crash, matching the per-seed contract.
-    """
-    start = time.perf_counter()
-    try:
-        per_seed = fn(seeds=seeds, **params)
-        require(
-            isinstance(per_seed, list) and len(per_seed) == len(seeds),
-            "batch workloads must return one metrics dict per seed",
-        )
-    except Exception as exc:  # noqa: BLE001 - failures are sweep data
-        elapsed = (time.perf_counter() - start) / max(len(seeds), 1)
-        err = f"{type(exc).__name__}: {exc}"
-        return [
-            TrialResult(
-                experiment=name, seed=s, params=dict(params), metrics={},
-                elapsed=elapsed, error=err,
-            )
-            for s in seeds
-        ]
-    elapsed = (time.perf_counter() - start) / max(len(seeds), 1)
-    results = []
-    for s, metrics in zip(seeds, per_seed):
-        if not isinstance(metrics, dict):
-            metrics = {"result": metrics}
-        if "elapsed" in metrics:
-            metrics["workload_elapsed"] = metrics.pop("elapsed")
-        setup = metrics.pop("setup_seconds", 0.0)
-        pack = metrics.pop("pack_seconds", setup)
-        rng = metrics.pop("rng_seconds", 0.0)
-        results.append(
-            TrialResult(
-                experiment=name, seed=s, params=dict(params), metrics=metrics,
-                elapsed=elapsed, setup_seconds=float(setup),
-                pack_seconds=float(pack), rng_seconds=float(rng),
-            )
-        )
-    return results
 
 
 def aggregate(trials: Sequence[TrialResult]) -> Dict[str, Dict[str, Any]]:
@@ -388,53 +319,42 @@ def _run_task_inline(spec: ExperimentSpec, task, collect) -> None:
     Timeouts are pooled-only (an inline run cannot preempt itself); retry
     backoff sleeps apply as configured.  Results carry the attempt count.
     """
-    name, fn, params, seed = task
-    runner = _run_batch if isinstance(seed, tuple) else _run_trial
     attempts = 0
     while True:
         attempts += 1
-        outcome = runner(name, fn, params, seed)
-        results = outcome if isinstance(outcome, list) else [outcome]
-        error = next((r.error for r in results if r.error), None)
+        result = _run_trial(*task)
         policy = spec.retry
         if (
-            error is not None
+            result.error is not None
             and policy is not None
             and attempts < policy.max_attempts
-            and policy.is_retryable(error)
+            and policy.is_retryable(result.error)
         ):
             delay = policy.delay(attempts, _INLINE_RNG)
             if delay > 0:
                 time.sleep(delay)
             continue
-        for result in results:
-            result.attempts = attempts
-            collect(result)
+        result.attempts = attempts
+        collect(result)
         return
 
 
 def _apply_resume(spec_tasks, resume):
     """Split tasks into (still-to-run, reused checkpoint results).
 
-    Per-seed tasks whose ``(experiment, seed)`` key is already in the
-    checkpoint are skipped outright; batched tasks are *narrowed* to their
-    missing seeds (an empty remainder drops the task).  Only checkpoint
-    rows matching a key of the current sweep are reused — a checkpoint may
-    hold unrelated experiments.
+    Tasks whose ``(experiment, seed)`` key is already in the checkpoint
+    are skipped.  Only checkpoint rows matching a key of the current sweep
+    are reused — a checkpoint may hold unrelated experiments.
     """
     prior = {(t.experiment, t.seed): t for t in load_checkpoint(resume)}
     remaining = []
     reused: List[TrialResult] = []
-    for spec, (name, fn, params, seed) in spec_tasks:
-        if isinstance(seed, tuple):
-            missing = tuple(s for s in seed if (name, s) not in prior)
-            reused.extend(prior[(name, s)] for s in seed if (name, s) in prior)
-            if missing:
-                remaining.append((spec, (name, fn, params, missing)))
-        elif (name, seed) in prior:
+    for spec, task in spec_tasks:
+        name, _, _, seed = task
+        if (name, seed) in prior:
             reused.append(prior[(name, seed)])
         else:
-            remaining.append((spec, (name, fn, params, seed)))
+            remaining.append((spec, task))
     return remaining, reused
 
 
@@ -447,11 +367,7 @@ def _write_manifest(path, sweep: SweepResult, unfinished) -> None:
     doc = {
         "drained": sweep.drained,
         "completed": len(sweep.trials),
-        "unfinished": [
-            {"experiment": task.name, "seed": s}
-            for task in unfinished
-            for s in task.seeds()
-        ],
+        "unfinished": [{"experiment": t.name, "seed": t.seed} for t in unfinished],
         "metrics": sweep.metrics,
         "written_at": time.time(),
     }
@@ -485,8 +401,7 @@ def run_sweep(
       ``trials.jsonl`` as it completes, so a killed sweep loses nothing
       already done;
     * ``resume`` — load this checkpoint first and skip its completed
-      ``(experiment, seed)`` keys (batched cells are narrowed to their
-      missing seeds); the reused rows appear in the returned
+      ``(experiment, seed)`` keys; the reused rows appear in the returned
       :class:`SweepResult` alongside the fresh ones.  Pass the same path
       as ``checkpoint`` to restart a killed sweep where it died.
     * Pooled runs honor each spec's ``timeout``/``retry`` and survive

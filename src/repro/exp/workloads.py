@@ -50,7 +50,6 @@ __all__ = [
     "build_topology",
     "scenario_engine",
     "luby_mis_workload",
-    "luby_mis_batch_workload",
     "sinkless_workload",
     "splitting_workload",
     "engine_throughput_workload",
@@ -64,7 +63,7 @@ __all__ = [
 
 TOPOLOGIES = ("sparse", "regular", "torus", "grid", "powerlaw")
 
-BACKENDS = ("reference", "engine", "dense", "dense-batched")
+BACKENDS = ("reference", "engine", "dense")
 
 
 def build_topology(
@@ -140,11 +139,7 @@ def luby_mis_workload(
     graph_seed: int = 1,
 ) -> Dict[str, Any]:
     """Luby MIS on the chosen backend; verifies the MIS before reporting."""
-    require(
-        backend in ("reference", "engine", "dense"),
-        f"unknown per-seed backend {backend!r} (dense-batched cells use "
-        "luby_mis_batch_workload)",
-    )
+    require(backend in BACKENDS, f"unknown backend {backend!r}")
     engine, setup = scenario_engine(topology, n, degree, graph_seed)
     adj = engine.network.adjacency
     rng_seconds = 0.0
@@ -171,44 +166,6 @@ def luby_mis_workload(
         "pack_seconds": setup,
         "rng_seconds": rng_seconds,
     }
-
-
-def luby_mis_batch_workload(
-    seeds,
-    topology: str = "sparse",
-    n: int = 1000,
-    degree: int = 8,
-    graph_seed: int = 1,
-) -> List[Dict[str, Any]]:
-    """Luby MIS for a whole seed batch in one dense-batched kernel call.
-
-    The ``backend="dense-batched"`` cell of a sweep: the runner hands the
-    whole chunk here (:class:`~repro.exp.runner.ExperimentSpec.batch_fn`)
-    and one :func:`~repro.local.dense.luby_mis_batched` call advances every
-    seed together.  Metrics mirror :func:`luby_mis_workload` per seed, with
-    ``solve_seconds`` the batch total split evenly and the one-off setup
-    charged to the first seed; ``trial_batch`` records the chunk size.
-    """
-    engine, setup = scenario_engine(topology, n, degree, graph_seed)
-    adj = engine.network.adjacency
-    start = time.perf_counter()
-    results = luby_mis(adj, seed=list(seeds), method="dense-batched", engine=engine)
-    solve = (time.perf_counter() - start) / max(len(results), 1)
-    m = sum(len(a) for a in adj) // 2
-    out = []
-    for i, (mis, rounds) in enumerate(results):
-        require(is_mis(adj, mis), "luby produced an invalid MIS")
-        out.append({
-            "n": len(adj),
-            "m": m,
-            "rounds": rounds,
-            "mis_size": len(mis),
-            "solve_seconds": solve,
-            "nodes_per_second": len(adj) / solve if solve > 0 else 0.0,
-            "trial_batch": len(results),
-            "setup_seconds": setup if i == 0 else 0.0,
-        })
-    return out
 
 
 def sinkless_workload(

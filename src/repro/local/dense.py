@@ -22,11 +22,9 @@ round (:func:`~repro.utils.rng.keyed_u01_array`, or
 :func:`~repro.utils.rng.keyed_u01_slots` for one draw per port), so every
 kernel is **bit-identical** to :class:`CSREngine` and
 :func:`~repro.local.network.run_local` for any seed and fault stack, with
-O(1) coin setup.  Because a coin is a pure function of its key, the one
-*trial-batched* kernel, :func:`luby_mis_batched`, reproduces k sequential
-runs bit for bit while advancing all k trials through shared array passes.
-Sinkless orientation and splitting have no batched kernel: a loop over
-their per-trial kernels is faster.
+O(1) coin setup.  There is one kernel per algorithm and one seed per call:
+to run many seeds, loop over seeds on one shared engine (its CSR arrays are
+packed once).
 
 Each kernel documents exactly which hook-level draws it computes; any
 change to the corresponding :class:`LocalAlgorithm` must be mirrored here
@@ -37,26 +35,22 @@ enforces this).
 from __future__ import annotations
 
 import time
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.local.engine import CSREngine
 from repro.utils.rng import (
     NODE_COINS,
-    keyed_hash53,
     keyed_u01_array,
     keyed_u01_slots,
-    seed_link,
 )
 from repro.utils.validation import require
 
 __all__ = [
     "DenseResult",
-    "BatchedDenseResult",
     "luby_round_dense",
     "luby_mis_dense",
-    "luby_mis_batched",
     "sinkless_trial_dense",
     "dense_orientation",
     "uniform_splitting_dense",
@@ -78,44 +72,6 @@ class DenseResult:
             return self.data[name]
         except KeyError:
             raise AttributeError(name) from None
-
-
-class BatchedDenseResult:
-    """Outcome of a trial-batched dense kernel: one leading trial axis.
-
-    ``rounds`` (int64) and ``completed`` (bool) have shape ``(k,)``, aligned
-    with ``seeds``; every array in ``data`` has shape ``(k, ...)`` — e.g.
-    ``in_mis`` is ``(trials, nodes)``.  Trials finish at different rounds
-    (ragged termination): a finished trial's rows are frozen at their final
-    state while survivors keep iterating.  :meth:`trial` slices one trial
-    back out as a :class:`DenseResult`, bit-identical to the corresponding
-    sequential run of the same kernel.
-    """
-
-    __slots__ = ("seeds", "rounds", "completed", "data")
-
-    def __init__(self, seeds, rounds, completed, **data):
-        self.seeds = list(seeds)
-        self.rounds = rounds
-        self.completed = completed
-        self.data = data
-
-    def __getattr__(self, name):
-        try:
-            return self.data[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def __len__(self) -> int:
-        return len(self.seeds)
-
-    def trial(self, t: int) -> DenseResult:
-        """The ``t``-th trial's slice as a sequential-shaped result."""
-        return DenseResult(
-            int(self.rounds[t]),
-            bool(self.completed[t]),
-            **{key: value[t] for key, value in self.data.items()},
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +124,8 @@ def _slot_owner(offsets: np.ndarray) -> np.ndarray:
 def _ragged_slots(offsets: np.ndarray, degrees: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """All CSR slots owned by the nodes in ``idx``, in node order.
 
-    O(output) — the batched Luby kernel uses it to touch only the surviving
-    frontier's slots instead of sweeping all ``m`` pairs per phase.
+    O(output) — the sinkless repair tail uses it to touch only the sinks'
+    slots instead of sweeping all ``m`` slots per phase.
     """
     cnt = degrees[idx]
     total = int(cnt.sum())
@@ -412,320 +368,6 @@ def luby_mis_dense(
 
 
 # ---------------------------------------------------------------------------
-# Trial-batched Luby MIS.
-#
-# The batched kernel advances k seeds of one graph at once.  Its state per
-# still-running trial is *compressed*: a flat array of active (trial, node)
-# keys plus pair-endpoint positions into it, so every phase costs
-# O(surviving frontier) instead of O(k * m).  Two execution regimes chosen
-# purely for cache behaviour (semantics are identical):
-#
-# * a trial whose live pair count is still large is advanced on its own
-#   (its arrays are cache-resident; pooling them with 63 siblings would
-#   blow the working set on 1-CPU CI hardware);
-# * once a trial's frontier shrinks below ``pool_pairs`` it merges into one
-#   communal pool, and a single bincount/segment pass advances every pooled
-#   trial per phase — the "one pass, many seeds" payoff, since Luby's
-#   frontier decays geometrically and the tail phases dominate the count.
-#
-# Coins are keyed (pure hash of (seed, "node", uid, round, 0)), so the
-# batched run is bit-identical to k sequential runs — enforced by the
-# property tests in tests/local/test_dense_batched.py.
-# ---------------------------------------------------------------------------
-
-
-def _compress_state(keep, nodes, o_pos, n_pos, slots, sh):
-    """Drop nodes where ``keep`` is False; remap pair positions."""
-    if keep.all():
-        return nodes, o_pos, n_pos, slots, sh
-    remap = np.cumsum(keep) - 1
-    pair_keep = keep[o_pos] & keep[n_pos]
-    return (
-        nodes[keep],
-        remap[o_pos[pair_keep]],
-        remap[n_pos[pair_keep]],
-        slots[pair_keep],
-        sh[keep],
-    )
-
-
-def _merge_states(parts):
-    """Concatenate compressed states (disjoint trial sets) into one pool."""
-    base = 0
-    cols = ([], [], [], [], [])
-    for nodes, o_pos, n_pos, slots, sh in parts:
-        cols[0].append(nodes)
-        cols[1].append(o_pos + base)
-        cols[2].append(n_pos + base)
-        cols[3].append(slots)
-        cols[4].append(sh)
-        base += nodes.shape[0]
-    return tuple(np.concatenate(c) for c in cols)
-
-
-def _luby_phase_batched(state, n, round1, uid, uid_gt, in_mis_flat, crashed_flat, faults):
-    """One full Luby phase (rounds ``round1``, ``round1 + 1``) on one
-    compressed state; returns the surviving state and the nodes that drew
-    in ``round1`` (the frontier after its crashes: a trial with none left
-    stops after ``round1``, like the engine).
-
-    Mirrors the sequential loop body of :func:`luby_mis_dense` exactly:
-    round-1 crashes leave before drawing, priorities are 53-bit keyed
-    hashes (rank-isomorphic to the uniforms the sequential kernel compares,
-    ties broken by uid), dropped priorities don't suppress joins,
-    round-2 crashers neither join nor announce, dropped announcements don't
-    kill.  Fault masks are shared across every trial in the state.
-    """
-    nodes, o_pos, n_pos, slots, sh = state
-    if faults is not None:
-        crash = faults.crashed_at(round1)
-        if crash is not None:
-            hit = crash[nodes % n]
-            if hit.any():
-                crashed_flat[nodes[hit]] = True
-                nodes, o_pos, n_pos, slots, sh = _compress_state(
-                    ~hit, nodes, o_pos, n_pos, slots, sh
-                )
-    N = nodes.shape[0]
-    if N == 0:
-        return (nodes, o_pos, n_pos, slots, sh), nodes
-    r = keyed_hash53(sh, uid[nodes % n], round1, 0)
-    ro = r[o_pos]
-    rn = r[n_pos]
-    better = (rn > ro) | ((rn == ro) & uid_gt[slots])
-    crash2 = None
-    if faults is not None:
-        heard1 = faults.delivered_in(round1)
-        if heard1 is not None:
-            better &= heard1[slots]
-        cmask = faults.crashed_at(round1 + 1)
-        if cmask is not None:
-            crash2 = cmask[nodes % n]
-    joining = np.bincount(o_pos[better], minlength=N) == 0
-    if crash2 is not None and crash2.any():
-        crashed_flat[nodes[crash2]] = True
-        joining &= ~crash2
-    announced = joining[n_pos]
-    if faults is not None:
-        heard2 = faults.delivered_in(round1 + 1)
-        if heard2 is not None:
-            announced &= heard2[slots]
-    killed = ~joining & (np.bincount(o_pos[announced], minlength=N) > 0)
-    in_mis_flat[nodes[joining]] = True
-    keep = ~joining & ~killed
-    if crash2 is not None:
-        keep &= ~crash2
-    return _compress_state(keep, nodes, o_pos, n_pos, slots, sh), nodes
-
-
-def _luby_phase1_fast(t, s_hash, n, uid, act0, uid_gt, offsets, dst_node,
-                      owner, degrees, in_mis_row, pos_map):
-    """Fault-free phase 1 for one trial, full-graph arrays (cache-hot).
-
-    Joins/kills over all ``m`` pairs via segment reductions; the kill set
-    is scattered from the joining nodes' own slots and the surviving
-    frontier's pairs are extracted from the survivors' CSR rows only — both
-    O(joining/surviving slots), not O(m).  Returns the compressed state of
-    phase-2 survivors, or ``None`` when the trial finished at round 2.
-    """
-    rt = keyed_hash53(s_hash, uid, 1, 0)
-    ro = rt[owner]
-    rn = rt[dst_node]
-    better = (rn > ro) | ((rn == ro) & uid_gt)
-    join = act0 & ~_segment_or(better, offsets)
-    jslots = _ragged_slots(offsets, degrees, np.flatnonzero(join))
-    killed = np.zeros(n, dtype=bool)
-    killed[dst_node[jslots]] = True
-    in_mis_row[:] = ~act0 | join
-    at = act0 & ~join & ~killed
-    act_idx = np.flatnonzero(at)
-    if act_idx.shape[0] == 0:
-        return None
-    sslots = _ragged_slots(offsets, degrees, act_idx)
-    live = sslots[at[dst_node[sslots]]]
-    pos_map[act_idx] = np.arange(act_idx.shape[0])
-    sh = np.full(act_idx.shape[0], s_hash, dtype=np.uint64)
-    return (t * n + act_idx, pos_map[owner[live]], pos_map[dst_node[live]], live, sh)
-
-
-def luby_mis_batched(
-    engine: CSREngine,
-    seeds: Sequence[int],
-    max_rounds: int = 10_000,
-    faults=None,
-    pool_pairs: int = 4096,
-    tracer=None,
-) -> BatchedDenseResult:
-    """Luby's MIS for a batch of seeds on one graph, in one kernel call.
-
-    Per trial this is exactly ``luby_mis_dense(engine, seed=s,
-    max_rounds=..., faults=...)`` — same MIS membership,
-    crash records, round counts and completion flags, bit for bit — but the
-    trials advance together: phase 1 runs per trial over cache-hot full
-    arrays, and once a trial's frontier is small (``pool_pairs`` live pairs
-    or fewer) it merges into a communal compressed pool where one
-    bincount/segment pass per phase advances every surviving trial at once.
-    Trials finish raggedly; finished trials freeze, survivors iterate.
-
-    ``faults`` is one shared :class:`~repro.scenarios.masks.DenseFaults`
-    schedule broadcast across the trial axis (per-round masks are built
-    once and reused by every trial).
-
-    ``tracer`` records one ``batch_phase`` event per communal phase (the
-    per-trial round semantics of the batched regime make per-round records
-    ambiguous; phase events carry the surviving trial/pool shape instead).
-
-    Returns a :class:`BatchedDenseResult` with ``in_mis`` and ``crashed``
-    of shape ``(trials, n)``.
-    """
-    require(max_rounds >= 0, f"max_rounds must be >= 0, got {max_rounds}")
-    require(
-        not getattr(faults, "corrupting", False),
-        "trial-batched kernels do not implement Byzantine corruption masks",
-    )
-    trace = tracer is not None and tracer.enabled
-    offsets, dst_node, _ = engine.dense_arrays()
-    n = engine.n
-    uid = engine.network.uid_array
-    owner = _slot_owner(offsets)
-    degrees = np.diff(offsets)
-    m = dst_node.shape[0]
-    k = len(seeds)
-
-    in_mis = np.zeros((k, n), dtype=bool)
-    in_mis[:, degrees == 0] = True
-    crashed = np.zeros((k, n), dtype=bool)
-    rounds = np.zeros(k, dtype=np.int64)
-    completed = np.ones(k, dtype=bool)
-    act0 = degrees > 0
-    if k == 0 or not act0.any():
-        return BatchedDenseResult(seeds, rounds, completed, in_mis=in_mis, crashed=crashed)
-
-    imf = in_mis.ravel()
-    crf = crashed.ravel()
-    seed_hashes = [seed_link(int(s), NODE_COINS) for s in seeds]
-    uid_gt = uid[dst_node] > uid[owner]
-    pos_map = np.empty(n, dtype=np.int64)
-    faults_expired = getattr(faults, "expired", None)
-
-    if max_rounds == 0:
-        completed[:] = False
-        return BatchedDenseResult(seeds, rounds, completed, in_mis=in_mis, crashed=crashed)
-    if faults is not None and faults_expired is not None and faults_expired(1):
-        faults = None
-    if max_rounds == 1:
-        # Mid-phase cap inside phase 1: crashes land, priorities are drawn,
-        # nothing is ever announced (matches the sequential odd-round break).
-        frontier = act0
-        if faults is not None:
-            crash = faults.crashed_at(1)
-            if crash is not None:
-                crashed[:, :] = (act0 & crash)[None, :]
-                frontier = act0 & ~crash
-        rounds[:] = 1
-        completed[:] = not frontier.any()
-        return BatchedDenseResult(seeds, rounds, completed, in_mis=in_mis, crashed=crashed)
-
-    # Phase 1 (rounds 1-2), per trial: the fault-free fast path, or the
-    # generic compressed phase seeded with the full graph under faults.
-    singles = {}
-    if faults is None:
-        for t, s_hash in enumerate(seed_hashes):
-            st = _luby_phase1_fast(
-                t, s_hash, n, uid, act0, uid_gt, offsets, dst_node,
-                owner, degrees, in_mis[t], pos_map,
-            )
-            if st is None:
-                rounds[t] = 2
-            else:
-                singles[t] = st
-    else:
-        act_idx0 = np.flatnonzero(act0)
-        pos_map[act_idx0] = np.arange(act_idx0.shape[0])
-        o_pos0 = pos_map[owner]
-        n_pos0 = pos_map[dst_node]
-        slots0 = np.arange(m, dtype=np.int64)
-        for t, s_hash in enumerate(seed_hashes):
-            state = (
-                t * n + act_idx0, o_pos0, n_pos0, slots0,
-                np.full(act_idx0.shape[0], s_hash, dtype=np.uint64),
-            )
-            st, drew = _luby_phase_batched(state, n, 1, uid, uid_gt, imf, crf, faults)
-            if st[0].shape[0] == 0:
-                rounds[t] = 2 if drew.shape[0] else 1
-            else:
-                singles[t] = st
-
-    pool = None
-    round_no = 2
-    while singles or pool is not None:
-        round1 = round_no + 1
-        if round1 > max_rounds:
-            # Cap reached between phases: survivors stop incomplete.
-            for t in singles:
-                rounds[t] = round_no
-                completed[t] = False
-            if pool is not None:
-                for t in np.unique(pool[0] // n):
-                    rounds[t] = round_no
-                    completed[t] = False
-            break
-        if faults is not None and faults_expired is not None and faults_expired(round1):
-            faults = None
-        if round1 + 1 > max_rounds:
-            # Mid-phase cap: round-1 crashes land, then the odd-round break.
-            states = list(singles.values()) + ([pool] if pool is not None else [])
-            nodes_all = np.concatenate([st[0] for st in states])
-            left = nodes_all
-            if faults is not None:
-                crash = faults.crashed_at(round1)
-                if crash is not None:
-                    hit = crash[nodes_all % n]
-                    crf[nodes_all[hit]] = True
-                    left = nodes_all[~hit]
-            total = np.bincount(nodes_all // n, minlength=k)
-            remaining = np.bincount(left // n, minlength=k)
-            running = total > 0
-            rounds[running] = round1
-            completed[running] = remaining[running] == 0
-            break
-        round2 = round1 + 1
-        if trace:
-            tracer.event(
-                "batch_phase",
-                round=round1,
-                singles=len(singles),
-                pool_nodes=0 if pool is None else int(pool[0].shape[0]),
-            )
-        # Small trials merge into the communal pool (once pooled, a trial's
-        # frontier only shrinks, so it never leaves).
-        small = [t for t, st in singles.items() if st[3].shape[0] <= pool_pairs]
-        if small:
-            parts = ([pool] if pool is not None else []) + [singles.pop(t) for t in small]
-            pool = _merge_states(parts)
-        for t in list(singles):
-            st, drew = _luby_phase_batched(singles[t], n, round1, uid, uid_gt, imf, crf, faults)
-            if st[0].shape[0] == 0:
-                rounds[t] = round2 if drew.shape[0] else round1
-                del singles[t]
-            else:
-                singles[t] = st
-        if pool is not None:
-            before = pool[0]
-            pool, drew = _luby_phase_batched(pool, n, round1, uid, uid_gt, imf, crf, faults)
-            if pool[0].shape[0] != before.shape[0]:
-                had = np.bincount(before // n, minlength=k) > 0
-                mid = np.bincount(drew // n, minlength=k) > 0
-                have = np.bincount(pool[0] // n, minlength=k) > 0
-                rounds[had & ~mid] = round1
-                rounds[mid & ~have] = round2
-                if pool[0].shape[0] == 0:
-                    pool = None
-        round_no = round2
-    return BatchedDenseResult(seeds, rounds, completed, in_mis=in_mis, crashed=crashed)
-
-
-# ---------------------------------------------------------------------------
 # Trial-and-fix sinkless orientation.
 # ---------------------------------------------------------------------------
 
@@ -896,17 +538,17 @@ def sinkless_trial_dense(
             out[chosen] = True
             # Receive phase: the paired port is marked inward.  A doubly
             # flipped edge has each chosen slot as the other's partner, so
-            # both end False — exactly the reference outcome.  Under faults
-            # the flip announcement must actually arrive: dropped messages
-            # and crashed receivers leave the paired slot untouched.
-            if faults is None:
-                out[partner[chosen]] = False
-            else:
-                keep = ~crashed[dst_node[chosen]]
+            # both end False — exactly the reference outcome.  The flip
+            # announcement must actually arrive: crashed receivers (also
+            # past the quiet horizon, when ``faults`` is gone but the
+            # crashed stay frozen) and dropped messages leave the paired
+            # slot untouched.
+            keep = ~crashed[dst_node[chosen]]
+            if faults is not None:
                 delivered = faults.delivered_out(round_no)
                 if delivered is not None:
                     keep &= delivered[chosen]
-                out[partner[chosen[keep]]] = False
+            out[partner[chosen[keep]]] = False
             touched_owner = owner[touched]
             np.add.at(own_cnt, touched_owner, out[touched].view(np.int8) - own_old)
             np.add.at(eff_cnt, touched_owner, effective(touched).view(np.int8) - eff_old)

@@ -21,7 +21,7 @@ semantics; an active node hears precisely its still-active neighbors.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -107,46 +107,15 @@ def luby_mis(
     ``hooks`` (a :class:`~repro.local.network.RoundHooks`, engine method)
     or ``faults`` (a :class:`~repro.scenarios.masks.DenseFaults`, dense
     method); under crash faults the MIS of the survivors is returned.
-    ``recover=True`` (engine and dense methods) appends the
-    self-stabilizing detect-and-repair tail
+    ``recover=True`` appends the self-stabilizing detect-and-repair tail
     (:func:`~repro.scenarios.recovery.luby_repair`) under the same fault
     schedule: the returned set is then the *repaired* survivors' MIS and
     the round count includes the repair rounds.
 
-    ``method="dense-batched"`` solves a whole *batch* of seeds in one
-    kernel call: pass a sequence of seeds as ``seed`` and get back a list
-    of ``(mis, rounds)`` pairs, one per seed, each bit-identical to a
-    ``method="dense"`` run of that seed
-    (:func:`repro.local.dense.luby_mis_batched`).  The ledger is charged
-    per trial.
+    There is no batched method: for many seeds, loop ``method="dense"``
+    over them with one shared ``engine``.
     """
-    require(
-        method in ("engine", "dense", "dense-batched"),
-        f"unknown method {method!r}",
-    )
-    require(
-        not recover or method in ("engine", "dense"),
-        "recover=True requires method 'engine' or 'dense'",
-    )
-    if method == "dense-batched":
-        from repro.local.dense import luby_mis_batched
-
-        if engine is None:
-            engine = CSREngine(Network(adjacency))
-        seeds = list(seed)
-        batch = luby_mis_batched(engine, seeds, max_rounds=max_rounds, faults=faults)
-        require(
-            bool(batch.completed.all()),
-            "Luby MIS did not terminate within the round cap",
-        )
-        out: List[Tuple[Set[int], int]] = []
-        for t in range(len(seeds)):
-            mis = set(np.flatnonzero(batch.in_mis[t]).tolist())
-            rounds_t = int(batch.rounds[t])
-            if ledger is not None:
-                ledger.charge_simulated(rounds_t, label)
-            out.append((mis, rounds_t))
-        return out
+    require(method in ("engine", "dense"), f"unknown method {method!r}")
     if method == "dense":
         from repro.local.dense import luby_mis_dense
 

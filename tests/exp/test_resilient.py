@@ -16,6 +16,8 @@ import pytest
 from repro.exp import ExperimentSpec, RetryPolicy, run_sweep
 from repro.exp.resilient import (
     CRASH_ERROR,
+    Task,
+    _synth_failure,
     append_checkpoint,
     load_checkpoint,
 )
@@ -153,19 +155,6 @@ class TestInlineRetry:
         sweep = run_sweep([ExperimentSpec("e", boom, seeds=(0, 1))], workers=0)
         assert all(not t.ok and t.attempts == 1 for t in sweep.trials)
 
-    def test_batch_retry_inline(self, tmp_path):
-        def flaky_batch(seeds, state_dir):
-            n = chaos_flaky(seed=100, succeed_after=2, state_dir=state_dir,
-                            label="bb")["attempts_used"]
-            return [{"value": s, "batch_attempt": n} for s in seeds]
-
-        spec = ExperimentSpec(
-            "batch", flaky_batch, {"state_dir": str(tmp_path)}, seeds=(0, 1, 2),
-            batch_fn=flaky_batch, trial_batch=3, retry=FAST_RETRY,
-        )
-        sweep = run_sweep([spec], workers=0)
-        assert all(t.ok and t.attempts == 2 for t in sweep.trials)
-
 
 class TestCheckpointResume:
     def spec(self, tmp_path, label="r", seeds=range(6)):
@@ -203,23 +192,6 @@ class TestCheckpointResume:
         sweep = run_sweep([self.spec(tmp_path, seeds=(0,))], workers=0, resume=ck)
         assert [(t.experiment, t.seed) for t in sweep.trials] == [("cell", 0)]
 
-    def test_batched_cell_narrowed_to_missing_seeds(self, tmp_path):
-        ran = tmp_path / "ran.txt"
-
-        spec = ExperimentSpec(
-            "cell", batch_recording_workload,
-            {"path": str(ran)}, seeds=range(6),
-            batch_fn=batch_recording_workload, trial_batch=6,
-        )
-        ck = str(tmp_path / "trials.jsonl")
-        append_checkpoint(ck, [
-            TrialResult("cell", s, {}, {"value": s}, 0.0) for s in (0, 2, 4)
-        ])
-        sweep = run_sweep([spec], workers=0, resume=ck)
-        assert sorted(t.seed for t in sweep.trials) == [0, 1, 2, 3, 4, 5]
-        # the batch workload only saw the missing seeds
-        assert json.loads(ran.read_text()) == [1, 3, 5]
-
     def test_resume_into_fresh_checkpoint_carries_rows_over(self, tmp_path):
         old = str(tmp_path / "old.jsonl")
         new = str(tmp_path / "new.jsonl")
@@ -228,11 +200,32 @@ class TestCheckpointResume:
         assert sorted(t.seed for t in load_checkpoint(new)) == list(range(6))
 
 
-def batch_recording_workload(seeds, path):
-    """Records which seeds it was handed (module-level: picklable)."""
-    with open(path, "w") as fh:
-        json.dump(list(seeds), fh)
-    return [{"value": s} for s in seeds]
+    def test_rows_of_the_parent_format_still_resume(self, tmp_path):
+        # A row as the runner wrote it when seeds could share one task: the
+        # row format is unchanged, so the seed counts as done and only the
+        # missing seed runs.
+        ck = tmp_path / "trials.jsonl"
+        row = {"experiment": "cell", "seed": 0, "params": {}, "elapsed": 0.1,
+               "metrics": {"value": 0, "mis_size": 4}, "setup_seconds": 0.5,
+               "pack_seconds": 0.5, "rng_seconds": 0.0, "error": None,
+               "attempts": 1}
+        ck.write_text(json.dumps(row) + "\n")
+        sweep = run_sweep([self.spec(tmp_path, seeds=(0, 1))], workers=0,
+                          resume=str(ck))
+        assert sorted(t.seed for t in sweep.trials) == [0, 1]
+        assert [chaos_attempts(str(tmp_path), "r", s) for s in (0, 1)] == [0, 1]
+        resumed = next(t for t in sweep.trials if t.seed == 0)
+        assert resumed.metrics == row["metrics"] and resumed.setup_seconds == 0.5
+
+
+def test_synthesized_failure_row_is_one_seed_with_its_own_params():
+    # Timeout and crash victims return nothing; the parent writes their row.
+    task = Task("cell", ok_workload, {"n": 3}, seed=7, attempts=2)
+    row = _synth_failure(task, "Timeout: exceeded 1s deadline", 1.5)
+    assert (row.experiment, row.seed, row.attempts) == ("cell", 7, 2)
+    assert (row.elapsed, row.error) == (1.5, "Timeout: exceeded 1s deadline")
+    assert not row.ok and row.metrics == {}
+    assert row.params == task.params and row.params is not task.params
 
 
 def ok_workload(seed):

@@ -115,24 +115,18 @@ class TestAggregate:
             "elapsed", "setup_seconds", "pack_seconds", "rng_seconds",
         }
 
-    def test_mixed_batch_and_per_seed_cells_same_name(self):
-        # A per-seed cell and a batched cell may share one experiment name
-        # (e.g. a resumed sweep re-running a narrowed chunk); aggregation
-        # groups them into one summary over the union of seeds.
-        per_seed = run_sweep(
+    def test_cells_sharing_a_name_aggregate_over_the_union_of_seeds(self):
+        # A resumed sweep re-runs only the missing seeds of a cell; the rows
+        # of both runs group into one summary over every seed.
+        first = run_sweep(
             [ExperimentSpec("cell", metrics_workload, {"base": 10}, seeds=(0, 1))],
             workers=0,
         ).trials
-        batched = run_sweep(
-            [
-                ExperimentSpec(
-                    "cell", metrics_workload, {"base": 10}, seeds=(2, 3),
-                    batch_fn=batch_metrics_workload, trial_batch=2,
-                )
-            ],
+        rest = run_sweep(
+            [ExperimentSpec("cell", metrics_workload, {"base": 10}, seeds=(2, 3))],
             workers=0,
         ).trials
-        entry = aggregate(per_seed + batched)["cell"]
+        entry = aggregate(first + rest)["cell"]
         assert entry["ok"] == 4 and entry["failed"] == 0
         assert sorted(entry["seeds"]) == [0, 1, 2, 3]
         assert entry["metrics"]["value"]["n"] == 4
@@ -174,22 +168,13 @@ class TestParamsIsolation:
         a.params["base"] = 999  # a mutating consumer cannot corrupt siblings
         assert b.params["base"] == 10
 
-    def test_batch_trials_do_not_share_params(self):
-        spec = ExperimentSpec(
-            "e", metrics_workload, {"base": 10}, seeds=(0, 1, 2),
-            batch_fn=batch_metrics_workload, trial_batch=3,
-        )
-        sweep = run_sweep([spec], workers=0)
-        params_ids = {id(t.params) for t in sweep.trials}
-        assert len(params_ids) == 3
-
     def test_failed_trials_do_not_share_params(self):
+        # failing_workload takes no ``x``: every seed fails with a TypeError.
         sweep = run_sweep(
-            [ExperimentSpec("f", failing_workload, {"x": 1}, seeds=(1,)),
-             ExperimentSpec("fb", metrics_workload, {"x": 1}, seeds=(0, 1),
-                            batch_fn=batch_failing_workload, trial_batch=2)],
+            [ExperimentSpec("f", failing_workload, {"x": 1}, seeds=(0, 1, 2))],
             workers=0,
         )
+        assert not any(t.ok for t in sweep.trials)
         ids = {id(t.params) for t in sweep.trials}
         assert len(ids) == len(sweep.trials)
 
@@ -250,6 +235,30 @@ class TestProcessPool:
         assert [t.metrics["mis_size"] for t in inline.trials] == [
             t.metrics["mis_size"] for t in pooled.trials
         ]
+
+    def test_dense_backend_cells_cross_the_pool(self):
+        # Each worker packs its own cached scenario engine; the dense
+        # kernels' results do not depend on which process ran the seed.
+        graph = {"topology": "regular", "n": 60, "degree": 4}
+        specs = [
+            ExperimentSpec("mis", luby_mis_workload, {**graph, "backend": "dense"},
+                           seeds=(0, 1, 2)),
+            ExperimentSpec("sinkless", sinkless_workload,
+                           {**graph, "backend": "dense"}, seeds=(0, 1)),
+            ExperimentSpec("splitting", splitting_workload,
+                           {"topology": "sparse", "n": 200, "degree": 40,
+                            "method": "dense"}, seeds=(0, 1)),
+        ]
+
+        def outputs(sweep):
+            keep = ("rounds", "mis_size", "violations")
+            return [(t.experiment, t.seed, {k: t.metrics.get(k) for k in keep})
+                    for t in sweep.trials]
+
+        inline = run_sweep(specs, workers=0)
+        pooled = run_sweep(specs, workers=2)
+        assert all(t.ok for t in pooled.trials), [t.error for t in pooled.trials]
+        assert outputs(pooled) == outputs(inline)
 
     def test_progress_callback_sees_every_trial(self):
         seen = []
@@ -338,90 +347,3 @@ class TestWorkloads:
         engine2, setup2 = scenario_engine("torus", 90, 4, graph_seed=123456)
         assert engine2 is engine1
         assert setup1 > 0.0 and setup2 == 0.0
-
-
-def batch_metrics_workload(seeds, base=10):
-    return [{"value": base + s, "setup_seconds": 0.5 if i == 0 else 0.0}
-            for i, s in enumerate(seeds)]
-
-
-def batch_failing_workload(seeds):
-    raise RuntimeError("batch boom")
-
-
-class TestTrialBatching:
-    """batch_fn cells chunk seeds into single tasks, one kernel call each."""
-
-    def test_trials_chunk_seeds(self):
-        spec = ExperimentSpec(
-            "cell", metrics_workload, seeds=range(7),
-            batch_fn=batch_metrics_workload, trial_batch=3,
-        )
-        tasks = spec.trials()
-        assert [t[3] for t in tasks] == [(0, 1, 2), (3, 4, 5), (6,)]
-        assert all(t[1] is batch_metrics_workload for t in tasks)
-
-    def test_batch_results_fan_back_to_per_seed_trials(self):
-        spec = ExperimentSpec(
-            "cell", metrics_workload, {"base": 100}, seeds=range(5),
-            batch_fn=batch_metrics_workload, trial_batch=2,
-        )
-        sweep = run_sweep([spec], workers=0)
-        assert [t.seed for t in sweep.trials] == [0, 1, 2, 3, 4]
-        assert [t.metrics["value"] for t in sweep.trials] == [100, 101, 102, 103, 104]
-        assert all(t.ok for t in sweep.trials)
-        # chunk wall-clock is split evenly across the chunk's seeds
-        assert sweep.trials[0].elapsed == sweep.trials[1].elapsed
-        # the reserved setup channel stays per-trial: first seed of each
-        # chunk paid it, the rest report 0
-        assert [t.setup_seconds for t in sweep.trials] == [0.5, 0.0, 0.5, 0.0, 0.5]
-
-    def test_batch_failure_fails_every_seed_in_chunk(self):
-        spec = ExperimentSpec(
-            "cell", metrics_workload, seeds=range(4),
-            batch_fn=batch_failing_workload, trial_batch=4,
-        )
-        sweep = run_sweep([spec], workers=0)
-        assert len(sweep.trials) == 4
-        assert all(not t.ok for t in sweep.trials)
-        assert all("batch boom" in t.error for t in sweep.trials)
-
-    def test_batch_tasks_cross_process_pool(self):
-        spec = ExperimentSpec(
-            "cell", metrics_workload, seeds=range(6),
-            batch_fn=batch_metrics_workload, trial_batch=2,
-        )
-        inline = run_sweep([spec], workers=0)
-        pooled = run_sweep([spec], workers=2)
-        assert [(t.seed, t.metrics) for t in pooled.trials] == [
-            (t.seed, t.metrics) for t in inline.trials
-        ]
-
-    def test_progress_sees_every_seed(self):
-        seen = []
-        spec = ExperimentSpec(
-            "cell", metrics_workload, seeds=range(5),
-            batch_fn=batch_metrics_workload, trial_batch=2,
-        )
-        run_sweep([spec], workers=0, progress=lambda t: seen.append(t.seed))
-        assert sorted(seen) == [0, 1, 2, 3, 4]
-
-    def test_wrong_length_batch_result_is_error(self):
-        spec = ExperimentSpec(
-            "cell", metrics_workload, seeds=range(3),
-            batch_fn=lambda seeds: [{}], trial_batch=3,
-        )
-        sweep = run_sweep([spec], workers=0)
-        assert all(not t.ok for t in sweep.trials)
-
-    def test_luby_batch_workload_matches_per_seed_backend(self):
-        from repro.exp.workloads import luby_mis_batch_workload
-
-        kwargs = dict(topology="sparse", n=150, degree=5, graph_seed=77)
-        rows = luby_mis_batch_workload(seeds=(0, 1, 2), **kwargs)
-        assert len(rows) == 3
-        for seed, row in zip((0, 1, 2), rows):
-            assert row["mis_size"] > 0
-            assert row["trial_batch"] == 3
-        assert rows[0]["setup_seconds"] >= 0.0
-        assert rows[1]["setup_seconds"] == 0.0

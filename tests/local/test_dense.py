@@ -28,6 +28,7 @@ from repro.bipartite.generators import (  # noqa: E402
 from repro.core.problems import UniformSplittingSpec  # noqa: E402
 from repro.core.verifiers import uniform_splitting_violations  # noqa: E402
 from repro.local import CSREngine, Network, run_local  # noqa: E402
+from repro.local.ledger import RoundLedger  # noqa: E402
 from repro.local.dense import (  # noqa: E402
     dense_orientation,
     luby_mis_dense,
@@ -36,6 +37,7 @@ from repro.local.dense import (  # noqa: E402
 )
 from repro.mis.luby import LubyMIS, is_mis, luby_mis  # noqa: E402
 from repro.orientation.sinkless import is_sinkless, run_trial_and_fix  # noqa: E402
+from repro.utils.rng import ensure_rng  # noqa: E402
 
 
 def engine_mis(engine, seed, max_rounds=10_000):
@@ -131,6 +133,41 @@ class TestLubyBitIdentity:
             assert luby_mis(adj, seed=seed) == luby_mis(
                 adj, seed=seed, method="dense"
             )
+
+
+def multigraph(n=40, extra=60, seed=3):
+    """A connected multigraph: a cycle plus repeated random parallel edges."""
+    adj = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
+    rng = ensure_rng(seed)
+    for _ in range(extra):
+        a = rng.randrange(n)
+        b = rng.randrange(n)
+        if a == b:
+            continue
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+GRAPH_SHAPES = [
+    pytest.param([], id="empty"),
+    pytest.param([[]], id="single-node"),
+    pytest.param([[1], [0], [3], [2]], id="two-edges"),
+    pytest.param([[], [2], [1], [], [5], [4], []], id="isolated-and-singletons"),
+    pytest.param(multigraph(), id="multigraph"),
+]
+
+
+@pytest.mark.parametrize("adj", GRAPH_SHAPES)
+def test_luby_mis_dense_on_one_engine_matches_engine_method(adj):
+    # Degenerate and multi-edge CSR layouts through the public pipeline:
+    # a seed loop of method="dense" on one shared engine gives the engine
+    # method's MIS and round count for every seed.
+    engine = CSREngine(Network(adj))
+    for seed in range(4):
+        dense = luby_mis(adj, seed=seed, method="dense", engine=engine)
+        assert dense == luby_mis(adj, seed=seed)
+        assert is_mis(adj, dense[0])
 
 
 class TestSinklessBitIdentity:
@@ -309,3 +346,84 @@ def test_removed_coins_keyword_fails_loudly(call):
     # One coin law: there is no coin kind left to choose.
     with pytest.raises(TypeError, match="coins"):
         call([[1, 2], [0, 2], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "pipeline, kwargs",
+    [
+        pytest.param(luby_mis, {}, id="luby_mis"),
+        pytest.param(run_trial_and_fix, {"min_degree": 2}, id="run_trial_and_fix"),
+        pytest.param(uniform_splitting,
+                     {"spec": UniformSplittingSpec(eps=0.3, min_constrained_degree=8)},
+                     id="uniform_splitting"),
+    ],
+)
+@pytest.mark.parametrize("method", ["dense-batched", "dense-sharded"])
+def test_pipelines_without_batched_kernel_reject_batched_method(pipeline, kwargs, method):
+    # One seed per call and no batched kernel for any pipeline (a loop of
+    # method="dense" runs on one engine is the many-seeds path): the
+    # batched method names are unknown everywhere.
+    adj = configuration_model_regular(40, 4, seed=1)
+    for seed in ([0, 1], 0):
+        with pytest.raises(ValueError, match="unknown method"):
+            pipeline(adj, seed=seed, method=method, **kwargs)
+
+
+MANY_SEEDS = [
+    pytest.param(luby_mis, random_sparse_graph(120, 6, seed=5), {}, id="luby_mis"),
+    pytest.param(run_trial_and_fix, configuration_model_regular(60, 4, seed=2),
+                 {"min_degree": 3}, id="run_trial_and_fix"),
+    pytest.param(uniform_splitting, random_sparse_graph(150, 24.0, seed=3),
+                 {"spec": UniformSplittingSpec(eps=0.3, min_constrained_degree=12)},
+                 id="uniform_splitting"),
+]
+
+
+class TestManySeedsOnOneEngine:
+    """The many-seeds pattern: loop ``method="dense"`` on one shared engine."""
+
+    @pytest.mark.parametrize("pipeline, adj, kwargs", MANY_SEEDS)
+    def test_seed_loop_matches_fresh_runs(self, pipeline, adj, kwargs):
+        engine = CSREngine(Network(adj))
+        for seed in range(4):
+            shared = pipeline(adj, seed=seed, method="dense", engine=engine, **kwargs)
+            assert shared == pipeline(adj, seed=seed, method="dense", **kwargs)
+
+    @pytest.mark.parametrize("pipeline, adj, kwargs", MANY_SEEDS)
+    def test_shared_engine_keeps_no_state_between_seeds(self, pipeline, adj, kwargs):
+        # A repeated seed reproduces its first run, and the seed order does
+        # not change any run: nothing carries over on the shared engine.
+        engine = CSREngine(Network(adj))
+
+        def run(seeds):
+            return [pipeline(adj, seed=s, method="dense", engine=engine, **kwargs)
+                    for s in seeds]
+
+        forward = run([3, 8, 3, 5])
+        assert forward[2] == forward[0]
+        assert run([5, 3, 8]) == [forward[3], forward[0], forward[1]]
+
+    @pytest.mark.parametrize("pipeline, adj, kwargs", [
+        param for param in MANY_SEEDS if param.id != "run_trial_and_fix"
+    ])
+    def test_each_run_is_charged_to_the_ledger(self, pipeline, adj, kwargs):
+        # One ledger across the loop holds exactly the charges each run
+        # makes on its own (splitting charges one round per attempt).
+        engine = CSREngine(Network(adj))
+        shared = RoundLedger()
+        charges = rounds = 0
+        for seed in range(5):
+            own = RoundLedger()
+            out = pipeline(adj, seed=seed, method="dense", engine=engine, ledger=own,
+                           **kwargs)
+            assert out == pipeline(adj, seed=seed, method="dense", engine=engine,
+                                   ledger=shared, **kwargs)
+            if pipeline is luby_mis:
+                assert is_mis(adj, out[0])
+                assert own.simulated_total() == out[1]
+            else:
+                assert not uniform_splitting_violations(adj, out, kwargs["spec"])
+            assert len(own) >= 1
+            charges += len(own)
+            rounds += own.simulated_total()
+        assert (len(shared), shared.simulated_total()) == (charges, rounds)

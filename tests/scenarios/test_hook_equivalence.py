@@ -142,6 +142,7 @@ def check_luby(net, seed, stack, max_rounds):
     assert (dense.rounds, dense.completed) == (eng.rounds, eng.completed)
     assert dense.in_mis.tolist() == [bool(v.state.get("in_mis")) for v in eng.views]
     assert dense.crashed.tolist() == crashed(eng.views)
+    return eng
 
 
 def check_sinkless(net, seed, stack, max_rounds):
@@ -192,6 +193,11 @@ def check_splitting(net, seed, stack):
 @example({"n": 4, "pairs": [(0, 1), (0, 1), (1, 2), (2, 0)], "uids": [9, -4, 0, 2**40],
           "seed": 3, "stack": (CrashNodes(0.3, at_round=3), CorruptMessages(0.3)),
           "sinkless_stack": (CrashNodes(0.3, at_round=2),), "max_rounds": 0})
+# A sink flips toward a node crashed before the quiet horizon: the crashed
+# receiver stays frozen after the fault masks expire.
+@example({"n": 7, "pairs": [(0, 5), (0, 6), (3, 5)], "uids": [1, 0, -1, 6, -2, 2, 3],
+          "seed": 464640, "stack": (),
+          "sinkless_stack": (CrashNodes(0.1, at_round=2),), "max_rounds": 4})
 def test_every_backend_computes_the_same_run(case):
     n, pairs, uids, seed = case["n"], case["pairs"], case["uids"], case["seed"]
     multi = Network(adjacency(n, pairs), ids=uids)
@@ -277,6 +283,14 @@ class TestReferenceVsEngineUnderFaults:
             assert_same_run(ref, eng)
 
 
+def luby_multigraph(n=60, chords=120, seed=4):
+    """A cycle plus random chords, many of them parallel edges."""
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(chords)]
+    cycle = [(i, (i + 1) % n) for i in range(n)]
+    return adjacency(n, cycle + [(u, v) for u, v in pairs if u != v])
+
+
 class TestDenseUnderFaults:
     """Dense kernels fed fault masks == hooked engine, on fixed seeds."""
 
@@ -297,6 +311,34 @@ class TestDenseUnderFaults:
                     assert np.array_equal(masks.delivered_in(round_no),
                                           out[masks.layout.partner])
             check_luby(net, seed, stack, max_rounds=40)
+
+    @pytest.mark.parametrize("at_round", [1, 3, 5])
+    @pytest.mark.parametrize("graph", ["sparse", "multigraph"])
+    def test_luby_whole_frontier_crash_stops_after_the_odd_round(self, graph, at_round):
+        # A frontier that crashes entirely at the start of an odd round
+        # executes that round and no more; a run that finished earlier is
+        # untouched.
+        net = Network(random_sparse_graph(150, 5, seed=9) if graph == "sparse"
+                      else luby_multigraph())
+        stack = (CrashNodes(fraction=1.0, at_round=at_round),)
+        for seed in range(4):
+            clean = CSREngine(net).run(LubyMIS(), seed=seed)
+            eng = check_luby(net, seed, stack, max_rounds=60)
+            assert eng.rounds == min(at_round, clean.rounds)
+
+    @pytest.mark.parametrize("max_rounds", [0, 1, 2, 3, 4, 5, 60])
+    @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "full-stack"])
+    def test_luby_multigraph_round_caps(self, faulty, max_rounds):
+        # Odd caps stop mid-phase, even caps between phases; the full stack
+        # adds crashes, a bounded drop window and muted hubs at once.
+        net = Network(luby_multigraph())
+        stack = (
+            CrashNodes(fraction=0.1, at_round=2),
+            IIDMessageDrop(p=0.15, from_round=1, until_round=4),
+            MuteHubs(),
+        ) if faulty else ()
+        for seed in range(4):
+            check_luby(net, seed, stack, max_rounds)
 
     def test_sinkless_crash(self):
         # Crash-only schedules from round >= 2 (the dense kernel's fault

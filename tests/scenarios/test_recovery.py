@@ -283,7 +283,17 @@ class TestPipelineRecoverFlag:
             )
 
     def test_recover_rejects_unsupported_methods(self):
-        with pytest.raises(Exception, match="recover"):
-            from repro.mis.luby import luby_mis
+        # recover=True opens no method of its own: only the methods that
+        # run one seed on the engine or the dense kernel are accepted.
+        from repro.apps.splitting import uniform_splitting
+        from repro.mis.luby import luby_mis
+        from repro.orientation.sinkless import run_trial_and_fix
 
-            luby_mis(random_graph(1), method="dense-batched", recover=True)
+        adj = random_graph(1)
+        for method in ("dense-batched", "dense-sharded"):
+            with pytest.raises(ValueError, match="unknown method"):
+                luby_mis(adj, method=method, recover=True)
+            with pytest.raises(ValueError, match="unknown method"):
+                run_trial_and_fix(adj, method=method, recover=True)
+            with pytest.raises(ValueError, match="unknown method"):
+                uniform_splitting(adj, SPLITTING_SPEC, method=method, recover=True)

@@ -1,5 +1,9 @@
 """End-to-end scenario execution: registry, runner, metrics, exp wiring."""
 
+import argparse
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.exp import ExperimentSpec, run_sweep
@@ -19,6 +23,15 @@ REQUIRED_METRICS = {
     "rounds", "completed", "violations", "survivors", "crashed_nodes",
     "n", "m", "solve_seconds", "setup_seconds",
 }
+
+
+def load_cli():
+    """``benchmarks/run_experiments.py`` as a module."""
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "run_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_experiments", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 class TestRegistry:
@@ -268,13 +281,7 @@ class TestExpIntegration:
         assert summary["metrics"]["rounds_to_recover"]["n"] == 2
 
     def test_cli_scenario_spec_builder(self):
-        import importlib.util
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parents[2] / "benchmarks" / "run_experiments.py"
-        spec = importlib.util.spec_from_file_location("run_experiments", path)
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
+        mod = load_cli()
         cells = mod.build_scenario_specs(True, 2, "all", ("engine", "dense"))
         names = {c.name for c in cells}
         # Every registered scenario appears on at least one backend, and
@@ -289,20 +296,16 @@ class TestExpIntegration:
         with pytest.raises(ValueError):
             mod.build_scenario_specs(True, 1, "luby/typo", ("engine",))
 
-    def test_cli_batched_backend_schedules_mis_cells_only(self):
-        import importlib.util
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parents[2] / "benchmarks" / "run_experiments.py"
-        spec = importlib.util.spec_from_file_location("run_experiments", path)
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-        cells = mod.build_specs(True, 2, backends=("dense", "dense-batched"))
-        batched = [c for c in cells if c.batch_fn is not None]
-        assert batched and all(c.name.startswith("mis/") for c in batched)
-        assert {c.name for c in batched} == {
-            c.name for c in cells if c.name.endswith("@dense-batched")
-        }
+    def test_cli_dense_backend_schedules_every_pipeline_one_seed_per_task(self):
+        mod = load_cli()
+        cells = mod.build_specs(True, 2, backends=("dense",))
         names = {c.name for c in cells}
         assert {"mis/sparse@dense", "sinkless/regular@dense", "splitting/dense"} <= names
-        assert not any("dense-batched" in n for n in names if not n.startswith("mis/"))
+        for cell in cells:
+            assert [task[3] for task in cell.trials()] == list(cell.seeds)
+            assert all(type(task[3]) is int for task in cell.trials())
+
+    def test_cli_rejects_the_removed_batched_backend(self, capsys):
+        mod = load_cli()
+        assert mod.run_sweeps(argparse.Namespace(backends="dense,dense-batched")) == 2
+        assert "dense-batched" in capsys.readouterr().err
