@@ -22,19 +22,9 @@ Usage::
     python benchmarks/run_experiments.py --scenarios all --trace  # round traces
     python benchmarks/run_experiments.py --legacy-tables  # old E1-E16 scrape
 
-Sweeps are fault tolerant (see :mod:`repro.exp.resilient`): every
-finished trial is appended to a torn-write-safe checkpoint
-(``--checkpoint``, default ``<out>.trials.jsonl``; pass '' to disable),
-``--resume`` restarts a killed sweep skipping already-completed
-(experiment, seed) trials, ``--timeout`` puts a wall-clock deadline on
-every pooled task (hung workers are killed and recorded as
-``error="Timeout"`` data), and ``--retries N`` re-runs transient failures
-up to N attempts with exponential backoff.  SIGINT/SIGTERM drain
-gracefully: completed trials are kept, a failure manifest is written, and
-the next ``--resume`` run picks up where the sweep died.  ``--chaos``
-runs the self-test for all of that: a small sweep whose cells crash,
-hang, exit and flake on purpose, interrupted mid-run and resumed, with
-per-trial attribution and exactly-once accounting asserted.
+Sweeps run on a plain process pool (``--workers 0`` runs inline).  A
+trial that raises is a failed row and the exit code is 1; a dead worker
+or a Ctrl-C aborts the sweep, and the remedy is to re-run it.
 
 Every trial is also appended to the ``bench_history.jsonl`` results store
 (``--history`` overrides the path, ``--history ''`` disables) keyed by
@@ -53,20 +43,15 @@ import datetime
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.exp import ExperimentSpec, RetryPolicy, run_sweep  # noqa: E402
+from repro.exp import ExperimentSpec, run_sweep  # noqa: E402
 from repro.exp.workloads import (  # noqa: E402
     BACKENDS,
-    chaos_attempts,
-    chaos_exit,
-    chaos_flaky,
-    chaos_hang,
     engine_throughput_workload,
     luby_mis_workload,
     scenario_workload,
@@ -237,18 +222,6 @@ def _load_store():
     return mod
 
 
-def _harden_specs(specs, timeout, retries):
-    """Apply the CLI-level timeout/retry policy to every sweep cell."""
-    if timeout is None and retries <= 1:
-        return specs
-    policy = (
-        RetryPolicy(max_attempts=retries, base_delay=0.5, max_delay=10.0)
-        if retries > 1
-        else None
-    )
-    return [replace(s, timeout=timeout, retry=policy) for s in specs]
-
-
 def run_sweeps(args) -> int:
     backends = tuple(b.strip() for b in args.backends.split(",") if b.strip())
     unknown = sorted(set(backends) - set(BACKENDS))
@@ -273,28 +246,15 @@ def run_sweeps(args) -> int:
     elif trace_out:
         print("--trace only instruments --scenarios cells; none selected",
               file=sys.stderr)
-    specs = _harden_specs(specs, args.timeout, args.retries)
-    checkpoint = args.checkpoint if args.checkpoint is not None else f"{out}.trials.jsonl"
-    checkpoint = checkpoint or None  # '' disables
-    resume = None
-    if args.resume is not None:
-        resume = args.resume or checkpoint
-        if not resume:
-            print("--resume needs a path when --checkpoint is disabled", file=sys.stderr)
-            return 2
 
     def progress(trial):
         status = "ok" if trial.ok else f"FAILED ({trial.error})"
-        retried = f" attempts={trial.attempts}" if trial.attempts > 1 else ""
         print(f"  [{trial.experiment} seed={trial.seed}] {status}"
-              f" {trial.elapsed:.2f}s{retried}")
+              f" {trial.elapsed:.2f}s")
 
     print(f"running {sum(len(s.seeds) for s in specs)} trials "
           f"({len(specs)} experiments x seeds)...")
-    sweep = run_sweep(
-        specs, workers=args.workers, json_path=str(out), progress=progress,
-        checkpoint=checkpoint, resume=resume,
-    )
+    sweep = run_sweep(specs, workers=args.workers, json_path=str(out), progress=progress)
     _print_summary(sweep)
     print(f"wrote {out}")
     if trace_out and Path(trace_out).exists():
@@ -308,120 +268,10 @@ def run_sweeps(args) -> int:
     if args.report:
         _write_report(sweep, Path(args.report))
         print(f"wrote {args.report}")
-    if sweep.drained:
-        print(f"sweep drained on {sweep.drained}; completed trials are "
-              f"checkpointed{' in ' + checkpoint if checkpoint else ''} — "
-              f"re-run with --resume to finish", file=sys.stderr)
-        return 130
     failed = sum(1 for t in sweep.trials if not t.ok)
     if failed:
         print(f"{failed} trial(s) failed", file=sys.stderr)
         return 1
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# Chaos mode: prove the fault-tolerant executor against real worker deaths.
-# ---------------------------------------------------------------------------
-
-
-def build_chaos_specs(state_dir: str, retry: RetryPolicy, hang_seconds: float,
-                      timeout: float):
-    """The chaos suite: healthy, flaky, worker-killing and hanging cells."""
-    sd = str(state_dir)
-    return [
-        ExperimentSpec("chaos/ok", chaos_flaky,
-                       {"succeed_after": 1, "state_dir": sd, "label": "ok"},
-                       seeds=range(4), retry=retry),
-        ExperimentSpec("chaos/flaky", chaos_flaky,
-                       {"succeed_after": 2, "state_dir": sd, "label": "flaky"},
-                       seeds=(0, 1), retry=retry),
-        ExperimentSpec("chaos/exit", chaos_exit,
-                       {"state_dir": sd, "label": "exit"},
-                       seeds=(0,), retry=retry),
-        ExperimentSpec("chaos/hang", chaos_hang,
-                       {"hang_seconds": hang_seconds, "state_dir": sd, "label": "hang"},
-                       seeds=(0,), timeout=timeout),
-    ]
-
-
-def run_chaos(args) -> int:
-    """Chaos smoke: kill real pool workers mid-sweep, drain, resume, audit.
-
-    Phase 1 starts the sweep on a real process pool and SIGINTs itself
-    after three completed trials (the graceful-drain path: partial results
-    plus a failure manifest).  Phase 2 resumes from the checkpoint and
-    must finish everything.  Then every claim the resilient executor
-    makes is audited: exact per-(experiment, seed) failure attribution,
-    flaky cells healed by retry, and file-backed execution counters
-    proving completed trials were never re-run.
-    """
-    import signal
-    import tempfile
-
-    state_dir = tempfile.mkdtemp(prefix="chaos_sweep_")
-    checkpoint = str(Path(state_dir) / "trials.jsonl")
-    retry = RetryPolicy(max_attempts=3, base_delay=0.05, max_delay=0.25)
-    specs = build_chaos_specs(state_dir, retry, hang_seconds=30.0, timeout=2.0)
-    expected = {(s.name, seed) for s in specs for seed in s.seeds}
-
-    completed = [0]
-
-    def interrupt_after_three(trial):
-        completed[0] += 1
-        if completed[0] == 3:
-            print("  [chaos] raising SIGINT mid-sweep")
-            signal.raise_signal(signal.SIGINT)
-
-    print("chaos phase 1: sweep with worker kills, interrupted mid-run...")
-    first = run_sweep(specs, workers=2, checkpoint=checkpoint,
-                      progress=interrupt_after_three, drain_grace=1.0)
-    print(f"  drained={first.drained} completed={len(first.trials)}")
-    manifest = Path(checkpoint + ".manifest.json")
-    problems = []
-    if first.drained != "SIGINT":
-        problems.append(f"expected SIGINT drain, got {first.drained!r}")
-    if not manifest.exists():
-        problems.append("drain did not write a failure manifest")
-    if len(first.trials) >= len(expected):
-        problems.append("drain did not actually interrupt the sweep")
-
-    print("chaos phase 2: resume from the checkpoint...")
-    sweep = run_sweep(specs, workers=2, checkpoint=checkpoint, resume=checkpoint)
-    by_key = {(t.experiment, t.seed): t for t in sweep.trials}
-    if set(by_key) != expected:
-        problems.append(f"resume did not cover the sweep: missing "
-                        f"{sorted(expected - set(by_key))}")
-
-    for seed in range(4):
-        trial = by_key.get(("chaos/ok", seed))
-        if trial is None or not trial.ok:
-            problems.append(f"chaos/ok seed={seed} did not succeed")
-        elif chaos_attempts(state_dir, "ok", seed) != 1:
-            problems.append(f"chaos/ok seed={seed} ran "
-                            f"{chaos_attempts(state_dir, 'ok', seed)} times, wanted "
-                            "exactly once (resume must skip completed trials)")
-    for seed in (0, 1):
-        trial = by_key.get(("chaos/flaky", seed))
-        if trial is None or not trial.ok:
-            problems.append(f"chaos/flaky seed={seed} was not healed by retry")
-        elif chaos_attempts(state_dir, "flaky", seed) != 2:
-            problems.append(f"chaos/flaky seed={seed} executed "
-                            f"{chaos_attempts(state_dir, 'flaky', seed)} times, wanted 2")
-    exit_trial = by_key.get(("chaos/exit", 0))
-    if exit_trial is None or exit_trial.ok or "BrokenProcessPool" not in (exit_trial.error or ""):
-        problems.append(f"chaos/exit not attributed as a worker death: {exit_trial}")
-    hang_trial = by_key.get(("chaos/hang", 0))
-    if hang_trial is None or hang_trial.ok or not (hang_trial.error or "").startswith("Timeout"):
-        problems.append(f"chaos/hang not attributed as a timeout: {hang_trial}")
-
-    if problems:
-        print("\nchaos smoke FAILED:", file=sys.stderr)
-        for p in problems:
-            print(f"  - {p}", file=sys.stderr)
-        return 1
-    print("\nchaos smoke ok: worker kills healed, hang timed out, flaky "
-          "retried, resume re-ran only the missing trials")
     return 0
 
 
@@ -520,26 +370,6 @@ def main() -> int:
                         "tail (repro.scenarios.recovery), recording "
                         "recovered / repair_rounds / "
                         "violations_before_recovery next to the plain cell")
-    parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                        help="per-task wall-clock deadline (pooled runs): a "
-                        "hung worker is killed, the pool rebuilt, and the "
-                        "trial recorded as error='Timeout' data")
-    parser.add_argument("--retries", type=positive_int, default=1, metavar="N",
-                        help="max attempts per task for transient failures "
-                        "(exponential backoff + jitter; 1 = no retry)")
-    parser.add_argument("--checkpoint", default=None, metavar="JSONL",
-                        help="append every finished trial to this torn-write-"
-                        "safe checkpoint as it completes (default "
-                        "<out>.trials.jsonl; pass '' to disable)")
-    parser.add_argument("--resume", nargs="?", const="", default=None,
-                        metavar="JSONL",
-                        help="skip (experiment, seed) trials already recorded "
-                        "in this checkpoint (default: the --checkpoint path); "
-                        "how a killed sweep restarts where it died")
-    parser.add_argument("--chaos", action="store_true",
-                        help="run the chaos smoke suite instead: worker "
-                        "kills, hangs and flakes against the fault-tolerant "
-                        "executor, with a SIGINT drain + resume round-trip")
     parser.add_argument("--history", default="bench_history.jsonl",
                         metavar="JSONL",
                         help="append every trial to this results store "
@@ -552,10 +382,10 @@ def main() -> int:
                         default=None, metavar="OUT_MD",
                         help="regenerate the E1-E16 pytest tables instead")
     args = parser.parse_args()
+    if args.workers is not None and args.workers < 0:
+        parser.error("--workers must be >= 0")
     if args.legacy_tables is not None:
         return run_legacy_tables(Path(args.legacy_tables))
-    if args.chaos:
-        return run_chaos(args)
     return run_sweeps(args)
 
 

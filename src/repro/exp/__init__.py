@@ -15,23 +15,16 @@ scripts:
 * :mod:`~repro.exp.workloads` holds the picklable workload functions
   (Luby MIS, sinkless orientation, uniform splitting, engine-vs-reference
   throughput) over the scenario topologies in
-  :mod:`repro.bipartite.generators` — plus the ``chaos_*`` fault workloads
-  that crash, hang, exit, or flake on purpose;
-* :mod:`~repro.exp.resilient` is the fault-tolerant execution layer:
-  :class:`~repro.exp.resilient.RetryPolicy` backoff, per-task timeouts,
-  pool self-healing on worker death, torn-write-safe ``trials.jsonl``
-  checkpoints, and graceful SIGINT/SIGTERM drain.
+  :mod:`repro.bipartite.generators`.
+
+A workload exception is a failed-trial row; a dead worker or a Ctrl-C
+fails the sweep, and the remedy is to re-run it.
 
 ``benchmarks/run_experiments.py`` is the command-line face of this
 package and writes the machine-readable ``BENCH_<date>.json`` consumed by
 CI.
 """
 
-from repro.exp.resilient import (
-    RetryPolicy,
-    append_checkpoint,
-    load_checkpoint,
-)
 from repro.exp.runner import (
     ExperimentSpec,
     SweepResult,
@@ -44,9 +37,6 @@ __all__ = [
     "ExperimentSpec",
     "TrialResult",
     "SweepResult",
-    "RetryPolicy",
     "run_sweep",
     "aggregate",
-    "append_checkpoint",
-    "load_checkpoint",
 ]

@@ -25,9 +25,7 @@ run them inline through the same entry points.
 
 from __future__ import annotations
 
-import os
 import time
-from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
 from repro.apps.splitting import uniform_splitting
@@ -54,11 +52,6 @@ __all__ = [
     "splitting_workload",
     "engine_throughput_workload",
     "scenario_workload",
-    "chaos_crash",
-    "chaos_exit",
-    "chaos_hang",
-    "chaos_flaky",
-    "chaos_attempts",
 ]
 
 TOPOLOGIES = ("sparse", "regular", "torus", "grid", "powerlaw")
@@ -142,14 +135,12 @@ def luby_mis_workload(
     require(backend in BACKENDS, f"unknown backend {backend!r}")
     engine, setup = scenario_engine(topology, n, degree, graph_seed)
     adj = engine.network.adjacency
-    rng_seconds = 0.0
     start = time.perf_counter()
     if backend == "reference":
         result = run_local(engine.network, LubyMIS(), seed=seed)
         require(result.completed, "Luby MIS did not terminate within the round cap")
         mis = {i for i, v in enumerate(result.views) if v.state.get("in_mis")}
         rounds = result.rounds
-        rng_seconds = result.rng_seconds
     else:
         mis, rounds = luby_mis(adj, seed=seed, method=backend, engine=engine)
     solve = time.perf_counter() - start
@@ -163,8 +154,6 @@ def luby_mis_workload(
         "solve_seconds": solve,
         "nodes_per_second": len(adj) / solve if solve > 0 else 0.0,
         "setup_seconds": setup,
-        "pack_seconds": setup,
-        "rng_seconds": rng_seconds,
     }
 
 
@@ -332,89 +321,3 @@ def engine_throughput_workload(
         "dense_speedup": t_engine / t_dense if t_dense > 0 else 0.0,
         "setup_seconds": setup,
     }
-
-
-# ---------------------------------------------------------------------------
-# Chaos workloads: the proof harness for repro.exp.resilient.
-#
-# Each one injects a specific *infrastructure* failure — a raised
-# exception, a hard worker death, a hang, a transient flake — so the
-# fault-tolerant executor's timeout / retry / self-healing / resume paths
-# can be exercised against real process-pool workers.  All are
-# module-level and picklable like every other workload.  The shared
-# attempt counter is a file (one appended byte per execution) because
-# retries cross process and pool-rebuild boundaries: no in-memory state
-# survives the failures these workloads simulate.
-# ---------------------------------------------------------------------------
-
-
-def _chaos_mark(state_dir: str, label: str, seed: int) -> int:
-    """Record one execution; return the total count so far (1-based).
-
-    The mark is a single ``O_APPEND`` write flushed and fsynced *before*
-    the workload proceeds, so even ``os._exit`` and SIGKILL cannot lose
-    it — the counters are the ground truth resume tests audit.
-    """
-    path = Path(state_dir) / f"chaos_{label}_{seed}.attempts"
-    with path.open("a") as fh:
-        fh.write("x\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    with path.open() as fh:
-        return sum(1 for _ in fh)
-
-
-def chaos_attempts(state_dir: str, label: str, seed: int) -> int:
-    """How many times the (label, seed) chaos workload actually executed."""
-    path = Path(state_dir) / f"chaos_{label}_{seed}.attempts"
-    if not path.exists():
-        return 0
-    with path.open() as fh:
-        return sum(1 for _ in fh)
-
-
-def chaos_crash(seed: int, message: str = "chaos crash", state_dir: str = None,
-                label: str = "crash") -> Dict[str, Any]:
-    """Always raises — the ordinary failures-are-data path, made loud."""
-    if state_dir:
-        _chaos_mark(state_dir, label, seed)
-    raise RuntimeError(f"{message} (seed={seed})")
-
-
-def chaos_exit(seed: int, code: int = 13, state_dir: str = None,
-               label: str = "exit") -> Dict[str, Any]:
-    """Kills the worker process outright (``os._exit`` skips all cleanup).
-
-    The parent sees ``BrokenProcessPool`` — the same signature as a
-    segfault or the OOM killer — and must heal the pool and attribute the
-    death to this task.
-    """
-    if state_dir:
-        _chaos_mark(state_dir, label, seed)
-    os._exit(code)
-
-
-def chaos_hang(seed: int, hang_seconds: float = 60.0, state_dir: str = None,
-               label: str = "hang") -> Dict[str, Any]:
-    """Sleeps far past any reasonable deadline (bounded, so an escaped
-    worker cannot leak forever if the timeout machinery is broken)."""
-    if state_dir:
-        _chaos_mark(state_dir, label, seed)
-    time.sleep(hang_seconds)
-    return {"hung_seconds": hang_seconds}
-
-
-def chaos_flaky(seed: int, succeed_after: int = 2, state_dir: str = None,
-                label: str = "flaky") -> Dict[str, Any]:
-    """Fails until execution number ``succeed_after``, then succeeds.
-
-    The transient-failure model for RetryPolicy tests; with
-    ``succeed_after=1`` it is a healthy workload whose executions are
-    still counted — exactly what resume round-trips audit to prove
-    completed trials are never re-run.
-    """
-    require(state_dir, "chaos_flaky needs a state_dir to count attempts across processes")
-    count = _chaos_mark(state_dir, label, seed)
-    if count < succeed_after:
-        raise RuntimeError(f"flaky failure {count}/{succeed_after} (seed={seed})")
-    return {"attempts_used": count, "value": seed}

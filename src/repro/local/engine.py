@@ -46,7 +46,6 @@ the simulation under growing round caps.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.local.network import (
@@ -131,9 +130,7 @@ class CSREngine:
         out_slots = self._out_slots
 
         clock = CoinClock()
-        rng_start = time.perf_counter()
         coins = NodeCoins.for_nodes(seed, network.ids, clock)
-        rng_seconds = time.perf_counter() - rng_start
         views = [
             NodeView(index=i, uid=network.ids[i], degree=len(out_slots[i]), n=n, rng=coins[i])
             for i in range(n)
@@ -245,9 +242,7 @@ class CSREngine:
                 break
             if probe is not None and probe(round_no, views):
                 break
-        return SimulationResult(
-            rounds=rounds, views=views, completed=not active, rng_seconds=rng_seconds
-        )
+        return SimulationResult(rounds=rounds, views=views, completed=not active)
 
 
 def run_local_fast(

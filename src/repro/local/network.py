@@ -30,7 +30,6 @@ from functools import cached_property
 from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import time
 
 import numpy as np
 
@@ -296,9 +295,6 @@ class SimulationResult:
     rounds: int  #: number of executed rounds
     views: List[NodeView]  #: final node views (outputs in ``view.output``)
     completed: bool  #: True iff all nodes halted before the round cap
-    #: wall time of per-node coin construction (one hash per node; see
-    #: also ``TrialResult.rng_seconds``)
-    rng_seconds: float = 0.0
 
     def outputs(self) -> List[Any]:
         """Convenience: the per-node outputs in index order."""
@@ -358,9 +354,7 @@ def run_local(
     reverse_port = build_reverse_ports(network.adjacency)
 
     clock = CoinClock()
-    rng_start = time.perf_counter()
     coins = NodeCoins.for_nodes(seed, network.ids, clock)
-    rng_seconds = time.perf_counter() - rng_start
     views = [
         NodeView(index=i, uid=network.ids[i], degree=network.degree(i), n=n, rng=coins[i])
         for i in range(n)
@@ -408,5 +402,4 @@ def run_local(
         rounds=rounds,
         views=views,
         completed=all(v.halted for v in views),
-        rng_seconds=rng_seconds,
     )

@@ -1,4 +1,4 @@
-"""Observability: round-level tracing and sweep metrics.
+"""Observability: round-level tracing.
 
 A zero-dependency layer over the execution stack (the ROADMAP's
 "trajectory analytics" direction, the in-process half):
@@ -9,10 +9,7 @@ A zero-dependency layer over the execution stack (the ROADMAP's
 * :class:`TracingHooks` — tracing as a
   :class:`~repro.local.network.RoundHooks` adapter for the reference and
   engine executors (:mod:`repro.obs.hooks`); the dense kernels take a
-  ``tracer=`` argument instead;
-* :class:`MetricsRegistry` — counters/gauges/histograms for the sweep
-  infrastructure, snapshotted into every
-  :class:`~repro.exp.runner.SweepResult` (:mod:`repro.obs.metrics`).
+  ``tracer=`` argument instead.
 
 The queryable *cross-run* half lives in ``benchmarks/history.py`` (a
 sqlite index over ``bench_history.jsonl`` with trend/compare/regressions
@@ -20,7 +17,6 @@ queries).
 """
 
 from repro.obs.hooks import TracingHooks
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import NullTracer, Tracer, append_trace, load_trace
 
 __all__ = [
@@ -29,8 +25,4 @@ __all__ = [
     "append_trace",
     "load_trace",
     "TracingHooks",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
 ]

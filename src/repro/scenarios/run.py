@@ -229,12 +229,6 @@ def run_scenario(
     metrics["n"] = network.n
     metrics["m"] = int(network.offsets[-1]) // 2
     metrics["setup_seconds"] = setup_seconds
-    # Split the setup tax for the analytics layer: graph build + packing
-    # (``pack_seconds``, 0.0 on a cell-cache hit) vs per-run coin
-    # construction (``rng_seconds``; the pipelines record it into metrics
-    # from their result objects, and the dense kernels have none).
-    metrics["pack_seconds"] = setup_seconds
-    metrics.setdefault("rng_seconds", 0.0)
     if quiet is not None and quiet > 0:
         # Rounds the run needed after the last fault injection; omitted for
         # never-settling schedules (quiet=None) and fault-free stacks.
@@ -326,7 +320,6 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, layout=None
         "independence_violations": independence,
         "domination_violations": domination,
         "violations": independence + domination,
-        "rng_seconds": getattr(result, "rng_seconds", 0.0),
     })
     state = {
         "pipeline": "luby",
@@ -467,7 +460,6 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, layout=
         "survivors": survivors,
         "crashed_nodes": network.n - survivors,
         "violations": len(remaining),
-        "rng_seconds": getattr(result, "rng_seconds", 0.0),
     })
     state = {
         "pipeline": "sinkless",
@@ -486,7 +478,6 @@ def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts, lay
     if backend == "dense":
         from repro.local.dense import uniform_splitting_dense
         from repro.scenarios.masks import DenseFaults
-    rng_seconds = 0.0
     for attempts in range(1, max_attempts + 1):
         run_seed = rng.randrange(2**31)
         # Every attempt is one fresh round-1 execution, so the fault
@@ -516,7 +507,6 @@ def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts, lay
                 for i, v in enumerate(result.views)
                 if alive[i] and v.output is not None
             )
-        rng_seconds += getattr(result, "rng_seconds", 0.0)
         if accepted:
             break
     # Only the attempt that stood is converted to the end state.
@@ -571,7 +561,6 @@ def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts, lay
         "crashed_nodes": network.n - survivors,
         "constrained": constrained,
         "violations": len(bad),
-        "rng_seconds": rng_seconds,
     })
     state = {
         "pipeline": "splitting",

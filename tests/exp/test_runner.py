@@ -2,6 +2,11 @@
 
 import json
 import math
+import multiprocessing
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +29,23 @@ def metrics_workload(seed, base=10):
 def failing_workload(seed):
     if seed == 1:
         raise RuntimeError("boom")
+    return {"value": seed}
+
+
+def exiting_workload(seed):
+    os._exit(13)  # a dead worker, like a segfault or the OOM killer
+
+
+def counted_workload(seed, state_dir):
+    """Append one line per execution, so the test can count them.
+
+    Seed 0 returns at once and every other seed takes 0.3 s, so
+    the first result reaches the parent while the rest are still queued.
+    """
+    with open(Path(state_dir) / "runs", "a") as fh:
+        fh.write(f"{seed}\n")
+    if seed:
+        time.sleep(0.3)
     return {"value": seed}
 
 
@@ -111,13 +133,11 @@ class TestAggregate:
         # and no workload metric appears at all
         assert entry["metrics"]["elapsed"] == {}
         assert entry["metrics"]["setup_seconds"] == {}
-        assert set(entry["metrics"]) == {
-            "elapsed", "setup_seconds", "pack_seconds", "rng_seconds",
-        }
+        assert set(entry["metrics"]) == {"elapsed", "setup_seconds"}
 
     def test_cells_sharing_a_name_aggregate_over_the_union_of_seeds(self):
-        # A resumed sweep re-runs only the missing seeds of a cell; the rows
-        # of both runs group into one summary over every seed.
+        # Two sweeps over disjoint seeds of one cell: the rows of both runs
+        # group into one summary over every seed.
         first = run_sweep(
             [ExperimentSpec("cell", metrics_workload, {"base": 10}, seeds=(0, 1))],
             workers=0,
@@ -188,12 +208,19 @@ class TestJsonEmission:
             json_path=str(path),
         )
         data = json.loads(path.read_text())
-        assert data["schema"] == 3
+        assert data["schema"] == 4
+        assert set(data) == {
+            "schema", "python", "platform", "workers", "elapsed",
+            "experiments", "trials",
+        }
         assert data["workers"] == 0
-        assert data["drained"] is None
         assert set(data["experiments"]) == {"e"}
         assert len(data["trials"]) == 2
-        assert all(t["attempts"] == 1 for t in data["trials"])
+        assert all(
+            set(t) == {"experiment", "seed", "params", "metrics", "elapsed",
+                       "setup_seconds", "error"}
+            for t in data["trials"]
+        )
         assert data["experiments"]["e"]["metrics"]["value"]["mean"] == pytest.approx(
             10.5
         )
@@ -275,6 +302,30 @@ class TestProcessPool:
             progress=seen.append,
         )
         assert sorted(t.seed for t in seen) == [0, 1]
+
+    def test_dead_worker_fails_the_sweep(self):
+        spec = ExperimentSpec("exit", exiting_workload, {}, seeds=(0, 1, 2))
+        with pytest.raises(BrokenProcessPool):
+            run_sweep([spec], workers=2)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_raising_progress_propagates_and_cancels_queued_trials(
+        self, error, tmp_path
+    ):
+        spec = ExperimentSpec(
+            "counted", counted_workload, {"state_dir": str(tmp_path)}, seeds=range(20)
+        )
+
+        def stop(trial):
+            raise error("stop after the first result")
+
+        with pytest.raises(error, match="first result"):
+            run_sweep([spec], workers=2, progress=stop)
+        for worker in multiprocessing.active_children():
+            worker.join(timeout=30)  # let already-dispatched trials finish
+            assert not worker.is_alive()
+        runs = (tmp_path / "runs").read_text().split()
+        assert 1 <= len(runs) < 20
 
 
 class TestWorkloads:

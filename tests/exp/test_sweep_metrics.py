@@ -1,73 +1,32 @@
-"""Sweep-level observability: the metrics snapshot and the pack/rng split."""
+"""Sweep-level timing: the reserved ``setup_seconds``/``elapsed`` channels."""
 
 import json
 
 from repro.exp import ExperimentSpec, run_sweep
-from repro.exp.runner import TrialResult
 
 
 def timed_workload(seed):
-    return {
-        "value": seed,
-        "setup_seconds": 0.05,
-        "pack_seconds": 0.03,
-        "rng_seconds": 0.02,
-    }
-
-
-def plain_workload(seed):
-    return {"value": seed, "setup_seconds": 0.04}
+    return {"value": seed, "setup_seconds": 0.05, "elapsed": 9.0}
 
 
 def failing_workload(seed):
     raise RuntimeError("boom")
 
 
-class TestPackRngSplit:
+class TestReservedChannels:
     def test_reserved_channels_land_on_the_trial(self):
         sweep = run_sweep(
             [ExperimentSpec("e", timed_workload, {}, seeds=(0,))], workers=0
         )
         (trial,) = sweep.trials
         assert trial.setup_seconds == 0.05
-        assert trial.pack_seconds == 0.03
-        assert trial.rng_seconds == 0.02
-        assert "pack_seconds" not in trial.metrics  # popped, not duplicated
+        assert "setup_seconds" not in trial.metrics  # popped, not duplicated
+        # the workload's own "elapsed" is kept under its explicit name; the
+        # trial's elapsed is the runner's wall-clock measurement
+        assert trial.metrics["workload_elapsed"] == 9.0
+        assert 0 <= trial.elapsed < 9.0
 
-    def test_pack_defaults_to_setup_when_workload_does_not_split(self):
-        sweep = run_sweep(
-            [ExperimentSpec("e", plain_workload, {}, seeds=(0,))], workers=0
-        )
-        (trial,) = sweep.trials
-        assert trial.pack_seconds == trial.setup_seconds == 0.04
-        assert trial.rng_seconds == 0.0
-
-    def test_round_trip_and_old_row_migration(self):
-        trial = TrialResult(
-            experiment="e", seed=0, params={}, metrics={}, elapsed=1.0,
-            setup_seconds=0.05, pack_seconds=0.03, rng_seconds=0.02,
-        )
-        row = trial.to_dict()
-        assert row["pack_seconds"] == 0.03 and row["rng_seconds"] == 0.02
-        assert TrialResult.from_dict(row) == trial
-        # a pre-split row: pack falls back to setup, rng to zero
-        old = {k: v for k, v in row.items()
-               if k not in ("pack_seconds", "rng_seconds")}
-        migrated = TrialResult.from_dict(old)
-        assert migrated.pack_seconds == 0.05
-        assert migrated.rng_seconds == 0.0
-
-    def test_aggregate_includes_split_stats(self):
-        sweep = run_sweep(
-            [ExperimentSpec("e", timed_workload, {}, seeds=(0, 1))], workers=0
-        )
-        stats = sweep.summary()["e"]["metrics"]
-        assert stats["pack_seconds"]["mean"] == 0.03
-        assert stats["rng_seconds"]["mean"] == 0.02
-
-
-class TestSweepMetricsSnapshot:
-    def test_snapshot_counts_outcomes_and_times_cells(self):
+    def test_summary_counts_outcomes_and_times_cells(self):
         sweep = run_sweep(
             [
                 ExperimentSpec("good", timed_workload, {}, seeds=(0, 1)),
@@ -75,40 +34,19 @@ class TestSweepMetricsSnapshot:
             ],
             workers=0,
         )
-        snap = sweep.metrics
-        assert snap["counters"]["sweep.trials_completed"] == 2
-        assert snap["counters"]["sweep.trials_failed"] == 1
-        solve = snap["histograms"]["cell.good.solve_seconds"]
-        assert solve["count"] == 2
-        setup = snap["histograms"]["cell.good.setup_seconds"]
-        assert abs(setup["mean"] - 0.07) < 1e-9  # setup + rng per trial
+        summary = sweep.summary()
+        assert (summary["good"]["ok"], summary["good"]["failed"]) == (2, 0)
+        assert (summary["bad"]["ok"], summary["bad"]["failed"]) == (0, 1)
+        stats = summary["good"]["metrics"]
+        assert stats["elapsed"]["n"] == 2
+        assert stats["setup_seconds"]["mean"] == 0.05
+        assert stats["workload_elapsed"]["mean"] == 9.0
 
-    def test_snapshot_serializes_with_the_sweep(self):
+    def test_rows_serialize_with_the_sweep(self):
         sweep = run_sweep(
             [ExperimentSpec("e", timed_workload, {}, seeds=(0,))], workers=0
         )
-        data = sweep.to_dict()
-        assert data["metrics"]["counters"]["sweep.trials_completed"] == 1
-        json.dumps(data, sort_keys=True)  # the BENCH json stays serializable
-
-    def test_pooled_runs_count_executor_dispatches(self):
-        sweep = run_sweep(
-            [ExperimentSpec("e", timed_workload, {}, seeds=(0, 1, 2))],
-            workers=1,
-        )
-        assert sweep.metrics["counters"]["executor.dispatches"] == 3
-
-    def test_resume_skips_are_counted(self, tmp_path):
-        checkpoint = tmp_path / "trials.jsonl"
-        first = run_sweep(
-            [ExperimentSpec("e", timed_workload, {}, seeds=(0, 1))],
-            workers=0, checkpoint=str(checkpoint),
-        )
-        assert len(first.trials) == 2
-        resumed = run_sweep(
-            [ExperimentSpec("e", timed_workload, {}, seeds=(0, 1, 2))],
-            workers=0, checkpoint=str(checkpoint), resume=str(checkpoint),
-        )
-        assert resumed.metrics["counters"]["sweep.resume_skips"] == 2
-        # only the new seed actually completed this run
-        assert resumed.metrics["counters"]["sweep.trials_completed"] == 1
+        data = json.loads(json.dumps(sweep.to_dict(), sort_keys=True))
+        (row,) = data["trials"]
+        assert row["setup_seconds"] == 0.05
+        assert data["experiments"]["e"]["metrics"]["setup_seconds"]["max"] == 0.05

@@ -175,9 +175,7 @@ class TestRunScenario:
         a = run_scenario("luby/drop-iid", n=150, seed=11)
         b = run_scenario("luby/drop-iid", n=150, seed=11)
         assert a == {**b, "solve_seconds": a["solve_seconds"],
-                     "setup_seconds": a["setup_seconds"],
-                     "pack_seconds": a["pack_seconds"],
-                     "rng_seconds": a["rng_seconds"]}
+                     "setup_seconds": a["setup_seconds"]}
 
     def test_custom_adjacency_and_scenario_object(self):
         sc = Scenario(
@@ -304,6 +302,19 @@ class TestExpIntegration:
         for cell in cells:
             assert [task[3] for task in cell.trials()] == list(cell.seeds)
             assert all(type(task[3]) is int for task in cell.trials())
+
+    @pytest.mark.parametrize("workers", [-1, -3])
+    def test_cli_and_run_sweep_reject_negative_workers(self, workers, monkeypatch, capsys):
+        spec = ExperimentSpec("e", scenario_workload, {"n": 50}, seeds=(0, 1))
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep([spec], workers=workers)
+        monkeypatch.setattr(
+            "sys.argv", ["run_experiments.py", "--workers", str(workers), "--history", ""]
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            load_cli().main()
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_cli_rejects_the_removed_batched_backend(self, capsys):
         mod = load_cli()
