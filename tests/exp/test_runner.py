@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import statistics
 import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -34,6 +35,40 @@ def failing_workload(seed):
 
 def exiting_workload(seed):
     os._exit(13)  # a dead worker, like a segfault or the OOM killer
+
+
+def interrupting_workload(seed):
+    if seed == 1:
+        raise KeyboardInterrupt("ctrl-c in a trial")
+    return {"value": seed}
+
+
+def scalar_workload(seed):
+    return seed * 2
+
+
+def timed_workload(seed):
+    return {"value": seed, "setup_seconds": 0.05, "elapsed": 9.0}
+
+
+def pid_workload(seed):
+    time.sleep(0.05)  # long enough that one worker cannot drain the queue alone
+    return {"pid": os.getpid()}
+
+
+def counted_failing_workload(seed, state_dir):
+    with open(Path(state_dir) / "runs", "a") as fh:
+        fh.write(f"{seed}\n")
+    if seed == 1:
+        raise RuntimeError("boom")
+    return {"value": seed}
+
+
+def join_workers():
+    """Wait for pool workers a failed sweep left behind."""
+    for worker in multiprocessing.active_children():
+        worker.join(timeout=30)
+        assert not worker.is_alive()
 
 
 def counted_workload(seed, state_dir):
@@ -114,6 +149,22 @@ class TestAggregate:
         assert stats["min"] == 1 and stats["max"] == 4
         assert stats["std"] == pytest.approx(math.sqrt(1.25))
         assert stats["n"] == 4
+
+    @pytest.mark.parametrize(
+        "values",
+        [[7.0], [3, 3, 3], [1, 2, 3, 4, 10], [-2.5, 0.0, 4.0]],
+        ids=["single", "constant", "ints", "mixed-sign"],
+    )
+    def test_stats_are_population_statistics(self, values):
+        trials = [
+            TrialResult("e", s, {}, {"v": v}, elapsed=0.0) for s, v in enumerate(values)
+        ]
+        stats = aggregate(trials)["e"]["metrics"]["v"]
+        assert stats["mean"] == pytest.approx(statistics.fmean(values))
+        assert stats["std"] == pytest.approx(statistics.pstdev(values))
+        assert (stats["min"], stats["max"], stats["n"]) == (
+            min(values), max(values), len(values),
+        )
 
     def test_non_numeric_and_bool_skipped(self):
         trials = [TrialResult("e", 0, {}, {"s": "str", "b": True, "v": 1}, 0.0)]
@@ -326,6 +377,187 @@ class TestProcessPool:
             assert not worker.is_alive()
         runs = (tmp_path / "runs").read_text().split()
         assert 1 <= len(runs) < 20
+
+
+@pytest.mark.parametrize("workers", [0, 2], ids=["inline", "pooled"])
+class TestSweepContract:
+    """What ``run_sweep`` promises holds inline and on the process pool."""
+
+    def test_results_sorted_by_experiment_then_seed(self, workers):
+        specs = [
+            ExperimentSpec("b", metrics_workload, {}, seeds=(2, 0, 1)),
+            ExperimentSpec("a", metrics_workload, {"base": 0}, seeds=(1, 0)),
+        ]
+        sweep = run_sweep(specs, workers=workers)
+        assert [(t.experiment, t.seed) for t in sweep.trials] == [
+            ("a", 0), ("a", 1), ("b", 0), ("b", 1), ("b", 2),
+        ]
+        assert [t.metrics["value"] for t in sweep.trials] == [0, 1, 10, 11, 12]
+        assert sweep.workers == workers
+
+    def test_workload_exceptions_are_rows_of_their_own_trial(self, workers):
+        specs = [
+            ExperimentSpec("good", metrics_workload, {}, seeds=(0, 1)),
+            ExperimentSpec("flaky", failing_workload, {}, seeds=(0, 1, 2)),
+            ExperimentSpec("typo", metrics_workload, {"bogus": 1}, seeds=(0,)),
+        ]
+        sweep = run_sweep(specs, workers=workers)
+        errors = {(t.experiment, t.seed): t.error for t in sweep.trials if not t.ok}
+        assert set(errors) == {("flaky", 1), ("typo", 0)}
+        assert errors["flaky", 1] == "RuntimeError: boom"
+        assert errors["typo", 0].startswith("TypeError")
+        assert all(t.metrics == {} for t in sweep.trials if not t.ok)
+        summary = sweep.summary()
+        assert [(summary[c]["ok"], summary[c]["failed"]) for c in ("good", "flaky", "typo")] == [
+            (2, 0), (2, 1), (0, 1),
+        ]
+
+    def test_a_failing_trial_runs_once(self, workers, tmp_path):
+        spec = ExperimentSpec(
+            "f", counted_failing_workload, {"state_dir": str(tmp_path)}, seeds=(0, 1, 2)
+        )
+        sweep = run_sweep([spec], workers=workers)
+        assert [t.ok for t in sweep.trials] == [True, False, True]
+        assert sorted((tmp_path / "runs").read_text().split()) == ["0", "1", "2"]
+
+    def test_progress_sees_each_trial_once(self, workers):
+        seen = []
+        sweep = run_sweep(
+            [
+                ExperimentSpec("m", metrics_workload, {}, seeds=(0, 1, 2)),
+                ExperimentSpec("f", failing_workload, {}, seeds=(0, 1)),
+            ],
+            workers=workers,
+            progress=seen.append,
+        )
+        assert sorted((t.experiment, t.seed) for t in seen) == [
+            (t.experiment, t.seed) for t in sweep.trials
+        ]
+        assert sum(not t.ok for t in seen) == 1
+
+    def test_json_path_holds_every_trial(self, workers, tmp_path):
+        path = tmp_path / "bench.json"
+        sweep = run_sweep(
+            [ExperimentSpec("e", failing_workload, {}, seeds=(0, 1, 2))],
+            workers=workers,
+            json_path=str(path),
+        )
+        data = json.loads(path.read_text())
+        assert data == json.loads(json.dumps(sweep.to_dict(), sort_keys=True))
+        assert data["workers"] == workers
+        assert [(t["seed"], t["error"]) for t in data["trials"]] == [
+            (0, None), (1, "RuntimeError: boom"), (2, None),
+        ]
+        assert data["experiments"]["e"]["failed"] == 1
+
+    def test_trials_do_not_share_params(self, workers):
+        sweep = run_sweep(
+            [
+                ExperimentSpec("ok", metrics_workload, {"base": 10}, seeds=(0, 1)),
+                ExperimentSpec("bad", failing_workload, {"x": 1}, seeds=(0, 1)),
+            ],
+            workers=workers,
+        )
+        assert len({id(t.params) for t in sweep.trials}) == len(sweep.trials)
+        sweep.trials[0].params["x"] = 999
+        assert [t.params for t in sweep.trials[1:]] == [
+            {"x": 1}, {"base": 10}, {"base": 10},
+        ]
+
+    def test_reserved_channels_land_on_the_trial(self, workers):
+        sweep = run_sweep(
+            [ExperimentSpec("e", timed_workload, {}, seeds=(0, 1))], workers=workers
+        )
+        for trial in sweep.trials:
+            assert trial.setup_seconds == 0.05
+            assert trial.metrics == {"value": trial.seed, "workload_elapsed": 9.0}
+            assert 0 <= trial.elapsed < 9.0
+
+    def test_non_dict_result_wrapped(self, workers):
+        sweep = run_sweep(
+            [ExperimentSpec("s", scalar_workload, {}, seeds=(1, 2))], workers=workers
+        )
+        assert [t.metrics for t in sweep.trials] == [{"result": 2}, {"result": 4}]
+
+    def test_interrupt_in_a_trial_fails_the_sweep(self, workers, tmp_path):
+        path = tmp_path / "bench.json"
+        spec = ExperimentSpec("i", interrupting_workload, {}, seeds=(0, 1, 2))
+        with pytest.raises(KeyboardInterrupt, match="ctrl-c"):
+            run_sweep([spec], workers=workers, json_path=str(path))
+        join_workers()
+        assert not path.exists()
+
+
+def raise_on_first(trial):
+    raise RuntimeError("stop")
+
+
+@pytest.mark.parametrize(
+    "spec, workers, progress, error",
+    [
+        (ExperimentSpec("i", interrupting_workload, {}, seeds=(0, 1)), 0, None,
+         KeyboardInterrupt),
+        (ExperimentSpec("i", interrupting_workload, {}, seeds=(0, 1)), 2, None,
+         KeyboardInterrupt),
+        (ExperimentSpec("x", exiting_workload, {}, seeds=(0, 1)), 2, None,
+         BrokenProcessPool),
+        (ExperimentSpec("m", metrics_workload, {}, seeds=(0, 1)), 0, raise_on_first,
+         RuntimeError),
+    ],
+    ids=["interrupt-inline", "interrupt-pooled", "dead-worker", "raising-progress"],
+)
+def test_failed_sweep_leaves_the_previous_json_untouched(
+    spec, workers, progress, error, tmp_path
+):
+    path = tmp_path / "bench.json"
+    path.write_text("previous sweep\n")
+    with pytest.raises(error):
+        run_sweep([spec], workers=workers, json_path=str(path), progress=progress)
+    join_workers()
+    assert path.read_text() == "previous sweep\n"
+    assert not (tmp_path / "bench.json.tmp").exists()
+
+
+@pytest.mark.parametrize("workers", [None, 1, 4])
+def test_a_single_trial_runs_inline(workers):
+    # A lambda cannot be pickled: the trial ran in this process.
+    sweep = run_sweep(
+        [ExperimentSpec("one", lambda seed: {"v": seed}, {}, seeds=(5,))],
+        workers=workers,
+    )
+    assert sweep.workers == 0
+    assert [(t.seed, t.metrics, t.error) for t in sweep.trials] == [(5, {"v": 5}, None)]
+
+
+def test_empty_sweep_writes_an_empty_result(tmp_path):
+    path = tmp_path / "bench.json"
+    sweep = run_sweep([], workers=2, json_path=str(path))
+    assert sweep.trials == [] and sweep.workers == 0 and sweep.summary() == {}
+    data = json.loads(path.read_text())
+    assert (data["experiments"], data["trials"]) == ({}, [])
+
+
+@pytest.mark.parametrize("cpu_count, expected", [(1, 1), (None, 1), (3, 3)])
+def test_default_workers_is_the_cpu_count(cpu_count, expected, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    sweep = run_sweep(
+        [ExperimentSpec("p", pid_workload, {}, seeds=(0, 1, 2, 3))], workers=None
+    )
+    assert sweep.workers == expected
+    pids = {t.metrics["pid"] for t in sweep.trials}
+    assert os.getpid() not in pids
+    assert 1 <= len(pids) <= expected
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_pool_has_at_most_one_process_per_trial(workers):
+    sweep = run_sweep(
+        [ExperimentSpec("p", pid_workload, {}, seeds=(0, 1, 2))], workers=workers
+    )
+    assert all(t.ok for t in sweep.trials), [t.error for t in sweep.trials]
+    pids = {t.metrics["pid"] for t in sweep.trials}
+    assert os.getpid() not in pids
+    assert 1 <= len(pids) <= min(workers, 3)
 
 
 class TestWorkloads:

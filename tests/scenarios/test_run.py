@@ -316,6 +316,20 @@ class TestExpIntegration:
         assert exit_info.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", [["--chaos"], ["--resume"], ["--checkpoint", "trials.jsonl"],
+                 ["--timeout", "5"], ["--retries", "2"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_cli_rejects_the_removed_executor_flags(self, flag, monkeypatch, capsys):
+        # The retrying executor's knobs are gone: naming one is a usage
+        # error, not an option that is silently accepted and ignored.
+        monkeypatch.setattr("sys.argv", ["run_experiments.py", *flag, "--history", ""])
+        with pytest.raises(SystemExit) as exit_info:
+            load_cli().main()
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
     def test_cli_rejects_the_removed_batched_backend(self, capsys):
         mod = load_cli()
         assert mod.run_sweeps(argparse.Namespace(backends="dense,dense-batched")) == 2
