@@ -590,7 +590,8 @@ def dense_orientation(
 
 
 #: Slots in the first verification block of :func:`uniform_splitting_dense`;
-#: each later block doubles the slots checked so far.
+#: each later block doubles the slots checked so far.  Blocks run over the
+#: engine's ascending-degree check order (:meth:`CSREngine.check_order`).
 VERIFY_FIRST_BLOCK = 4096
 
 
@@ -641,16 +642,19 @@ def uniform_splitting_dense(
     nodes' own (possibly fault-blinded) verdict, exactly what the
     distributed Las-Vegas loop would act on.
 
-    One violating node rejects the attempt, so the check runs over
-    contiguous node blocks whose slot counts double (see
-    :func:`_verify_blocks`) and stops at the first block holding a live
-    constrained node outside ``[lo, hi]``.  Fault masks are built
-    receive-side for the checked slots only
+    One violating node rejects the attempt, so the check visits nodes in
+    ascending-degree order (:meth:`CSREngine.check_order`) — a node of
+    degree ``d`` leaves its window with probability at most
+    ``2 exp(-2 eps^2 d)``, so low degrees reject first — in blocks whose
+    slot counts double (see :func:`_verify_blocks`), and stops at the first
+    block holding a live constrained node outside ``[lo, hi]``.  Fault
+    masks are built receive-side for the checked positions only
     (:meth:`~repro.scenarios.masks.DenseFaults.delivered_in_range`).  A
     rejected attempt therefore costs O(n) for the colors plus the slots up
     to the end of its first violating block — at most about twice the
-    slots before its first violator, past the first block — and an
-    accepted one checks all m slots.
+    slots before its first violator in check order, past the first block —
+    and an accepted one checks all m slots.  The verdict is an AND over
+    all nodes, so the order changes only ``slots_checked``.
 
     Returns a :class:`DenseResult` with ``colors`` (int array), ``ok``
     (bool: every live constrained node inside ``[lo, hi]``), ``crashed``
@@ -659,7 +663,7 @@ def uniform_splitting_dense(
     verification round, matching the engine's charge.
     """
     trace = tracer is not None and tracer.enabled
-    offsets, dst_node, _ = engine.dense_arrays()
+    order, offsets, check_node = engine.check_order()
     n = engine.n
     degrees = np.diff(offsets)
 
@@ -673,9 +677,11 @@ def uniform_splitting_dense(
         crashed |= crash
     is_red = colors == red
     # spec.lo / spec.hi / spec.constrains are affine in the degree, so they
-    # vectorize directly over the degree array.  An unconstrained or
-    # crashed node accepts any count.
-    constrained = spec.constrains(degrees) & ~crashed
+    # vectorize directly over the (check-ordered) degree array.  An
+    # unconstrained or crashed node accepts any count.
+    constrained = spec.constrains(degrees)
+    if crash is not None:
+        constrained = constrained & ~crashed[order]
     lo = np.where(constrained, spec.lo(degrees), -np.inf)
     hi = np.where(constrained, spec.hi(degrees), np.inf)
     ok = True
@@ -683,7 +689,7 @@ def uniform_splitting_dense(
     bounds = _verify_blocks(offsets)
     slot_bounds = offsets[bounds].tolist()
     for a, b, start, stop in zip(bounds, bounds[1:], slot_bounds, slot_bounds[1:]):
-        senders = dst_node[start:stop]
+        senders = check_node[start:stop]
         sent = is_red[senders]
         if faults is not None:
             flip = faults.corrupted_in_range(1, start, stop)

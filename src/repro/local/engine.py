@@ -48,6 +48,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.local.network import (
     NO_BROADCAST,
     LocalAlgorithm,
@@ -82,6 +84,9 @@ class CSREngine:
         # built on the first run: tuple lists iterate faster than indexing
         # the flat arrays per slot, and only this pure-Python path uses them.
         self._out_slots: Optional[List[List[Tuple[int, int]]]] = None
+        # Ascending-degree check order, built on first use (see check_order).
+        self._check = None
+        self._check_port = None
 
     def dense_arrays(self):
         """The CSR layout as numpy int64 arrays ``(offsets, dst_node, dst_port)``.
@@ -91,6 +96,43 @@ class CSREngine:
         round kernels in :mod:`repro.local.dense` index into.
         """
         return self.offsets, self.dst_node, self.dst_port
+
+    def check_order(self):
+        """The slots regrouped by ascending degree: ``(order, check_offsets, check_node)``.
+
+        ``order`` is the stable argsort of the degrees and ``check_offsets``
+        the cumulative sum of the sorted degrees: node ``order[i]`` owns
+        check positions ``check_offsets[i]:check_offsets[i+1]``, and
+        ``check_node`` holds its ``dst_node`` row there, in port order (the
+        sender of each message it receives).  The splitting verification
+        reads nodes in this order, so the low-degree nodes, which leave
+        their window most often, reject an attempt first.  Built once per
+        engine in O(m); int64 like the CSR arrays, because narrower index
+        arrays make the gathers through them slower.
+        """
+        if self._check is None:
+            degrees = np.diff(self.offsets)
+            order = np.argsort(degrees, kind="stable")
+            check_offsets = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(degrees[order], out=check_offsets[1:])
+            check_node = self.dst_node[self._check_slots(order, check_offsets)]
+            self._check = (order, check_offsets, check_node)
+        return self._check
+
+    def check_ports(self):
+        """``check_port``: the ``dst_port`` twin of :meth:`check_order`'s
+        ``check_node`` (the sender's port of each received message).  Only
+        the receive-side fault masks read it, so it is built on first use."""
+        if self._check_port is None:
+            order, check_offsets, _ = self.check_order()
+            self._check_port = self.dst_port[self._check_slots(order, check_offsets)]
+        return self._check_port
+
+    def _check_slots(self, order, check_offsets):
+        """The CSR slot of every check position, in O(m); not kept."""
+        slots = np.repeat(self.offsets[order] - check_offsets[:-1], np.diff(check_offsets))
+        slots += np.arange(check_offsets[-1], dtype=np.int64)
+        return slots
 
     @property
     def n(self) -> int:

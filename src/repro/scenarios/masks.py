@@ -19,15 +19,18 @@ Two ways to ask for a receiving-side mask:
   permutation (``delivered_in[k] == delivered_out[partner(k)]``: both
   sides of a slot name the same (sender, port) message), so a kernel that
   needs both views pays one O(m) build;
-* the **slot-range** masks ``delivered_in_range(r, a, b)`` /
-  ``corrupted_in_range(r, a, b)`` equal ``delivered_in(r)[a:b]`` /
-  ``corrupted_in(r)[a:b]`` but run the same builders directly on the
-  receive-side coordinates ``(dst_node[a:b], dst_port[a:b])`` — the
-  message on slot ``k`` was sent by ``dst_node[k]`` on its port
-  ``dst_port[k]`` — so a kernel that stops early (the splitting
-  verification) pays only for the slots it reads, and no whole-round
-  outgoing mask is built.  They share the cache, keyed by range, so a
-  faults object reused across Las-Vegas attempts builds each range once.
+* the **check-range** masks ``delivered_in_range(r, a, b)`` /
+  ``corrupted_in_range(r, a, b)`` cover positions ``a:b`` of the engine's
+  ascending-degree check order (:meth:`CSREngine.check_order`), the order
+  the splitting verification reads slots in.  They equal
+  ``delivered_in(r)`` / ``corrupted_in(r)`` gathered through the check
+  order's slot permutation, but run the same builders directly on the
+  receive-side coordinates ``(check_node[a:b], check_port[a:b])`` — the
+  message at check position ``k`` was sent by ``check_node[k]`` on its
+  port ``check_port[k]`` — so a kernel that stops early pays only for
+  the positions it reads, and no whole-round outgoing mask is built.
+  They share the cache, keyed by range, so a faults object reused across
+  Las-Vegas attempts builds each range once.
 
 Further savings over the per-slot-loop implementation this replaces:
 
@@ -58,10 +61,9 @@ class SlotLayout:
     """Per-engine CSR slot coordinates shared by every :class:`DenseFaults`.
 
     ``out_sender[k]`` / ``out_port[k]`` read slot ``k`` as an *outgoing*
-    message (sender = slot owner); ``dst_node[k]`` / ``dst_port[k]`` (the
-    engine's own arrays) read it as the *received* message; ``partner[k]``
-    is the CSR slot on the other endpoint of slot ``k``'s edge, so a gather
-    through it converts an outgoing mask into the receiving-side view.
+    message (sender = slot owner); ``partner[k]`` is the CSR slot on the
+    other endpoint of slot ``k``'s edge, so a gather through it converts an
+    outgoing mask into the receiving-side view.
     Building these is O(m); cache one per engine (the scenario runner
     does) so mask setup amortizes across trial seeds.
     """
@@ -72,8 +74,6 @@ class SlotLayout:
         offsets, dst_node, dst_port = engine.dense_arrays()
         n = engine.n
         self.n = n
-        self.dst_node = dst_node
-        self.dst_port = dst_port
         self.out_sender = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
         self.out_port = (
             np.arange(offsets[-1], dtype=np.int64) - offsets[:-1][self.out_sender]
@@ -89,7 +89,8 @@ class DenseFaults:
     *outgoing* message (sender = slot owner); ``delivered_in(r)`` — per-slot
     mask of the slot as the *receiving* side, computed as the partner-gather
     of ``delivered_out(r)``; ``delivered_in_range(r, a, b)`` — the same
-    mask for slots ``a:b`` only, built receive-side (``corrupted_*`` alike).
+    mask for positions ``a:b`` of the engine's check order only, built
+    receive-side (``corrupted_*`` alike).
     ``expired(r)`` tells a kernel the stack can never inject from round
     ``r`` on, so its loop may drop the faults object entirely.
 
@@ -112,6 +113,7 @@ class DenseFaults:
         import numpy as np
 
         self._np = np
+        self._engine = engine
         self.bound = tuple(bound)
         self.layout = layout if layout is not None else SlotLayout(engine)
         self.n = self.layout.n
@@ -184,10 +186,11 @@ class DenseFaults:
         if kind == "cout":
             return self._build_corrupt(round_no, layout.out_sender, layout.out_port)
         if span is not None:
-            # Receive side of slots [start, stop): the message on slot k was
-            # sent by dst_node[k] on its port dst_port[k].
+            # Receive side of check positions [start, stop): the message at
+            # position k was sent by check_node[k] on its port check_port[k].
             start, stop = span
-            coords = (layout.dst_node[start:stop], layout.dst_port[start:stop])
+            _, _, check_node = self._engine.check_order()
+            coords = (check_node[start:stop], self._engine.check_ports()[start:stop])
             if kind == "cin":
                 return self._build_corrupt(round_no, *coords)
             return self._build_out(round_no, *coords)
@@ -278,15 +281,17 @@ class DenseFaults:
         return self._lookup("cin", round_no)
 
     def delivered_in_range(self, round_no: int, start: int, stop: int):
-        """``delivered_in(round_no)[start:stop]``, built for just those
-        slots on the receiving side (no whole-round mask, no gather)."""
+        """The receive-side delivery mask of check positions
+        ``start:stop`` (:meth:`CSREngine.check_order`): ``delivered_in``
+        gathered through the check order's slot permutation, built for just
+        those positions (no whole-round mask, no gather)."""
         if not self._droppers:
             return None
         return self._lookup("in", round_no, (start, stop))
 
     def corrupted_in_range(self, round_no: int, start: int, stop: int):
-        """``corrupted_in(round_no)[start:stop]``, built like
-        :meth:`delivered_in_range`."""
+        """The receive-side corruption mask of check positions
+        ``start:stop``, built like :meth:`delivered_in_range`."""
         if not self._corrupters:
             return None
         return self._lookup("cin", round_no, (start, stop))

@@ -9,8 +9,9 @@ Three layers of guarantees:
 * **mask surface** — for every registered scenario, on index uids and on
   uids spread over the whole int64 range, the :class:`DenseFaults` masks
   equal a per-slot scalar sweep of the pure ``delivers`` / ``crashes``
-  decisions, and ``delivered_in`` is the partner-gather of
-  ``delivered_out``;
+  decisions, ``delivered_in`` is the partner-gather of ``delivered_out``,
+  and the check-range masks are ``delivered_in`` / ``corrupted_in``
+  gathered through the engine's check-order slot permutation;
 * **lifecycle** — rounds past the quiet horizon reuse one steady-state
   mask (persistent deletions stay down, healed stacks return ``None``),
   and never-settling stacks keep a bounded cache.
@@ -172,14 +173,21 @@ class TestMasksMatchScalarDecisions:
     @pytest.mark.parametrize("sc", all_scenarios(), ids=lambda s: s.name)
     @pytest.mark.parametrize("layout_ids", ID_LAYOUTS.values(), ids=ID_LAYOUTS.keys())
     def test_slot_range_masks_equal_whole_round_slices(self, layout_ids, sc):
-        # Range masks are built receive-side from (dst_node, dst_port); the
-        # whole-round ones are partner gathers of the outgoing masks.
+        # Range masks address positions of the ascending-degree check order
+        # and are built receive-side from (check_node, check_port); the
+        # whole-round ones are partner gathers of the outgoing masks, here
+        # gathered through the check order's slot permutation.
         rng = random.Random(sc.name)
         base = small_graph(rng.randrange(991))
         adjacency, ids = rewrite_all(sc.perturbations, base, layout_ids(len(base), 4))
         net = Network(adjacency, ids=ids)
         engine = CSREngine(net)
         m = int(net.offsets[-1])
+        order, _, _ = engine.check_order()
+        perm = np.array(
+            [k for v in order for k in range(net.offsets[v], net.offsets[v + 1])],
+            dtype=np.int64,
+        )
         cuts = sorted(rng.randrange(m + 1) for _ in range(6))
         spans = [(0, m), (0, 0), (m, m)] + list(zip(cuts, cuts[1:]))
         bound = bind_all(sc.perturbations, net, fault_seed=17)
@@ -190,12 +198,12 @@ class TestMasksMatchScalarDecisions:
             cin = whole.corrupted_in(round_no)
             for a, b in spans:
                 got = ranged.delivered_in_range(round_no, a, b)
-                want = np.ones(m, bool) if din is None else din
+                want = np.ones(m, bool) if din is None else din[perm]
                 assert np.array_equal(
                     np.ones(b - a, bool) if got is None else got, want[a:b]
                 ), (sc.name, round_no, a, b)
                 got = ranged.corrupted_in_range(round_no, a, b)
-                want = np.zeros(m, bool) if cin is None else cin
+                want = np.zeros(m, bool) if cin is None else cin[perm]
                 assert np.array_equal(
                     np.zeros(b - a, bool) if got is None else got, want[a:b]
                 ), (sc.name, round_no, a, b)
