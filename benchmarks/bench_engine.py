@@ -56,7 +56,7 @@ from repro.local import CSREngine, Network, run_local
 from repro.local.dense import sinkless_trial_dense, uniform_splitting_dense
 from repro.mis.luby import LubyMIS
 from repro.scenarios import bind_all, get_scenario, run_scenario
-from repro.scenarios.masks import DenseFaults, SlotLayout
+from repro.scenarios.masks import DenseFaults
 from repro.scenarios.recovery import sinkless_repair
 
 from _harness import attach_rows, best_of
@@ -181,28 +181,27 @@ def test_e19_keyed_fault_masks_dense_mis(benchmark):
 
     from repro.local.dense import luby_mis_dense
     from repro.scenarios import IIDMessageDrop, bind_all
-    from repro.scenarios.masks import DenseFaults, SlotLayout
+    from repro.scenarios.masks import DenseFaults
 
     adj = random_sparse_graph(DENSE_N, DENSE_AVG_DEGREE, seed=19)
     engine = CSREngine(Network(adj))
-    engine.dense_arrays()
     net = engine.network
-    layout = SlotLayout(engine)
+    _, _, partner = engine.slot_layout()
     bound = bind_all((IIDMessageDrop(p=0.05),), net, fault_seed=1)
 
     # Correctness before speed: delivered_in must be the partner-gather of
     # delivered_out, and the mask drop rate must sit at p.
-    faults = DenseFaults(engine, bound, layout=layout)
+    faults = DenseFaults(engine, bound)
     out1 = faults.delivered_out(1)
-    assert np.array_equal(faults.delivered_in(1), out1[layout.partner])
+    assert np.array_equal(faults.delivered_in(1), out1[partner])
     drop_rate = 1.0 - out1.mean()
     assert abs(drop_rate - 0.05) < 0.005, f"mask drop rate {drop_rate:.4f}"
 
     def faulty_run():
-        return luby_mis_dense(engine, seed=1, faults=DenseFaults(engine, bound, layout=layout))
+        return luby_mis_dense(engine, seed=1, faults=DenseFaults(engine, bound))
 
     def mask_round():
-        return DenseFaults(engine, bound, layout=layout).delivered_out(1)
+        return DenseFaults(engine, bound).delivered_out(1)
 
     # A full faulty run completes (under pure drops nobody crashes and
     # every node still decides).
@@ -433,7 +432,6 @@ def test_e26_sinkless_repair_tail_vs_base_run(benchmark):
     _, state = run_scenario(sc, n=16_000, seed=26, backend="dense", recover=True,
                             return_state=True)
     engine = CSREngine(Network(state["adjacency"]))
-    layout = SlotLayout(engine)
     seeds = (1, 2, 3, 4)
     bound = {s: bind_all(sc.perturbations, engine.network, fault_seed=s) for s in seeds}
 
@@ -441,7 +439,7 @@ def test_e26_sinkless_repair_tail_vs_base_run(benchmark):
         return [
             sinkless_trial_dense(
                 engine, min_degree=sc.min_degree, seed=s, max_rounds=400,
-                faults=DenseFaults(engine, bound[s], layout=layout), strict=False,
+                faults=DenseFaults(engine, bound[s]), strict=False,
             )
             for s in seeds
         ]
@@ -451,7 +449,7 @@ def test_e26_sinkless_repair_tail_vs_base_run(benchmark):
     def tails():
         return [
             sinkless_repair(
-                engine, DenseFaults(engine, bound[s], layout=layout), s,
+                engine, DenseFaults(engine, bound[s]), s,
                 end.out.copy(), end.crashed.copy(), sc.min_degree,
                 start_round=end.rounds + 1,
             )

@@ -199,9 +199,6 @@ def uniform_splitting(
     seed: SeedLike = None,
     max_attempts: int = 64,
     engine: Optional[CSREngine] = None,
-    hooks=None,
-    faults=None,
-    recover: bool = False,
 ) -> List[int]:
     """Split a general graph's nodes red/blue per the Section 4.1 spec.
 
@@ -219,17 +216,9 @@ def uniform_splitting(
     ``engine`` over the same adjacency amortizes CSR packing across calls
     (used by the ``local`` and ``dense`` methods only).
 
-    ``hooks`` (``local`` method) / ``faults`` (``dense`` method) run the
-    Las-Vegas loop in a faulty environment (see :mod:`repro.scenarios`):
-    acceptance is then based on what the nodes *heard*, which a lossy
-    network can fool — the scenario contracts recompute ground truth.
-    ``recover=True`` (``local`` and ``dense`` methods) appends the
-    self-stabilizing detect-and-repair tail
-    (:func:`~repro.scenarios.recovery.splitting_repair`) to the final
-    attempt — violators NACK their neighborhood and redraw under the same
-    fault schedule — so the returned partition satisfies the spec on the
-    surviving graph even when the fault-blinded acceptance was wrong (or
-    never fired).
+    The run is fault-free; faulty and recovering runs go through
+    :func:`repro.scenarios.run_scenario`, which rebinds the fault schedule
+    on every attempt's own seed.
 
     There is no batched method: for many master seeds, loop
     ``method="dense"`` over them with one shared ``engine``.
@@ -254,64 +243,21 @@ def uniform_splitting(
             from repro.local.dense import uniform_splitting_dense
         else:
             algorithm = ZeroRoundSplitting(spec)
-        accepted = False
-        run_seed = 0
-        colors: List[int] = []
-        crashed: List[bool] = [False] * n
         for _ in range(max_attempts):
             run_seed = rng.randrange(2**31)
             if method == "dense":
-                dense = uniform_splitting_dense(
-                    engine, spec, seed=run_seed, red=RED, blue=BLUE,
-                    faults=faults,
-                )
-                if ledger is not None:
-                    ledger.charge_simulated(dense.rounds, "0-round-splitting+check")
-                accepted = bool(dense.ok)
-                if accepted or recover:
-                    colors = dense.colors.tolist()
-                    crashed = dense.crashed.tolist()
+                dense = uniform_splitting_dense(engine, spec, seed=run_seed, red=RED, blue=BLUE)
+                rounds, accepted = dense.rounds, bool(dense.ok)
             else:
-                result = engine.run(algorithm, max_rounds=1, seed=run_seed, hooks=hooks)
-                if ledger is not None:
-                    ledger.charge_simulated(result.rounds, "0-round-splitting+check")
-                # Crashed nodes (faulty environments) never output; they do
-                # not vote and their init-time color stands in for them.
-                accepted = all(
-                    v.output[1] for v in result.views if v.output is not None
-                )
-                if accepted or recover:
-                    colors = [
-                        v.output[0] if v.output is not None else v.state["color"]
-                        for v in result.views
-                    ]
-                    crashed = [bool(v.state.get("crashed")) for v in result.views]
+                result = engine.run(algorithm, max_rounds=1, seed=run_seed)
+                rounds = result.rounds
+                accepted = all(v.output[1] for v in result.views)
+            if ledger is not None:
+                ledger.charge_simulated(rounds, "0-round-splitting+check")
             if accepted:
-                break
-        if recover:
-            import numpy as np
-
-            from repro.scenarios.masks import DenseFaults
-            from repro.scenarios.recovery import (
-                bound_stack,
-                edge_ok_slot_mask,
-                splitting_repair,
-            )
-
-            bound = bound_stack(hooks=hooks, faults=faults)
-            colors_arr = np.asarray(colors, dtype=np.int64)
-            crashed_arr = np.asarray(crashed, dtype=bool)
-            rep = splitting_repair(
-                engine, DenseFaults(engine, bound) if bound else None, spec,
-                run_seed, colors_arr, crashed_arr, start_round=2, red=RED,
-                blue=BLUE, edge_ok_mask=edge_ok_slot_mask(engine, bound),
-            )
-            if ledger is not None and rep.repair_rounds:
-                ledger.charge_simulated(rep.repair_rounds, "splitting-repair")
-            if accepted or rep.recovered:
-                return colors_arr.tolist()
-        elif accepted:
-            return colors
+                if method == "dense":
+                    return dense.colors.tolist()
+                return [v.output[0] for v in result.views]
         raise RuntimeError(
             f"{method} uniform splitting failed {max_attempts} times; "
             "constrained degrees are below the w.h.p. regime"

@@ -19,7 +19,7 @@ reference material for how the paper's algorithms map onto the model:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.bipartite.instance import BLUE, RED, BipartiteInstance, Coloring
 from repro.local.network import (
@@ -27,7 +27,6 @@ from repro.local.network import (
     LocalAlgorithm,
     Network,
     NodeView,
-    RoundHooks,
     run_local,
 )
 
@@ -145,20 +144,14 @@ class ShatteringLocal(LocalAlgorithm):
 
 
 def run_zero_round_coloring(
-    inst: BipartiteInstance, seed: int = 0, hooks: Optional[RoundHooks] = None
+    inst: BipartiteInstance, seed: int = 0
 ) -> Tuple[Coloring, List[bool], int]:
     """Run :class:`ZeroRoundColoring` in the simulator.
-
-    ``hooks`` passes through to :func:`run_local` — e.g. a
-    :class:`~repro.obs.hooks.TracingHooks` to record round-level trace
-    records, or a scenario perturbation stack.
 
     Returns ``(coloring, satisfied flags per constraint, simulated rounds)``.
     """
     net = Network.from_bipartite(inst)
-    result = run_local(
-        net, ZeroRoundColoring(inst.n_left), max_rounds=5, seed=seed, hooks=hooks
-    )
+    result = run_local(net, ZeroRoundColoring(inst.n_left), max_rounds=5, seed=seed)
     coloring: Coloring = [
         result.views[inst.n_left + v].output[1] for v in range(inst.n_right)
     ]
@@ -167,21 +160,16 @@ def run_zero_round_coloring(
 
 
 def run_shattering_local(
-    inst: BipartiteInstance, seed: int = 0, hooks: Optional[RoundHooks] = None
+    inst: BipartiteInstance, seed: int = 0
 ) -> Tuple[Coloring, List[bool], int]:
     """Run :class:`ShatteringLocal` in the simulator.
-
-    ``hooks`` passes through to :func:`run_local` (tracing or perturbation
-    stacks; see :func:`run_zero_round_coloring`).
 
     Returns ``(partial coloring, satisfied flags, simulated rounds)``.  A
     constraint's flag is True iff it sees both colors after the uncoloring
     phase — the complement of Section 2.4's "unsatisfied".
     """
     net = Network.from_bipartite(inst)
-    result = run_local(
-        net, ShatteringLocal(inst.n_left), max_rounds=6, seed=seed, hooks=hooks
-    )
+    result = run_local(net, ShatteringLocal(inst.n_left), max_rounds=6, seed=seed)
     coloring: Coloring = [
         result.views[inst.n_left + v].output[1] for v in range(inst.n_right)
     ]

@@ -84,9 +84,11 @@ class CSREngine:
         # built on the first run: tuple lists iterate faster than indexing
         # the flat arrays per slot, and only this pure-Python path uses them.
         self._out_slots: Optional[List[List[Tuple[int, int]]]] = None
-        # Ascending-degree check order, built on first use (see check_order).
+        # Ascending-degree check order and slot layout, built on first use
+        # (see check_order and slot_layout).
         self._check = None
         self._check_port = None
+        self._layout = None
 
     def dense_arrays(self):
         """The CSR layout as numpy int64 arrays ``(offsets, dst_node, dst_port)``.
@@ -96,6 +98,23 @@ class CSREngine:
         round kernels in :mod:`repro.local.dense` index into.
         """
         return self.offsets, self.dst_node, self.dst_port
+
+    def slot_layout(self):
+        """Every slot read as an outgoing message: ``(out_sender, out_port, partner)``.
+
+        Slot ``k`` carries the message node ``out_sender[k]`` sends on its
+        port ``out_port[k]``; ``partner[k]`` is the slot on the other
+        endpoint of the same edge, so a gather through it turns an outgoing
+        per-slot mask into the receiving side's view.  The fault masks of
+        :class:`~repro.scenarios.masks.DenseFaults` are built on these
+        coordinates.  Built once per engine in O(m), like :meth:`check_order`.
+        """
+        if self._layout is None:
+            out_sender = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.offsets))
+            out_port = np.arange(self.offsets[-1], dtype=np.int64) - self.offsets[:-1][out_sender]
+            partner = self.offsets[:-1][self.dst_node] + self.dst_port
+            self._layout = (out_sender, out_port, partner)
+        return self._layout
 
     def check_order(self):
         """The slots regrouped by ascending degree: ``(order, check_offsets, check_node)``.

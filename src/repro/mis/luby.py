@@ -89,9 +89,6 @@ def luby_mis(
     label: str = "luby-mis",
     method: str = "engine",
     engine=None,
-    hooks=None,
-    faults=None,
-    recover: bool = False,
 ) -> Tuple[Set[int], int]:
     """Run Luby's MIS; returns (MIS node set, simulated rounds).
 
@@ -103,17 +100,9 @@ def luby_mis(
     the method for n >= 10^5.  Pass a prebuilt ``engine`` (:class:`~repro.local.engine.CSREngine` over the
     same adjacency) to amortize CSR packing across calls.
 
-    A faulty environment (see :mod:`repro.scenarios`) plugs in through
-    ``hooks`` (a :class:`~repro.local.network.RoundHooks`, engine method)
-    or ``faults`` (a :class:`~repro.scenarios.masks.DenseFaults`, dense
-    method); under crash faults the MIS of the survivors is returned.
-    ``recover=True`` appends the self-stabilizing detect-and-repair tail
-    (:func:`~repro.scenarios.recovery.luby_repair`) under the same fault
-    schedule: the returned set is then the *repaired* survivors' MIS and
-    the round count includes the repair rounds.
-
-    There is no batched method: for many seeds, loop ``method="dense"``
-    over them with one shared ``engine``.
+    The run is fault-free; faulty and recovering runs go through
+    :func:`repro.scenarios.run_scenario`.  There is no batched method: for
+    many seeds, loop ``method="dense"`` over them with one shared ``engine``.
     """
     require(method in ("engine", "dense"), f"unknown method {method!r}")
     if method == "dense":
@@ -121,54 +110,20 @@ def luby_mis(
 
         if engine is None:
             engine = CSREngine(Network(adjacency))
-        result = luby_mis_dense(engine, seed=seed, max_rounds=max_rounds, faults=faults)
+        result = luby_mis_dense(engine, seed=seed, max_rounds=max_rounds)
         require(result.completed, "Luby MIS did not terminate within the round cap")
         if ledger is not None:
             ledger.charge_simulated(result.rounds, label)
-        if recover:
-            return _repair_mis(
-                engine, faults, seed, result.in_mis.copy(), result.crashed.copy(),
-                result.rounds, max_rounds, ledger, label,
-            )
         return set(np.flatnonzero(result.in_mis).tolist()), result.rounds
-    if engine is None and recover:
-        engine = CSREngine(Network(adjacency))
     if engine is not None:
-        result = engine.run(LubyMIS(), max_rounds=max_rounds, seed=seed, hooks=hooks)
+        result = engine.run(LubyMIS(), max_rounds=max_rounds, seed=seed)
     else:
-        result = run_local_fast(
-            Network(adjacency), LubyMIS(), max_rounds=max_rounds, seed=seed, hooks=hooks
-        )
+        result = run_local_fast(Network(adjacency), LubyMIS(), max_rounds=max_rounds, seed=seed)
     require(result.completed, "Luby MIS did not terminate within the round cap")
     if ledger is not None:
         ledger.charge_simulated(result.rounds, label)
-    if recover:
-        from repro.scenarios.masks import DenseFaults
-        from repro.scenarios.recovery import bound_stack
-
-        bound = bound_stack(hooks=hooks)
-        in_mis = np.array([bool(v.state.get("in_mis")) for v in result.views])
-        crashed = np.array([bool(v.state.get("crashed")) for v in result.views])
-        repair_faults = DenseFaults(engine, bound) if bound else None
-        return _repair_mis(
-            engine, repair_faults, seed, in_mis, crashed, result.rounds,
-            max_rounds, ledger, label,
-        )
     mis = {i for i, v in enumerate(result.views) if v.state.get("in_mis")}
     return mis, result.rounds
-
-
-def _repair_mis(engine, faults, seed, in_mis, crashed, rounds, max_rounds, ledger, label):
-    """Shared ``recover=True`` tail: repair in place, return survivors' MIS."""
-    from repro.scenarios.recovery import luby_repair
-
-    rep = luby_repair(
-        engine, faults, seed, in_mis, crashed,
-        start_round=rounds + 1, max_rounds=max_rounds,
-    )
-    if ledger is not None and rep.repair_rounds:
-        ledger.charge_simulated(rep.repair_rounds, label + "-repair")
-    return set(np.flatnonzero(in_mis & ~crashed).tolist()), rep.last_round
 
 
 def is_mis(adjacency: Sequence[Sequence[int]], mis: Set[int]) -> bool:

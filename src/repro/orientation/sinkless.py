@@ -249,9 +249,6 @@ def run_trial_and_fix(
     max_rounds: int = 200,
     method: str = "engine",
     engine=None,
-    hooks=None,
-    faults=None,
-    recover: bool = False,
 ) -> Tuple[GraphOrientation, int]:
     """Run :class:`TrialAndFixSinkless` until globally sink-free.
 
@@ -268,78 +265,33 @@ def run_trial_and_fix(
     coins, so a bit-identical orientation and round count.  Pass a prebuilt
     ``engine`` over the same adjacency to amortize CSR packing across calls.  Returns the orientation and the round count.
 
-    ``hooks`` (engine method) / ``faults`` (dense method) inject a faulty
-    environment, see :mod:`repro.scenarios` — note the default probe here
-    still demands a globally sink-free configuration; the scenario runner
-    uses its own survivor-aware stopping rule under crash faults.
-    ``recover=True`` (engine and dense methods) switches to that
-    survivor-aware rule and appends the self-stabilizing detect-and-repair
-    tail (:func:`~repro.scenarios.recovery.sinkless_repair`): reconcile
-    disagreeing edge views, then fix sinks over *alive* ports only, under
-    the same fault schedule.  The fault schedule must leave round 1 (the
-    proposal exchange) clean.
-
-    There is no batched method: for many seeds, loop ``method="dense"``
-    over them with one shared ``engine``.
+    The run is fault-free; faulty and recovering runs, with their
+    survivor-aware stopping rule and repair tail, go through
+    :func:`repro.scenarios.run_scenario`.  There is no batched method: for
+    many seeds, loop ``method="dense"`` over them with one shared ``engine``.
     """
     require(method in ("engine", "dense"), f"unknown method {method!r}")
+    if engine is None:
+        engine = CSREngine(Network(adj))
     if method == "dense":
         from repro.local.dense import dense_orientation, sinkless_trial_dense
 
-        if engine is None:
-            engine = CSREngine(Network(adj))
         dense = sinkless_trial_dense(
-            engine, min_degree=min_degree, seed=seed,
-            max_rounds=max_rounds, faults=faults, strict=not recover,
+            engine, min_degree=min_degree, seed=seed, max_rounds=max_rounds,
         )
-        if recover:
-            return _repair_orientation(
-                engine, faults, seed, dense.out, dense.crashed,
-                min_degree, dense.rounds, max_rounds,
-            )
         return dense_orientation(engine, dense.out), dense.rounds
 
-    net = engine.network if engine is not None else Network(adj)
-    algo = TrialAndFixSinkless(min_degree=min_degree)
-
     def probe(round_no: int, views) -> bool:
-        if round_no < 2:
-            return False
-        if recover:
-            return survivors_sink_free(adj, views, min_degree)
-        return not sinks(adj, orientation_from_views(adj, views), min_degree)
-
-    if engine is None:
-        engine = CSREngine(net)
-    result = engine.run(algo, max_rounds=max_rounds, seed=seed, probe=probe, hooks=hooks)
-    if recover:
-        from repro.scenarios.masks import DenseFaults
-        from repro.scenarios.recovery import bound_stack
-
-        out, crashed = slot_state_from_views(engine.offsets, result.views)
-        bound = bound_stack(hooks=hooks)
-        repair_faults = DenseFaults(engine, bound) if bound else None
-        return _repair_orientation(
-            engine, repair_faults, seed, out, crashed, min_degree,
-            result.rounds, max_rounds,
+        return round_no >= 2 and not sinks(
+            adj, orientation_from_views(adj, views), min_degree
         )
+
+    algo = TrialAndFixSinkless(min_degree=min_degree)
+    result = engine.run(algo, max_rounds=max_rounds, seed=seed, probe=probe)
     orientation = orientation_from_views(adj, result.views)
     if result.rounds >= 2 and not sinks(adj, orientation, min_degree):
         return orientation, result.rounds
     raise RuntimeError(f"no sinkless orientation after {max_rounds} rounds")
-
-
-def _repair_orientation(engine, faults, seed, out, crashed, min_degree, rounds,
-                        max_rounds):
-    """Shared ``recover=True`` tail: repair in place, extract orientation."""
-    from repro.local.dense import dense_orientation
-    from repro.scenarios.recovery import sinkless_repair
-
-    rep = sinkless_repair(
-        engine, faults, seed, out, crashed, min_degree,
-        start_round=rounds + 1, max_rounds=max_rounds,
-    )
-    return dense_orientation(engine, out), rep.last_round
 
 
 def orientation_from_views(adj: Sequence[Sequence[int]], views) -> GraphOrientation:

@@ -19,10 +19,17 @@ Vocabulary:
 * adversarial presentations — :class:`AdversarialIDs`,
   :class:`PortScramble`, :class:`MultiEdgeLift`.
 
+:func:`run_scenario` is the one driver of faulty runs: it binds the stack
+to the trial seed (per attempt for splitting) and runs the pipeline on
+the chosen backend; the pipeline drivers in :mod:`repro.mis`,
+:mod:`repro.orientation` and :mod:`repro.apps` take no faults.  An ad-hoc
+:class:`Scenario` runs any stack on any graph via ``adjacency=``.
+
 Recovery: ``run_scenario(..., recover=True)`` appends the self-stabilizing
 detect-and-repair layer (:mod:`repro.scenarios.recovery`) to any scenario
-run; the exact oracle in :mod:`repro.verify.certify` independently
-certifies the contract verdicts on small instances.
+run, and ``return_state=True`` returns the repaired end state; the exact
+oracle in :mod:`repro.verify.certify` independently certifies the
+contract verdicts on small instances.
 
 Registered scenarios (``scenario_names()``) are runnable by name from the
 sweep CLI: ``python benchmarks/run_experiments.py --scenarios all``.
@@ -61,11 +68,8 @@ from repro.scenarios.faults import CrashNodes, IIDMessageDrop, MuteHubs
 from repro.scenarios.recovery import (
     REPAIR_ROUND_CAP,
     RepairResult,
-    luby_mis_recovering,
     luby_repair,
-    sinkless_recovering,
     sinkless_repair,
-    splitting_recovering,
     splitting_repair,
 )
 from repro.scenarios.registry import (
@@ -113,9 +117,6 @@ __all__ = [
     "luby_repair",
     "sinkless_repair",
     "splitting_repair",
-    "luby_mis_recovering",
-    "sinkless_recovering",
-    "splitting_recovering",
     # registry + execution
     "Scenario",
     "register_scenario",

@@ -49,36 +49,12 @@ entirely — keeping the fault-free dense hot path untouched.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.local.engine import CSREngine
 from repro.scenarios.base import BoundPerturbation, quiet_after
 
-__all__ = ["SlotLayout", "DenseFaults"]
-
-
-class SlotLayout:
-    """Per-engine CSR slot coordinates shared by every :class:`DenseFaults`.
-
-    ``out_sender[k]`` / ``out_port[k]`` read slot ``k`` as an *outgoing*
-    message (sender = slot owner); ``partner[k]`` is the CSR slot on the
-    other endpoint of slot ``k``'s edge, so a gather through it converts an
-    outgoing mask into the receiving-side view.
-    Building these is O(m); cache one per engine (the scenario runner
-    does) so mask setup amortizes across trial seeds.
-    """
-
-    def __init__(self, engine: CSREngine):
-        import numpy as np
-
-        offsets, dst_node, dst_port = engine.dense_arrays()
-        n = engine.n
-        self.n = n
-        self.out_sender = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-        self.out_port = (
-            np.arange(offsets[-1], dtype=np.int64) - offsets[:-1][self.out_sender]
-        )
-        self.partner = offsets[:-1][dst_node] + dst_port
+__all__ = ["DenseFaults"]
 
 
 class DenseFaults:
@@ -94,9 +70,11 @@ class DenseFaults:
     ``expired(r)`` tells a kernel the stack can never inject from round
     ``r`` on, so its loop may drop the faults object entirely.
 
-    Pass a cached :class:`SlotLayout` to amortize the O(m) coordinate
-    build across seeds; the fault schedule itself comes from ``bound``
-    (see :func:`~repro.scenarios.base.bind_all`).
+    Whole-round masks are built on the engine's cached slot coordinates
+    (:meth:`CSREngine.slot_layout`), so their O(m) set-up is paid once per
+    engine, not once per faults object; the check-range masks read only
+    :meth:`CSREngine.check_order`.  The fault schedule itself comes from
+    ``bound`` (see :func:`~repro.scenarios.base.bind_all`).
     """
 
     #: FIFO cap on cached per-round masks (never-settling stacks only need
@@ -104,19 +82,13 @@ class DenseFaults:
     #: retries of the same round).
     CACHE_MAX = 32
 
-    def __init__(
-        self,
-        engine: CSREngine,
-        bound: Sequence[BoundPerturbation],
-        layout: Optional[SlotLayout] = None,
-    ):
+    def __init__(self, engine: CSREngine, bound: Sequence[BoundPerturbation]):
         import numpy as np
 
         self._np = np
         self._engine = engine
         self.bound = tuple(bound)
-        self.layout = layout if layout is not None else SlotLayout(engine)
-        self.n = self.layout.n
+        self.n = engine.n
         self._crashing = any(b.crashes_nodes for b in self.bound)
         self._droppers = tuple(b for b in self.bound if b.drops_messages)
         self._corrupters = tuple(b for b in self.bound if b.corrupts_messages)
@@ -178,13 +150,12 @@ class DenseFaults:
         return self._cache[key]
 
     def _build(self, kind: str, round_no: int, span=None):
-        layout = self.layout
         if kind == "crash":
             return self._build_crash(round_no)
         if kind == "out":
-            return self._build_out(round_no, layout.out_sender, layout.out_port)
+            return self._build_out(round_no, *self._engine.slot_layout()[:2])
         if kind == "cout":
-            return self._build_corrupt(round_no, layout.out_sender, layout.out_port)
+            return self._build_corrupt(round_no, *self._engine.slot_layout()[:2])
         if span is not None:
             # Receive side of check positions [start, stop): the message at
             # position k was sent by check_node[k] on its port check_port[k].
@@ -195,7 +166,7 @@ class DenseFaults:
                 return self._build_corrupt(round_no, *coords)
             return self._build_out(round_no, *coords)
         out = self._lookup("cout" if kind == "cin" else "out", round_no)
-        return None if out is None else out[layout.partner]
+        return None if out is None else out[self._engine.slot_layout()[2]]
 
     def _build_crash(self, round_no: int):
         np = self._np

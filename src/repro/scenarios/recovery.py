@@ -5,11 +5,14 @@ A faulty environment (crashes, drops, Byzantine corruption — see
 leave a pipeline's output violating its contract: adjacent MIS nodes seated
 by forged priorities, surviving sinks whose outgoing edges lead into
 crashed neighbors, constrained splitting nodes outside the spec bounds.
-This module adds the *recovering* variants: after the base algorithm stops,
-the nodes keep running a *detect-and-repair* phase — defensive message
-validation, restart-on-inconsistency of the violating neighborhood, gossip
-re-join of orphaned (undominated) nodes — until the contract holds on the
-surviving graph or a round cap is hit.
+This module holds the three repair drivers (:func:`luby_repair`,
+:func:`sinkless_repair`, :func:`splitting_repair`) that
+``run_scenario(..., recover=True)`` (:mod:`repro.scenarios.run`, the one
+driver of faulty and recovering runs) appends to a base run: after the
+base algorithm stops, the nodes keep running a *detect-and-repair* phase —
+defensive message validation, restart-on-inconsistency of the violating
+neighborhood, gossip re-join of orphaned (undominated) nodes — until the
+contract holds on the surviving graph or a round cap is hit.
 
 Three structural properties make the repair layer exact and cheap to test:
 
@@ -18,8 +21,8 @@ Three structural properties make the repair layer exact and cheap to test:
   for Luby, per-slot ``out`` orientation bits for sinkless, ``colors`` for
   splitting), plus per-round fault masks from
   :class:`~repro.scenarios.masks.DenseFaults` and keyed repair coins.  A
-  recovering run on the hooked engine therefore matches a recovering run on
-  the dense kernels bit for bit (property-tested in
+  recovering scenario run on the hooked engine therefore matches one on
+  the dense kernels bit for bit, end state included (property-tested in
   ``tests/scenarios/test_recovery.py``) — the repair itself is one shared
   vectorized implementation.
 * **Faults keep landing.**  Repair rounds continue the base run's round
@@ -45,23 +48,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.scenarios.contracts import edge_ok_slot_mask
-from repro.utils.rng import ensure_rng, keyed_u01_array
-from repro.utils.validation import require
+from repro.utils.rng import keyed_u01_array
 
 __all__ = [
     "REPAIR_COINS",
     "REPAIR_ROUND_CAP",
     "RepairResult",
-    "bound_stack",
-    "edge_ok_slot_mask",
     "luby_repair",
     "sinkless_repair",
     "sinkless_violations",
     "splitting_repair",
-    "luby_mis_recovering",
-    "sinkless_recovering",
-    "splitting_recovering",
 ]
 
 #: Coin label of the repair layer: disjoint from the algorithm's ``"node"``
@@ -107,27 +103,6 @@ def _budget(last_round, used, k, max_rounds, cap):
     return max_rounds is None or last_round + k <= max_rounds
 
 
-def bound_stack(hooks=None, faults=None):
-    """The bound perturbation stack behind a ``hooks``/``faults`` argument.
-
-    The pipeline entry points (``luby_mis(recover=True)`` and friends)
-    receive faults either as a :class:`~repro.scenarios.masks.DenseFaults`
-    (dense methods) or as hooks (a
-    :class:`~repro.scenarios.base.PerturbationHooks`, possibly wrapped by
-    :class:`~repro.obs.hooks.TracingHooks` — the ``inner`` chain is
-    walked); both carry the bound stack the repair layer needs.
-    """
-    if faults is not None:
-        return tuple(faults.bound)
-    h = hooks
-    while h is not None:
-        b = getattr(h, "bound", None)
-        if b is not None:
-            return tuple(b)
-        h = getattr(h, "inner", None)
-    return ()
-
-
 # ---------------------------------------------------------------------------
 # Luby MIS: gossip detection + Luby-with-blockers re-election.
 # ---------------------------------------------------------------------------
@@ -169,11 +144,11 @@ def luby_repair(
     """
     import numpy as np
 
-    from repro.local.dense import _segment_or, _slot_owner
+    from repro.local.dense import _segment_or
 
     offsets, dst_node, _ = engine.dense_arrays()
     nbr = dst_node
-    owner = _slot_owner(offsets)
+    owner = engine.slot_layout()[0]
     uid = engine.network.uid_array
     n = engine.n
 
@@ -254,11 +229,9 @@ def _slot_views(engine):
     """CSR slot arrays of the repair: ``offsets``, ``dst_node``, ``owner``,
     the partner slot (same edge, other endpoint) and whether the owner is
     the lower-index, authoritative endpoint."""
-    from repro.local.dense import _slot_owner
-
-    offsets, dst_node, dst_port = engine.dense_arrays()
-    owner = _slot_owner(offsets)
-    return offsets, dst_node, owner, offsets[:-1][dst_node] + dst_port, owner < dst_node
+    offsets, dst_node, _ = engine.dense_arrays()
+    owner, _, partner = engine.slot_layout()
+    return offsets, dst_node, owner, partner, owner < dst_node
 
 
 def _extracted(out, partner, low_view, idx=slice(None)):
@@ -490,7 +463,7 @@ def splitting_repair(
 
     The stop probe is the central ground-truth recount, so ``recovered``
     implies zero violations by construction.  ``edge_ok_mask`` (per-slot
-    bool, see :func:`edge_ok_slot_mask`) restricts the probe under
+    bool, see :func:`~repro.scenarios.contracts.edge_ok_slot_mask`) restricts the probe under
     edge-deleting perturbations.
     """
     import numpy as np
@@ -561,201 +534,3 @@ def splitting_repair(
             recovered = True
             break
     return RepairResult(recovered=recovered, repair_rounds=used, last_round=last)
-
-
-# ---------------------------------------------------------------------------
-# End-to-end recovering variants (base pipeline + repair).
-# ---------------------------------------------------------------------------
-
-
-def _build_engine(adjacency, engine):
-    if engine is not None:
-        return engine
-    from repro.local.engine import CSREngine
-    from repro.local.network import Network
-
-    return CSREngine(Network(adjacency))
-
-
-def luby_mis_recovering(
-    adjacency,
-    perturbations=(),
-    seed: int = 0,
-    method: str = "engine",
-    max_rounds: int = 10_000,
-    cap: int = REPAIR_ROUND_CAP,
-    engine=None,
-):
-    """Luby MIS with post-run detect-and-repair.
-
-    Runs the base pipeline under the bound perturbation stack on the
-    requested backend (``method="engine"`` — hooked CSR engine,
-    ``method="dense"`` — masked numpy kernel, bit-identical to the engine),
-    then applies :func:`luby_repair`.  Returns
-    ``(mis, rounds, repair)``: the surviving nodes' MIS set, the total
-    simulated rounds (base + repair tail) and the :class:`RepairResult`.
-    """
-    import numpy as np
-
-    from repro.scenarios.base import PerturbationHooks, bind_all
-    from repro.scenarios.masks import DenseFaults
-
-    require(method in ("engine", "dense"), f"unknown method {method!r}")
-    engine = _build_engine(adjacency, engine)
-    bound = bind_all(perturbations, engine.network, seed)
-    if method == "dense":
-        from repro.local.dense import luby_mis_dense
-
-        result = luby_mis_dense(
-            engine, seed=seed, max_rounds=max_rounds, faults=DenseFaults(engine, bound),
-        )
-        in_mis = result.in_mis.copy()
-        crashed = result.crashed.copy()
-        rounds = result.rounds
-    else:
-        from repro.mis.luby import LubyMIS
-
-        result = engine.run(
-            LubyMIS(), max_rounds=max_rounds, seed=seed,
-            hooks=PerturbationHooks(bound),
-        )
-        in_mis = np.array([bool(v.state.get("in_mis")) for v in result.views])
-        crashed = np.array([bool(v.state.get("crashed")) for v in result.views])
-        rounds = result.rounds
-    repair = luby_repair(
-        engine, DenseFaults(engine, bound), seed, in_mis, crashed,
-        start_round=rounds + 1, max_rounds=max_rounds, cap=cap,
-    )
-    mis = set(np.flatnonzero(in_mis & ~crashed).tolist())
-    return mis, repair.last_round, repair
-
-
-def sinkless_recovering(
-    adjacency,
-    perturbations=(),
-    min_degree: int = 1,
-    seed: int = 0,
-    method: str = "engine",
-    max_rounds: int = 400,
-    cap: int = REPAIR_ROUND_CAP,
-    engine=None,
-):
-    """Trial-and-fix sinkless orientation with post-run detect-and-repair.
-
-    Runs the base trial-and-fix under the bound stack (non-strict: an
-    unrecovered base run is the repair's starting point, not an error),
-    then applies :func:`sinkless_repair`.  The perturbation schedule must
-    leave round 1 (the proposal exchange) clean, like every sinkless
-    scenario.  Returns ``(orientation, rounds, repair)`` with the
-    authoritative orientation dict over all nodes.
-    """
-    from repro.local.dense import dense_orientation
-    from repro.scenarios.base import PerturbationHooks, bind_all
-    from repro.scenarios.masks import DenseFaults
-
-    require(method in ("engine", "dense"), f"unknown method {method!r}")
-    engine = _build_engine(adjacency, engine)
-    network = engine.network
-    bound = bind_all(perturbations, network, seed)
-    if method == "dense":
-        from repro.local.dense import sinkless_trial_dense
-
-        result = sinkless_trial_dense(
-            engine, min_degree=min_degree, seed=seed,
-            max_rounds=max_rounds, faults=DenseFaults(engine, bound),
-            strict=False,
-        )
-        out = result.out.copy()
-        crashed = result.crashed.copy()
-        rounds = result.rounds
-    else:
-        from repro.orientation.sinkless import (
-            TrialAndFixSinkless,
-            slot_state_from_views,
-            survivors_sink_free,
-        )
-
-        def probe(round_no, views):
-            return round_no >= 2 and survivors_sink_free(
-                network.adjacency, views, min_degree
-            )
-
-        result = engine.run(
-            TrialAndFixSinkless(min_degree=min_degree), max_rounds=max_rounds,
-            seed=seed, probe=probe, hooks=PerturbationHooks(bound),
-        )
-        out, crashed = slot_state_from_views(engine.offsets, result.views)
-        rounds = result.rounds
-    repair = sinkless_repair(
-        engine, DenseFaults(engine, bound), seed, out, crashed, min_degree,
-        start_round=rounds + 1, max_rounds=max_rounds, cap=cap,
-    )
-    return dense_orientation(engine, out), repair.last_round, repair
-
-
-def splitting_recovering(
-    adjacency,
-    spec,
-    perturbations=(),
-    seed: int = 0,
-    method: str = "engine",
-    max_attempts: int = 64,
-    cap: int = REPAIR_ROUND_CAP,
-    engine=None,
-):
-    """Las-Vegas uniform splitting with post-run detect-and-repair.
-
-    Runs the standard per-attempt loop (each attempt rebinds the fault
-    schedule on its own run seed, exactly like the scenario runner), then
-    applies :func:`splitting_repair` to the final attempt's binding from
-    round 2 on.  Returns ``(partition, rounds, repair)`` where ``rounds``
-    counts one verification round per attempt plus the repair tail.
-    """
-    import numpy as np
-
-    from repro.bipartite.instance import BLUE, RED
-    from repro.scenarios.base import PerturbationHooks, bind_all
-    from repro.scenarios.masks import DenseFaults
-
-    require(method in ("engine", "dense"), f"unknown method {method!r}")
-    require(max_attempts >= 1, f"max_attempts must be >= 1, got {max_attempts}")
-    engine = _build_engine(adjacency, engine)
-    network = engine.network
-    rng = ensure_rng(seed)
-    for attempts in range(1, max_attempts + 1):
-        run_seed = rng.randrange(2**31)
-        attempt_bound = bind_all(perturbations, network, run_seed)
-        if method == "dense":
-            from repro.local.dense import uniform_splitting_dense
-
-            result = uniform_splitting_dense(
-                engine, spec, seed=run_seed, red=RED, blue=BLUE,
-                faults=DenseFaults(engine, attempt_bound),
-            )
-            colors = result.colors.astype(np.int64).copy()
-            crashed = result.crashed.copy()
-            accepted = result.ok
-        else:
-            from repro.apps.splitting import ZeroRoundSplitting
-
-            result = engine.run(
-                ZeroRoundSplitting(spec), max_rounds=1, seed=run_seed,
-                hooks=PerturbationHooks(attempt_bound),
-            )
-            colors = np.array(
-                [int(v.state["color"]) for v in result.views], dtype=np.int64
-            )
-            crashed = np.array(
-                [bool(v.state.get("crashed")) for v in result.views]
-            )
-            accepted = all(
-                v.output[1] for v in result.views if v.output is not None
-            )
-        if accepted:
-            break
-    repair = splitting_repair(
-        engine, DenseFaults(engine, attempt_bound), spec, run_seed, colors,
-        crashed, start_round=2, red=RED, blue=BLUE, cap=cap,
-        edge_ok_mask=edge_ok_slot_mask(engine, attempt_bound),
-    )
-    return colors.tolist(), attempts + repair.repair_rounds, repair

@@ -23,10 +23,15 @@ drives the whole trial reproducibly and every backend computes the same
 run bit for bit.
 
 Scenario cells are amortized like the :func:`~repro.exp.workloads.scenario_engine`
-cache: the built graph, packed engine and dense slot layout for one
+cache: the built graph and packed engine for one
 ``(scenario, n, degree, graph_seed)`` cell are cached per process and
 reused across trial seeds — only the seeds drive coins and fault
-schedules, so packing and mask setup are paid once per cell.
+schedules, so packing and the engine's cached slot coordinates (the
+fault masks' set-up) are paid once per cell.
+
+This is the one place that binds a perturbation stack to a pipeline run
+and appends a repair tail; the pipeline drivers (``luby_mis``,
+``run_trial_and_fix``, ``uniform_splitting``) run fault-free.
 """
 
 from __future__ import annotations
@@ -76,8 +81,8 @@ def _scenario_adjacency(sc: Scenario, n: int, degree: int, graph_seed: int):
     return random_sparse_graph(n, float(degree), seed=graph_seed)
 
 
-# Per-process cell cache: built network + packed engine + dense slot layout
-# for one (scenario, n, degree, graph_seed) cell, reused across trial seeds
+# Per-process cell cache: built network + packed engine for one
+# (scenario, n, degree, graph_seed) cell, reused across trial seeds
 # (the seeds drive coins and fault schedules, never the topology).  Keyed by
 # the Scenario object itself — registered scenarios are module singletons,
 # ad-hoc ones simply miss.  Small FIFO cap: a sweep touches a handful of
@@ -87,12 +92,11 @@ _CELL_CACHE_MAX = 4
 
 
 def _scenario_cell(sc: Scenario, n: int, degree: int, graph_seed: int, backend: str):
-    """``(network, engine, layout, setup_seconds)`` for one scenario cell.
+    """``(network, engine, setup_seconds)`` for one scenario cell.
 
     ``setup_seconds`` is the graph build + rewrite + packing time paid by
     *this* call (0.0 on a full cache hit); ``engine`` is ``None`` for the
-    reference backend, ``layout`` (a :class:`~repro.scenarios.masks.SlotLayout`)
-    only exists for the dense backend.
+    reference backend.
     """
     key = (sc, int(n), int(degree), int(graph_seed))
     cell = _CELL_CACHE.get(key)
@@ -100,20 +104,13 @@ def _scenario_cell(sc: Scenario, n: int, degree: int, graph_seed: int, backend: 
     if cell is None:
         adjacency = _scenario_adjacency(sc, n, degree, graph_seed)
         adjacency, ids = rewrite_all(sc.perturbations, adjacency)
-        cell = {"network": Network(adjacency, ids=ids), "engine": None, "layout": None}
+        cell = {"network": Network(adjacency, ids=ids), "engine": None}
         if len(_CELL_CACHE) >= _CELL_CACHE_MAX:
             _CELL_CACHE.pop(next(iter(_CELL_CACHE)))
         _CELL_CACHE[key] = cell
     if backend in ("engine", "dense") and cell["engine"] is None:
         cell["engine"] = CSREngine(cell["network"])
-    if backend == "dense" and cell["layout"] is None:
-        from repro.scenarios.masks import SlotLayout
-
-        cell["engine"].dense_arrays()
-        cell["layout"] = SlotLayout(cell["engine"])
-    return cell["network"], cell["engine"], cell["layout"], (
-        time.perf_counter() - setup_start
-    )
+    return cell["network"], cell["engine"], time.perf_counter() - setup_start
 
 
 def run_scenario(
@@ -188,12 +185,11 @@ def run_scenario(
     if max_rounds is None:
         max_rounds = 400 if sc.pipeline == "sinkless" else 10_000
 
-    layout = None
     # The repair layer runs on CSR arrays, so a recovering reference run
     # still needs the packed engine (the base run stays hook-driven).
     cell_backend = "engine" if (recover and backend == "reference") else backend
     if adjacency is None:
-        network, engine, layout, setup_seconds = _scenario_cell(
+        network, engine, setup_seconds = _scenario_cell(
             sc, n, degree, graph_seed, cell_backend
         )
     else:
@@ -211,17 +207,17 @@ def run_scenario(
     solve_start = time.perf_counter()
     if sc.pipeline == "luby":
         metrics, state = _run_luby(
-            sc, network, engine, bound, backend, seed, max_rounds, layout,
+            sc, network, engine, bound, backend, seed, max_rounds,
             tracer=tracer, recover=recover,
         )
     elif sc.pipeline == "sinkless":
         metrics, state = _run_sinkless(
-            sc, network, engine, bound, backend, seed, max_rounds, layout,
+            sc, network, engine, bound, backend, seed, max_rounds,
             tracer=tracer, recover=recover,
         )
     else:
         metrics, state = _run_splitting(
-            sc, network, engine, backend, seed, degree, max_attempts, layout,
+            sc, network, engine, backend, seed, degree, max_attempts,
             tracer=tracer, recover=recover,
         )
     metrics["solve_seconds"] = time.perf_counter() - solve_start
@@ -252,8 +248,8 @@ def run_scenario(
     return metrics
 
 
-def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, layout=None,
-              tracer=None, recover=False):
+def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, tracer=None,
+              recover=False):
     edge_ok = final_edge_ok(bound)
     if backend == "dense":
         from repro.local.dense import luby_mis_dense
@@ -261,7 +257,7 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, layout=None
 
         result = luby_mis_dense(
             engine, seed=seed, max_rounds=max_rounds,
-            faults=DenseFaults(engine, bound, layout=layout), tracer=tracer,
+            faults=DenseFaults(engine, bound), tracer=tracer,
         )
         alive = (~result.crashed).tolist()
         mis = set(np.flatnonzero(result.in_mis).tolist())
@@ -299,7 +295,7 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, layout=None
         # against its cap is exactly the state repair exists for, so the
         # tail gets its own REPAIR_ROUND_CAP-bounded budget.
         rep = luby_repair(
-            engine, DenseFaults(engine, bound, layout=layout), seed, in_mis,
+            engine, DenseFaults(engine, bound), seed, in_mis,
             crashed, start_round=rounds + 1,
         )
         alive = (~crashed).tolist()
@@ -331,52 +327,43 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, layout=None
     return metrics, state
 
 
-def _round_one_delivers_clean(b, network, layout) -> bool:
+def _round_one_delivers_clean(b, engine) -> bool:
     """Whether perturbation ``b`` delivers every round-1 message.
 
     Trusts the ``drops_messages`` capability flag like
-    :class:`~repro.scenarios.masks.DenseFaults` does, then uses the
-    vectorized mask when the dense slot layout is at hand (one kernel call
-    instead of an O(m) scalar sweep); falls back to the pure per-message
-    decision otherwise.
+    :class:`~repro.scenarios.masks.DenseFaults` does, then asks the
+    vectorized mask over the engine's slot coordinates; a perturbation
+    without one falls back to its pure per-message decision.
     """
     if not b.drops_messages:
         return True
-    if layout is not None:
-        mask = b.delivers_mask(1, layout.out_sender, layout.out_port)
-        if mask is not NotImplemented:
-            return mask is None or bool(mask.all())
-    return all(
-        b.delivers(1, s, p)
-        for s in range(network.n)
-        for p in range(len(network.adjacency[s]))
-    )
+    senders, ports, _ = engine.slot_layout()
+    mask = b.delivers_mask(1, senders, ports)
+    if mask is NotImplemented:
+        return all(b.delivers(1, int(s), int(p)) for s, p in zip(senders, ports))
+    return mask is None or bool(mask.all())
 
 
-def _round_one_corruption_free(b, network, layout) -> bool:
+def _round_one_corruption_free(b, engine) -> bool:
     """Whether perturbation ``b`` leaves every round-1 payload intact."""
     if not getattr(b, "corrupts_messages", False):
         return True
-    if layout is not None:
-        mask = b.corrupts_mask(1, layout.out_sender, layout.out_port)
-        if mask is not NotImplemented:
-            return mask is None or not bool(mask.any())
-    return not any(
-        b.corrupts(1, s, p)
-        for s in range(network.n)
-        for p in range(len(network.adjacency[s]))
-    )
+    senders, ports, _ = engine.slot_layout()
+    mask = b.corrupts_mask(1, senders, ports)
+    if mask is NotImplemented:
+        return not any(b.corrupts(1, int(s), int(p)) for s, p in zip(senders, ports))
+    return mask is None or not bool(mask.any())
 
 
-def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, layout=None,
-                  tracer=None, recover=False):
+def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, tracer=None,
+                  recover=False):
     adjacency = network.adjacency
     min_degree = sc.min_degree
     # Fault schedules for sinkless must leave round 1 (the proposal
     # exchange) clean — the dense kernel's fault window starts at round 2,
     # so a round-1 fault would silently diverge between backends instead of
     # degrading gracefully.  Enforce it as a loud error rather than wrong
-    # data (vectorized where the slot layout exists).
+    # data (vectorized over the engine's slot coordinates).
     for b in bound:
         require(
             not tuple(b.crashes(1)),
@@ -384,12 +371,12 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, layout=
             "from round 2 on (e.g. CrashNodes(at_round=2))",
         )
         require(
-            _round_one_delivers_clean(b, network, layout),
+            _round_one_delivers_clean(b, engine),
             "sinkless scenarios must leave round 1 clean: start message "
             "faults from round 2 (e.g. IIDMessageDrop(from_round=2))",
         )
         require(
-            _round_one_corruption_free(b, network, layout),
+            _round_one_corruption_free(b, engine),
             "sinkless scenarios must leave round 1 clean: start Byzantine "
             "corruption from round 2 (e.g. CorruptMessages(from_round=2))",
         )
@@ -400,7 +387,7 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, layout=
 
         result = sinkless_trial_dense(
             engine, min_degree=min_degree, seed=seed,
-            max_rounds=max_rounds, faults=DenseFaults(engine, bound, layout=layout),
+            max_rounds=max_rounds, faults=DenseFaults(engine, bound),
             strict=False, tracer=tracer,
         )
         out, crashed = result.out, result.crashed
@@ -439,7 +426,7 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, layout=
         # Base-run cap only; the repair tail is REPAIR_ROUND_CAP-bounded
         # (a base run livelocked by corrupted flips *needs* the tail).
         rep = sinkless_repair(
-            engine, DenseFaults(engine, bound, layout=layout), seed, out,
+            engine, DenseFaults(engine, bound), seed, out,
             crashed, min_degree, start_round=rounds + 1, tracer=tracer,
         )
         rounds = rep.last_round
@@ -471,8 +458,8 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, layout=
     return metrics, state
 
 
-def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts, layout=None,
-                   tracer=None, recover=False):
+def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts, tracer=None,
+                   recover=False):
     spec = UniformSplittingSpec(eps=sc.eps, min_constrained_degree=max(2, degree // 2))
     rng = ensure_rng(seed)
     if backend == "dense":
@@ -488,7 +475,7 @@ def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts, lay
         if backend == "dense":
             result = uniform_splitting_dense(
                 engine, spec, seed=run_seed,
-                faults=DenseFaults(engine, attempt_bound, layout=layout),
+                faults=DenseFaults(engine, attempt_bound),
                 tracer=tracer,
             )
             accepted = result.ok
@@ -536,7 +523,7 @@ def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts, lay
         # Repair continues the final attempt's environment: its binding is
         # the schedule still in force and its run seed keys the repair coins.
         rep = splitting_repair(
-            engine, DenseFaults(engine, attempt_bound, layout=layout), spec,
+            engine, DenseFaults(engine, attempt_bound), spec,
             run_seed, colors, crashed, start_round=2, red=RED, blue=BLUE,
             edge_ok_mask=edge_ok_slot_mask(engine, attempt_bound),
         )

@@ -309,7 +309,7 @@ class TestDenseUnderFaults:
                     assert masks.delivered_in(round_no) is None
                 else:
                     assert np.array_equal(masks.delivered_in(round_no),
-                                          out[masks.layout.partner])
+                                          out[engine.slot_layout()[2]])
             check_luby(net, seed, stack, max_rounds=40)
 
     @pytest.mark.parametrize("at_round", [1, 3, 5])

@@ -35,7 +35,7 @@ from repro.scenarios import (
     rewrite_all,
     run_scenario,
 )
-from repro.scenarios.masks import DenseFaults, SlotLayout
+from repro.scenarios.masks import DenseFaults
 from repro.utils.rng import keyed_u01, keyed_u01_array, keyed_u01_slots
 
 
@@ -125,11 +125,12 @@ class TestCoinKernels:
         ]
 
 
-def scalar_delivered(bound, layout, round_no):
+def scalar_delivered(bound, engine, round_no):
+    senders, ports, _ = engine.slot_layout()
     return np.array(
         [
             all(b.delivers(round_no, int(s), int(p)) for b in bound)
-            for s, p in zip(layout.out_sender, layout.out_port)
+            for s, p in zip(senders, ports)
         ],
         dtype=bool,
     )
@@ -152,20 +153,20 @@ class TestMasksMatchScalarDecisions:
         adjacency, ids = rewrite_all(sc.perturbations, base, layout_ids(len(base), 3))
         net = Network(adjacency, ids=ids)
         engine = CSREngine(net)
-        layout = SlotLayout(engine)
+        partner = engine.slot_layout()[2]
         bound = bind_all(sc.perturbations, net, fault_seed=42)
-        faults = DenseFaults(engine, bound, layout=layout)
+        faults = DenseFaults(engine, bound)
         for round_no in (1, 2, 3, 4, 5, 9, 40):
             out = faults.delivered_out(round_no)
-            got = out if out is not None else np.ones(layout.out_sender.shape[0], bool)
-            assert np.array_equal(got, scalar_delivered(bound, layout, round_no)), (
+            got = out if out is not None else np.ones(partner.shape[0], bool)
+            assert np.array_equal(got, scalar_delivered(bound, engine, round_no)), (
                 sc.name, round_no,
             )
             din = faults.delivered_in(round_no)
             if out is None:
                 assert din is None
             else:
-                assert np.array_equal(din, out[layout.partner])
+                assert np.array_equal(din, out[partner])
             crash = faults.crashed_at(round_no)
             got_crash = crash if crash is not None else np.zeros(net.n, bool)
             assert np.array_equal(got_crash, scalar_crashed(bound, net.n, round_no))
@@ -208,6 +209,22 @@ class TestMasksMatchScalarDecisions:
                     np.zeros(b - a, bool) if got is None else got, want[a:b]
                 ), (sc.name, round_no, a, b)
 
+    def test_range_masks_build_no_slot_layout(self):
+        # A splitting attempt reads only check-range masks, so it must not
+        # pay for the engine's O(m) whole-round slot coordinates.
+        from repro.scenarios import CorruptMessages
+
+        net = Network(small_graph(9))
+        engine = CSREngine(net)
+        bound = bind_all((IIDMessageDrop(p=0.3), CorruptMessages(p=0.3)), net, 4)
+        faults = DenseFaults(engine, bound)
+        m = int(net.offsets[-1])
+        assert faults.delivered_in_range(1, 0, m) is not None
+        assert faults.corrupted_in_range(1, 0, m) is not None
+        assert engine._layout is None
+        faults.delivered_in(1)
+        assert engine._layout is not None
+
     def test_scalar_fallback_for_unvectorized_perturbations(self):
         from repro.scenarios.base import BoundPerturbation, Perturbation
 
@@ -222,12 +239,11 @@ class TestMasksMatchScalarDecisions:
         adj = small_graph(3)
         net = Network(adj)
         engine = CSREngine(net)
-        layout = SlotLayout(engine)
         bound = bind_all((OddSlotDrop(),), net, fault_seed=0)
-        faults = DenseFaults(engine, bound, layout=layout)
+        faults = DenseFaults(engine, bound)
         for r in (1, 2):
             assert np.array_equal(
-                faults.delivered_out(r), scalar_delivered(bound, layout, r)
+                faults.delivered_out(r), scalar_delivered(bound, engine, r)
             )
 
 
@@ -241,11 +257,10 @@ class TestQuietHorizon:
         )
         faults = DenseFaults(engine, bound)
         assert faults.quiet == 3
-        layout = faults.layout
         # Deletions persist: the steady mask equals the scalar schedule at
         # any later round, and the stack never "expires".
         steady = faults.delivered_out(1000)
-        assert np.array_equal(steady, scalar_delivered(bound, layout, 1000))
+        assert np.array_equal(steady, scalar_delivered(bound, engine, 1000))
         assert steady is faults.delivered_out(2000)  # one build, reused
         assert not faults.expired(100)
         faults.delivered_in(500)
@@ -304,7 +319,8 @@ class TestQuietHorizon:
         assert Counting.calls <= 2 * (faults.quiet + 1)
 
 
-def scalar_corrupted(bound, layout, round_no):
+def scalar_corrupted(bound, engine, round_no):
+    senders, ports, _ = engine.slot_layout()
     return np.array(
         [
             any(
@@ -312,7 +328,7 @@ def scalar_corrupted(bound, layout, round_no):
                 and b.corrupts(round_no, int(s), int(p))
                 for b in bound
             )
-            for s, p in zip(layout.out_sender, layout.out_port)
+            for s, p in zip(senders, ports)
         ],
         dtype=bool,
     )
@@ -326,25 +342,25 @@ class TestCorruptionMasks:
 
         net = Network(small_graph(21))
         engine = CSREngine(net)
-        layout = SlotLayout(engine)
+        partner = engine.slot_layout()[2]
         bound = bind_all(
             (CorruptMessages(p=0.3, from_round=2, until_round=5),
              CrashNodes(0.2, at_round=3)),
             net, fault_seed=5,
         )
-        faults = DenseFaults(engine, bound, layout=layout)
+        faults = DenseFaults(engine, bound)
         assert faults.corrupting
         for round_no in (1, 2, 3, 5, 6, 40):
             cout = faults.corrupted_out(round_no)
-            got = cout if cout is not None else np.zeros(layout.partner.shape, bool)
-            assert np.array_equal(got, scalar_corrupted(bound, layout, round_no)), round_no
+            got = cout if cout is not None else np.zeros(partner.shape, bool)
+            assert np.array_equal(got, scalar_corrupted(bound, engine, round_no)), round_no
             cin = faults.corrupted_in(round_no)
             if cout is None:
                 assert cin is None
             else:
                 # The receiving view is the partner gather of the outgoing
                 # one: a slot is corrupted-in iff its sender corrupted-out.
-                assert np.array_equal(cin, cout[layout.partner])
+                assert np.array_equal(cin, cout[partner])
 
     def test_corrupting_stack_settles_and_expires(self):
         from repro.scenarios import CorruptMessages
@@ -383,10 +399,10 @@ class TestScenarioCellCache:
         assert len(run_mod._CELL_CACHE) == 1
         cell = next(iter(run_mod._CELL_CACHE.values()))
         engine = cell["engine"]
-        layout = cell["layout"]
+        layout = engine.slot_layout()
         b = run_scenario("luby/crash", n=180, seed=1, backend="dense")
         assert next(iter(run_mod._CELL_CACHE.values()))["engine"] is engine
-        assert next(iter(run_mod._CELL_CACHE.values()))["layout"] is layout
+        assert engine.slot_layout() is layout  # built once per engine
         assert a["n"] == b["n"] and a["m"] == b["m"]
         # Different trial seeds still draw different schedules/coins.
         run_mod._CELL_CACHE.clear()

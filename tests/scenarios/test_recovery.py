@@ -2,15 +2,15 @@
 
 Four layers of guarantees:
 
-* **bit-identity** — the ``*_recovering`` variants return identical
-  ``(output, rounds, RepairResult)`` tuples on the hooked engine and the
-  masked dense kernels, in both fault modes, because the repair drivers
-  run one shared vectorized implementation over end-state arrays both
-  backends produce bit-identically;
+* **bit-identity** — ``run_scenario(recover=True)`` on ad-hoc scenarios
+  returns identical metrics and end states on the hooked engine and the
+  masked dense kernels, because the repair drivers run one shared
+  vectorized implementation over end-state arrays both backends produce
+  bit-identically;
 * **bounded truncation** — a ``max_rounds`` cap that lands mid-repair
-  stops the tail early on *both* backends at the same round with the same
-  partial state (``recovered=False``), and ``cap=0`` disables the tail
-  entirely;
+  stops :func:`luby_repair` early at the same round with the same partial
+  state (``recovered=False``) from either backend's base end state, and
+  ``cap=0`` disables the tail entirely;
 * **zero violations** — for every registered crash/drop/Byzantine
   scenario with a settling schedule, ``run_scenario(recover=True)``
   reaches zero contract violations within a bounded repair tail, with
@@ -23,22 +23,25 @@ Four layers of guarantees:
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.apps.splitting import uniform_splitting
 from repro.core.problems import UniformSplittingSpec
+from repro.local import CSREngine, Network
+from repro.mis.luby import luby_mis
+from repro.orientation.sinkless import run_trial_and_fix
 from repro.scenarios import (
-    CorrelatedCrash,
     CorruptMessages,
     CrashNodes,
-    IIDMessageDrop,
-    RepairResult,
+    Scenario,
     all_scenarios,
+    bind_all,
     get_scenario,
-    luby_mis_recovering,
+    luby_repair,
     run_scenario,
-    sinkless_recovering,
-    splitting_recovering,
 )
+from repro.scenarios.masks import DenseFaults
 
 RECOVERING_SCENARIOS = [
     "luby/crash",
@@ -81,89 +84,91 @@ SINKLESS_STACK = (
 SPLITTING_STACK = (CorruptMessages(p=0.1, until_round=1),)
 SPLITTING_SPEC = UniformSplittingSpec(eps=0.25, min_constrained_degree=3)
 
+#: Ad-hoc scenarios over the stacks above, run on explicit graphs.
+LUBY = Scenario("adhoc/luby-recover", "luby", LUBY_STACK)
+SINKLESS = Scenario("adhoc/sinkless-recover", "sinkless", SINKLESS_STACK, min_degree=3)
+SPLITTING = Scenario("adhoc/splitting-recover", "splitting", SPLITTING_STACK, eps=0.25)
+#: (scenario, graph, seed, run_scenario options) per pipeline; for splitting
+#: ``degree=6`` gives ``min_constrained_degree=3``.
+CASES = {
+    "luby": [(LUBY, random_graph(100 + t), t, {}) for t in range(4)],
+    "sinkless": [(SINKLESS, circulant(n=24, k=3), s, {}) for s in (0, 1, 2)],
+    "splitting": [(SPLITTING, circulant(n=30, k=4), s, {"degree": 6}) for s in (0, 1)],
+}
+
 
 def deterministic(metrics):
     """The metric channels that must be bit-identical across backends."""
     return {k: v for k, v in metrics.items() if not k.endswith("_seconds")}
 
 
-class TestRecoveringVariantsBitIdentity:
-    """engine vs dense: identical (output, rounds, RepairResult)."""
+@pytest.mark.parametrize("pipeline", sorted(CASES))
+def test_recovering_run_is_bit_identical_across_backends(pipeline):
+    """engine vs dense: identical metrics and full repaired end state."""
+    for sc, adj, seed, opts in CASES[pipeline]:
+        eng, eng_state = run_scenario(sc, adjacency=adj, seed=seed, backend="engine",
+                                      recover=True, return_state=True, **opts)
+        den, den_state = run_scenario(sc, adjacency=adj, seed=seed, backend="dense",
+                                      recover=True, return_state=True, **opts)
+        assert deterministic(eng) == deterministic(den), (pipeline, seed)
+        assert eng_state == den_state, (pipeline, seed)
+        assert eng["recovered"] == 1 and eng["violations"] == 0
+        assert eng["repair_rounds"] <= eng["rounds"]
 
-    def test_luby(self):
-        for trial in range(4):
-            adj = random_graph(100 + trial)
-            eng = luby_mis_recovering(adj, LUBY_STACK, seed=trial, method="engine")
-            den = luby_mis_recovering(adj, LUBY_STACK, seed=trial, method="dense")
-            assert eng == den
-            mis, rounds, rep = eng
-            assert isinstance(rep, RepairResult)
-            assert rep.last_round == rounds
-            assert rep.recovered
 
-    def test_sinkless(self):
-        adj = circulant(n=24, k=3)
-        for seed in (0, 1, 2):
-            eng = sinkless_recovering(
-                adj, SINKLESS_STACK, min_degree=3, seed=seed, method="engine"
-            )
-            den = sinkless_recovering(
-                adj, SINKLESS_STACK, min_degree=3, seed=seed, method="dense"
-            )
-            assert eng == den
-            assert eng[2].recovered
+def luby_base(adj, seed, backend):
+    """The base-run end state ``(in_mis, crashed, rounds)`` of one LUBY
+    trial on ``backend``, as the repair tail starts from it."""
+    metrics, state = run_scenario(LUBY, adjacency=adj, seed=seed, backend=backend,
+                                  return_state=True)
+    in_mis = np.zeros(len(adj), dtype=bool)
+    in_mis[sorted(state["mis"])] = True
+    return in_mis, ~np.array(state["alive"]), metrics["rounds"]
 
-    def test_splitting(self):
-        adj = circulant(n=30, k=4)
-        for seed in (0, 1):
-            eng = splitting_recovering(
-                adj, SPLITTING_SPEC, SPLITTING_STACK, seed=seed, method="engine"
-            )
-            den = splitting_recovering(
-                adj, SPLITTING_SPEC, SPLITTING_STACK, seed=seed, method="dense"
-            )
-            assert eng == den
-            assert eng[2].recovered
+
+def luby_tail(adj, seed, backend="dense", **budget):
+    """``(survivors' MIS, RepairResult)`` of luby_repair on the base end state."""
+    in_mis, crashed, rounds = luby_base(adj, seed, backend)
+    engine = CSREngine(Network(adj))
+    faults = DenseFaults(engine, bind_all(LUBY_STACK, engine.network, seed))
+    rep = luby_repair(engine, faults, seed, in_mis, crashed, start_round=rounds + 1,
+                      **budget)
+    return set(np.flatnonzero(in_mis & ~crashed).tolist()), rep
 
 
 class TestBoundedTruncation:
-    def _full_and_base(self, adj, seed):
-        full = luby_mis_recovering(
-            adj, LUBY_STACK, seed=seed, method="dense"
-        )
-        return full, full[1] - full[2].repair_rounds
+    def test_full_tail_matches_the_recovering_scenario(self):
+        adj = random_graph(321)
+        metrics, state = run_scenario(LUBY, adjacency=adj, seed=3, backend="dense",
+                                      recover=True, return_state=True)
+        mis, rep = luby_tail(adj, 3)
+        assert (mis, rep.last_round, rep.repair_rounds) == (
+            state["mis"], metrics["rounds"], metrics["repair_rounds"])
 
     def test_max_rounds_caps_mid_repair_identically(self):
         # Pick a trial whose full repair tail is long enough to truncate.
         for seed in range(20):
             adj = random_graph(200 + seed)
-            full, base = self._full_and_base(adj, seed)
-            if full[2].repair_rounds > 2:
+            _, full = luby_tail(adj, seed)
+            if full.repair_rounds > 2:
                 break
         else:  # pragma: no cover - the stack above always damages the MIS
             pytest.fail("no trial with a multi-round repair tail")
-        capped = base + 2
-        eng = luby_mis_recovering(
-            adj, LUBY_STACK, seed=seed, method="engine", max_rounds=capped
-        )
-        den = luby_mis_recovering(
-            adj, LUBY_STACK, seed=seed, method="dense",
-            max_rounds=capped,
-        )
+        capped = full.last_round - full.repair_rounds + 2
+        eng = luby_tail(adj, seed, "engine", max_rounds=capped)
+        den = luby_tail(adj, seed, "dense", max_rounds=capped)
         assert eng == den
-        assert not eng[2].recovered
-        assert eng[2].last_round <= capped
-        assert eng[2].repair_rounds < full[2].repair_rounds
+        assert not eng[1].recovered
+        assert eng[1].last_round <= capped
+        assert eng[1].repair_rounds < full.repair_rounds
 
     def test_cap_zero_disables_the_repair_tail(self):
         adj = random_graph(321)
-        full, base = self._full_and_base(adj, 3)
-        none = luby_mis_recovering(
-            adj, LUBY_STACK, seed=3, method="dense", cap=0
-        )
-        assert none[2].repair_rounds == 0
-        assert none[1] == base
-        assert not none[2].recovered
+        _, full = luby_tail(adj, 3)
+        none = luby_tail(adj, 3, cap=0)[1]
+        assert none.repair_rounds == 0
+        assert none.last_round == full.last_round - full.repair_rounds
+        assert not none.recovered
 
 
 class TestRunScenarioRecover:
@@ -220,80 +225,17 @@ class TestRunScenarioRecover:
             assert "repair_rounds" in m
 
 
-class TestPipelineRecoverFlag:
-    def test_luby_mis_recover_matches_recovering_variant(self):
-        from repro.local import CSREngine, Network
-        from repro.mis.luby import luby_mis
-        from repro.scenarios import PerturbationHooks, bind_all
-        from repro.scenarios.masks import DenseFaults
-
-        adj = random_graph(77)
-        net = Network(adj)
-        engine = CSREngine(net)
-        bound = bind_all(LUBY_STACK, net, fault_seed=4)
-        want = luby_mis_recovering(adj, LUBY_STACK, seed=4, method="dense",
-                                   engine=engine)
-        mis, rounds = luby_mis(adj, seed=4, method="dense",
-                               engine=engine,
-                               faults=DenseFaults(engine, bound), recover=True)
-        assert (mis, rounds) == (want[0], want[1])
-        mis, rounds = luby_mis(adj, seed=4, method="engine", engine=engine,
-                               hooks=PerturbationHooks(bound), recover=True)
-        assert (mis, rounds) == (want[0], want[1])
-
-    def test_sinkless_recover_flag(self):
-        from repro.local import CSREngine, Network
-        from repro.orientation.sinkless import run_trial_and_fix
-        from repro.scenarios import bind_all
-        from repro.scenarios.masks import DenseFaults
-
-        adj = circulant(n=24, k=3)
-        engine = CSREngine(Network(adj))
-        bound = bind_all(SINKLESS_STACK, engine.network, fault_seed=1)
-        orientation, rounds = run_trial_and_fix(
-            adj, min_degree=3, seed=1, method="dense",
-            engine=engine, faults=DenseFaults(engine, bound), recover=True,
-        )
-        want = sinkless_recovering(adj, SINKLESS_STACK, min_degree=3, seed=1,
-                                   method="dense", engine=engine)
-        assert (orientation, rounds) == (want[0], want[1])
-        assert want[2].recovered
-
-    def test_splitting_recover_flag(self):
-        from repro.apps.splitting import uniform_splitting
-        from repro.local import CSREngine, Network
-        from repro.scenarios import bind_all
-        from repro.scenarios.masks import DenseFaults
-
-        adj = circulant(n=30, k=4)
-        engine = CSREngine(Network(adj))
-        bound = bind_all(SPLITTING_STACK, engine.network, fault_seed=6)
-        colors = uniform_splitting(
-            adj, SPLITTING_SPEC, method="local", seed=6,
-            engine=engine, faults=DenseFaults(engine, bound), recover=True,
-        )
-        assert len(colors) == 30
-
-    @pytest.mark.parametrize("method", ["engine", "dense"])
-    def test_splitting_rejects_zero_attempts(self, method):
-        with pytest.raises(ValueError, match="max_attempts must be >= 1"):
-            splitting_recovering(
-                circulant(n=30, k=4), SPLITTING_SPEC, SPLITTING_STACK,
-                method=method, max_attempts=0,
-            )
-
-    def test_recover_rejects_unsupported_methods(self):
-        # recover=True opens no method of its own: only the methods that
-        # run one seed on the engine or the dense kernel are accepted.
-        from repro.apps.splitting import uniform_splitting
-        from repro.mis.luby import luby_mis
-        from repro.orientation.sinkless import run_trial_and_fix
-
-        adj = random_graph(1)
-        for method in ("dense-batched", "dense-sharded"):
-            with pytest.raises(ValueError, match="unknown method"):
-                luby_mis(adj, method=method, recover=True)
-            with pytest.raises(ValueError, match="unknown method"):
-                run_trial_and_fix(adj, method=method, recover=True)
-            with pytest.raises(ValueError, match="unknown method"):
-                uniform_splitting(adj, SPLITTING_SPEC, method=method, recover=True)
+@pytest.mark.parametrize("knob", ["hooks", "faults", "recover"])
+@pytest.mark.parametrize("pipeline", ["luby", "sinkless", "splitting"])
+def test_pipelines_take_no_fault_or_recovery_knobs(pipeline, knob):
+    # Faulty and recovering runs have one driver, run_scenario; the
+    # pipeline drivers run fault-free.
+    adj = circulant(n=30, k=4)
+    call = {
+        "luby": lambda **kw: luby_mis(adj, method="dense", **kw),
+        "sinkless": lambda **kw: run_trial_and_fix(adj, method="dense", **kw),
+        "splitting": lambda **kw: uniform_splitting(adj, SPLITTING_SPEC, method="dense",
+                                                    **kw),
+    }[pipeline]
+    with pytest.raises(TypeError, match=knob):
+        call(**{knob: True if knob == "recover" else None})

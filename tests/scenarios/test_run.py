@@ -189,76 +189,26 @@ class TestRunScenario:
         assert metrics["crashed_nodes"] == 1
 
 
-class TestDriverPassThrough:
-    """The public drivers expose the same fault surfaces the runner uses."""
-
-    def _graph(self):
-        from repro.bipartite.generators import random_sparse_graph
-
-        return random_sparse_graph(120, 6.0, seed=2)
-
-    def test_luby_mis_hooks_and_faults_agree(self):
-        from repro.local import CSREngine, Network
-        from repro.mis.luby import luby_mis
-        from repro.scenarios import PerturbationHooks, bind_all
-        from repro.scenarios.masks import DenseFaults
-
-        adj = self._graph()
-        net = Network(adj)
-        engine = CSREngine(net)
-        perts = (CrashNodes(fraction=0.1, at_round=3),)
-        bound = bind_all(perts, net, fault_seed=9)
-        via_hooks, r1 = luby_mis(adj, seed=9, engine=engine,
-                                 hooks=PerturbationHooks(bound))
-        via_faults, r2 = luby_mis(adj, seed=9, engine=engine, method="dense",
-                                  faults=DenseFaults(engine, bound))
-        assert via_hooks == via_faults and r1 == r2
-
-    def test_trial_and_fix_hooks_reach_the_engine(self):
-        from repro.local import RoundHooks
-        from repro.orientation.sinkless import is_sinkless, run_trial_and_fix
-
-        # The driver's default probe demands a *globally* sink-free
-        # configuration, which arbitrary loss can freeze out of reach (the
-        # scenario runner substitutes a survivor-aware probe for that); the
-        # driver-level contract is just that hooks are consulted per
-        # message, so record the traffic without perturbing it.
-        class Recorder(RoundHooks):
-            def __init__(self):
-                self.messages = 0
-                self.rounds = set()
-
-            def deliver(self, round_no, sender, port):
-                self.messages += 1
-                self.rounds.add(round_no)
-                return True
-
-        adj = self._graph()
-        hooks = Recorder()
-        orientation, rounds = run_trial_and_fix(adj, min_degree=2, seed=5, hooks=hooks)
-        assert is_sinkless(adj, orientation, min_degree=2)
-        assert hooks.rounds == set(range(1, rounds + 1))
-        assert hooks.messages >= sum(len(a) for a in adj)  # >= round 1 traffic
-
-    def test_uniform_splitting_with_crash_hooks(self):
-        from repro.apps.splitting import uniform_splitting
+class TestSplittingUnderCrashes:
+    def test_crashed_nodes_keep_their_init_colour(self):
+        # Crashed nodes never output; their init-time colour stands in, so
+        # the partition covers every node, identically on every backend.
+        # Degrees sit in the w.h.p. regime, so clean attempts would pass.
         from repro.bipartite.generators import random_sparse_graph
         from repro.bipartite.instance import BLUE, RED
-        from repro.core.problems import UniformSplittingSpec
-        from repro.local import Network
-        from repro.scenarios import PerturbationHooks, bind_all
 
-        # Degrees must sit in the w.h.p. regime or the Las-Vegas loop fails
-        # even on a clean network.
         adj = random_sparse_graph(200, 40.0, seed=4)
-        spec = UniformSplittingSpec(eps=0.25, min_constrained_degree=20)
-        bound = bind_all((CrashNodes(fraction=0.1, at_round=1),), Network(adj), 3)
-        partition = uniform_splitting(
-            adj, spec, method="local", seed=3, hooks=PerturbationHooks(bound)
-        )
-        # Crashed nodes fall back to their init-time color: full coverage.
-        assert len(partition) == len(adj)
-        assert all(c in (RED, BLUE) for c in partition)
+        sc = Scenario(name="adhoc/splitting-crash", pipeline="splitting",
+                      perturbations=(CrashNodes(fraction=0.1, at_round=1),))
+        partitions = []
+        for backend in sc.backends:
+            metrics, state = run_scenario(sc, adjacency=adj, seed=3, degree=40,
+                                          backend=backend, return_state=True)
+            assert metrics["crashed_nodes"] > 0
+            assert len(state["partition"]) == len(adj)
+            assert set(state["partition"]) <= {RED, BLUE}
+            partitions.append(state["partition"])
+        assert partitions[1:] == partitions[:-1]
 
 
 class TestExpIntegration:
