@@ -18,15 +18,15 @@ RESILIENCE_SEEDS = range(5)
 
 #: (scenario, backend) cells curated into the E23 table: one per fault
 #: family (crash, correlated crash, shard loss, edge deletion, Byzantine
-#: corruption) spanning all three pipelines.
+#: corruption) spanning all three pipelines, on both backends.
 RESILIENCE_CELLS = (
     ("luby/crash", "dense"),
     ("luby/crash-correlated", "dense"),
     ("luby/crash-shard", "dense"),
     ("luby/edge-deletion", "dense"),
     ("luby/byzantine", "dense"),
-    ("sinkless/byzantine", "engine"),
-    ("splitting/byzantine", "engine"),
+    ("sinkless/byzantine", "reference"),
+    ("splitting/byzantine", "reference"),
 )
 
 

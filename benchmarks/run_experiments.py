@@ -60,12 +60,12 @@ from repro.exp.workloads import (  # noqa: E402
 )
 
 
-def build_specs(quick: bool, num_seeds: int, backends=("engine", "dense")):
+def build_specs(quick: bool, num_seeds: int, backends=("reference", "dense")):
     """The sweep suite: every workload across topologies x backends.
 
     ``backends`` selects the execution-backend axis for the algorithm
-    workloads (``reference`` / ``engine`` / ``dense``); the
-    ``engine/throughput`` cell always measures all three side by side.
+    workloads (``reference`` / ``dense``); the ``engine/throughput`` cell
+    always measures both side by side.
     Every seed of every cell is one task.  Scenario graphs are fixed per
     cell (trial seeds drive the coins), so every backend and every seed of
     a cell reuses one packed engine.
@@ -93,7 +93,6 @@ def build_specs(quick: bool, num_seeds: int, backends=("engine", "dense")):
         )
         for topology in ("regular", "torus")
         for backend in backends
-        if backend in ("engine", "dense")  # no reference driver
     ]
     specs += [
         ExperimentSpec(
@@ -178,7 +177,7 @@ def _print_summary(sweep) -> None:
         entry = summary[name]
         metrics = entry["metrics"]
         parts = []
-        for key in ("rounds", "speedup", "dense_speedup", "mis_size", "violations",
+        for key in ("rounds", "speedup", "mis_size", "violations",
                     "survivors", "rounds_to_recover", "recovered",
                     "repair_rounds", "solve_seconds"):
             if key in metrics:
@@ -351,9 +350,9 @@ def main() -> int:
                         help="seeds per experiment (>= 1)")
     parser.add_argument("--workers", type=int, default=None,
                         help="pool size (0 = inline, default = cpu count)")
-    parser.add_argument("--backends", default="engine,dense",
+    parser.add_argument("--backends", default="reference,dense",
                         help="comma-separated execution backends for the "
-                        "algorithm workloads (reference,engine,dense)")
+                        "algorithm workloads (reference,dense)")
     parser.add_argument("--scenarios", nargs="?", const="all", default=None,
                         metavar="NAMES",
                         help="also sweep fault/adversary scenarios: 'all' or "

@@ -79,7 +79,7 @@ def _backend_of(trial) -> str:
     """The execution-backend axis of one trial.
 
     Sweep cells encode it as an ``@backend`` name suffix
-    (``mis/sparse@dense``, ``scenario/luby/crash@engine``); cells without
+    (``mis/sparse@dense``, ``scenario/luby/crash@reference``); cells without
     the suffix fall back to their params (``backend=`` or the splitting
     workload's ``method=``).
     """

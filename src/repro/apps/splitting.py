@@ -10,8 +10,8 @@ way every splitting in this reproduction is realized:
   every constrained degree is Ω(log n / ε²) — both as a centralized coin
   flip (``method="random"``) and as a genuine message-passing LOCAL
   algorithm (:class:`ZeroRoundSplitting`, ``method="local"``) whose single
-  communication round is a broadcast and therefore runs on the batched
-  engine's CSR fast path;
+  communication round broadcasts each node's color, and as its dense numpy
+  kernel (``method="dense"``);
 * its derandomization by conditional expectations with a two-sided
   Chernoff/MGF pessimistic estimator (:class:`BalancedSplitEstimator`),
   giving a deterministic SLOCAL(2) algorithm run in LOCAL via a ``B²``
@@ -37,7 +37,7 @@ from repro.derand.estimators import ColoringEstimator
 from repro.local.complexity import slocal_conversion_rounds
 from repro.local.engine import CSREngine
 from repro.local.ledger import RoundLedger
-from repro.local.network import LocalAlgorithm, Network, NodeView
+from repro.local.network import LocalAlgorithm, Network, NodeView, run_local
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import require
 
@@ -146,10 +146,8 @@ class ZeroRoundSplitting(LocalAlgorithm):
     """Section 4.1's 0-round splitting as a message-passing LOCAL algorithm.
 
     Each node flips a uniform coin for its own color before round 1; round 1
-    broadcasts the color on every port (declared via
-    :meth:`LocalAlgorithm.broadcast`, so the batched engine delivers it on
-    the CSR fast path); on receive every constrained node checks its red
-    neighbor count against the spec and reports validity.  Output per node
+    sends the color on every port; on receive every constrained node checks
+    its red neighbor count against the spec and reports validity.  Output per node
     is ``(color, ok)``; one communication round total — the 0-round process
     plus the standard 1-round verification.
     """
@@ -159,9 +157,6 @@ class ZeroRoundSplitting(LocalAlgorithm):
 
     def init(self, view: NodeView) -> None:
         view.state["color"] = RED if view.rng.random() < 0.5 else BLUE
-
-    def broadcast(self, view: NodeView, round_no: int) -> int:
-        return view.state["color"]
 
     def send(self, view: NodeView, round_no: int) -> Dict[int, int]:
         color = view.state["color"]
@@ -207,14 +202,14 @@ def uniform_splitting(
     :class:`DerandomizationError` otherwise); ``method="random"`` runs the
     0-round process Las-Vegas (verify and retry); ``method="local"`` runs
     the same Las-Vegas process as a genuine message-passing algorithm
-    (:class:`ZeroRoundSplitting`) on the batched engine, with the validity
-    check distributed to the nodes themselves; ``method="dense"`` runs the
+    (:class:`ZeroRoundSplitting`) on :func:`~repro.local.network.run_local`,
+    with the validity check distributed to the nodes themselves; ``method="dense"`` runs the
     identical Las-Vegas loop through the vectorized numpy kernel
     (:func:`repro.local.dense.uniform_splitting_dense`), which draws the
     same keyed node coins, so its accepted partition is bit-identical to
     ``method="local"`` for the same seed.  A prebuilt
-    ``engine`` over the same adjacency amortizes CSR packing across calls
-    (used by the ``local`` and ``dense`` methods only).
+    ``engine`` over the same adjacency amortizes validation and CSR packing
+    across calls (used by the ``local`` and ``dense`` methods only).
 
     The run is fault-free; faulty and recovering runs go through
     :func:`repro.scenarios.run_scenario`, which rebinds the fault schedule
@@ -246,10 +241,10 @@ def uniform_splitting(
         for _ in range(max_attempts):
             run_seed = rng.randrange(2**31)
             if method == "dense":
-                dense = uniform_splitting_dense(engine, spec, seed=run_seed, red=RED, blue=BLUE)
+                dense = uniform_splitting_dense(engine, spec, seed=run_seed)
                 rounds, accepted = dense.rounds, bool(dense.ok)
             else:
-                result = engine.run(algorithm, max_rounds=1, seed=run_seed)
+                result = run_local(engine.network, algorithm, max_rounds=1, seed=run_seed)
                 rounds = result.rounds
                 accepted = all(v.output[1] for v in result.views)
             if ledger is not None:

@@ -204,7 +204,7 @@ def random_sparse_graph(n: int, avg_degree: float, seed: SeedLike = None) -> Lis
     """``G(n, m)``-style sparse graph in O(m) expected time.
 
     :func:`random_simple_graph` flips a coin per node *pair* — O(n²) — which
-    is prohibitive at the scales the batched engine targets (n >= 10^4).
+    is prohibitive at the scales the dense kernels target (n >= 10^4).
     Here we draw ``m = round(n * avg_degree / 2)`` edges by uniform endpoint
     sampling with rejection of loops and duplicates, giving the same sparse
     Erdős–Rényi regime at a cost linear in the number of edges.

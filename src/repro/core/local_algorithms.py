@@ -23,7 +23,6 @@ from typing import Any, Dict, List, Tuple
 
 from repro.bipartite.instance import BLUE, RED, BipartiteInstance, Coloring
 from repro.local.network import (
-    NO_BROADCAST,
     LocalAlgorithm,
     Network,
     NodeView,
@@ -57,11 +56,6 @@ class ZeroRoundColoring(LocalAlgorithm):
     def init(self, view: NodeView) -> None:
         if not _is_left(view, self.n_left):
             view.state["color"] = RED if view.rng.random() < 0.5 else BLUE
-
-    def broadcast(self, view: NodeView, round_no: int) -> Any:
-        if round_no == 1 and not _is_left(view, self.n_left):
-            return view.state["color"]
-        return NO_BROADCAST
 
     def send(self, view: NodeView, round_no: int) -> Dict[int, Any]:
         if round_no == 1 and not _is_left(view, self.n_left):
@@ -101,18 +95,6 @@ class ShatteringLocal(LocalAlgorithm):
                 view.state["color"] = BLUE
             else:
                 view.state["color"] = None
-
-    def broadcast(self, view: NodeView, round_no: int) -> Any:
-        # Every round of the protocol is a (conditional) broadcast; nodes
-        # with nothing to say fall back to ``send``'s empty dict.
-        left = _is_left(view, self.n_left)
-        if round_no == 1 and not left:
-            return ("tentative", view.state["color"])
-        if round_no == 2 and left and view.state.get("fire"):
-            return ("uncolor",)
-        if round_no == 3 and not left:
-            return ("final", view.state["color"])
-        return NO_BROADCAST
 
     def send(self, view: NodeView, round_no: int) -> Dict[int, Any]:
         left = _is_left(view, self.n_left)

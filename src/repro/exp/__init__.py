@@ -13,7 +13,7 @@ scripts:
 * :func:`~repro.exp.runner.aggregate` reduces per-seed metrics to
   mean/std/min/max summaries;
 * :mod:`~repro.exp.workloads` holds the picklable workload functions
-  (Luby MIS, sinkless orientation, uniform splitting, engine-vs-reference
+  (Luby MIS, sinkless orientation, uniform splitting, dense-vs-reference
   throughput) over the scenario topologies in
   :mod:`repro.bipartite.generators`.
 

@@ -15,9 +15,9 @@ pays the packing reports it through the runner's reserved
 one-off build cost from per-trial solve cost.
 
 Algorithm workloads take a ``backend`` axis (``"reference"`` — the dict
-simulator, ``"engine"`` — the batched CSR engine, ``"dense"`` — the
-vectorized numpy kernels; all three draw the same keyed coins) so one
-sweep JSON can record all three side by side.
+simulator :func:`~repro.local.network.run_local`, ``"dense"`` — the
+vectorized numpy kernels; both draw the same keyed coins) so one sweep
+JSON can record both side by side.
 
 These are the workloads ``benchmarks/run_experiments.py`` fans out; tests
 run them inline through the same entry points.
@@ -39,8 +39,8 @@ from repro.bipartite.instance import BipartiteInstance
 from repro.core.problems import UniformSplittingSpec
 from repro.core.verifiers import uniform_splitting_violations
 from repro.local.engine import CSREngine
-from repro.local.network import Network, run_local
-from repro.mis.luby import LubyMIS, is_mis, luby_mis
+from repro.local.network import Network
+from repro.mis.luby import is_mis, luby_mis
 from repro.orientation.sinkless import is_sinkless, run_trial_and_fix
 from repro.utils.validation import require
 
@@ -56,7 +56,7 @@ __all__ = [
 
 TOPOLOGIES = ("sparse", "regular", "torus", "grid", "powerlaw")
 
-BACKENDS = ("reference", "engine", "dense")
+BACKENDS = ("reference", "dense")
 
 
 def build_topology(
@@ -128,7 +128,7 @@ def luby_mis_workload(
     topology: str = "sparse",
     n: int = 1000,
     degree: int = 8,
-    backend: str = "engine",
+    backend: str = "dense",
     graph_seed: int = 1,
 ) -> Dict[str, Any]:
     """Luby MIS on the chosen backend; verifies the MIS before reporting."""
@@ -136,13 +136,7 @@ def luby_mis_workload(
     engine, setup = scenario_engine(topology, n, degree, graph_seed)
     adj = engine.network.adjacency
     start = time.perf_counter()
-    if backend == "reference":
-        result = run_local(engine.network, LubyMIS(), seed=seed)
-        require(result.completed, "Luby MIS did not terminate within the round cap")
-        mis = {i for i, v in enumerate(result.views) if v.state.get("in_mis")}
-        rounds = result.rounds
-    else:
-        mis, rounds = luby_mis(adj, seed=seed, method=backend, engine=engine)
+    mis, rounds = luby_mis(adj, seed=seed, method=backend, engine=engine)
     solve = time.perf_counter() - start
     require(is_mis(adj, mis), "luby produced an invalid MIS")
     m = sum(len(a) for a in adj) // 2
@@ -162,11 +156,12 @@ def sinkless_workload(
     topology: str = "regular",
     n: int = 1000,
     degree: int = 4,
-    backend: str = "engine",
+    backend: str = "dense",
     graph_seed: int = 2,
 ) -> Dict[str, Any]:
-    """Trial-and-fix sinkless orientation (probe-driven) on engine or dense."""
-    require(backend in ("engine", "dense"), f"unknown backend {backend!r}")
+    """Trial-and-fix sinkless orientation on the chosen backend (the
+    reference run is probe-driven)."""
+    require(backend in BACKENDS, f"unknown backend {backend!r}")
     engine, setup = scenario_engine(topology, n, degree, graph_seed)
     adj = engine.network.adjacency
     start = time.perf_counter()
@@ -196,7 +191,7 @@ def splitting_workload(
     """Uniform splitting (Section 4.1) via the requested method.
 
     ``method`` doubles as the backend axis here: ``"local"`` runs on the
-    batched engine, ``"dense"`` on the numpy kernel,
+    reference simulator, ``"dense"`` on the numpy kernel,
     ``"random"``/``"derandomized"`` are the centralized baselines.
     """
     engine, setup = scenario_engine(topology, n, degree, graph_seed)
@@ -221,7 +216,7 @@ def scenario_workload(
     scenario: str = "luby/crash",
     n: int = 600,
     degree: int = None,
-    backend: str = "engine",
+    backend: str = "dense",
     graph_seed: int = 5,
     recover: bool = False,
     trace_out: str = None,
@@ -271,53 +266,31 @@ def engine_throughput_workload(
     degree: int = 20,
     graph_seed: int = 4,
 ) -> Dict[str, Any]:
-    """Reference vs engine vs dense on Luby MIS over one fixed graph.
+    """Reference vs dense on Luby MIS over one fixed graph.
 
-    This is the perf-trajectory metric CI tracks across PRs: all three
-    backends execute the same scenario, all three runs are asserted
-    bit-identical, and the recorded speedups are their wall-clock ratios —
-    ``speedup`` is reference/engine (the PR-1 trajectory metric),
-    ``dense_speedup`` is engine/dense.
+    This is the perf-trajectory metric CI tracks across PRs: both
+    executors run the same scenario, the runs are asserted bit-identical,
+    and ``speedup`` is their wall-clock ratio, reference/dense.
     """
-    from repro.local.dense import luby_mis_dense
-
     engine, setup = scenario_engine(topology, n, degree, graph_seed)
-    net = engine.network
+    adj = engine.network.adjacency
 
     start = time.perf_counter()
-    reference = run_local(net, LubyMIS(), seed=seed)
+    reference = luby_mis(adj, seed=seed, method="reference", engine=engine)
     t_reference = time.perf_counter() - start
 
     start = time.perf_counter()
-    fast = engine.run(LubyMIS(), seed=seed)
-    t_engine = time.perf_counter() - start
-
-    start = time.perf_counter()
-    dense = luby_mis_dense(engine, seed=seed)
+    dense = luby_mis(adj, seed=seed, method="dense", engine=engine)
     t_dense = time.perf_counter() - start
 
-    require(
-        reference.outputs() == fast.outputs() and reference.rounds == fast.rounds,
-        "engine diverged from reference",
-    )
-    require(
-        dense.rounds == fast.rounds
-        and dense.in_mis.tolist() == [bool(v.state.get("in_mis")) for v in fast.views],
-        "dense kernel diverged from engine",
-    )
-    require(
-        dense.completed
-        and is_mis(net.adjacency, set(dense.in_mis.nonzero()[0].tolist())),
-        "dense kernel produced an invalid MIS",
-    )
+    require(dense == reference, "dense kernel diverged from reference")
+    require(is_mis(adj, dense[0]), "dense kernel produced an invalid MIS")
     return {
-        "n": net.n,
-        "m": sum(len(a) for a in net.adjacency) // 2,
-        "rounds": fast.rounds,
+        "n": engine.n,
+        "m": int(engine.offsets[-1]) // 2,
+        "rounds": dense[1],
         "reference_seconds": t_reference,
-        "engine_seconds": t_engine,
         "dense_seconds": t_dense,
-        "speedup": t_reference / t_engine if t_engine > 0 else 0.0,
-        "dense_speedup": t_engine / t_dense if t_dense > 0 else 0.0,
+        "speedup": t_reference / t_dense if t_dense > 0 else 0.0,
         "setup_seconds": setup,
     }

@@ -1,7 +1,10 @@
-"""LOCAL model: synchronous simulator, batched engine, dense kernels, ledger.
+"""LOCAL model: synchronous simulator, dense kernels, packed CSR arrays, ledger.
 
-Building a :class:`Network` needs numpy: its validation packs the CSR
-arrays every backend runs on.  The dense kernels are exported lazily:
+Two executors run LOCAL algorithms: :func:`run_local`, the reference
+simulator for any :class:`LocalAlgorithm`, and the per-algorithm dense
+numpy kernels, which index the packed arrays a :class:`CSREngine` holds.
+Building a :class:`Network` needs numpy: its validation packs those CSR
+arrays.  The dense kernels are exported lazily:
 ``repro.local.luby_mis_dense`` etc. resolve on first access, so importing
 the package does not load them.
 """
@@ -13,11 +16,10 @@ from repro.local.complexity import (
     power_graph_coloring_rounds,
     slocal_conversion_rounds,
 )
-from repro.local.engine import CSREngine, run_local_fast
+from repro.local.engine import CSREngine
 from repro.local.ids import sequential_ids, shuffled_ids, sparse_random_ids
 from repro.local.ledger import Charge, RoundLedger
 from repro.local.network import (
-    NO_BROADCAST,
     LocalAlgorithm,
     Network,
     NodeView,
@@ -34,9 +36,7 @@ __all__ = [
     "RoundHooks",
     "SimulationResult",
     "run_local",
-    "run_local_fast",
     "CSREngine",
-    "NO_BROADCAST",
     "build_reverse_ports",
     "Charge",
     "RoundLedger",

@@ -1,14 +1,14 @@
 """Vectorized dense round kernels: whole LOCAL rounds as numpy array ops.
 
-:class:`~repro.local.engine.CSREngine` removed the reference simulator's
-dict overhead, but its hot loop still makes O(active) Python hook calls
-(``init``/``broadcast``/``send``/``receive``) per round.  For the paper's
-randomized pipelines — Luby MIS, trial-and-fix sinkless orientation,
-0-round uniform splitting — the per-node logic is a few comparisons, so at
-n >= 10^5 the interpreter *is* the cost.
+The reference simulator :func:`~repro.local.network.run_local` makes
+O(n) Python hook calls (``init``/``send``/``receive``) and dict operations
+per round.  For the paper's randomized pipelines — Luby MIS, trial-and-fix
+sinkless orientation, 0-round uniform splitting — the per-node logic is a
+few comparisons, so the interpreter *is* the cost.
 
-The kernels here execute an entire round of one specific algorithm as
-masked array arithmetic over the engine's CSR layout
+The kernels here are the second executor: each executes an entire round
+of one specific algorithm as masked array arithmetic over the CSR arrays a
+:class:`~repro.local.engine.CSREngine` holds
 (:meth:`CSREngine.dense_arrays`): neighborhood reductions are
 ``np.logical_or.reduceat`` / ``np.add.reduceat`` over the CSR segments, and
 the per-slot owner array ``np.repeat(arange(n), degrees)`` turns "compare
@@ -20,11 +20,10 @@ draw in round ``r`` is ``u(seed, "node", uid, r, k)``, exactly what
 kernel computes the draws its algorithm's hooks make as one array per
 round (:func:`~repro.utils.rng.keyed_u01_array`, or
 :func:`~repro.utils.rng.keyed_u01_slots` for one draw per port), so every
-kernel is **bit-identical** to :class:`CSREngine` and
-:func:`~repro.local.network.run_local` for any seed and fault stack, with
-O(1) coin setup.  There is one kernel per algorithm and one seed per call:
-to run many seeds, loop over seeds on one shared engine (its CSR arrays are
-packed once).
+kernel is **bit-identical** to :func:`~repro.local.network.run_local` for
+any seed and fault stack, with O(1) coin setup.  There is one kernel per
+algorithm and one seed per call: to run many seeds, loop over seeds on one
+shared engine (its CSR arrays are packed once).
 
 Each kernel documents exactly which hook-level draws it computes; any
 change to the corresponding :class:`LocalAlgorithm` must be mirrored here
@@ -39,6 +38,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.bipartite.instance import BLUE, RED
 from repro.local.engine import CSREngine
 from repro.utils.rng import (
     NODE_COINS,
@@ -169,13 +169,13 @@ def luby_round_dense(
     those: a slot with an inactive endpoint can neither suppress a join
     nor carry a kill.  Returns ``(joining, killed)``: nodes that enter the
     MIS this phase, and nodes eliminated because a neighbor joined.  The
-    priority order is the engine's tuple compare ``(r, uid)`` — ties on
+    priority order is the tuple compare ``(r, uid)`` — ties on
     ``r`` (possible, if rarely, between 53-bit coins) break on uid,
     exactly like :class:`~repro.mis.luby.LubyMIS`, so there is no float-tie
     hazard.
 
-    The optional fault arguments mirror the hooked engine's semantics on a
-    faulty environment (all default to the clean-run behaviour); the
+    The optional fault arguments mirror the hooked reference's semantics on
+    a faulty environment (all default to the clean-run behaviour); the
     per-slot masks are aligned with ``own``/``nbr``:
 
     * ``heard1`` — per-slot delivery mask for the priority round: a dropped
@@ -230,20 +230,21 @@ def luby_mis_dense(
     tracer=None,
 ) -> DenseResult:
     """Luby's MIS as dense phases; same semantics as running
-    :class:`~repro.mis.luby.LubyMIS` on the engine.
+    :class:`~repro.mis.luby.LubyMIS` on :func:`~repro.local.network.run_local`.
 
-    Draws per engine hook call: one ``random()`` per *active* node per odd
+    Draws per hook call: one ``random()`` per *active* node per odd
     (priority) round ``r``, the coin ``u(seed, "node", uid, r, 0)``, and
     nothing on even rounds; degree-0 nodes join the MIS in ``init`` and
     never draw.  The returned ``in_mis`` mask and round count are
-    bit-identical to the engine's outputs for the same seed.
+    bit-identical to the reference's outputs for the same seed.
 
-    ``faults`` (a :class:`~repro.scenarios.masks.DenseFaults`, or any object
-    with ``crashed_at``/``delivered_in``) is the masked-array equivalent of
-    running the engine with scenario hooks: crashed nodes leave the frontier
-    before drawing (and never join), dropped priority/announcement messages
-    are excluded from the neighborhood reductions.  A faulty dense run is
-    bit-identical to the engine under the same perturbation stack.
+    ``faults`` (a :class:`~repro.scenarios.masks.DenseFaults`) is the
+    masked-array equivalent of running the reference with scenario hooks:
+    crashed nodes leave the frontier before drawing (and never join),
+    dropped priority/announcement messages are excluded from the
+    neighborhood reductions, corrupted ones arrive forged.  A faulty dense
+    run is bit-identical to the reference under the same perturbation
+    stack.
 
     Cost: each phase reduces only the *live slots*, those whose two
     endpoints are both still on the frontier (see
@@ -256,8 +257,8 @@ def luby_mis_dense(
 
     ``tracer`` (a :class:`~repro.obs.trace.Tracer`; None or a NullTracer by
     default) records one round record per executed round — the same round
-    numbers, active-set sizes and total as a hook-traced engine run of the
-    same seed (mask-based delivery accounting means the dense records omit
+    numbers, active-set sizes and total as a hook-traced reference run of
+    the same seed (mask-based delivery accounting means the dense records omit
     the per-round delivered/dropped message counts).  Each phase's even
     round record also carries ``slots``, the live slots it reduced.
 
@@ -279,7 +280,10 @@ def luby_mis_dense(
     # The live slots' endpoints (both on the frontier at the phase start;
     # round-1 crashers stay in until the phase ends, which the phase body
     # allows), compacted after each phase.  Their slot indices are kept
-    # only while fault masks need them.
+    # only while fault masks need them.  ``own`` is built per run rather
+    # than read from the engine's cached slot_layout(): that would pin
+    # three m-sized arrays on every engine a Luby sweep packs, and the
+    # first compaction drops this copy anyway.
     own = _slot_owner(offsets)
     nbr = dst_node
     slots = None if faults is None else np.arange(dst_node.shape[0], dtype=np.int64)
@@ -289,16 +293,13 @@ def luby_mis_dense(
         return None if mask is None else mask[slots]
 
     # Past the stack's quiet horizon no fault can occur, so the loop drops
-    # the faults object and the recovery tail runs at fault-free cost
-    # (DenseFaults.expired; other mask providers may omit it).
-    faults_expired = getattr(faults, "expired", None)
-
+    # the faults object and the recovery tail runs at fault-free cost.
     rounds = 0
     while active.any():
         if rounds + 1 > max_rounds:
             break
         round1 = rounds + 1
-        if faults is not None and faults_expired is not None and faults_expired(round1):
+        if faults is not None and faults.expired(round1):
             faults = slots = None
         if faults is not None:
             crash = faults.crashed_at(round1)
@@ -321,7 +322,7 @@ def luby_mis_dense(
             )
             phase_start = time.perf_counter()
         if rounds + 1 > max_rounds or act_idx.shape[0] == 0:
-            # The engine stops after the odd round: at the cap (mid-phase),
+            # The reference stops after the odd round: at the cap (mid-phase),
             # or when round-1 crashes halted the whole frontier.
             break
         active2 = heard1 = heard2 = corrupt1 = corrupt2 = None
@@ -333,10 +334,8 @@ def luby_mis_dense(
                 active2 = active & ~crash
             heard1 = at_live(faults.delivered_in(round1))
             heard2 = at_live(faults.delivered_in(round2))
-            corrupted_in = getattr(faults, "corrupted_in", None)
-            if corrupted_in is not None:
-                corrupt1 = at_live(corrupted_in(round1))
-                corrupt2 = at_live(corrupted_in(round2))
+            corrupt1 = at_live(faults.corrupted_in(round1))
+            corrupt2 = at_live(faults.corrupted_in(round2))
         joining, killed = luby_round_dense(
             active, r, uid, own, nbr,
             active2=active2, heard1=heard1, heard2=heard2,
@@ -406,7 +405,7 @@ def sinkless_trial_dense(
     non-recovery is data).
 
     ``faults`` (a :class:`~repro.scenarios.masks.DenseFaults`) mirrors the
-    hooked engine from round 2 on: crashed nodes freeze their slot state
+    hooked reference from round 2 on: crashed nodes freeze their slot state
     (they neither flip nor process flips) and leave the sink probe; dropped
     flip announcements leave the receiving side outward, exactly like the
     reference's receive phase.  Round-1 faults are not supported here —
@@ -427,11 +426,10 @@ def sinkless_trial_dense(
     require(min_degree >= 1, f"min_degree must be >= 1, got {min_degree}")
     require(max_rounds >= 0, f"max_rounds must be >= 0, got {max_rounds}")
     trace = tracer is not None and tracer.enabled
-    offsets, dst_node, dst_port = engine.dense_arrays()
+    offsets, dst_node, _ = engine.dense_arrays()
     n = engine.n
     uid = engine.network.uid_array
     degrees = np.diff(offsets)
-    owner = _slot_owner(offsets)
     m = dst_node.shape[0]
 
     require(
@@ -440,20 +438,20 @@ def sinkless_trial_dense(
     )
     crashed = np.zeros(n, dtype=bool)
     if n == 0 or max_rounds == 0:
-        # The engine stops before round 1: nobody is active or no round is
-        # allowed, so nothing is proposed and the probe never fires.
+        # The reference stops before round 1: nobody is active or no round
+        # is allowed, so nothing is proposed and the probe never fires.
         if strict:
             raise RuntimeError(f"no sinkless orientation after {max_rounds} rounds")
         return DenseResult(0, completed=False, out=np.zeros(m, dtype=bool), crashed=crashed)
-    # partner[k]: the CSR slot on the other endpoint of slot k's edge.
-    partner = offsets[:-1][dst_node] + dst_port
+    # Slot k is node owner[k]'s port ports[k]; partner[k] is the CSR slot
+    # on the other endpoint of its edge.
+    owner, ports, partner = engine.slot_layout()
 
     # Round 1: per-port proposals (port p is the node's draw p of the
     # round), higher-uid endpoint's coin wins; the winner's coin True means
     # "winner's side points outward".
     if trace:
         phase_start = time.perf_counter()
-    ports = np.arange(m, dtype=np.int64) - offsets[:-1][owner]
     coins1 = keyed_u01_slots(seed, NODE_COINS, uid, 1, owner, ports) < 0.5
     higher = uid[owner] > uid[dst_node]
     out = np.where(higher, coins1, ~coins1[partner])
@@ -464,8 +462,7 @@ def sinkless_trial_dense(
     constrained = degrees >= min_degree
     low_view = owner < dst_node  # extraction rule: lower *index* endpoint's view
     live = constrained  # constrained & ~crashed, refreshed on crash rounds
-    faults_expired = getattr(faults, "expired", None)
-    if faults is not None and getattr(faults, "corrupting", False):
+    if faults is not None and faults.corrupting:
         # The proposal round has no slot-state representation for rewritten
         # coins; corruption schedules for sinkless orientation must leave
         # round 1 clean (the scenario runner enforces the same contract).
@@ -494,7 +491,7 @@ def sinkless_trial_dense(
     for round_no in range(2, max_rounds + 1):
         if trace:
             phase_start = time.perf_counter()
-        if faults is not None and faults_expired is not None and faults_expired(round_no):
+        if faults is not None and faults.expired(round_no):
             faults = None  # quiet horizon passed: fix rounds run fault-free
         if faults is not None:
             crash = faults.crashed_at(round_no)
@@ -504,11 +501,7 @@ def sinkless_trial_dense(
         # Send phase: sinks by their own view flip one uniformly random port
         # (crashed nodes are frozen: no draws, no flips).
         sink_idx = np.flatnonzero(live & (own_cnt == 0))
-        corrupt = None
-        if faults is not None:
-            corrupted_out = getattr(faults, "corrupted_out", None)
-            if corrupted_out is not None:
-                corrupt = corrupted_out(round_no)
+        corrupt = None if faults is None else faults.corrupted_out(round_no)
         if corrupt is not None:
             # Byzantine fix round: every live node sends on every port
             # ("flip" on a sink's chosen slot, "ok" elsewhere) and the
@@ -576,8 +569,8 @@ def dense_orientation(
     Same rule as the simulator driver: for each edge the lower-index
     endpoint's slot decides the direction.
     """
-    offsets, dst_node, _ = engine.dense_arrays()
-    owner = _slot_owner(offsets)
+    dst_node = engine.dst_node
+    owner = engine.slot_layout()[0]
     low = np.flatnonzero(owner < dst_node)
     srcs = np.where(out[low], owner[low], dst_node[low])
     dsts = np.where(out[low], dst_node[low], owner[low])
@@ -620,8 +613,6 @@ def uniform_splitting_dense(
     engine: CSREngine,
     spec,
     seed: int = 0,
-    red: int = 0,
-    blue: int = 1,
     faults=None,
     tracer=None,
 ) -> DenseResult:
@@ -629,13 +620,14 @@ def uniform_splitting_dense(
 
     Mirrors :class:`~repro.apps.splitting.ZeroRoundSplitting` for one run
     seed: every node draws one coin in ``init``, ``u(seed, "node", uid, 0,
-    0)``, and colors itself red iff the coin is < 1/2; the verification round counts each
+    0)``, and colors itself :data:`~repro.bipartite.instance.RED` iff the
+    coin is < 1/2 (else ``BLUE``); the verification round counts each
     node's red neighbors over its CSR segment and checks the spec bounds for
     constrained degrees.  The Las-Vegas retry loop lives in
     :func:`repro.apps.splitting.uniform_splitting` (``method="dense"``).
 
     ``faults`` (a :class:`~repro.scenarios.masks.DenseFaults`) mirrors the
-    hooked engine on the single round: every node still draws its color in
+    hooked reference on the single round: every node still draws its color in
     ``init`` (crashes land *after* init), but crashed nodes neither broadcast nor verify, dropped
     color messages are excluded from the red-neighbor counts and corrupted
     ones arrive with the opposite color — ``ok`` is then the surviving
@@ -660,7 +652,7 @@ def uniform_splitting_dense(
     (bool: every live constrained node inside ``[lo, hi]``), ``crashed``
     (bool array) and ``slots_checked`` (the slots verified before the
     verdict, also on the tracer's round record); ``rounds`` is 1, the
-    verification round, matching the engine's charge.
+    verification round, matching the reference's charge.
     """
     trace = tracer is not None and tracer.enabled
     order, offsets, check_node = engine.check_order()
@@ -670,12 +662,12 @@ def uniform_splitting_dense(
     if trace:
         phase_start = time.perf_counter()
     u = keyed_u01_array(seed, NODE_COINS, engine.network.uid_array, 0, 0)
-    colors = np.where(u < 0.5, red, blue)
+    colors = np.where(u < 0.5, RED, BLUE)
     crashed = np.zeros(n, dtype=bool)
     crash = None if faults is None else faults.crashed_at(1)
     if crash is not None:
         crashed |= crash
-    is_red = colors == red
+    is_red = colors == RED
     # spec.lo / spec.hi / spec.constrains are affine in the degree, so they
     # vectorize directly over the (check-ordered) degree array.  An
     # unconstrained or crashed node accepts any count.
@@ -710,7 +702,7 @@ def uniform_splitting_dense(
     if trace:
         # Every node decides and halts in the single verification round
         # (crashed nodes are halted too), so the post-round active count is
-        # 0 — matching the hook-traced executors; survivors ride alongside.
+        # 0 — matching the hook-traced reference; survivors ride alongside.
         tracer.round(
             1,
             active=0,

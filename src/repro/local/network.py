@@ -28,8 +28,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,23 +42,9 @@ __all__ = [
     "RoundHooks",
     "run_local",
     "SimulationResult",
-    "NO_BROADCAST",
     "build_reverse_ports",
     "csr_arrays",
 ]
-
-
-class _NoBroadcast:
-    """Sentinel: the algorithm has no broadcast message this round."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "NO_BROADCAST"
-
-
-#: Returned by :meth:`LocalAlgorithm.broadcast` to fall back to :meth:`send`.
-NO_BROADCAST = _NoBroadcast()
 
 
 def csr_arrays(
@@ -219,35 +204,16 @@ class LocalAlgorithm(ABC):
     def receive(self, view: NodeView, round_no: int, inbox: Dict[int, Any]) -> None:
         """Process the messages received in round ``round_no``."""
 
-    def broadcast(self, view: NodeView, round_no: int) -> Any:
-        """Message to emit on *every* port this round, or :data:`NO_BROADCAST`.
-
-        Many LOCAL algorithms are *broadcast algorithms*: each round a node
-        sends one message, identical on all its ports.  Declaring the round
-        here (instead of materializing ``{port: msg}`` dicts in ``send``)
-        lets the batched engine deliver the message in a tight loop over the
-        node's CSR slice.  The default falls back to :meth:`send`.
-
-        Both :func:`run_local` and the engine consult this hook exactly once
-        per active node per round, *before* ``send``; when it returns a
-        message, ``send`` is not called.  Overrides must therefore perform
-        any per-round state updates (coin flips, counters) in whichever hook
-        actually runs.
-        """
-        return NO_BROADCAST
-
 
 class RoundHooks:
-    """Harness-side round instrumentation shared by both executors.
+    """Harness-side round instrumentation for :func:`run_local`.
 
     Hooks model the *environment* rather than the algorithm: node crashes,
     lossy links, dynamic edges, adversarial schedules.  The nodes never see
     the hook object — they only observe its effects (missing messages,
     silent neighbors), exactly as in the faulty-LOCAL literature.
 
-    Call points (identical in :func:`run_local` and
-    :class:`~repro.local.engine.CSREngine`, so hooked runs stay
-    bit-identical across executors):
+    Call points:
 
     * :meth:`before_round` — after the all-halted check, before the send
       phase.  May crash nodes by setting ``view.halted`` (by convention a
@@ -255,22 +221,20 @@ class RoundHooks:
       tell a crash from a normal termination).
     * :meth:`deliver` — once per outgoing message, after port validation.
       Returning False silently drops the message.  **Must be a pure
-      function of ``(round_no, sender, port)``** — both executors consult
-      it while sweeping senders, but the engine's broadcast fast path and
-      the reference's dict loop enumerate messages in different orders, so
-      any internal state consumption would break the bit-identity
-      guarantee.
+      function of ``(round_no, sender, port)``** — the dense kernels
+      (:mod:`repro.local.dense`) evaluate the same decisions as whole-round
+      masks, in a different order, so any internal state consumption would
+      break the bit-identity between the two executors.
     * :meth:`transform` — once per *delivered* message, immediately after
       :meth:`deliver` approves it.  Returns the (possibly rewritten)
       payload — the Byzantine corruption channel.  Like ``deliver`` it
       **must be pure** in ``(round_no, sender, port, message)`` and must
-      not mutate the payload in place (broadcast messages are shared
-      across ports).
+      not mutate the payload in place (a node may send one object on
+      several ports).
     * :meth:`after_round` — after the receive phase of every executed
       round (observation only, e.g. per-round violation tracking).
 
-    The default implementation is a no-op; ``hooks=None`` skips all calls
-    on the original fast paths.
+    The default implementation is a no-op; ``hooks=None`` skips all calls.
     """
 
     def before_round(self, round_no: int, views: List["NodeView"]) -> None:
@@ -307,8 +271,8 @@ def build_reverse_ports(adjacency: Sequence[Sequence[int]]) -> List[List[int]]:
     If node ``i`` lists ``j`` at port ``p`` then ``j`` lists ``i`` at port
     ``reverse_port[i][p]``.  Multi-edges are matched in order of appearance:
     the k-th occurrence of ``j`` in ``adjacency[i]`` pairs with the k-th
-    occurrence of ``i`` in ``adjacency[j]``.  Shared by :func:`run_local`
-    and the batched engine so both deliver along identical port pairings.
+    occurrence of ``i`` in ``adjacency[j]``; :class:`Network` packs its
+    ``dst_port`` array by the same rule.
     """
     n = len(adjacency)
     reverse_port: List[List[int]] = [[-1] * len(adjacency[i]) for i in range(n)]
@@ -331,6 +295,7 @@ def run_local(
     max_rounds: int = 10_000,
     seed: int = 0,
     hooks: Optional[RoundHooks] = None,
+    probe: Optional[Callable[[int, List[NodeView]], bool]] = None,
 ) -> SimulationResult:
     """Execute ``algorithm`` on ``network`` synchronously.
 
@@ -340,14 +305,23 @@ def run_local(
     round's receive phase (standard synchronous semantics).
 
     ``hooks`` (a :class:`RoundHooks`) injects environment faults — crashes
-    in ``before_round``, message loss via ``deliver`` — at the same call
-    points the batched engine uses, so hooked runs remain bit-identical
-    between the two executors (the scenario subsystem in
+    in ``before_round``, message loss via ``deliver`` — at the call points
+    whose masked-array twins the dense kernels apply, so hooked runs stay
+    bit-identical between the two executors (the scenario subsystem in
     :mod:`repro.scenarios` is built on this).
 
+    ``probe`` is a global stopping rule, ``probe(round_no, views) -> bool``:
+    harness-side instrumentation the nodes never see.  It is called after
+    each round that leaves a node running (after ``after_round``), and
+    returning True stops the run; ``completed`` still reports whether every
+    node halted.  It lets Las-Vegas drivers such as
+    :func:`repro.orientation.sinkless.run_trial_and_fix` stop at the first
+    globally good configuration in one pass.
+
     This is the *reference* implementation: simple, dict-based, audited
-    against the model definition.  :func:`repro.local.engine.run_local_fast`
-    is the batched drop-in replacement, bit-identical for a fixed seed.
+    against the model definition.  The dense kernels of
+    :mod:`repro.local.dense` run the shipped randomized pipelines as array
+    rounds, bit-identical to this loop for a fixed seed and fault stack.
     """
     require(max_rounds >= 0, f"max_rounds must be >= 0, got {max_rounds}")
     n = network.n
@@ -362,6 +336,7 @@ def run_local(
     for view in views:
         algorithm.init(view)
 
+    adjacency = network.adjacency
     rounds = 0
     for round_no in range(1, max_rounds + 1):
         if all(v.halted for v in views):
@@ -370,33 +345,27 @@ def run_local(
         if hooks is not None:
             hooks.before_round(round_no, views)
         inboxes: List[Dict[int, Any]] = [{} for _ in range(n)]
-        for i in range(n):
-            if views[i].halted:
+        for i, view in enumerate(views):
+            if view.halted:
                 continue
-            bmsg = algorithm.broadcast(views[i], round_no)
-            if bmsg is not NO_BROADCAST:
-                outgoing = {p: bmsg for p in range(network.degree(i))}
-            else:
-                outgoing = algorithm.send(views[i], round_no)
-            for port, message in outgoing.items():
-                require(
-                    0 <= port < network.degree(i),
-                    f"node {i} sent on invalid port {port}",
-                )
+            row, back = adjacency[i], reverse_port[i]
+            for port, message in algorithm.send(view, round_no).items():
+                if not 0 <= port < len(row):
+                    raise ValueError(f"node {i} sent on invalid port {port}")
                 if hooks is not None:
                     if not hooks.deliver(round_no, i, port):
                         continue
                     message = hooks.transform(round_no, i, port, message)
-                j = network.adjacency[i][port]
-                inboxes[j][reverse_port[i][port]] = message
-        for i in range(n):
-            if views[i].halted:
-                continue
-            algorithm.receive(views[i], round_no, inboxes[i])
+                inboxes[row[port]][back[port]] = message
+        for view, inbox in zip(views, inboxes):
+            if not view.halted:
+                algorithm.receive(view, round_no, inbox)
         rounds = round_no
         if hooks is not None:
             hooks.after_round(round_no, views)
         if all(v.halted for v in views):
+            break
+        if probe is not None and probe(round_no, views):
             break
     return SimulationResult(
         rounds=rounds,

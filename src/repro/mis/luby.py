@@ -11,12 +11,12 @@ draws a random priority; a node joins the MIS if its priority beats all
 active neighbors'; MIS nodes and their neighbors deactivate.  Each phase
 takes 2 communication rounds (exchange priorities, announce joins).
 
-Both rounds of a phase send one message identical on all ports, so the
-algorithm declares them via :meth:`LocalAlgorithm.broadcast` and the batched
-engine (:func:`repro.local.engine.run_local_fast`) delivers them on its CSR
-fast path.  Messages to already-decided neighbors are dropped unread (a
-halted node's inbox is never consumed), which is exactly the reference
-semantics; an active node hears precisely its still-active neighbors.
+Both rounds of a phase send one message identical on all ports.  Messages
+to already-decided neighbors are dropped unread (a halted node's inbox is
+never consumed), which is exactly the reference semantics; an active node
+hears precisely its still-active neighbors.  The dense kernel
+(:func:`repro.local.dense.luby_mis_dense`) runs the same phases as array
+rounds, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from typing import Dict, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.local.ledger import RoundLedger
-from repro.local.network import LocalAlgorithm, Network, NodeView
-from repro.local.engine import CSREngine, run_local_fast
+from repro.local.engine import CSREngine
+from repro.local.network import LocalAlgorithm, Network, NodeView, run_local
 from repro.utils.validation import require, require_nodes
 
 __all__ = ["LubyMIS", "luby_mis", "is_mis"]
@@ -44,18 +44,14 @@ class LubyMIS(LocalAlgorithm):
             view.output = True
             view.halted = True
 
-    def broadcast(self, view: NodeView, round_no: int) -> object:
+    def send(self, view: NodeView, round_no: int) -> Dict[int, object]:
         if round_no % 2 == 1:  # priority exchange
             priority = (view.rng.random(), view.uid)
             view.state["priority"] = priority
-            return ("prio", priority)
-        # announcement round
-        return ("join",) if view.state.get("joining") else ("stay",)
-
-    def send(self, view: NodeView, round_no: int) -> Dict[int, object]:
-        # Fallback for runners that ignore the broadcast declaration.
-        msg = self.broadcast(view, round_no)
-        return {p: msg for p in range(view.degree)}
+            msg = ("prio", priority)
+        else:  # announcement round
+            msg = ("join",) if view.state.get("joining") else ("stay",)
+        return dict.fromkeys(range(view.degree), msg)
 
     def receive(self, view: NodeView, round_no: int, inbox: Dict[int, object]) -> None:
         if round_no % 2 == 1:
@@ -87,42 +83,37 @@ def luby_mis(
     ledger: Optional[RoundLedger] = None,
     max_rounds: int = 10_000,
     label: str = "luby-mis",
-    method: str = "engine",
+    method: str = "dense",
     engine=None,
 ) -> Tuple[Set[int], int]:
     """Run Luby's MIS; returns (MIS node set, simulated rounds).
 
-    ``method="engine"`` (default) executes on the batched CSR engine, which
-    is bit-identical to the reference :func:`repro.local.network.run_local`
-    for a fixed seed.  ``method="dense"`` executes the vectorized numpy
-    kernel (:func:`repro.local.dense.luby_mis_dense`), which draws the same
-    keyed node coins and so reproduces the engine's outputs bit for bit —
-    the method for n >= 10^5.  Pass a prebuilt ``engine`` (:class:`~repro.local.engine.CSREngine` over the
-    same adjacency) to amortize CSR packing across calls.
+    ``method="dense"`` (default) executes the vectorized numpy kernel
+    (:func:`repro.local.dense.luby_mis_dense`); ``method="reference"`` runs
+    :class:`LubyMIS` on the reference simulator
+    :func:`repro.local.network.run_local`.  Both draw the same keyed node
+    coins, so their outputs agree bit for bit for a fixed seed.  Pass a
+    prebuilt ``engine`` (:class:`~repro.local.engine.CSREngine` over the
+    same adjacency) to amortize validation and CSR packing across calls.
 
     The run is fault-free; faulty and recovering runs go through
     :func:`repro.scenarios.run_scenario`.  There is no batched method: for
     many seeds, loop ``method="dense"`` over them with one shared ``engine``.
     """
-    require(method in ("engine", "dense"), f"unknown method {method!r}")
+    require(method in ("reference", "dense"), f"unknown method {method!r}")
+    if engine is None:
+        engine = CSREngine(Network(adjacency))
     if method == "dense":
         from repro.local.dense import luby_mis_dense
 
-        if engine is None:
-            engine = CSREngine(Network(adjacency))
         result = luby_mis_dense(engine, seed=seed, max_rounds=max_rounds)
-        require(result.completed, "Luby MIS did not terminate within the round cap")
-        if ledger is not None:
-            ledger.charge_simulated(result.rounds, label)
-        return set(np.flatnonzero(result.in_mis).tolist()), result.rounds
-    if engine is not None:
-        result = engine.run(LubyMIS(), max_rounds=max_rounds, seed=seed)
+        mis = set(np.flatnonzero(result.in_mis).tolist())
     else:
-        result = run_local_fast(Network(adjacency), LubyMIS(), max_rounds=max_rounds, seed=seed)
+        result = run_local(engine.network, LubyMIS(), max_rounds=max_rounds, seed=seed)
+        mis = {i for i, v in enumerate(result.views) if v.state.get("in_mis")}
     require(result.completed, "Luby MIS did not terminate within the round cap")
     if ledger is not None:
         ledger.charge_simulated(result.rounds, label)
-    mis = {i for i, v in enumerate(result.views) if v.state.get("in_mis")}
     return mis, result.rounds
 
 

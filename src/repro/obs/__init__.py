@@ -7,8 +7,8 @@ A zero-dependency layer over the execution stack (the ROADMAP's
   any backend, persisted as torn-write-safe JSONL
   (:mod:`repro.obs.trace`);
 * :class:`TracingHooks` — tracing as a
-  :class:`~repro.local.network.RoundHooks` adapter for the reference and
-  engine executors (:mod:`repro.obs.hooks`); the dense kernels take a
+  :class:`~repro.local.network.RoundHooks` adapter for the reference
+  simulator (:mod:`repro.obs.hooks`); the dense kernels take a
   ``tracer=`` argument instead.
 
 The queryable *cross-run* half lives in ``benchmarks/history.py`` (a

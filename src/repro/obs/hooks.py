@@ -1,9 +1,8 @@
 """Tracing as a :class:`~repro.local.network.RoundHooks` adapter.
 
-:class:`TracingHooks` turns any hook-based executor run — the reference
-:func:`~repro.local.network.run_local` or the batched
-:class:`~repro.local.engine.CSREngine` — into a traced run without touching
-the executors: it wraps an optional *inner* hooks object (the scenario
+:class:`TracingHooks` turns a hooked run of the reference simulator
+:func:`~repro.local.network.run_local` into a traced run without touching
+the simulator: it wraps an optional *inner* hooks object (the scenario
 layer's :class:`~repro.scenarios.base.PerturbationHooks`, say), delegates
 every decision to it, and records one :meth:`Tracer.round` record per
 executed round carrying the active-set size, the messages delivered and
@@ -12,11 +11,10 @@ dropped this round, and the round's wall time.
 The bit-identity contract survives wrapping because the ``deliver``
 *decision* is exactly the inner hooks' (or True with no inner hooks) —
 still a pure function of ``(round_no, sender, port)``; the tracer only
-counts outcomes, and both executors consult ``deliver`` once per outgoing
-message.  Note the per-round ``delivered``/``dropped`` counts reflect the
-executor's message enumeration (the engine's broadcast fast path and the
-reference's dict loop enumerate the same messages), while the dense
-kernels' mask-based records omit them — cross-backend trace equivalence is
+counts outcomes, and the simulator consults ``deliver`` once per outgoing
+message.  The per-round ``delivered``/``dropped`` counts are the
+reference's; the dense kernels' mask-based records omit them, so
+cross-backend trace equivalence is
 asserted on rounds, active-set sizes and violations (see
 ``tests/obs/test_trace_equivalence.py``).
 """

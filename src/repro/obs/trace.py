@@ -21,7 +21,7 @@ Luby run at n = 100,000.
 Record shape (one flat JSON object per line)::
 
     {"kind": "round", "round": 3, "active": 412, "delivered": 1650,
-     "dropped": 84, "seconds": 0.0021, "trial": 7, "backend": "engine",
+     "dropped": 84, "seconds": 0.0021, "trial": 7, "backend": "reference",
      "scenario": "luby/crash"}
 
 ``kind`` is ``"round"`` for per-round records, ``"span"`` for named

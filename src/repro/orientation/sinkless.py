@@ -29,11 +29,11 @@ import numpy as np
 
 from repro.local.engine import CSREngine
 from repro.local.network import (
-    NO_BROADCAST,
     LocalAlgorithm,
     Network,
     NodeView,
     csr_arrays,
+    run_local,
 )
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import require, require_nodes
@@ -187,29 +187,22 @@ class TrialAndFixSinkless(LocalAlgorithm):
             return False
         return not any(view.state["out"].values())
 
-    def broadcast(self, view: NodeView, round_no: int) -> object:
-        # Steady state: a non-sink node sends the same reassurance on every
-        # port, which the batched engine delivers on its CSR fast path.
-        # Round 1 (per-port proposals) and sink rounds (one port flips) fall
-        # back to the general ``send``.
-        if round_no == 1 or (view.degree > 0 and self._is_sink(view)):
-            return NO_BROADCAST
-        return ("ok", view.uid)
-
     def send(self, view: NodeView, round_no: int) -> Dict[int, object]:
         if round_no == 1:
             # Propose a random direction for every port; ties broken by uid.
             props = {p: view.rng.random() < 0.5 for p in range(view.degree)}
             view.state["proposal"] = props
             return {p: ("prop", props[p], view.uid) for p in range(view.degree)}
-        msgs: Dict[int, object] = {}
-        if self._is_sink(view) and view.degree > 0:
+        ok = ("ok", view.uid)
+        if view.degree > 0 and self._is_sink(view):
             p = view.rng.randrange(view.degree)
             view.state["out"][p] = True
-            msgs[p] = ("flip", view.uid)
-        for p in range(view.degree):
-            msgs.setdefault(p, ("ok", view.uid))
-        return msgs
+            msgs: Dict[int, object] = {p: ("flip", view.uid)}
+            for q in range(view.degree):
+                msgs.setdefault(q, ok)
+            return msgs
+        # Steady state: the same reassurance on every port.
+        return dict.fromkeys(range(view.degree), ok)
 
     def receive(self, view: NodeView, round_no: int, inbox: Dict[int, object]) -> None:
         if round_no == 1:
@@ -247,30 +240,31 @@ def run_trial_and_fix(
     min_degree: int = 1,
     seed: int = 0,
     max_rounds: int = 200,
-    method: str = "engine",
+    method: str = "dense",
     engine=None,
 ) -> Tuple[GraphOrientation, int]:
     """Run :class:`TrialAndFixSinkless` until globally sink-free.
 
-    ``method="engine"`` (default) uses the batched engine with a global
-    stopping probe (the harness may observe the configuration; the nodes
-    themselves never use global information).  The probe checks for sinks
-    after each round — one O(R) pass, where the reference simulator's
-    rerun-under-growing-caps emulation cost O(R²) — and fires from round 2
-    onward, matching the historical "at least one proposal round plus one
-    fix round" accounting.
-
-    ``method="dense"`` runs the vectorized numpy kernel
-    (:func:`repro.local.dense.sinkless_trial_dense`): the same keyed node
-    coins, so a bit-identical orientation and round count.  Pass a prebuilt
-    ``engine`` over the same adjacency to amortize CSR packing across calls.  Returns the orientation and the round count.
+    ``method="dense"`` (default) runs the vectorized numpy kernel
+    (:func:`repro.local.dense.sinkless_trial_dense`), which needs a simple
+    graph.  ``method="reference"`` runs the algorithm on
+    :func:`repro.local.network.run_local` with a global stopping probe (the
+    harness may observe the configuration; the nodes themselves never use
+    global information), and is the only method for multigraphs.  The probe
+    checks for sinks after each round — one pass, where rerunning under
+    growing round caps cost O(R²) — and fires from round 2 onward, matching
+    the historical "at least one proposal round plus one fix round"
+    accounting.  Both methods draw the same keyed node coins, so they
+    return the same orientation and round count.  Pass a prebuilt
+    ``engine`` over the same adjacency to amortize validation and CSR
+    packing across calls.  Returns the orientation and the round count.
 
     The run is fault-free; faulty and recovering runs, with their
     survivor-aware stopping rule and repair tail, go through
     :func:`repro.scenarios.run_scenario`.  There is no batched method: for
     many seeds, loop ``method="dense"`` over them with one shared ``engine``.
     """
-    require(method in ("engine", "dense"), f"unknown method {method!r}")
+    require(method in ("reference", "dense"), f"unknown method {method!r}")
     if engine is None:
         engine = CSREngine(Network(adj))
     if method == "dense":
@@ -287,7 +281,7 @@ def run_trial_and_fix(
         )
 
     algo = TrialAndFixSinkless(min_degree=min_degree)
-    result = engine.run(algo, max_rounds=max_rounds, seed=seed, probe=probe)
+    result = run_local(engine.network, algo, max_rounds=max_rounds, seed=seed, probe=probe)
     orientation = orientation_from_views(adj, result.views)
     if result.rounds >= 2 and not sinks(adj, orientation, min_degree):
         return orientation, result.rounds

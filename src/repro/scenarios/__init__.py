@@ -3,11 +3,11 @@
 The paper's algorithms are analyzed on clean static graphs; this package
 turns *unclean* conditions into a first-class experimental axis.  A
 :class:`Scenario` is a declarative triple — graph family x perturbation
-schedule x validity contract — executed by :func:`run_scenario` on any of
-the three backends (reference simulator, batched CSR engine, dense numpy
-kernels) with **deterministic** fault schedules: every fault decision is a
-pure function of the trial seed, and so is every node coin, so faulty runs
-are reproducible and bit-identical across all three backends.
+schedule x validity contract — executed by :func:`run_scenario` on either
+backend (the hooked reference simulator or the masked dense numpy kernels)
+with **deterministic** fault schedules: every fault decision is a pure
+function of the trial seed, and so is every node coin, so faulty runs are
+reproducible and bit-identical across both backends.
 
 Vocabulary:
 

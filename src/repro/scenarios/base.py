@@ -11,9 +11,9 @@ run through two channels:
   round decisions (``crashes``, ``delivers``) are **pure functions** of the
   round number and message coordinates.
 
-Purity is the load-bearing property: the reference simulator, the batched
-engine and the dense kernels all consult the same decisions, but in
-different orders (dict sweep vs CSR slot sweep vs vectorized mask build).
+Purity is the load-bearing property: the reference simulator and the
+dense kernels consult the same decisions, but in different orders (dict
+sweep vs vectorized mask build).
 Because every decision is a pure function of ``(fault_seed, round, where)``
 — no internal stream consumption — hooked runs stay *bit-identical* across
 executors, which ``tests/scenarios/test_hook_equivalence.py`` property-

@@ -8,7 +8,7 @@ vectorized ``delivers_mask`` / ``crashes_mask`` decisions — one keyed hash
 per node for the (seed, uid, round) prefix plus one mix per slot for the
 port, per dropper per round — and falls back to a per-slot sweep of the
 pure scalar ``delivers`` for perturbations without a vectorized path, so
-any stack stays exactly equivalent to the hooked engine (property-tested
+any stack stays exactly equivalent to the hooked reference (property-tested
 in ``tests/scenarios/test_hook_equivalence.py`` and
 ``tests/scenarios/test_mask_kernels.py``).
 

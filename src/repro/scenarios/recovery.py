@@ -21,8 +21,8 @@ Three structural properties make the repair layer exact and cheap to test:
   for Luby, per-slot ``out`` orientation bits for sinkless, ``colors`` for
   splitting), plus per-round fault masks from
   :class:`~repro.scenarios.masks.DenseFaults` and keyed repair coins.  A
-  recovering scenario run on the hooked engine therefore matches one on
-  the dense kernels bit for bit, end state included (property-tested in
+  recovering scenario run on the hooked reference simulator therefore
+  matches one on the dense kernels bit for bit, end state included (property-tested in
   ``tests/scenarios/test_recovery.py``) — the repair itself is one shared
   vectorized implementation.
 * **Faults keep landing.**  Repair rounds continue the base run's round
@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.bipartite.instance import BLUE, RED
 from repro.utils.rng import keyed_u01_array
 
 __all__ = [
@@ -88,11 +89,10 @@ def _round_masks(faults, round_no: int):
     """``(crash, delivered_in, corrupted_in)`` masks for one repair round."""
     if faults is None:
         return None, None, None
-    corrupted_in = getattr(faults, "corrupted_in", None)
     return (
         faults.crashed_at(round_no),
         faults.delivered_in(round_no),
-        corrupted_in(round_no) if corrupted_in is not None else None,
+        faults.corrupted_in(round_no),
     )
 
 
@@ -310,7 +310,6 @@ def sinkless_repair(
     uid = engine.network.uid_array
     # A self-loop slot is its own partner and flips at every reconcile.
     loops = np.flatnonzero(owner == dst_node)
-    corrupted_out = getattr(faults, "corrupted_out", None)
 
     def counted(idx):
         live = ~crashed[dst_node[idx]]
@@ -386,7 +385,7 @@ def sinkless_repair(
         target = (keyed_u01_array(seed, REPAIR_COINS, uid[sinks], rb) * ports).astype(np.int64)
         pick = np.where(target < ports, np.cumsum(ports) - ports + target, -1)
         chosen = slots[live & (np.cumsum(live) - 1 == np.repeat(pick, degrees[sinks]))]
-        cout = corrupted_out(rb) if corrupted_out is not None else None
+        cout = faults.corrupted_out(rb) if faults is not None else None
         dout = faults.delivered_out(rb) if faults is not None else None
         # Announced flips: corruption turns "flip" <-> "ok" on any slot.
         flip = chosen if cout is None else np.setxor1d(chosen, np.flatnonzero(cout))
@@ -439,8 +438,6 @@ def splitting_repair(
     colors,
     crashed,
     start_round: int,
-    red: int,
-    blue: int,
     max_rounds: Optional[int] = None,
     cap: int = REPAIR_ROUND_CAP,
     edge_ok_mask=None,
@@ -480,7 +477,7 @@ def splitting_repair(
             live = live & edge_ok_mask
         deg = _segment_sum(live.astype(np.int64), offsets)
         red_n = _segment_sum(
-            (live & (colors[dst_node] == red)).astype(np.int64), offsets
+            (live & (colors[dst_node] == RED)).astype(np.int64), offsets
         )
         constrained = alive & spec.constrains(deg)
         return constrained & ~((red_n >= spec.lo(deg)) & (red_n <= spec.hi(deg)))
@@ -497,7 +494,7 @@ def splitting_repair(
         if crash is not None:
             crashed |= crash
         alive = ~crashed
-        is_red = colors[dst_node] == red
+        is_red = colors[dst_node] == RED
         if cin is not None:
             is_red = is_red ^ cin  # Byzantine: color flipped in transit
         heard = alive[dst_node]
@@ -526,7 +523,7 @@ def splitting_repair(
         if dinb is not None:
             nack = nack & dinb
         redraw = alive & (violator | _segment_or(nack, offsets))
-        fresh = np.where(keyed_u01_array(seed, REPAIR_COINS, uid, rb) < 0.5, red, blue)
+        fresh = np.where(keyed_u01_array(seed, REPAIR_COINS, uid, rb) < 0.5, RED, BLUE)
         colors[redraw] = fresh[redraw]
         used += 1
         last = rb

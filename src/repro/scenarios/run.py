@@ -23,11 +23,13 @@ drives the whole trial reproducibly and every backend computes the same
 run bit for bit.
 
 Scenario cells are amortized like the :func:`~repro.exp.workloads.scenario_engine`
-cache: the built graph and packed engine for one
-``(scenario, n, degree, graph_seed)`` cell are cached per process and
-reused across trial seeds — only the seeds drive coins and fault
-schedules, so packing and the engine's cached slot coordinates (the
-fault masks' set-up) are paid once per cell.
+cache: the built network and its :class:`~repro.local.engine.CSREngine`
+for one ``(scenario, n, degree, graph_seed)`` cell are cached per process
+and reused across trial seeds — only the seeds drive coins and fault
+schedules, so validation, packing and the engine's cached slot
+coordinates (the fault masks' set-up) are paid once per cell.  Every
+backend reads the engine: the dense kernels run on it, and the repair
+tails and round-1 fault checks of both backends use its slot layout.
 
 This is the one place that binds a perturbation stack to a pipeline run
 and appends a repair tail; the pipeline drivers (``luby_mis``,
@@ -81,7 +83,7 @@ def _scenario_adjacency(sc: Scenario, n: int, degree: int, graph_seed: int):
     return random_sparse_graph(n, float(degree), seed=graph_seed)
 
 
-# Per-process cell cache: built network + packed engine for one
+# Per-process cell cache: the engine (and its network) for one
 # (scenario, n, degree, graph_seed) cell, reused across trial seeds
 # (the seeds drive coins and fault schedules, never the topology).  Keyed by
 # the Scenario object itself — registered scenarios are module singletons,
@@ -91,26 +93,24 @@ _CELL_CACHE: dict = {}
 _CELL_CACHE_MAX = 4
 
 
-def _scenario_cell(sc: Scenario, n: int, degree: int, graph_seed: int, backend: str):
-    """``(network, engine, setup_seconds)`` for one scenario cell.
+def _scenario_cell(sc: Scenario, n: int, degree: int, graph_seed: int):
+    """``(engine, setup_seconds)`` for one scenario cell.
 
     ``setup_seconds`` is the graph build + rewrite + packing time paid by
-    *this* call (0.0 on a full cache hit); ``engine`` is ``None`` for the
-    reference backend.
+    *this* call (0.0 on a cache hit).
     """
     key = (sc, int(n), int(degree), int(graph_seed))
-    cell = _CELL_CACHE.get(key)
+    engine = _CELL_CACHE.get(key)
+    if engine is not None:
+        return engine, 0.0
     setup_start = time.perf_counter()
-    if cell is None:
-        adjacency = _scenario_adjacency(sc, n, degree, graph_seed)
-        adjacency, ids = rewrite_all(sc.perturbations, adjacency)
-        cell = {"network": Network(adjacency, ids=ids), "engine": None}
-        if len(_CELL_CACHE) >= _CELL_CACHE_MAX:
-            _CELL_CACHE.pop(next(iter(_CELL_CACHE)))
-        _CELL_CACHE[key] = cell
-    if backend in ("engine", "dense") and cell["engine"] is None:
-        cell["engine"] = CSREngine(cell["network"])
-    return cell["network"], cell["engine"], time.perf_counter() - setup_start
+    adjacency = _scenario_adjacency(sc, n, degree, graph_seed)
+    adjacency, ids = rewrite_all(sc.perturbations, adjacency)
+    engine = CSREngine(Network(adjacency, ids=ids))
+    if len(_CELL_CACHE) >= _CELL_CACHE_MAX:
+        _CELL_CACHE.pop(next(iter(_CELL_CACHE)))
+    _CELL_CACHE[key] = engine
+    return engine, time.perf_counter() - setup_start
 
 
 def run_scenario(
@@ -119,7 +119,7 @@ def run_scenario(
     degree: Optional[int] = None,
     seed: int = 0,
     graph_seed: int = 1,
-    backend: str = "engine",
+    backend: str = "dense",
     adjacency=None,
     max_rounds: Optional[int] = None,
     max_attempts: int = 64,
@@ -132,9 +132,8 @@ def run_scenario(
 
     ``scenario`` is a registry name or a :class:`Scenario`;
     ``backend`` one of the scenario's supported executors (``reference`` —
-    hooked :func:`run_local`, ``engine`` — hooked :class:`CSREngine`,
-    ``dense`` — masked numpy kernels); all three compute the same run bit
-    for bit.  ``fault_mode`` accepts only ``"mask"``, the keyed fault
+    hooked :func:`run_local`, ``dense`` — masked numpy kernels); both
+    compute the same run bit for bit.  ``fault_mode`` accepts only ``"mask"``, the keyed fault
     coins every run uses; any other value, such as the removed replay mode,
     raises ``ValueError``.  ``adjacency`` overrides the default scenario graph (the perturbation
     stack's graph rewrites are still applied on top; such runs bypass the
@@ -145,7 +144,7 @@ def run_scenario(
 
     ``tracer`` (a :class:`~repro.obs.trace.Tracer`; None by default) records
     one round record per executed round — via
-    :class:`~repro.obs.hooks.TracingHooks` on the hook backends, via the
+    :class:`~repro.obs.hooks.TracingHooks` on the reference backend, via the
     kernels' own trace points on the dense backend — plus a final
     ``result`` event carrying this trial's metrics.
 
@@ -174,32 +173,20 @@ def run_scenario(
         backend in sc.backends,
         f"scenario {sc.name!r} supports backends {sc.backends}, got {backend!r}",
     )
-    require(
-        not (sc.pipeline == "sinkless" and backend == "reference"),
-        "the sinkless pipeline has no reference-mode driver (probe-driven); "
-        "use backend='engine' or 'dense'",
-    )
     require(max_attempts >= 1, f"max_attempts must be >= 1, got {max_attempts}")
     if degree is None:
         degree = sc.degree if sc.degree is not None else _DEFAULT_DEGREE[sc.pipeline]
     if max_rounds is None:
         max_rounds = 400 if sc.pipeline == "sinkless" else 10_000
 
-    # The repair layer runs on CSR arrays, so a recovering reference run
-    # still needs the packed engine (the base run stays hook-driven).
-    cell_backend = "engine" if (recover and backend == "reference") else backend
     if adjacency is None:
-        network, engine, setup_seconds = _scenario_cell(
-            sc, n, degree, graph_seed, cell_backend
-        )
+        engine, setup_seconds = _scenario_cell(sc, n, degree, graph_seed)
     else:
         setup_start = time.perf_counter()
         adjacency, ids = rewrite_all(sc.perturbations, adjacency)
-        network = Network(adjacency, ids=ids)
-        engine = (
-            CSREngine(network) if cell_backend in ("engine", "dense") else None
-        )
+        engine = CSREngine(Network(adjacency, ids=ids))
         setup_seconds = time.perf_counter() - setup_start
+    network = engine.network
 
     bound = bind_all(sc.perturbations, network, fault_seed=seed)
     quiet = quiet_after(bound)
@@ -267,10 +254,7 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, tracer=None
         hooks = PerturbationHooks(bound)
         if tracer is not None and tracer.enabled:
             hooks = TracingHooks(tracer, inner=hooks)
-        if backend == "reference":
-            result = run_local(network, LubyMIS(), max_rounds=max_rounds, seed=seed, hooks=hooks)
-        else:
-            result = engine.run(LubyMIS(), max_rounds=max_rounds, seed=seed, hooks=hooks)
+        result = run_local(network, LubyMIS(), max_rounds=max_rounds, seed=seed, hooks=hooks)
         alive = alive_mask(result.views)
         mis = {
             i
@@ -406,9 +390,9 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, tracer=
         def probe(round_no: int, views) -> bool:
             return round_no >= 2 and survivors_sink_free(adjacency, views, min_degree)
 
-        result = engine.run(
-            TrialAndFixSinkless(min_degree=min_degree),
-            max_rounds=max_rounds, seed=seed, probe=probe, hooks=hooks,
+        result = run_local(
+            network, TrialAndFixSinkless(min_degree=min_degree),
+            max_rounds=max_rounds, seed=seed, hooks=hooks, probe=probe,
         )
         rounds = result.rounds
         completed = rounds >= 2 and survivors_sink_free(adjacency, result.views, min_degree)
@@ -483,11 +467,9 @@ def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts, tra
             hooks = PerturbationHooks(attempt_bound)
             if tracer is not None and tracer.enabled:
                 hooks = TracingHooks(tracer, inner=hooks)
-            algorithm = ZeroRoundSplitting(spec)
-            if backend == "reference":
-                result = run_local(network, algorithm, max_rounds=1, seed=run_seed, hooks=hooks)
-            else:
-                result = engine.run(algorithm, max_rounds=1, seed=run_seed, hooks=hooks)
+            result = run_local(
+                network, ZeroRoundSplitting(spec), max_rounds=1, seed=run_seed, hooks=hooks,
+            )
             alive = alive_mask(result.views)
             accepted = all(
                 v.output[1]
@@ -513,7 +495,6 @@ def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts, tra
     completed = accepted
     metrics = {}
     if recover:
-        from repro.bipartite.instance import BLUE, RED
         from repro.scenarios.masks import DenseFaults
         from repro.scenarios.recovery import splitting_repair
 
@@ -524,7 +505,7 @@ def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts, tra
         # the schedule still in force and its run seed keys the repair coins.
         rep = splitting_repair(
             engine, DenseFaults(engine, attempt_bound), spec,
-            run_seed, colors, crashed, start_round=2, red=RED, blue=BLUE,
+            run_seed, colors, crashed, start_round=2,
             edge_ok_mask=edge_ok_slot_mask(engine, attempt_bound),
         )
         rounds = attempts + rep.repair_rounds

@@ -351,7 +351,7 @@ def certify_scenario(
     scenario,
     n: int = 48,
     seed: int = 0,
-    backend: str = "engine",
+    backend: str = "dense",
     recover: bool = True,
     graph_seed: int = 1,
     strict: bool = True,

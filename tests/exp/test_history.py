@@ -141,7 +141,7 @@ def test_slope_alerts_flag_creep_but_not_flat_cells(tmp_path):
     rows = []
     for i in range(6):
         rows.append(row(f"c{i}", 0.1 * 1.08 ** i, written_at=float(i)))
-        rows.append(row(f"c{i}", 0.2, experiment="mis/sparse@engine",
+        rows.append(row(f"c{i}", 0.2, experiment="mis/sparse@reference",
                         written_at=float(i)))
     path = tmp_path / "hist.jsonl"
     write_jsonl(path, rows)

@@ -18,9 +18,9 @@ def load_store():
 
 def tiny_sweep():
     spec = ExperimentSpec(
-        "mis/sparse@engine",
+        "mis/sparse@reference",
         luby_mis_workload,
-        {"topology": "sparse", "n": 80, "degree": 4, "backend": "engine"},
+        {"topology": "sparse", "n": 80, "degree": 4, "backend": "reference"},
         seeds=(0, 1),
     )
     return run_sweep([spec], workers=0)
@@ -34,8 +34,8 @@ class TestHistoryStore:
         assert len(rows) == 2
         for row, trial in zip(rows, sweep.trials):
             assert row["commit"] == "abc123"
-            assert row["experiment"] == "mis/sparse@engine"
-            assert row["backend"] == "engine"  # parsed off the @suffix
+            assert row["experiment"] == "mis/sparse@reference"
+            assert row["backend"] == "reference"  # parsed off the @suffix
             assert row["seed"] == trial.seed
             assert row["ok"] and row["error"] is None
             assert row["metrics"]["n"] == 80
@@ -108,7 +108,7 @@ class TestCorruptTrailingLine:
 
 
 class TestLatestBaseline:
-    def _row(self, commit, experiment="mis/sparse@engine", backend="engine",
+    def _row(self, commit, experiment="mis/sparse@reference", backend="reference",
              ok=True, written_at=0.0, solve=1.0):
         return {
             "commit": commit, "experiment": experiment, "backend": backend,
@@ -123,7 +123,7 @@ class TestLatestBaseline:
             self._row("old", written_at=1.0, solve=0.6),
             self._row("new", written_at=2.0, solve=0.1),
         ]
-        base = store.latest_baseline(rows, "mis/sparse@engine", "engine")
+        base = store.latest_baseline(rows, "mis/sparse@reference", "reference")
         assert [r["commit"] for r in base] == ["new"]
 
     def test_excludes_current_commit_and_failures(self):
@@ -134,15 +134,15 @@ class TestLatestBaseline:
             self._row("bad", written_at=3.0, ok=False),
         ]
         base = store.latest_baseline(
-            rows, "mis/sparse@engine", "engine", exclude_commit="cur"
+            rows, "mis/sparse@reference", "reference", exclude_commit="cur"
         )
         assert [r["commit"] for r in base] == ["old"]
 
     def test_empty_when_cell_unseen(self):
         store = load_store()
         rows = [self._row("old")]
-        assert store.latest_baseline(rows, "mis/sparse@engine", "dense") == []
-        assert store.latest_baseline([], "mis/sparse@engine", "engine") == []
+        assert store.latest_baseline(rows, "mis/sparse@reference", "dense") == []
+        assert store.latest_baseline([], "mis/sparse@reference", "reference") == []
 
 
 class TestBootstrap:

@@ -2,11 +2,10 @@
 
 Two contracts from ``repro/local/dense.py``:
 
-* every dense kernel is **bit-identical** to the CSR engine (itself
-  bit-identical to ``run_local``) — same outputs and round counts for any
-  graph and seed.  The hypothesis property in
-  ``tests/scenarios/test_hook_equivalence.py`` covers random graphs, seeds
-  and fault stacks; the cases here pin structured topologies, degenerate
+* every dense kernel is **bit-identical** to the reference simulator
+  ``run_local`` — same outputs and round counts for any graph and seed.
+  The hypothesis property in ``tests/scenarios/test_hook_equivalence.py``
+  covers random graphs, seeds and fault stacks; the cases here pin structured topologies, degenerate
   CSR layouts and the public pipeline entry points;
 * the keyed coins are fair: every output must satisfy the algorithm's
   validity predicate (independence + maximality, sinklessness, splitting
@@ -40,31 +39,26 @@ from repro.orientation.sinkless import is_sinkless, run_trial_and_fix  # noqa: E
 from repro.utils.rng import ensure_rng  # noqa: E402
 
 
-def engine_mis(engine, seed, max_rounds=10_000):
-    result = engine.run(LubyMIS(), max_rounds=max_rounds, seed=seed)
+def reference_mis(engine, seed, max_rounds=10_000):
+    result = run_local(engine.network, LubyMIS(), max_rounds=max_rounds, seed=seed)
     return [bool(v.state.get("in_mis")) for v in result.views], result.rounds, result.completed
 
 
 class TestLubyBitIdentity:
-    """dense == engine == run_local on structured and degenerate graphs."""
+    """dense == run_local on structured and degenerate graphs."""
 
     def test_random_sparse_graphs(self):
         for trial in range(8):
             rng = random.Random(trial)
             n = rng.randint(2, 200)
             adj = random_sparse_graph(n, min(n - 1, rng.uniform(0.5, 8)), seed=trial)
-            net = Network(adj)
-            engine = CSREngine(net)
+            engine = CSREngine(Network(adj))
             for seed in (0, 1, 7):
-                mis, rounds, completed = engine_mis(engine, seed)
+                mis, rounds, completed = reference_mis(engine, seed)
                 dense = luby_mis_dense(engine, seed=seed)
                 assert dense.rounds == rounds
                 assert dense.completed == completed
                 assert [bool(x) for x in dense.in_mis] == mis
-                # ... and the engine agrees with the reference simulator.
-                ref = run_local(net, LubyMIS(), seed=seed)
-                assert ref.rounds == rounds
-                assert [bool(v.state.get("in_mis")) for v in ref.views] == mis
 
     def test_structured_topologies_and_shuffled_ids(self):
         nets = [
@@ -75,27 +69,24 @@ class TestLubyBitIdentity:
         for net in nets:
             engine = CSREngine(net)
             for seed in (3, 11):
-                mis, rounds, _ = engine_mis(engine, seed)
+                mis, rounds, _ = reference_mis(engine, seed)
                 dense = luby_mis_dense(engine, seed=seed)
                 assert dense.rounds == rounds
                 assert [bool(x) for x in dense.in_mis] == mis
-                ref = run_local(net, LubyMIS(), seed=seed)
-                assert ref.rounds == rounds
-                assert [bool(v.state.get("in_mis")) for v in ref.views] == mis
 
     def test_multi_edges_supported(self):
         # Parallel edges just duplicate priority comparisons; outputs match.
         adj = [[1, 1, 2], [0, 0, 2], [0, 1]]
         engine = CSREngine(Network(adj))
         for seed in (0, 5):
-            mis, rounds, _ = engine_mis(engine, seed)
+            mis, rounds, _ = reference_mis(engine, seed)
             dense = luby_mis_dense(engine, seed=seed)
             assert dense.rounds == rounds and [bool(x) for x in dense.in_mis] == mis
 
     def test_edgeless_and_tiny_graphs(self):
         for adj in ([], [[]], [[], []], [[1], [0]]):
             engine = CSREngine(Network(adj))
-            mis, rounds, completed = engine_mis(engine, 0)
+            mis, rounds, completed = reference_mis(engine, 0)
             dense = luby_mis_dense(engine, seed=0)
             assert dense.rounds == rounds and dense.completed == completed
             assert [bool(x) for x in dense.in_mis] == mis
@@ -112,17 +103,17 @@ class TestLubyBitIdentity:
         for adj in graphs:
             engine = CSREngine(Network(adj))
             for seed in (0, 1, 2, 5):
-                mis, rounds, completed = engine_mis(engine, seed)
+                mis, rounds, completed = reference_mis(engine, seed)
                 dense = luby_mis_dense(engine, seed=seed)
                 assert [bool(x) for x in dense.in_mis] == mis, (adj, seed)
                 assert dense.rounds == rounds and dense.completed == completed
                 assert is_mis(adj, {int(i) for i in dense.in_mis.nonzero()[0]})
 
-    def test_round_cap_matches_engine(self):
+    def test_round_cap_matches_reference(self):
         adj = random_sparse_graph(40, 4, seed=3)
         engine = CSREngine(Network(adj))
         for cap in (0, 1, 2, 3):
-            mis, rounds, completed = engine_mis(engine, 1, max_rounds=cap)
+            mis, rounds, completed = reference_mis(engine, 1, max_rounds=cap)
             dense = luby_mis_dense(engine, seed=1, max_rounds=cap)
             assert dense.rounds == rounds
             assert dense.completed == completed
@@ -130,7 +121,7 @@ class TestLubyBitIdentity:
     def test_method_dense_through_luby_mis(self):
         adj = random_sparse_graph(80, 5, seed=4)
         for seed in (0, 2):
-            assert luby_mis(adj, seed=seed) == luby_mis(
+            assert luby_mis(adj, seed=seed, method="reference") == luby_mis(
                 adj, seed=seed, method="dense"
             )
 
@@ -159,14 +150,14 @@ GRAPH_SHAPES = [
 
 
 @pytest.mark.parametrize("adj", GRAPH_SHAPES)
-def test_luby_mis_dense_on_one_engine_matches_engine_method(adj):
+def test_luby_mis_dense_on_one_engine_matches_reference_method(adj):
     # Degenerate and multi-edge CSR layouts through the public pipeline:
-    # a seed loop of method="dense" on one shared engine gives the engine
-    # method's MIS and round count for every seed.
+    # a seed loop of method="dense" on one shared engine gives the
+    # reference method's MIS and round count for every seed.
     engine = CSREngine(Network(adj))
     for seed in range(4):
         dense = luby_mis(adj, seed=seed, method="dense", engine=engine)
-        assert dense == luby_mis(adj, seed=seed)
+        assert dense == luby_mis(adj, seed=seed, method="reference")
         assert is_mis(adj, dense[0])
 
 
@@ -176,7 +167,9 @@ class TestSinklessBitIdentity:
             adj = configuration_model_regular(50, 4, seed=trial)
             engine = CSREngine(Network(adj))
             for seed in (0, 3):
-                orientation, rounds = run_trial_and_fix(adj, min_degree=2, seed=seed)
+                orientation, rounds = run_trial_and_fix(
+                    adj, min_degree=2, seed=seed, method="reference"
+                )
                 dense = sinkless_trial_dense(engine, min_degree=2, seed=seed)
                 assert dense.rounds == rounds
                 assert dense_orientation(engine, dense.out) == orientation
@@ -190,7 +183,9 @@ class TestSinklessBitIdentity:
         for adj in graphs:
             engine = CSREngine(Network(adj))
             for seed in (1, 4):
-                orientation, rounds = run_trial_and_fix(adj, min_degree=1, seed=seed)
+                orientation, rounds = run_trial_and_fix(
+                    adj, min_degree=1, seed=seed, method="reference"
+                )
                 dense = sinkless_trial_dense(engine, min_degree=1, seed=seed)
                 assert dense.rounds == rounds
                 assert dense_orientation(engine, dense.out) == orientation
@@ -198,9 +193,9 @@ class TestSinklessBitIdentity:
     def test_method_dense_through_driver(self):
         adj = configuration_model_regular(40, 4, seed=5)
         for seed in (0, 2):
-            assert run_trial_and_fix(adj, min_degree=2, seed=seed) == run_trial_and_fix(
-                adj, min_degree=2, seed=seed, method="dense"
-            )
+            assert run_trial_and_fix(
+                adj, min_degree=2, seed=seed, method="reference"
+            ) == run_trial_and_fix(adj, min_degree=2, seed=seed, method="dense")
 
     def test_multi_edge_rejected(self):
         for adj in ([[1, 1], [0, 0]], [[0, 1], [0]]):  # parallel edge, self-loop
@@ -214,7 +209,9 @@ class TestSinklessBitIdentity:
         adj = [[1, 2], [0, 2], [0, 1], []]
         engine = CSREngine(Network(adj))
         for seed in (0, 1, 3):
-            orientation, rounds = run_trial_and_fix(adj, min_degree=2, seed=seed)
+            orientation, rounds = run_trial_and_fix(
+                adj, min_degree=2, seed=seed, method="reference"
+            )
             dense = sinkless_trial_dense(engine, min_degree=2, seed=seed)
             assert dense.rounds == rounds
             assert dense_orientation(engine, dense.out) == orientation
@@ -244,7 +241,8 @@ class TestSplittingBitIdentity:
         engine = CSREngine(Network(adj))
         spec = UniformSplittingSpec(eps=0.45, min_constrained_degree=2)
         for run_seed in range(6):
-            result = engine.run(ZeroRoundSplitting(spec), max_rounds=1, seed=run_seed)
+            result = run_local(engine.network, ZeroRoundSplitting(spec), max_rounds=1,
+                               seed=run_seed)
             dense = uniform_splitting_dense(engine, spec, seed=run_seed)
             assert [int(c) for c in dense.colors] == [c for c, _ in result.outputs()]
             assert dense.ok == all(ok for _, ok in result.outputs())
@@ -256,7 +254,8 @@ class TestSplittingBitIdentity:
         engine = CSREngine(Network(adj))
         spec = UniformSplittingSpec(eps=0.3, min_constrained_degree=10)
         for run_seed in (0, 1, 2, 99):
-            result = engine.run(ZeroRoundSplitting(spec), max_rounds=1, seed=run_seed)
+            result = run_local(engine.network, ZeroRoundSplitting(spec), max_rounds=1,
+                               seed=run_seed)
             dense = uniform_splitting_dense(engine, spec, seed=run_seed)
             assert [int(c) for c in dense.colors] == [c for c, _ in result.outputs()]
             assert dense.ok == all(ok for _, ok in result.outputs())
@@ -358,11 +357,12 @@ def test_removed_coins_keyword_fails_loudly(call):
                      id="uniform_splitting"),
     ],
 )
-@pytest.mark.parametrize("method", ["dense-batched", "dense-sharded"])
-def test_pipelines_without_batched_kernel_reject_batched_method(pipeline, kwargs, method):
+@pytest.mark.parametrize("method", ["dense-batched", "dense-sharded", "engine"])
+def test_pipelines_reject_removed_methods(pipeline, kwargs, method):
     # One seed per call and no batched kernel for any pipeline (a loop of
-    # method="dense" runs on one engine is the many-seeds path): the
-    # batched method names are unknown everywhere.
+    # method="dense" runs on one engine is the many-seeds path), and no CSR
+    # engine executor (the reference simulator and the dense kernels are
+    # the two executors): the removed method names are unknown everywhere.
     adj = configuration_model_regular(40, 4, seed=1)
     for seed in ([0, 1], 0):
         with pytest.raises(ValueError, match="unknown method"):

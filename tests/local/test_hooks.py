@@ -1,22 +1,17 @@
-"""RoundHooks behaviour on both executors.
+"""RoundHooks behaviour on the reference simulator.
 
 The hook API is the substrate of the scenario subsystem: crashes in
 ``before_round``, message drops in ``deliver``, observation in
-``after_round`` — with identical call points in :func:`run_local` and the
-batched engine.  These tests pin the call-point semantics directly (the
-perturbation-level equivalence lives in ``tests/scenarios/``).
+``after_round``.  These tests pin the call-point semantics directly, with
+and without a stopping probe that never fires (the perturbation-level
+equivalence with the dense kernels lives in ``tests/scenarios/``).
 """
+
+from functools import partial
 
 import pytest
 
-from repro.local import (
-    CSREngine,
-    LocalAlgorithm,
-    Network,
-    RoundHooks,
-    run_local,
-    run_local_fast,
-)
+from repro.local import LocalAlgorithm, Network, RoundHooks, run_local
 from tests.conftest import cycle_graph
 
 
@@ -74,7 +69,12 @@ class Recorder(RoundHooks):
         self.after.append(round_no)
 
 
-@pytest.mark.parametrize("runner", [run_local, run_local_fast])
+def never(round_no, views):
+    return False
+
+
+@pytest.mark.parametrize("runner", [run_local, partial(run_local, probe=never)],
+                         ids=["plain", "idle-probe"])
 class TestHookSemantics:
     def test_crashed_node_stops_participating(self, runner):
         net = Network(cycle_graph(6))
@@ -125,7 +125,7 @@ class TestHookSemantics:
         assert all(v.output is None for v in result.views)
 
 
-def test_hooked_runs_bit_identical_across_executors():
+def test_idle_probe_leaves_hooked_runs_unchanged():
     net = Network(cycle_graph(9))
     for hooks_factory in (
         lambda: CrashAt([2, 5], at_round=2),
@@ -133,12 +133,12 @@ def test_hooked_runs_bit_identical_across_executors():
         lambda: Recorder(),
     ):
         ref = run_local(net, Flood(rounds=4), max_rounds=20, seed=3, hooks=hooks_factory())
-        fast = run_local_fast(net, Flood(rounds=4), max_rounds=20, seed=3,
-                              hooks=hooks_factory())
-        assert ref.rounds == fast.rounds
-        assert ref.completed == fast.completed
-        assert ref.outputs() == fast.outputs()
-        assert [v.state for v in ref.views] == [v.state for v in fast.views]
+        probed = run_local(net, Flood(rounds=4), max_rounds=20, seed=3,
+                           hooks=hooks_factory(), probe=never)
+        assert ref.rounds == probed.rounds
+        assert ref.completed == probed.completed
+        assert ref.outputs() == probed.outputs()
+        assert [v.state for v in ref.views] == [v.state for v in probed.views]
 
 
 def test_hooks_compose_with_probe():
@@ -149,8 +149,8 @@ def test_hooks_compose_with_probe():
         seen.append(round_no)
         return False
 
-    result = CSREngine(net).run(Flood(rounds=3), max_rounds=10, seed=0,
-                                probe=probe, hooks=DropFrom([0]))
+    result = run_local(net, Flood(rounds=3), max_rounds=10, seed=0,
+                       probe=probe, hooks=DropFrom([0]))
     assert result.completed
     # The probe fires between rounds while any node is still active.
     assert seen == list(range(1, result.rounds))

@@ -273,7 +273,7 @@ class HaltsThenListens(LocalAlgorithm):
 
 
 class TestEdgeSemantics:
-    """The fine print of the delivery contract, pinned for the engine too."""
+    """The fine print of the delivery contract."""
 
     def test_multi_edge_port_matching_order(self):
         # Node 0 lists node 1 twice; the k-th copy on each side must pair.

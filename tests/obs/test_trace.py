@@ -8,11 +8,11 @@ from repro.obs import NullTracer, Tracer, append_trace, load_trace
 
 
 def test_tracer_stamps_common_tags_on_every_record():
-    tracer = Tracer(trial=7, backend="engine", scenario="luby/crash")
+    tracer = Tracer(trial=7, backend="reference", scenario="luby/crash")
     tracer.round(1, active=100)
     tracer.event("result", rounds=1)
     assert all(
-        r["trial"] == 7 and r["backend"] == "engine" and r["scenario"] == "luby/crash"
+        r["trial"] == 7 and r["backend"] == "reference" and r["scenario"] == "luby/crash"
         for r in tracer.records
     )
 

@@ -91,7 +91,7 @@ class TestTrialAndFix:
         _, rounds = run_trial_and_fix(adj, seed=3)
         assert rounds <= 30
 
-    @pytest.mark.parametrize("method", ["engine", "dense"])
+    @pytest.mark.parametrize("method", ["reference", "dense"])
     def test_negative_round_cap_rejected(self, method):
         adj = random_regular_graph(24, 4, seed=5)
         with pytest.raises(ValueError, match="max_rounds must be >= 0"):

@@ -8,8 +8,8 @@ Byzantine message corruption.
   message vocabulary, is an involution on the symmetric pairs, and passes
   unknown payloads through;
 * **hook equivalence** — the Byzantine scenarios produce bit-identical
-  metrics across every backend they register (reference hooks, engine
-  hooks, dense corruption masks), because the corruption *decision* runs
+  metrics across every backend they register (reference hooks, dense
+  corruption masks), because the corruption *decision* runs
   on the shared keyed coin kernels and the *rewrite* is mirrored as
   per-slot semantic masks.
 """
@@ -155,8 +155,8 @@ class TestByzantineHookEquivalence:
                 assert m[k] == runs[0][k], (name, backend, k)
 
     def test_corruption_changes_outcomes(self):
-        clean = run_scenario("luby/crash", n=64, seed=3, backend="engine")
-        byz = run_scenario("luby/byzantine", n=64, seed=3, backend="engine")
+        clean = run_scenario("luby/crash", n=64, seed=3, backend="reference")
+        byz = run_scenario("luby/byzantine", n=64, seed=3, backend="reference")
         # Same base pipeline, different fault family: the Byzantine channel
         # must actually perturb the execution, not just relabel it.
         assert (byz["rounds"], byz["violations"], byz["mis_size"]) != (

@@ -1,10 +1,11 @@
-"""One property: reference, engine and dense compute the same run.
+"""One property: the reference simulator and the dense kernels compute the
+same run.
 
 Every node coin is the keyed uniform ``u(seed, "node", uid, round, draw)``
 and every fault decision a keyed coin of the trial seed, so for any graph
 or multigraph, any identifiers, any seed, any stack of the registered
-runtime perturbations and any round cap, the reference simulator, the CSR
-engine and the dense kernels must agree bit for bit — outputs, round
+runtime perturbations and any round cap, the hooked reference simulator
+and the masked dense kernels must agree bit for bit — outputs, round
 counts and crash records — for Luby MIS, trial-and-fix sinkless
 orientation and 0-round uniform splitting.
 
@@ -113,7 +114,7 @@ def adjacency(n, pairs, simple=False):
 
 
 def hooks(stack, net, seed):
-    """A fresh hooked-executor view of the stack bound to ``seed``."""
+    """A fresh hooked-reference view of the stack bound to ``seed``."""
     return PerturbationHooks(bind_all(stack, net, seed))
 
 
@@ -126,49 +127,54 @@ def crashed(views):
     return [bool(v.state.get("crashed")) for v in views]
 
 
-def assert_same_run(ref, eng):
-    assert (ref.rounds, ref.completed) == (eng.rounds, eng.completed)
-    assert ref.outputs() == eng.outputs()
-    assert [v.state for v in ref.views] == [v.state for v in eng.views]
+def assert_same_run(a, b):
+    assert (a.rounds, a.completed) == (b.rounds, b.completed)
+    assert a.outputs() == b.outputs()
+    assert [v.state for v in a.views] == [v.state for v in b.views]
 
 
 def check_luby(net, seed, stack, max_rounds):
     engine = CSREngine(net)
     kwargs = dict(max_rounds=max_rounds, seed=seed)
     ref = run_local(net, LubyMIS(), hooks=hooks(stack, net, seed), **kwargs)
-    eng = engine.run(LubyMIS(), hooks=hooks(stack, net, seed), **kwargs)
-    assert_same_run(ref, eng)
     dense = luby_mis_dense(engine, faults=faults(engine, stack, seed), **kwargs)
-    assert (dense.rounds, dense.completed) == (eng.rounds, eng.completed)
-    assert dense.in_mis.tolist() == [bool(v.state.get("in_mis")) for v in eng.views]
-    assert dense.crashed.tolist() == crashed(eng.views)
-    return eng
+    assert (dense.rounds, dense.completed) == (ref.rounds, ref.completed)
+    assert dense.in_mis.tolist() == [bool(v.state.get("in_mis")) for v in ref.views]
+    assert dense.crashed.tolist() == crashed(ref.views)
+    return ref
+
+
+def survivor_probe(adj):
+    """The survivor-aware stop of the dense kernel and the scenario runner."""
+    def probe(round_no, views):
+        return round_no >= 2 and survivors_sink_free(adj, views, SINKLESS_MIN_DEGREE)
+    return probe
+
+
+def check_probe_only_observes(net, seed, stack, max_rounds):
+    """A probe-stopped sinkless run ends in the states of the run capped at
+    its stopping round: the probe observes and never changes a run."""
+    algo = TrialAndFixSinkless(min_degree=SINKLESS_MIN_DEGREE)
+    ref = run_local(net, algo, max_rounds=max_rounds, seed=seed,
+                    hooks=hooks(stack, net, seed), probe=survivor_probe(net.adjacency))
+    capped = run_local(net, algo, max_rounds=ref.rounds, seed=seed,
+                       hooks=hooks(stack, net, seed))
+    assert_same_run(ref, capped)
+    return ref
 
 
 def check_sinkless(net, seed, stack, max_rounds):
     engine = CSREngine(net)
     adj = net.adjacency
-
-    # The survivor-aware stop of the dense kernel and the scenario runner.
-    def probe(round_no, views):
-        return round_no >= 2 and survivors_sink_free(adj, views, SINKLESS_MIN_DEGREE)
-
-    algo = TrialAndFixSinkless(min_degree=SINKLESS_MIN_DEGREE)
-    eng = engine.run(algo, max_rounds=max_rounds, seed=seed, probe=probe,
-                     hooks=hooks(stack, net, seed))
-    # The reference has no probe: capped at the engine's stopping round it
-    # must end in the same states.
-    ref = run_local(net, algo, max_rounds=eng.rounds, seed=seed,
-                    hooks=hooks(stack, net, seed))
-    assert_same_run(ref, eng)
+    ref = check_probe_only_observes(net, seed, stack, max_rounds)
     dense = sinkless_trial_dense(
         engine, min_degree=SINKLESS_MIN_DEGREE, seed=seed, max_rounds=max_rounds,
         faults=faults(engine, stack, seed), strict=False,
     )
-    out, dead = slot_state_from_views(engine.offsets, eng.views)
-    assert dense.rounds == eng.rounds
-    assert dense.completed == (eng.rounds >= 2 and survivors_sink_free(
-        adj, eng.views, SINKLESS_MIN_DEGREE))
+    out, dead = slot_state_from_views(engine.offsets, ref.views)
+    assert dense.rounds == ref.rounds
+    assert dense.completed == (ref.rounds >= 2 and survivors_sink_free(
+        adj, ref.views, SINKLESS_MIN_DEGREE))
     assert np.array_equal(dense.out, out)
     assert np.array_equal(dense.crashed, dead)
 
@@ -177,13 +183,11 @@ def check_splitting(net, seed, stack):
     engine = CSREngine(net)
     algo = ZeroRoundSplitting(SPLIT_SPEC)
     ref = run_local(net, algo, max_rounds=1, seed=seed, hooks=hooks(stack, net, seed))
-    eng = engine.run(algo, max_rounds=1, seed=seed, hooks=hooks(stack, net, seed))
-    assert_same_run(ref, eng)
     dense = uniform_splitting_dense(engine, SPLIT_SPEC, seed=seed,
                                     faults=faults(engine, stack, seed))
-    assert dense.colors.tolist() == [v.state["color"] for v in eng.views]
-    assert dense.ok == all(v.output[1] for v in eng.views if v.output is not None)
-    assert dense.crashed.tolist() == crashed(eng.views)
+    assert dense.colors.tolist() == [v.state["color"] for v in ref.views]
+    assert dense.ok == all(v.output[1] for v in ref.views if v.output is not None)
+    assert dense.crashed.tolist() == crashed(ref.views)
 
 
 @settings(max_examples=200, deadline=None)
@@ -242,7 +246,7 @@ def simple_sparse_network(rng):
             return Network(adj)
 
 
-class TestReferenceVsEngineUnderFaults:
+class TestRandomFaultStacks:
     """Fixed-seed regressions on graphs larger than the property draws."""
 
     def test_luby_random_fault_stacks(self):
@@ -250,37 +254,24 @@ class TestReferenceVsEngineUnderFaults:
         for _ in range(25):
             net = Network(random_multigraph(rng, rng.randrange(2, 25)))
             stack, seed = random_stack(rng), rng.randrange(10_000)
-            ref = run_local(net, LubyMIS(), max_rounds=60, seed=seed,
-                            hooks=hooks(stack, net, seed))
-            eng = CSREngine(net).run(LubyMIS(), max_rounds=60, seed=seed,
-                                     hooks=hooks(stack, net, seed))
-            assert_same_run(ref, eng)
+            check_luby(net, seed, stack, max_rounds=60)
 
     def test_sinkless_random_fault_stacks(self):
-        # Multigraphs and round-1 faults: the non-broadcast send path and
-        # the defensive round-1 receive (missing proposals under faults).
+        # Multigraphs and round-1 faults, which only the reference runs:
+        # the defensive round-1 receive (missing proposals under faults)
+        # under a probe that must stop without changing the run.
         rng = random.Random(99)
-        algo = TrialAndFixSinkless(min_degree=2)
         for _ in range(15):
             net = Network(random_multigraph(rng, rng.randrange(2, 18)))
             stack, seed = random_stack(rng), rng.randrange(10_000)
-            ref = run_local(net, algo, max_rounds=12, seed=seed,
-                            hooks=hooks(stack, net, seed))
-            eng = CSREngine(net).run(algo, max_rounds=12, seed=seed,
-                                     hooks=hooks(stack, net, seed))
-            assert_same_run(ref, eng)
+            check_probe_only_observes(net, seed, stack, max_rounds=12)
 
     def test_splitting_random_fault_stacks(self):
         rng = random.Random(7)
-        algo = ZeroRoundSplitting(SPLIT_SPEC)
         for _ in range(15):
             net = Network(random_multigraph(rng, rng.randrange(2, 20)))
             stack, seed = random_stack(rng), rng.randrange(10_000)
-            ref = run_local(net, algo, max_rounds=1, seed=seed,
-                            hooks=hooks(stack, net, seed))
-            eng = CSREngine(net).run(algo, max_rounds=1, seed=seed,
-                                     hooks=hooks(stack, net, seed))
-            assert_same_run(ref, eng)
+            check_splitting(net, seed, stack)
 
 
 def luby_multigraph(n=60, chords=120, seed=4):
@@ -292,7 +283,7 @@ def luby_multigraph(n=60, chords=120, seed=4):
 
 
 class TestDenseUnderFaults:
-    """Dense kernels fed fault masks == hooked engine, on fixed seeds."""
+    """Dense kernels fed fault masks == hooked reference, on fixed seeds."""
 
     def test_luby_crash_and_drop(self):
         rng = random.Random(31)
@@ -322,9 +313,9 @@ class TestDenseUnderFaults:
                       else luby_multigraph())
         stack = (CrashNodes(fraction=1.0, at_round=at_round),)
         for seed in range(4):
-            clean = CSREngine(net).run(LubyMIS(), seed=seed)
-            eng = check_luby(net, seed, stack, max_rounds=60)
-            assert eng.rounds == min(at_round, clean.rounds)
+            clean = run_local(net, LubyMIS(), seed=seed)
+            ref = check_luby(net, seed, stack, max_rounds=60)
+            assert ref.rounds == min(at_round, clean.rounds)
 
     @pytest.mark.parametrize("max_rounds", [0, 1, 2, 3, 4, 5, 60])
     @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "full-stack"])
@@ -378,13 +369,14 @@ class TestDenseUnderFaults:
 
 def test_adversarial_naming_renames_dense_coins_too():
     # Regression: the dense coins once ignored uids, so a renaming changed
-    # nothing the dense kernel could see and dense parted from the engine.
+    # nothing the dense kernel could see and dense parted from the hooked
+    # executors.
     named = {
         backend: run_scenario("luby/adversarial-naming", n=300, seed=4,
                               backend=backend, return_state=True)[1]["mis"]
-        for backend in ("engine", "dense")
+        for backend in ("reference", "dense")
     }
-    assert named["dense"] == named["engine"]
+    assert named["dense"] == named["reference"]
     sc = get_scenario("luby/adversarial-naming")
     assert isinstance(sc.perturbations[0], AdversarialIDs)
     ports_only = Scenario(name="adhoc/ports-only", pipeline="luby",

@@ -397,11 +397,10 @@ class TestScenarioCellCache:
         run_mod._CELL_CACHE.clear()
         a = run_scenario("luby/crash", n=180, seed=0, backend="dense")
         assert len(run_mod._CELL_CACHE) == 1
-        cell = next(iter(run_mod._CELL_CACHE.values()))
-        engine = cell["engine"]
+        engine = next(iter(run_mod._CELL_CACHE.values()))
         layout = engine.slot_layout()
-        b = run_scenario("luby/crash", n=180, seed=1, backend="dense")
-        assert next(iter(run_mod._CELL_CACHE.values()))["engine"] is engine
+        b = run_scenario("luby/crash", n=180, seed=1, backend="reference")
+        assert next(iter(run_mod._CELL_CACHE.values())) is engine
         assert engine.slot_layout() is layout  # built once per engine
         assert a["n"] == b["n"] and a["m"] == b["m"]
         # Different trial seeds still draw different schedules/coins.
@@ -413,7 +412,7 @@ class TestScenarioCellCache:
 
         run_mod._CELL_CACHE.clear()
         for n in (60, 80, 100, 120, 140, 160):
-            run_scenario("luby/crash", n=n, seed=0, backend="engine")
+            run_scenario("luby/crash", n=n, seed=0, backend="reference")
         assert len(run_mod._CELL_CACHE) <= run_mod._CELL_CACHE_MAX
         before = dict(run_mod._CELL_CACHE)
         sc = Scenario(name="adhoc/bypass", pipeline="luby",

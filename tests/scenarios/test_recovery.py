@@ -3,7 +3,7 @@
 Four layers of guarantees:
 
 * **bit-identity** — ``run_scenario(recover=True)`` on ad-hoc scenarios
-  returns identical metrics and end states on the hooked engine and the
+  returns identical metrics and end states on the hooked reference and the
   masked dense kernels, because the repair drivers run one shared
   vectorized implementation over end-state arrays both backends produce
   bit-identically;
@@ -104,16 +104,16 @@ def deterministic(metrics):
 
 @pytest.mark.parametrize("pipeline", sorted(CASES))
 def test_recovering_run_is_bit_identical_across_backends(pipeline):
-    """engine vs dense: identical metrics and full repaired end state."""
+    """reference vs dense: identical metrics and full repaired end state."""
     for sc, adj, seed, opts in CASES[pipeline]:
-        eng, eng_state = run_scenario(sc, adjacency=adj, seed=seed, backend="engine",
+        ref, ref_state = run_scenario(sc, adjacency=adj, seed=seed, backend="reference",
                                       recover=True, return_state=True, **opts)
         den, den_state = run_scenario(sc, adjacency=adj, seed=seed, backend="dense",
                                       recover=True, return_state=True, **opts)
-        assert deterministic(eng) == deterministic(den), (pipeline, seed)
-        assert eng_state == den_state, (pipeline, seed)
-        assert eng["recovered"] == 1 and eng["violations"] == 0
-        assert eng["repair_rounds"] <= eng["rounds"]
+        assert deterministic(ref) == deterministic(den), (pipeline, seed)
+        assert ref_state == den_state, (pipeline, seed)
+        assert ref["recovered"] == 1 and ref["violations"] == 0
+        assert ref["repair_rounds"] <= ref["rounds"]
 
 
 def luby_base(adj, seed, backend):
@@ -155,12 +155,12 @@ class TestBoundedTruncation:
         else:  # pragma: no cover - the stack above always damages the MIS
             pytest.fail("no trial with a multi-round repair tail")
         capped = full.last_round - full.repair_rounds + 2
-        eng = luby_tail(adj, seed, "engine", max_rounds=capped)
+        ref = luby_tail(adj, seed, "reference", max_rounds=capped)
         den = luby_tail(adj, seed, "dense", max_rounds=capped)
-        assert eng == den
-        assert not eng[1].recovered
-        assert eng[1].last_round <= capped
-        assert eng[1].repair_rounds < full.repair_rounds
+        assert ref == den
+        assert not ref[1].recovered
+        assert ref[1].last_round <= capped
+        assert ref[1].repair_rounds < full.repair_rounds
 
     def test_cap_zero_disables_the_repair_tail(self):
         adj = random_graph(321)
@@ -190,9 +190,9 @@ class TestRunScenarioRecover:
             assert deterministic(m) == first, (name, backend)
 
     def test_repair_rounds_fold_into_round_accounting(self):
-        base = run_scenario("luby/byzantine", n=60, seed=5, backend="engine",
+        base = run_scenario("luby/byzantine", n=60, seed=5, backend="reference",
                             recover=False)
-        rec = run_scenario("luby/byzantine", n=60, seed=5, backend="engine",
+        rec = run_scenario("luby/byzantine", n=60, seed=5, backend="reference",
                            recover=True)
         assert rec["rounds"] == base["rounds"] + rec["repair_rounds"]
         assert rec["violations_before_recovery"] == base["violations"]
@@ -200,22 +200,24 @@ class TestRunScenarioRecover:
 
     def test_return_state_exposes_certifiable_end_state(self):
         _, state = run_scenario("sinkless/byzantine", n=48, seed=2,
-                                backend="engine", recover=True,
+                                backend="reference", recover=True,
                                 return_state=True)
         assert state["pipeline"] == "sinkless"
         assert set(state) >= {"adjacency", "orientation", "alive",
                               "min_degree", "settles"}
         assert state["settles"] is True
-        _, state = run_scenario("luby/churn", n=48, seed=2, backend="engine",
+        _, state = run_scenario("luby/churn", n=48, seed=2, backend="reference",
                                 recover=True, return_state=True)
         assert state["settles"] is False
 
-    def test_reference_backend_upgrades_to_engine_for_recovery(self):
-        eng = run_scenario("luby/crash", n=60, seed=7, backend="engine",
+    def test_recovering_reference_sinkless_matches_dense(self):
+        # The sinkless pipeline's reference driver (probe-stopped run_local)
+        # feeds the shared repair tail the same end state as the kernel.
+        den = run_scenario("sinkless/crash", n=60, seed=7, backend="dense",
                            recover=True)
-        ref = run_scenario("luby/crash", n=60, seed=7, backend="reference",
+        ref = run_scenario("sinkless/crash", n=60, seed=7, backend="reference",
                            recover=True)
-        assert deterministic(ref) == deterministic(eng)
+        assert deterministic(ref) == deterministic(den)
 
     def test_every_registered_scenario_supports_recovery(self):
         for sc in all_scenarios():

@@ -61,23 +61,27 @@ class TestRegistry:
 
 class TestRunScenario:
     @pytest.mark.parametrize("name", scenario_names())
-    def test_every_scenario_end_to_end_on_engine(self, name):
-        metrics = run_scenario(name, n=200, seed=3, backend="engine")
+    def test_every_scenario_end_to_end_on_reference(self, name):
+        metrics = run_scenario(name, n=200, seed=3, backend="reference")
         assert REQUIRED_METRICS <= set(metrics)
         assert metrics["survivors"] + metrics["crashed_nodes"] == metrics["n"]
         assert metrics["violations"] >= 0
         if get_scenario(name).strict:
             assert metrics["violations"] == 0 and metrics["completed"] == 1
 
-    @pytest.mark.parametrize(
-        "name", [s.name for s in all_scenarios() if "dense" in s.backends]
-    )
-    def test_dense_matches_engine(self, name):
-        engine_metrics = run_scenario(name, n=150, seed=5, backend="engine")
-        dense_metrics = run_scenario(name, n=150, seed=5, backend="dense")
-        for key in ("rounds", "completed", "violations", "survivors", "mis_size"):
-            if key in engine_metrics:
-                assert dense_metrics[key] == engine_metrics[key], (name, key)
+    def test_every_scenario_runs_on_both_backends(self):
+        assert all(sc.backends == ("reference", "dense") for sc in all_scenarios())
+
+    @pytest.mark.parametrize("recover", [False, True], ids=["plain", "recover"])
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_reference_matches_dense(self, name, recover):
+        # Same coins, same fault schedule: every metric but the timings.
+        ref = run_scenario(name, n=150, seed=5, backend="reference", recover=recover)
+        den = run_scenario(name, n=150, seed=5, backend="dense", recover=recover)
+        assert set(ref) == set(den)
+        for key in den:
+            if not key.endswith("_seconds"):
+                assert ref[key] == den[key], (name, key)
 
     def test_removed_fault_modes_fail_loudly(self):
         # "mask" names the keyed fault coins every run draws; the replay
@@ -86,18 +90,6 @@ class TestRunScenario:
         for mode in ("replay", "philox"):
             with pytest.raises(ValueError, match="replay fault mode was removed"):
                 run_scenario("luby/crash", n=60, seed=1, fault_mode=mode)
-
-    @pytest.mark.parametrize(
-        "name", [s.name for s in all_scenarios() if "reference" in s.backends]
-    )
-    def test_reference_matches_engine(self, name):
-        # Same coins, same fault schedule: every metric but the timings.
-        ref = run_scenario(name, n=120, seed=2, backend="reference")
-        eng = run_scenario(name, n=120, seed=2, backend="engine")
-        assert set(ref) == set(eng)
-        for key in eng:
-            if not key.endswith("_seconds"):
-                assert ref[key] == eng[key], (name, key)
 
     @pytest.mark.parametrize(
         "name", [s.name for s in all_scenarios() if "dense" in s.backends]
@@ -110,14 +102,16 @@ class TestRunScenario:
         if get_scenario(name).strict:
             assert metrics["violations"] == 0 and metrics["completed"] == 1
 
-    @pytest.mark.parametrize("backend", ["dense", "engine"])
+    @pytest.mark.parametrize("backend", ["dense", "reference"])
     def test_zero_attempts_rejected(self, backend):
         with pytest.raises(ValueError, match="max_attempts must be >= 1"):
             run_scenario("splitting/byzantine", n=60, backend=backend, max_attempts=0)
 
-    def test_unsupported_backend_rejected(self):
+    @pytest.mark.parametrize("backend", ["engine", "dense-batched"])
+    @pytest.mark.parametrize("name", ["luby/crash", "sinkless/crash", "splitting/byzantine"])
+    def test_unsupported_backend_rejected(self, name, backend):
         with pytest.raises(ValueError, match="supports backends"):
-            run_scenario("sinkless/crash", n=100, backend="reference")
+            run_scenario(name, n=100, backend=backend)
 
     def test_sinkless_round_one_faults_rejected(self):
         # The dense kernel's fault window opens at round 2; a round-1 fault
@@ -127,15 +121,15 @@ class TestRunScenario:
         early_crash = Scenario(
             name="adhoc/sinkless-early-crash", pipeline="sinkless",
             perturbations=(CrashNodes(fraction=0.2, at_round=1),),
-            topology="regular", backends=("engine", "dense"),
+            topology="regular",
         )
         early_drop = Scenario(
             name="adhoc/sinkless-early-drop", pipeline="sinkless",
             perturbations=(IIDMessageDrop(p=0.5),),
-            topology="regular", backends=("engine", "dense"),
+            topology="regular",
         )
         for sc in (early_crash, early_drop):
-            for backend in ("engine", "dense"):
+            for backend in sc.backends:
                 with pytest.raises(ValueError, match="round 1 clean"):
                     run_scenario(sc, n=60, seed=1, backend=backend)
 
@@ -159,7 +153,7 @@ class TestRunScenario:
         early_drop = Scenario(
             name="adhoc/sinkless-round-one-drop", pipeline="sinkless",
             perturbations=(IIDMessageDrop(p=0.5, from_round=1),),
-            topology="regular", backends=("engine", "dense"),
+            topology="regular",
         )
         with pytest.raises(ValueError, match="round 1 clean"):
             run_scenario(early_drop, n=60, seed=1, backend="dense")
@@ -214,14 +208,14 @@ class TestSplittingUnderCrashes:
 class TestExpIntegration:
     def test_scenario_workload_in_sweep(self):
         spec = ExperimentSpec(
-            "scenario/luby/crash@engine",
+            "scenario/luby/crash@reference",
             scenario_workload,
-            {"scenario": "luby/crash", "n": 150, "backend": "engine"},
+            {"scenario": "luby/crash", "n": 150, "backend": "reference"},
             seeds=(0, 1),
         )
         sweep = run_sweep([spec], workers=0)
         assert all(t.ok for t in sweep.trials)
-        summary = sweep.summary()["scenario/luby/crash@engine"]
+        summary = sweep.summary()["scenario/luby/crash@reference"]
         assert summary["ok"] == 2
         # Resilience metrics aggregate like any other channel.
         assert "violations" in summary["metrics"]
@@ -230,19 +224,18 @@ class TestExpIntegration:
 
     def test_cli_scenario_spec_builder(self):
         mod = load_cli()
-        cells = mod.build_scenario_specs(True, 2, "all", ("engine", "dense"))
+        cells = mod.build_scenario_specs(True, 2, "all", ("reference", "dense"))
         names = {c.name for c in cells}
-        # Every registered scenario appears on at least one backend, and
-        # backend support is honored (no reference-only surprises).
+        # Every registered scenario appears on both backends.
         for sc_name in scenario_names():
-            assert any(n.startswith(f"scenario/{sc_name}@") for n in names)
-        assert all("@reference" not in n for n in names)
-        explicit = mod.build_scenario_specs(False, 3, "luby/crash", ("engine",))
-        assert [c.name for c in explicit] == ["scenario/luby/crash@engine"]
+            for backend in ("reference", "dense"):
+                assert f"scenario/{sc_name}@{backend}" in names
+        explicit = mod.build_scenario_specs(False, 3, "luby/crash", ("reference",))
+        assert [c.name for c in explicit] == ["scenario/luby/crash@reference"]
         assert explicit[0].seeds == (0, 1, 2)
         assert "fault_mode" not in explicit[0].params
         with pytest.raises(ValueError):
-            mod.build_scenario_specs(True, 1, "luby/typo", ("engine",))
+            mod.build_scenario_specs(True, 1, "luby/typo", ("reference",))
 
     def test_cli_dense_backend_schedules_every_pipeline_one_seed_per_task(self):
         mod = load_cli()
@@ -284,3 +277,10 @@ class TestExpIntegration:
         mod = load_cli()
         assert mod.run_sweeps(argparse.Namespace(backends="dense,dense-batched")) == 2
         assert "dense-batched" in capsys.readouterr().err
+
+    def test_cli_backends_engine_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            "sys.argv", ["run_experiments.py", "--backends", "engine", "--history", ""]
+        )
+        assert load_cli().main() == 2
+        assert "unknown backend(s) engine" in capsys.readouterr().err

@@ -23,7 +23,7 @@ from repro.scenarios import run_scenario
 GOLDEN = Path(__file__).with_name("sinkless_repair_golden.json")
 
 SCENARIOS = ("sinkless/crash", "sinkless/byzantine")
-SIZES = {"dense": (200, 1000, 4000), "engine": (200, 600)}
+SIZES = {"dense": (200, 1000, 4000), "reference": (200, 600)}
 SEEDS = range(1, 7)
 
 

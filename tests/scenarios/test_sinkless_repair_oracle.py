@@ -315,7 +315,7 @@ def test_repair_traces_one_record_per_round():
     assert all(r["seconds"] >= 0 for r in records)
 
 
-@pytest.mark.parametrize("backend", ["dense", "engine"])
+@pytest.mark.parametrize("backend", ["dense", "reference"])
 def test_recovering_scenario_traces_the_repair_tail(backend):
     tracer = Tracer()
     metrics = run_scenario("sinkless/crash", n=300, seed=4, backend=backend,
@@ -328,13 +328,13 @@ def test_recovering_scenario_traces_the_repair_tail(backend):
 
 @pytest.mark.parametrize("max_rounds", [0, 1, 2])
 def test_pre_repair_violations_agree_across_backends(max_rounds):
-    # With max_rounds=0 no proposal round runs: the engine's views hold no
-    # orientation while the dense slot state is all-inward; both backends
-    # count pre-repair sinks on the same slot state.
+    # With max_rounds=0 no proposal round runs: the reference's views hold
+    # no orientation while the dense slot state is all-inward; both
+    # backends count pre-repair sinks on the same slot state.
     got = {
         backend: run_scenario("sinkless/crash", n=60, seed=3, backend=backend,
                               max_rounds=max_rounds, recover=True)
-        for backend in ("engine", "dense")
+        for backend in ("reference", "dense")
     }
-    assert ({k: v for k, v in got["engine"].items() if not k.endswith("_seconds")}
+    assert ({k: v for k, v in got["reference"].items() if not k.endswith("_seconds")}
             == {k: v for k, v in got["dense"].items() if not k.endswith("_seconds")})
