@@ -94,19 +94,17 @@ def orientation_from_weak_splitting(
 
     Red edge -> from the smaller-ID endpoint to the larger; blue edge -> the
     reverse; an uncolored right node (impossible for a complete weak
-    splitting) raises.
+    splitting) raises.  Returns one arc per entry of ``edge_list``, in its
+    order.
     """
-    orientation: GraphOrientation = {}
+    orientation: GraphOrientation = []
     for j, (a, b) in enumerate(edge_list):
         c = coloring[j]
         require(c in (RED, BLUE), f"edge node {j} has invalid color {c!r}")
         ida = ids[a] if ids is not None else a
         idb = ids[b] if ids is not None else b
         lo, hi = (a, b) if ida < idb else (b, a)
-        if c == RED:
-            orientation[(lo, hi)] = True
-        else:
-            orientation[(hi, lo)] = True
+        orientation.append((lo, hi) if c == RED else (hi, lo))
     return orientation
 
 

@@ -38,6 +38,7 @@ from repro.bipartite.generators import (
 from repro.bipartite.instance import BipartiteInstance
 from repro.core.problems import UniformSplittingSpec
 from repro.core.verifiers import uniform_splitting_violations
+from repro.local import BACKENDS
 from repro.local.engine import CSREngine
 from repro.local.network import Network
 from repro.mis.luby import is_mis, luby_mis
@@ -55,8 +56,6 @@ __all__ = [
 ]
 
 TOPOLOGIES = ("sparse", "regular", "torus", "grid", "powerlaw")
-
-BACKENDS = ("reference", "dense")
 
 
 def build_topology(

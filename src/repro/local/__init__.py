@@ -29,7 +29,13 @@ from repro.local.network import (
     run_local,
 )
 
+#: The executors' names, as the pipelines' ``method`` and the scenario and
+#: sweep ``backend`` axes spell them: ``reference`` runs :func:`run_local`,
+#: ``dense`` the numpy kernels.
+BACKENDS = ("reference", "dense")
+
 __all__ = [
+    "BACKENDS",
     "LocalAlgorithm",
     "Network",
     "NodeView",

@@ -34,7 +34,7 @@ enforces this).
 from __future__ import annotations
 
 import time
-from typing import Dict, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -383,34 +383,37 @@ def sinkless_trial_dense(
     """Trial-and-fix sinkless orientation as dense rounds.
 
     Mirrors :class:`~repro.orientation.sinkless.TrialAndFixSinkless` driven
-    by :func:`~repro.orientation.sinkless.run_trial_and_fix`'s global probe:
+    by :func:`~repro.orientation.sinkless.run_trial_and_fix`'s global probe,
+    on any graph, under the one rule of :mod:`repro.orientation.sinkless`
+    (parallel edges are separate edges, self-loops are never outgoing):
 
     * round 1 — every node draws one coin per port (port order); for each
       edge the higher-uid endpoint's coin decides the direction;
     * rounds >= 2 — every *current sink* (own-view: degree >= ``min_degree``
-      and no outward port) draws one ``randrange(degree)`` and flips that
-      port outward; the neighbor marks the paired port inward.  Two sinks
-      flipping the same edge in one round leave both sides inward — the
-      reference's exact (quirky) semantics;
+      and no outward port other than the self-loops it has heard itself
+      on) draws one ``randrange(degree)`` and flips that port outward; the
+      neighbor marks the paired port inward.  Two sinks flipping the same
+      edge in one round leave both sides inward — the reference's exact
+      (quirky) semantics;
     * after each round >= 2 the harness-side probe checks the *extracted*
-      orientation (lower endpoint's view wins) and stops when sink-free.
+      orientation (lower endpoint's view wins, self-loops left out) and
+      stops when sink-free.
 
-    Requires a simple graph (no multi-edges or self-loops): the probe's
-    orientation dict collapses parallel edges, which has no faithful slot
-    representation.  Returns a :class:`DenseResult` with ``out`` (bool per
-    CSR slot, True = outward in the owner's own view) and ``crashed`` (bool
-    per node).  Raises ``RuntimeError`` if no sink-free round occurs within
+    Returns a :class:`DenseResult` with ``out`` (bool per CSR slot, True =
+    outward in the owner's own view) and ``crashed`` (bool per node).
+    Raises ``RuntimeError`` if no sink-free round occurs within
     ``max_rounds``, matching the driver; ``strict=False`` instead returns
     an incomplete result (the scenario runner's mode — under faults,
     non-recovery is data).
 
     ``faults`` (a :class:`~repro.scenarios.masks.DenseFaults`) mirrors the
-    hooked reference from round 2 on: crashed nodes freeze their slot state
-    (they neither flip nor process flips) and leave the sink probe; dropped
-    flip announcements leave the receiving side outward, exactly like the
-    reference's receive phase.  Round-1 faults are not supported here —
-    scenario schedules for sinkless orientation leave the proposal round
-    clean.
+    hooked reference in every round.  In the proposal round a crashed node
+    leaves its ports unset (inward), a missing proposal makes the receiver
+    keep its own coin and a corrupted one arrives flipped.  In the fix
+    rounds crashed nodes freeze their slot state (they neither flip nor
+    process flips) and leave the sink probe; dropped flip announcements
+    leave the receiving side outward, exactly like the reference's receive
+    phase.
 
     Cost: round 1 and the initial per-node outward-slot counts (own view
     and extracted view) are O(m).  Each fix round then costs O(n + touched
@@ -432,10 +435,6 @@ def sinkless_trial_dense(
     degrees = np.diff(offsets)
     m = dst_node.shape[0]
 
-    require(
-        engine.network.simple,
-        "sinkless_trial_dense requires a simple graph (no multi-edges/self-loops)",
-    )
     crashed = np.zeros(n, dtype=bool)
     if n == 0 or max_rounds == 0:
         # The reference stops before round 1: nobody is active or no round
@@ -444,7 +443,7 @@ def sinkless_trial_dense(
             raise RuntimeError(f"no sinkless orientation after {max_rounds} rounds")
         return DenseResult(0, completed=False, out=np.zeros(m, dtype=bool), crashed=crashed)
     # Slot k is node owner[k]'s port ports[k]; partner[k] is the CSR slot
-    # on the other endpoint of its edge.
+    # on the other endpoint of its edge (a self-loop slot is its own).
     owner, ports, partner = engine.slot_layout()
 
     # Round 1: per-port proposals (port p is the node's draw p of the
@@ -454,31 +453,44 @@ def sinkless_trial_dense(
         phase_start = time.perf_counter()
     coins1 = keyed_u01_slots(seed, NODE_COINS, uid, 1, owner, ports) < 0.5
     higher = uid[owner] > uid[dst_node]
-    out = np.where(higher, coins1, ~coins1[partner])
+    theirs = coins1[partner]
+    crash = heard = None
+    if faults is not None:
+        crash = faults.crashed_at(1)
+        heard = faults.delivered_in(1)
+        flipped = faults.corrupted_in(1)
+        if flipped is not None:
+            theirs ^= flipped
+        if crash is not None:
+            crashed |= crash
+            heard = ~crash[dst_node] if heard is None else heard & ~crash[dst_node]
+    out = np.where(higher, coins1, ~theirs)
+    if heard is not None:
+        out = np.where(heard, out, coins1)  # no proposal heard: keep our coin
+    if crash is not None:
+        out &= ~crash[owner]  # a crashed node's ports stay unset (inward)
     rounds = 1
     if trace:
-        tracer.round(1, active=n, seconds=time.perf_counter() - phase_start)
+        tracer.round(1, active=int(n - crashed.sum()),
+                     seconds=time.perf_counter() - phase_start)
 
     constrained = degrees >= min_degree
     low_view = owner < dst_node  # extraction rule: lower *index* endpoint's view
-    live = constrained  # constrained & ~crashed, refreshed on crash rounds
-    if faults is not None and faults.corrupting:
-        # The proposal round has no slot-state representation for rewritten
-        # coins; corruption schedules for sinkless orientation must leave
-        # round 1 clean (the scenario runner enforces the same contract).
-        require(
-            faults.corrupted_out(1) is None,
-            "sinkless_trial_dense requires a corruption-free proposal round",
-        )
+    live = constrained & ~crashed  # refreshed on crash rounds
+    # Slots each count reads: the extracted view leaves every self-loop
+    # out, a node's own view the self-loops it heard its proposal on.
+    loop = owner == dst_node
+    proper = ~loop
+    known = proper if heard is None else ~(loop & heard)
 
     def effective(idx):
         # The extracted orientation at slots ``idx``: the lower-index
         # endpoint's slot is authoritative.
-        return np.where(low_view[idx], out[idx], ~out[partner[idx]])
+        return np.where(low_view[idx], out[idx], ~out[partner[idx]]) & proper[idx]
 
     def recount():
         # Outward slots per node, own view and extracted view.
-        return (np.bincount(owner[out], minlength=n),
+        return (np.bincount(owner[out & known], minlength=n),
                 np.bincount(owner[effective(slice(None))], minlength=n))
 
     def flip_ports(sinks, round_no):
@@ -487,8 +499,11 @@ def sinkless_trial_dense(
         return (u * degrees[sinks]).astype(np.int64)
 
     own_cnt, eff_cnt = recount()
+    # A proposal round that crashed every node halts the reference before
+    # any fix round, so its probe never fires.
+    last_round = 1 if crashed.all() else max_rounds
 
-    for round_no in range(2, max_rounds + 1):
+    for round_no in range(2, last_round + 1):
         if trace:
             phase_start = time.perf_counter()
         if faults is not None and faults.expired(round_no):
@@ -526,7 +541,7 @@ def sinkless_trial_dense(
             # under ``partner``, so it also covers every extracted-view
             # change); the counts move by the per-slot deltas there.
             touched = np.unique(np.concatenate((chosen, partner[chosen])))
-            own_old = out[touched].view(np.int8)
+            own_old = (out[touched] & known[touched]).view(np.int8)
             eff_old = effective(touched).view(np.int8)
             out[chosen] = True
             # Receive phase: the paired port is marked inward.  A doubly
@@ -543,7 +558,8 @@ def sinkless_trial_dense(
                     keep &= delivered[chosen]
             out[partner[chosen[keep]]] = False
             touched_owner = owner[touched]
-            np.add.at(own_cnt, touched_owner, out[touched].view(np.int8) - own_old)
+            own_new = (out[touched] & known[touched]).view(np.int8)
+            np.add.at(own_cnt, touched_owner, own_new - own_old)
             np.add.at(eff_cnt, touched_owner, effective(touched).view(np.int8) - eff_old)
         rounds = round_no
         if trace:
@@ -561,10 +577,9 @@ def sinkless_trial_dense(
     return DenseResult(rounds, completed=False, out=out, crashed=crashed)
 
 
-def dense_orientation(
-    engine: CSREngine, out: np.ndarray
-) -> Dict[Tuple[int, int], bool]:
-    """Extract the ``{(u, v): True}`` orientation dict from slot states.
+def dense_orientation(engine: CSREngine, out: np.ndarray) -> List[Tuple[int, int]]:
+    """Extract the orientation's arcs from slot states: one ``(tail, head)``
+    arc per non-loop edge copy, in slot order.
 
     Same rule as the simulator driver: for each edge the lower-index
     endpoint's slot decides the direction.
@@ -574,7 +589,7 @@ def dense_orientation(
     low = np.flatnonzero(owner < dst_node)
     srcs = np.where(out[low], owner[low], dst_node[low])
     dsts = np.where(out[low], dst_node[low], owner[low])
-    return dict.fromkeys(zip(srcs.tolist(), dsts.tolist()), True)
+    return list(zip(srcs.tolist(), dsts.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -85,8 +85,8 @@ class Network:
     ``dst_port[k]``.  One stable sort of the slot keys ``owner*n + dst``
     and one of the reversed keys ``dst*n + owner`` check symmetry (with
     multiplicities) and pair the k-th ``(u, v)`` slot with the k-th
-    ``(v, u)`` slot — the :func:`build_reverse_ports` rule.  ``simple``
-    records whether the graph has neither multi-edges nor self-loops.
+    ``(v, u)`` slot — the :func:`build_reverse_ports` rule.  A self-loop
+    slot is its own pair.
     """
 
     def __init__(self, adjacency: Sequence[Sequence[int]], ids: Optional[Sequence[int]] = None):
@@ -112,7 +112,6 @@ class Network:
             # one side than on the other: its pair is asymmetric.
             i, j = divmod(int(min(key[d], rkey[d])), n)
             raise ValueError(f"asymmetric adjacency between nodes {i} and {j}")
-        self.simple: bool = not ((key[1:] == key[:-1]).any() or (owner == dst).any())
         partner = np.empty(m, dtype=np.int64)
         partner[rorder] = order
         self.offsets = offsets

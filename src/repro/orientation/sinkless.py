@@ -8,10 +8,19 @@ randomized lower bound, lifted to Ω(log_∆ n) deterministic by [CKP16], and
 Theorem 2.10 transfers both to weak splitting via the Figure 1 reduction
 (implemented in :mod:`repro.core.lower_bound`).
 
+**One rule on every graph.**  Each parallel edge is its own edge; a
+self-loop counts toward its node's degree but is never outgoing; a port a
+round-1 crash left unset reads inward.  An orientation is one ``(tail,
+head)`` arc per non-loop edge copy (a list in slot order, as the pipelines
+return it, or the keys of a dict), and a node of degree ``>= min_degree``
+is a sink iff it is the tail of no arc.  The verifiers, the scenario
+contracts, the repair probe, the exact oracle and both executors of
+:class:`TrialAndFixSinkless` all apply this rule.
+
 Besides the verifier this module ships two constructive baselines:
 
 * :func:`greedy_sinkless_orientation` — a centralized Las-Vegas peeling
-  procedure used as ground truth in tests;
+  procedure on simple graphs, used as ground truth in tests;
 * :class:`TrialAndFixSinkless` — a simple randomized LOCAL algorithm run in
   the synchronous simulator (orient uniformly at random, then sinks re-flip
   a random incident edge each round until no sinks remain).  On graphs of
@@ -23,7 +32,7 @@ Besides the verifier this module ships two constructive baselines:
 from __future__ import annotations
 
 from itertools import chain, islice
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,13 +58,14 @@ __all__ = [
     "run_trial_and_fix",
 ]
 
-# An orientation of a general graph is a dict {(u, v): True} meaning u -> v,
-# with exactly one of (u, v), (v, u) present per edge.
-GraphOrientation = Dict[Tuple[int, int], bool]
+Arc = Tuple[int, int]
+# An orientation: one (tail, head) arc per edge copy, as a list in slot
+# order or as the keys of a dict.
+GraphOrientation = Union[List[Arc], Dict[Arc, bool]]
 
 
 def _arcs(orientation: GraphOrientation) -> np.ndarray:
-    """The orientation's ``(u, v)`` keys as a ``(k, 2)`` int64 array, in dict order."""
+    """The orientation's arcs as a ``(k, 2)`` int64 array, in iteration order."""
     k = len(orientation)
     return np.fromiter(
         chain.from_iterable(orientation), dtype=np.int64, count=2 * k
@@ -83,52 +93,52 @@ def is_sinkless(
 ) -> bool:
     """Verify a sinkless orientation.
 
-    Checks (a) every edge is oriented exactly once, and (b) every node of
-    degree >= ``min_degree`` has an outgoing edge.  Parallel edges count
-    as one edge; self-loops are not edges.  An orientation key naming a
-    node outside ``range(n)``, a non-edge or an edge already oriented
-    raises ``ValueError``, for the first such key in dict order.
+    Checks (a) the arcs orient every edge copy exactly once — as unordered
+    pairs they equal the graph's non-loop edges as multisets — and (b)
+    every node of degree >= ``min_degree`` (self-loops counted) is the
+    tail of some arc.  An arc naming a node outside ``range(n)``, a
+    non-edge (a self-loop included) or one copy more than the edge has
+    raises ``ValueError``, for the first such arc in iteration order.
     """
     n = len(adj)
     offsets, owner, dst = csr_arrays(adj)
     arcs = _arcs(orientation)
-    lo, hi = arcs.min(axis=1), arcs.max(axis=1)
-    keys = lo * n + hi
     lower = owner < dst
     edges = np.sort(owner[lower] * n + dst[lower])
-    distinct = np.ones(edges.shape[0], dtype=bool)
-    distinct[1:] = edges[1:] != edges[:-1]  # parallel edges are one edge
-    edges = edges[distinct]
-    pos = np.searchsorted(edges, keys)
-    inside = (lo >= 0) & (hi < n)
-    known = inside & (pos < edges.shape[0])
-    known[known] = edges[pos[known]] == keys[known]
-    counts = np.bincount(pos[known], minlength=edges.shape[0])
-    if not known.all() or (counts > 1).any():
-        _raise_first_bad_arc(orientation, keys, inside, known, n)
-    if arcs.shape[0] != edges.shape[0]:
-        return False  # some edge is not oriented
+    outside = arcs.size > 0 and (arcs.min() < 0 or arcs.max() >= n)
+    if outside or not np.array_equal(np.sort(arcs.min(axis=1) * n + arcs.max(axis=1)), edges):
+        _raise_first_bad_arc(orientation, arcs, edges, n)
+        return False  # every arc is a valid copy, so some copy is not oriented
     return not _sink_mask(np.diff(offsets), arcs[:, 0], min_degree).any()
 
 
-def _raise_first_bad_arc(orientation, keys, inside, known, n) -> None:
-    """Raise for the first key that names a non-node, a non-edge or an edge
-    that an earlier key already oriented."""
+def _raise_first_bad_arc(orientation, arcs, edges, n) -> None:
+    """Raise for the first arc that names a non-node, a non-edge or one copy
+    more than its edge has; return if every arc is a valid copy."""
+    lo, hi = arcs.min(axis=1), arcs.max(axis=1)
+    inside = (lo >= 0) & (hi < n)
+    keys = np.where(inside, lo * n + hi, -1)
     order = np.argsort(keys, kind="stable")
-    repeat = np.zeros(keys.shape[0], dtype=bool)
-    repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
-    first = int(np.flatnonzero(~known | repeat)[0])
+    ranked = keys[order]
+    rank = np.empty(keys.shape[0], dtype=np.int64)
+    # Earlier arcs with the same key, in iteration order.
+    rank[order] = np.arange(keys.shape[0]) - np.searchsorted(ranked, ranked)
+    copies = np.searchsorted(edges, keys, "right") - np.searchsorted(edges, keys)
+    bad = np.flatnonzero(~inside | (rank >= copies))
+    if not bad.shape[0]:
+        return
+    first = int(bad[0])
     u, v = next(islice(orientation, first, None))
     if not inside[first]:
         require_nodes(np.array([u, v], dtype=np.int64), n, "orientation endpoint")
-    require(known[first], f"orientation mentions non-edge {u, v}")
+    require(copies[first] > 0, f"orientation mentions non-edge {u, v}")
     raise ValueError(f"edge {(min(u, v), max(u, v))} oriented twice")
 
 
 def greedy_sinkless_orientation(
     adj: Sequence[Sequence[int]], seed: SeedLike = None
 ) -> GraphOrientation:
-    """Centralized Las-Vegas construction (test baseline).
+    """Centralized Las-Vegas construction (test baseline, simple graphs).
 
     Start from a uniformly random orientation, then repeatedly pick a sink
     and flip one of its incident edges outward, preferring flips whose other
@@ -170,8 +180,10 @@ class TrialAndFixSinkless(LocalAlgorithm):
     Each edge is owned by its lower-index endpoint for bookkeeping; per round
     every sink re-flips one uniformly chosen incident edge outward.  Flips
     are announced to neighbors so both endpoints agree on the direction.
-    Terminates when a node and all its neighbors have been sink-free for one
-    full round (checked via a final confirmation message).
+    A node learns its self-loops in round 1, as the ports that deliver its
+    own proposal back to it, and never counts them as outgoing.  The
+    harness (:func:`run_trial_and_fix`'s probe) stops the run at the first
+    sink-free round.
     """
 
     def __init__(self, min_degree: int = 1):
@@ -185,7 +197,10 @@ class TrialAndFixSinkless(LocalAlgorithm):
     def _is_sink(self, view: NodeView) -> bool:
         if view.degree < self.min_degree:
             return False
-        return not any(view.state["out"].values())
+        out, loops = view.state["out"], view.state["loops"]
+        if loops:
+            out = {p: is_out for p, is_out in out.items() if p not in loops}
+        return not any(out.values())
 
     def send(self, view: NodeView, round_no: int) -> Dict[int, object]:
         if round_no == 1:
@@ -206,6 +221,10 @@ class TrialAndFixSinkless(LocalAlgorithm):
 
     def receive(self, view: NodeView, round_no: int, inbox: Dict[int, object]) -> None:
         if round_no == 1:
+            # Our own proposal coming back marks a self-loop port.
+            view.state["loops"] = frozenset(
+                p for p, msg in inbox.items() if msg[2] == view.uid
+            )
             for p in range(view.degree):
                 mine = view.state["proposal"][p]
                 msg = inbox.get(p)
@@ -242,22 +261,23 @@ def run_trial_and_fix(
     max_rounds: int = 200,
     method: str = "dense",
     engine=None,
-) -> Tuple[GraphOrientation, int]:
+) -> Tuple[List[Arc], int]:
     """Run :class:`TrialAndFixSinkless` until globally sink-free.
 
     ``method="dense"`` (default) runs the vectorized numpy kernel
-    (:func:`repro.local.dense.sinkless_trial_dense`), which needs a simple
-    graph.  ``method="reference"`` runs the algorithm on
-    :func:`repro.local.network.run_local` with a global stopping probe (the
-    harness may observe the configuration; the nodes themselves never use
-    global information), and is the only method for multigraphs.  The probe
-    checks for sinks after each round — one pass, where rerunning under
-    growing round caps cost O(R²) — and fires from round 2 onward, matching
-    the historical "at least one proposal round plus one fix round"
-    accounting.  Both methods draw the same keyed node coins, so they
-    return the same orientation and round count.  Pass a prebuilt
-    ``engine`` over the same adjacency to amortize validation and CSR
-    packing across calls.  Returns the orientation and the round count.
+    (:func:`repro.local.dense.sinkless_trial_dense`).  ``method="reference"``
+    runs the algorithm on :func:`repro.local.network.run_local` with a
+    global stopping probe (the harness may observe the configuration; the
+    nodes themselves never use global information) and serves as the test
+    oracle.  Both run any graph, multigraphs and self-loops included,
+    under the module's one rule.  The probe checks for sinks after each
+    round — one pass, where rerunning under growing round caps cost O(R²)
+    — and fires from round 2 onward, matching the historical "at least one
+    proposal round plus one fix round" accounting.  Both methods draw the
+    same keyed node coins, so they return the same orientation and round
+    count.  Pass a prebuilt ``engine`` over the same adjacency to amortize
+    validation and CSR packing across calls.  Returns the orientation (one
+    arc per edge copy, in slot order) and the round count.
 
     The run is fault-free; faulty and recovering runs, with their
     survivor-aware stopping rule and repair tail, go through
@@ -288,20 +308,22 @@ def run_trial_and_fix(
     raise RuntimeError(f"no sinkless orientation after {max_rounds} rounds")
 
 
-def orientation_from_views(adj: Sequence[Sequence[int]], views) -> GraphOrientation:
-    """Extract ``{(u, v): True}`` from trial-and-fix node states.
+def orientation_from_views(adj: Sequence[Sequence[int]], views) -> List[Arc]:
+    """Extract the arcs, one per non-loop edge copy in slot order, from
+    trial-and-fix node states.
 
     The lower-index endpoint's ``state["out"]`` is authoritative for each
     edge — including frozen state of crashed nodes, which is exactly what
-    the rest of the network observes.
+    the rest of the network observes; a port a round-1 crash left unset
+    reads inward.
     """
-    orientation: GraphOrientation = {}
+    arcs: List[Arc] = []
     for i, view in enumerate(views):
-        for p, is_out in view.state.get("out", {}).items():
-            j = adj[i][p]
+        out = view.state.get("out", {})
+        for p, j in enumerate(adj[i]):
             if i < j:
-                orientation[(i, j) if is_out else (j, i)] = True
-    return orientation
+                arcs.append((i, j) if out.get(p, False) else (j, i))
+    return arcs
 
 
 def survivors_sink_free(adj: Sequence[Sequence[int]], views, min_degree: int = 1) -> bool:

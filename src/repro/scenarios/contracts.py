@@ -25,13 +25,13 @@ Conventions shared by all contracts here:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.core.verifiers import red_window_violators
 from repro.local.network import Network, csr_arrays
-from repro.orientation.sinkless import _arcs, orientation_from_views
+from repro.orientation.sinkless import GraphOrientation, _arcs, orientation_from_views
 from repro.scenarios.base import BoundPerturbation
 from repro.utils.validation import require, require_nodes
 
@@ -172,16 +172,18 @@ def mis_violations(
 
 def surviving_sinks(
     adjacency: Graph,
-    orientation: Dict[Tuple[int, int], bool],
+    orientation: GraphOrientation,
     alive: Sequence[bool],
     min_degree: int = 1,
 ) -> List[int]:
     """Sinks among the alive nodes on the alive-induced subgraph.
 
-    A node is accountable if its count of alive neighbors is at least
-    ``min_degree``; it violates if none of its outgoing edges leads to an
-    alive node.  (An outgoing edge into a crashed node no longer helps: in
-    the surviving graph that edge is gone.)
+    A node is accountable if its count of alive neighbor ports (parallel
+    edges and self-loops counted, per the rule of
+    :mod:`repro.orientation.sinkless`) is at least ``min_degree``; it
+    violates if none of its arcs leads to an alive node.  (An outgoing
+    edge into a crashed node no longer helps: in the surviving graph that
+    edge is gone.)
     """
     offsets, owner, dst = _slots(adjacency)
     n = offsets.shape[0] - 1

@@ -92,10 +92,6 @@ class DenseFaults:
         self._crashing = any(b.crashes_nodes for b in self.bound)
         self._droppers = tuple(b for b in self.bound if b.drops_messages)
         self._corrupters = tuple(b for b in self.bound if b.corrupts_messages)
-        #: Whether the stack can rewrite payloads at all — kernels without a
-        #: corruption-mask path must refuse corrupting stacks instead of
-        #: silently ignoring them.
-        self.corrupting = bool(self._corrupters)
         #: Last round at which the stack can still change its schedule;
         #: ``None`` for never-settling stacks.
         self.quiet = quiet_after(self.bound)

@@ -227,8 +227,9 @@ def luby_repair(
 
 def _slot_views(engine):
     """CSR slot arrays of the repair: ``offsets``, ``dst_node``, ``owner``,
-    the partner slot (same edge, other endpoint) and whether the owner is
-    the lower-index, authoritative endpoint."""
+    the partner slot (same edge, other endpoint; a self-loop slot is its
+    own) and whether the owner is the lower-index, authoritative
+    endpoint."""
     offsets, dst_node, _ = engine.dense_arrays()
     owner, _, partner = engine.slot_layout()
     return offsets, dst_node, owner, partner, owner < dst_node
@@ -247,6 +248,26 @@ def _per_node(owner, mask, n):
     import numpy as np
 
     return np.bincount(owner, weights=mask, minlength=n).astype(np.int64)
+
+
+def _counted(views, out, crashed, idx=slice(None)):
+    """The outward bits at slots ``idx`` that count for their owner, own
+    view and extracted view, as int8: the head is alive and the slot is
+    not a self-loop (a self-loop is never outgoing)."""
+    _, dst_node, owner, partner, low_view = views
+    live = ~crashed[dst_node[idx]] & (owner[idx] != dst_node[idx])
+    eff = _extracted(out, partner, low_view, idx)
+    return (out[idx] & live).view("int8"), (eff & live).view("int8")
+
+
+def _recount(views, out, crashed, min_degree, n):
+    """Per-node alive degree (self-loops counted), accountability (alive,
+    alive degree >= ``min_degree``) and counted outward slots, own view
+    and extracted view."""
+    _, dst_node, owner, _, _ = views
+    deg = _per_node(owner, ~crashed[dst_node], n)
+    own, eff = (_per_node(owner, c, n) for c in _counted(views, out, crashed))
+    return deg, ~crashed & (deg >= min_degree), own, eff
 
 
 def sinkless_repair(
@@ -304,38 +325,25 @@ def sinkless_repair(
     from repro.local.dense import _ragged_slots
 
     trace = tracer is not None and tracer.enabled
-    offsets, dst_node, owner, partner, low_view = _slot_views(engine)
+    views = _slot_views(engine)
+    offsets, dst_node, owner, partner, low_view = views
     degrees = np.diff(offsets)
     n = engine.n
     uid = engine.network.uid_array
-    # A self-loop slot is its own partner and flips at every reconcile.
-    loops = np.flatnonzero(owner == dst_node)
-
-    def counted(idx):
-        live = ~crashed[dst_node[idx]]
-        eff = _extracted(out, partner, low_view, idx)
-        return (out[idx] & live).view(np.int8), (eff & live).view(np.int8)
 
     def shift(idx, before):
         # Move the counts by the per-slot deltas at ``idx`` (closed under
         # ``partner``, so it covers every extracted-view change).
-        after = counted(idx)
+        after = _counted(views, out, crashed, idx)
         np.add.at(own_cnt, owner[idx], after[0] - before[0])
         np.add.at(eff_cnt, owner[idx], after[1] - before[1])
-
-    def recount():
-        # Live ports, accountability, and live outward slots (own and
-        # extracted view) per node.
-        deg = _per_node(owner, ~crashed[dst_node], n)
-        own, eff = (_per_node(owner, c, n) for c in counted(slice(None)))
-        return deg, ~crashed & (deg >= min_degree), own, eff
 
     def traced(round_no, start):
         if trace:
             tracer.round(round_no, active=int(n - crashed.sum()),
                          seconds=time.perf_counter() - start)
 
-    alive_deg, accountable, own_cnt, eff_cnt = recount()
+    alive_deg, accountable, own_cnt, eff_cnt = _recount(views, out, crashed, min_degree, n)
     used = 0
     last = start_round - 1
     recovered = False
@@ -354,15 +362,16 @@ def sinkless_repair(
         claim = out[partner[cand]]  # sender's own view of the shared edge
         if cin is not None:
             claim ^= cin[cand]
-        # Only the non-authoritative side adopts ``~claim``: the slots it
-        # changes are those still equal to the claim.
-        adopt = ~low_view[cand] & ~crashed[dst_node[cand]] & ~crashed[owner[cand]]
+        # Only the non-authoritative, higher-index side adopts ``~claim``
+        # (a self-loop has no other side): the slots it changes are those
+        # still equal to the claim.
+        adopt = (owner[cand] > dst_node[cand]) & ~crashed[dst_node[cand]] & ~crashed[owner[cand]]
         if din is not None:
             adopt &= din[cand]
         moved = adopt & (out[cand] == claim)
         moved = np.flatnonzero(moved) if full else cand[moved]
         span = np.unique(np.concatenate((moved, partner[moved])))
-        before = counted(span)
+        before = _counted(views, out, crashed, span)
         out[moved] = ~out[moved]
         shift(span, before)
         used += 1
@@ -375,7 +384,7 @@ def sinkless_repair(
         if crash is not None:
             crashed |= crash
         if stale or crash is not None:
-            alive_deg, accountable, own_cnt, eff_cnt = recount()
+            alive_deg, accountable, own_cnt, eff_cnt = _recount(views, out, crashed, min_degree, n)
         sinks = np.flatnonzero(accountable & (own_cnt == 0))
         # Each sink flips its keyed-uniform index among its live ports:
         # live slots are numbered across the sinks' segments in order.
@@ -392,8 +401,8 @@ def sinkless_repair(
         heard = flip[~crashed[owner[flip]] & ~crashed[dst_node[flip]]]
         if dout is not None:
             heard = heard[dout[heard]]
-        span = np.unique(np.concatenate((chosen, partner[chosen], heard, partner[heard], loops)))
-        before = counted(span)
+        span = np.unique(np.concatenate((chosen, partner[chosen], heard, partner[heard])))
+        before = _counted(views, out, crashed, span)
         out[chosen] = True
         out[partner[heard]] = False
         shift(span, before)
@@ -414,15 +423,9 @@ def sinkless_violations(engine, out, crashed, min_degree: int) -> int:
     outgoing edge to an alive neighbor in the extracted orientation of the
     slot state ``out``: :func:`~repro.scenarios.contracts.surviving_sinks`
     on :func:`~repro.local.dense.dense_orientation`, without building the
-    orientation dict.  Like ``dense_orientation`` it drops self-loops, so
-    it differs from :func:`sinkless_repair`'s probe, which counts a
-    self-loop slot whose extracted bit is set as an outgoing edge."""
-    _, dst_node, owner, partner, low_view = _slot_views(engine)
-    live = ~crashed[dst_node]
-    outward = _extracted(out, partner, low_view) & live & (owner != dst_node)
-    good = _per_node(owner, outward, engine.n)
-    accountable = ~crashed & (_per_node(owner, live, engine.n) >= min_degree)
-    return int((accountable & (good == 0)).sum())
+    orientation — the count :func:`sinkless_repair`'s probe reads."""
+    _, accountable, _, eff = _recount(_slot_views(engine), out, crashed, min_degree, engine.n)
+    return int((accountable & (eff == 0)).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ class Scenario:
     min_degree: int = 2  #: sinkless accountability threshold
     eps: float = 0.25  #: splitting spec epsilon
     strict: bool = False  #: require zero violations (adversarial, fault-free)
-    backends: Tuple[str, ...] = ("reference", "dense")
 
     def __post_init__(self):
         require(self.pipeline in PIPELINES, f"unknown pipeline {self.pipeline!r}")
@@ -89,10 +88,10 @@ def all_scenarios() -> List[Scenario]:
 
 
 # ---------------------------------------------------------------------------
-# Built-in scenarios.  Luby MIS is the main stress subject (it runs on any
-# graph, multigraphs included, and its contract degrades gracefully); sinkless orientation
-# covers recovery dynamics; splitting covers weighted graphs and fault-blind
-# verification.
+# Built-in scenarios.  Every pipeline runs on multigraphs and under any
+# fault stack, on both backends.  Luby MIS is the main stress subject (its
+# contract degrades gracefully); sinkless orientation covers recovery
+# dynamics; splitting covers weighted graphs and fault-blind verification.
 # ---------------------------------------------------------------------------
 
 register_scenario(Scenario(
@@ -192,7 +191,7 @@ register_scenario(Scenario(
     pipeline="sinkless",
     perturbations=(CorruptMessages(p=0.1, from_round=2, until_round=6),),
     description="Byzantine flip/ok announcements during trial-and-fix "
-    "rounds 2-6 (round 1, the proposal exchange, must stay clean): a "
+    "rounds 2-6 (the window opens after round 1, the proposal exchange): a "
     "corrupted flip leaves the two endpoints disagreeing about the edge "
     "direction, a defect only the recovering variant's reconcile round can "
     "repair.",

@@ -29,7 +29,7 @@ and reused across trial seeds — only the seeds drive coins and fault
 schedules, so validation, packing and the engine's cached slot
 coordinates (the fault masks' set-up) are paid once per cell.  Every
 backend reads the engine: the dense kernels run on it, and the repair
-tails and round-1 fault checks of both backends use its slot layout.
+tails of both backends use its slot layout.
 
 This is the one place that binds a perturbation stack to a pipeline run
 and appends a repair tail; the pipeline drivers (``luby_mis``,
@@ -46,6 +46,7 @@ import numpy as np
 from repro.apps.splitting import ZeroRoundSplitting
 from repro.bipartite.generators import configuration_model_regular, random_sparse_graph
 from repro.core.problems import UniformSplittingSpec
+from repro.local import BACKENDS
 from repro.local.engine import CSREngine
 from repro.local.network import Network, run_local
 from repro.mis.luby import LubyMIS
@@ -61,7 +62,6 @@ from repro.scenarios.contracts import (
     edge_ok_slot_mask,
     final_edge_ok,
     mis_violations,
-    orientation_from_views,
     splitting_violations,
     surviving_sinks,
 )
@@ -130,15 +130,17 @@ def run_scenario(
 ):
     """Execute one scenario trial and return its resilience metrics.
 
-    ``scenario`` is a registry name or a :class:`Scenario`;
-    ``backend`` one of the scenario's supported executors (``reference`` —
-    hooked :func:`run_local`, ``dense`` — masked numpy kernels); both
-    compute the same run bit for bit.  ``fault_mode`` accepts only ``"mask"``, the keyed fault
-    coins every run uses; any other value, such as the removed replay mode,
-    raises ``ValueError``.  ``adjacency`` overrides the default scenario graph (the perturbation
-    stack's graph rewrites are still applied on top; such runs bypass the
-    cell cache).  ``seed`` drives both the algorithm's coins and the fault
-    schedule; ``graph_seed`` only the topology.  ``max_rounds`` defaults
+    ``scenario`` is a registry name or a :class:`Scenario`; ``backend``
+    one of :data:`~repro.local.BACKENDS` (``reference`` — hooked
+    :func:`run_local`, ``dense`` — masked numpy kernels).  Every scenario
+    runs on both, multigraphs and round-1 faults included, and both
+    compute the same run bit for bit.  ``fault_mode`` accepts only
+    ``"mask"``, the keyed fault coins every run uses; any other value, such
+    as the removed replay mode, raises ``ValueError``.  ``adjacency``
+    overrides the default scenario graph (the perturbation stack's graph
+    rewrites are still applied on top; such runs bypass the cell cache).
+    ``seed`` drives both the algorithm's coins and the fault schedule;
+    ``graph_seed`` only the topology.  ``max_rounds`` defaults
     per pipeline: 10_000 (luby), 400 (sinkless — a run that has not
     recovered by then is recorded as incomplete, which is data).
 
@@ -169,10 +171,7 @@ def run_scenario(
             "removed and every fault coin is keyed; 'mask' is the only value"
         )
     sc = get_scenario(scenario) if isinstance(scenario, str) else scenario
-    require(
-        backend in sc.backends,
-        f"scenario {sc.name!r} supports backends {sc.backends}, got {backend!r}",
-    )
+    require(backend in BACKENDS, f"unknown backend {backend!r}")
     require(max_attempts >= 1, f"max_attempts must be >= 1, got {max_attempts}")
     if degree is None:
         degree = sc.degree if sc.degree is not None else _DEFAULT_DEGREE[sc.pipeline]
@@ -311,60 +310,10 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, tracer=None
     return metrics, state
 
 
-def _round_one_delivers_clean(b, engine) -> bool:
-    """Whether perturbation ``b`` delivers every round-1 message.
-
-    Trusts the ``drops_messages`` capability flag like
-    :class:`~repro.scenarios.masks.DenseFaults` does, then asks the
-    vectorized mask over the engine's slot coordinates; a perturbation
-    without one falls back to its pure per-message decision.
-    """
-    if not b.drops_messages:
-        return True
-    senders, ports, _ = engine.slot_layout()
-    mask = b.delivers_mask(1, senders, ports)
-    if mask is NotImplemented:
-        return all(b.delivers(1, int(s), int(p)) for s, p in zip(senders, ports))
-    return mask is None or bool(mask.all())
-
-
-def _round_one_corruption_free(b, engine) -> bool:
-    """Whether perturbation ``b`` leaves every round-1 payload intact."""
-    if not getattr(b, "corrupts_messages", False):
-        return True
-    senders, ports, _ = engine.slot_layout()
-    mask = b.corrupts_mask(1, senders, ports)
-    if mask is NotImplemented:
-        return not any(b.corrupts(1, int(s), int(p)) for s, p in zip(senders, ports))
-    return mask is None or not bool(mask.any())
-
-
 def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, tracer=None,
                   recover=False):
     adjacency = network.adjacency
     min_degree = sc.min_degree
-    # Fault schedules for sinkless must leave round 1 (the proposal
-    # exchange) clean — the dense kernel's fault window starts at round 2,
-    # so a round-1 fault would silently diverge between backends instead of
-    # degrading gracefully.  Enforce it as a loud error rather than wrong
-    # data (vectorized over the engine's slot coordinates).
-    for b in bound:
-        require(
-            not tuple(b.crashes(1)),
-            "sinkless scenarios must leave round 1 clean: schedule crashes "
-            "from round 2 on (e.g. CrashNodes(at_round=2))",
-        )
-        require(
-            _round_one_delivers_clean(b, engine),
-            "sinkless scenarios must leave round 1 clean: start message "
-            "faults from round 2 (e.g. IIDMessageDrop(from_round=2))",
-        )
-        require(
-            _round_one_corruption_free(b, engine),
-            "sinkless scenarios must leave round 1 clean: start Byzantine "
-            "corruption from round 2 (e.g. CorruptMessages(from_round=2))",
-        )
-    # Recovery dynamics start with the fix rounds.
     if backend == "dense":
         from repro.local.dense import sinkless_trial_dense
         from repro.scenarios.masks import DenseFaults
@@ -396,11 +345,7 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, tracer=
         )
         rounds = result.rounds
         completed = rounds >= 2 and survivors_sink_free(adjacency, result.views, min_degree)
-        if recover:
-            out, crashed = slot_state_from_views(engine.offsets, result.views)
-        else:
-            alive = alive_mask(result.views)
-            orientation = orientation_from_views(adjacency, result.views)
+        out, crashed = slot_state_from_views(engine.offsets, result.views)
     metrics = {}
     if recover:
         from repro.scenarios.masks import DenseFaults
@@ -418,11 +363,10 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, tracer=
         metrics["recovered"] = int(rep.recovered)
         metrics["repair_rounds"] = rep.repair_rounds
         metrics["violations_before_recovery"] = pre
-    if recover or backend == "dense":
-        from repro.local.dense import dense_orientation
+    from repro.local.dense import dense_orientation
 
-        alive = (~crashed).tolist()
-        orientation = dense_orientation(engine, out)
+    alive = (~crashed).tolist()
+    orientation = dense_orientation(engine, out)
     remaining = surviving_sinks(network, orientation, alive, min_degree)
     survivors = sum(alive)
     metrics.update({

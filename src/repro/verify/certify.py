@@ -25,7 +25,7 @@ Three layers:
 * the driver — :func:`certify_scenario` runs a scenario trial with
   ``return_state=True`` and cross-checks the recorded metrics against the
   oracle verdicts, :func:`certify_all` sweeps every registered scenario
-  across its backends (the property suite run in CI tier 1).
+  across both backends (the property suite run in CI tier 1).
 """
 
 from __future__ import annotations
@@ -133,18 +133,21 @@ def exact_mis_violations(
 
 def exact_surviving_sinks(
     adjacency,
-    orientation: Dict[Tuple[int, int], bool],
+    orientation,
     alive: Sequence[bool],
     min_degree: int = 1,
 ) -> List[int]:
     """Accountable alive sinks recomputed with bitset arithmetic.
 
-    Matches :func:`repro.scenarios.contracts.surviving_sinks`:
-    accountability uses the alive-neighbor count of the *full* adjacency,
-    outgoing edges only help when both endpoints are alive.
+    Matches :func:`repro.scenarios.contracts.surviving_sinks` under the
+    one rule of :mod:`repro.orientation.sinkless`: accountability counts
+    every alive port of the *full* adjacency (parallel edges and
+    self-loops included, from the surviving views' weights), and outgoing
+    arcs only help when both endpoints are alive.
     """
     n = len(adjacency)
     require(n <= CERTIFY_MAX_NODES, f"oracle instances are capped at {CERTIFY_MAX_NODES} nodes")
+    _, weights, _ = _surviving_views(adjacency, alive, None)
     alive_bits = _alive_bits(alive)
     out_bits = [0] * n
     for (u, v) in orientation:
@@ -153,10 +156,7 @@ def exact_surviving_sinks(
     for i in range(n):
         if not alive[i]:
             continue
-        nbr_bits = 0
-        for j in adjacency[i]:
-            nbr_bits |= 1 << j
-        if (nbr_bits & alive_bits).bit_count() < min_degree:
+        if sum(weights[i].values()) < min_degree:
             continue
         if not (out_bits[i] & alive_bits):
             bad.append(i)
@@ -231,18 +231,22 @@ def sinkless_feasible(
     if alive is None:
         alive = [True] * n
     # Surviving edge list (parallel edges kept: each is a separate claim).
+    # A self-loop port counts toward accountability but can satisfy no one.
     edges: List[Tuple[int, int]] = []
     incident: List[List[int]] = [[] for _ in range(n)]
+    loops = [0] * n
     for i in range(n):
         if not alive[i]:
             continue
         for j in adjacency[i]:
-            if i < j and alive[j]:
+            if i == j:
+                loops[i] += 1
+            elif i < j and alive[j]:
                 incident[i].append(len(edges))
                 incident[j].append(len(edges))
                 edges.append((i, j))
     accountable = [
-        alive[i] and len(incident[i]) >= min_degree for i in range(n)
+        alive[i] and len(incident[i]) + loops[i] >= min_degree for i in range(n)
     ]
     taken = [False] * len(edges)
     satisfied = [not accountable[i] for i in range(n)]
@@ -447,7 +451,8 @@ def certify_all(
     recover: bool = True,
     strict: bool = True,
 ) -> List[Dict[str, Union[int, str, List[str]]]]:
-    """Certify every registered scenario on each of its backends."""
+    """Certify every registered scenario on each backend."""
+    from repro.local import BACKENDS
     from repro.scenarios.registry import all_scenarios
 
     return [
@@ -455,5 +460,5 @@ def certify_all(
             sc, n=n, seed=seed, backend=backend, recover=recover, strict=strict,
         )
         for sc in all_scenarios()
-        for backend in sc.backends
+        for backend in BACKENDS
     ]

@@ -131,9 +131,6 @@ class TestNetwork:
         assert net.dst_port.tolist() == dst_port
         assert net.offsets.dtype == net.dst_node.dtype == net.dst_port.dtype == np.int64
         assert net.ids == (tuple(range(len(adj))) if ids is None else tuple(ids))
-        assert net.simple == all(
-            i not in nbrs and len(set(nbrs)) == len(nbrs) for i, nbrs in enumerate(adj)
-        )
 
     def test_packed_arrays_are_read_only(self):
         net = Network(path_graph(3))

@@ -11,26 +11,34 @@ diverging active count even though the run outputs still match.
 
 import pytest
 
+from repro.local import BACKENDS
 from repro.obs import Tracer
-from repro.scenarios import get_scenario
+from repro.scenarios import CrashNodes, Scenario
 from repro.scenarios.run import run_scenario
 
-# One scenario per pipeline; together they cover all three backends and
-# all three trace-point styles (hooked loop, hooked engine, dense kernel).
-CASES = ["luby/crash", "sinkless/crash", "splitting/drop-iid"]
+# One scenario per pipeline, plus a sinkless crash in the proposal round;
+# together they cover both backends and both trace-point styles (hooked
+# loop, dense kernel).
+SINKLESS_ROUND_ONE_CRASH = Scenario(
+    name="adhoc/sinkless-round-one-crash", pipeline="sinkless",
+    perturbations=(CrashNodes(fraction=0.1, at_round=1),), topology="regular",
+)
+CASES = {sc if isinstance(sc, str) else sc.name: sc for sc in (
+    "luby/crash", "sinkless/crash", "splitting/drop-iid", SINKLESS_ROUND_ONE_CRASH,
+)}
 
 
 def _traced_run(name, backend, seed=3):
     tracer = Tracer(backend=backend, scenario=name)
     metrics = run_scenario(
-        name, n=200, seed=seed, backend=backend, tracer=tracer
+        CASES[name], n=200, seed=seed, backend=backend, tracer=tracer
     )
     return tracer, metrics
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_round_record_count_matches_rounds_on_every_backend(name):
-    for backend in get_scenario(name).backends:
+    for backend in BACKENDS:
         tracer, metrics = _traced_run(name, backend)
         records = tracer.round_records()
         assert len(records) == metrics["rounds"], (
@@ -42,7 +50,7 @@ def test_round_record_count_matches_rounds_on_every_backend(name):
 @pytest.mark.parametrize("name", CASES)
 def test_traced_trajectories_agree_across_backends(name):
     summaries = {}
-    for backend in get_scenario(name).backends:
+    for backend in BACKENDS:
         tracer, metrics = _traced_run(name, backend)
         summaries[backend] = {
             "rounds": metrics["rounds"],

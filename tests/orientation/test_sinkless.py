@@ -1,5 +1,8 @@
 """Tests for sinkless orientation: verifier and baselines."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.bipartite.generators import random_regular_graph
@@ -9,6 +12,7 @@ from repro.orientation import (
     run_trial_and_fix,
     sinks,
 )
+from repro.orientation.sinkless import orientation_from_views
 from tests.conftest import cycle_graph
 
 
@@ -46,6 +50,20 @@ class TestVerifier:
         adj = cycle_graph(4)
         with pytest.raises(ValueError):
             is_sinkless(adj, {(0, 2): True})
+
+    def test_parallel_edges_are_separate_copies(self):
+        adj = [[1, 1, 2, 2], [0, 0], [0, 2, 0]]  # node 2 has a self-loop port
+        assert is_sinkless(adj, [(0, 1), (1, 0), (2, 0), (0, 2)])
+        assert not is_sinkless(adj, [(0, 1), (0, 1), (2, 0), (0, 2)])  # node 1 is a sink
+        assert not is_sinkless(adj, [(1, 0), (2, 0), (0, 2)])  # one copy left out
+        # A self-loop counts toward degree but is never outgoing.
+        assert sinks(adj, [(0, 1), (1, 0), (0, 2), (0, 2)], min_degree=3) == [2]
+        # A dict holds one arc per pair, so it cannot cover both copies.
+        assert not is_sinkless(adj, {(1, 0): True, (2, 0): True, (0, 2): True})
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) oriented twice"):
+            is_sinkless(adj, [(0, 1), (1, 0), (0, 1), (2, 0), (0, 2)])
+        with pytest.raises(ValueError, match="non-edge"):
+            is_sinkless(adj, [(0, 1), (1, 0), (2, 0), (0, 2), (2, 2)])
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_endpoint_outside_graph_rejected(self, bad):
@@ -90,6 +108,39 @@ class TestTrialAndFix:
         adj = random_regular_graph(30, 6, seed=6)
         _, rounds = run_trial_and_fix(adj, seed=3)
         assert rounds <= 30
+
+    @pytest.mark.parametrize("method", ["reference", "dense"])
+    def test_multigraph_outputs_verify(self, method):
+        # Cycles plus random chords, many of them parallel edges and some
+        # self-loops: every output orients each edge copy once and is
+        # sinkless, and both methods return the same run.
+        for seed in range(8):
+            rng = random.Random(seed)
+            n = 24
+            adj = cycle_graph(n)
+            for _ in range(n):
+                u, v = rng.randrange(n), rng.randrange(n)
+                adj[u].append(v)
+                if u != v:
+                    adj[v].append(u)
+            orientation, rounds = run_trial_and_fix(
+                adj, min_degree=2, seed=seed, max_rounds=400, method=method
+            )
+            assert is_sinkless(adj, orientation, min_degree=2)
+            assert (orientation, rounds) == run_trial_and_fix(
+                adj, min_degree=2, seed=seed, max_rounds=400, method="reference"
+            )
+
+    def test_unset_ports_read_inward(self):
+        # A node that crashed before the proposal round never set a port:
+        # its edges point into it.
+        adj = [[1, 2], [0, 2], [0, 1]]
+        views = [SimpleNamespace(state=state) for state in (
+            {"out": {}, "crashed": True},
+            {"out": {0: True, 1: True}},
+            {"out": {0: False, 1: False}},
+        )]
+        assert orientation_from_views(adj, views) == [(1, 0), (2, 0), (1, 2)]
 
     @pytest.mark.parametrize("method", ["reference", "dense"])
     def test_negative_round_cap_rejected(self, method):

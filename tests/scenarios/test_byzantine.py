@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from repro.local import Network
+from repro.local import BACKENDS, Network
 from repro.scenarios import (
     FORGED_PRIORITY,
     CorrelatedCrash,
@@ -148,9 +148,9 @@ class TestByzantineHookEquivalence:
     )
     def test_backends_agree(self, name):
         sc = get_scenario(name)
-        runs = [run_scenario(sc, n=64, seed=3, backend=backend) for backend in sc.backends]
+        runs = [run_scenario(sc, n=64, seed=3, backend=backend) for backend in BACKENDS]
         keys = [k for k in runs[0] if not k.endswith("_seconds")]
-        for backend, m in zip(sc.backends[1:], runs[1:]):
+        for backend, m in zip(BACKENDS[1:], runs[1:]):
             for k in keys:
                 assert m[k] == runs[0][k], (name, backend, k)
 

@@ -70,46 +70,37 @@ RUNTIME = st.one_of(
     st.builds(CorruptMessages, p=P, until_round=UNTIL),
 )
 
-#: The same families with a clean round 1, which trial-and-fix requires.
-FROM_ROUND_TWO = st.one_of(
-    st.builds(CrashNodes, fraction=P, at_round=st.integers(2, 5)),
-    st.builds(IIDMessageDrop, p=P, from_round=st.just(2), until_round=st.integers(2, 6)),
-    st.builds(IIDMessageDrop, p=P, from_round=st.integers(2, 4)),
-    st.builds(EdgeChurn, p_down=P, from_round=st.integers(2, 4)),
-    st.builds(DropEdges, fraction=P, at_round=st.integers(2, 5)),
-    st.builds(CorruptMessages, p=P, from_round=st.just(2), until_round=st.integers(2, 5)),
-)
-
-
 @st.composite
 def cases(draw):
     n = draw(st.integers(0, 14))
-    pairs = []
+    pairs = loops = []
     if n >= 2:
         pairs = draw(st.lists(
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n
         ))
+    if n:
+        loops = draw(st.lists(st.integers(0, n - 1), max_size=2))
     return {
         "n": n,
         "pairs": [(u, v) for u, v in pairs if u != v],
+        "loops": loops,
         "uids": draw(st.lists(st.integers(-(2**40), 2**40), min_size=n, max_size=n,
                               unique=True)),
         "seed": draw(st.integers(0, 2**32)),
         "stack": tuple(draw(st.lists(RUNTIME, max_size=3))),
-        "sinkless_stack": tuple(draw(st.lists(FROM_ROUND_TWO, max_size=2))),
         "max_rounds": draw(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 60])),
     }
 
 
-def adjacency(n, pairs, simple=False):
-    """Symmetric adjacency over loop-free ``pairs``; ``simple`` keeps each
-    undirected pair once."""
-    if simple:
-        pairs = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+def adjacency(n, pairs, loops=()):
+    """Symmetric adjacency over loop-free ``pairs`` (repeats are parallel
+    edges), plus one self-loop port per entry of ``loops``."""
     adj = [[] for _ in range(n)]
     for u, v in pairs:
         adj[u].append(v)
         adj[v].append(u)
+    for u in loops:
+        adj[u].append(u)
     return adj
 
 
@@ -192,33 +183,39 @@ def check_splitting(net, seed, stack):
 
 @settings(max_examples=200, deadline=None)
 @given(cases())
-@example({"n": 0, "pairs": [], "uids": [], "seed": 0, "stack": (),
-          "sinkless_stack": (), "max_rounds": 60})
-@example({"n": 4, "pairs": [(0, 1), (0, 1), (1, 2), (2, 0)], "uids": [9, -4, 0, 2**40],
-          "seed": 3, "stack": (CrashNodes(0.3, at_round=3), CorruptMessages(0.3)),
-          "sinkless_stack": (CrashNodes(0.3, at_round=2),), "max_rounds": 0})
+@example({"n": 0, "pairs": [], "loops": [], "uids": [], "seed": 0, "stack": (),
+          "max_rounds": 60})
+@example({"n": 4, "pairs": [(0, 1), (0, 1), (1, 2), (2, 0)], "loops": [3, 1],
+          "uids": [9, -4, 0, 2**40], "seed": 3,
+          "stack": (CrashNodes(0.3, at_round=1), CorruptMessages(0.3)), "max_rounds": 7})
+# Every node crashes in the proposal round: the run halts after round 1.
+@example({"n": 1, "pairs": [], "loops": [], "uids": [0], "seed": 0,
+          "stack": (CrashNodes(0.1, at_round=1),), "max_rounds": 2})
 # A sink flips toward a node crashed before the quiet horizon: the crashed
 # receiver stays frozen after the fault masks expire.
-@example({"n": 7, "pairs": [(0, 5), (0, 6), (3, 5)], "uids": [1, 0, -1, 6, -2, 2, 3],
-          "seed": 464640, "stack": (),
-          "sinkless_stack": (CrashNodes(0.1, at_round=2),), "max_rounds": 4})
+@example({"n": 7, "pairs": [(0, 5), (0, 6), (3, 5)], "loops": [],
+          "uids": [1, 0, -1, 6, -2, 2, 3], "seed": 464640,
+          "stack": (CrashNodes(0.1, at_round=2),), "max_rounds": 4})
 def test_every_backend_computes_the_same_run(case):
     n, pairs, uids, seed = case["n"], case["pairs"], case["uids"], case["seed"]
     multi = Network(adjacency(n, pairs), ids=uids)
     check_luby(multi, seed, case["stack"], case["max_rounds"])
     check_splitting(multi, seed, case["stack"])
-    simple = Network(adjacency(n, pairs, simple=True), ids=uids)
-    check_sinkless(simple, seed, case["sinkless_stack"], case["max_rounds"])
+    looped = Network(adjacency(n, pairs, case["loops"]), ids=uids)
+    check_sinkless(looped, seed, case["stack"], case["max_rounds"])
 
 
-def random_multigraph(rng, n):
-    """Random sparse symmetric adjacency, occasionally with multi-edges."""
+def random_multigraph(rng, n, loops=False):
+    """Random sparse symmetric adjacency, occasionally with multi-edges and,
+    with ``loops``, self-loops (one port each)."""
     adj = [[] for _ in range(n)]
     for _ in range(rng.randrange(0, 2 * n)):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             adj[u].append(v)
             adj[v].append(u)
+        elif loops:
+            adj[u].append(u)
     return adj
 
 
@@ -257,14 +254,13 @@ class TestRandomFaultStacks:
             check_luby(net, seed, stack, max_rounds=60)
 
     def test_sinkless_random_fault_stacks(self):
-        # Multigraphs and round-1 faults, which only the reference runs:
-        # the defensive round-1 receive (missing proposals under faults)
-        # under a probe that must stop without changing the run.
+        # Multigraphs with self-loops and round-1 faults: the defensive
+        # round-1 receive (missing proposals under faults) on both backends.
         rng = random.Random(99)
         for _ in range(15):
-            net = Network(random_multigraph(rng, rng.randrange(2, 18)))
+            net = Network(random_multigraph(rng, rng.randrange(2, 18), loops=True))
             stack, seed = random_stack(rng), rng.randrange(10_000)
-            check_probe_only_observes(net, seed, stack, max_rounds=12)
+            check_sinkless(net, seed, stack, max_rounds=12)
 
     def test_splitting_random_fault_stacks(self):
         rng = random.Random(7)
@@ -332,11 +328,10 @@ class TestDenseUnderFaults:
             check_luby(net, seed, stack, max_rounds)
 
     def test_sinkless_crash(self):
-        # Crash-only schedules from round >= 2 (the dense kernel's fault
-        # support window).
+        # Crash-only schedules, the proposal round included.
         rng = random.Random(57)
         for _ in range(10):
-            stack = (CrashNodes(fraction=0.2, at_round=rng.randrange(2, 5)),)
+            stack = (CrashNodes(fraction=0.2, at_round=rng.randrange(1, 5)),)
             check_sinkless(simple_sparse_network(rng), rng.randrange(10_000), stack,
                            max_rounds=12)
 

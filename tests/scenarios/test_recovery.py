@@ -28,7 +28,7 @@ import pytest
 
 from repro.apps.splitting import uniform_splitting
 from repro.core.problems import UniformSplittingSpec
-from repro.local import CSREngine, Network
+from repro.local import BACKENDS, CSREngine, Network
 from repro.mis.luby import luby_mis
 from repro.orientation.sinkless import run_trial_and_fix
 from repro.scenarios import (
@@ -176,7 +176,7 @@ class TestRunScenarioRecover:
     def test_recovers_to_zero_violations_identically(self, name):
         sc = get_scenario(name)
         per_backend = []
-        for backend in sc.backends:
+        for backend in BACKENDS:
             m = run_scenario(sc, n=60, seed=5, backend=backend,
                              recover=True)
             per_backend.append((backend, m))
@@ -221,7 +221,7 @@ class TestRunScenarioRecover:
 
     def test_every_registered_scenario_supports_recovery(self):
         for sc in all_scenarios():
-            m = run_scenario(sc, n=48, seed=1, backend=sc.backends[0],
+            m = run_scenario(sc, n=48, seed=1, backend=BACKENDS[0],
                              recover=True)
             assert m["recovered"] == 1, sc.name
             assert "repair_rounds" in m

@@ -8,10 +8,10 @@ import pytest
 
 from repro.exp import ExperimentSpec, run_sweep
 from repro.exp.workloads import scenario_workload
+from repro.local import BACKENDS
 from repro.scenarios import (
     CrashNodes,
     Scenario,
-    all_scenarios,
     get_scenario,
     register_scenario,
     run_scenario,
@@ -69,9 +69,6 @@ class TestRunScenario:
         if get_scenario(name).strict:
             assert metrics["violations"] == 0 and metrics["completed"] == 1
 
-    def test_every_scenario_runs_on_both_backends(self):
-        assert all(sc.backends == ("reference", "dense") for sc in all_scenarios())
-
     @pytest.mark.parametrize("recover", [False, True], ids=["plain", "recover"])
     @pytest.mark.parametrize("name", scenario_names())
     def test_reference_matches_dense(self, name, recover):
@@ -91,9 +88,7 @@ class TestRunScenario:
             with pytest.raises(ValueError, match="replay fault mode was removed"):
                 run_scenario("luby/crash", n=60, seed=1, fault_mode=mode)
 
-    @pytest.mark.parametrize(
-        "name", [s.name for s in all_scenarios() if "dense" in s.backends]
-    )
+    @pytest.mark.parametrize("name", scenario_names())
     def test_every_scenario_end_to_end_on_dense(self, name):
         metrics = run_scenario(name, n=200, seed=3, backend="dense")
         assert REQUIRED_METRICS <= set(metrics)
@@ -110,34 +105,35 @@ class TestRunScenario:
     @pytest.mark.parametrize("backend", ["engine", "dense-batched"])
     @pytest.mark.parametrize("name", ["luby/crash", "sinkless/crash", "splitting/byzantine"])
     def test_unsupported_backend_rejected(self, name, backend):
-        with pytest.raises(ValueError, match="supports backends"):
+        with pytest.raises(ValueError, match="unknown backend"):
             run_scenario(name, n=100, backend=backend)
 
-    def test_sinkless_round_one_faults_rejected(self):
-        # The dense kernel's fault window opens at round 2; a round-1 fault
-        # must be a loud error, not silent backend divergence.
-        from repro.scenarios import IIDMessageDrop
+    @pytest.mark.parametrize("recover", [False, True], ids=["plain", "recover"])
+    def test_sinkless_round_one_faults_run_on_both_backends(self, recover):
+        # Crashes, drops and corruption in the proposal round run on both
+        # backends and compute the same run.
+        from repro.scenarios import CorruptMessages, IIDMessageDrop
 
-        early_crash = Scenario(
-            name="adhoc/sinkless-early-crash", pipeline="sinkless",
-            perturbations=(CrashNodes(fraction=0.2, at_round=1),),
-            topology="regular",
-        )
-        early_drop = Scenario(
-            name="adhoc/sinkless-early-drop", pipeline="sinkless",
-            perturbations=(IIDMessageDrop(p=0.5),),
-            topology="regular",
-        )
-        for sc in (early_crash, early_drop):
-            for backend in sc.backends:
-                with pytest.raises(ValueError, match="round 1 clean"):
-                    run_scenario(sc, n=60, seed=1, backend=backend)
+        stacks = {
+            "crash": (CrashNodes(fraction=0.2, at_round=1),),
+            "drop": (IIDMessageDrop(p=0.3, until_round=4),),
+            "corrupt": (CorruptMessages(p=0.2, until_round=3),),
+        }
+        for label, perturbations in stacks.items():
+            sc = Scenario(name=f"adhoc/sinkless-round-one-{label}", pipeline="sinkless",
+                          perturbations=perturbations, topology="regular")
+            ref, den = (
+                {k: v for k, v in run_scenario(sc, n=80, seed=1, backend=backend,
+                                               max_rounds=60, recover=recover).items()
+                 if not k.endswith("_seconds")}
+                for backend in BACKENDS
+            )
+            assert ref == den, label
+            assert (den["crashed_nodes"] > 0) == (label == "crash")
 
-    def test_sinkless_round_one_check_trusts_drop_flag(self, monkeypatch):
-        # A stack that cannot drop messages passes the round-1 delivery
-        # check without a per-message ``delivers`` sweep; a stack that can
-        # still gets checked and rejected.
-        from repro.scenarios import IIDMessageDrop
+    def test_dense_sinkless_run_trusts_drop_flag(self, monkeypatch):
+        # A stack that cannot drop messages builds no delivery mask, so the
+        # dense run makes no per-message ``delivers`` call.
         from repro.scenarios.base import BoundPerturbation
 
         calls = []
@@ -150,13 +146,6 @@ class TestRunScenario:
         metrics = run_scenario("sinkless/crash", n=200, seed=1, backend="dense")
         assert metrics["crashed_nodes"] > 0
         assert calls == []
-        early_drop = Scenario(
-            name="adhoc/sinkless-round-one-drop", pipeline="sinkless",
-            perturbations=(IIDMessageDrop(p=0.5, from_round=1),),
-            topology="regular",
-        )
-        with pytest.raises(ValueError, match="round 1 clean"):
-            run_scenario(early_drop, n=60, seed=1, backend="dense")
 
     def test_crash_scenarios_report_recovery(self):
         metrics = run_scenario("luby/crash", n=200, seed=0)
@@ -195,7 +184,7 @@ class TestSplittingUnderCrashes:
         sc = Scenario(name="adhoc/splitting-crash", pipeline="splitting",
                       perturbations=(CrashNodes(fraction=0.1, at_round=1),))
         partitions = []
-        for backend in sc.backends:
+        for backend in BACKENDS:
             metrics, state = run_scenario(sc, adjacency=adj, seed=3, degree=40,
                                           backend=backend, return_state=True)
             assert metrics["crashed_nodes"] > 0

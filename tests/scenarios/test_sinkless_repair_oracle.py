@@ -48,6 +48,7 @@ def full_pass_repair(engine, faults, seed, out, crashed, min_degree, start_round
     owner = _slot_owner(offsets)
     partner = offsets[:-1][dst_node] + dst_port
     low_view = owner < dst_node
+    proper = owner != dst_node  # a self-loop is never outgoing
     n = engine.n
     uid = engine.network.uid_array
 
@@ -67,7 +68,7 @@ def full_pass_repair(engine, faults, seed, out, crashed, min_degree, start_round
         heard = alive[dst_node] & alive[owner]
         if din is not None:
             heard = heard & din
-        adopt = heard & ~low_view  # only the non-authoritative side adopts
+        adopt = heard & (owner > dst_node)  # only the non-authoritative side adopts
         out[adopt] = ~claim[adopt]
         used += 1
         last = r
@@ -80,7 +81,7 @@ def full_pass_repair(engine, faults, seed, out, crashed, min_degree, start_round
         live = alive[dst_node]
         alive_deg = _segment_sum(live.astype(np.int64), offsets)
         accountable = alive & (alive_deg >= min_degree)
-        sink = accountable & ~_segment_or(out & live, offsets)
+        sink = accountable & ~_segment_or(out & live & proper, offsets)
         # Choose each sink's flip among its live ports: rank the live
         # slots within the segment and pick the keyed-uniform index.
         exc = np.concatenate(
@@ -102,7 +103,7 @@ def full_pass_repair(engine, faults, seed, out, crashed, min_degree, start_round
         last = rb
         # --- contract probe (authoritative orientation) -------------------
         eff = np.where(low_view, out, ~out[partner])
-        good = _segment_or(eff & live, offsets)
+        good = _segment_or(eff & live & proper, offsets)
         if not (accountable & ~good).any():
             recovered = True
             break
@@ -221,8 +222,8 @@ def random_multigraph(rng, n):
 
 
 def test_self_loops_and_multi_edges_match_the_full_pass():
-    # A self-loop slot is its own partner and flips at every reconcile; the
-    # incremental reconcile must keep re-reading it.
+    # A self-loop slot is its own partner: it never reconciles and never
+    # counts as outgoing, but a sink may still pick it for a flip.
     rng = random.Random(5)
     for trial in range(40):
         n = rng.randrange(2, 12)

@@ -15,7 +15,8 @@ from fractions import Fraction
 import pytest
 
 from repro.core.problems import UniformSplittingSpec
-from repro.scenarios import all_scenarios
+from repro.local import BACKENDS
+from repro.scenarios import CrashNodes, MultiEdgeLift, Scenario, all_scenarios
 from repro.scenarios.contracts import (
     mis_violations,
     splitting_violations,
@@ -63,14 +64,15 @@ class TestDifferentialAgreement:
             assert exact_mis_violations(adj, mis, alive, edge_ok) == \
                 mis_violations(adj, mis, alive, edge_ok), seed
 
-    def test_sinks(self):
+    @pytest.mark.parametrize("multi", [False, True], ids=["simple", "multigraph"])
+    def test_sinks(self, multi):
         for seed in range(25):
-            rng, adj, alive = random_instance(seed)
-            orientation = {}
-            for i in range(len(adj)):
-                for j in adj[i]:
-                    if i < j:
-                        orientation[(i, j) if rng.random() < 0.6 else (j, i)] = True
+            rng, adj, alive = random_instance(seed, multi=multi)
+            # One arc per edge copy: parallel copies are oriented apart.
+            orientation = [
+                (i, j) if rng.random() < 0.6 else (j, i)
+                for i in range(len(adj)) for j in adj[i] if i < j
+            ]
             for min_degree in (1, 2, 3):
                 assert exact_surviving_sinks(adj, orientation, alive, min_degree) \
                     == surviving_sinks(adj, orientation, alive, min_degree), seed
@@ -116,6 +118,13 @@ class TestExistenceOracles:
         # min_degree=2 leaves only the center accountable.
         assert sinkless_feasible(star, min_degree=2)
 
+    def test_self_loops_count_toward_accountability(self):
+        # A self-loop port makes its node accountable but satisfies no one.
+        assert not sinkless_feasible([[0]], min_degree=1)
+        assert not sinkless_feasible([[0, 1], [0]], min_degree=1)
+        assert sinkless_feasible([[0, 1], [0]], min_degree=2)
+        assert exact_surviving_sinks([[0, 1], [0]], [(1, 0)], [True, True], 2) == [0]
+
     def test_crashes_relax_feasibility(self):
         assert not sinkless_feasible([[1], [0]])
         assert sinkless_feasible([[1], [0]], alive=[True, False])
@@ -157,16 +166,28 @@ class TestScenarioCertification:
         assert report["ok"] == 1
         assert report["recovered"] == 0
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_sinkless_multigraph_with_round_one_crash(self, backend):
+        # Doubled edges and crashes in the proposal round: the recorded
+        # violations equal the oracle's, and recovery reaches zero.
+        sc = Scenario(
+            name="adhoc/sinkless-lift-crash", pipeline="sinkless",
+            perturbations=(MultiEdgeLift(times=2), CrashNodes(0.1, at_round=1)),
+            topology="regular",
+        )
+        report = certify_scenario(sc, n=48, seed=2, backend=backend)
+        assert report["ok"] == 1 and report["exact_violations"] == 0
+
     @pytest.mark.parametrize(
         "sc", all_scenarios(), ids=lambda s: s.name.replace("/", "-")
     )
     def test_property_suite(self, sc):
-        for backend in sc.backends:
+        for backend in BACKENDS:
             report = certify_scenario(sc, n=48, seed=3, backend=backend)
             assert report["ok"] == 1, (sc.name, backend, report["mismatches"])
 
     def test_certify_all_covers_every_cell(self):
         reports = certify_all(n=48, seed=0)
-        cells = sum(len(sc.backends) for sc in all_scenarios())
+        cells = len(BACKENDS) * len(all_scenarios())
         assert len(reports) == cells
         assert all(r["ok"] for r in reports)

@@ -4,10 +4,12 @@ the per-slot loops they replaced, kept here as reference oracles.
 Graphs cover multigraphs, self-loops, isolated nodes and ``n = 0``;
 partitions may leave nodes uncolored (``None``); ``edge_ok`` comes as
 ``None``, a one-sided callable, a per-slot mask, or the final-graph
-predicate of a bound ``DropEdges`` stack.  On bad input both sides must
-raise the same exception type and message, for the first bad key in dict
-order.
+predicate of a bound ``DropEdges`` stack.  Orientations are arc lists or
+dicts, one arc per edge copy.  On bad input both sides must raise the same
+exception type and message, for the first bad arc in iteration order.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,9 +18,11 @@ from hypothesis import given, settings, strategies as st
 from repro.bipartite.instance import BLUE, RED
 from repro.core.problems import UniformSplittingSpec
 from repro.core.verifiers import uniform_splitting_violations
+from repro.local import CSREngine
+from repro.local.dense import dense_orientation
 from repro.local.network import Network
 from repro.mis import greedy_mis, is_mis
-from repro.orientation import is_sinkless
+from repro.orientation import is_sinkless, sinks
 from repro.scenarios.base import bind_all
 from repro.scenarios.contracts import (
     edge_ok_slot_mask,
@@ -28,7 +32,9 @@ from repro.scenarios.contracts import (
     surviving_sinks,
 )
 from repro.scenarios.dynamic import DropEdges
+from repro.scenarios.recovery import _recount, _slot_views, sinkless_violations
 from repro.utils.validation import require
+from repro.verify.certify import exact_surviving_sinks
 
 EXAMPLES = settings(max_examples=200, deadline=None)
 
@@ -56,13 +62,14 @@ def loop_sinks(adj, orientation, min_degree):
 
 
 def loop_is_sinkless(adj, orientation, min_degree=1):
-    edges = {(u, v) for u in range(len(adj)) for v in adj[u] if u < v}
-    covered = set()
+    # Per edge copy: each parallel edge is oriented once, self-loops never.
+    edges = Counter((u, v) for u in range(len(adj)) for v in adj[u] if u < v)
+    covered = Counter()
     for (u, v) in orientation:
         key = (min(u, v), max(u, v))
         require(key in edges, f"orientation mentions non-edge {u, v}")
-        require(key not in covered, f"edge {key} oriented twice")
-        covered.add(key)
+        require(covered[key] < edges[key], f"edge {key} oriented twice")
+        covered[key] += 1
     if covered != edges:
         return False
     return not loop_sinks(adj, orientation, min_degree)
@@ -204,10 +211,12 @@ def specs(draw):
 
 @st.composite
 def orientations(draw, adj):
-    """Each edge oriented once in shuffled dict order, sometimes with an
-    edge left out or extra keys: reversed edges, non-edges, self-loops."""
+    """Each edge copy oriented once in shuffled order, sometimes with a
+    copy left out or extra arcs: reversed copies, non-edges, self-loops.
+    A list keeps every arc; a dict (also a valid input) keeps one arc per
+    distinct pair, which leaves parallel copies uncovered."""
     n = len(adj)
-    edges = sorted({(min(u, v), max(u, v)) for u in range(n) for v in adj[u] if u != v})
+    edges = sorted((u, v) for u in range(n) for v in adj[u] if u < v)
     arcs = [(u, v) if draw(st.booleans()) else (v, u) for u, v in edges]
     if arcs and draw(st.booleans()):
         arcs.pop(draw(st.integers(min_value=0, max_value=len(arcs) - 1)))
@@ -216,7 +225,8 @@ def orientations(draw, adj):
         arcs += draw(st.lists(st.tuples(node, node), max_size=2))
         if edges:
             arcs += [e[::-1] for e in draw(st.lists(st.sampled_from(edges), max_size=1))]
-    return dict.fromkeys(draw(st.permutations(arcs)), True)
+    arcs = draw(st.permutations(arcs))
+    return arcs if draw(st.booleans()) else dict.fromkeys(arcs, True)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +306,33 @@ def test_surviving_sinks_matches_loop(data):
     min_degree = data.draw(st.integers(min_value=0, max_value=4))
     assert surviving_sinks(as_graph(data, adj), orientation, alive, min_degree) == \
         loop_surviving_sinks(adj, orientation, alive, min_degree)
+
+
+@EXAMPLES
+@given(st.data())
+def test_sinkless_checkers_agree_on_looped_multigraphs(data):
+    # One rule everywhere: a random slot state on a multigraph with
+    # self-loops, read by the verifier, the contract, the repair's probe
+    # counts and the exact oracle, finds the same sinks.
+    adj = data.draw(graphs())
+    n = len(adj)
+    engine = CSREngine(Network(adj))
+    m = int(engine.offsets[-1])
+    out = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
+    crashed = np.array(data.draw(
+        st.just([False] * n) | st.lists(st.booleans(), min_size=n, max_size=n)
+    ), dtype=bool)
+    alive = (~crashed).tolist()
+    min_degree = data.draw(st.integers(min_value=0, max_value=3))
+    orientation = dense_orientation(engine, out)
+    bad = surviving_sinks(adj, orientation, alive, min_degree)
+    assert exact_surviving_sinks(adj, orientation, alive, min_degree) == bad
+    assert sinkless_violations(engine, out, crashed, min_degree) == len(bad)
+    _, accountable, _, eff = _recount(_slot_views(engine), out, crashed, min_degree, n)
+    assert np.flatnonzero(accountable & (eff == 0)).tolist() == bad
+    if not crashed.any():
+        assert sinks(adj, orientation, min_degree) == bad
+        assert is_sinkless(adj, orientation, min_degree) == (not bad)
 
 
 @EXAMPLES
