@@ -119,9 +119,10 @@ def build_scenario_specs(quick: bool, num_seeds: int, names: str, backends,
     """Scenario cells for the ``--scenarios`` axis (resilience metrics).
 
     ``names`` is ``"all"`` or a comma-separated list of registry names from
-    :mod:`repro.scenarios`; one cell per (scenario, backend of ``backends``
-    that is in ``BACKENDS``).  Each trial seed drives both the algorithm coins and the
-    deterministic fault schedule, identically on every backend.
+    :mod:`repro.scenarios`; one cell per (scenario, backend in
+    ``backends``); a backend outside ``BACKENDS`` fails its trials.  Each
+    trial seed drives both the algorithm coins and the deterministic fault
+    schedule, identically on every backend.
     ``trace_out`` threads a round-trace jsonl path into every cell: each
     trial then records per-round tracer spans (see :mod:`repro.obs`) and
     appends them to that file.  ``recover=True`` adds a ``+recover``
@@ -141,8 +142,6 @@ def build_scenario_specs(quick: bool, num_seeds: int, names: str, backends,
     for name in selected:
         sc = get_scenario(name)  # fails fast on typos, before the sweep
         for backend in backends:
-            if backend not in BACKENDS:
-                continue
             params = {"scenario": name, "n": n, "backend": backend}
             if trace_out:
                 params["trace_out"] = trace_out

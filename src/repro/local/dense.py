@@ -34,7 +34,8 @@ enforces this).
 from __future__ import annotations
 
 import time
-from typing import List, Tuple
+from collections import Counter
+from typing import Tuple
 
 import numpy as np
 
@@ -577,9 +578,9 @@ def sinkless_trial_dense(
     return DenseResult(rounds, completed=False, out=out, crashed=crashed)
 
 
-def dense_orientation(engine: CSREngine, out: np.ndarray) -> List[Tuple[int, int]]:
-    """Extract the orientation's arcs from slot states: one ``(tail, head)``
-    arc per non-loop edge copy, in slot order.
+def dense_orientation(engine: CSREngine, out: np.ndarray) -> Counter:
+    """Extract the orientation from slot states: a ``Counter`` of
+    ``(tail, head)`` arcs, one per non-loop edge copy.
 
     Same rule as the simulator driver: for each edge the lower-index
     endpoint's slot decides the direction.
@@ -589,7 +590,7 @@ def dense_orientation(engine: CSREngine, out: np.ndarray) -> List[Tuple[int, int
     low = np.flatnonzero(owner < dst_node)
     srcs = np.where(out[low], owner[low], dst_node[low])
     dsts = np.where(out[low], dst_node[low], owner[low])
-    return list(zip(srcs.tolist(), dsts.tolist()))
+    return Counter(zip(srcs.tolist(), dsts.tolist()))
 
 
 # ---------------------------------------------------------------------------

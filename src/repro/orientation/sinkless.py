@@ -10,12 +10,15 @@ Theorem 2.10 transfers both to weak splitting via the Figure 1 reduction
 
 **One rule on every graph.**  Each parallel edge is its own edge; a
 self-loop counts toward its node's degree but is never outgoing; a port a
-round-1 crash left unset reads inward.  An orientation is one ``(tail,
-head)`` arc per non-loop edge copy (a list in slot order, as the pipelines
-return it, or the keys of a dict), and a node of degree ``>= min_degree``
-is a sink iff it is the tail of no arc.  The verifiers, the scenario
-contracts, the repair probe, the exact oracle and both executors of
-:class:`TrialAndFixSinkless` all apply this rule.
+round-1 crash left unset reads inward.  An orientation is a multiset of
+``(tail, head)`` arcs, one per non-loop edge copy: a ``Counter`` arc ->
+copies, as the pipelines return it (``{arc: True}`` counts one), or a
+sequence of arcs.  A node of degree ``>= min_degree`` is a sink iff it is
+the tail of no arc.  The verifiers, contracts, repair probe, exact oracle
+and both executors apply this rule, with one exception in a node's own
+view: it tells its self-loops by its round-1 proposal coming back, so a
+loop whose self-delivery a fault dropped counts as outgoing when its coin
+says so, and a base run holding such a node can run to its round cap.
 
 Besides the verifier this module ships two constructive baselines:
 
@@ -31,8 +34,9 @@ Besides the verifier this module ships two constructive baselines:
 
 from __future__ import annotations
 
-from itertools import chain, islice
-from typing import Dict, List, Sequence, Tuple, Union
+from collections import Counter
+from itertools import chain
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,17 +63,19 @@ __all__ = [
 ]
 
 Arc = Tuple[int, int]
-# An orientation: one (tail, head) arc per edge copy, as a list in slot
-# order or as the keys of a dict.
-GraphOrientation = Union[List[Arc], Dict[Arc, bool]]
+GraphOrientation = Union[Mapping[Arc, int], Sequence[Arc]]
 
 
 def _arcs(orientation: GraphOrientation) -> np.ndarray:
-    """The orientation's arcs as a ``(k, 2)`` int64 array, in iteration order."""
+    """The orientation's arcs as a ``(k, 2)`` int64 array, one row per copy."""
     k = len(orientation)
-    return np.fromiter(
+    arcs = np.fromiter(
         chain.from_iterable(orientation), dtype=np.int64, count=2 * k
     ).reshape(k, 2)
+    if isinstance(orientation, Mapping):
+        copies = np.fromiter(orientation.values(), dtype=np.int64, count=k)
+        arcs = np.repeat(arcs, copies, axis=0)
+    return arcs
 
 
 def _sink_mask(degrees: np.ndarray, tails: np.ndarray, min_degree: int) -> np.ndarray:
@@ -98,7 +104,8 @@ def is_sinkless(
     every node of degree >= ``min_degree`` (self-loops counted) is the
     tail of some arc.  An arc naming a node outside ``range(n)``, a
     non-edge (a self-loop included) or one copy more than the edge has
-    raises ``ValueError``, for the first such arc in iteration order.
+    raises ``ValueError``, for the first such arc in iteration order (a
+    mapping's keys repeated by their counts).
     """
     n = len(adj)
     offsets, owner, dst = csr_arrays(adj)
@@ -107,12 +114,12 @@ def is_sinkless(
     edges = np.sort(owner[lower] * n + dst[lower])
     outside = arcs.size > 0 and (arcs.min() < 0 or arcs.max() >= n)
     if outside or not np.array_equal(np.sort(arcs.min(axis=1) * n + arcs.max(axis=1)), edges):
-        _raise_first_bad_arc(orientation, arcs, edges, n)
+        _raise_first_bad_arc(arcs, edges, n)
         return False  # every arc is a valid copy, so some copy is not oriented
     return not _sink_mask(np.diff(offsets), arcs[:, 0], min_degree).any()
 
 
-def _raise_first_bad_arc(orientation, arcs, edges, n) -> None:
+def _raise_first_bad_arc(arcs, edges, n) -> None:
     """Raise for the first arc that names a non-node, a non-edge or one copy
     more than its edge has; return if every arc is a valid copy."""
     lo, hi = arcs.min(axis=1), arcs.max(axis=1)
@@ -128,7 +135,7 @@ def _raise_first_bad_arc(orientation, arcs, edges, n) -> None:
     if not bad.shape[0]:
         return
     first = int(bad[0])
-    u, v = next(islice(orientation, first, None))
+    u, v = arcs[first].tolist()
     if not inside[first]:
         require_nodes(np.array([u, v], dtype=np.int64), n, "orientation endpoint")
     require(copies[first] > 0, f"orientation mentions non-edge {u, v}")
@@ -261,7 +268,7 @@ def run_trial_and_fix(
     max_rounds: int = 200,
     method: str = "dense",
     engine=None,
-) -> Tuple[List[Arc], int]:
+) -> Tuple[Counter, int]:
     """Run :class:`TrialAndFixSinkless` until globally sink-free.
 
     ``method="dense"`` (default) runs the vectorized numpy kernel
@@ -276,8 +283,8 @@ def run_trial_and_fix(
     proposal round plus one fix round" accounting.  Both methods draw the
     same keyed node coins, so they return the same orientation and round
     count.  Pass a prebuilt ``engine`` over the same adjacency to amortize
-    validation and CSR packing across calls.  Returns the orientation (one
-    arc per edge copy, in slot order) and the round count.
+    validation and CSR packing across calls.  Returns the orientation (a
+    ``Counter`` of arcs, one per edge copy) and the round count.
 
     The run is fault-free; faulty and recovering runs, with their
     survivor-aware stopping rule and repair tail, go through
@@ -308,9 +315,9 @@ def run_trial_and_fix(
     raise RuntimeError(f"no sinkless orientation after {max_rounds} rounds")
 
 
-def orientation_from_views(adj: Sequence[Sequence[int]], views) -> List[Arc]:
-    """Extract the arcs, one per non-loop edge copy in slot order, from
-    trial-and-fix node states.
+def orientation_from_views(adj: Sequence[Sequence[int]], views) -> Counter:
+    """Extract the arcs, one per non-loop edge copy, from trial-and-fix node
+    states, as a ``Counter`` of arcs in slot order of first appearance.
 
     The lower-index endpoint's ``state["out"]`` is authoritative for each
     edge — including frozen state of crashed nodes, which is exactly what
@@ -323,7 +330,7 @@ def orientation_from_views(adj: Sequence[Sequence[int]], views) -> List[Arc]:
         for p, j in enumerate(adj[i]):
             if i < j:
                 arcs.append((i, j) if out.get(p, False) else (j, i))
-    return arcs
+    return Counter(arcs)
 
 
 def survivors_sink_free(adj: Sequence[Sequence[int]], views, min_degree: int = 1) -> bool:

@@ -88,10 +88,11 @@ def all_scenarios() -> List[Scenario]:
 
 
 # ---------------------------------------------------------------------------
-# Built-in scenarios.  Every pipeline runs on multigraphs and under any
-# fault stack, on both backends.  Luby MIS is the main stress subject (its
-# contract degrades gracefully); sinkless orientation covers recovery
-# dynamics; splitting covers weighted graphs and fault-blind verification.
+# Built-in scenarios.  Every pipeline runs any multigraph and fault stack on
+# both backends, bit-identically but for Luby MIS on self-loops (see README).
+# Luby MIS is the main stress subject (its contract degrades gracefully);
+# sinkless orientation covers recovery dynamics; splitting covers weighted
+# graphs and fault-blind verification.
 # ---------------------------------------------------------------------------
 
 register_scenario(Scenario(

@@ -1,6 +1,7 @@
 """Tests for sinkless orientation: verifier and baselines."""
 
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -60,6 +61,11 @@ class TestVerifier:
         assert sinks(adj, [(0, 1), (1, 0), (0, 2), (0, 2)], min_degree=3) == [2]
         # A dict holds one arc per pair, so it cannot cover both copies.
         assert not is_sinkless(adj, {(1, 0): True, (2, 0): True, (0, 2): True})
+        # A Counter holds the copies as counts.
+        assert is_sinkless(adj, Counter({(0, 1): 1, (1, 0): 1, (2, 0): 1, (0, 2): 1}))
+        assert not is_sinkless(adj, Counter({(0, 1): 2, (2, 0): 1, (0, 2): 1}))
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) oriented twice"):
+            is_sinkless(adj, Counter({(0, 1): 1, (1, 0): 1, (2, 0): 3}))
         with pytest.raises(ValueError, match=r"edge \(0, 1\) oriented twice"):
             is_sinkless(adj, [(0, 1), (1, 0), (0, 1), (2, 0), (0, 2)])
         with pytest.raises(ValueError, match="non-edge"):
@@ -131,6 +137,20 @@ class TestTrialAndFix:
                 adj, min_degree=2, seed=seed, max_rounds=400, method="reference"
             )
 
+    @pytest.mark.parametrize("method", ["reference", "dense"])
+    def test_output_copies_as_an_arc_dict(self, method):
+        # The output maps each arc to its copies, so dict() copies it arc by
+        # arc, and the copy, edited one arc at a time, stays a valid input.
+        adj = random_regular_graph(24, 4, seed=5)
+        orientation, _ = run_trial_and_fix(adj, min_degree=2, seed=2, method=method)
+        copy = dict(orientation)
+        assert len(copy) == 48 and set(copy.values()) == {1}
+        assert is_sinkless(adj, copy, min_degree=2)
+        u, v = next(iter(copy))
+        del copy[(u, v)]
+        copy[(v, u)] = True
+        assert is_sinkless(adj, copy, min_degree=2) == (not sinks(adj, copy, 2))
+
     def test_unset_ports_read_inward(self):
         # A node that crashed before the proposal round never set a port:
         # its edges point into it.
@@ -140,7 +160,7 @@ class TestTrialAndFix:
             {"out": {0: True, 1: True}},
             {"out": {0: False, 1: False}},
         )]
-        assert orientation_from_views(adj, views) == [(1, 0), (2, 0), (1, 2)]
+        assert orientation_from_views(adj, views) == Counter([(1, 0), (2, 0), (1, 2)])
 
     @pytest.mark.parametrize("method", ["reference", "dense"])
     def test_negative_round_cap_rejected(self, method):

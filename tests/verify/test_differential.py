@@ -4,12 +4,15 @@ the per-slot loops they replaced, kept here as reference oracles.
 Graphs cover multigraphs, self-loops, isolated nodes and ``n = 0``;
 partitions may leave nodes uncolored (``None``); ``edge_ok`` comes as
 ``None``, a one-sided callable, a per-slot mask, or the final-graph
-predicate of a bound ``DropEdges`` stack.  Orientations are arc lists or
-dicts, one arc per edge copy.  On bad input both sides must raise the same
-exception type and message, for the first bad arc in iteration order.
+predicate of a bound ``DropEdges`` stack.  Orientations are multisets of
+arcs, one per edge copy: arc lists, ``Counter`` maps or ``{arc: True}``
+dicts.  On bad input both sides must raise the same exception type and
+message, for the first bad arc in iteration order (a mapping's keys
+repeated by their counts).
 """
 
 from collections import Counter
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -54,9 +57,16 @@ def loop_is_mis(adjacency, mis):
     return True
 
 
+def arc_copies(orientation):
+    """One arc per edge copy: a mapping's keys repeated by their counts."""
+    if isinstance(orientation, Mapping):
+        return [arc for arc, k in orientation.items() for _ in range(k)]
+    return list(orientation)
+
+
 def loop_sinks(adj, orientation, min_degree):
     out_deg = [0] * len(adj)
-    for (u, v) in orientation:
+    for (u, v) in arc_copies(orientation):
         out_deg[u] += 1
     return [v for v in range(len(adj)) if len(adj[v]) >= min_degree and out_deg[v] == 0]
 
@@ -65,7 +75,7 @@ def loop_is_sinkless(adj, orientation, min_degree=1):
     # Per edge copy: each parallel edge is oriented once, self-loops never.
     edges = Counter((u, v) for u in range(len(adj)) for v in adj[u] if u < v)
     covered = Counter()
-    for (u, v) in orientation:
+    for (u, v) in arc_copies(orientation):
         key = (min(u, v), max(u, v))
         require(key in edges, f"orientation mentions non-edge {u, v}")
         require(covered[key] < edges[key], f"edge {key} oriented twice")
@@ -112,7 +122,7 @@ def loop_mis_violations(adjacency, mis, alive=None, edge_ok=None):
 
 def loop_surviving_sinks(adjacency, orientation, alive, min_degree=1):
     out_alive = [0] * len(adjacency)
-    for (u, v) in orientation:
+    for (u, v) in arc_copies(orientation):
         if alive[u] and alive[v]:
             out_alive[u] += 1
     bad = []
@@ -213,8 +223,8 @@ def specs(draw):
 def orientations(draw, adj):
     """Each edge copy oriented once in shuffled order, sometimes with a
     copy left out or extra arcs: reversed copies, non-edges, self-loops.
-    A list keeps every arc; a dict (also a valid input) keeps one arc per
-    distinct pair, which leaves parallel copies uncovered."""
+    A list or a ``Counter`` keeps every arc; a ``{arc: True}`` dict keeps
+    one arc per distinct pair, which leaves parallel copies uncovered."""
     n = len(adj)
     edges = sorted((u, v) for u in range(n) for v in adj[u] if u < v)
     arcs = [(u, v) if draw(st.booleans()) else (v, u) for u, v in edges]
@@ -226,7 +236,7 @@ def orientations(draw, adj):
         if edges:
             arcs += [e[::-1] for e in draw(st.lists(st.sampled_from(edges), max_size=1))]
     arcs = draw(st.permutations(arcs))
-    return arcs if draw(st.booleans()) else dict.fromkeys(arcs, True)
+    return draw(st.sampled_from([arcs, Counter(arcs), dict.fromkeys(arcs, True)]))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +311,7 @@ def test_surviving_sinks_matches_loop(data):
     orientation = {}
     if n:
         node = st.integers(min_value=0, max_value=n - 1)
-        orientation = dict.fromkeys(data.draw(st.lists(st.tuples(node, node))), True)
+        orientation = Counter(data.draw(st.lists(st.tuples(node, node))))
     alive = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     min_degree = data.draw(st.integers(min_value=0, max_value=4))
     assert surviving_sinks(as_graph(data, adj), orientation, alive, min_degree) == \
