@@ -59,6 +59,7 @@ __all__ = [
     "luby_round_dense",
     "luby_mis_dense",
     "sinkless_trial_dense",
+    "dense_arcs",
     "dense_orientation",
     "uniform_splitting_dense",
 ]
@@ -69,6 +70,7 @@ _DENSE_NAMES = frozenset(
         "luby_round_dense",
         "luby_mis_dense",
         "sinkless_trial_dense",
+        "dense_arcs",
         "dense_orientation",
         "uniform_splitting_dense",
     }

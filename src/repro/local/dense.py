@@ -53,6 +53,7 @@ __all__ = [
     "luby_round_dense",
     "luby_mis_dense",
     "sinkless_trial_dense",
+    "dense_arcs",
     "dense_orientation",
     "uniform_splitting_dense",
 ]
@@ -578,19 +579,23 @@ def sinkless_trial_dense(
     return DenseResult(rounds, completed=False, out=out, crashed=crashed)
 
 
-def dense_orientation(engine: CSREngine, out: np.ndarray) -> Counter:
-    """Extract the orientation from slot states: a ``Counter`` of
-    ``(tail, head)`` arcs, one per non-loop edge copy.
+def dense_arcs(engine: CSREngine, out: np.ndarray) -> np.ndarray:
+    """Extract the orientation from slot states: a ``(k, 2)`` int64 array
+    of ``(tail, head)`` arcs, one row per non-loop edge copy, in slot order.
 
     Same rule as the simulator driver: for each edge the lower-index
     endpoint's slot decides the direction.
     """
-    dst_node = engine.dst_node
-    owner = engine.slot_layout()[0]
+    owner, dst_node = engine.slot_layout()[0], engine.dst_node
     low = np.flatnonzero(owner < dst_node)
-    srcs = np.where(out[low], owner[low], dst_node[low])
-    dsts = np.where(out[low], dst_node[low], owner[low])
-    return Counter(zip(srcs.tolist(), dsts.tolist()))
+    outward, u, v = out[low], owner[low], dst_node[low]
+    return np.stack((np.where(outward, u, v), np.where(outward, v, u)), axis=1)
+
+
+def dense_orientation(engine: CSREngine, out: np.ndarray) -> Counter:
+    """:func:`dense_arcs` as a ``Counter`` arc -> copies."""
+    arcs = dense_arcs(engine, out)
+    return Counter(zip(arcs[:, 0].tolist(), arcs[:, 1].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,17 @@ Theorem 2.10 transfers both to weak splitting via the Figure 1 reduction
 **One rule on every graph.**  Each parallel edge is its own edge; a
 self-loop counts toward its node's degree but is never outgoing; a port a
 round-1 crash left unset reads inward.  An orientation is a multiset of
-``(tail, head)`` arcs, one per non-loop edge copy: a ``Counter`` arc ->
-copies, as the pipelines return it (``{arc: True}`` counts one), or a
-sequence of arcs.  A node of degree ``>= min_degree`` is a sink iff it is
-the tail of no arc.  The verifiers, contracts, repair probe, exact oracle
-and both executors apply this rule, with one exception in a node's own
-view: it tells its self-loops by its round-1 proposal coming back, so a
-loop whose self-delivery a fault dropped counts as outgoing when its coin
-says so, and a base run holding such a node can run to its round cap.
+``(tail, head)`` arcs, one per non-loop edge copy, in one of three forms:
+a ``Counter`` arc -> copies, as :func:`run_trial_and_fix` returns it
+(``{arc: True}`` counts one); a sequence of arcs; or a ``(k, 2)`` integer
+array with one row per copy, as a sinkless scenario's state holds it
+(:func:`~repro.local.dense.dense_arcs`).  A node of degree ``>= min_degree``
+is a sink iff it is the tail of no arc.  The verifiers, contracts, repair
+probe, exact oracle and both executors apply this rule, with one exception
+in a node's own view: it tells its self-loops by its round-1 proposal
+coming back, so a loop whose self-delivery a fault dropped counts as
+outgoing when its coin says so, and a base run holding such a node can run
+to its round cap.
 
 Besides the verifier this module ships two constructive baselines:
 
@@ -63,11 +66,15 @@ __all__ = [
 ]
 
 Arc = Tuple[int, int]
-GraphOrientation = Union[Mapping[Arc, int], Sequence[Arc]]
+GraphOrientation = Union[Mapping[Arc, int], Sequence[Arc], np.ndarray]
 
 
 def _arcs(orientation: GraphOrientation) -> np.ndarray:
     """The orientation's arcs as a ``(k, 2)`` int64 array, one row per copy."""
+    if isinstance(orientation, np.ndarray):
+        require(orientation.shape[1:] == (2,) and orientation.dtype.kind in "iu",
+                f"an arc array must be (k, 2) integers, got {orientation.dtype}{orientation.shape}")
+        return orientation.astype(np.int64, copy=False)
     k = len(orientation)
     arcs = np.fromiter(
         chain.from_iterable(orientation), dtype=np.int64, count=2 * k

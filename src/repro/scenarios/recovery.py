@@ -422,8 +422,9 @@ def sinkless_violations(engine, out, crashed, min_degree: int) -> int:
     """Alive accountable nodes (>= ``min_degree`` alive neighbors) with no
     outgoing edge to an alive neighbor in the extracted orientation of the
     slot state ``out``: :func:`~repro.scenarios.contracts.surviving_sinks`
-    on :func:`~repro.local.dense.dense_orientation`, without building the
-    orientation — the count :func:`sinkless_repair`'s probe reads."""
+    on :func:`~repro.local.dense.dense_arcs`, without building the arcs:
+    a sinkless scenario's ``violations`` (``violations_before_recovery`` on
+    the base-run state), and the count :func:`sinkless_repair`'s probe reads."""
     _, accountable, _, eff = _recount(_slot_views(engine), out, crashed, min_degree, engine.n)
     return int((accountable & (eff == 0)).sum())
 

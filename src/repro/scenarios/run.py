@@ -63,7 +63,6 @@ from repro.scenarios.contracts import (
     final_edge_ok,
     mis_violations,
     splitting_violations,
-    surviving_sinks,
 )
 from repro.scenarios.registry import Scenario, get_scenario
 from repro.utils.rng import ensure_rng
@@ -163,7 +162,9 @@ def run_scenario(
     ``return_state=True`` returns ``(metrics, state)`` where ``state``
     holds the end state the contract was judged on (``alive`` plus the
     pipeline's solution and parameters) — the input shape of the exact
-    certification oracle (:mod:`repro.verify.certify`).
+    certification oracle (:mod:`repro.verify.certify`).  A sinkless state's
+    ``orientation`` is the ``(k, 2)`` int64 arc array of
+    :func:`~repro.local.dense.dense_arcs`, not a ``Counter``.
     """
     if fault_mode != "mask":
         raise ValueError(
@@ -346,10 +347,12 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, tracer=
         rounds = result.rounds
         completed = rounds >= 2 and survivors_sink_free(adjacency, result.views, min_degree)
         out, crashed = slot_state_from_views(engine.offsets, result.views)
+    from repro.local.dense import dense_arcs
+    from repro.scenarios.recovery import sinkless_repair, sinkless_violations
+
     metrics = {}
     if recover:
         from repro.scenarios.masks import DenseFaults
-        from repro.scenarios.recovery import sinkless_repair, sinkless_violations
 
         pre = sinkless_violations(engine, out, crashed, min_degree)
         # Base-run cap only; the repair tail is REPAIR_ROUND_CAP-bounded
@@ -363,23 +366,19 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, tracer=
         metrics["recovered"] = int(rep.recovered)
         metrics["repair_rounds"] = rep.repair_rounds
         metrics["violations_before_recovery"] = pre
-    from repro.local.dense import dense_orientation
-
     alive = (~crashed).tolist()
-    orientation = dense_orientation(engine, out)
-    remaining = surviving_sinks(network, orientation, alive, min_degree)
     survivors = sum(alive)
     metrics.update({
         "rounds": rounds,
         "completed": int(completed),
         "survivors": survivors,
         "crashed_nodes": network.n - survivors,
-        "violations": len(remaining),
+        "violations": sinkless_violations(engine, out, crashed, min_degree),
     })
     state = {
         "pipeline": "sinkless",
         "adjacency": adjacency,
-        "orientation": orientation,
+        "orientation": dense_arcs(engine, out),
         "alive": alive,
         "min_degree": min_degree,
     }

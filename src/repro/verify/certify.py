@@ -150,7 +150,8 @@ def exact_surviving_sinks(
     _, weights, _ = _surviving_views(adjacency, alive, None)
     alive_bits = _alive_bits(alive)
     out_bits = [0] * n
-    for (u, v) in orientation:
+    # Array rows would yield np.int64, and ``1 << np.int64(63)`` overflows.
+    for (u, v) in orientation.tolist() if hasattr(orientation, "tolist") else orientation:
         out_bits[u] |= 1 << v
     bad: List[int] = []
     for i in range(n):

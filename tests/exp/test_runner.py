@@ -65,9 +65,19 @@ def counted_failing_workload(seed, state_dir):
 
 
 def join_workers():
-    """Wait for pool workers a failed sweep left behind."""
+    """Wait for pool workers a failed sweep left behind.
+
+    Polls ``is_alive()`` rather than trusting one ``join``: after
+    ``shutdown(wait=False)`` the executor's manager thread may reap a worker
+    first, and the join's own ``waitpid`` then fails with ECHILD, which
+    ``Popen.poll`` reports as "still running" until that thread records the
+    exit code.
+    """
+    deadline = time.monotonic() + 30
     for worker in multiprocessing.active_children():
-        worker.join(timeout=30)
+        worker.join(timeout=max(0.0, deadline - time.monotonic()))
+        while worker.is_alive() and time.monotonic() < deadline:
+            time.sleep(0.01)
         assert not worker.is_alive()
 
 
@@ -372,9 +382,7 @@ class TestProcessPool:
 
         with pytest.raises(error, match="first result"):
             run_sweep([spec], workers=2, progress=stop)
-        for worker in multiprocessing.active_children():
-            worker.join(timeout=30)  # let already-dispatched trials finish
-            assert not worker.is_alive()
+        join_workers()  # let already-dispatched trials finish
         runs = (tmp_path / "runs").read_text().split()
         assert 1 <= len(runs) < 20
 

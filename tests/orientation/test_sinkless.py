@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.bipartite.generators import random_regular_graph
@@ -70,6 +71,18 @@ class TestVerifier:
             is_sinkless(adj, [(0, 1), (1, 0), (0, 1), (2, 0), (0, 2)])
         with pytest.raises(ValueError, match="non-edge"):
             is_sinkless(adj, [(0, 1), (1, 0), (2, 0), (0, 2), (2, 2)])
+        # A (k, 2) array holds one row per copy.
+        assert is_sinkless(adj, np.array([[0, 1], [1, 0], [2, 0], [0, 2]]))
+        assert sinks(adj, np.array([[0, 1], [0, 1], [2, 0], [0, 2]])) == [1]
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) oriented twice"):
+            is_sinkless(adj, np.array([[0, 1], [1, 0], [0, 1], [2, 0], [0, 2]]))
+
+    @pytest.mark.parametrize(
+        "bad", [np.zeros((2, 3), dtype=np.int64), np.zeros(4, dtype=np.int64), np.zeros((2, 2))]
+    )
+    def test_arc_array_must_be_k_by_2_integers(self, bad):
+        with pytest.raises(ValueError, match=r"\(k, 2\) integers"):
+            sinks([[1], [0]], bad)
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_endpoint_outside_graph_rejected(self, bad):

@@ -102,6 +102,15 @@ def deterministic(metrics):
     return {k: v for k, v in metrics.items() if not k.endswith("_seconds")}
 
 
+def states_equal(a, b):
+    """``a == b`` on two end states, with ``np.array_equal`` on array values
+    (a sinkless state's arcs)."""
+    return a.keys() == b.keys() and all(
+        np.array_equal(a[k], b[k]) if isinstance(a[k], np.ndarray) else a[k] == b[k]
+        for k in a
+    )
+
+
 @pytest.mark.parametrize("pipeline", sorted(CASES))
 def test_recovering_run_is_bit_identical_across_backends(pipeline):
     """reference vs dense: identical metrics and full repaired end state."""
@@ -111,7 +120,7 @@ def test_recovering_run_is_bit_identical_across_backends(pipeline):
         den, den_state = run_scenario(sc, adjacency=adj, seed=seed, backend="dense",
                                       recover=True, return_state=True, **opts)
         assert deterministic(ref) == deterministic(den), (pipeline, seed)
-        assert ref_state == den_state, (pipeline, seed)
+        assert states_equal(ref_state, den_state), (pipeline, seed)
         assert ref["recovered"] == 1 and ref["violations"] == 0
         assert ref["repair_rounds"] <= ref["rounds"]
 

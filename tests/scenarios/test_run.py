@@ -4,6 +4,7 @@ import argparse
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.exp import ExperimentSpec, run_sweep
@@ -16,6 +17,7 @@ from repro.scenarios import (
     register_scenario,
     run_scenario,
     scenario_names,
+    surviving_sinks,
 )
 
 #: Metric channels every scenario trial must report.
@@ -79,6 +81,23 @@ class TestRunScenario:
         for key in den:
             if not key.endswith("_seconds"):
                 assert ref[key] == den[key], (name, key)
+
+    @pytest.mark.parametrize("recover", [False, True], ids=["plain", "recover"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("name", [n for n in scenario_names() if n.startswith("sinkless/")])
+    def test_sinkless_violations_are_the_surviving_sinks_of_the_arcs(
+        self, name, backend, recover
+    ):
+        # The slot-state count the runner reports equals the public contract
+        # on the arcs it returns.
+        metrics, state = run_scenario(name, n=150, seed=5, backend=backend, recover=recover,
+                                      return_state=True)
+        arcs = state["orientation"]
+        copies = sum(u < v for u, nbrs in enumerate(state["adjacency"]) for v in nbrs)
+        assert arcs.dtype == np.int64 and arcs.shape == (copies, 2)
+        assert metrics["violations"] == len(surviving_sinks(
+            state["adjacency"], arcs, state["alive"], state["min_degree"]
+        ))
 
     def test_removed_fault_modes_fail_loudly(self):
         # "mask" names the keyed fault coins every run draws; the replay

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.problems import UniformSplittingSpec
 from repro.local import BACKENDS
-from repro.scenarios import CrashNodes, MultiEdgeLift, Scenario, all_scenarios
+from repro.scenarios import CrashNodes, MultiEdgeLift, Scenario, all_scenarios, run_scenario
 from repro.scenarios.contracts import (
     mis_violations,
     splitting_violations,
@@ -177,6 +177,19 @@ class TestScenarioCertification:
         )
         report = certify_scenario(sc, n=48, seed=2, backend=backend)
         assert report["ok"] == 1 and report["exact_violations"] == 0
+
+    @pytest.mark.parametrize("recover", [False, True], ids=["plain", "recover"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_sinkless_cell_at_the_size_cap(self, backend, recover):
+        # At n=64 an arc into node 63 sets bit 63 of a bitset: the oracle
+        # must shift Python ints, not the np.int64 rows of the state's arcs.
+        n = CERTIFY_MAX_NODES
+        _, state = run_scenario("sinkless/crash", n=n, seed=1, backend=backend,
+                                recover=recover, return_state=True)
+        assert (state["orientation"][:, 1] == n - 1).any()
+        report = certify_scenario("sinkless/crash", n=n, seed=1, backend=backend,
+                                  recover=recover)
+        assert report["ok"] == 1, report["mismatches"]
 
     @pytest.mark.parametrize(
         "sc", all_scenarios(), ids=lambda s: s.name.replace("/", "-")

@@ -5,10 +5,10 @@ Graphs cover multigraphs, self-loops, isolated nodes and ``n = 0``;
 partitions may leave nodes uncolored (``None``); ``edge_ok`` comes as
 ``None``, a one-sided callable, a per-slot mask, or the final-graph
 predicate of a bound ``DropEdges`` stack.  Orientations are multisets of
-arcs, one per edge copy: arc lists, ``Counter`` maps or ``{arc: True}``
-dicts.  On bad input both sides must raise the same exception type and
-message, for the first bad arc in iteration order (a mapping's keys
-repeated by their counts).
+arcs, one per edge copy: arc lists, ``Counter`` maps, ``{arc: True}``
+dicts or ``(k, 2)`` int64 arrays.  On bad input both sides must raise the
+same exception type and message, for the first bad arc in iteration order
+(a mapping's keys repeated by their counts).
 """
 
 from collections import Counter
@@ -22,7 +22,7 @@ from repro.bipartite.instance import BLUE, RED
 from repro.core.problems import UniformSplittingSpec
 from repro.core.verifiers import uniform_splitting_violations
 from repro.local import CSREngine
-from repro.local.dense import dense_orientation
+from repro.local.dense import dense_arcs, dense_orientation
 from repro.local.network import Network
 from repro.mis import greedy_mis, is_mis
 from repro.orientation import is_sinkless, sinks
@@ -61,6 +61,8 @@ def arc_copies(orientation):
     """One arc per edge copy: a mapping's keys repeated by their counts."""
     if isinstance(orientation, Mapping):
         return [arc for arc, k in orientation.items() for _ in range(k)]
+    if isinstance(orientation, np.ndarray):
+        return [tuple(arc) for arc in orientation.tolist()]
     return list(orientation)
 
 
@@ -223,8 +225,9 @@ def specs(draw):
 def orientations(draw, adj):
     """Each edge copy oriented once in shuffled order, sometimes with a
     copy left out or extra arcs: reversed copies, non-edges, self-loops.
-    A list or a ``Counter`` keeps every arc; a ``{arc: True}`` dict keeps
-    one arc per distinct pair, which leaves parallel copies uncovered."""
+    A list, a ``Counter`` or a ``(k, 2)`` array keeps every arc; a
+    ``{arc: True}`` dict keeps one arc per distinct pair, which leaves
+    parallel copies uncovered."""
     n = len(adj)
     edges = sorted((u, v) for u in range(n) for v in adj[u] if u < v)
     arcs = [(u, v) if draw(st.booleans()) else (v, u) for u, v in edges]
@@ -236,7 +239,8 @@ def orientations(draw, adj):
         if edges:
             arcs += [e[::-1] for e in draw(st.lists(st.sampled_from(edges), max_size=1))]
     arcs = draw(st.permutations(arcs))
-    return draw(st.sampled_from([arcs, Counter(arcs), dict.fromkeys(arcs, True)]))
+    array = np.array(arcs, dtype=np.int64).reshape(-1, 2)
+    return draw(st.sampled_from([arcs, Counter(arcs), dict.fromkeys(arcs, True), array]))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +315,10 @@ def test_surviving_sinks_matches_loop(data):
     orientation = {}
     if n:
         node = st.integers(min_value=0, max_value=n - 1)
-        orientation = Counter(data.draw(st.lists(st.tuples(node, node))))
+        arcs = data.draw(st.lists(st.tuples(node, node)))
+        orientation = data.draw(st.sampled_from(
+            [Counter(arcs), np.array(arcs, dtype=np.int64).reshape(-1, 2)]
+        ))
     alive = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     min_degree = data.draw(st.integers(min_value=0, max_value=4))
     assert surviving_sinks(as_graph(data, adj), orientation, alive, min_degree) == \
@@ -335,14 +342,19 @@ def test_sinkless_checkers_agree_on_looped_multigraphs(data):
     alive = (~crashed).tolist()
     min_degree = data.draw(st.integers(min_value=0, max_value=3))
     orientation = dense_orientation(engine, out)
+    arcs = dense_arcs(engine, out)
+    assert Counter(map(tuple, arcs.tolist())) == orientation
     bad = surviving_sinks(adj, orientation, alive, min_degree)
+    assert surviving_sinks(adj, arcs, alive, min_degree) == bad
     assert exact_surviving_sinks(adj, orientation, alive, min_degree) == bad
+    assert exact_surviving_sinks(adj, arcs, alive, min_degree) == bad
     assert sinkless_violations(engine, out, crashed, min_degree) == len(bad)
     _, accountable, _, eff = _recount(_slot_views(engine), out, crashed, min_degree, n)
     assert np.flatnonzero(accountable & (eff == 0)).tolist() == bad
     if not crashed.any():
         assert sinks(adj, orientation, min_degree) == bad
         assert is_sinkless(adj, orientation, min_degree) == (not bad)
+        assert is_sinkless(adj, arcs, min_degree) == (not bad)
 
 
 @EXAMPLES
