@@ -96,12 +96,12 @@ def build_specs(quick: bool, num_seeds: int, backends=("reference", "dense")):
     ]
     specs += [
         ExperimentSpec(
-            f"splitting/{method}",
+            f"splitting/sparse@{backend}",
             splitting_workload,
-            {"topology": "sparse", "n": 500 * scale, "degree": 48, "method": method},
+            {"topology": "sparse", "n": 500 * scale, "degree": 48, "backend": backend},
             seeds=seeds,
         )
-        for method in ("local", "dense", "random")
+        for backend in backends
     ]
     specs.append(
         ExperimentSpec(

@@ -80,13 +80,11 @@ def _backend_of(trial) -> str:
 
     Sweep cells encode it as an ``@backend`` name suffix
     (``mis/sparse@dense``, ``scenario/luby/crash@reference``); cells without
-    the suffix fall back to their params (``backend=`` or the splitting
-    workload's ``method=``).
+    the suffix fall back to their ``backend=`` param.
     """
     if "@" in trial.experiment:
         return trial.experiment.rsplit("@", 1)[1]
-    params = trial.params or {}
-    return str(params.get("backend") or params.get("method") or "")
+    return str((trial.params or {}).get("backend") or "")
 
 
 def history_rows(sweep, commit: Optional[str] = None) -> List[Dict[str, Any]]:

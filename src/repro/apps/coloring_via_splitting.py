@@ -83,7 +83,8 @@ def coloring_via_splitting(
         Per-level splitting accuracy; default ``1/log² n`` clamped so the
         top level is certifiably splittable (``∆ >= c·ln n / ε²``).
     method:
-        ``"derandomized"`` or ``"random"``, forwarded to the splitter.
+        ``"derandomized"``, ``"reference"`` or ``"dense"``, forwarded to
+        :func:`~repro.apps.splitting.uniform_splitting`.
     max_levels:
         Cap on the recursion depth; default ``log ∆ − log log n`` per the
         lemma.

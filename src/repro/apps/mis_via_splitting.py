@@ -69,17 +69,18 @@ def mis_via_splitting(
     adjacency: Sequence[Sequence[int]],
     seed: SeedLike = 0,
     ledger: Optional[RoundLedger] = None,
-    method: str = "random",
+    method: str = "dense",
     eps: Optional[float] = None,
     low_degree_factor: float = 4.0,
     max_phases: int = 10_000,
 ) -> MISResult:
     """Compute a (verified) MIS via splitting-driven heavy-node elimination.
 
-    ``method`` selects the splitter ("random" Las-Vegas by default — the
-    derandomized splitter requires degrees Ω(log n/ε²) which only large
-    instances meet; experiment E13 uses both).  ``low_degree_factor · log n``
-    is the degree below which the endgame MIS runs directly.
+    ``method`` selects the splitter (the Las-Vegas ``"dense"`` kernel by
+    default — the derandomized splitter requires degrees Ω(log n/ε²) which
+    only large instances meet; experiment E13 uses both).
+    ``low_degree_factor · log n`` is the degree below which the endgame MIS
+    runs directly.
     """
     rng = ensure_rng(seed)
     n = len(adjacency)
@@ -124,11 +125,7 @@ def mis_via_splitting(
                 break
             spec = UniformSplittingSpec(
                 eps=split_eps,
-                min_constrained_degree=max(
-                    int(low_degree), min_constrained_degree(n, split_eps)
-                )
-                if method == "derandomized"
-                else max(int(low_degree), min_constrained_degree(n, split_eps)),
+                min_constrained_degree=max(int(low_degree), min_constrained_degree(n, split_eps)),
             )
             try:
                 partition = uniform_splitting(

@@ -6,12 +6,12 @@ neighbors on each side.  The paper reduces coloring (Lemma 4.1) and MIS
 (Lemma 4.2) *to* this oracle; the oracle itself is realized here the same
 way every splitting in this reproduction is realized:
 
-* a randomized 0-round process (uniform coin per node), valid w.h.p. when
-  every constrained degree is Ω(log n / ε²) — both as a centralized coin
-  flip (``method="random"``) and as a genuine message-passing LOCAL
-  algorithm (:class:`ZeroRoundSplitting`, ``method="local"``) whose single
-  communication round broadcasts each node's color, and as its dense numpy
-  kernel (``method="dense"``);
+* a randomized 0-round process (one keyed coin per node), valid w.h.p.
+  when every constrained degree is Ω(log n / ε²), run Las-Vegas either as
+  a genuine message-passing LOCAL algorithm (:class:`ZeroRoundSplitting`,
+  ``method="reference"``) whose single communication round broadcasts each
+  node's color, or as its dense numpy kernel (``method="dense"``), which
+  draws the same coins;
 * its derandomization by conditional expectations with a two-sided
   Chernoff/MGF pessimistic estimator (:class:`BalancedSplitEstimator`),
   giving a deterministic SLOCAL(2) algorithm run in LOCAL via a ``B²``
@@ -28,10 +28,9 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bipartite.instance import BLUE, RED, BipartiteInstance, Coloring
+from repro.bipartite.instance import BLUE, RED, BipartiteInstance
 from repro.core.basic import processing_order
 from repro.core.problems import UniformSplittingSpec
-from repro.core.verifiers import uniform_splitting_violations
 from repro.derand.conditional import DerandomizationError, greedy_minimize
 from repro.derand.estimators import ColoringEstimator
 from repro.local.complexity import slocal_conversion_rounds
@@ -164,26 +163,9 @@ class ZeroRoundSplitting(LocalAlgorithm):
 
     def receive(self, view: NodeView, round_no: int, inbox: Dict[int, int]) -> None:
         d = view.degree
-        if self.spec.constrains(d):
-            red = 0
-            for c in inbox.values():
-                if c == RED:
-                    red += 1
-            ok = self.spec.lo(d) <= red <= self.spec.hi(d)
-        else:
-            ok = True
-        view.output = (view.state["color"], ok)
+        red = sum(1 for c in inbox.values() if c == RED)
+        view.output = (view.state["color"], not self.spec.violates(d, red))
         view.halted = True
-
-
-def _constraint_instance(
-    adjacency: Sequence[Sequence[int]], spec: UniformSplittingSpec
-) -> BipartiteInstance:
-    """Bipartite view: constrained nodes (left) vs. all nodes (right)."""
-    n = len(adjacency)
-    constrained = [v for v in range(n) if spec.constrains(len(adjacency[v]))]
-    edges = [(i, w) for i, v in enumerate(constrained) for w in adjacency[v]]
-    return BipartiteInstance(len(constrained), n, edges, allow_multi=True)
 
 
 def uniform_splitting(
@@ -199,17 +181,18 @@ def uniform_splitting(
 
     ``method="derandomized"`` (default) certifies the result whenever every
     constrained degree is at least :func:`min_constrained_degree` (raises
-    :class:`DerandomizationError` otherwise); ``method="random"`` runs the
-    0-round process Las-Vegas (verify and retry); ``method="local"`` runs
-    the same Las-Vegas process as a genuine message-passing algorithm
-    (:class:`ZeroRoundSplitting`) on :func:`~repro.local.network.run_local`,
-    with the validity check distributed to the nodes themselves; ``method="dense"`` runs the
-    identical Las-Vegas loop through the vectorized numpy kernel
+    :class:`DerandomizationError` otherwise).  The two backends of
+    :data:`repro.local.BACKENDS` run the 0-round process Las-Vegas (verify
+    and retry): ``method="reference"`` as a genuine message-passing
+    algorithm (:class:`ZeroRoundSplitting`) on
+    :func:`~repro.local.network.run_local`, with the validity check
+    distributed to the nodes themselves, and ``method="dense"`` through the
+    vectorized numpy kernel
     (:func:`repro.local.dense.uniform_splitting_dense`), which draws the
     same keyed node coins, so its accepted partition is bit-identical to
-    ``method="local"`` for the same seed.  A prebuilt
-    ``engine`` over the same adjacency amortizes validation and CSR packing
-    across calls (used by the ``local`` and ``dense`` methods only).
+    ``method="reference"`` for the same seed.  A prebuilt ``engine`` over
+    the same adjacency amortizes validation and CSR packing across calls
+    (used by the two backends only).
 
     The run is fault-free; faulty and recovering runs go through
     :func:`repro.scenarios.run_scenario`, which rebinds the fault schedule
@@ -217,68 +200,56 @@ def uniform_splitting(
 
     There is no batched method: for many master seeds, loop
     ``method="dense"`` over them with one shared ``engine``.
-    ``max_attempts`` must be at least 1 for the Las-Vegas methods
-    (``random``, ``local``, ``dense``).
+    ``max_attempts`` must be at least 1 for the backends.
     """
     require(
-        method in ("derandomized", "random", "local", "dense"),
+        method in ("derandomized", "reference", "dense"),
         f"unknown method {method!r}",
     )
     require(
         method == "derandomized" or max_attempts >= 1,
         f"max_attempts must be >= 1, got {max_attempts}",
     )
-    n = len(adjacency)
 
-    if method in ("local", "dense"):
-        rng = ensure_rng(seed)
-        if engine is None:
-            engine = CSREngine(Network(adjacency))
+    if method == "derandomized":
+        n = len(adjacency)
+        constrained = [v for v in range(n) if spec.constrains(len(adjacency[v]))]
+        edges = [(i, w) for i, v in enumerate(constrained) for w in adjacency[v]]
+        # Bipartite view: constrained nodes (left) vs. all nodes (right).
+        inst = BipartiteInstance(len(constrained), n, edges, allow_multi=True)
+        order, num_colors = processing_order(inst, ledger=ledger)
+        if ledger is not None:
+            ledger.charge(slocal_conversion_rounds(num_colors, radius=2), "slocal-conversion")
+        estimator = BalancedSplitEstimator(inst, spec)
+        partition = greedy_minimize(estimator, order, strict=True)
+        return [c if c is not None else RED for c in partition]
+
+    rng = ensure_rng(seed)
+    if engine is None:
+        engine = CSREngine(Network(adjacency))
+    if method == "dense":
+        from repro.local.dense import uniform_splitting_dense
+    else:
+        algorithm = ZeroRoundSplitting(spec)
+    for _ in range(max_attempts):
+        run_seed = rng.randrange(2**31)
         if method == "dense":
-            from repro.local.dense import uniform_splitting_dense
+            dense = uniform_splitting_dense(engine, spec, seed=run_seed)
+            rounds, accepted = dense.rounds, bool(dense.ok)
         else:
-            algorithm = ZeroRoundSplitting(spec)
-        for _ in range(max_attempts):
-            run_seed = rng.randrange(2**31)
+            result = run_local(engine.network, algorithm, max_rounds=1, seed=run_seed)
+            rounds = result.rounds
+            accepted = all(v.output[1] for v in result.views)
+        if ledger is not None:
+            ledger.charge_simulated(rounds, "0-round-splitting+check")
+        if accepted:
             if method == "dense":
-                dense = uniform_splitting_dense(engine, spec, seed=run_seed)
-                rounds, accepted = dense.rounds, bool(dense.ok)
-            else:
-                result = run_local(engine.network, algorithm, max_rounds=1, seed=run_seed)
-                rounds = result.rounds
-                accepted = all(v.output[1] for v in result.views)
-            if ledger is not None:
-                ledger.charge_simulated(rounds, "0-round-splitting+check")
-            if accepted:
-                if method == "dense":
-                    return dense.colors.tolist()
-                return [v.output[0] for v in result.views]
-        raise RuntimeError(
-            f"{method} uniform splitting failed {max_attempts} times; "
-            "constrained degrees are below the w.h.p. regime"
-        )
-
-    inst = _constraint_instance(adjacency, spec)
-
-    if method == "random":
-        rng = ensure_rng(seed)
-        for _ in range(max_attempts):
-            partition = [RED if rng.random() < 0.5 else BLUE for _ in range(n)]
-            if ledger is not None:
-                ledger.charge_simulated(1, "0-round-splitting+check")
-            if not uniform_splitting_violations(adjacency, partition, spec):
-                return partition
-        raise RuntimeError(
-            f"random uniform splitting failed {max_attempts} times; "
-            "constrained degrees are below the w.h.p. regime"
-        )
-
-    order, num_colors = processing_order(inst, ledger=ledger)
-    if ledger is not None:
-        ledger.charge(slocal_conversion_rounds(num_colors, radius=2), "slocal-conversion")
-    estimator = BalancedSplitEstimator(inst, spec)
-    partition = greedy_minimize(estimator, order, strict=True)
-    return [c if c is not None else RED for c in partition]
+                return dense.colors.tolist()
+            return [v.output[0] for v in result.views]
+    raise RuntimeError(
+        f"{method} uniform splitting failed {max_attempts} times; "
+        "constrained degrees are below the w.h.p. regime"
+    )
 
 
 def attach_clique_gadgets(

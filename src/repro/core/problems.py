@@ -121,3 +121,9 @@ class UniformSplittingSpec:
     def constrains(self, degree: int) -> bool:
         """Whether a node of this degree is constrained at all."""
         return degree >= self.min_constrained_degree
+
+    def violates(self, degree, red):
+        """The window rule: a node of ``degree`` with ``red`` red neighbors
+        is constrained and ``red`` lies outside ``[lo(degree), hi(degree)]``.
+        Elementwise on numpy arrays."""
+        return self.constrains(degree) & ((red < self.lo(degree)) | (red > self.hi(degree)))

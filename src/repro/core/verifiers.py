@@ -172,23 +172,29 @@ def uniform_splitting_violations(
 ) -> List[int]:
     """Nodes violating the Section 4.1 uniform splitting requirement.
 
-    ``partition[v]`` is RED/BLUE.  A node ``v`` with
-    ``spec.constrains(deg(v))`` must have its red neighbor count within
-    ``[spec.lo(d), spec.hi(d)]`` (and hence its blue count too).
+    ``partition[v]`` is RED/BLUE.  A node ``v`` violates when
+    ``spec.violates(deg(v), red(v))``: it is constrained and its red
+    neighbor count (and hence its blue count too) leaves the spec window.
     """
     n = len(adjacency)
     require(len(partition) == n, "partition must cover all nodes")
-    _, owner, dst = csr_arrays(adjacency)
-    return np.flatnonzero(red_window_violators(owner, dst, partition, spec, n)).tolist()
+    offsets, _, dst = csr_arrays(adjacency)
+    return np.flatnonzero(red_window_violators(offsets, dst, partition, spec)).tolist()
 
 
-def red_window_violators(owner, dst, partition, spec: UniformSplittingSpec, n: int):
-    """Bool mask over the ``n`` nodes: counted over the slots
-    ``owner[k] -> dst[k]``, the node's degree is constrained by ``spec``
-    and its red-neighbor count lies outside the spec window."""
-    degree = np.bincount(owner, minlength=n)
-    red = np.bincount(owner[(np.asarray(partition) == RED)[dst]], minlength=n)
-    return spec.constrains(degree) & ((red < spec.lo(degree)) | (red > spec.hi(degree)))
+def red_window_violators(offsets, dst, partition, spec: UniformSplittingSpec, live=None):
+    """Bool mask over the nodes of the CSR rows ``offsets``/``dst``: counted
+    over each node's slots (those where the per-slot mask ``live`` holds,
+    or all of them), the node ``spec.violates`` its window."""
+    from repro.local.dense import _segment_sum
+
+    red = (np.asarray(partition) == RED)[dst]
+    if live is None:
+        degree = np.diff(offsets)
+    else:
+        red &= live
+        degree = _segment_sum(live.astype(np.int64), offsets)
+    return spec.violates(degree, _segment_sum(red.astype(np.int64), offsets))
 
 
 def is_uniform_splitting(

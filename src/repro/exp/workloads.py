@@ -184,20 +184,16 @@ def splitting_workload(
     n: int = 500,
     degree: int = 40,
     eps: float = 0.25,
-    method: str = "local",
+    backend: str = "dense",
     graph_seed: int = 3,
 ) -> Dict[str, Any]:
-    """Uniform splitting (Section 4.1) via the requested method.
-
-    ``method`` doubles as the backend axis here: ``"local"`` runs on the
-    reference simulator, ``"dense"`` on the numpy kernel,
-    ``"random"``/``"derandomized"`` are the centralized baselines.
-    """
+    """Las-Vegas uniform splitting (Section 4.1) on the chosen backend."""
+    require(backend in BACKENDS, f"unknown backend {backend!r}")
     engine, setup = scenario_engine(topology, n, degree, graph_seed)
     adj = engine.network.adjacency
     spec = UniformSplittingSpec(eps=eps, min_constrained_degree=max(2, degree // 2))
     start = time.perf_counter()
-    partition = uniform_splitting(adj, spec, method=method, seed=seed, engine=engine)
+    partition = uniform_splitting(adj, spec, method=backend, seed=seed, engine=engine)
     solve = time.perf_counter() - start
     violations = uniform_splitting_violations(adj, partition, spec)
     require(not violations, f"splitting left {len(violations)} violated nodes")

@@ -660,7 +660,7 @@ def uniform_splitting_dense(
     degree ``d`` leaves its window with probability at most
     ``2 exp(-2 eps^2 d)``, so low degrees reject first — in blocks whose
     slot counts double (see :func:`_verify_blocks`), and stops at the first
-    block holding a live constrained node outside ``[lo, hi]``.  Fault
+    block holding a live node that ``spec.violates``.  Fault
     masks are built receive-side for the checked positions only
     (:meth:`~repro.scenarios.masks.DenseFaults.delivered_in_range`).  A
     rejected attempt therefore costs O(n) for the colors plus the slots up
@@ -670,7 +670,7 @@ def uniform_splitting_dense(
     all nodes, so the order changes only ``slots_checked``.
 
     Returns a :class:`DenseResult` with ``colors`` (int array), ``ok``
-    (bool: every live constrained node inside ``[lo, hi]``), ``crashed``
+    (bool: no live node ``spec.violates`` its window), ``crashed``
     (bool array) and ``slots_checked`` (the slots verified before the
     verdict, also on the tracer's round record); ``rounds`` is 1, the
     verification round, matching the reference's charge.
@@ -689,14 +689,8 @@ def uniform_splitting_dense(
     if crash is not None:
         crashed |= crash
     is_red = colors == RED
-    # spec.lo / spec.hi / spec.constrains are affine in the degree, so they
-    # vectorize directly over the (check-ordered) degree array.  An
-    # unconstrained or crashed node accepts any count.
-    constrained = spec.constrains(degrees)
-    if crash is not None:
-        constrained = constrained & ~crashed[order]
-    lo = np.where(constrained, spec.lo(degrees), -np.inf)
-    hi = np.where(constrained, spec.hi(degrees), np.inf)
+    # Crashed nodes do not verify; ``live`` is indexed by check position.
+    live = None if crash is None else ~crashed[order]
     ok = True
     slots_checked = 0
     bounds = _verify_blocks(offsets)
@@ -717,7 +711,10 @@ def uniform_splitting_dense(
                 sent &= heard
         red_nbrs = _segment_sum(sent.astype(np.int64), offsets[a : b + 1] - start)
         slots_checked += stop - start
-        ok = bool(((red_nbrs >= lo[a:b]) & (red_nbrs <= hi[a:b])).all())
+        bad = spec.violates(degrees[a:b], red_nbrs)
+        if live is not None:
+            bad &= live[a:b]
+        ok = not bad.any()
         if not ok:
             break
     if trace:

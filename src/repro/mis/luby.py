@@ -57,8 +57,10 @@ class LubyMIS(LocalAlgorithm):
         if round_no % 2 == 1:
             priority = view.state["priority"]
             joining = True
+            # uids are distinct, so only the node's own priority, back over
+            # a self-loop, can tie, and it does not block the node.
             for m in inbox.values():
-                if m[0] == "prio" and priority <= m[1]:
+                if m[0] == "prio" and priority < m[1]:
                     joining = False
                     break
             view.state["joining"] = joining

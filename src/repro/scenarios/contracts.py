@@ -215,5 +215,5 @@ def splitting_violations(
     n = offsets.shape[0] - 1
     alive = _alive_array(alive, n)
     live = _live_slots(offsets, owner, dst, alive, edge_ok)
-    bad = alive & red_window_violators(owner[live], dst[live], partition, spec, n)
+    bad = alive & red_window_violators(offsets, dst, partition, spec, live)
     return np.flatnonzero(bad).tolist()

@@ -462,33 +462,26 @@ def splitting_repair(
       neighborhood — a violator's count only moves if neighbors move with
       it).
 
-    The stop probe is the central ground-truth recount, so ``recovered``
-    implies zero violations by construction.  ``edge_ok_mask`` (per-slot
-    bool, see :func:`~repro.scenarios.contracts.edge_ok_slot_mask`) restricts the probe under
-    edge-deleting perturbations.
+    The stop probe is that contract itself, a central ground-truth
+    recount, so ``recovered`` implies zero violations by construction.
+    ``edge_ok_mask`` (per-slot bool, see
+    :func:`~repro.scenarios.contracts.edge_ok_slot_mask`) restricts the
+    probe under edge-deleting perturbations.
     """
     import numpy as np
 
     from repro.local.dense import _segment_or, _segment_sum
+    from repro.scenarios.contracts import splitting_violations
 
     offsets, dst_node, _ = engine.dense_arrays()
-    n = engine.n
     uid = engine.network.uid_array
 
-    def true_violations(alive):
-        live = alive[dst_node]
-        if edge_ok_mask is not None:
-            live = live & edge_ok_mask
-        deg = _segment_sum(live.astype(np.int64), offsets)
-        red_n = _segment_sum(
-            (live & (colors[dst_node] == RED)).astype(np.int64), offsets
-        )
-        constrained = alive & spec.constrains(deg)
-        return constrained & ~((red_n >= spec.lo(deg)) & (red_n <= spec.hi(deg)))
+    def violated(alive):
+        return splitting_violations(engine, colors, spec, alive=alive, edge_ok=edge_ok_mask)
 
     used = 0
     last = start_round - 1
-    if not true_violations(~crashed).any():
+    if not violated(~crashed):
         return RepairResult(recovered=True, repair_rounds=0, last_round=last)
     recovered = False
     while _budget(last, used, 2, max_rounds, cap):
@@ -506,11 +499,7 @@ def splitting_repair(
             heard = heard & din
         deg_h = _segment_sum(heard.astype(np.int64), offsets)
         red_h = _segment_sum((heard & is_red).astype(np.int64), offsets)
-        violator = (
-            alive
-            & spec.constrains(deg_h)
-            & ~((red_h >= spec.lo(deg_h)) & (red_h <= spec.hi(deg_h)))
-        )
+        violator = alive & spec.violates(deg_h, red_h)
         used += 1
         last = r
         # --- redraw round -------------------------------------------------
@@ -531,7 +520,7 @@ def splitting_repair(
         colors[redraw] = fresh[redraw]
         used += 1
         last = rb
-        if not true_violations(alive).any():
+        if not violated(alive):
             recovered = True
             break
     return RepairResult(recovered=recovered, repair_rounds=used, last_round=last)

@@ -88,8 +88,8 @@ def all_scenarios() -> List[Scenario]:
 
 
 # ---------------------------------------------------------------------------
-# Built-in scenarios.  Every pipeline runs any multigraph and fault stack on
-# both backends, bit-identically but for Luby MIS on self-loops (see README).
+# Built-in scenarios.  Every pipeline runs any multigraph, self-loops
+# included, and any fault stack on both backends, bit-identically.
 # Luby MIS is the main stress subject (its contract degrades gracefully);
 # sinkless orientation covers recovery dynamics; splitting covers weighted
 # graphs and fault-blind verification.

@@ -44,9 +44,9 @@ class TestColoringPipeline:
             assert "slocal-conversion" in led.breakdown()
         assert "(d+1)-coloring" in led.breakdown()
 
-    def test_random_method(self):
+    def test_dense_method(self):
         adj = random_regular_graph(300, 120, seed=13)
-        res = coloring_via_splitting(adj, seed=14, method="random")
+        res = coloring_via_splitting(adj, seed=14, method="dense")
         assert is_proper_coloring(adj, res.colors)
 
     def test_palette_ratio_property(self):

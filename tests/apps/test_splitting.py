@@ -65,20 +65,23 @@ class TestDerandomizedSplitting:
 class TestRandomSplitting:
     def test_valid_las_vegas(self, dense_graph):
         spec = spec_for(dense_graph, 0.2)
-        part = uniform_splitting(dense_graph, spec, method="random", seed=4)
+        part = uniform_splitting(dense_graph, spec, method="dense", seed=4)
         assert is_uniform_splitting(dense_graph, part, spec)
 
     def test_reproducible(self, dense_graph):
         spec = spec_for(dense_graph, 0.2)
-        a = uniform_splitting(dense_graph, spec, method="random", seed=5)
-        b = uniform_splitting(dense_graph, spec, method="random", seed=5)
+        a = uniform_splitting(dense_graph, spec, method="dense", seed=5)
+        b = uniform_splitting(dense_graph, spec, method="dense", seed=5)
         assert a == b
 
     def test_unknown_method_rejected(self, dense_graph):
-        with pytest.raises(ValueError):
-            uniform_splitting(dense_graph, spec_for(dense_graph, 0.2), method="magic")
+        # "random" (the retired Mersenne-Twister loop) and "local" (the old
+        # name of "reference") are gone without an alias.
+        for method in ("magic", "random", "local"):
+            with pytest.raises(ValueError, match="unknown method"):
+                uniform_splitting(dense_graph, spec_for(dense_graph, 0.2), method=method)
 
-    @pytest.mark.parametrize("method", ["dense", "local", "random"])
+    @pytest.mark.parametrize("method", ["dense", "reference"])
     def test_zero_attempts_rejected_up_front(self, dense_graph, method):
         # No attempt is made, so "failed 0 times" would blame the graph.
         with pytest.raises(ValueError, match="max_attempts must be >= 1"):

@@ -335,7 +335,7 @@ class TestProcessPool:
                            {**graph, "backend": "dense"}, seeds=(0, 1)),
             ExperimentSpec("splitting", splitting_workload,
                            {"topology": "sparse", "n": 200, "degree": 40,
-                            "method": "dense"}, seeds=(0, 1)),
+                            "backend": "dense"}, seeds=(0, 1)),
         ]
 
         def outputs(sweep):
@@ -591,13 +591,6 @@ class TestWorkloads:
         metrics = sinkless_workload(seed=0, topology="regular", n=60, degree=4)
         assert metrics["rounds"] >= 2
 
-    def test_splitting_workload_local_method(self):
-        metrics = splitting_workload(
-            seed=0, topology="sparse", n=200, degree=40, method="local"
-        )
-        assert metrics["violations"] == 0
-        assert metrics["constrained"] > 0
-
     def test_engine_throughput_workload(self):
         metrics = engine_throughput_workload(seed=0, n=400, degree=6)
         assert metrics["reference_seconds"] > 0
@@ -618,8 +611,23 @@ class TestWorkloads:
         dense = sinkless_workload(seed=3, topology="regular", n=60, degree=4, backend="dense")
         assert (ref["m"], ref["rounds"]) == (dense["m"], dense["rounds"])
 
-    @pytest.mark.parametrize("workload", [luby_mis_workload, sinkless_workload])
-    @pytest.mark.parametrize("backend", ["gpu", "engine"])
+    def test_splitting_backends_give_the_same_metrics(self):
+        # Both backends accept the same keyed-coin attempt; only the
+        # timings differ.
+        kwargs = dict(seed=3, topology="sparse", n=200, degree=40)
+
+        def untimed(metrics):
+            return {k: v for k, v in metrics.items() if not k.endswith("_seconds")}
+
+        ref = splitting_workload(backend="reference", **kwargs)
+        dense = splitting_workload(backend="dense", **kwargs)
+        assert untimed(ref) == untimed(dense)
+        assert ref["violations"] == 0 and ref["constrained"] > 0
+
+    @pytest.mark.parametrize(
+        "workload", [luby_mis_workload, sinkless_workload, splitting_workload]
+    )
+    @pytest.mark.parametrize("backend", ["gpu", "engine", "local", "random"])
     def test_unknown_backend_rejected(self, workload, backend):
         with pytest.raises(ValueError, match="unknown backend"):
             workload(seed=0, topology="torus", n=64, degree=4, backend=backend)
@@ -627,12 +635,6 @@ class TestWorkloads:
     def test_sinkless_workload_dense_backend(self):
         metrics = sinkless_workload(seed=0, topology="regular", n=60, degree=4, backend="dense")
         assert metrics["rounds"] >= 2
-
-    def test_splitting_workload_dense_method(self):
-        metrics = splitting_workload(
-            seed=0, topology="sparse", n=200, degree=40, method="dense"
-        )
-        assert metrics["violations"] == 0
 
     def test_scenario_engine_amortized(self):
         engine1, setup1 = scenario_engine("torus", 90, 4, graph_seed=123456)

@@ -71,9 +71,9 @@ class TestHistoryStore:
         store = load_store()
         sweep = tiny_sweep()
         trial = sweep.trials[0]
-        trial.experiment = "splitting/local"
-        trial.params = {"method": "local"}
-        assert store.history_rows(sweep, commit="c")[0]["backend"] == "local"
+        trial.experiment = "splitting"
+        trial.params = {"backend": "reference"}
+        assert store.history_rows(sweep, commit="c")[0]["backend"] == "reference"
 
     def test_rows_carry_setup_seconds(self):
         store = load_store()

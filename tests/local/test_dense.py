@@ -240,13 +240,13 @@ class TestSinklessBitIdentity:
 
 
 class TestSplittingBitIdentity:
-    def test_partition_matches_local_method(self):
+    def test_partition_matches_reference_method(self):
         adj = random_sparse_graph(200, 40.0, seed=3)
         spec = UniformSplittingSpec(eps=0.25, min_constrained_degree=15)
         for seed in (0, 1, 5):
-            local = uniform_splitting(adj, spec, method="local", seed=seed)
+            ref = uniform_splitting(adj, spec, method="reference", seed=seed)
             dense = uniform_splitting(adj, spec, method="dense", seed=seed)
-            assert local == dense
+            assert ref == dense
 
     def test_trailing_isolated_nodes(self):
         # Regression: red-neighbor segment sums with trailing empty segments.

@@ -249,10 +249,22 @@ class TestExpIntegration:
         mod = load_cli()
         cells = mod.build_specs(True, 2, backends=("dense",))
         names = {c.name for c in cells}
-        assert {"mis/sparse@dense", "sinkless/regular@dense", "splitting/dense"} <= names
+        assert {"mis/sparse@dense", "sinkless/regular@dense", "splitting/sparse@dense"} <= names
         for cell in cells:
             assert [task[3] for task in cell.trials()] == list(cell.seeds)
             assert all(type(task[3]) is int for task in cell.trials())
+
+    def test_cli_backends_drive_the_splitting_cells(self):
+        # Splitting cells follow --backends like Luby and sinkless: a
+        # dense-only sweep schedules no reference splitting cell.
+        mod = load_cli()
+        dense_only = [c for c in mod.build_specs(True, 1, backends=("dense",))
+                      if c.name.startswith("splitting/")]
+        assert [c.name for c in dense_only] == ["splitting/sparse@dense"]
+        assert dense_only[0].params["backend"] == "dense"
+        both = {c.name for c in mod.build_specs(True, 1)
+                if c.name.startswith("splitting/")}
+        assert both == {"splitting/sparse@reference", "splitting/sparse@dense"}
 
     @pytest.mark.parametrize("workers", [-1, -3])
     def test_cli_and_run_sweep_reject_negative_workers(self, workers, monkeypatch, capsys):

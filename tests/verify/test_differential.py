@@ -87,18 +87,25 @@ def loop_is_sinkless(adj, orientation, min_degree=1):
     return not loop_sinks(adj, orientation, min_degree)
 
 
+def window_violators(spec, nodes, degrees, reds):
+    """The nodes outside the spec window, by the rule written out; checks
+    that ``spec.violates`` agrees node by node and elementwise on arrays."""
+    verdicts = [
+        spec.constrains(d) and not (spec.lo(d) <= red <= spec.hi(d))
+        for d, red in zip(degrees, reds)
+    ]
+    assert [bool(spec.violates(d, red)) for d, red in zip(degrees, reds)] == verdicts
+    as_array = spec.violates(np.array(degrees, dtype=np.int64), np.array(reds, dtype=np.int64))
+    assert as_array.tolist() == verdicts
+    return [v for v, bad in zip(nodes, verdicts) if bad]
+
+
 def loop_uniform_splitting_violations(adjacency, partition, spec):
     n = len(adjacency)
     require(len(partition) == n, "partition must cover all nodes")
-    bad = []
-    for v in range(n):
-        d = len(adjacency[v])
-        if not spec.constrains(d):
-            continue
-        red = sum(1 for w in adjacency[v] if partition[w] == RED)
-        if not (spec.lo(d) <= red <= spec.hi(d)):
-            bad.append(v)
-    return bad
+    degrees = [len(adjacency[v]) for v in range(n)]
+    reds = [sum(1 for w in adjacency[v] if partition[w] == RED) for v in range(n)]
+    return window_violators(spec, range(n), degrees, reds)
 
 
 def loop_mis_violations(adjacency, mis, alive=None, edge_ok=None):
@@ -141,7 +148,7 @@ def loop_splitting_violations(adjacency, partition, spec, alive=None, edge_ok=No
     n = len(adjacency)
     if alive is None:
         alive = [True] * n
-    bad = []
+    nodes, degrees, reds = [], [], []
     for i in range(n):
         if not alive[i]:
             continue
@@ -152,9 +159,10 @@ def loop_splitting_violations(adjacency, partition, spec, alive=None, edge_ok=No
             degree += 1
             if partition[j] == RED:
                 red += 1
-        if spec.constrains(degree) and not (spec.lo(degree) <= red <= spec.hi(degree)):
-            bad.append(i)
-    return bad
+        nodes.append(i)
+        degrees.append(degree)
+        reds.append(red)
+    return window_violators(spec, nodes, degrees, reds)
 
 
 def outcome(fn, *args, **kwargs):
