@@ -1,5 +1,6 @@
 """E18, E19, E21 — execution-backend ladder on Luby MIS throughput; E24 — setup cost;
-E25 — early-exit splitting verification; E26 — incremental sinkless repair.
+E25 — early-exit splitting verification; E26 — incremental sinkless repair;
+E27 — sinkless solve plus verify on arrays.
 
 Claims under test, all with equivalence asserted on every run and
 wall-clock ratios taken best-of-N with the GC paused (:func:`_harness.best_of`
@@ -45,15 +46,22 @@ wall-clock ratios taken best-of-N with the GC paused (:func:`_harness.best_of`
   :func:`repro.local.dense.sinkless_trial_dense` runs (which hit the
   400-round cap).  Measured ~0.3x; a full pass over all slots per repair
   round made it 2.2–2.5x.
+* **E27**: a sinkless orientation stays an array from the kernel to the
+  verifier — one dense :func:`repro.orientation.sinkless.run_trial_and_fix`
+  plus :func:`repro.orientation.sinkless.is_sinkless` on a prebuilt engine
+  over a 20,000-node 4-regular graph takes at most 3.5x the bare
+  :func:`repro.local.dense.sinkless_trial_dense` run.  Measured ≈2.4x;
+  converting the arcs to a ``Counter`` of tuples and back made it ≈5.5x.
 """
 
 import time
 
-from repro.bipartite.generators import random_sparse_graph
+from repro.bipartite.generators import configuration_model_regular, random_sparse_graph
 from repro.core.problems import UniformSplittingSpec
 from repro.local import CSREngine, Network, run_local
 from repro.local.dense import sinkless_trial_dense, uniform_splitting_dense
 from repro.mis.luby import LubyMIS
+from repro.orientation.sinkless import is_sinkless, run_trial_and_fix
 from repro.scenarios import bind_all, get_scenario, run_scenario
 from repro.scenarios.masks import DenseFaults
 from repro.scenarios.recovery import sinkless_repair
@@ -404,3 +412,45 @@ def test_e26_sinkless_repair_tail_vs_base_run(benchmark):
           f"{t_base:.4f}", f"{t_tails:.4f}", f"{ratio:.2f}x")],
     )
     assert ratio <= 0.5, f"repair tails take {ratio:.2f}x their base runs (gate: 0.5x)"
+
+
+#: E27's gate on a dense sinkless solve plus verify, in bare-kernel runs.
+SOLVE_VERIFY_MAX_RATIO = 3.5
+
+
+def test_e27_sinkless_solve_and_verify_on_arrays(benchmark):
+    """A dense sinkless solve plus ``is_sinkless`` <= 3.5x the kernel at n = 20k."""
+    adj = configuration_model_regular(20_000, 4, seed=27)
+    engine = CSREngine(Network(adj))
+    engine.dense_arrays()
+
+    def kernel():
+        return sinkless_trial_dense(engine, min_degree=2, seed=1)
+
+    def solve_and_verify():
+        orientation, rounds = run_trial_and_fix(
+            adj, min_degree=2, seed=1, method="dense", engine=engine,
+        )
+        return is_sinkless(adj, orientation, min_degree=2), orientation, rounds
+
+    ok, orientation, rounds = solve_and_verify()
+    assert ok and rounds == kernel().rounds
+    assert orientation.arcs.shape == (40_000, 2)
+    t_kernel = best_of(kernel, repeat=5)
+    t_full = best_of(solve_and_verify, repeat=5)
+    ratio = t_full / t_kernel
+    if ratio > SOLVE_VERIFY_MAX_RATIO:
+        t_kernel = min(t_kernel, best_of(kernel, repeat=5))
+        t_full = min(t_full, best_of(solve_and_verify, repeat=5))
+        ratio = t_full / t_kernel
+
+    benchmark(solve_and_verify)
+    attach_rows(
+        benchmark,
+        "E27: dense sinkless solve + is_sinkless vs the bare kernel",
+        ["n", "m", "rounds", "kernel s", "solve+verify s", "ratio"],
+        [(20_000, 40_000, rounds, f"{t_kernel:.4f}", f"{t_full:.4f}", f"{ratio:.2f}x")],
+    )
+    assert ratio <= SOLVE_VERIFY_MAX_RATIO, (
+        f"solve + verify takes {ratio:.2f}x the kernel (gate: {SOLVE_VERIFY_MAX_RATIO}x)"
+    )

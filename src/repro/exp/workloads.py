@@ -171,7 +171,9 @@ def sinkless_workload(
     require(is_sinkless(adj, orientation, min_degree=2), "orientation has a sink")
     return {
         "n": len(adj),
-        "m": len(orientation),
+        # Edge copies: one arc row each.  The sweep's graphs are simple, so
+        # this is the distinct-arc count; on a multigraph it counts copies.
+        "m": orientation.arcs.shape[0],
         "rounds": rounds,
         "solve_seconds": solve,
         "setup_seconds": setup,

@@ -34,12 +34,12 @@ enforces this).
 from __future__ import annotations
 
 import time
-from collections import Counter
 from typing import Tuple
 
 import numpy as np
 
 from repro.bipartite.instance import BLUE, RED
+from repro.local.arcs import ArcCounts, slot_arcs
 from repro.local.engine import CSREngine
 from repro.utils.rng import (
     NODE_COINS,
@@ -583,19 +583,15 @@ def dense_arcs(engine: CSREngine, out: np.ndarray) -> np.ndarray:
     """Extract the orientation from slot states: a ``(k, 2)`` int64 array
     of ``(tail, head)`` arcs, one row per non-loop edge copy, in slot order.
 
-    Same rule as the simulator driver: for each edge the lower-index
-    endpoint's slot decides the direction.
+    Same rule as the simulator driver (:func:`~repro.local.arcs.slot_arcs`):
+    for each edge the lower-index endpoint's slot decides the direction.
     """
-    owner, dst_node = engine.slot_layout()[0], engine.dst_node
-    low = np.flatnonzero(owner < dst_node)
-    outward, u, v = out[low], owner[low], dst_node[low]
-    return np.stack((np.where(outward, u, v), np.where(outward, v, u)), axis=1)
+    return slot_arcs(engine.slot_layout()[0], engine.dst_node, out)
 
 
-def dense_orientation(engine: CSREngine, out: np.ndarray) -> Counter:
-    """:func:`dense_arcs` as a ``Counter`` arc -> copies."""
-    arcs = dense_arcs(engine, out)
-    return Counter(zip(arcs[:, 0].tolist(), arcs[:, 1].tolist()))
+def dense_orientation(engine: CSREngine, out: np.ndarray) -> ArcCounts:
+    """:func:`dense_arcs` as a read-only arc -> copies mapping."""
+    return ArcCounts(dense_arcs(engine, out))
 
 
 # ---------------------------------------------------------------------------

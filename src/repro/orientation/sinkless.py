@@ -12,16 +12,18 @@ Theorem 2.10 transfers both to weak splitting via the Figure 1 reduction
 self-loop counts toward its node's degree but is never outgoing; a port a
 round-1 crash left unset reads inward.  An orientation is a multiset of
 ``(tail, head)`` arcs, one per non-loop edge copy, in one of three forms:
-a ``Counter`` arc -> copies, as :func:`run_trial_and_fix` returns it
-(``{arc: True}`` counts one); a sequence of arcs; or a ``(k, 2)`` integer
-array with one row per copy, as a sinkless scenario's state holds it
-(:func:`~repro.local.dense.dense_arcs`).  A node of degree ``>= min_degree``
-is a sink iff it is the tail of no arc.  The verifiers, contracts, repair
-probe, exact oracle and both executors apply this rule, with one exception
-in a node's own view: it tells its self-loops by its round-1 proposal
-coming back, so a loop whose self-delivery a fault dropped counts as
-outgoing when its coin says so, and a base run holding such a node can run
-to its round cap.
+a mapping arc -> copies (``{arc: True}`` counts one); a sequence of arcs;
+or a ``(k, 2)`` integer array with one row per copy, as a sinkless
+scenario's state holds it (:func:`~repro.local.dense.dense_arcs`).
+:func:`run_trial_and_fix` returns the first and the last at once: an
+:class:`~repro.local.arcs.ArcCounts`, a read-only arc array that is also a
+mapping, so the verifiers read its rows and build no Python arcs.  A node
+of degree ``>= min_degree`` is a sink iff it is the tail of no arc.  The
+verifiers, contracts, repair probe, exact oracle and both executors apply
+this rule, with one exception in a node's own view: it tells its
+self-loops by its round-1 proposal coming back, so a loop whose
+self-delivery a fault dropped counts as outgoing when its coin says so,
+and a base run holding such a node can run to its round cap.
 
 Besides the verifier this module ships two constructive baselines:
 
@@ -37,12 +39,12 @@ Besides the verifier this module ships two constructive baselines:
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.local.arcs import ArcCounts, slot_arcs
 from repro.local.engine import CSREngine
 from repro.local.network import (
     LocalAlgorithm,
@@ -72,9 +74,9 @@ GraphOrientation = Union[Mapping[Arc, int], Sequence[Arc], np.ndarray]
 def _arcs(orientation: GraphOrientation) -> np.ndarray:
     """The orientation's arcs as a ``(k, 2)`` int64 array, one row per copy."""
     if isinstance(orientation, np.ndarray):
-        require(orientation.shape[1:] == (2,) and orientation.dtype.kind in "iu",
-                f"an arc array must be (k, 2) integers, got {orientation.dtype}{orientation.shape}")
-        return orientation.astype(np.int64, copy=False)
+        orientation = ArcCounts(orientation)
+    if isinstance(orientation, ArcCounts):
+        return orientation.arcs
     k = len(orientation)
     arcs = np.fromiter(
         chain.from_iterable(orientation), dtype=np.int64, count=2 * k
@@ -111,25 +113,28 @@ def is_sinkless(
     every node of degree >= ``min_degree`` (self-loops counted) is the
     tail of some arc.  An arc naming a node outside ``range(n)``, a
     non-edge (a self-loop included) or one copy more than the edge has
-    raises ``ValueError``, for the first such arc in iteration order (a
-    mapping's keys repeated by their counts).
+    raises ``ValueError``, for the first such arc in row order (a
+    mapping's keys repeated by their counts; an
+    :class:`~repro.local.arcs.ArcCounts`'s array rows).
     """
     n = len(adj)
     offsets, owner, dst = csr_arrays(adj)
     arcs = _arcs(orientation)
     lower = owner < dst
     edges = np.sort(owner[lower] * n + dst[lower])
+    tails, heads = arcs[:, 0], arcs[:, 1]
     outside = arcs.size > 0 and (arcs.min() < 0 or arcs.max() >= n)
-    if outside or not np.array_equal(np.sort(arcs.min(axis=1) * n + arcs.max(axis=1)), edges):
+    keys = np.minimum(tails, heads) * n + np.maximum(tails, heads)
+    if outside or not np.array_equal(np.sort(keys), edges):
         _raise_first_bad_arc(arcs, edges, n)
         return False  # every arc is a valid copy, so some copy is not oriented
-    return not _sink_mask(np.diff(offsets), arcs[:, 0], min_degree).any()
+    return not _sink_mask(np.diff(offsets), tails, min_degree).any()
 
 
 def _raise_first_bad_arc(arcs, edges, n) -> None:
     """Raise for the first arc that names a non-node, a non-edge or one copy
     more than its edge has; return if every arc is a valid copy."""
-    lo, hi = arcs.min(axis=1), arcs.max(axis=1)
+    lo, hi = np.minimum(arcs[:, 0], arcs[:, 1]), np.maximum(arcs[:, 0], arcs[:, 1])
     inside = (lo >= 0) & (hi < n)
     keys = np.where(inside, lo * n + hi, -1)
     order = np.argsort(keys, kind="stable")
@@ -275,7 +280,7 @@ def run_trial_and_fix(
     max_rounds: int = 200,
     method: str = "dense",
     engine=None,
-) -> Tuple[Counter, int]:
+) -> Tuple[ArcCounts, int]:
     """Run :class:`TrialAndFixSinkless` until globally sink-free.
 
     ``method="dense"`` (default) runs the vectorized numpy kernel
@@ -290,8 +295,10 @@ def run_trial_and_fix(
     proposal round plus one fix round" accounting.  Both methods draw the
     same keyed node coins, so they return the same orientation and round
     count.  Pass a prebuilt ``engine`` over the same adjacency to amortize
-    validation and CSR packing across calls.  Returns the orientation (a
-    ``Counter`` of arcs, one per edge copy) and the round count.
+    validation and CSR packing across calls.  Returns the orientation (an
+    :class:`~repro.local.arcs.ArcCounts`: a read-only ``(k, 2)`` arc array,
+    one row per edge copy in slot order, read as an arc -> copies mapping)
+    and the round count.
 
     The run is fault-free; faulty and recovering runs, with their
     survivor-aware stopping rule and repair tail, go through
@@ -322,22 +329,18 @@ def run_trial_and_fix(
     raise RuntimeError(f"no sinkless orientation after {max_rounds} rounds")
 
 
-def orientation_from_views(adj: Sequence[Sequence[int]], views) -> Counter:
-    """Extract the arcs, one per non-loop edge copy, from trial-and-fix node
-    states, as a ``Counter`` of arcs in slot order of first appearance.
+def orientation_from_views(adj: Sequence[Sequence[int]], views) -> ArcCounts:
+    """Extract the arcs, one per non-loop edge copy in slot order, from
+    trial-and-fix node states, as an :class:`~repro.local.arcs.ArcCounts`.
 
     The lower-index endpoint's ``state["out"]`` is authoritative for each
     edge — including frozen state of crashed nodes, which is exactly what
     the rest of the network observes; a port a round-1 crash left unset
     reads inward.
     """
-    arcs: List[Arc] = []
-    for i, view in enumerate(views):
-        out = view.state.get("out", {})
-        for p, j in enumerate(adj[i]):
-            if i < j:
-                arcs.append((i, j) if out.get(p, False) else (j, i))
-    return Counter(arcs)
+    offsets, owner, dst = csr_arrays(adj)
+    out, _ = slot_state_from_views(offsets, views)
+    return ArcCounts(slot_arcs(owner, dst, out))
 
 
 def survivors_sink_free(adj: Sequence[Sequence[int]], views, min_degree: int = 1) -> bool:

@@ -445,6 +445,7 @@ def splitting_repair(
     max_rounds: Optional[int] = None,
     cap: int = REPAIR_ROUND_CAP,
     edge_ok_mask=None,
+    violations: Optional[int] = None,
 ) -> RepairResult:
     """Detect-and-repair for uniform splitting (mutates the arrays).
 
@@ -466,7 +467,9 @@ def splitting_repair(
     recount, so ``recovered`` implies zero violations by construction.
     ``edge_ok_mask`` (per-slot bool, see
     :func:`~repro.scenarios.contracts.edge_ok_slot_mask`) restricts the
-    probe under edge-deleting perturbations.
+    probe under edge-deleting perturbations.  A caller that has already
+    counted the contract on the entry state passes the count as
+    ``violations``, and the first probe is not run again.
     """
     import numpy as np
 
@@ -481,7 +484,9 @@ def splitting_repair(
 
     used = 0
     last = start_round - 1
-    if not violated(~crashed):
+    if violations is None:
+        violations = len(violated(~crashed))
+    if not violations:
         return RepairResult(recovered=True, repair_rounds=0, last_round=last)
     recovered = False
     while _budget(last, used, 2, max_rounds, cap):

@@ -449,7 +449,7 @@ def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts, tra
         rep = splitting_repair(
             engine, DenseFaults(engine, attempt_bound), spec,
             run_seed, colors, crashed, start_round=2,
-            edge_ok_mask=edge_ok_slot_mask(engine, attempt_bound),
+            edge_ok_mask=edge_ok_slot_mask(engine, attempt_bound), violations=pre,
         )
         rounds = attempts + rep.repair_rounds
         completed = bool(accepted) or rep.recovered

@@ -1,5 +1,6 @@
 """Tests for sinkless orientation: verifier and baselines."""
 
+import pickle
 import random
 from collections import Counter
 from types import SimpleNamespace
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.bipartite.generators import random_regular_graph
+from repro.local.arcs import ArcCounts
 from repro.orientation import (
     greedy_sinkless_orientation,
     is_sinkless,
@@ -15,6 +17,7 @@ from repro.orientation import (
     sinks,
 )
 from repro.orientation.sinkless import orientation_from_views
+from repro.scenarios.contracts import surviving_sinks
 from tests.conftest import cycle_graph
 
 
@@ -163,6 +166,62 @@ class TestTrialAndFix:
         del copy[(u, v)]
         copy[(v, u)] = True
         assert is_sinkless(adj, copy, min_degree=2) == (not sinks(adj, copy, 2))
+
+    @pytest.mark.parametrize("method", ["reference", "dense"])
+    def test_output_is_a_read_only_arc_array(self, method):
+        # The output wraps one (tail, head) row per edge copy, in slot order
+        # on both methods; its mapping side is the Counter of those rows.
+        adj = random_regular_graph(24, 4, seed=5)
+        orientation, _ = run_trial_and_fix(adj, min_degree=2, seed=2, method=method)
+        arcs = orientation.arcs
+        assert isinstance(orientation, ArcCounts)
+        assert arcs.shape == (48, 2) and arcs.dtype == np.int64
+        assert not arcs.flags.writeable
+        with pytest.raises(ValueError):
+            arcs[0, 0] = arcs[0, 1]
+        assert orientation == Counter(map(tuple, arcs.tolist()))
+        reference, _ = run_trial_and_fix(adj, min_degree=2, seed=2, method="reference")
+        assert np.array_equal(arcs, reference.arcs)
+
+    @pytest.mark.parametrize("method", ["reference", "dense"])
+    def test_output_survives_pickle(self, method):
+        adj = random_regular_graph(24, 4, seed=5)
+        orientation, _ = run_trial_and_fix(adj, min_degree=2, seed=2, method=method)
+        copy = pickle.loads(pickle.dumps(orientation))
+        assert isinstance(copy, ArcCounts) and copy == orientation
+        assert np.array_equal(copy.arcs, orientation.arcs)
+        assert not copy.arcs.flags.writeable
+
+    @pytest.mark.parametrize("method", ["reference", "dense"])
+    def test_verifiers_read_the_array_without_building_the_counter(self, method):
+        adj = random_regular_graph(24, 4, seed=5)
+        orientation, _ = run_trial_and_fix(adj, min_degree=2, seed=2, method=method)
+        assert is_sinkless(adj, orientation, min_degree=2)
+        assert sinks(adj, orientation, 2) == []
+        assert surviving_sinks(adj, orientation, [True] * 24, 2) == []
+        assert orientation._counts is None
+        assert len(orientation) == 48 and orientation._counts is not None
+
+    @pytest.mark.parametrize("method", ["reference", "dense"])
+    def test_bad_arcs_in_the_output_type_rejected(self, method):
+        adj = random_regular_graph(24, 4, seed=5)
+        orientation, _ = run_trial_and_fix(adj, min_degree=2, seed=2, method=method)
+        arcs = orientation.arcs
+        u, v = arcs[0].tolist()
+        non_edge = next((u, w) for w in range(24) if w != u and w not in adj[u])
+        cases = {
+            "is not a node": np.vstack((arcs[1:], [[u, 24]])),
+            "non-edge": np.vstack((arcs[1:], [non_edge])),
+            "oriented twice": np.vstack((arcs, [[v, u]])),
+        }
+        for message, bad in cases.items():
+            with pytest.raises(ValueError, match=message):
+                is_sinkless(adj, ArcCounts(bad), min_degree=2)
+
+    def test_arc_counts_reject_a_non_arc_array(self):
+        for bad in (np.zeros((2, 3), dtype=np.int64), np.zeros((2, 2)), [(0, 1)]):
+            with pytest.raises(ValueError, match=r"\(k, 2\) integers"):
+                ArcCounts(bad)
 
     def test_unset_ports_read_inward(self):
         # A node that crashed before the proposal round never set a port:

@@ -228,6 +228,24 @@ class TestRunScenarioRecover:
                            recover=True)
         assert deterministic(ref) == deterministic(den)
 
+    def test_splitting_counts_the_entry_contract_once(self, monkeypatch):
+        # The repair reuses the runner's violations_before_recovery count:
+        # one count before, one probe per two-round phase, one final count.
+        import repro.scenarios.contracts as contracts
+        import repro.scenarios.run as run
+
+        calls, count = [], contracts.splitting_violations
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return count(*args, **kwargs)
+
+        monkeypatch.setattr(contracts, "splitting_violations", counting)
+        monkeypatch.setattr(run, "splitting_violations", counting)
+        m = run_scenario("splitting/byzantine", n=600, seed=4, backend="dense", recover=True)
+        assert m["violations_before_recovery"] > 0 and m["repair_rounds"] > 0
+        assert len(calls) == 2 + m["repair_rounds"] // 2
+
     def test_every_registered_scenario_supports_recovery(self):
         for sc in all_scenarios():
             m = run_scenario(sc, n=48, seed=1, backend=BACKENDS[0],
