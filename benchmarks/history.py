@@ -3,7 +3,7 @@
 
 ``bench_history.jsonl`` (see ``store.py``) is an append-only audit log —
 perfect for durability, slow and clumsy for questions.  This module builds
-a sqlite index over it, normalizing schema v1–v4 rows into one flat table
+a sqlite index over it, normalizing schema v1–v5 rows into one flat table
 keyed by ``(commit, experiment, backend, seed)``, and answers the
 trajectory questions CI and humans actually ask::
 
@@ -12,24 +12,25 @@ trajectory questions CI and humans actually ask::
     python benchmarks/history.py compare <commitA> <commitB>
     python benchmarks/history.py regressions                # newest vs prior
 
-Row normalization (the schema-migration ladder):
+Row normalization: v1 rows lack ``setup_seconds`` and are indexed with
+0.0; every row gets ``solve_seconds`` lifted out of its metrics dict into a
+real column so the hot queries never parse JSON.  The ``attempts``,
+``pack_seconds`` and ``rng_seconds`` keys of v3/v4 rows only ever held
+constants and are not indexed.
 
-* v1 rows lack ``setup_seconds`` — indexed as 0.0;
-* v2 rows lack ``attempts`` — indexed as 1;
-* v3 rows lack the ``pack_seconds``/``rng_seconds`` split — ``pack``
-  defaults to the row's ``setup_seconds``, ``rng`` to 0.0;
-* every row gets ``solve_seconds`` lifted out of its metrics dict into a
-  real column so the hot queries never parse JSON.
-
-``regressions`` compares the newest commit's per-cell medians against the
-most recent *other* commit (the same baseline rule as
-``store.latest_baseline``), plus per-(experiment, backend) *trajectory*
-alerts: the least-squares slope of per-commit medians over the last k
-commits, which catches a cell that creeps 5% per commit without ever
-tripping the single-step threshold.  With ``--annotate`` the findings are
-emitted in GitHub's annotation format (``::warning ...`` / ``::error ...``)
-so they surface directly on the PR.  ``check_regression.py`` (the CI gate)
-reads the same index through this module instead of re-scanning raw jsonl.
+``regressions`` is the CI perf-regression gate.  The sweeps append their
+rows to the store first; the gate then compares every cell of the newest
+commit against the most recent *other* commit with ok rows for that cell
+(a cell with no such commit prints ``(no baseline)`` and passes), and
+fails when a median ``solve_seconds`` or ``setup_seconds`` grew by more
+than ``--threshold`` over a baseline above the ``--min-seconds`` noise
+floor.  It also prints per-(experiment, backend) *trajectory* alerts: the
+least-squares slope of per-commit medians over the last k commits, which
+catches a cell that creeps 5% per commit without ever tripping the
+single-step threshold; they never fail the gate.  With ``--annotate`` the
+findings are emitted in GitHub's annotation format (``::warning ...`` /
+``::error ...``) so they surface directly on the PR.  CI runs the gate
+warn-only on pull requests and hard-fails on main.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ __all__ = [
 
 #: Timing metrics indexed as real columns (everything else stays in the
 #: ``metrics`` JSON blob).
-TIMING_METRICS = ("solve_seconds", "setup_seconds", "pack_seconds", "rng_seconds")
+TIMING_METRICS = ("solve_seconds", "setup_seconds")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS trials (
@@ -73,9 +74,6 @@ CREATE TABLE IF NOT EXISTS trials (
     elapsed         REAL,
     solve_seconds   REAL,
     setup_seconds   REAL,
-    pack_seconds    REAL,
-    rng_seconds     REAL,
-    attempts        INTEGER,
     row_schema      INTEGER,
     written_at      REAL,
     params          TEXT,
@@ -96,22 +94,17 @@ def _load_store():
     return mod
 
 
-def _backend_of(experiment: str, params: Optional[Dict[str, Any]]) -> str:
-    """Backend axis of one row (mirrors ``store._backend_of``)."""
-    if "@" in experiment:
-        return experiment.rsplit("@", 1)[1]
-    params = params or {}
-    return str(params.get("backend") or params.get("method") or "")
+store = _load_store()
 
 
 def normalize_row(row: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    """One history row (any schema v1–v4) as a flat index record.
+    """One history row (any schema v1–v5) as a flat index record.
 
-    Returns None for rows too malformed to index (no experiment).  The
-    migration ladder: missing ``setup_seconds`` -> 0.0 (v1), missing
-    ``attempts`` -> 1 (v2), missing ``pack_seconds`` -> the row's
-    ``setup_seconds`` and missing ``rng_seconds`` -> 0.0 (v3), missing
-    ``backend`` -> derived from the experiment name / params (defensive).
+    Returns None for rows too malformed to index (no experiment).  A
+    missing ``setup_seconds`` is indexed as 0.0 (v1) and a missing
+    ``backend`` is derived from the experiment name / params (defensive);
+    the constant ``attempts``/``pack_seconds``/``rng_seconds`` keys of
+    v3/v4 rows are ignored.
     """
     experiment = row.get("experiment")
     if not isinstance(experiment, str) or not experiment:
@@ -120,12 +113,10 @@ def normalize_row(row: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     metrics = row.get("metrics") or {}
     setup = row.get("setup_seconds")
     setup = float(setup) if isinstance(setup, (int, float)) else 0.0
-    pack = row.get("pack_seconds")
-    rng = row.get("rng_seconds")
     solve = metrics.get("solve_seconds")
     backend = row.get("backend")
     if not isinstance(backend, str):
-        backend = _backend_of(experiment, params)
+        backend = store.backend_of(experiment, params)
     return {
         "commit_hash": str(row.get("commit", "unknown")),
         "experiment": experiment,
@@ -136,9 +127,6 @@ def normalize_row(row: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         "elapsed": float(row.get("elapsed", 0.0) or 0.0),
         "solve_seconds": float(solve) if isinstance(solve, (int, float)) else None,
         "setup_seconds": setup,
-        "pack_seconds": float(pack) if isinstance(pack, (int, float)) else setup,
-        "rng_seconds": float(rng) if isinstance(rng, (int, float)) else 0.0,
-        "attempts": int(row.get("attempts", 1) or 1),
         "row_schema": int(row.get("schema", 1) or 1),
         "written_at": float(row.get("written_at", 0.0) or 0.0),
         "params": json.dumps(params, sort_keys=True),
@@ -155,7 +143,6 @@ def build_index(history_path, db_path=None) -> sqlite3.Connection:
     append-only, so incremental indexing buys nothing worth the
     torn-state risk).
     """
-    store = _load_store()
     rows = store.load_history(history_path)
     conn = sqlite3.connect(db_path if db_path is not None else ":memory:")
     conn.executescript("DROP TABLE IF EXISTS trials;")
@@ -221,8 +208,8 @@ def latest_baseline_commit(
 ) -> Optional[str]:
     """The newest other commit with ok rows for one cell (baseline rule).
 
-    Same selection as ``store.latest_baseline``: group the cell's ok rows
-    by commit, drop ``exclude_commit``, pick the commit written last.
+    Groups the cell's ok rows by commit, drops ``exclude_commit``, and
+    picks the commit written last.
     """
     row = conn.execute(
         "SELECT commit_hash FROM trials "
@@ -347,7 +334,7 @@ def find_regressions(
     current_cells: Dict[Tuple[str, str], Dict[str, List[float]]],
     threshold: float = 0.30,
     min_seconds: float = 0.01,
-    metrics: Sequence[str] = ("solve_seconds", "setup_seconds"),
+    metrics: Sequence[str] = TIMING_METRICS,
 ) -> Tuple[List[Tuple], List[str]]:
     """Step regressions of the current samples vs each cell's baseline.
 
@@ -475,7 +462,7 @@ def _cmd_compare(args) -> int:
     for experiment, backend in keys:
         a = cell_samples(conn, experiment, backend, args.commit_a)
         b = cell_samples(conn, experiment, backend, args.commit_b)
-        for metric in ("solve_seconds", "setup_seconds"):
+        for metric in TIMING_METRICS:
             if not a[metric] or not b[metric]:
                 continue
             ma = statistics.median(a[metric])

@@ -28,21 +28,20 @@ from typing import Any, Dict, List, Optional
 __all__ = [
     "current_commit",
     "bootstrap_history",
+    "backend_of",
     "history_rows",
     "append_history",
     "load_history",
-    "latest_baseline",
 ]
 
 #: Schema version of one history row.  v2 added ``setup_seconds`` (the
 #: amortized one-off scenario setup each trial paid); v3 added
-#: ``attempts`` (executions the fault-tolerant runner charged, > 1 when a
-#: trial was retried); v4 splits the setup tax into ``pack_seconds``
-#: (graph build + CSR packing) and ``rng_seconds`` (per-run RNG
-#: construction).  Older rows load fine — readers
-#: treat the keys as 0.0 / 1 when absent (``pack_seconds`` defaults to the
-#: row's ``setup_seconds``).
-HISTORY_SCHEMA = 4
+#: ``attempts`` and v4 ``pack_seconds`` / ``rng_seconds``; v5 drops those
+#: three again, since every sweep trial is one execution with no separate
+#: packing or RNG set-up, so they only ever held ``1``, ``setup_seconds``
+#: and ``0.0``.  Older rows load fine — readers treat a missing
+#: ``setup_seconds`` as 0.0 and ignore the dropped keys.
+HISTORY_SCHEMA = 5
 
 
 def current_commit(cwd: Optional[str] = None) -> str:
@@ -75,16 +74,16 @@ def bootstrap_history(path) -> bool:
     return True
 
 
-def _backend_of(trial) -> str:
-    """The execution-backend axis of one trial.
+def backend_of(experiment: str, params: Optional[Dict[str, Any]]) -> str:
+    """The execution-backend axis of one trial or history row.
 
     Sweep cells encode it as an ``@backend`` name suffix
     (``mis/sparse@dense``, ``scenario/luby/crash@reference``); cells without
     the suffix fall back to their ``backend=`` param.
     """
-    if "@" in trial.experiment:
-        return trial.experiment.rsplit("@", 1)[1]
-    return str((trial.params or {}).get("backend") or "")
+    if "@" in experiment:
+        return experiment.rsplit("@", 1)[1]
+    return str((params or {}).get("backend") or "")
 
 
 def history_rows(sweep, commit: Optional[str] = None) -> List[Dict[str, Any]]:
@@ -96,15 +95,12 @@ def history_rows(sweep, commit: Optional[str] = None) -> List[Dict[str, Any]]:
             "schema": HISTORY_SCHEMA,
             "commit": commit,
             "experiment": t.experiment,
-            "backend": _backend_of(t),
+            "backend": backend_of(t.experiment, t.params),
             "seed": t.seed,
             "ok": t.ok,
             "error": t.error,
             "elapsed": t.elapsed,
             "setup_seconds": t.setup_seconds,
-            "pack_seconds": getattr(t, "pack_seconds", t.setup_seconds),
-            "rng_seconds": getattr(t, "rng_seconds", 0.0),
-            "attempts": getattr(t, "attempts", 1),
             "written_at": written_at,
             "params": t.params,
             "metrics": t.metrics,
@@ -163,36 +159,3 @@ def load_history(path) -> List[Dict[str, Any]]:
                     file=sys.stderr,
                 )
     return rows
-
-
-def latest_baseline(
-    rows: List[Dict[str, Any]],
-    experiment: str,
-    backend: str,
-    exclude_commit: Optional[str] = None,
-) -> List[Dict[str, Any]]:
-    """The most recent commit's ok rows for one ``(experiment, backend)``.
-
-    Groups the cell's successful rows by commit, picks the commit whose
-    rows were written last (``written_at``), and returns all of that
-    commit's rows — the regression checker's baseline population.
-    ``exclude_commit`` drops one commit from consideration (the current
-    run's own rows, when the history already contains them).  Returns
-    ``[]`` when the cell has no usable history.
-    """
-    by_commit: Dict[str, List[Dict[str, Any]]] = {}
-    for row in rows:
-        if not row.get("ok"):
-            continue
-        if row.get("experiment") != experiment or row.get("backend") != backend:
-            continue
-        commit = str(row.get("commit", "unknown"))
-        if exclude_commit is not None and commit == exclude_commit:
-            continue
-        by_commit.setdefault(commit, []).append(row)
-    if not by_commit:
-        return []
-    newest = max(
-        by_commit, key=lambda c: max(r.get("written_at", 0.0) for r in by_commit[c])
-    )
-    return by_commit[newest]

@@ -54,6 +54,7 @@ __all__ = [
     "random_sparse_graph",
     "random_regular_graph",
     "configuration_model_regular",
+    "random_topology",
     "grid_graph",
 ]
 
@@ -407,6 +408,21 @@ def configuration_model_regular(n: int, d: int, seed: SeedLike = None) -> List[L
         f"configuration model failed to produce a simple {d}-regular graph "
         f"on {n} nodes after 100 attempts; lower d or use random_regular_graph"
     )
+
+
+def random_topology(topology: str, n: int, degree: int, seed: SeedLike = None) -> List[List[int]]:
+    """The random graph families of the sweeps and the scenarios, by name.
+
+    ``sparse`` is :func:`random_sparse_graph` with average degree
+    ``degree``; ``regular`` is :func:`configuration_model_regular`, on
+    ``n + 1`` nodes when ``n * degree`` is odd.
+    """
+    if topology == "regular":
+        if n * degree % 2:
+            n += 1
+        return configuration_model_regular(n, degree, seed=seed)
+    require(topology == "sparse", f"unknown random topology {topology!r}")
+    return random_sparse_graph(n, float(degree), seed=seed)
 
 
 def random_regular_graph(n: int, d: int, seed: SeedLike = None) -> List[List[int]]:

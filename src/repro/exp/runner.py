@@ -220,9 +220,8 @@ class SweepResult:
         """Atomic dump: a kill mid-write can never leave a torn JSON file.
 
         The document is written to ``path + ".tmp"``, flushed and fsynced,
-        then moved into place with ``os.replace`` — readers (CI's
-        ``check_regression.py``) see either the old complete file or the
-        new complete file, never a prefix.
+        then moved into place with ``os.replace`` — readers see either the
+        old complete file or the new complete file, never a prefix.
         """
         tmp = f"{path}.tmp"
         try:

@@ -29,12 +29,7 @@ import time
 from typing import Any, Dict, List, Tuple
 
 from repro.apps.splitting import uniform_splitting
-from repro.bipartite.generators import (
-    configuration_model_regular,
-    grid_graph,
-    powerlaw_bipartite,
-    random_sparse_graph,
-)
+from repro.bipartite.generators import grid_graph, powerlaw_bipartite, random_topology
 from repro.bipartite.instance import BipartiteInstance
 from repro.core.problems import UniformSplittingSpec
 from repro.core.verifiers import uniform_splitting_violations
@@ -71,12 +66,8 @@ def build_topology(
     with left degrees in ``[2, degree]``.
     """
     require(topology in TOPOLOGIES, f"unknown topology {topology!r}")
-    if topology == "sparse":
-        return random_sparse_graph(n, float(degree), seed=seed)
-    if topology == "regular":
-        if n * degree % 2:
-            n += 1
-        return configuration_model_regular(n, degree, seed=seed)
+    if topology in ("sparse", "regular"):
+        return random_topology(topology, n, degree, seed=seed)
     if topology in ("torus", "grid"):
         side = max(3, int(round(n ** 0.5)))
         return grid_graph(side, side, periodic=(topology == "torus"))

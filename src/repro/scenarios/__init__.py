@@ -52,7 +52,6 @@ from repro.scenarios.byzantine import (
 )
 from repro.scenarios.contracts import (
     alive_mask,
-    final_edge_ok,
     mis_violations,
     orientation_from_views,
     splitting_violations,
@@ -106,7 +105,6 @@ __all__ = [
     "MultiEdgeLift",
     # contracts
     "alive_mask",
-    "final_edge_ok",
     "mis_violations",
     "surviving_sinks",
     "splitting_violations",

@@ -28,6 +28,11 @@ dense masks build (:func:`~repro.utils.rng.keyed_u01_array`,
 :func:`~repro.utils.rng.keyed_u01_slots`) agree bit for bit, so a faulty
 dense round costs about as much as a fault-free one and every executor
 sees the same schedule.
+
+The scalar decisions serve the hooked reference executor and the test
+oracles; their ``*_mask`` twins are the only form the dense adapter, the
+contracts and the exact oracle read, so a set capability flag requires
+the matching mask (the base mask methods raise).
 """
 
 from __future__ import annotations
@@ -63,8 +68,9 @@ class BoundPerturbation:
     #: resilience metric from the max over the stack.
     quiet_after: Optional[int] = 0
 
-    #: Capability flags — let the dense adapter skip O(n)/O(m) mask builds
-    #: for rounds (or whole runs) that cannot be affected.
+    #: Capability flags — a set flag promises the matching ``*_mask``
+    #: method; a clear one lets the dense adapter skip the O(n)/O(m) mask
+    #: builds for the whole run.
     crashes_nodes: bool = False
     drops_messages: bool = False
     corrupts_messages: bool = False
@@ -90,39 +96,37 @@ class BoundPerturbation:
         dense kernels can mirror it as per-slot semantic masks."""
         return message
 
-    def corrupts_mask(self, round_no: int, senders, ports):
-        """Optional vectorized form of :meth:`corrupts`.
-
-        Same contract as :meth:`delivers_mask` (``None`` = nothing
-        corrupted this round, ``NotImplemented`` = scalar fallback), with
-        True meaning *corrupted*.  Must agree elementwise with
-        :meth:`corrupts`.
-        """
-        return NotImplemented
-
     def crashes_mask(self, round_no: int, n: int):
-        """Optional vectorized form of :meth:`crashes`.
+        """Vectorized form of :meth:`crashes`, required when
+        ``crashes_nodes`` is set.
 
         Returns a bool numpy array of length ``n`` (True = crashes at the
-        start of ``round_no``), ``None`` for "nobody crashes this round",
-        or ``NotImplemented`` when the perturbation has no vectorized path
-        — the caller (:class:`~repro.scenarios.masks.DenseFaults`) then
-        falls back to the scalar :meth:`crashes` sweep.  Must agree with
-        :meth:`crashes` exactly.
+        start of ``round_no``), or ``None`` for "nobody crashes this
+        round".  Must agree with :meth:`crashes` exactly.
         """
-        return NotImplemented
+        raise NotImplementedError(f"{type(self).__name__} crashes without a crashes_mask")
 
     def delivers_mask(self, round_no: int, senders, ports):
-        """Optional vectorized form of :meth:`delivers`.
+        """Vectorized form of :meth:`delivers`, required when
+        ``drops_messages`` is set.
 
         ``senders``/``ports`` are parallel int arrays of message
         coordinates; returns a bool array of the same length (True =
-        delivered), ``None`` for "everything delivered this round", or
-        ``NotImplemented`` to request the scalar fallback.  Must agree
-        elementwise with :meth:`delivers`; both sides consult the same
-        keyed coin chain.
+        delivered), or ``None`` for "everything delivered this round".
+        Must agree elementwise with :meth:`delivers`; both sides consult
+        the same keyed coin chain.
         """
-        return NotImplemented
+        raise NotImplementedError(f"{type(self).__name__} drops without a delivers_mask")
+
+    def corrupts_mask(self, round_no: int, senders, ports):
+        """Vectorized form of :meth:`corrupts`, required when
+        ``corrupts_messages`` is set.
+
+        Same contract as :meth:`delivers_mask` (``None`` = nothing
+        corrupted this round), with True meaning *corrupted*.  Must agree
+        elementwise with :meth:`corrupts`.
+        """
+        raise NotImplementedError(f"{type(self).__name__} corrupts without a corrupts_mask")
 
     def edge_alive_final(self, sender: int, port: int) -> bool:
         """Whether the edge behind ``(sender, port)`` belongs to the final
@@ -131,15 +135,13 @@ class BoundPerturbation:
         return True
 
     def edge_alive_final_mask(self, senders, ports):
-        """Optional vectorized form of :meth:`edge_alive_final`.
-
-        Same contract as :meth:`delivers_mask`: a bool array over the
-        parallel ``senders``/``ports`` arrays (True = in the final graph),
-        ``None`` for "every edge is final", or ``NotImplemented`` to
-        request the scalar fallback.  Must agree elementwise with
-        :meth:`edge_alive_final`.
+        """Vectorized form of :meth:`edge_alive_final`: a bool array over
+        the parallel ``senders``/``ports`` arrays (True = in the final
+        graph), or ``None`` for "every edge is final".  A perturbation
+        that overrides :meth:`edge_alive_final` overrides this too, and
+        the two must agree elementwise.
         """
-        return NotImplemented
+        return None
 
 
 class Perturbation(ABC):

@@ -14,18 +14,18 @@ Conventions shared by all contracts here:
   alive);
 * the *surviving graph* has the alive nodes and the edges whose
   ``edge_ok`` holds on both endpoints' ports.  ``edge_ok`` is ``None``
-  (every edge survives), a per-slot bool mask in CSR slot order, or a
-  callable ``edge_ok(i, p)``.  :func:`final_edge_ok` builds the callable
-  for a perturbation stack (the conjunction of its
-  :meth:`~repro.scenarios.base.BoundPerturbation.edge_alive_final`), and
-  the contracts evaluate that one with the stack's vectorized masks;
+  (every edge survives) or a per-slot bool mask in CSR slot order;
+  anything else is rejected.  :func:`edge_ok_slot_mask` builds the mask
+  of a perturbation stack's final graph (the conjunction of its members'
+  :meth:`~repro.scenarios.base.BoundPerturbation.edge_alive_final_mask`),
+  once per trial;
 * degrees, degree thresholds and neighbor counts are all computed on the
   surviving graph.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from repro.utils.validation import require, require_nodes
 
 __all__ = [
     "alive_mask",
-    "final_edge_ok",
     "edge_ok_slot_mask",
     "orientation_from_views",
     "mis_violations",
@@ -47,36 +46,12 @@ __all__ = [
 
 Adjacency = Sequence[Sequence[int]]
 Graph = Union[Adjacency, Network]
-EdgeOk = Union[None, np.ndarray, Callable[[int, int], bool]]
+EdgeOk = Optional[np.ndarray]
 
 
 def alive_mask(views) -> List[bool]:
     """Per-node survival flags from simulator views (crash marker unset)."""
     return [not v.state.get("crashed") for v in views]
-
-
-class _FinalEdgeOk:
-    """Conjunction of the ``edge_alive_final`` predicates of a stack."""
-
-    def __init__(self, bound):
-        self.bound = bound
-
-    def __call__(self, sender: int, port: int) -> bool:
-        return all(b.edge_alive_final(sender, port) for b in self.bound)
-
-
-def final_edge_ok(bound) -> Optional[Callable[[int, int], bool]]:
-    """Conjunction of the stack's final-graph edge predicates.
-
-    ``None`` when no perturbation overrides
-    :meth:`~repro.scenarios.base.BoundPerturbation.edge_alive_final`:
-    every edge is in the final graph.
-    """
-    overriding = tuple(
-        b for b in bound
-        if type(b).edge_alive_final is not BoundPerturbation.edge_alive_final
-    )
-    return _FinalEdgeOk(overriding) if overriding else None
 
 
 def _slots(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -89,52 +64,49 @@ def _slots(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return offsets, owner, graph.dst_node
 
 
-def _edge_mask(edge_ok: EdgeOk, offsets: np.ndarray, owner: np.ndarray):
-    """``edge_ok`` as a per-slot bool mask, or ``None`` when every edge is ok.
-
-    A stack's :func:`final_edge_ok` is evaluated through each member's
-    ``edge_alive_final_mask``; any other callable, and a member without a
-    mask, is called once per slot.
-    """
+def _edge_mask(edge_ok: EdgeOk, owner: np.ndarray):
+    """``edge_ok`` checked as ``None`` or a per-slot bool mask."""
     if edge_ok is None:
         return None
-    if isinstance(edge_ok, np.ndarray):
-        require(edge_ok.shape == owner.shape, "edge_ok mask needs one entry per slot")
-        return edge_ok.astype(bool, copy=False)
-    ports = np.arange(owner.shape[0], dtype=np.int64) - offsets[owner]
-    if not isinstance(edge_ok, _FinalEdgeOk):
-        return np.fromiter(
-            map(edge_ok, owner.tolist(), ports.tolist()), dtype=bool, count=owner.shape[0]
-        )
-    mask = np.ones(owner.shape[0], dtype=bool)
-    for b in edge_ok.bound:
-        alive = b.edge_alive_final_mask(owner, ports)
-        if alive is NotImplemented:
-            alive = _edge_mask(b.edge_alive_final, offsets, owner)
-        if alive is not None:
-            mask &= alive
-    return mask
+    require(
+        isinstance(edge_ok, np.ndarray) and edge_ok.shape == owner.shape,
+        "edge_ok must be None or a bool mask with one entry per slot",
+    )
+    return edge_ok.astype(bool, copy=False)
 
 
-def edge_ok_slot_mask(graph, bound) -> Optional[np.ndarray]:
-    """Per-slot final-graph membership mask, or ``None`` when trivial.
+def edge_ok_slot_mask(graph: Graph, bound) -> Optional[np.ndarray]:
+    """Per-slot final-graph membership mask of a perturbation stack, or
+    ``None`` when every edge is final.
 
-    The vector form of :func:`final_edge_ok` over the CSR slots of
-    ``graph`` (a :class:`~repro.local.network.Network` or a
-    :class:`~repro.local.engine.CSREngine`), as the repair probes consume
-    it.
+    The conjunction of the members'
+    :meth:`~repro.scenarios.base.BoundPerturbation.edge_alive_final_mask`
+    over the CSR slots of ``graph`` — the ``edge_ok`` every contract, the
+    splitting repair probe and the exact oracle take.  Members that keep
+    the base method (every edge final) cost nothing: a stack without an
+    edge-deleting member builds no slot coordinates.
     """
-    edge_ok = final_edge_ok(bound)
-    if edge_ok is None:
+    final = [
+        b for b in bound
+        if getattr(b.edge_alive_final_mask, "__func__", None)
+        is not BoundPerturbation.edge_alive_final_mask
+    ]
+    if not final:
         return None
     offsets, owner, _ = _slots(graph)
-    return _edge_mask(edge_ok, offsets, owner)
+    ports = np.arange(owner.shape[0], dtype=np.int64) - offsets[owner]
+    mask = None
+    for b in final:
+        alive = b.edge_alive_final_mask(owner, ports)
+        if alive is not None:
+            mask = alive if mask is None else mask & alive
+    return mask
 
 
 def _live_slots(offsets, owner, dst, alive, edge_ok: EdgeOk) -> np.ndarray:
     """Slots of the surviving graph: both endpoints alive, ``edge_ok`` holds."""
     live = alive[owner] & alive[dst]
-    mask = _edge_mask(edge_ok, offsets, owner)
+    mask = _edge_mask(edge_ok, owner)
     return live if mask is None else live & mask
 
 

@@ -4,10 +4,12 @@ The dense kernels (:mod:`repro.local.dense`) execute whole rounds as numpy
 array ops, so faults reach them as per-round *masks* instead of per-message
 hook calls: a boolean crash mask over nodes and boolean delivery masks over
 CSR slots.  :class:`DenseFaults` builds those masks from the stack's
-vectorized ``delivers_mask`` / ``crashes_mask`` decisions — one keyed hash
-per node for the (seed, uid, round) prefix plus one mix per slot for the
-port, per dropper per round — and falls back to a per-slot sweep of the
-pure scalar ``delivers`` for perturbations without a vectorized path, so
+vectorized ``crashes_mask`` / ``delivers_mask`` / ``corrupts_mask``
+decisions — one keyed hash per node for the (seed, uid, round) prefix plus
+one mix per slot for the port, per dropper per round — and nothing else:
+a member whose capability flag is set must have the matching mask (the
+base methods raise :class:`NotImplementedError`; there is no per-slot
+sweep of the scalar decisions).  Each mask agrees with its scalar twin, so
 any stack stays exactly equivalent to the hooked reference (property-tested
 in ``tests/scenarios/test_hook_equivalence.py`` and
 ``tests/scenarios/test_mask_kernels.py``).
@@ -83,13 +85,10 @@ class DenseFaults:
     CACHE_MAX = 32
 
     def __init__(self, engine: CSREngine, bound: Sequence[BoundPerturbation]):
-        import numpy as np
-
-        self._np = np
         self._engine = engine
         self.bound = tuple(bound)
         self.n = engine.n
-        self._crashing = any(b.crashes_nodes for b in self.bound)
+        self._crashers = tuple(b for b in self.bound if b.crashes_nodes)
         self._droppers = tuple(b for b in self.bound if b.drops_messages)
         self._corrupters = tuple(b for b in self.bound if b.corrupts_messages)
         #: Last round at which the stack can still change its schedule;
@@ -165,16 +164,11 @@ class DenseFaults:
         return None if out is None else out[self._engine.slot_layout()[2]]
 
     def _build_crash(self, round_no: int):
-        np = self._np
+        """Node crash mask (True = crashes at the start of ``round_no``):
+        OR over the crashers."""
         mask = None
-        for b in self.bound:
+        for b in self._crashers:
             part = b.crashes_mask(round_no, self.n)
-            if part is NotImplemented:
-                victims = list(b.crashes(round_no))
-                if not victims:
-                    continue
-                part = np.zeros(self.n, dtype=bool)
-                part[victims] = True
             if part is None:
                 continue
             mask = part if mask is None else (mask | part)
@@ -186,8 +180,6 @@ class DenseFaults:
         mask = None
         for b in self._droppers:
             part = b.delivers_mask(round_no, senders, ports)
-            if part is NotImplemented:
-                part = self._scalar_sweep(b.delivers, round_no, senders, ports)
             if part is None:
                 continue
             mask = part if mask is None else (mask & part)
@@ -200,26 +192,14 @@ class DenseFaults:
         mask = None
         for b in self._corrupters:
             part = b.corrupts_mask(round_no, senders, ports)
-            if part is NotImplemented:
-                part = self._scalar_sweep(b.corrupts, round_no, senders, ports)
-                if not part.any():
-                    part = None
             if part is None:
                 continue
             mask = part if mask is None else (mask | part)
         return mask
 
-    def _scalar_sweep(self, decide, round_no: int, senders, ports):
-        """Per-message fallback over a pure scalar decision (third-party
-        perturbations without a vectorized path)."""
-        return self._np.fromiter(
-            (decide(round_no, int(s), int(p)) for s, p in zip(senders, ports)),
-            dtype=bool, count=senders.shape[0],
-        )
-
     def crashed_at(self, round_no: int):
         """Bool node mask of crashes scheduled at ``round_no``, or None."""
-        if not self._crashing:
+        if not self._crashers:
             return None
         return self._lookup("crash", round_no)
 

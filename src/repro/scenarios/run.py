@@ -44,7 +44,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.apps.splitting import ZeroRoundSplitting
-from repro.bipartite.generators import configuration_model_regular, random_sparse_graph
+from repro.bipartite.generators import random_topology
 from repro.core.problems import UniformSplittingSpec
 from repro.local import BACKENDS
 from repro.local.engine import CSREngine
@@ -60,7 +60,6 @@ from repro.scenarios.base import PerturbationHooks, bind_all, quiet_after, rewri
 from repro.scenarios.contracts import (
     alive_mask,
     edge_ok_slot_mask,
-    final_edge_ok,
     mis_violations,
     splitting_violations,
 )
@@ -71,15 +70,6 @@ from repro.utils.validation import require
 __all__ = ["run_scenario"]
 
 _DEFAULT_DEGREE = {"luby": 8, "sinkless": 4, "splitting": 40}
-
-
-def _scenario_adjacency(sc: Scenario, n: int, degree: int, graph_seed: int):
-    if sc.topology == "regular":
-        if n * degree % 2:
-            n += 1
-        return configuration_model_regular(n, degree, seed=graph_seed)
-    require(sc.topology == "sparse", f"unknown scenario topology {sc.topology!r}")
-    return random_sparse_graph(n, float(degree), seed=graph_seed)
 
 
 # Per-process cell cache: the engine (and its network) for one
@@ -103,7 +93,8 @@ def _scenario_cell(sc: Scenario, n: int, degree: int, graph_seed: int):
     if engine is not None:
         return engine, 0.0
     setup_start = time.perf_counter()
-    adjacency = _scenario_adjacency(sc, n, degree, graph_seed)
+    require(sc.topology in ("sparse", "regular"), f"unknown scenario topology {sc.topology!r}")
+    adjacency = random_topology(sc.topology, n, degree, graph_seed)
     adjacency, ids = rewrite_all(sc.perturbations, adjacency)
     engine = CSREngine(Network(adjacency, ids=ids))
     if len(_CELL_CACHE) >= _CELL_CACHE_MAX:
@@ -237,7 +228,7 @@ def run_scenario(
 
 def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, tracer=None,
               recover=False):
-    edge_ok = final_edge_ok(bound)
+    edge_ok = edge_ok_slot_mask(engine, bound)
     if backend == "dense":
         from repro.local.dense import luby_mis_dense
         from repro.scenarios.masks import DenseFaults
@@ -433,7 +424,7 @@ def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts, tra
         crashed = ~np.array(alive, dtype=bool)
     # Ground truth for the attempt that actually stood (its binding decides
     # the final edge set under edge-dropping perturbations).
-    edge_ok = final_edge_ok(attempt_bound)
+    edge_ok = edge_ok_slot_mask(engine, attempt_bound)
     rounds = attempts  # one communication round per Las-Vegas attempt
     completed = accepted
     metrics = {}
@@ -449,7 +440,7 @@ def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts, tra
         rep = splitting_repair(
             engine, DenseFaults(engine, attempt_bound), spec,
             run_seed, colors, crashed, start_round=2,
-            edge_ok_mask=edge_ok_slot_mask(engine, attempt_bound), violations=pre,
+            edge_ok_mask=edge_ok, violations=pre,
         )
         rounds = attempts + rep.repair_rounds
         completed = bool(accepted) or rep.recovered

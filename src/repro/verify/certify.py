@@ -31,6 +31,7 @@ Three layers:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.bipartite.instance import RED
@@ -68,12 +69,19 @@ def _surviving_views(adjacency, alive, edge_ok):
     from ``i``'s side); ``weights[i][j]`` counts the parallel surviving
     ports behind that bit.  ``simple`` is False when any weight exceeds 1
     — multiplicity then matters for edge/neighbor *counts* and the
-    checkers switch to the weighted path.
+    checkers switch to the weighted path.  ``edge_ok`` is ``None`` or the
+    contracts' per-slot bool mask: port ``p`` of ``i`` is slot
+    ``offsets[i] + p`` of the adjacency's CSR order.
     """
     n = len(adjacency)
     bitsets = [0] * n
     weights: List[Dict[int, int]] = [dict() for _ in range(n)]
     simple = True
+    offsets = [0, *accumulate(map(len, adjacency))]
+    require(
+        edge_ok is None or (not callable(edge_ok) and len(edge_ok) == offsets[n]),
+        "edge_ok must be None or a bool mask with one entry per slot",
+    )
     for i in range(n):
         if not alive[i]:
             continue
@@ -81,7 +89,7 @@ def _surviving_views(adjacency, alive, edge_ok):
         for p, j in enumerate(adjacency[i]):
             if not alive[j]:
                 continue
-            if edge_ok is not None and not edge_ok(i, p):
+            if edge_ok is not None and not edge_ok[offsets[i] + p]:
                 continue
             bitsets[i] |= 1 << j
             w[j] = w.get(j, 0) + 1

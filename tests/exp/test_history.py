@@ -13,7 +13,7 @@ def load_history_mod():
     return mod
 
 
-def row(commit, solve, *, seed=0, schema=4, experiment="mis/sparse@dense",
+def row(commit, solve, *, seed=0, schema=5, experiment="mis/sparse@dense",
         written_at=1.0, ok=True, **extra):
     base = {
         "schema": schema,
@@ -30,9 +30,9 @@ def row(commit, solve, *, seed=0, schema=4, experiment="mis/sparse@dense",
     }
     if schema >= 2:
         base["setup_seconds"] = 0.02
-    if schema >= 3:
+    if schema in (3, 4):
         base["attempts"] = 1
-    if schema >= 4:
+    if schema == 4:
         base["pack_seconds"] = 0.015
         base["rng_seconds"] = 0.005
     base.update(extra)
@@ -61,24 +61,16 @@ def test_index_normalizes_all_schema_versions(tmp_path):
     hist = load_history_mod()
     path = tmp_path / "hist.jsonl"
     write_jsonl(path, [
-        row("c1", 0.1, schema=1),
-        row("c1", 0.1, seed=1, schema=2),
-        row("c1", 0.1, seed=2, schema=3),
-        row("c1", 0.1, seed=3, schema=4),
+        row("c1", 0.1, schema=schema, seed=schema) for schema in (1, 2, 3, 4, 5)
     ])
     conn = hist.build_index(path)
-    got = {
-        seed: (setup, pack, rng, attempts)
-        for seed, setup, pack, rng, attempts in conn.execute(
-            "SELECT seed, setup_seconds, pack_seconds, rng_seconds, attempts "
-            "FROM trials ORDER BY seed"
-        )
-    }
-    assert got[0] == (0.0, 0.0, 0.0, 1)        # v1: no setup at all
-    assert got[1] == (0.02, 0.02, 0.0, 1)      # v2: pack defaults to setup
-    assert got[2] == (0.02, 0.02, 0.0, 1)      # v3: ditto, attempts real
-    assert got[3] == (0.02, 0.015, 0.005, 1)   # v4: explicit split
+    got = dict(conn.execute("SELECT seed, setup_seconds FROM trials ORDER BY seed"))
+    assert got == {1: 0.0, 2: 0.02, 3: 0.02, 4: 0.02, 5: 0.02}  # v1: no setup
     assert hist.cells(conn) == [("mis/sparse@dense", "dense")]
+    # The constant attempts/pack/rng keys of v3/v4 rows are not indexed.
+    columns = [c[1] for c in conn.execute("PRAGMA table_info(trials)")]
+    assert not {"attempts", "pack_seconds", "rng_seconds"} & set(columns)
+    assert hist.TIMING_METRICS == ("solve_seconds", "setup_seconds")
 
 
 def test_index_skips_rows_without_experiment(tmp_path):
@@ -200,6 +192,26 @@ def test_regressions_cli_exit_codes(tmp_path, capsys):
     assert hist.main(
         ["--history", str(path), "regressions", "--threshold", "0.05"]
     ) == 1
+
+
+def test_regressions_cli_passes_a_cell_without_baseline(tmp_path, capsys):
+    hist = load_history_mod()
+    path = tmp_path / "hist.jsonl"
+    write_jsonl(path, [
+        row("c0", 0.1, experiment="mis/torus@dense", written_at=1.0),
+        row("c1", 0.5, experiment="mis/torus@dense", written_at=2.0),
+        row("c1", 0.5, experiment="mis/sparse@dense", written_at=2.0),
+    ])
+    # The new cell has no other commit to compare against: it is reported
+    # and passes, while the cell with a baseline is still checked.
+    assert hist.main(["--history", str(path), "regressions"]) == 1
+    out = capsys.readouterr().out
+    assert "mis/sparse@dense [dense]" in out and "(no baseline)" in out
+    assert "<< REGRESSION" in out
+    write_jsonl(path, [row("c1", 0.5, experiment="mis/sparse@dense")])
+    assert hist.main(["--history", str(path), "regressions"]) == 0
+    out = capsys.readouterr().out
+    assert "(no baseline)" in out and "no perf regressions" in out
 
 
 def test_trend_and_compare_cli(tmp_path, capsys):

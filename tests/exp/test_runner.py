@@ -294,8 +294,8 @@ class TestJsonEmission:
             workers=0, json_path=str(path),
         )
         assert not (tmp_path / "bench.json.tmp").exists()
-        # A failing dump must leave the existing complete file untouched
-        # (the torn-BENCH-file scenario check_regression.py used to choke on).
+        # A failing dump must leave the existing complete file untouched:
+        # readers must never see a torn BENCH file.
         before = path.read_text()
         sweep.trials[0].metrics["bad"] = {1, 2}  # sets are not JSON-serializable
         with pytest.raises(TypeError):

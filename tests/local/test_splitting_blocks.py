@@ -69,9 +69,10 @@ def full_pass_splitting(engine, spec, seed, red, blue, faults):
     return bool(good.all()), colors, crashed, ~good
 
 
-class ScalarOnly(Perturbation):
-    """Drops and corrupts by a coordinate hash, with only the scalar
-    ``delivers``/``corrupts``: :class:`DenseFaults` must sweep it."""
+class HashFaults(Perturbation):
+    """Drops and corrupts by a coordinate hash instead of the keyed coins:
+    a fault pattern unrelated to any coin chain, with masks over the same
+    hash."""
 
     def bind(self, network, fault_seed):
         b = BoundPerturbation()
@@ -80,6 +81,8 @@ class ScalarOnly(Perturbation):
         b.quiet_after = 1
         b.delivers = lambda r, s, p: (7 * s + p + fault_seed) % 5 != 0
         b.corrupts = lambda r, s, p: (s + 3 * p + fault_seed) % 4 == 0
+        b.delivers_mask = lambda r, s, p: (7 * s + p + fault_seed) % 5 != 0
+        b.corrupts_mask = lambda r, s, p: (s + 3 * p + fault_seed) % 4 == 0
         return b
 
 
@@ -87,7 +90,7 @@ FAULTS = st.one_of(
     st.builds(CrashNodes, fraction=st.floats(0.0, 0.5), at_round=st.just(1)),
     st.builds(IIDMessageDrop, p=st.floats(0.0, 0.3)),
     st.builds(CorruptMessages, p=st.floats(0.0, 0.3), until_round=st.just(1)),
-    st.builds(ScalarOnly),
+    st.builds(HashFaults),
 )
 
 

@@ -9,8 +9,9 @@ Three layers of guarantees:
 * **mask surface** — for every registered scenario, on index uids and on
   uids spread over the whole int64 range, the :class:`DenseFaults` masks
   equal a per-slot scalar sweep of the pure ``delivers`` / ``crashes``
-  decisions, ``delivered_in`` is the partner-gather of ``delivered_out``,
-  and the check-range masks are ``delivered_in`` / ``corrupted_in``
+  decisions (a flagged member without a mask raises instead),
+  ``delivered_in`` is the partner-gather of ``delivered_out``, and the
+  check-range masks are ``delivered_in`` / ``corrupted_in``
   gathered through the engine's check-order slot permutation;
 * **lifecycle** — rounds past the quiet horizon reuse one steady-state
   mask (persistent deletions stay down, healed stacks return ``None``),
@@ -225,26 +226,33 @@ class TestMasksMatchScalarDecisions:
         faults.delivered_in(1)
         assert engine._layout is not None
 
-    def test_scalar_fallback_for_unvectorized_perturbations(self):
+    @pytest.mark.parametrize("flag, query", [
+        ("crashes_nodes", lambda faults: faults.crashed_at(1)),
+        ("drops_messages", lambda faults: faults.delivered_out(1)),
+        ("drops_messages", lambda faults: faults.delivered_in_range(1, 0, 4)),
+        ("corrupts_messages", lambda faults: faults.corrupted_in(1)),
+        ("corrupts_messages", lambda faults: faults.corrupted_in_range(1, 0, 4)),
+    ], ids=["crash", "drop", "drop-range", "corrupt", "corrupt-range"])
+    def test_flagged_perturbation_without_a_mask_fails_loudly(self, flag, query):
+        # The masks are the only form DenseFaults reads: a member that
+        # declares a fault family and has only the scalar decision is an
+        # error, not a per-slot sweep.
         from repro.scenarios.base import BoundPerturbation, Perturbation
 
-        class OddSlotDrop(Perturbation):
+        class ScalarOnly(Perturbation):
             def bind(self, network, fault_seed):
                 b = BoundPerturbation()
-                b.drops_messages = True
+                setattr(b, flag, True)
                 b.quiet_after = None
+                b.crashes = lambda r: [0]
                 b.delivers = lambda r, s, p: (s + p + r) % 2 == 0
+                b.corrupts = lambda r, s, p: (s + p + r) % 2 == 1
                 return b
 
-        adj = small_graph(3)
-        net = Network(adj)
-        engine = CSREngine(net)
-        bound = bind_all((OddSlotDrop(),), net, fault_seed=0)
-        faults = DenseFaults(engine, bound)
-        for r in (1, 2):
-            assert np.array_equal(
-                faults.delivered_out(r), scalar_delivered(bound, engine, r)
-            )
+        net = Network(small_graph(3))
+        faults = DenseFaults(CSREngine(net), bind_all((ScalarOnly(),), net, fault_seed=0))
+        with pytest.raises(NotImplementedError, match="BoundPerturbation"):
+            query(faults)
 
 
 class TestQuietHorizon:

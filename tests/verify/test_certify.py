@@ -12,6 +12,7 @@ independently, the same way.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.core.problems import UniformSplittingSpec
@@ -46,10 +47,15 @@ def random_instance(seed, n=20, edges=50, multi=False):
     return rng, adj, alive
 
 
-def one_sided_edge_ok(seed):
+def one_sided_edge_ok(seed, adj):
+    """A per-slot mask that drops about a fifth of the slots, each from
+    one side only."""
     rng = random.Random(seed)
     dropped = {(i, p) for i in range(64) for p in range(64) if rng.random() < 0.2}
-    return lambda i, p: (i, p) not in dropped
+    return np.array(
+        [(i, p) not in dropped for i in range(len(adj)) for p in range(len(adj[i]))],
+        dtype=bool,
+    )
 
 
 class TestDifferentialAgreement:
@@ -60,7 +66,7 @@ class TestDifferentialAgreement:
         for seed in range(25):
             rng, adj, alive = random_instance(seed, multi=multi)
             mis = {i for i in range(len(adj)) if rng.random() < 0.3}
-            edge_ok = one_sided_edge_ok(seed) if seed % 2 else None
+            edge_ok = one_sided_edge_ok(seed, adj) if seed % 2 else None
             assert exact_mis_violations(adj, mis, alive, edge_ok) == \
                 mis_violations(adj, mis, alive, edge_ok), seed
 
@@ -83,9 +89,17 @@ class TestDifferentialAgreement:
         for seed in range(25):
             rng, adj, alive = random_instance(seed, multi=multi)
             partition = [rng.randrange(2) for _ in adj]
-            edge_ok = one_sided_edge_ok(seed) if seed % 2 else None
+            edge_ok = one_sided_edge_ok(seed, adj) if seed % 2 else None
             assert exact_splitting_violations(adj, partition, spec, alive, edge_ok) \
                 == splitting_violations(adj, partition, spec, alive, edge_ok), seed
+
+    def test_exact_checkers_reject_a_callable_edge_ok(self):
+        path = [[1], [0, 2], [1]]
+        spec = UniformSplittingSpec(eps=0.25, min_constrained_degree=1)
+        with pytest.raises(ValueError, match="edge_ok must be None or a bool mask"):
+            exact_mis_violations(path, {0, 2}, edge_ok=lambda i, p: True)
+        with pytest.raises(ValueError, match="edge_ok must be None or a bool mask"):
+            exact_splitting_violations(path, [0, 1, 0], spec, edge_ok=lambda i, p: True)
 
     def test_planted_violations_are_found(self):
         path = [[1], [0, 2], [1]]

@@ -3,9 +3,9 @@ the per-slot loops they replaced, kept here as reference oracles.
 
 Graphs cover multigraphs, self-loops, isolated nodes and ``n = 0``;
 partitions may leave nodes uncolored (``None``); ``edge_ok`` comes as
-``None``, a one-sided callable, a per-slot mask, or the final-graph
-predicate of a bound ``DropEdges`` stack.  Orientations are multisets of
-arcs, one per edge copy: arc lists, ``Counter`` maps, ``{arc: True}``
+``None``, a one-sided per-slot mask, or the final-graph mask of a bound
+``DropEdges`` stack; the loop oracles read the matching predicate.
+Orientations are multisets of arcs, one per edge copy: arc lists, ``Counter`` maps, ``{arc: True}``
 dicts or ``(k, 2)`` int64 arrays.  On bad input both sides must raise the
 same exception type and message, for the first bad arc in iteration order
 (a mapping's keys repeated by their counts).
@@ -26,10 +26,9 @@ from repro.local.dense import dense_arcs, dense_orientation
 from repro.local.network import Network
 from repro.mis import greedy_mis, is_mis
 from repro.orientation import is_sinkless, sinks
-from repro.scenarios.base import bind_all
+from repro.scenarios.base import BoundPerturbation, bind_all
 from repro.scenarios.contracts import (
     edge_ok_slot_mask,
-    final_edge_ok,
     mis_violations,
     splitting_violations,
     surviving_sinks,
@@ -204,8 +203,8 @@ def alive_lists(n):
 
 @st.composite
 def edge_oks(draw, adj):
-    """``(oracle predicate, argument)``: the argument is the predicate
-    itself, or its per-slot mask in CSR slot order."""
+    """``(oracle predicate, argument)``: the argument is the predicate's
+    per-slot mask in CSR slot order."""
     slots = [(i, p) for i in range(len(adj)) for p in range(len(adj[i]))]
     if not slots or draw(st.booleans()):
         return None, None
@@ -214,8 +213,6 @@ def edge_oks(draw, adj):
     def ok(i, p):
         return (i, p) not in dropped
 
-    if draw(st.booleans()):
-        return ok, ok
     return ok, np.array([ok(i, p) for i, p in slots], dtype=bool)
 
 
@@ -388,14 +385,13 @@ def test_final_edge_masks_match_scalar_predicate(data):
         network,
         fault_seed=data.draw(st.integers(min_value=0, max_value=2**31)),
     )
-    edge_ok = final_edge_ok(bound)
 
     def scalar(i, p):
         return bound[0].edge_alive_final(i, p)
 
     slots = [(i, p) for i in range(len(adj)) for p in range(len(adj[i]))]
-    mask = edge_ok_slot_mask(network, bound)
-    assert mask.tolist() == [scalar(i, p) for i, p in slots]
+    edge_ok = edge_ok_slot_mask(network, bound)
+    assert edge_ok.tolist() == [scalar(i, p) for i, p in slots]
     n = len(adj)
     mis = data.draw(node_sets(n))
     partition = data.draw(st.lists(st.sampled_from([RED, BLUE]), min_size=n, max_size=n))
@@ -407,11 +403,31 @@ def test_final_edge_masks_match_scalar_predicate(data):
         loop_splitting_violations(adj, partition, spec, alive, scalar)
 
 
-def test_identity_stack_has_no_final_edge_predicate():
+def test_identity_stack_has_no_final_edge_mask():
     network = Network([[1], [0]])
     bound = bind_all([], network, fault_seed=0)
-    assert final_edge_ok(bound) is None
     assert edge_ok_slot_mask(network, bound) is None
+
+
+def test_final_edge_mask_set_on_the_bound_instance_counts():
+    bound = BoundPerturbation()
+    bound.edge_alive_final_mask = lambda senders, ports: ports == 0
+    triangle = Network([[1, 2], [0, 2], [0, 1]])
+    assert edge_ok_slot_mask(triangle, (BoundPerturbation(), bound)).tolist() == [True, False] * 3
+
+
+@pytest.mark.parametrize("edge_ok", [
+    lambda i, p: True,
+    [True, True, True, True],
+    np.ones(3, dtype=bool),
+], ids=["callable", "list", "short-mask"])
+def test_contracts_reject_an_edge_ok_that_is_not_a_slot_mask(edge_ok):
+    path = [[1], [0, 2], [1]]
+    spec = UniformSplittingSpec(eps=0.25, min_constrained_degree=1)
+    with pytest.raises(ValueError, match="edge_ok must be None or a bool mask"):
+        mis_violations(path, {0, 2}, edge_ok=edge_ok)
+    with pytest.raises(ValueError, match="edge_ok must be None or a bool mask"):
+        splitting_violations(path, [RED, BLUE, RED], spec, edge_ok=edge_ok)
 
 
 def test_contracts_reject_nodes_outside_graph():
