@@ -41,6 +41,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.bipartite.instance import BipartiteInstance
+from repro.local.network import Adjacency
 from repro.utils.rng import MTStream, SeedLike, ensure_rng
 from repro.utils.validation import require
 
@@ -201,7 +202,7 @@ def random_simple_graph(n: int, p: float, seed: SeedLike = None) -> List[List[in
     return adj
 
 
-def random_sparse_graph(n: int, avg_degree: float, seed: SeedLike = None) -> List[List[int]]:
+def random_sparse_graph(n: int, avg_degree: float, seed: SeedLike = None) -> Adjacency:
     """``G(n, m)``-style sparse graph in O(m) expected time.
 
     :func:`random_simple_graph` flips a coin per node *pair* — O(n²) — which
@@ -217,7 +218,9 @@ def random_sparse_graph(n: int, avg_degree: float, seed: SeedLike = None) -> Lis
     result is bit-identical to that loop for every seed — the same sorted
     rows of python ints — and a ``random.Random`` passed as ``seed`` is
     left in exactly the state the loop leaves it in, also when sampling
-    fails.
+    fails.  The rows are returned as an
+    :class:`~repro.local.network.Adjacency` built from the slot arrays
+    computed here (``Adjacency.from_csr``), which a ``Network`` adopts.
 
     Cost: the loop runs as numpy passes over the generator's MT19937 word
     stream (:class:`~repro.utils.rng.MTStream`) — about ``2 m * 2**k / n``
@@ -225,7 +228,7 @@ def random_sparse_graph(n: int, avg_degree: float, seed: SeedLike = None) -> Lis
     attempts still needed (one chunk except near the dense limit), one
     unstable argsort of the attempt keys to find each edge's first
     occurrence, and one sort of the ``2 m`` slot keys for the rows:
-    O(m log m) array work plus the O(n + m) python lists of the result.  At
+    O(m log m) array work plus the O(n + m) python rows of the result.  At
     n = 100,000, average degree 20 that takes less time than
     :class:`~repro.local.network.Network` takes to validate the graph.
 
@@ -253,13 +256,14 @@ def random_sparse_graph(n: int, avg_degree: float, seed: SeedLike = None) -> Lis
     slots = np.concatenate((keys, hi * width + lo))
     del keys
     slots.sort()
-    ends = np.cumsum(
-        np.bincount(lo.astype(np.intp), minlength=n) + np.bincount(hi.astype(np.intp), minlength=n)
-    ).tolist()
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(
+        np.bincount(lo.astype(np.intp), minlength=n) + np.bincount(hi.astype(np.intp), minlength=n),
+        out=offsets[1:],
+    )
     del lo, hi
-    nbrs = (slots % width).tolist()
-    del slots
-    return [nbrs[s:e] for s, e in zip([0] + ends[:-1], ends)]
+    slots %= width
+    return Adjacency.from_csr(offsets, slots.view(np.int64))
 
 
 def _sample_edge_keys(stream: MTStream, n: int, m: int, max_attempts: int):
@@ -356,7 +360,7 @@ def grid_graph(rows: int, cols: int, periodic: bool = False) -> List[List[int]]:
     return adj
 
 
-def configuration_model_regular(n: int, d: int, seed: SeedLike = None) -> List[List[int]]:
+def configuration_model_regular(n: int, d: int, seed: SeedLike = None) -> Adjacency:
     """Random ``d``-regular simple graph via the configuration model.
 
     Pure-python pairing model: each node gets ``d`` stubs, the stub list is
@@ -367,7 +371,8 @@ def configuration_model_regular(n: int, d: int, seed: SeedLike = None) -> List[L
     O(n·d) expected time, so it comfortably generates the n >= 10^4
     instances the engine benchmarks and sweeps use.  Unlike
     :func:`random_sparse_graph` it is not vectorized: ``rng.shuffle`` is
-    most of its time and is sequential (see the module docstring).
+    most of its time and is sequential (see the module docstring).  The
+    sorted rows are packed once into an :class:`~repro.local.network.Adjacency`.
     """
     require(n * d % 2 == 0, f"n*d must be even, got n={n}, d={d}")
     require(
@@ -375,7 +380,7 @@ def configuration_model_regular(n: int, d: int, seed: SeedLike = None) -> List[L
         f"need 0 <= d < n, got d={d}, n={n}",
     )
     if n == 0:
-        return []
+        return Adjacency()
     rng = ensure_rng(seed)
     for _ in range(100):
         edges: Set[Tuple[int, int]] = set()
@@ -403,19 +408,20 @@ def configuration_model_regular(n: int, d: int, seed: SeedLike = None) -> List[L
                 adj[v].append(u)
             for lst in adj:
                 lst.sort()
-            return adj
+            return Adjacency(adj)
     raise RuntimeError(
         f"configuration model failed to produce a simple {d}-regular graph "
         f"on {n} nodes after 100 attempts; lower d or use random_regular_graph"
     )
 
 
-def random_topology(topology: str, n: int, degree: int, seed: SeedLike = None) -> List[List[int]]:
+def random_topology(topology: str, n: int, degree: int, seed: SeedLike = None) -> Adjacency:
     """The random graph families of the sweeps and the scenarios, by name.
 
     ``sparse`` is :func:`random_sparse_graph` with average degree
     ``degree``; ``regular`` is :func:`configuration_model_regular`, on
-    ``n + 1`` nodes when ``n * degree`` is odd.
+    ``n + 1`` nodes when ``n * degree`` is odd.  Both return an
+    :class:`~repro.local.network.Adjacency`.
     """
     if topology == "regular":
         if n * degree % 2:

@@ -22,7 +22,7 @@ from repro.core.problems import (
     weak_multicolor_bound_degree,
     weak_multicolor_required_colors,
 )
-from repro.local.network import csr_arrays
+from repro.local.network import csr_rows
 from repro.utils.validation import require
 
 __all__ = [
@@ -176,9 +176,8 @@ def uniform_splitting_violations(
     ``spec.violates(deg(v), red(v))``: it is constrained and its red
     neighbor count (and hence its blue count too) leaves the spec window.
     """
-    n = len(adjacency)
-    require(len(partition) == n, "partition must cover all nodes")
-    offsets, _, dst = csr_arrays(adjacency)
+    offsets, dst = csr_rows(adjacency)
+    require(len(partition) == offsets.shape[0] - 1, "partition must cover all nodes")
     return np.flatnonzero(red_window_violators(offsets, dst, partition, spec)).tolist()
 
 

@@ -20,6 +20,7 @@ from repro.local.engine import CSREngine
 from repro.local.ids import sequential_ids, shuffled_ids, sparse_random_ids
 from repro.local.ledger import Charge, RoundLedger
 from repro.local.network import (
+    Adjacency,
     LocalAlgorithm,
     Network,
     NodeView,
@@ -36,6 +37,7 @@ BACKENDS = ("reference", "dense")
 
 __all__ = [
     "BACKENDS",
+    "Adjacency",
     "LocalAlgorithm",
     "Network",
     "NodeView",

@@ -36,6 +36,7 @@ from repro.utils.rng import CoinClock, NodeCoins
 from repro.utils.validation import require
 
 __all__ = [
+    "Adjacency",
     "Network",
     "NodeView",
     "LocalAlgorithm",
@@ -44,25 +45,71 @@ __all__ = [
     "SimulationResult",
     "build_reverse_ports",
     "csr_arrays",
+    "csr_rows",
 ]
 
 
-def csr_arrays(
-    adjacency: Sequence[Sequence[int]],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten an adjacency list into int64 slot arrays ``(offsets, owner, dst)``.
+class Adjacency(tuple):
+    """An immutable adjacency list that carries its int64 CSR arrays.
 
-    Node ``i`` owns slots ``offsets[i]:offsets[i+1]``, in port order, and
-    slot ``k`` is the edge ``owner[k] -> dst[k]``.  Nothing is validated.
+    A tuple of tuple rows plus read-only ``offsets`` and ``dst_node``
+    arrays (the :func:`csr_rows` layout).  Packing any sequence of rows
+    flattens it once; :meth:`from_csr` builds the rows from the arrays.
+    Rows are tuples, so the arrays cannot go stale.  It compares as the
+    tuple of its rows, and a pickle round trip keeps the read-only arrays.
     """
-    n = len(adjacency)
-    degrees = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
+
+    offsets = property(lambda self: self._offsets, doc="Read-only int64 row offsets.")
+    dst_node = property(lambda self: self._dst, doc="Read-only int64 slot targets.")
+
+    def __new__(cls, rows: Sequence[Sequence[int]] = ()):
+        self = super().__new__(cls, map(tuple, rows))
+        self._offsets, self._dst = _flatten(self)
+        self._offsets.flags.writeable = self._dst.flags.writeable = False
+        return self
+
+    @classmethod
+    def from_csr(cls, offsets: np.ndarray, dst: np.ndarray) -> "Adjacency":
+        """The adjacency whose row ``i`` is ``dst[offsets[i]:offsets[i+1]]``
+        as python ints; the int64 arrays are made read-only and kept, not
+        copied or validated."""
+        offsets, dst = np.asarray(offsets, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        nbrs, bounds = dst.tolist(), offsets.tolist()
+        self = super().__new__(cls, [tuple(nbrs[s:e]) for s, e in zip(bounds, bounds[1:])])
+        offsets.flags.writeable = dst.flags.writeable = False
+        self._offsets, self._dst = offsets, dst
+        return self
+
+    def __reduce__(self):
+        return type(self).from_csr, (self._offsets, self._dst)
+
+
+def _flatten(rows: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    n = len(rows)
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    dst = np.fromiter(
-        chain.from_iterable(adjacency), dtype=np.int64, count=int(offsets[-1])
-    )
-    owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=n), out=offsets[1:])
+    dst = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(offsets[-1]))
+    return offsets, dst
+
+
+def csr_rows(graph) -> Tuple[np.ndarray, np.ndarray]:
+    """Int64 ``(offsets, dst)`` of a graph: node ``i`` owns slots
+    ``offsets[i]:offsets[i+1]``, in port order, and slot ``k`` leads to
+    ``dst[k]``.  An :class:`Adjacency`, a :class:`Network` or a
+    :class:`~repro.local.engine.CSREngine` hands over the
+    ``offsets``/``dst_node`` it carries; a plain adjacency list is
+    flattened.  Nothing is validated."""
+    offsets = getattr(graph, "offsets", None)
+    if offsets is None:
+        return _flatten(graph)
+    return offsets, graph.dst_node
+
+
+def csr_arrays(graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`csr_rows` plus ``owner``: ``(offsets, owner, dst)``, where
+    slot ``k`` is the edge ``owner[k] -> dst[k]``."""
+    offsets, dst = csr_rows(graph)
+    owner = np.repeat(np.arange(offsets.shape[0] - 1, dtype=np.int64), np.diff(offsets))
     return offsets, owner, dst
 
 
@@ -74,23 +121,26 @@ class Network:
     adjacency:
         ``adjacency[i]`` lists the node indices adjacent to node ``i``.  The
         graph must be symmetric; parallel entries are allowed (multi-edges)
-        and are presented to the algorithm as distinct ports.
+        and are presented to the algorithm as distinct ports.  An
+        :class:`Adjacency` (what the generators return) is adopted as it
+        is; other rows are packed into one.  ``self.adjacency`` is always
+        an :class:`Adjacency`.
     ids:
         Unique identifiers (the LOCAL model's O(log n)-bit names).  Defaults
         to the node indices.
 
     Validation also packs the graph into read-only int64 CSR arrays: the
     ports of node ``i`` occupy slots ``offsets[i]:offsets[i+1]``, and slot
-    ``k`` leads to node ``dst_node[k]``, arriving there on port
-    ``dst_port[k]``.  One stable sort of the slot keys ``owner*n + dst``
-    and one of the reversed keys ``dst*n + owner`` check symmetry (with
-    multiplicities) and pair the k-th ``(u, v)`` slot with the k-th
-    ``(v, u)`` slot — the :func:`build_reverse_ports` rule.  A self-loop
-    slot is its own pair.
+    ``k`` leads to node ``dst_node[k]`` (both the adjacency's own), arriving
+    there on port ``dst_port[k]``.  One stable sort of the slot keys
+    ``owner*n + dst`` and one of the reversed keys ``dst*n + owner`` check
+    symmetry (with multiplicities) and pair the k-th ``(u, v)`` slot with
+    the k-th ``(v, u)`` slot — the :func:`build_reverse_ports` rule.  A
+    self-loop slot is its own pair.
     """
 
     def __init__(self, adjacency: Sequence[Sequence[int]], ids: Optional[Sequence[int]] = None):
-        self.adjacency: Tuple[Tuple[int, ...], ...] = tuple(tuple(a) for a in adjacency)
+        self.adjacency = adjacency if isinstance(adjacency, Adjacency) else Adjacency(adjacency)
         n = len(self.adjacency)
         offsets, owner, dst = csr_arrays(self.adjacency)
         m = int(offsets[-1])
@@ -101,6 +151,7 @@ class Network:
             raise ValueError(f"node {owner[k]} lists out-of-range neighbor {dst[k]}")
         key = owner * n + dst
         rkey = dst * n + owner
+        del owner  # each m-sized temporary goes once read: they set the memory peak
         order = np.argsort(key, kind="stable")
         rorder = np.argsort(rkey, kind="stable")
         key = key[order]
@@ -112,13 +163,15 @@ class Network:
             # one side than on the other: its pair is asymmetric.
             i, j = divmod(int(min(key[d], rkey[d])), n)
             raise ValueError(f"asymmetric adjacency between nodes {i} and {j}")
+        del key, rkey, mismatch
         partner = np.empty(m, dtype=np.int64)
         partner[rorder] = order
+        del order, rorder
+        partner -= offsets[dst]
         self.offsets = offsets
         self.dst_node = dst
-        self.dst_port = partner - offsets[dst]
-        for arr in (self.offsets, self.dst_node, self.dst_port):
-            arr.flags.writeable = False
+        self.dst_port = partner
+        self.dst_port.flags.writeable = False
 
         if ids is None:
             self.ids: Tuple[int, ...] = tuple(range(n))  # unique ints already

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.local.ledger import RoundLedger
 from repro.local.engine import CSREngine
-from repro.local.network import LocalAlgorithm, Network, NodeView, run_local
+from repro.local.network import LocalAlgorithm, Network, NodeView, csr_rows, run_local
 from repro.utils.validation import require, require_nodes
 
 __all__ = ["LubyMIS", "luby_mis", "is_mis"]
@@ -122,10 +122,17 @@ def luby_mis(
 def is_mis(adjacency: Sequence[Sequence[int]], mis: Set[int]) -> bool:
     """Verify independence and maximality (domination).
 
+    ``adjacency`` is read by :func:`~repro.local.network.csr_rows`.
     Raises ``ValueError`` if ``mis`` names a node outside ``range(n)``.
     """
-    n = len(adjacency)
-    require_nodes(np.fromiter(mis, dtype=np.int64, count=len(mis)), n, "MIS node")
+    from repro.local.dense import _segment_or
+
+    offsets, dst = csr_rows(adjacency)
+    n = offsets.shape[0] - 1
+    ids = np.fromiter(mis, dtype=np.int64, count=len(mis))
+    require_nodes(ids, n, "MIS node")
+    in_mis = np.zeros(n, dtype=bool)
+    in_mis[ids] = True
     # Independent and dominating means: a node is in the MIS exactly when
-    # its row has no MIS node.  Both sides are C-level passes over the rows.
-    return list(map(mis.isdisjoint, adjacency)) == list(map(mis.__contains__, range(n)))
+    # its row has no MIS node.
+    return bool(np.array_equal(_segment_or(in_mis[dst], offsets), ~in_mis))

@@ -51,6 +51,7 @@ from repro.local.network import (
     Network,
     NodeView,
     csr_arrays,
+    csr_rows,
     run_local,
 )
 from repro.utils.rng import SeedLike, ensure_rng
@@ -96,11 +97,10 @@ def sinks(
     adj: Sequence[Sequence[int]], orientation: GraphOrientation, min_degree: int = 1
 ) -> List[int]:
     """Nodes of degree >= ``min_degree`` with no outgoing edge."""
-    n = len(adj)
+    offsets, _ = csr_rows(adj)
     arcs = _arcs(orientation)
-    require_nodes(arcs, n, "orientation endpoint")
-    degrees = np.fromiter(map(len, adj), dtype=np.int64, count=n)
-    return np.flatnonzero(_sink_mask(degrees, arcs[:, 0], min_degree)).tolist()
+    require_nodes(arcs, offsets.shape[0] - 1, "orientation endpoint")
+    return np.flatnonzero(_sink_mask(np.diff(offsets), arcs[:, 0], min_degree)).tolist()
 
 
 def is_sinkless(
@@ -117,8 +117,8 @@ def is_sinkless(
     mapping's keys repeated by their counts; an
     :class:`~repro.local.arcs.ArcCounts`'s array rows).
     """
-    n = len(adj)
     offsets, owner, dst = csr_arrays(adj)
+    n = offsets.shape[0] - 1
     arcs = _arcs(orientation)
     lower = owner < dst
     edges = np.sort(owner[lower] * n + dst[lower])

@@ -51,7 +51,7 @@ __all__ = [
     "quiet_after",
 ]
 
-Adjacency = List[List[int]]
+Adjacency = Sequence[Sequence[int]]
 
 
 class BoundPerturbation:
@@ -69,11 +69,12 @@ class BoundPerturbation:
     quiet_after: Optional[int] = 0
 
     #: Capability flags — a set flag promises the matching ``*_mask``
-    #: method; a clear one lets the dense adapter skip the O(n)/O(m) mask
-    #: builds for the whole run.
+    #: method; a clear one lets the dense adapter (and, for
+    #: ``deletes_edges``, the contracts) skip the O(n)/O(m) mask builds.
     crashes_nodes: bool = False
     drops_messages: bool = False
     corrupts_messages: bool = False
+    deletes_edges: bool = False
 
     def crashes(self, round_no: int) -> Iterable[int]:
         """Node indices that crash at the start of ``round_no``."""
@@ -130,18 +131,20 @@ class BoundPerturbation:
 
     def edge_alive_final(self, sender: int, port: int) -> bool:
         """Whether the edge behind ``(sender, port)`` belongs to the final
-        graph (dynamic-graph perturbations override this so contracts can
-        validate against the post-churn topology)."""
+        graph (edge-deleting perturbations override this, set
+        ``deletes_edges`` and supply the mask, so contracts can validate
+        against the post-churn topology)."""
         return True
 
     def edge_alive_final_mask(self, senders, ports):
-        """Vectorized form of :meth:`edge_alive_final`: a bool array over
-        the parallel ``senders``/``ports`` arrays (True = in the final
-        graph), or ``None`` for "every edge is final".  A perturbation
-        that overrides :meth:`edge_alive_final` overrides this too, and
-        the two must agree elementwise.
-        """
-        return None
+        """Vectorized form of :meth:`edge_alive_final`, required when
+        ``deletes_edges`` is set: a bool array over the parallel
+        ``senders``/``ports`` arrays (True = in the final graph), or
+        ``None`` for "every edge is final".  Must agree elementwise with
+        :meth:`edge_alive_final`."""
+        raise NotImplementedError(
+            f"{type(self).__name__} deletes edges without an edge_alive_final_mask"
+        )
 
 
 class Perturbation(ABC):

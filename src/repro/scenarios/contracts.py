@@ -8,8 +8,10 @@ boolean, so resilience becomes a measured axis rather than a pass/fail.
 
 Conventions shared by all contracts here:
 
-* the graph is an adjacency list or a :class:`~repro.local.network.Network`,
-  whose packed CSR arrays are then used as they are;
+* the graph is an adjacency list, or an
+  :class:`~repro.local.network.Adjacency`, a
+  :class:`~repro.local.network.Network` or a CSREngine, whose CSR arrays
+  :func:`~repro.local.network.csr_arrays` then reads as they are;
 * ``alive[i]`` — node ``i`` did not crash (a normally-terminated node is
   alive);
 * the *surviving graph* has the alive nodes and the edges whose
@@ -32,7 +34,6 @@ import numpy as np
 from repro.core.verifiers import red_window_violators
 from repro.local.network import Network, csr_arrays
 from repro.orientation.sinkless import GraphOrientation, _arcs, orientation_from_views
-from repro.scenarios.base import BoundPerturbation
 from repro.utils.validation import require, require_nodes
 
 __all__ = [
@@ -44,24 +45,13 @@ __all__ = [
     "splitting_violations",
 ]
 
-Adjacency = Sequence[Sequence[int]]
-Graph = Union[Adjacency, Network]
+Graph = Union[Sequence[Sequence[int]], Network]
 EdgeOk = Optional[np.ndarray]
 
 
 def alive_mask(views) -> List[bool]:
     """Per-node survival flags from simulator views (crash marker unset)."""
     return [not v.state.get("crashed") for v in views]
-
-
-def _slots(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(offsets, owner, dst)`` slot arrays of an adjacency list, or of the
-    packed CSR arrays of a Network or CSREngine."""
-    offsets = getattr(graph, "offsets", None)
-    if offsets is None:
-        return csr_arrays(graph)
-    owner = np.repeat(np.arange(offsets.shape[0] - 1, dtype=np.int64), np.diff(offsets))
-    return offsets, owner, graph.dst_node
 
 
 def _edge_mask(edge_ok: EdgeOk, owner: np.ndarray):
@@ -82,18 +72,14 @@ def edge_ok_slot_mask(graph: Graph, bound) -> Optional[np.ndarray]:
     The conjunction of the members'
     :meth:`~repro.scenarios.base.BoundPerturbation.edge_alive_final_mask`
     over the CSR slots of ``graph`` — the ``edge_ok`` every contract, the
-    splitting repair probe and the exact oracle take.  Members that keep
-    the base method (every edge final) cost nothing: a stack without an
+    splitting repair probe and the exact oracle take.  Only members whose
+    ``deletes_edges`` flag is set are asked, so a stack without an
     edge-deleting member builds no slot coordinates.
     """
-    final = [
-        b for b in bound
-        if getattr(b.edge_alive_final_mask, "__func__", None)
-        is not BoundPerturbation.edge_alive_final_mask
-    ]
+    final = [b for b in bound if b.deletes_edges]
     if not final:
         return None
-    offsets, owner, _ = _slots(graph)
+    offsets, owner, _ = csr_arrays(graph)
     ports = np.arange(owner.shape[0], dtype=np.int64) - offsets[owner]
     mask = None
     for b in final:
@@ -129,7 +115,7 @@ def mis_violations(
     surviving slot of the lower endpoint, so a one-sided ``edge_ok`` is
     read from that side.
     """
-    offsets, owner, dst = _slots(adjacency)
+    offsets, owner, dst = csr_arrays(adjacency)
     n = offsets.shape[0] - 1
     alive = _alive_array(alive, n)
     ids = np.fromiter(mis, dtype=np.int64, count=len(mis))
@@ -157,7 +143,7 @@ def surviving_sinks(
     edge into a crashed node no longer helps: in the surviving graph that
     edge is gone.)
     """
-    offsets, owner, dst = _slots(adjacency)
+    offsets, owner, dst = csr_arrays(adjacency)
     n = offsets.shape[0] - 1
     alive = _alive_array(alive, n)
     arcs = _arcs(orientation)
@@ -183,7 +169,7 @@ def splitting_violations(
     are all evaluated on the surviving graph; crashed (uncolored) nodes are
     neither constrained nor counted.
     """
-    offsets, owner, dst = _slots(adjacency)
+    offsets, owner, dst = csr_arrays(adjacency)
     n = offsets.shape[0] - 1
     alive = _alive_array(alive, n)
     live = _live_slots(offsets, owner, dst, alive, edge_ok)

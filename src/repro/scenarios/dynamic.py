@@ -222,6 +222,8 @@ class DropEdges(Perturbation):
 
 
 class _BoundDrop(_BoundEdgeSet):
+    deletes_edges = True
+
     def __init__(self, network, fault_seed, fraction, at_round):
         super().__init__(network, fault_seed, "dropedge", fraction)
         self.at_round = at_round

@@ -13,7 +13,7 @@ from repro.bipartite.generators import (
     powerlaw_bipartite,
     random_sparse_graph,
 )
-from repro.local import Network
+from repro.local import Adjacency, Network
 
 
 def assert_valid_adjacency(adj):
@@ -25,13 +25,13 @@ def assert_valid_adjacency(adj):
 
 class TestRandomSparseGraph:
     def test_empty_graph(self):
-        assert random_sparse_graph(0, 0.0) == []
+        assert random_sparse_graph(0, 0.0) == Adjacency([])
 
     def test_single_node_zero_degree(self):
-        assert random_sparse_graph(1, 0.0) == [[]]
+        assert random_sparse_graph(1, 0.0) == Adjacency([[]])
 
     def test_single_node_fractional_degree_rounds_to_empty(self):
-        assert random_sparse_graph(1, 0.5) == [[]]
+        assert random_sparse_graph(1, 0.5) == Adjacency([[]])
 
     def test_single_node_degree_one_rejected(self):
         # No simple edge exists on one node; the degree request must fail
@@ -45,19 +45,19 @@ class TestRandomSparseGraph:
 
     def test_two_nodes_one_edge(self):
         adj = random_sparse_graph(2, 1.0, seed=0)
-        assert adj == [[1], [0]]
+        assert adj == Adjacency([[1], [0]])
         assert_valid_adjacency(adj)
 
 
 class TestConfigurationModelRegular:
     def test_empty_graph(self):
-        assert configuration_model_regular(0, 0) == []
+        assert configuration_model_regular(0, 0) == Adjacency([])
 
     def test_single_node_degree_zero(self):
-        assert configuration_model_regular(1, 0) == [[]]
+        assert configuration_model_regular(1, 0) == Adjacency([[]])
 
     def test_degree_zero_many_nodes(self):
-        assert configuration_model_regular(4, 0) == [[], [], [], []]
+        assert configuration_model_regular(4, 0) == Adjacency([[], [], [], []])
 
     def test_odd_degree_sum_rejected(self):
         with pytest.raises(ValueError, match="must be even"):

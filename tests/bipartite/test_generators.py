@@ -15,6 +15,7 @@ from repro.bipartite import (
     random_sparse_graph,
     regular_bipartite,
 )
+from repro.local import Adjacency
 
 
 class TestRegularBipartite:
@@ -119,7 +120,7 @@ class TestRandomSparseGraph:
         m = sum(len(a) for a in adj) // 2
         assert m == 600
         for u, nbrs in enumerate(adj):
-            assert nbrs == sorted(nbrs)
+            assert list(nbrs) == sorted(nbrs)
             assert len(set(nbrs)) == len(nbrs)
             assert u not in nbrs
 
@@ -134,8 +135,8 @@ class TestRandomSparseGraph:
         assert random_sparse_graph(80, 3.0, seed=5) != random_sparse_graph(80, 3.0, seed=6)
 
     def test_zero_nodes_and_degree(self):
-        assert random_sparse_graph(0, 0.0, seed=1) == []
-        assert random_sparse_graph(10, 0.0, seed=1) == [[] for _ in range(10)]
+        assert random_sparse_graph(0, 0.0, seed=1) == Adjacency([])
+        assert random_sparse_graph(10, 0.0, seed=1) == Adjacency([[] for _ in range(10)])
 
     def test_rejects_dense_request(self):
         with pytest.raises(ValueError):
@@ -178,7 +179,7 @@ class TestConfigurationModel:
             adj = configuration_model_regular(n, d, seed=d)
             assert all(len(a) == d for a in adj)
             for u, nbrs in enumerate(adj):
-                assert nbrs == sorted(nbrs)
+                assert list(nbrs) == sorted(nbrs)
                 assert len(set(nbrs)) == len(nbrs)
                 assert u not in nbrs
 

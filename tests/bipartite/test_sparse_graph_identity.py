@@ -1,9 +1,10 @@
 """Bit identity of the array-native ``random_sparse_graph`` with the
 sequential rejection loop it replaced, kept here verbatim as the oracle.
 
-Both sides must return the same rows (lists of python ints), leave a
-``random.Random`` seed in the same state, and reject bad arguments with the
-same ``ValueError``.  Powers of two are the sizes where ``randrange``
+Both sides must return the same rows of python ints (the generator's
+packed into an :class:`~repro.local.network.Adjacency` of tuple rows, the
+loop's in lists), leave a ``random.Random`` seed in the same state, and
+reject bad arguments with the same ``ValueError``.  Powers of two are the sizes where ``randrange``
 rejects almost half of its words, and the dense limit ``m = n(n-1)/2`` is
 where most attempts draw an edge already drawn.
 """
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 import repro.utils.rng as rng_module
 from repro.bipartite import generators
 from repro.bipartite.generators import random_sparse_graph
+from repro.local import Adjacency
 from repro.utils.rng import MTStream, SeedLike, ensure_rng
 from repro.utils.validation import require
 
@@ -66,7 +68,7 @@ def outcome(fn, n, avg_degree, seed):
 
 
 def assert_identical(n, avg_degree, seed):
-    """Same rows (python ints in lists) and, for a ``Random``, same state."""
+    """Same rows (python ints in tuples) and, for a ``Random``, same state."""
     if isinstance(seed, random.Random):
         mine, theirs = type(seed)(), type(seed)()
         mine.setstate(seed.getstate())
@@ -75,9 +77,12 @@ def assert_identical(n, avg_degree, seed):
         mine = theirs = seed
     got = outcome(random_sparse_graph, n, avg_degree, mine)
     want = outcome(loop_random_sparse_graph, n, avg_degree, theirs)
+    if isinstance(want, list):
+        want = Adjacency(want)
+    assert type(got) is type(want)
     assert got == want
-    if isinstance(got, list):
-        assert all(type(row) is list for row in got)
+    if isinstance(got, Adjacency):
+        assert all(type(row) is tuple for row in got)
         assert all(type(x) is int for row in got for x in row)
     if isinstance(seed, random.Random):
         assert mine.getstate() == theirs.getstate()
@@ -146,7 +151,7 @@ def test_none_seed_draws_a_fresh_generator_like_the_loop(case, entropy):
 def test_none_seed_gives_a_valid_graph():
     adj = random_sparse_graph(60, 5.0)
     assert sum(map(len, adj)) == 2 * 150
-    assert all(u not in row and row == sorted(set(row)) for u, row in enumerate(adj))
+    assert all(u not in row and list(row) == sorted(set(row)) for u, row in enumerate(adj))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4096, 4097, 65536])

@@ -18,15 +18,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bipartite.generators import random_topology
 from repro.bipartite.instance import BLUE, RED
 from repro.core.problems import UniformSplittingSpec
 from repro.core.verifiers import uniform_splitting_violations
 from repro.local import CSREngine
 from repro.local.dense import dense_arcs, dense_orientation
-from repro.local.network import Network
+from repro.local.network import Adjacency, Network
 from repro.mis import greedy_mis, is_mis
 from repro.orientation import is_sinkless, sinks
-from repro.scenarios.base import BoundPerturbation, bind_all
+from repro.scenarios import all_scenarios
+from repro.scenarios.base import BoundPerturbation, bind_all, rewrite_all
 from repro.scenarios.contracts import (
     edge_ok_slot_mask,
     mis_violations,
@@ -253,6 +255,11 @@ def orientations(draw, adj):
 # ---------------------------------------------------------------------------
 
 
+def forms(adj):
+    """The rows as lists, packed into an Adjacency, and in a Network."""
+    return adj, Adjacency(adj), Network(adj)
+
+
 @EXAMPLES
 @given(st.data())
 def test_is_mis_matches_loop(data):
@@ -262,7 +269,8 @@ def test_is_mis_matches_loop(data):
     mis = greedy_mis(adj, data.draw(st.permutations(range(n))))
     if data.draw(st.booleans()):
         mis ^= data.draw(node_sets(n))
-    assert is_mis(adj, mis) == loop_is_mis(adj, mis)
+    verdict = loop_is_mis(adj, mis)
+    assert all(is_mis(graph, mis) == verdict for graph in forms(adj))
 
 
 @EXAMPLES
@@ -271,9 +279,9 @@ def test_is_sinkless_matches_loop(data):
     adj = data.draw(graphs())
     orientation = data.draw(orientations(adj))
     min_degree = data.draw(st.integers(min_value=0, max_value=4))
-    assert outcome(is_sinkless, adj, orientation, min_degree) == outcome(
-        loop_is_sinkless, adj, orientation, min_degree
-    )
+    want = outcome(loop_is_sinkless, adj, orientation, min_degree)
+    for graph in forms(adj):
+        assert outcome(is_sinkless, graph, orientation, min_degree) == want
 
 
 @EXAMPLES
@@ -286,9 +294,9 @@ def test_uniform_splitting_violations_matches_loop(data):
         st.lists(st.sampled_from([RED, BLUE, None]), min_size=size, max_size=size)
     )
     spec = data.draw(specs())
-    assert outcome(uniform_splitting_violations, adj, partition, spec) == outcome(
-        loop_uniform_splitting_violations, adj, partition, spec
-    )
+    want = outcome(loop_uniform_splitting_violations, adj, partition, spec)
+    for graph in forms(adj):
+        assert outcome(uniform_splitting_violations, graph, partition, spec) == want
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +419,30 @@ def test_identity_stack_has_no_final_edge_mask():
 
 def test_final_edge_mask_set_on_the_bound_instance_counts():
     bound = BoundPerturbation()
+    bound.deletes_edges = True
     bound.edge_alive_final_mask = lambda senders, ports: ports == 0
     triangle = Network([[1, 2], [0, 2], [0, 1]])
     assert edge_ok_slot_mask(triangle, (BoundPerturbation(), bound)).tolist() == [True, False] * 3
+
+
+def test_final_edge_deletion_without_a_mask_raises():
+    class OddPortsGone(BoundPerturbation):
+        deletes_edges = True
+
+        def edge_alive_final(self, sender, port):
+            return port % 2 == 0
+
+    triangle = Network([[1, 2], [0, 2], [0, 1]])
+    with pytest.raises(NotImplementedError, match="OddPortsGone deletes edges without"):
+        edge_ok_slot_mask(triangle, (BoundPerturbation(), OddPortsGone()))
+
+
+@pytest.mark.parametrize("sc", all_scenarios(), ids=lambda sc: sc.name)
+def test_bound_perturbations_flag_exactly_the_final_edge_deletions(sc):
+    adj, ids = rewrite_all(sc.perturbations, random_topology(sc.topology, 40, 4, seed=1))
+    for b in bind_all(sc.perturbations, Network(adj, ids=ids), fault_seed=2):
+        overrides = type(b).edge_alive_final is not BoundPerturbation.edge_alive_final
+        assert b.deletes_edges == overrides
 
 
 @pytest.mark.parametrize("edge_ok", [
