@@ -1,6 +1,6 @@
 """Shared helpers for the experiment benchmarks.
 
-Every experiment Ei from DESIGN.md §3 has a module ``bench_*.py`` here.
+Every experiment Ei has a module ``bench_*.py`` here.
 Each benchmark (a) times the algorithm under pytest-benchmark, (b) computes
 the *rows* the corresponding paper claim is about (round counts, validity
 rates, component sizes, trajectories, ...), (c) asserts the paper's
@@ -9,8 +9,7 @@ predicted shape, and (d) records the rows both into
 
     pytest benchmarks/ --benchmark-only -s
 
-prints every reproduced table/series.  EXPERIMENTS.md is the curated
-paper-vs-measured record of these outputs.
+prints every reproduced table/series.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """E15 — ablation: Eulerian vs random-orientation degree-splitting substrate.
 
-DESIGN.md §2.3/§5 calls out the substrate substitution as the key design
-decision.  This experiment demonstrates *why* the strong substrate matters:
+The substrate substitution is the key design decision of the Section 2
+reductions.  This experiment demonstrates *why* the strong substrate matters:
 the random 0-round orienter's discrepancy grows like √(d log n), which
 violates the ε·d + 2 guarantee the Section 2 reductions consume, and
 degrades the degree–rank reduction trajectories.

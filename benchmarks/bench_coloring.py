@@ -9,7 +9,7 @@ would pay a constant factor).
 import pytest
 
 from repro.apps import coloring_via_splitting
-from repro.bipartite import random_regular_graph
+from repro.bipartite import configuration_model_regular
 from repro.coloring import is_proper_coloring
 from repro.local import RoundLedger
 
@@ -20,7 +20,7 @@ def test_e12_palette_ratio_approaches_one(benchmark):
     rows = []
     ratios = []
     for n, d in ((300, 128), (400, 160), (500, 240)):
-        adj = random_regular_graph(n, d, seed=n)
+        adj = configuration_model_regular(n, d, seed=n)
         led = RoundLedger()
         res = coloring_via_splitting(adj, ledger=led, seed=n)
         assert is_proper_coloring(adj, res.colors)
@@ -31,7 +31,7 @@ def test_e12_palette_ratio_approaches_one(benchmark):
     assert all(r[2] >= 1 for r in rows)
     assert all(x < 1.6 for x in ratios)
 
-    adj = random_regular_graph(400, 160, seed=1)
+    adj = configuration_model_regular(400, 160, seed=1)
     benchmark(lambda: coloring_via_splitting(adj, seed=1))
     attach_rows(
         benchmark,
@@ -47,7 +47,7 @@ def test_e12_splitting_beats_naive_partition(benchmark):
     splitter's guarantee.  Compare against greedy on the whole graph."""
     from repro.coloring import d_plus_one_coloring
 
-    adj = random_regular_graph(400, 160, seed=2)
+    adj = configuration_model_regular(400, 160, seed=2)
     res = coloring_via_splitting(adj, seed=3)
     _, greedy_palette = d_plus_one_coloring(adj)
     rows = [(res.num_colors, greedy_palette, res.Delta + 1)]

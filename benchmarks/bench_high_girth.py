@@ -4,9 +4,9 @@ Paper claims (Lemma 5.1, Theorems 5.2/5.3): on girth >= 10 instances with
 δ = Ω(√log n), one shattering round leaves a residual with δ_H >= 6·r_H
 (here: residual rank collapses to <= 1 with δ_H >= δ/4 >= 2), after which
 the Theorem 2.7 machinery finishes in poly log rounds.  We run the
-scalable acyclic family (exact independence; see DESIGN.md/EXPERIMENTS.md
-on why genuinely cyclic girth-10 instances with large δ exceed laptop
-scale) and validate the cyclic incidence construction separately.
+scalable acyclic family (exact independence; genuinely cyclic girth-10
+instances with large δ exceed laptop scale) and validate the cyclic
+incidence construction separately.
 """
 
 import math

@@ -8,7 +8,7 @@ to a sinkless orientation of G.  The round formulas Ω(log_∆ log n)
 
 import pytest
 
-from repro.bipartite import random_regular_graph
+from repro.bipartite import configuration_model_regular
 from repro.core import (
     deterministic_lower_bound_rounds,
     orientation_from_weak_splitting,
@@ -24,7 +24,7 @@ from _harness import attach_rows
 def test_e9_reduction_parameters_and_soundness(benchmark):
     rows = []
     for n, d in ((60, 6), (120, 8), (240, 10)):
-        adj = random_regular_graph(n, d, seed=n)
+        adj = configuration_model_regular(n, d, seed=n)
         inst, edge_list = weak_splitting_instance_from_graph(adj)
         m = sum(len(x) for x in adj) // 2
         assert inst.rank <= 2
@@ -36,7 +36,7 @@ def test_e9_reduction_parameters_and_soundness(benchmark):
         assert ok
         rows.append((n, d, inst.n, inst.rank, inst.delta, ok))
 
-    adj = random_regular_graph(120, 8, seed=120)
+    adj = configuration_model_regular(120, 8, seed=120)
     inst, edge_list = weak_splitting_instance_from_graph(adj)
 
     def chain():

@@ -20,7 +20,6 @@ Usage::
     python benchmarks/run_experiments.py --scenarios luby/crash,sinkless/crash
     python benchmarks/run_experiments.py --scenarios all --recover  # + repair tails
     python benchmarks/run_experiments.py --scenarios all --trace  # round traces
-    python benchmarks/run_experiments.py --legacy-tables  # old E1-E16 scrape
 
 Sweeps run on a plain process pool (``--workers 0`` runs inline).  A
 trial that raises is a failed row and the exit code is 1; a dead worker
@@ -30,18 +29,12 @@ Every trial is also appended to the ``bench_history.jsonl`` results store
 (``--history`` overrides the path, ``--history ''`` disables) keyed by
 (git commit, experiment, backend, seed), so the perf/resilience trajectory
 stays queryable across PRs.
-
-``--legacy-tables`` reproduces the historical behaviour: run the full
-pytest-benchmark suite and collect the ``== Ei ==`` tables into one
-markdown file (EXPERIMENTS.md's measured side).
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
-import re
-import subprocess
 import sys
 from pathlib import Path
 
@@ -273,69 +266,6 @@ def run_sweeps(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Legacy mode: regenerate the E1-E16 tables by scraping pytest-benchmark.
-# ---------------------------------------------------------------------------
-
-
-def run_legacy_tables(out_path: Path) -> int:
-    bench_dir = Path(__file__).resolve().parent
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "pytest",
-            str(bench_dir),
-            "--benchmark-only",
-            "-s",
-            "-p",
-            "no:warnings",
-        ],
-        capture_output=True,
-        text=True,
-        cwd=bench_dir.parent,
-    )
-    sys.stdout.write(proc.stdout[-2000:])
-    tables = _extract_tables(proc.stdout)
-    if not tables:
-        print("no experiment tables found — did the benchmarks fail?", file=sys.stderr)
-        sys.stderr.write(proc.stdout[-4000:])
-        return 1
-
-    with out_path.open("w") as fh:
-        fh.write("# Experiment tables (regenerated)\n")
-        fh.write("\nProduced by `python benchmarks/run_experiments.py --legacy-tables`.\n")
-        for title, body in sorted(tables, key=lambda t: _sort_key(t[0])):
-            fh.write(f"\n## {title}\n\n```\n{body}\n```\n")
-    print(f"\nwrote {len(tables)} experiment tables to {out_path}")
-    return 0 if proc.returncode == 0 else proc.returncode
-
-
-def _extract_tables(stdout: str):
-    """Pull every ``== title ==`` table block out of the pytest output."""
-    tables = []
-    lines = stdout.splitlines()
-    i = 0
-    while i < len(lines):
-        m = re.match(r"^== (.*) ==$", lines[i])
-        if not m:
-            i += 1
-            continue
-        title = m.group(1)
-        body: list = []
-        i += 1
-        while i < len(lines) and lines[i].strip() and not lines[i].startswith("=="):
-            body.append(lines[i].rstrip())
-            i += 1
-        tables.append((title, "\n".join(body)))
-    return tables
-
-
-def _sort_key(title: str):
-    m = re.match(r"^E(\d+)", title)
-    return (int(m.group(1)) if m else 99, title)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     def positive_int(value: str) -> int:
@@ -376,14 +306,9 @@ def main() -> int:
     parser.add_argument("--out", default=None, help="JSON output path "
                         "(default BENCH_<date>.json)")
     parser.add_argument("--report", default=None, help="also write a markdown summary")
-    parser.add_argument("--legacy-tables", nargs="?", const="experiment_tables.md",
-                        default=None, metavar="OUT_MD",
-                        help="regenerate the E1-E16 pytest tables instead")
     args = parser.parse_args()
     if args.workers is not None and args.workers < 0:
         parser.error("--workers must be >= 0")
-    if args.legacy_tables is not None:
-        return run_legacy_tables(Path(args.legacy_tables))
     return run_sweeps(args)
 
 

@@ -10,14 +10,15 @@ without the balance guarantee.
 Run:  python examples/coloring_pipeline.py
 """
 
-from repro import RoundLedger, random_regular_graph
+from repro import RoundLedger
 from repro.apps import coloring_via_splitting
+from repro.bipartite import configuration_model_regular
 from repro.coloring import is_proper_coloring
 
 
 def main() -> None:
     for n, d in ((300, 128), (400, 160), (500, 240)):
-        adj = random_regular_graph(n, d, seed=n)
+        adj = configuration_model_regular(n, d, seed=n)
         ledger = RoundLedger()
         result = coloring_via_splitting(adj, ledger=ledger, seed=n)
         assert is_proper_coloring(adj, result.colors)

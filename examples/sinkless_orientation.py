@@ -9,7 +9,8 @@ script runs that construction end to end and verifies no node is a sink.
 Run:  python examples/sinkless_orientation.py
 """
 
-from repro import random_regular_graph, solve_weak_splitting
+from repro import solve_weak_splitting
+from repro.bipartite import configuration_model_regular
 from repro.core import (
     deterministic_lower_bound_rounds,
     orientation_from_weak_splitting,
@@ -21,7 +22,7 @@ from repro.orientation import is_sinkless, sinks
 
 def main() -> None:
     n, d = 120, 8
-    adj = random_regular_graph(n, d, seed=7)
+    adj = configuration_model_regular(n, d, seed=7)
     print(f"source graph G: {n} nodes, {d}-regular")
 
     inst, edge_list = weak_splitting_instance_from_graph(adj)

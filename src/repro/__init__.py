@@ -12,9 +12,6 @@ Quickstart::
     inst = random_left_regular(n_left=500, n_right=500, d=24, seed=0)
     coloring = solve_weak_splitting(inst)
     assert is_weak_splitting(inst, coloring)
-
-See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
-per-theorem reproduction results.
 """
 
 from repro.bipartite import (
@@ -27,7 +24,6 @@ from repro.bipartite import (
     incidence_instance,
     random_left_regular,
     random_near_regular,
-    random_regular_graph,
     random_simple_graph,
     random_skewed,
     regular_bipartite,
@@ -80,7 +76,6 @@ __all__ = [
     "random_near_regular",
     "random_skewed",
     "random_simple_graph",
-    "random_regular_graph",
     "double_cover",
     "split_high_degree_left",
     "trim_left_degrees",

@@ -7,7 +7,6 @@ from repro.bipartite.generators import (
     powerlaw_bipartite,
     random_left_regular,
     random_near_regular,
-    random_regular_graph,
     random_simple_graph,
     random_skewed,
     random_sparse_graph,
@@ -42,7 +41,6 @@ __all__ = [
     "powerlaw_bipartite",
     "random_simple_graph",
     "random_sparse_graph",
-    "random_regular_graph",
     "configuration_model_regular",
     "grid_graph",
     "double_cover",

@@ -16,9 +16,10 @@ instances with controlled values of these parameters:
 * :func:`random_skewed` — a deliberately irregular instance (power-law-ish
   left degrees) used to exercise trimming (Lemma 2.2) and the virtual-node
   splitting of Section 2.4.
-* :func:`random_graph_instance` — Erdős–Rényi / random-regular *general*
-  graphs converted through the paper's doubling construction live in
-  :mod:`repro.bipartite.transforms`; here we only provide the raw samplers.
+* :func:`random_simple_graph`, :func:`random_sparse_graph`,
+  :func:`configuration_model_regular` and :func:`grid_graph` — *general*
+  graphs; :func:`repro.bipartite.transforms.double_cover` turns one into an
+  instance through the paper's doubling construction.
 
 Of the general-graph samplers, :func:`random_sparse_graph` builds the
 engine-scale inputs of the benchmarks and sweeps, so it runs as numpy array
@@ -35,8 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
-import random
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Set, Tuple
 
 import numpy as np
 
@@ -53,7 +53,6 @@ __all__ = [
     "powerlaw_bipartite",
     "random_simple_graph",
     "random_sparse_graph",
-    "random_regular_graph",
     "configuration_model_regular",
     "random_topology",
     "grid_graph",
@@ -367,9 +366,10 @@ def configuration_model_regular(n: int, d: int, seed: SeedLike = None) -> Adjace
     shuffled and paired consecutively; pairs forming a self-loop or parallel
     edge are thrown back and re-shuffled among themselves until every stub
     is matched (with a full restart if a re-shuffle makes no progress).
-    Unlike :func:`random_regular_graph` this needs no networkx and runs in
-    O(n·d) expected time, so it comfortably generates the n >= 10^4
-    instances the engine benchmarks and sweeps use.  Unlike
+    It runs in O(n·d) expected time at sparse degrees, so it comfortably
+    generates the n >= 10^4 instances the engine benchmarks and sweeps
+    use; at dense degrees (d near n/2) restarts make single seeds several
+    times slower than the median.  Unlike
     :func:`random_sparse_graph` it is not vectorized: ``rng.shuffle`` is
     most of its time and is sequential (see the module docstring).  The
     sorted rows are packed once into an :class:`~repro.local.network.Adjacency`.
@@ -411,7 +411,7 @@ def configuration_model_regular(n: int, d: int, seed: SeedLike = None) -> Adjace
             return Adjacency(adj)
     raise RuntimeError(
         f"configuration model failed to produce a simple {d}-regular graph "
-        f"on {n} nodes after 100 attempts; lower d or use random_regular_graph"
+        f"on {n} nodes after 100 attempts; lower d"
     )
 
 
@@ -429,20 +429,3 @@ def random_topology(topology: str, n: int, degree: int, seed: SeedLike = None) -
         return configuration_model_regular(n, degree, seed=seed)
     require(topology == "sparse", f"unknown random topology {topology!r}")
     return random_sparse_graph(n, float(degree), seed=seed)
-
-
-def random_regular_graph(n: int, d: int, seed: SeedLike = None) -> List[List[int]]:
-    """Random ``d``-regular simple graph via networkx's pairing model."""
-    import networkx as nx
-
-    require(n * d % 2 == 0, f"n*d must be even, got n={n}, d={d}")
-    require(0 <= d < n, f"need 0 <= d < n, got d={d}, n={n}")
-    rng = ensure_rng(seed)
-    g = nx.random_regular_graph(d, n, seed=rng.randrange(2**31))
-    adj: List[List[int]] = [[] for _ in range(n)]
-    for u, v in g.edges():
-        adj[u].append(v)
-        adj[v].append(u)
-    for lst in adj:
-        lst.sort()
-    return adj

@@ -34,16 +34,6 @@ __all__ = [
 ]
 
 
-def _adjacency(inst: BipartiteInstance) -> List[List[int]]:
-    """Unified adjacency list: left node u -> u, right node v -> n_left + v."""
-    n = inst.n_left + inst.n_right
-    adj: List[List[int]] = [[] for _ in range(n)]
-    for u, v in inst.edges:
-        adj[u].append(inst.n_left + v)
-        adj[inst.n_left + v].append(u)
-    return adj
-
-
 def _girth_of_adjacency(adj: Sequence[Sequence[int]]) -> Optional[int]:
     """Girth of a simple graph given as adjacency lists; None if acyclic.
 
@@ -77,7 +67,7 @@ def _girth_of_adjacency(adj: Sequence[Sequence[int]]) -> Optional[int]:
 def bipartite_girth(inst: BipartiteInstance) -> Optional[int]:
     """Girth of a (simple) bipartite instance; None if it is a forest."""
     require(inst.is_simple(), "girth is only defined for simple instances")
-    return _girth_of_adjacency(_adjacency(inst))
+    return _girth_of_adjacency(inst.adjacency())
 
 
 def graph_girth(adj: Sequence[Sequence[int]]) -> Optional[int]:
@@ -201,14 +191,14 @@ def high_girth_instance(
     randomness up to ``max_attempts`` times and raises ``RuntimeError`` if no
     attempt succeeds (which for ``n >> d`` is vanishingly unlikely).
     """
-    from repro.bipartite.generators import random_regular_graph
+    from repro.bipartite.generators import configuration_model_regular
 
     require(min_girth % 2 == 0, "bipartite girth is even; min_girth must be even")
     if min_delta is None:
         min_delta = max(1, d - 2)
     rng = ensure_rng(seed)
     for _ in range(max_attempts):
-        adj = random_regular_graph(n, d, seed=rng.randrange(2**31))
+        adj = configuration_model_regular(n, d, seed=rng.randrange(2**31))
         peeled = peel_short_cycles(adj, min_girth // 2, seed=rng.randrange(2**31))
         if min(len(nbrs) for nbrs in peeled) < min_delta:
             continue

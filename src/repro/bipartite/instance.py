@@ -264,16 +264,14 @@ class BipartiteInstance:
         return sub, left_map, right_map
 
     # --------------------------------------------------------------- exports
-    def to_networkx(self):
-        """Export to a :mod:`networkx` graph (left nodes ``("L", u)``, right ``("R", v)``)."""
-        import networkx as nx
-
-        g = nx.MultiGraph()
-        g.add_nodes_from(("L", u) for u in range(self.n_left))
-        g.add_nodes_from(("R", v) for v in range(self.n_right))
-        for eid, (u, v) in enumerate(self.edges):
-            g.add_edge(("L", u), ("R", v), key=eid)
-        return g
+    def adjacency(self) -> List[List[int]]:
+        """Both sides as one graph: left ``u`` -> node ``u``, right ``v`` ->
+        node ``n_left + v``; each row lists its edges in edge-id order."""
+        adj: List[List[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(self.n_left + v)
+            adj[self.n_left + v].append(u)
+        return adj
 
     def degree_histogram_left(self) -> Dict[int, int]:
         """Histogram ``degree -> count`` over ``U``."""

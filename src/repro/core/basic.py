@@ -34,15 +34,6 @@ from repro.local.ledger import RoundLedger
 __all__ = ["basic_weak_splitting"]
 
 
-def _bipartite_adjacency(inst: BipartiteInstance) -> List[List[int]]:
-    """Adjacency of B as one graph: left u -> u, right v -> n_left + v."""
-    adj: List[List[int]] = [[] for _ in range(inst.n_left + inst.n_right)]
-    for u, v in inst.edges:
-        adj[u].append(inst.n_left + v)
-        adj[inst.n_left + v].append(u)
-    return adj
-
-
 def processing_order(
     inst: BipartiteInstance, ledger: Optional[RoundLedger] = None
 ) -> Tuple[List[int], int]:
@@ -54,8 +45,7 @@ def processing_order(
     so they share no constraint node and may decide simultaneously — this is
     the [GHK17a, Prop. 3.2] schedule.
     """
-    adj = _bipartite_adjacency(inst)
-    colors, num_colors = distance_coloring(adj, 2, ledger=ledger, label="B^2-coloring")
+    colors, num_colors = distance_coloring(inst.adjacency(), 2, ledger=ledger, label="B^2-coloring")
     right_offset = inst.n_left
     order = sorted(
         range(inst.n_right), key=lambda v: (colors[right_offset + v], v)

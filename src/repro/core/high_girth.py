@@ -17,7 +17,7 @@ actual randomness plus verification-and-retry (Las Vegas) — the [GHK16]
 derandomization of the 4-radius checkable event family has no closed-form
 estimator, and the substitution preserves both the output guarantee (a
 residual with δ_H >= 6 r_H) and the round accounting, which we charge
-explicitly as the ``B⁴``-coloring + conversion cost.  See DESIGN.md §2.3.
+explicitly as the ``B⁴``-coloring + conversion cost.
 
 Theorem 5.3 (randomized, O(∆²r² + poly log(∆ r log n)) rounds): shattering,
 then Theorem 2.7 on each residual *component* (size poly(∆, r, log n)

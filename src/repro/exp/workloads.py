@@ -26,11 +26,10 @@ run them inline through the same entry points.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 from repro.apps.splitting import uniform_splitting
 from repro.bipartite.generators import grid_graph, powerlaw_bipartite, random_topology
-from repro.bipartite.instance import BipartiteInstance
 from repro.core.problems import UniformSplittingSpec
 from repro.core.verifiers import uniform_splitting_violations
 from repro.local import BACKENDS
@@ -55,7 +54,7 @@ TOPOLOGIES = ("sparse", "regular", "torus", "grid", "powerlaw")
 
 def build_topology(
     topology: str, n: int, degree: int, seed: int
-) -> List[List[int]]:
+) -> Sequence[Sequence[int]]:
     """Scenario graph by name; all run in O(m).
 
     ``sparse``  — Erdős–Rényi G(n, m) with average degree ``degree``;
@@ -74,12 +73,7 @@ def build_topology(
     inst = powerlaw_bipartite(
         n_left=n // 2, n_right=n - n // 2, dmin=2, dmax=max(2, degree), seed=seed
     )
-    return _bipartite_adjacency(inst)
-
-
-def _bipartite_adjacency(inst: BipartiteInstance) -> List[List[int]]:
-    """The communication graph of a bipartite instance (both sides)."""
-    return [list(nbrs) for nbrs in Network.from_bipartite(inst).adjacency]
+    return inst.adjacency()
 
 
 # Packed engines per scenario, per worker process.  A sweep touches a

@@ -2,7 +2,7 @@
 
 All constants hidden in the paper's O(·) notation are set to 1 here; the
 experiments check *shape* (scaling in the stated parameters), never absolute
-round counts, exactly as EXPERIMENTS.md documents.
+round counts.
 
 The formulas implemented:
 

@@ -6,9 +6,9 @@ implementation run genuinely inside the synchronous simulator
 the black-box substrates the paper itself imports, such as the [GHK+17b]
 degree-splitting routine of Theorem 2.3 or the [GHK17a] SLOCAL→LOCAL
 conversion — are executed by an equivalent centralized computation and their
-round cost is *charged analytically* using the cited theorem's formula (see
-DESIGN.md §2.3).  The :class:`RoundLedger` records both kinds of charges with
-labels, so experiments can report totals as well as per-phase breakdowns that
+round cost is *charged analytically* using the cited theorem's formula.  The
+:class:`RoundLedger` records both kinds of charges with labels, so
+experiments can report totals as well as per-phase breakdowns that
 mirror the paper's proofs (e.g. Theorem 2.5's ``O(r/δ·log²n)`` reduction cost
 versus its ``O(log³n (log log n)^1.1)`` splitting cost).
 """

@@ -208,11 +208,7 @@ class Network:
         node ``inst.n_left + v``.  Each bipartite edge is one communication
         link (one port on each side).
         """
-        adj: List[List[int]] = [[] for _ in range(inst.n_left + inst.n_right)]
-        for u, v in inst.edges:
-            adj[u].append(inst.n_left + v)
-            adj[inst.n_left + v].append(u)
-        return cls(adj, ids=ids)
+        return cls(inst.adjacency(), ids=ids)
 
 
 @dataclass

@@ -12,7 +12,7 @@ This module exposes that *interface* with two engines:
 * ``engine="eulerian"`` (default) — the Eulerian-partition orientation of
   :mod:`repro.orientation.eulerian`, which achieves discrepancy ≤ 1 ≤ ε·d+2
   for every ε, i.e. at least the black-box guarantee.  Rounds are charged
-  analytically per the theorem's formula (DESIGN.md §2.3).
+  analytically per the theorem's formula.
 * ``engine="random"`` — every edge flips an independent fair coin; a genuine
   0-round LOCAL algorithm whose discrepancy concentrates around
   ``Θ(√(d log n))`` and therefore does *not* meet ε·d+2 for small ε.  Kept

@@ -8,8 +8,8 @@ in-degree = out-degree at every node; removing the virtual edges changes the
 balance of each odd-degree node by exactly one.  Hence the returned
 orientation has discrepancy 0 at even-degree nodes and 1 at odd-degree nodes
 — at least as strong as the ``ε·d(v) + 2`` guarantee of Theorem 2.3 for any
-``ε ≥ 0``.  (See DESIGN.md §2.3 for why this engine stands in for the
-[GHK+17b] distributed routine and how its rounds are charged.)
+``ε ≥ 0``, so this engine stands in for the [GHK+17b] distributed routine;
+its rounds are charged by :mod:`repro.orientation.degree_splitting`.
 """
 
 from __future__ import annotations

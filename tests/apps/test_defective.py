@@ -9,7 +9,7 @@ from repro.apps import (
     min_constrained_degree,
 )
 from repro.bipartite import BLUE, RED
-from repro.bipartite.generators import random_regular_graph
+from repro.bipartite.generators import configuration_model_regular
 from repro.core import UniformSplittingSpec, is_uniform_splitting
 from tests.conftest import cycle_graph
 
@@ -45,7 +45,7 @@ class TestVerifier:
 
 class TestSolver:
     def test_valid_on_dense_graph(self):
-        adj = random_regular_graph(300, 140, seed=1)
+        adj = configuration_model_regular(300, 140, seed=1)
         eps = 0.2
         spec = UniformSplittingSpec(
             eps=eps, min_constrained_degree=min_constrained_degree(300, eps)
@@ -57,7 +57,7 @@ class TestSolver:
         """Constructive form of the footnote's 'weaker than' claim."""
         from repro.apps import uniform_splitting
 
-        adj = random_regular_graph(300, 140, seed=2)
+        adj = configuration_model_regular(300, 140, seed=2)
         eps = 0.2
         spec = UniformSplittingSpec(
             eps=eps, min_constrained_degree=min_constrained_degree(300, eps)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps import mis_via_splitting
-from repro.bipartite.generators import random_regular_graph, random_simple_graph
+from repro.bipartite.generators import configuration_model_regular, random_simple_graph
 from repro.mis import is_mis, mis_lower_bound
 from tests.conftest import cycle_graph, path_graph
 
@@ -39,7 +39,7 @@ class TestMisPipeline:
         assert {0, 3} <= res.mis
 
     def test_lemma_43_size_bound(self):
-        adj = random_regular_graph(200, 10, seed=10)
+        adj = configuration_model_regular(200, 10, seed=10)
         res = mis_via_splitting(adj, seed=11)
         assert len(res.mis) >= mis_lower_bound(200, 10)
 

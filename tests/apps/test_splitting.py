@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps import attach_clique_gadgets, min_constrained_degree, uniform_splitting
 from repro.bipartite import BLUE, RED
-from repro.bipartite.generators import random_regular_graph, random_simple_graph
+from repro.bipartite.generators import configuration_model_regular, random_simple_graph
 from repro.core import UniformSplittingSpec, is_uniform_splitting
 from repro.derand import DerandomizationError
 from repro.local import RoundLedger
@@ -12,7 +12,7 @@ from repro.local import RoundLedger
 
 @pytest.fixture(scope="module")
 def dense_graph():
-    return random_regular_graph(400, 160, seed=1)
+    return configuration_model_regular(400, 160, seed=1)
 
 
 def spec_for(adj, eps):

@@ -9,7 +9,6 @@ from repro.bipartite import (
     powerlaw_bipartite,
     random_left_regular,
     random_near_regular,
-    random_regular_graph,
     random_simple_graph,
     random_skewed,
     random_sparse_graph,
@@ -98,21 +97,6 @@ class TestGraphSamplers:
         full = random_simple_graph(10, 1.0, seed=1)
         assert all(len(x) == 9 for x in full)
 
-    def test_regular_graph_degrees(self):
-        adj = random_regular_graph(20, 4, seed=7)
-        assert all(len(x) == 4 for x in adj)
-
-    def test_regular_graph_rejects_odd_product(self):
-        with pytest.raises(ValueError):
-            random_regular_graph(5, 3, seed=1)
-
-    def test_regular_graph_sorted_and_simple(self):
-        adj = random_regular_graph(16, 3, seed=8)
-        for u, nbrs in enumerate(adj):
-            assert nbrs == sorted(nbrs)
-            assert len(set(nbrs)) == len(nbrs)
-            assert u not in nbrs
-
 
 class TestRandomSparseGraph:
     def test_edge_count_and_simplicity(self):
@@ -174,8 +158,8 @@ class TestGridGraph:
 
 class TestConfigurationModel:
     def test_regular_and_simple(self):
-        for d in (2, 3, 4, 8):
-            n = 40 if (40 * d) % 2 == 0 else 41
+        # (300, 140) is the dense regime (d >= 0.4 n) of the coloring inputs.
+        for n, d in ((40, 2), (40, 3), (40, 4), (40, 8), (300, 140)):
             adj = configuration_model_regular(n, d, seed=d)
             assert all(len(a) == d for a in adj)
             for u, nbrs in enumerate(adj):

@@ -10,7 +10,7 @@ from repro.bipartite import (
     incidence_instance,
     peel_short_cycles,
 )
-from repro.bipartite.generators import random_regular_graph
+from repro.bipartite.generators import configuration_model_regular
 from tests.conftest import cycle_graph, complete_graph
 
 
@@ -63,7 +63,7 @@ class TestIncidence:
         assert bipartite_girth(incidence_instance(adj)) == 10
 
     def test_left_degrees_match_graph(self):
-        adj = random_regular_graph(12, 3, seed=1)
+        adj = configuration_model_regular(12, 3, seed=1)
         inst = incidence_instance(adj)
         for v in range(12):
             assert inst.left_degree(v) == len(adj[v])

@@ -158,9 +158,9 @@ class TestComponents:
 
 
 class TestExports:
-    def test_to_networkx_counts(self):
-        g = tiny().to_networkx()
-        assert g.number_of_nodes() == 5 and g.number_of_edges() == 4
+    def test_adjacency_rows_follow_edge_ids(self):
+        inst = BipartiteInstance(2, 3, [(1, 2), (0, 1), (0, 0), (1, 1)])
+        assert inst.adjacency() == [[3, 2], [4, 3], [0], [0, 1], [1]]
 
     def test_repr_mentions_parameters(self):
         assert "delta=2" in repr(tiny())

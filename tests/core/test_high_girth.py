@@ -54,8 +54,8 @@ class TestHighGirthSplitting:
 
     def test_genuine_cyclic_girth_10_instance_solvable(self):
         """The incidence family has real length-10 cycles; its δ is far below
-        the Section 5 regime at laptop scale (see EXPERIMENTS.md E14), so we
-        verify the construction and solve it with the heuristic path."""
+        the Section 5 regime at laptop scale (E14 in benchmarks/bench_high_girth.py),
+        so we verify the construction and solve it with the heuristic path."""
         from repro.core import shatter, solve_weak_splitting
 
         inst = high_girth_instance(150, 4, seed=7, min_delta=2)

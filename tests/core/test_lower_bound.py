@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bipartite.generators import random_regular_graph
+from repro.bipartite.generators import configuration_model_regular
 from repro.core import (
     deterministic_lower_bound_rounds,
     is_weak_splitting,
@@ -17,7 +17,7 @@ from repro.orientation import is_sinkless
 
 @pytest.fixture(scope="module")
 def source_graph():
-    return random_regular_graph(60, 6, seed=1)
+    return configuration_model_regular(60, 6, seed=1)
 
 
 class TestConstruction:
@@ -70,7 +70,7 @@ class TestReductionSoundness:
 
     def test_many_seeds(self):
         for seed in range(3):
-            adj = random_regular_graph(40, 5, seed=seed + 10)
+            adj = configuration_model_regular(40, 5, seed=seed + 10)
             inst, edge_list = weak_splitting_instance_from_graph(adj)
             coloring = solve_weak_splitting(inst, method="heuristic", seed=42)
             orientation = orientation_from_weak_splitting(edge_list, coloring)

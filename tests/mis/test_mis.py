@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bipartite.generators import random_regular_graph, random_simple_graph
+from repro.bipartite.generators import configuration_model_regular, random_simple_graph
 from repro.local import RoundLedger
 from repro.mis import greedy_mis, is_mis, luby_mis, mis_lower_bound
 from tests.conftest import complete_graph, cycle_graph, path_graph
@@ -66,7 +66,7 @@ class TestLuby:
             assert is_mis(adj, mis)
 
     def test_rounds_logarithmic_in_practice(self):
-        adj = random_regular_graph(200, 8, seed=5)
+        adj = configuration_model_regular(200, 8, seed=5)
         _, rounds = luby_mis(adj, seed=6)
         assert rounds <= 40  # ~2 rounds per phase, O(log n) phases
 
@@ -87,7 +87,7 @@ class TestLowerBound:
         assert mis_lower_bound(100, 4) == 20
 
     def test_lemma_43_holds_for_luby(self):
-        adj = random_regular_graph(60, 5, seed=10)
+        adj = configuration_model_regular(60, 5, seed=10)
         mis, _ = luby_mis(adj, seed=11)
         assert len(mis) >= mis_lower_bound(60, 5)
 

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.bipartite.generators import random_regular_graph
+from repro.bipartite.generators import configuration_model_regular
 from repro.local.arcs import ArcCounts
 from repro.orientation import (
     greedy_sinkless_orientation,
@@ -103,7 +103,7 @@ class TestGreedyBaseline:
         assert is_sinkless(adj, ori)
 
     def test_regular_graph(self):
-        adj = random_regular_graph(30, 4, seed=2)
+        adj = configuration_model_regular(30, 4, seed=2)
         ori = greedy_sinkless_orientation(adj, seed=3)
         assert is_sinkless(adj, ori)
 
@@ -122,12 +122,12 @@ class TestTrialAndFix:
         assert rounds >= 2
 
     def test_regular_graph(self):
-        adj = random_regular_graph(24, 4, seed=5)
+        adj = configuration_model_regular(24, 4, seed=5)
         orientation, rounds = run_trial_and_fix(adj, seed=2)
         assert is_sinkless(adj, orientation)
 
     def test_higher_degree_converges_fast(self):
-        adj = random_regular_graph(30, 6, seed=6)
+        adj = configuration_model_regular(30, 6, seed=6)
         _, rounds = run_trial_and_fix(adj, seed=3)
         assert rounds <= 30
 
@@ -157,7 +157,7 @@ class TestTrialAndFix:
     def test_output_copies_as_an_arc_dict(self, method):
         # The output maps each arc to its copies, so dict() copies it arc by
         # arc, and the copy, edited one arc at a time, stays a valid input.
-        adj = random_regular_graph(24, 4, seed=5)
+        adj = configuration_model_regular(24, 4, seed=5)
         orientation, _ = run_trial_and_fix(adj, min_degree=2, seed=2, method=method)
         copy = dict(orientation)
         assert len(copy) == 48 and set(copy.values()) == {1}
@@ -171,7 +171,7 @@ class TestTrialAndFix:
     def test_output_is_a_read_only_arc_array(self, method):
         # The output wraps one (tail, head) row per edge copy, in slot order
         # on both methods; its mapping side is the Counter of those rows.
-        adj = random_regular_graph(24, 4, seed=5)
+        adj = configuration_model_regular(24, 4, seed=5)
         orientation, _ = run_trial_and_fix(adj, min_degree=2, seed=2, method=method)
         arcs = orientation.arcs
         assert isinstance(orientation, ArcCounts)
@@ -185,7 +185,7 @@ class TestTrialAndFix:
 
     @pytest.mark.parametrize("method", ["reference", "dense"])
     def test_output_survives_pickle(self, method):
-        adj = random_regular_graph(24, 4, seed=5)
+        adj = configuration_model_regular(24, 4, seed=5)
         orientation, _ = run_trial_and_fix(adj, min_degree=2, seed=2, method=method)
         copy = pickle.loads(pickle.dumps(orientation))
         assert isinstance(copy, ArcCounts) and copy == orientation
@@ -194,7 +194,7 @@ class TestTrialAndFix:
 
     @pytest.mark.parametrize("method", ["reference", "dense"])
     def test_verifiers_read_the_array_without_building_the_counter(self, method):
-        adj = random_regular_graph(24, 4, seed=5)
+        adj = configuration_model_regular(24, 4, seed=5)
         orientation, _ = run_trial_and_fix(adj, min_degree=2, seed=2, method=method)
         assert is_sinkless(adj, orientation, min_degree=2)
         assert sinks(adj, orientation, 2) == []
@@ -204,7 +204,7 @@ class TestTrialAndFix:
 
     @pytest.mark.parametrize("method", ["reference", "dense"])
     def test_bad_arcs_in_the_output_type_rejected(self, method):
-        adj = random_regular_graph(24, 4, seed=5)
+        adj = configuration_model_regular(24, 4, seed=5)
         orientation, _ = run_trial_and_fix(adj, min_degree=2, seed=2, method=method)
         arcs = orientation.arcs
         u, v = arcs[0].tolist()
@@ -236,6 +236,6 @@ class TestTrialAndFix:
 
     @pytest.mark.parametrize("method", ["reference", "dense"])
     def test_negative_round_cap_rejected(self, method):
-        adj = random_regular_graph(24, 4, seed=5)
+        adj = configuration_model_regular(24, 4, seed=5)
         with pytest.raises(ValueError, match="max_rounds must be >= 0"):
             run_trial_and_fix(adj, seed=2, max_rounds=-3, method=method)

@@ -14,12 +14,12 @@ from repro import (
     is_weak_splitting,
     orientation_from_weak_splitting,
     random_left_regular,
-    random_regular_graph,
     random_simple_graph,
     solve_weak_splitting,
     weak_splitting_instance_from_graph,
 )
 from repro.apps import coloring_via_splitting, mis_via_splitting
+from repro.bipartite import configuration_model_regular
 from repro.coloring import is_proper_coloring
 from repro.core import (
     boost_multicolor_splitting,
@@ -34,7 +34,7 @@ class TestGraphSplittingPipelines:
     def test_double_cover_weak_splitting_gives_both_colors_in_g(self):
         """Section 1.1: a weak splitting of the doubled instance is a
         red/blue partition of V_G where every node sees both colors."""
-        adj = random_regular_graph(200, 24, seed=1)
+        adj = configuration_model_regular(200, 24, seed=1)
         inst = double_cover(adj)
         coloring = solve_weak_splitting(inst, seed=2)
         for v in range(len(adj)):
@@ -43,7 +43,7 @@ class TestGraphSplittingPipelines:
 
     def test_lower_bound_chain(self):
         """Figure 1 end-to-end: G -> B -> weak splitting -> sinkless."""
-        adj = random_regular_graph(80, 8, seed=3)
+        adj = configuration_model_regular(80, 8, seed=3)
         inst, edge_list = weak_splitting_instance_from_graph(adj)
         coloring = solve_weak_splitting(inst, method="heuristic", seed=4)
         orientation = orientation_from_weak_splitting(edge_list, coloring)
@@ -68,7 +68,7 @@ class TestGraphSplittingPipelines:
 
 class TestApplications:
     def test_coloring_and_mis_share_splitter(self):
-        adj = random_regular_graph(300, 120, seed=7)
+        adj = configuration_model_regular(300, 120, seed=7)
         col = coloring_via_splitting(adj, seed=8)
         assert is_proper_coloring(adj, col.colors)
         mis_res = mis_via_splitting(adj, seed=9, eps=0.2)
