@@ -97,6 +97,27 @@ class TestGraphSamplers:
         full = random_simple_graph(10, 1.0, seed=1)
         assert all(len(x) == 9 for x in full)
 
+    def test_regular_graph_degrees(self):
+        adj = configuration_model_regular(20, 4, seed=7)
+        assert all(len(x) == 4 for x in adj)
+        assert sum(map(len, adj)) == 20 * 4
+        # The packed CSR arrays are the rows, slot for slot.
+        assert adj.offsets.tolist() == list(range(0, 84, 4))
+        assert adj.dst_node.tolist() == [v for row in adj for v in row]
+        assert configuration_model_regular(6, 0, seed=7) == ((),) * 6
+
+    def test_regular_graph_rejects_odd_product(self):
+        for n, d in ((5, 3), (7, 1), (9, 5)):
+            with pytest.raises(ValueError, match="must be even"):
+                configuration_model_regular(n, d, seed=1)
+
+    def test_regular_graph_sorted_and_simple(self):
+        # d = n - 1 leaves one simple graph, K_n: the densest case.
+        for n in (4, 7, 12):
+            adj = configuration_model_regular(n, n - 1, seed=8)
+            for u, nbrs in enumerate(adj):
+                assert list(nbrs) == [v for v in range(n) if v != u]
+
 
 class TestRandomSparseGraph:
     def test_edge_count_and_simplicity(self):
