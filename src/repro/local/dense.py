@@ -399,14 +399,24 @@ def sinkless_trial_dense(
       (quirky) semantics;
     * after each round >= 2 the harness-side probe checks the *extracted*
       orientation (lower endpoint's view wins, self-loops left out) and
-      stops when sink-free.
+      stops when sink-free;
+    * when that probe fails at round ``r``, no fault can land from round
+      ``r + 1`` on (``faults`` expired) and no live node is a sink in its
+      own view, the run is at a fixed point — nobody flips again — and
+      stops there with ``rounds = r`` and ``completed = False``
+      (:func:`~repro.orientation.sinkless.survivors_stalled`).  A dropped
+      or corrupted flip announcement can leave both endpoints of an edge
+      outward in their own views; the loser under the extraction rule is
+      then a sink in the probe's view only.  A fault-free run never gets
+      there: without lost flips a node's own outward slots are also
+      outward in the extracted view.
 
     Returns a :class:`DenseResult` with ``out`` (bool per CSR slot, True =
     outward in the owner's own view) and ``crashed`` (bool per node).
     Raises ``RuntimeError`` if no sink-free round occurs within
-    ``max_rounds``, matching the driver; ``strict=False`` instead returns
-    an incomplete result (the scenario runner's mode — under faults,
-    non-recovery is data).
+    ``max_rounds`` or before a fixed point, matching the driver;
+    ``strict=False`` instead returns an incomplete result (the scenario
+    runner's mode — under faults, non-recovery is data).
 
     ``faults`` (a :class:`~repro.scenarios.masks.DenseFaults`) mirrors the
     hooked reference in every round.  In the proposal round a crashed node
@@ -426,7 +436,9 @@ def sinkless_trial_dense(
 
     ``tracer`` records one round record per executed round; ``active`` is
     the surviving (non-crashed) node count, matching the hook-traced
-    reference where sinkless nodes never halt on their own.
+    reference where sinkless nodes never halt on their own.  A run that
+    stops at a fixed point adds one ``stalled`` event carrying its last
+    round.
     """
     require(min_degree >= 1, f"min_degree must be >= 1, got {min_degree}")
     require(max_rounds >= 0, f"max_rounds must be >= 0, got {max_rounds}")
@@ -518,6 +530,12 @@ def sinkless_trial_dense(
         # Send phase: sinks by their own view flip one uniformly random port
         # (crashed nodes are frozen: no draws, no flips).
         sink_idx = np.flatnonzero(live & (own_cnt == 0))
+        if faults is None and round_no > 2 and not sink_idx.shape[0]:
+            # Fixed point: the last probe failed, no fault can land and no
+            # node flips, so every later round would be a no-op.
+            if trace:
+                tracer.event("stalled", round=rounds)
+            break
         corrupt = None if faults is None else faults.corrupted_out(round_no)
         if corrupt is not None:
             # Byzantine fix round: every live node sends on every port

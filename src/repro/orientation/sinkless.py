@@ -22,8 +22,13 @@ of degree ``>= min_degree`` is a sink iff it is the tail of no arc.  The
 verifiers, contracts, repair probe, exact oracle and both executors apply
 this rule, with one exception in a node's own view: it tells its
 self-loops by its round-1 proposal coming back, so a loop whose
-self-delivery a fault dropped counts as outgoing when its coin says so,
-and a base run holding such a node can run to its round cap.
+self-delivery a fault dropped counts as outgoing when its coin says so.
+A lost flip announcement has the same effect: both endpoints of the edge
+count it as outgoing, and the extraction gives it to one of them.  A
+faulty base run holding such a node stops incomplete at its fixed point
+(:func:`survivors_stalled`: no fault can land and no node is a sink in
+its own view, so no node flips again) and leaves the node to the
+scenario runner's repair tail.
 
 Besides the verifier this module ships two constructive baselines:
 
@@ -63,6 +68,8 @@ __all__ = [
     "orientation_from_views",
     "slot_state_from_views",
     "survivors_sink_free",
+    "survivors_stalled",
+    "survivor_probe",
     "greedy_sinkless_orientation",
     "TrialAndFixSinkless",
     "run_trial_and_fix",
@@ -193,6 +200,17 @@ def greedy_sinkless_orientation(
     raise RuntimeError("greedy sinkless orientation did not converge")
 
 
+def _own_view_sink(view: NodeView, min_degree: int) -> bool:
+    """Whether a trial-and-fix node is a sink in its own view: degree >=
+    ``min_degree`` and no outward port other than its known self-loops."""
+    if view.degree < min_degree:
+        return False
+    out, loops = view.state["out"], view.state["loops"]
+    if loops:
+        out = {p: is_out for p, is_out in out.items() if p not in loops}
+    return not any(out.values())
+
+
 class TrialAndFixSinkless(LocalAlgorithm):
     """Randomized LOCAL algorithm: random orientation + per-round sink fixes.
 
@@ -213,14 +231,6 @@ class TrialAndFixSinkless(LocalAlgorithm):
         view.state["out"] = {}
         view.state["phase"] = "init"
 
-    def _is_sink(self, view: NodeView) -> bool:
-        if view.degree < self.min_degree:
-            return False
-        out, loops = view.state["out"], view.state["loops"]
-        if loops:
-            out = {p: is_out for p, is_out in out.items() if p not in loops}
-        return not any(out.values())
-
     def send(self, view: NodeView, round_no: int) -> Dict[int, object]:
         if round_no == 1:
             # Propose a random direction for every port; ties broken by uid.
@@ -228,7 +238,7 @@ class TrialAndFixSinkless(LocalAlgorithm):
             view.state["proposal"] = props
             return {p: ("prop", props[p], view.uid) for p in range(view.degree)}
         ok = ("ok", view.uid)
-        if view.degree > 0 and self._is_sink(view):
+        if view.degree > 0 and _own_view_sink(view, self.min_degree):
             p = view.rng.randrange(view.degree)
             view.state["out"][p] = True
             msgs: Dict[int, object] = {p: ("flip", view.uid)}
@@ -265,7 +275,7 @@ class TrialAndFixSinkless(LocalAlgorithm):
         for p, msg in inbox.items():
             if isinstance(msg, tuple) and msg[0] == "flip":
                 view.state["out"][p] = False  # neighbor took the edge outward
-        if not self._is_sink(view):
+        if not _own_view_sink(view, self.min_degree):
             view.output = dict(view.state["out"])
             # Halt only after a quiet round: a neighbor's future flip could
             # only *give* us an outgoing edge... but it can also *steal* one,
@@ -351,6 +361,50 @@ def survivors_sink_free(adj: Sequence[Sequence[int]], views, min_degree: int = 1
     """
     remaining = sinks(adj, orientation_from_views(adj, views), min_degree)
     return not any(not views[v].state.get("crashed") for v in remaining)
+
+
+def survivors_stalled(views, min_degree: int = 1) -> bool:
+    """Whether no uncrashed node is a sink in its own view.
+
+    Only own-view sinks flip, so once no fault can land any more such a
+    configuration is a fixed point of :class:`TrialAndFixSinkless`: every
+    later round is a no-op.  A run that fails :func:`survivors_sink_free`
+    there never completes (a lost flip left both endpoints of an edge
+    outward, and the extraction rule gave it to the other one).
+    """
+    return not any(
+        not view.state.get("crashed") and _own_view_sink(view, min_degree)
+        for view in views
+    )
+
+
+def survivor_probe(adj: Sequence[Sequence[int]], min_degree: int, expired,
+                   max_rounds: int, tracer=None):
+    """The stop rule of a faulty trial-and-fix run, as a
+    :func:`~repro.local.network.run_local` probe.
+
+    From round 2 on the run stops when :func:`survivors_sink_free` holds,
+    or, before its cap, at a fixed point: ``expired(round_no + 1)`` (no
+    fault can land from the next round on, e.g.
+    :meth:`~repro.scenarios.masks.DenseFaults.expired`) and
+    :func:`survivors_stalled`.  A stop at a fixed point emits one
+    ``stalled`` event on ``tracer``.  This is exactly the stop of
+    :func:`~repro.local.dense.sinkless_trial_dense`.
+    """
+    def probe(round_no: int, views) -> bool:
+        if round_no < 2:
+            return False
+        if survivors_sink_free(adj, views, min_degree):
+            return True
+        if round_no < max_rounds and expired(round_no + 1) and survivors_stalled(
+            views, min_degree
+        ):
+            if tracer is not None and tracer.enabled:
+                tracer.event("stalled", round=round_no)
+            return True
+        return False
+
+    return probe
 
 
 def slot_state_from_views(offsets: np.ndarray, views) -> Tuple[np.ndarray, np.ndarray]:

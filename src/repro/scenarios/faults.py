@@ -62,13 +62,25 @@ class CrashNodes(Perturbation):
             order = sorted(
                 range(n), key=lambda i: (-len(network.adjacency[i]), -network.ids[i])
             )
-            victims = order[:count]
+            victims = sorted(order[:count])
         else:
-            import numpy as np  # lazy, like the fault-coin kernels
-
             u = keyed_u01_array(fault_seed, "crash", network.uid_array)
-            victims = np.argsort(u, kind="stable")[:count].tolist()
-        return _BoundCrash(tuple(sorted(int(v) for v in victims)), self.at_round)
+            victims = lowest_coins(u, count).tolist()
+        return _BoundCrash(tuple(victims), self.at_round)
+
+
+def lowest_coins(u, count: int):
+    """Indices of the ``count`` (1 <= ``count`` <= ``len(u)``) smallest
+    entries of ``u``, ties broken by index, in ascending index order: the
+    set the first ``count`` entries of a stable argsort hold, found by one
+    ``np.partition`` threshold in O(n) instead of an O(n log n) sort."""
+    import numpy as np  # lazy, like the fault-coin kernels
+
+    threshold = np.partition(u, count - 1)[count - 1]
+    below = u < threshold
+    ties = np.flatnonzero(u == threshold)[: count - int(np.count_nonzero(below))]
+    below[ties] = True
+    return np.flatnonzero(below)
 
 
 class _BoundCrash(BoundPerturbation):

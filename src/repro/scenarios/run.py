@@ -54,6 +54,7 @@ from repro.obs.hooks import TracingHooks
 from repro.orientation.sinkless import (
     TrialAndFixSinkless,
     slot_state_from_views,
+    survivor_probe,
     survivors_sink_free,
 )
 from repro.scenarios.base import PerturbationHooks, bind_all, quiet_after, rewrite_all
@@ -131,8 +132,12 @@ def run_scenario(
     rewrites are still applied on top; such runs bypass the cell cache).
     ``seed`` drives both the algorithm's coins and the fault schedule;
     ``graph_seed`` only the topology.  ``max_rounds`` defaults
-    per pipeline: 10_000 (luby), 400 (sinkless — a run that has not
-    recovered by then is recorded as incomplete, which is data).
+    per pipeline: 10_000 (luby), 400 (sinkless).  A sinkless base run
+    ends at the first round with no surviving sink, at the cap, or
+    earlier at a fixed point: once no fault can land and no node is a
+    sink in its own view, no node flips again, so the run stops there
+    (one ``stalled`` trace event).  A run that ends at the cap or at a
+    fixed point is recorded as incomplete, which is data.
 
     ``tracer`` (a :class:`~repro.obs.trace.Tracer`; None by default) records
     one round record per executed round — via
@@ -319,18 +324,21 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, tracer=
         completed = result.completed
         rounds = result.rounds
     else:
+        from repro.scenarios.masks import DenseFaults
+
         hooks = PerturbationHooks(bound)
         if tracer is not None and tracer.enabled:
             hooks = TracingHooks(tracer, inner=hooks)
-
         # Stop when no *alive* node is a full-graph sink — the strongest
         # condition the algorithm can reach: crashes are silent, so a node
         # whose outgoing edge leads to a dead neighbor rightly believes it
-        # is done.  Residual surviving-subgraph sinks are recorded as
-        # violations below.  (This is exactly the dense kernel's probe.)
-        def probe(round_no: int, views) -> bool:
-            return round_no >= 2 and survivors_sink_free(adjacency, views, min_degree)
-
+        # is done — or at a fixed point.  Residual surviving-subgraph sinks
+        # are recorded as violations below.  (This is exactly the dense
+        # kernel's stop.)
+        probe = survivor_probe(
+            adjacency, min_degree, DenseFaults(engine, bound).expired, max_rounds,
+            tracer=tracer,
+        )
         result = run_local(
             network, TrialAndFixSinkless(min_degree=min_degree),
             max_rounds=max_rounds, seed=seed, hooks=hooks, probe=probe,
@@ -347,7 +355,7 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, tracer=
 
         pre = sinkless_violations(engine, out, crashed, min_degree)
         # Base-run cap only; the repair tail is REPAIR_ROUND_CAP-bounded
-        # (a base run livelocked by corrupted flips *needs* the tail).
+        # (a base run stalled by lost or corrupted flips *needs* the tail).
         rep = sinkless_repair(
             engine, DenseFaults(engine, bound), seed, out,
             crashed, min_degree, start_round=rounds + 1, tracer=tracer,

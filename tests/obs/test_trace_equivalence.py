@@ -16,23 +16,30 @@ from repro.obs import Tracer
 from repro.scenarios import CrashNodes, Scenario
 from repro.scenarios.run import run_scenario
 
-# One scenario per pipeline, plus a sinkless crash in the proposal round;
-# together they cover both backends and both trace-point styles (hooked
-# loop, dense kernel).
+# One scenario per pipeline, plus a sinkless crash in the proposal round
+# and a sinkless base run that stops at its fixed point; together they
+# cover both backends and both trace-point styles (hooked loop, dense
+# kernel).
 SINKLESS_ROUND_ONE_CRASH = Scenario(
     name="adhoc/sinkless-round-one-crash", pipeline="sinkless",
     perturbations=(CrashNodes(fraction=0.1, at_round=1),), topology="regular",
 )
-CASES = {sc if isinstance(sc, str) else sc.name: sc for sc in (
-    "luby/crash", "sinkless/crash", "splitting/drop-iid", SINKLESS_ROUND_ONE_CRASH,
-)}
+#: ``name -> (scenario, n, seed)``.  The stalled cell is a byzantine run
+#: whose corrupted flips leave sinks only the extracted orientation sees;
+#: it used to spin to its 400-round cap.
+CASES = {
+    "luby/crash": ("luby/crash", 200, 3),
+    "sinkless/crash": ("sinkless/crash", 200, 3),
+    "splitting/drop-iid": ("splitting/drop-iid", 200, 3),
+    SINKLESS_ROUND_ONE_CRASH.name: (SINKLESS_ROUND_ONE_CRASH, 200, 3),
+    "stalled/sinkless/byzantine": ("sinkless/byzantine", 600, 1),
+}
 
 
-def _traced_run(name, backend, seed=3):
+def _traced_run(name, backend):
+    scenario, n, seed = CASES[name]
     tracer = Tracer(backend=backend, scenario=name)
-    metrics = run_scenario(
-        CASES[name], n=200, seed=seed, backend=backend, tracer=tracer
-    )
+    metrics = run_scenario(scenario, n=n, seed=seed, backend=backend, tracer=tracer)
     return tracer, metrics
 
 
@@ -64,6 +71,30 @@ def test_traced_trajectories_agree_across_backends(name):
         assert summaries[other] == first, (
             f"{name}: trace mismatch between {backends[0]} and {other}"
         )
+
+
+def _stalled_rounds(tracer):
+    return [r["round"] for r in tracer.records if r["kind"] == "stalled"]
+
+
+def test_a_fixed_point_stop_emits_one_stalled_event_on_every_backend():
+    scenario, n, seed = CASES["stalled/sinkless/byzantine"]
+    for backend in BACKENDS:
+        tracer, metrics = _traced_run("stalled/sinkless/byzantine", backend)
+        last = metrics["rounds"]
+        assert _stalled_rounds(tracer) == [last], backend
+        assert metrics["completed"] == 0 and last < 400
+        # A run whose cap lands on its fixed point ends at the cap: no
+        # event.  One round more and it stops at the fixed point again.
+        for cap, stalled in ((last, []), (last + 1, [last])):
+            tracer = Tracer(backend=backend)
+            capped = run_scenario(scenario, n=n, seed=seed, backend=backend,
+                                  max_rounds=cap, tracer=tracer)
+            assert capped["rounds"] == last
+            assert _stalled_rounds(tracer) == stalled, (backend, cap)
+    for name in ("sinkless/crash", SINKLESS_ROUND_ONE_CRASH.name):
+        tracer, _ = _traced_run(name, "dense")
+        assert _stalled_rounds(tracer) == [], name
 
 
 def test_scenario_runner_emits_a_result_event():

@@ -1,5 +1,7 @@
 """Tests for sinkless orientation: verifier and baselines."""
 
+import hashlib
+import json
 import pickle
 import random
 from collections import Counter
@@ -114,7 +116,43 @@ class TestGreedyBaseline:
         )
 
 
+def fault_free_cases():
+    """``(adj, min_degree, seed, method)`` runs of the fault-free digest:
+    regular graphs of degree 3..5, and looped multigraphs on both methods."""
+    for n, d in ((60, 3), (400, 3), (2000, 4), (4000, 5)):
+        for seed in range(5):
+            for method in ("reference", "dense") if n <= 400 else ("dense",):
+                yield configuration_model_regular(n, d, seed=seed), 1, seed, method
+    for seed in range(12):
+        rng = random.Random(seed)
+        adj = cycle_graph(40)
+        for _ in range(40):
+            u, v = rng.randrange(40), rng.randrange(40)
+            adj[u].append(v)
+            if u != v:
+                adj[v].append(u)
+        for method in ("reference", "dense"):
+            yield adj, 2, seed, method
+
+
+#: SHA-256 of every :func:`fault_free_cases` run's rounds and arcs, recorded
+#: before base runs stopped at fixed points.
+FAULT_FREE_DIGEST = "6b5396d4d7b2027a6298283e919b4582476a6cc1ccbf04a781f83d5f22f92525"
+
+
 class TestTrialAndFix:
+    def test_fault_free_runs_match_the_pinned_digest(self):
+        # Without lost flips no run reaches a fixed point short of
+        # sink-free, so the fixed-point stop leaves every fault-free run,
+        # its rounds included, as it was.
+        digest = hashlib.sha256()
+        for adj, min_degree, seed, method in fault_free_cases():
+            orientation, rounds = run_trial_and_fix(
+                adj, min_degree=min_degree, seed=seed, max_rounds=400, method=method
+            )
+            digest.update(json.dumps([rounds, orientation.arcs.tolist()]).encode())
+        assert digest.hexdigest() == FAULT_FREE_DIGEST
+
     def test_cycle_terminates_sinkless(self):
         adj = cycle_graph(10)
         orientation, rounds = run_trial_and_fix(adj, seed=1)

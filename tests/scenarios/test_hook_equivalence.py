@@ -11,7 +11,7 @@ orientation and 0-round uniform splitting.
 
 Fixed-seed regressions pin the same agreement on larger random
 multigraphs and fault stacks than the property draws, and on the dense
-sinkless kernel's drop, corruption and round-cap paths.
+sinkless kernel's drop, corruption, round-cap and fixed-point paths.
 """
 
 import random
@@ -29,6 +29,7 @@ from repro.mis.luby import LubyMIS
 from repro.orientation.sinkless import (
     TrialAndFixSinkless,
     slot_state_from_views,
+    survivor_probe,
     survivors_sink_free,
 )
 from repro.scenarios import (
@@ -135,19 +136,16 @@ def check_luby(net, seed, stack, max_rounds):
     return ref
 
 
-def survivor_probe(adj):
-    """The survivor-aware stop of the dense kernel and the scenario runner."""
-    def probe(round_no, views):
-        return round_no >= 2 and survivors_sink_free(adj, views, SINKLESS_MIN_DEGREE)
-    return probe
-
-
 def check_probe_only_observes(net, seed, stack, max_rounds):
     """A probe-stopped sinkless run ends in the states of the run capped at
-    its stopping round: the probe observes and never changes a run."""
+    its stopping round: the probe observes and never changes a run.  The
+    probe is the scenario runner's survivor-aware stop, fixed points
+    included (:func:`survivor_probe`), the stop of the dense kernel."""
     algo = TrialAndFixSinkless(min_degree=SINKLESS_MIN_DEGREE)
+    probe = survivor_probe(net.adjacency, SINKLESS_MIN_DEGREE,
+                           faults(CSREngine(net), stack, seed).expired, max_rounds)
     ref = run_local(net, algo, max_rounds=max_rounds, seed=seed,
-                    hooks=hooks(stack, net, seed), probe=survivor_probe(net.adjacency))
+                    hooks=hooks(stack, net, seed), probe=probe)
     capped = run_local(net, algo, max_rounds=ref.rounds, seed=seed,
                        hooks=hooks(stack, net, seed))
     assert_same_run(ref, capped)
@@ -168,6 +166,7 @@ def check_sinkless(net, seed, stack, max_rounds):
         adj, ref.views, SINKLESS_MIN_DEGREE))
     assert np.array_equal(dense.out, out)
     assert np.array_equal(dense.crashed, dead)
+    return dense
 
 
 def check_splitting(net, seed, stack):
@@ -356,6 +355,20 @@ class TestDenseUnderFaults:
         for _ in range(8):
             check_sinkless(simple_sparse_network(rng), rng.randrange(10_000), perts,
                            max_rounds)
+
+    def test_sinkless_stops_at_a_fixed_point(self):
+        # A bounded drop window leaves lost flips behind: many runs reach a
+        # fixed point short of the sink-free probe, and both backends stop
+        # there at the same round, far below the cap.
+        perts = (IIDMessageDrop(p=0.3, from_round=2, until_round=4),)
+        rng = random.Random(7)
+        stalled = 0
+        for _ in range(40):
+            dense = check_sinkless(simple_sparse_network(rng), rng.randrange(10_000),
+                                   perts, max_rounds=60)
+            stalled += not dense.completed
+            assert dense.completed or dense.rounds < 60
+        assert stalled >= 5
 
     def test_splitting_crash_and_drop(self):
         rng = random.Random(83)

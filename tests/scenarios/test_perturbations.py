@@ -1,5 +1,6 @@
 """Unit tests for the perturbation vocabulary and the contract helpers."""
 
+import numpy as np
 import pytest
 
 from repro.bipartite.instance import BLUE, RED
@@ -22,6 +23,7 @@ from repro.scenarios import (
     splitting_violations,
     surviving_sinks,
 )
+from repro.scenarios.faults import lowest_coins
 from repro.utils.rng import NODE_COINS, keyed_u01
 from tests.conftest import cycle_graph
 
@@ -74,8 +76,8 @@ class TestCrashNodes:
             CrashNodes(select="typo")
 
     def test_selection_takes_the_lowest_crash_coins(self):
-        # The vectorized bind stable-sorts the nodes by their scalar
-        # keyed crash coin and takes the first `count`.
+        # The vectorized bind takes the `count` nodes with the lowest
+        # scalar keyed crash coins.
         net = Network(cycle_graph(40))
         bound = CrashNodes(fraction=0.25, at_round=1).bind(net, fault_seed=9)
         order = sorted(range(net.n), key=lambda i: keyed_u01(9, "crash", net.ids[i]))
@@ -89,6 +91,17 @@ class TestCrashNodes:
         assert first.crashes(1) == again.crashes(1)
         assert len(first.crashes(1)) == 10
         assert first.crashes(1) != other_seed.crashes(1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lowest_coins_equals_the_stable_argsort_oracle(self, seed):
+        # Forced ties at the threshold: coins drawn from a few values, so
+        # the stable argsort's index order decides which tied nodes go in.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        for u in (rng.random(n), rng.integers(0, 4, n) / 4.0, np.full(n, 0.5)):
+            for count in {1, n, int(rng.integers(1, n + 1)), max(1, n // 20)}:
+                oracle = np.sort(np.argsort(u, kind="stable")[:count])
+                assert np.array_equal(lowest_coins(u, count), oracle)
 
     def test_zero_fraction_skips_selection(self):
         net = Network(cycle_graph(6))

@@ -228,6 +228,18 @@ class TestRunScenarioRecover:
                            recover=True)
         assert deterministic(ref) == deterministic(den)
 
+    @pytest.mark.parametrize("name", ["sinkless/crash", "sinkless/byzantine"])
+    def test_sinkless_base_and_repair_take_few_rounds(self, name):
+        # Lost flips leave sinks only the extracted orientation sees; the
+        # base run stops at its fixed point instead of spinning to the
+        # 400-round cap, and the repair tail clears them.  One graph seed
+        # per size keeps the cells cached across trial seeds.
+        for n in (4_000, 16_000):
+            for seed in range(1, 6):
+                m = run_scenario(name, n=n, seed=seed, graph_seed=1, recover=True)
+                assert m["rounds"] <= 60, (name, n, seed, m["rounds"])
+                assert m["recovered"] == 1 and m["violations"] == 0, (name, n, seed)
+
     def test_splitting_counts_the_entry_contract_once(self, monkeypatch):
         # The repair reuses the runner's violations_before_recovery count:
         # one count before, one probe per two-round phase, one final count.

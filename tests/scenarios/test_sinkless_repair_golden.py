@@ -5,7 +5,9 @@ trial: its metrics without timing fields, plus a SHA-256 digest of the
 returned orientation arcs and alive flags.  The pins were recorded before
 the repair tail switched to incremental counts, so any drift in the
 repair's rounds, coins, fault handling or pre-repair accounting shows up
-here as a changed metric or digest.
+here as a changed metric or digest.  The 19 cases whose base runs spun
+to the 400-round cap were re-recorded when base runs began to stop at
+their fixed points: same base end state, earlier start of the repair.
 
 Regenerate (only when a result change is intended) with::
 
