@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import gc
 import time
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 __all__ = ["emit_table", "attach_rows", "best_of"]
 

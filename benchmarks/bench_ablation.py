@@ -7,8 +7,6 @@ violates the ε·d + 2 guarantee the Section 2 reductions consume, and
 degrades the degree–rank reduction trajectories.
 """
 
-import pytest
-
 from repro.bipartite import random_left_regular
 from repro.core import degree_rank_reduction_one
 from repro.orientation import Multigraph, directed_degree_splitting

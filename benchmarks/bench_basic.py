@@ -8,8 +8,6 @@ Paper claims:
   untrimmed instance.
 """
 
-import pytest
-
 from repro.bipartite import random_left_regular
 from repro.core import basic_weak_splitting, is_weak_splitting, trimmed_weak_splitting
 from repro.local import RoundLedger

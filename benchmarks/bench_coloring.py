@@ -6,8 +6,6 @@ from above as ∆ grows (whereas naive disjoint palettes without balance
 would pay a constant factor).
 """
 
-import pytest
-
 from repro.apps import coloring_via_splitting
 from repro.bipartite import configuration_model_regular
 from repro.coloring import is_proper_coloring

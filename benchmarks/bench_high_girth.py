@@ -9,10 +9,6 @@ instances with large δ exceed laptop scale) and validate the cyclic
 incidence construction separately.
 """
 
-import math
-
-import pytest
-
 from repro.bipartite import bipartite_girth, high_girth_instance, tree_instance
 from repro.core import (
     high_girth_weak_splitting,

@@ -5,8 +5,6 @@ deterministically and poly log log n randomized, by driving the rank down
 to 1 with Reduction II while the minimum degree stays >= 2.
 """
 
-import pytest
-
 from repro.bipartite import regular_bipartite
 from repro.core import is_weak_splitting, low_rank_weak_splitting
 from repro.core.reduction import degree_rank_reduction_two

@@ -6,8 +6,6 @@ to a sinkless orientation of G.  The round formulas Ω(log_∆ log n)
 (randomized) and Ω(log_∆ n) (deterministic) are tabulated for context.
 """
 
-import pytest
-
 from repro.bipartite import configuration_model_regular
 from repro.core import (
     deterministic_lower_bound_rounds,

@@ -6,8 +6,6 @@ count decays phase over phase; Luby on the reduced G* runs on degrees
 O(log n).
 """
 
-import pytest
-
 from repro.apps import mis_via_splitting
 from repro.bipartite import random_simple_graph
 from repro.mis import is_mis, luby_mis, mis_lower_bound

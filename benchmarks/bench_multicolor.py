@@ -10,8 +10,6 @@ Paper claims:
 
 import math
 
-import pytest
-
 from repro.bipartite import random_left_regular
 from repro.core import (
     boost_multicolor_splitting,

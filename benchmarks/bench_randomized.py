@@ -8,8 +8,6 @@ a valid weak splitting w.h.p.  Rounds: O(1) shattering + max component cost.
 
 import math
 
-import pytest
-
 from repro.bipartite import random_left_regular, split_high_degree_left
 from repro.core import is_weak_splitting, randomized_weak_splitting, shatter
 from repro.local import RoundLedger

@@ -7,8 +7,6 @@ Paper claims:
   iterations, and never destroys a variable's last edge.
 """
 
-import pytest
-
 from repro.bipartite import random_left_regular, regular_bipartite
 from repro.core import (
     degree_rank_reduction_one,

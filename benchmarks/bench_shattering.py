@@ -7,8 +7,6 @@ log of the empirical unsatisfied rate should fall roughly linearly in ∆.
 
 import math
 
-import pytest
-
 from repro.bipartite import random_left_regular
 from repro.core import shatter, unsatisfied_probability_estimate
 

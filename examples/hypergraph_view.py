@@ -15,7 +15,7 @@ Run:  python examples/hypergraph_view.py
 
 import random
 
-from repro import BLUE, RED, solve_weak_splitting
+from repro import RED, solve_weak_splitting
 from repro.bipartite import Hypergraph
 from repro.core import is_weak_splitting
 

@@ -28,15 +28,13 @@ machinery actually engages.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.bipartite.instance import BLUE, RED
+from repro.bipartite.instance import RED
 from repro.apps.splitting import min_constrained_degree, uniform_splitting
 from repro.core.problems import UniformSplittingSpec
 from repro.local.ledger import RoundLedger
-from repro.mis.greedy import greedy_mis
 from repro.mis.luby import is_mis, luby_mis
 from repro.utils.mathx import log2
 from repro.utils.rng import SeedLike, ensure_rng

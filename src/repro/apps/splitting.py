@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bipartite.instance import BLUE, RED, BipartiteInstance
 from repro.core.basic import processing_order
 from repro.core.problems import UniformSplittingSpec
-from repro.derand.conditional import DerandomizationError, greedy_minimize
+from repro.derand.conditional import greedy_minimize
 from repro.derand.estimators import ColoringEstimator
 from repro.local.complexity import slocal_conversion_rounds
 from repro.local.engine import CSREngine

@@ -13,7 +13,6 @@ from repro.bipartite.generators import (
     regular_bipartite,
 )
 from repro.bipartite.transforms import (
-    coloring_to_vertex_partition,
     double_cover,
     split_high_degree_left,
     trim_left_degrees,
@@ -44,7 +43,6 @@ __all__ = [
     "configuration_model_regular",
     "grid_graph",
     "double_cover",
-    "coloring_to_vertex_partition",
     "split_high_degree_left",
     "trim_left_degrees",
     "bipartite_girth",

@@ -14,7 +14,7 @@ the paper surveys) can build instances naturally.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.bipartite.instance import BipartiteInstance
 from repro.utils.validation import require

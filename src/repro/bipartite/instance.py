@@ -26,7 +26,7 @@ under adding edges back, Lemma 2.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.utils.validation import require

@@ -27,14 +27,13 @@ Three constructions recur throughout the paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.bipartite.instance import BipartiteInstance, Coloring
+from repro.bipartite.instance import BipartiteInstance
 from repro.utils.validation import require
 
 __all__ = [
     "double_cover",
-    "coloring_to_vertex_partition",
     "split_high_degree_left",
     "trim_left_degrees",
 ]
@@ -49,8 +48,9 @@ def double_cover(adj: Sequence[Sequence[int]]) -> BipartiteInstance:
     the two bipartite edges ``uL — vR`` and ``vL — uR``.
 
     Weak splittings of the result correspond to red/blue partitions of
-    ``V_G`` in which every node sees both colors in its G-neighborhood; use
-    :func:`coloring_to_vertex_partition` to read the partition off.
+    ``V_G`` in which every node sees both colors in its G-neighborhood:
+    right node ``v`` *is* graph node ``v``, so the right-side coloring is
+    the partition.
     """
     n = len(adj)
     edges: List[Tuple[int, int]] = []
@@ -58,16 +58,6 @@ def double_cover(adj: Sequence[Sequence[int]]) -> BipartiteInstance:
         for v in adj[u]:
             edges.append((u, v))  # uL — vR  (and v's list contributes vL — uR)
     return BipartiteInstance(n, n, edges)
-
-
-def coloring_to_vertex_partition(coloring: Coloring) -> List[Optional[int]]:
-    """Interpret a right-side coloring of a doubled instance on ``V_G``.
-
-    In the doubling construction right node ``v`` *is* graph node ``v``, so
-    this is the identity; the function exists to make call sites
-    self-documenting.
-    """
-    return list(coloring)
 
 
 def split_high_degree_left(

@@ -17,7 +17,7 @@ Algorithm (following the proof verbatim):
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.bipartite.instance import BipartiteInstance, Coloring
 from repro.core.problems import (

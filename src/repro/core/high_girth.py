@@ -26,10 +26,9 @@ w.h.p.) in parallel.
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.bipartite.instance import BLUE, RED, BipartiteInstance, Coloring
+from repro.bipartite.instance import RED, BipartiteInstance, Coloring
 from repro.core.low_rank import low_rank_weak_splitting
 from repro.core.shattering import ShatteringOutcome, shatter
 from repro.core.verifiers import is_weak_splitting

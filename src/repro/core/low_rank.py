@@ -23,7 +23,6 @@ proof's case analysis.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional
 
 from repro.bipartite.instance import BLUE, RED, BipartiteInstance, Coloring

@@ -28,15 +28,12 @@ implemented:
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.bipartite.instance import BipartiteInstance, Coloring
 from repro.core.basic import basic_weak_splitting
-from repro.core.problems import (
-    multicolor_threshold,
-    weak_multicolor_required_colors,
-)
-from repro.derand.conditional import DerandomizationError, greedy_minimize
+from repro.core.problems import weak_multicolor_required_colors
+from repro.derand.conditional import greedy_minimize
 from repro.derand.estimators import MissingColorEstimator, OverloadEstimator
 from repro.local.complexity import slocal_conversion_rounds
 from repro.local.ledger import RoundLedger

@@ -36,7 +36,6 @@ __all__ = [
     "weak_multicolor_required_colors",
     "multicolor_threshold",
     "randomized_min_degree",
-    "high_girth_min_degree",
     "UniformSplittingSpec",
 ]
 
@@ -85,12 +84,6 @@ def randomized_min_degree(r: int, n: int, c: float = 1.0) -> float:
     """Theorem 1.2 precondition: δ >= c · log(r log n)."""
     require(n >= 2 and r >= 1, "need n >= 2 and r >= 1")
     return c * log2(max(2.0, r * log2(n)))
-
-
-def high_girth_min_degree(n: int, c: float = 2.0) -> float:
-    """Theorem 5.2 precondition: δ >= c · √(ln n)."""
-    require(n >= 2, f"n must be >= 2, got {n}")
-    return c * math.sqrt(ln(n))
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,7 @@ then exhaustive search for tiny components — the result is still always a
 from __future__ import annotations
 
 import itertools
-import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.bipartite.instance import BLUE, RED, BipartiteInstance, Coloring
 from repro.bipartite.transforms import split_high_degree_left
@@ -37,8 +36,6 @@ from repro.core.problems import weak_splitting_min_degree
 from repro.core.shattering import ShatteringOutcome, shatter
 from repro.core.verifiers import is_weak_splitting, weak_splitting_violations
 from repro.derand.conditional import DerandomizationError
-from repro.derand.estimators import WeakSplittingEstimator
-from repro.derand.conditional import greedy_minimize
 from repro.local.ledger import RoundLedger
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import require

@@ -24,7 +24,7 @@ this module and asserted in tests:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.bipartite.instance import BLUE, RED, BipartiteInstance, Coloring
 from repro.local.ledger import RoundLedger

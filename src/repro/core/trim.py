@@ -18,7 +18,6 @@ from repro.core.basic import basic_weak_splitting
 from repro.core.problems import weak_splitting_min_degree
 from repro.derand.conditional import DerandomizationError
 from repro.local.ledger import RoundLedger
-from repro.utils.mathx import log2
 
 __all__ = ["trimmed_weak_splitting"]
 

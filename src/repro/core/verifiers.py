@@ -10,7 +10,6 @@ where a solution fails; boolean wrappers are provided for convenience.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence, Set
 
 import numpy as np

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.bipartite.instance import BipartiteInstance, Coloring
+from repro.bipartite.instance import Coloring
 from repro.derand.estimators import ColoringEstimator
 from repro.utils.validation import require
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.bipartite.instance import BLUE, RED, BipartiteInstance
 from repro.utils.validation import require, require_positive

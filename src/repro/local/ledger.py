@@ -15,7 +15,7 @@ versus its ``O(log³n (log log n)^1.1)`` splitting cost).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 __all__ = ["Charge", "RoundLedger"]

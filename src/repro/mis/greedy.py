@@ -7,7 +7,7 @@ analysis and checked by the property tests.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import Optional, Sequence, Set
 
 from repro.utils.validation import require
 

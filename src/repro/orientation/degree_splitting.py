@@ -23,7 +23,7 @@ This module exposes that *interface* with two engines:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.local.complexity import degree_splitting_rounds
 from repro.local.ledger import RoundLedger

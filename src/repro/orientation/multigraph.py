@@ -14,7 +14,7 @@ regardless of orientation, hence never affect discrepancy).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.utils.validation import require
 

@@ -22,7 +22,9 @@ Vocabulary:
 :func:`run_scenario` is the one driver of faulty runs: it binds the stack
 to the trial seed (per attempt for splitting) and runs the pipeline on
 the chosen backend; the pipeline drivers in :mod:`repro.mis`,
-:mod:`repro.orientation` and :mod:`repro.apps` take no faults.  An ad-hoc
+:mod:`repro.orientation` and :mod:`repro.apps` take no faults.  Both
+backends end in the same per-node end-state arrays, which the contracts
+(:mod:`repro.scenarios.contracts`) judge as arrays.  An ad-hoc
 :class:`Scenario` runs any stack on any graph via ``adjacency=``.
 
 Recovery: ``run_scenario(..., recover=True)`` appends the self-stabilizing
@@ -51,7 +53,6 @@ from repro.scenarios.byzantine import (
     corrupt_payload,
 )
 from repro.scenarios.contracts import (
-    alive_mask,
     mis_violations,
     orientation_from_views,
     splitting_violations,
@@ -104,7 +105,6 @@ __all__ = [
     "PortScramble",
     "MultiEdgeLift",
     # contracts
-    "alive_mask",
     "mis_violations",
     "surviving_sinks",
     "splitting_violations",

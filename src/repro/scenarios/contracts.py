@@ -37,7 +37,6 @@ from repro.orientation.sinkless import GraphOrientation, _arcs, orientation_from
 from repro.utils.validation import require, require_nodes
 
 __all__ = [
-    "alive_mask",
     "edge_ok_slot_mask",
     "orientation_from_views",
     "mis_violations",
@@ -47,11 +46,6 @@ __all__ = [
 
 Graph = Union[Sequence[Sequence[int]], Network]
 EdgeOk = Optional[np.ndarray]
-
-
-def alive_mask(views) -> List[bool]:
-    """Per-node survival flags from simulator views (crash marker unset)."""
-    return [not v.state.get("crashed") for v in views]
 
 
 def _edge_mask(edge_ok: EdgeOk, owner: np.ndarray):
@@ -102,13 +96,14 @@ def _alive_array(alive: Optional[Sequence[bool]], n: int) -> np.ndarray:
 
 def mis_violations(
     adjacency: Graph,
-    mis: Set[int],
+    mis: Union[Set[int], np.ndarray],
     alive: Optional[Sequence[bool]] = None,
     edge_ok: EdgeOk = None,
 ) -> Tuple[int, int]:
     """MIS defects on the surviving graph.
 
-    Returns ``(independence, domination)``: the number of surviving edges
+    ``mis`` is a set of node ids or a bool node mask.  Returns
+    ``(independence, domination)``: the number of surviving edges
     with both endpoints in the MIS, and the number of alive non-MIS nodes
     with no alive MIS neighbor over a surviving edge (isolated alive nodes
     outside the MIS count — they are undominated).  Independence counts a
@@ -118,10 +113,14 @@ def mis_violations(
     offsets, owner, dst = csr_arrays(adjacency)
     n = offsets.shape[0] - 1
     alive = _alive_array(alive, n)
-    ids = np.fromiter(mis, dtype=np.int64, count=len(mis))
-    require_nodes(ids, n, "MIS node")
-    in_mis = np.zeros(n, dtype=bool)
-    in_mis[ids] = True
+    if isinstance(mis, np.ndarray) and mis.dtype == bool:
+        require(mis.shape == (n,), "an MIS mask must have one entry per node")
+        in_mis = mis
+    else:
+        ids = np.fromiter(mis, dtype=np.int64, count=len(mis))
+        require_nodes(ids, n, "MIS node")
+        in_mis = np.zeros(n, dtype=bool)
+        in_mis[ids] = True
     to_mis = _live_slots(offsets, owner, dst, alive, edge_ok) & in_mis[dst]
     independence = np.count_nonzero(to_mis & in_mis[owner] & (owner < dst))
     dominated = in_mis | (np.bincount(owner[to_mis], minlength=n) > 0)

@@ -20,9 +20,11 @@ call per round over the flat per-slot key arrays (:func:`edge_key_triples`).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.local.network import Network
+import numpy as np
+
+from repro.local.network import Network, csr_arrays
 from repro.scenarios.base import BoundPerturbation, Perturbation
 from repro.utils.rng import keyed_u01, keyed_u01_array
 from repro.utils.validation import require
@@ -30,33 +32,25 @@ from repro.utils.validation import require
 __all__ = ["edge_key_triples", "EdgeChurn", "LateEdges", "DropEdges"]
 
 
-def edge_key_triples(network: Network) -> Tuple[list, list, list, list]:
+def edge_key_triples(network: Network) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Integer canonical edge keys, flattened per CSR slot.
 
-    Returns ``(offsets, lo, hi, k)`` python lists where slot
+    Returns ``(offsets, lo, hi, k)`` int64 arrays where slot
     ``offsets[i] + p`` holds the ``(min uid, max uid, occurrence)`` triple
     of the edge behind node ``i``'s port ``p``: the k-th ``j`` in
     ``adjacency[i]`` pairs with the k-th ``i`` in ``adjacency[j]``, so both
     endpoints derive the same triple, ready to feed the vectorized
-    :func:`~repro.utils.rng.keyed_u01_array` mask kernel.
+    :func:`~repro.utils.rng.keyed_u01_array` mask kernel.  ``k`` is each
+    slot's rank among the slots of the same ``(owner, dst)`` pair.
     """
-    adjacency = network.adjacency
-    ids = network.ids
-    offsets = [0] * (len(adjacency) + 1)
-    lo_col: List[int] = []
-    hi_col: List[int] = []
-    k_col: List[int] = []
-    occurrence: dict = {}
-    for i, nbrs in enumerate(adjacency):
-        offsets[i + 1] = offsets[i] + len(nbrs)
-        for j in nbrs:
-            k = occurrence.get((i, j), 0)
-            occurrence[(i, j)] = k + 1
-            lo, hi = (ids[i], ids[j]) if ids[i] <= ids[j] else (ids[j], ids[i])
-            lo_col.append(lo)
-            hi_col.append(hi)
-            k_col.append(k)
-    return offsets, lo_col, hi_col, k_col
+    offsets, owner, dst = csr_arrays(network)
+    key = owner * network.n + dst
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    k = np.empty_like(key)
+    k[order] = np.arange(key.shape[0]) - np.searchsorted(key, key)
+    u, v = network.uid_array[owner], network.uid_array[dst]
+    return offsets, np.minimum(u, v), np.maximum(u, v), k
 
 
 class _EdgeKeyed(BoundPerturbation):
@@ -66,18 +60,11 @@ class _EdgeKeyed(BoundPerturbation):
     drops_messages = True
 
     def __init__(self, network: Network):
-        import numpy as np
-
-        offsets, lo, hi, k = edge_key_triples(network)
-        self._offsets = offsets
-        self._lo = np.asarray(lo, dtype=np.int64)
-        self._hi = np.asarray(hi, dtype=np.int64)
-        self._k = np.asarray(k, dtype=np.int64)
-        self._offsets_arr = np.asarray(offsets, dtype=np.int64)
+        self._offsets, self._lo, self._hi, self._k = edge_key_triples(network)
 
     def _slots(self, senders, ports):
         """Flat slot indices for parallel (sender, port) arrays."""
-        return self._offsets_arr[senders] + ports
+        return self._offsets[senders] + ports
 
     def _edge_u01(self, label: str, senders, ports, *round_key):
         """Per-slot edge-keyed uniforms for the given round key, vectorized."""

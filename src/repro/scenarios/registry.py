@@ -17,7 +17,7 @@ Fault scenarios instead *record* violation counts as resilience metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.scenarios.adversary import AdversarialIDs, MultiEdgeLift, PortScramble
 from repro.scenarios.base import Perturbation
@@ -47,7 +47,6 @@ class Scenario:
     perturbations: Tuple[Perturbation, ...]
     description: str = ""
     topology: str = "sparse"  #: default graph family ("sparse" | "regular")
-    degree: Optional[int] = None  #: default degree (None = pipeline default)
     min_degree: int = 2  #: sinkless accountability threshold
     eps: float = 0.25  #: splitting spec epsilon
     strict: bool = False  #: require zero violations (adversarial, fault-free)

@@ -27,9 +27,14 @@ cache: the built network and its :class:`~repro.local.engine.CSREngine`
 for one ``(scenario, n, degree, graph_seed)`` cell are cached per process
 and reused across trial seeds — only the seeds drive coins and fault
 schedules, so validation, packing and the engine's cached slot
-coordinates (the fault masks' set-up) are paid once per cell.  Every
-backend reads the engine: the dense kernels run on it, and the repair
-tails of both backends use its slot layout.
+coordinates (the fault masks' set-up) are paid once per cell.
+
+Each pipeline body branches on the backend once, and both branches end
+in the same end-state arrays: ``in_mis``/``crashed`` (luby), ``out``/
+``crashed`` (sinkless), ``colors``/``crashed``/``accepted`` (splitting).
+Contracts, the repair tail, metrics and ``state`` then run once for both
+backends, and the repair tail reuses the base run's one
+:class:`~repro.scenarios.masks.DenseFaults` (the final attempt's for splitting).
 
 This is the one place that binds a perturbation stack to a pipeline run
 and appends a repair tail; the pipeline drivers (``luby_mis``,
@@ -47,6 +52,13 @@ from repro.apps.splitting import ZeroRoundSplitting
 from repro.bipartite.generators import random_topology
 from repro.core.problems import UniformSplittingSpec
 from repro.local import BACKENDS
+from repro.local.dense import (
+    _segment_sum,
+    dense_arcs,
+    luby_mis_dense,
+    sinkless_trial_dense,
+    uniform_splitting_dense,
+)
 from repro.local.engine import CSREngine
 from repro.local.network import Network, run_local
 from repro.mis.luby import LubyMIS
@@ -58,11 +70,13 @@ from repro.orientation.sinkless import (
     survivors_sink_free,
 )
 from repro.scenarios.base import PerturbationHooks, bind_all, quiet_after, rewrite_all
-from repro.scenarios.contracts import (
-    alive_mask,
-    edge_ok_slot_mask,
-    mis_violations,
-    splitting_violations,
+from repro.scenarios.contracts import edge_ok_slot_mask, mis_violations, splitting_violations
+from repro.scenarios.masks import DenseFaults
+from repro.scenarios.recovery import (
+    luby_repair,
+    sinkless_repair,
+    sinkless_violations,
+    splitting_repair,
 )
 from repro.scenarios.registry import Scenario, get_scenario
 from repro.utils.rng import ensure_rng
@@ -71,6 +85,7 @@ from repro.utils.validation import require
 __all__ = ["run_scenario"]
 
 _DEFAULT_DEGREE = {"luby": 8, "sinkless": 4, "splitting": 40}
+_MAX_ATTEMPTS = 64  # Las-Vegas attempts of one splitting trial
 
 
 # Per-process cell cache: the engine (and its network) for one
@@ -113,7 +128,6 @@ def run_scenario(
     backend: str = "dense",
     adjacency=None,
     max_rounds: Optional[int] = None,
-    max_attempts: int = 64,
     fault_mode: str = "mask",
     tracer=None,
     recover: bool = False,
@@ -131,8 +145,10 @@ def run_scenario(
     overrides the default scenario graph (the perturbation stack's graph
     rewrites are still applied on top; such runs bypass the cell cache).
     ``seed`` drives both the algorithm's coins and the fault schedule;
-    ``graph_seed`` only the topology.  ``max_rounds`` defaults
-    per pipeline: 10_000 (luby), 400 (sinkless).  A sinkless base run
+    ``graph_seed`` only the topology.  ``degree`` defaults per pipeline:
+    8 (luby), 4 (sinkless), 40 (splitting); ``max_rounds`` 10_000 (luby),
+    400 (sinkless).  A splitting trial makes at most 64 Las-Vegas
+    attempts.  A sinkless base run
     ends at the first round with no surviving sink, at the cap, or
     earlier at a fixed point: once no fault can land and no node is a
     sink in its own view, no node flips again, so the run stops there
@@ -169,9 +185,8 @@ def run_scenario(
         )
     sc = get_scenario(scenario) if isinstance(scenario, str) else scenario
     require(backend in BACKENDS, f"unknown backend {backend!r}")
-    require(max_attempts >= 1, f"max_attempts must be >= 1, got {max_attempts}")
     if degree is None:
-        degree = sc.degree if sc.degree is not None else _DEFAULT_DEGREE[sc.pipeline]
+        degree = _DEFAULT_DEGREE[sc.pipeline]
     if max_rounds is None:
         max_rounds = 400 if sc.pipeline == "sinkless" else 10_000
 
@@ -188,21 +203,11 @@ def run_scenario(
     quiet = quiet_after(bound)
 
     solve_start = time.perf_counter()
-    if sc.pipeline == "luby":
-        metrics, state = _run_luby(
-            sc, network, engine, bound, backend, seed, max_rounds,
-            tracer=tracer, recover=recover,
-        )
-    elif sc.pipeline == "sinkless":
-        metrics, state = _run_sinkless(
-            sc, network, engine, bound, backend, seed, max_rounds,
-            tracer=tracer, recover=recover,
-        )
+    if sc.pipeline == "splitting":
+        metrics, state = _run_splitting(sc, engine, backend, seed, degree, tracer, recover)
     else:
-        metrics, state = _run_splitting(
-            sc, network, engine, backend, seed, degree, max_attempts,
-            tracer=tracer, recover=recover,
-        )
+        run = _run_luby if sc.pipeline == "luby" else _run_sinkless
+        metrics, state = run(sc, engine, bound, backend, seed, max_rounds, tracer, recover)
     metrics["solve_seconds"] = time.perf_counter() - solve_start
 
     metrics["n"] = network.n
@@ -231,66 +236,62 @@ def run_scenario(
     return metrics
 
 
-def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, tracer=None,
-              recover=False):
-    edge_ok = edge_ok_slot_mask(engine, bound)
-    if backend == "dense":
-        from repro.local.dense import luby_mis_dense
-        from repro.scenarios.masks import DenseFaults
+def _reference_run(network, algorithm, bound, tracer, **kwargs):
+    """One hooked :func:`run_local` of ``algorithm`` under the bound stack,
+    traced through :class:`~repro.obs.hooks.TracingHooks` when ``tracer``
+    records."""
+    hooks = PerturbationHooks(bound)
+    if tracer is not None and tracer.enabled:
+        hooks = TracingHooks(tracer, inner=hooks)
+    return run_local(network, algorithm, hooks=hooks, **kwargs)
 
+
+def _state_flags(views, key: str) -> np.ndarray:
+    """Per-node bool array of one state flag of the reference views."""
+    return np.array([bool(v.state.get(key)) for v in views], dtype=bool)
+
+
+def _repair_metrics(rep, violations_before: int) -> dict:
+    return {
+        "recovered": int(rep.recovered),
+        "repair_rounds": rep.repair_rounds,
+        "violations_before_recovery": violations_before,
+    }
+
+
+def _run_luby(sc, engine, bound, backend, seed, max_rounds, tracer, recover):
+    network = engine.network
+    faults = DenseFaults(engine, bound)
+    if backend == "dense":
         result = luby_mis_dense(
-            engine, seed=seed, max_rounds=max_rounds,
-            faults=DenseFaults(engine, bound), tracer=tracer,
+            engine, seed=seed, max_rounds=max_rounds, faults=faults, tracer=tracer,
         )
-        alive = (~result.crashed).tolist()
-        mis = set(np.flatnonzero(result.in_mis).tolist())
-        completed = result.completed
-        rounds = result.rounds
+        in_mis, crashed = result.in_mis, result.crashed
     else:
-        hooks = PerturbationHooks(bound)
-        if tracer is not None and tracer.enabled:
-            hooks = TracingHooks(tracer, inner=hooks)
-        result = run_local(network, LubyMIS(), max_rounds=max_rounds, seed=seed, hooks=hooks)
-        alive = alive_mask(result.views)
-        mis = {
-            i
-            for i, v in enumerate(result.views)
-            if alive[i] and v.state.get("in_mis")
-        }
-        completed = result.completed
-        rounds = result.rounds
+        result = _reference_run(
+            network, LubyMIS(), bound, tracer, max_rounds=max_rounds, seed=seed,
+        )
+        in_mis = _state_flags(result.views, "in_mis")
+        crashed = _state_flags(result.views, "crashed")
+    rounds, completed = result.rounds, result.completed
+    edge_ok = edge_ok_slot_mask(engine, bound)
     metrics = {}
     if recover:
-        from repro.scenarios.masks import DenseFaults
-        from repro.scenarios.recovery import luby_repair
-
-        if backend == "dense":
-            in_mis = result.in_mis
-            crashed = result.crashed
-        else:
-            in_mis = np.array([bool(v.state.get("in_mis")) for v in result.views])
-            crashed = np.array([bool(v.state.get("crashed")) for v in result.views])
-        pre_ind, pre_dom = mis_violations(network, mis, alive=alive, edge_ok=edge_ok)
+        pre = sum(mis_violations(network, in_mis, alive=~crashed, edge_ok=edge_ok))
         # ``max_rounds`` bounds the base run only: a base run that stalled
         # against its cap is exactly the state repair exists for, so the
         # tail gets its own REPAIR_ROUND_CAP-bounded budget.
-        rep = luby_repair(
-            engine, DenseFaults(engine, bound), seed, in_mis,
-            crashed, start_round=rounds + 1,
-        )
-        alive = (~crashed).tolist()
-        mis = set(np.flatnonzero(in_mis & ~crashed).tolist())
-        rounds = rep.last_round
-        completed = bool(completed) or rep.recovered
-        metrics["recovered"] = int(rep.recovered)
-        metrics["repair_rounds"] = rep.repair_rounds
-        metrics["violations_before_recovery"] = pre_ind + pre_dom
-    independence, domination = mis_violations(network, mis, alive=alive, edge_ok=edge_ok)
-    survivors = sum(alive)
+        rep = luby_repair(engine, faults, seed, in_mis, crashed, start_round=rounds + 1)
+        rounds, completed = rep.last_round, bool(completed) or rep.recovered
+        metrics.update(_repair_metrics(rep, pre))
+    alive = ~crashed
+    in_mis = in_mis & alive
+    independence, domination = mis_violations(network, in_mis, alive=alive, edge_ok=edge_ok)
+    survivors = int(np.count_nonzero(alive))
     metrics.update({
         "rounds": rounds,
         "completed": int(completed),
-        "mis_size": len(mis),
+        "mis_size": int(np.count_nonzero(in_mis)),
         "survivors": survivors,
         "crashed_nodes": network.n - survivors,
         "independence_violations": independence,
@@ -300,73 +301,52 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, tracer=None
     state = {
         "pipeline": "luby",
         "adjacency": network.adjacency,
-        "mis": mis,
-        "alive": alive,
+        "mis": set(np.flatnonzero(in_mis).tolist()),
+        "alive": alive.tolist(),
         "edge_ok": edge_ok,
     }
     return metrics, state
 
 
-def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, tracer=None,
-                  recover=False):
-    adjacency = network.adjacency
+def _run_sinkless(sc, engine, bound, backend, seed, max_rounds, tracer, recover):
+    network = engine.network
     min_degree = sc.min_degree
+    faults = DenseFaults(engine, bound)
     if backend == "dense":
-        from repro.local.dense import sinkless_trial_dense
-        from repro.scenarios.masks import DenseFaults
-
         result = sinkless_trial_dense(
-            engine, min_degree=min_degree, seed=seed,
-            max_rounds=max_rounds, faults=DenseFaults(engine, bound),
-            strict=False, tracer=tracer,
+            engine, min_degree=min_degree, seed=seed, max_rounds=max_rounds,
+            faults=faults, strict=False, tracer=tracer,
         )
-        out, crashed = result.out, result.crashed
-        completed = result.completed
-        rounds = result.rounds
+        out, crashed, completed = result.out, result.crashed, result.completed
     else:
-        from repro.scenarios.masks import DenseFaults
-
-        hooks = PerturbationHooks(bound)
-        if tracer is not None and tracer.enabled:
-            hooks = TracingHooks(tracer, inner=hooks)
-        # Stop when no *alive* node is a full-graph sink — the strongest
-        # condition the algorithm can reach: crashes are silent, so a node
-        # whose outgoing edge leads to a dead neighbor rightly believes it
-        # is done — or at a fixed point.  Residual surviving-subgraph sinks
-        # are recorded as violations below.  (This is exactly the dense
-        # kernel's stop.)
+        # The dense kernel's stop: no *alive* node is a full-graph sink (crashes
+        # are silent, so an arc into a dead neighbor rightly looks done), or a
+        # fixed point.  Residual surviving-subgraph sinks count as violations.
         probe = survivor_probe(
-            adjacency, min_degree, DenseFaults(engine, bound).expired, max_rounds,
-            tracer=tracer,
+            network.adjacency, min_degree, faults.expired, max_rounds, tracer=tracer,
         )
-        result = run_local(
-            network, TrialAndFixSinkless(min_degree=min_degree),
-            max_rounds=max_rounds, seed=seed, hooks=hooks, probe=probe,
+        result = _reference_run(
+            network, TrialAndFixSinkless(min_degree=min_degree), bound, tracer,
+            max_rounds=max_rounds, seed=seed, probe=probe,
         )
-        rounds = result.rounds
-        completed = rounds >= 2 and survivors_sink_free(adjacency, result.views, min_degree)
+        completed = result.rounds >= 2 and survivors_sink_free(
+            network.adjacency, result.views, min_degree
+        )
         out, crashed = slot_state_from_views(engine.offsets, result.views)
-    from repro.local.dense import dense_arcs
-    from repro.scenarios.recovery import sinkless_repair, sinkless_violations
-
+    rounds = result.rounds
     metrics = {}
     if recover:
-        from repro.scenarios.masks import DenseFaults
-
         pre = sinkless_violations(engine, out, crashed, min_degree)
         # Base-run cap only; the repair tail is REPAIR_ROUND_CAP-bounded
         # (a base run stalled by lost or corrupted flips *needs* the tail).
         rep = sinkless_repair(
-            engine, DenseFaults(engine, bound), seed, out,
-            crashed, min_degree, start_round=rounds + 1, tracer=tracer,
+            engine, faults, seed, out, crashed, min_degree,
+            start_round=rounds + 1, tracer=tracer,
         )
-        rounds = rep.last_round
-        completed = bool(completed) or rep.recovered
-        metrics["recovered"] = int(rep.recovered)
-        metrics["repair_rounds"] = rep.repair_rounds
-        metrics["violations_before_recovery"] = pre
-    alive = (~crashed).tolist()
-    survivors = sum(alive)
+        rounds, completed = rep.last_round, bool(completed) or rep.recovered
+        metrics.update(_repair_metrics(rep, pre))
+    alive = ~crashed
+    survivors = int(np.count_nonzero(alive))
     metrics.update({
         "rounds": rounds,
         "completed": int(completed),
@@ -376,87 +356,62 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, tracer=
     })
     state = {
         "pipeline": "sinkless",
-        "adjacency": adjacency,
+        "adjacency": network.adjacency,
         "orientation": dense_arcs(engine, out),
-        "alive": alive,
+        "alive": alive.tolist(),
         "min_degree": min_degree,
     }
     return metrics, state
 
 
-def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts, tracer=None,
-                   recover=False):
+def _run_splitting(sc, engine, backend, seed, degree, tracer, recover):
+    network = engine.network
     spec = UniformSplittingSpec(eps=sc.eps, min_constrained_degree=max(2, degree // 2))
     rng = ensure_rng(seed)
-    if backend == "dense":
-        from repro.local.dense import uniform_splitting_dense
-        from repro.scenarios.masks import DenseFaults
-    for attempts in range(1, max_attempts + 1):
+    for attempts in range(1, _MAX_ATTEMPTS + 1):
         run_seed = rng.randrange(2**31)
         # Every attempt is one fresh round-1 execution, so the fault
         # schedule rebinds on the attempt's own seed — otherwise a lossy
         # environment would replay the identical drop pattern against all
         # retries (a frozen adversary instead of an i.i.d. channel).
-        attempt_bound = bind_all(sc.perturbations, network, fault_seed=run_seed)
+        bound = bind_all(sc.perturbations, network, fault_seed=run_seed)
+        faults = DenseFaults(engine, bound)
         if backend == "dense":
             result = uniform_splitting_dense(
-                engine, spec, seed=run_seed,
-                faults=DenseFaults(engine, attempt_bound),
-                tracer=tracer,
+                engine, spec, seed=run_seed, faults=faults, tracer=tracer,
             )
-            accepted = result.ok
+            colors, crashed, accepted = result.colors, result.crashed, result.ok
         else:
-            hooks = PerturbationHooks(attempt_bound)
-            if tracer is not None and tracer.enabled:
-                hooks = TracingHooks(tracer, inner=hooks)
-            result = run_local(
-                network, ZeroRoundSplitting(spec), max_rounds=1, seed=run_seed, hooks=hooks,
-            )
-            alive = alive_mask(result.views)
+            views = _reference_run(
+                network, ZeroRoundSplitting(spec), bound, tracer, max_rounds=1, seed=run_seed,
+            ).views
+            # Output is (color, window ok); crashed nodes keep their init color.
+            crashed = _state_flags(views, "crashed")
+            colors = np.array([v.state["color"] for v in views], dtype=np.int64)
             accepted = all(
-                v.output[1]
-                for i, v in enumerate(result.views)
-                if alive[i] and v.output is not None
+                v.output[1] for v, c in zip(views, crashed) if not c and v.output is not None
             )
         if accepted:
             break
-    # Only the attempt that stood is converted to the end state.
-    if backend == "dense":
-        colors = result.colors.astype(np.int64)
-        crashed = result.crashed.copy()
-    else:
-        colors = np.array([
-            v.output[0] if alive[i] and v.output is not None else v.state.get("color")
-            for i, v in enumerate(result.views)
-        ], dtype=np.int64)
-        crashed = ~np.array(alive, dtype=bool)
     # Ground truth for the attempt that actually stood (its binding decides
     # the final edge set under edge-dropping perturbations).
-    edge_ok = edge_ok_slot_mask(engine, attempt_bound)
+    edge_ok = edge_ok_slot_mask(engine, bound)
     rounds = attempts  # one communication round per Las-Vegas attempt
     completed = accepted
     metrics = {}
     if recover:
-        from repro.scenarios.masks import DenseFaults
-        from repro.scenarios.recovery import splitting_repair
-
         pre = len(
             splitting_violations(network, colors, spec, alive=~crashed, edge_ok=edge_ok)
         )
         # Repair continues the final attempt's environment: its binding is
         # the schedule still in force and its run seed keys the repair coins.
         rep = splitting_repair(
-            engine, DenseFaults(engine, attempt_bound), spec,
-            run_seed, colors, crashed, start_round=2,
+            engine, faults, spec, run_seed, colors, crashed, start_round=2,
             edge_ok_mask=edge_ok, violations=pre,
         )
         rounds = attempts + rep.repair_rounds
         completed = bool(accepted) or rep.recovered
-        metrics["recovered"] = int(rep.recovered)
-        metrics["repair_rounds"] = rep.repair_rounds
-        metrics["violations_before_recovery"] = pre
-    from repro.local.dense import _segment_sum
-
+        metrics.update(_repair_metrics(rep, pre))
     alive = ~crashed
     bad = splitting_violations(network, colors, spec, alive=alive, edge_ok=edge_ok)
     survivors = int(np.count_nonzero(alive))

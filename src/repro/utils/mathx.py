@@ -16,7 +16,6 @@ __all__ = [
     "ln",
     "ceil_log2",
     "floor_log2",
-    "ilog2_ceil",
     "clamp",
     "is_power_of_two",
     "binomial_tail_upper",
@@ -59,11 +58,6 @@ def floor_log2(x: float) -> int:
     if isinstance(x, int) or (isinstance(x, float) and x.is_integer()):
         return int(x).bit_length() - 1
     return int(math.floor(math.log2(x)))
-
-
-def ilog2_ceil(n: int) -> int:
-    """Alias of :func:`ceil_log2` restricted to integers (kept for clarity)."""
-    return ceil_log2(n)
 
 
 def clamp(x: float, lo: float, hi: float) -> float:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
-
 __all__ = [
     "require",
     "require_positive",

@@ -1,7 +1,5 @@
 """Tests for the defective 2-coloring variant (footnote 2)."""
 
-import pytest
-
 from repro.apps import (
     defective_two_coloring,
     defective_violations,

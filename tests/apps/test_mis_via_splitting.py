@@ -1,7 +1,5 @@
 """Tests for the Lemma 4.2 MIS pipeline."""
 
-import pytest
-
 from repro.apps import mis_via_splitting
 from repro.bipartite.generators import configuration_model_regular, random_simple_graph
 from repro.mis import is_mis, mis_lower_bound

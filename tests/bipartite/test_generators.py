@@ -1,7 +1,6 @@
 """Tests for the instance generators."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.bipartite import (
     configuration_model_regular,

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bipartite import BLUE, RED, BipartiteInstance, regular_bipartite
+from repro.bipartite import BipartiteInstance
 
 
 def tiny():

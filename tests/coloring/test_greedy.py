@@ -1,7 +1,5 @@
 """Tests for the (d+1)-coloring baseline."""
 
-import pytest
-
 from repro.coloring import d_plus_one_coloring, fhk_coloring_rounds, is_proper_coloring
 from repro.local import RoundLedger
 from repro.bipartite.generators import random_simple_graph

@@ -2,16 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
-from repro.bipartite import (
-    BipartiteInstance,
-    random_left_regular,
-    random_near_regular,
-    regular_bipartite,
-)
+from repro.bipartite import random_left_regular, regular_bipartite
 
 
 @pytest.fixture

@@ -1,7 +1,5 @@
 """Tests for Lemma 2.1 (basic derandomized weak splitting)."""
 
-import math
-
 import pytest
 
 from repro.bipartite import random_left_regular, random_near_regular

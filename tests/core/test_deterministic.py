@@ -1,7 +1,5 @@
 """Tests for Theorem 2.5 (main deterministic weak splitting)."""
 
-import math
-
 import pytest
 
 from repro.bipartite import random_left_regular, random_near_regular

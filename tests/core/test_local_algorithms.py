@@ -1,7 +1,5 @@
 """Tests for the in-simulator LOCAL implementations of the random phases."""
 
-import pytest
-
 from repro.bipartite import BLUE, RED, random_left_regular
 from repro.core import (
     run_shattering_local,

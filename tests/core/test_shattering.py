@@ -1,9 +1,5 @@
 """Tests for the shattering algorithm (Lemma 2.9 machinery)."""
 
-import math
-
-import pytest
-
 from repro.bipartite import BLUE, RED, random_left_regular
 from repro.core import shatter, unsatisfied_probability_estimate
 from repro.local import RoundLedger

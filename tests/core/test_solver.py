@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bipartite import BipartiteInstance, random_left_regular, regular_bipartite
+from repro.bipartite import BipartiteInstance, random_left_regular
 from repro.core import NoKnownAlgorithmError, is_weak_splitting, solve_weak_splitting
 from repro.local import RoundLedger
 

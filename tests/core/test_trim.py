@@ -1,7 +1,5 @@
 """Tests for Lemma 2.2 (trimming)."""
 
-import math
-
 import pytest
 
 from repro.bipartite import random_left_regular, random_skewed

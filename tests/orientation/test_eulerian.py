@@ -1,8 +1,5 @@
 """Tests for the Eulerian orientation engine (discrepancy <= 1)."""
 
-import random
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.orientation import Multigraph, eulerian_orientation

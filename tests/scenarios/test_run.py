@@ -116,11 +116,6 @@ class TestRunScenario:
         if get_scenario(name).strict:
             assert metrics["violations"] == 0 and metrics["completed"] == 1
 
-    @pytest.mark.parametrize("backend", ["dense", "reference"])
-    def test_zero_attempts_rejected(self, backend):
-        with pytest.raises(ValueError, match="max_attempts must be >= 1"):
-            run_scenario("splitting/byzantine", n=60, backend=backend, max_attempts=0)
-
     @pytest.mark.parametrize("backend", ["engine", "dense-batched"])
     @pytest.mark.parametrize("name", ["luby/crash", "sinkless/crash", "splitting/byzantine"])
     def test_unsupported_backend_rejected(self, name, backend):

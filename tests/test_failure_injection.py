@@ -16,7 +16,7 @@ from repro.core import (
     weak_splitting_violations,
 )
 from repro.derand import WeakSplittingEstimator, greedy_minimize
-from repro.local import LocalAlgorithm, Network, NodeView, run_local
+from repro.local import LocalAlgorithm, Network, run_local
 from repro.orientation import Multigraph, Orientation
 
 
@@ -102,8 +102,6 @@ class TestSolverVerification:
         the check is live by feeding an unsolvable-but-bruteforcible
         instance and observing the explicit failure rather than a bogus
         coloring."""
-        from repro.core import NoKnownAlgorithmError
-
         # A variable shared by two constraints each of degree 2, where all
         # constraints see the same two variables: impossible to satisfy 3+
         # constraints... build genuinely unsolvable: one constraint with

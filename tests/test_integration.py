@@ -9,12 +9,10 @@ import pytest
 
 from repro import (
     RoundLedger,
-    bipartite_girth,
     double_cover,
     is_weak_splitting,
     orientation_from_weak_splitting,
     random_left_regular,
-    random_simple_graph,
     solve_weak_splitting,
     weak_splitting_instance_from_graph,
 )

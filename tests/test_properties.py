@@ -9,7 +9,6 @@ examples.
 import math
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bipartite import (
@@ -23,7 +22,6 @@ from repro.bipartite import (
 from repro.core import (
     degree_rank_reduction_one,
     degree_rank_reduction_two,
-    is_weak_splitting,
     shatter,
     solve_weak_splitting,
     weak_splitting_violations,

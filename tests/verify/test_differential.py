@@ -316,7 +316,11 @@ def test_mis_violations_matches_loop(data):
     mis = data.draw(node_sets(len(adj)))
     alive = data.draw(alive_lists(len(adj)))
     oracle, edge_ok = data.draw(edge_oks(adj))
-    assert mis_violations(as_graph(data, adj), mis, alive, edge_ok) == \
+    arg = mis
+    if data.draw(st.booleans(), label="mis as a bool node mask"):
+        arg = np.zeros(len(adj), dtype=bool)
+        arg[list(mis)] = True
+    assert mis_violations(as_graph(data, adj), arg, alive, edge_ok) == \
         loop_mis_violations(adj, mis, alive, oracle)
 
 
