@@ -25,7 +25,8 @@ Of the general-graph samplers, :func:`random_sparse_graph` builds the
 engine-scale inputs of the benchmarks and sweeps, so it runs as numpy array
 passes that reproduce its sequential ``randrange`` rejection loop bit for
 bit (same rows, same caller-generator state) by reading ``random.Random``'s
-MT19937 word stream directly (:class:`repro.utils.rng.MTStream`).
+MT19937 word stream directly (:class:`repro.utils.rng.MTStream`); its
+rows are built from the sorted slot arrays only when first read.
 :func:`configuration_model_regular` stays a Python loop: ``rng.shuffle``
 is most of its time and Fisher–Yates is sequential — an exact vectorized
 replay measured only 1.1x — while sampling from a new stream would change
@@ -227,8 +228,8 @@ def random_sparse_graph(n: int, avg_degree: float, seed: SeedLike = None) -> Adj
     attempts still needed (one chunk except near the dense limit), one
     unstable argsort of the attempt keys to find each edge's first
     occurrence, and one sort of the ``2 m`` slot keys for the rows:
-    O(m log m) array work plus the O(n + m) python rows of the result.  At
-    n = 100,000, average degree 20 that takes less time than
+    O(m log m) array work; the python rows cost O(n + m) more on first
+    read.  At n = 100,000, average degree 20 that takes less time than
     :class:`~repro.local.network.Network` takes to validate the graph.
 
     ``seed`` is ``None``, an ``int`` or a ``random.Random`` (or any other

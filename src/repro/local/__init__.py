@@ -26,7 +26,6 @@ from repro.local.network import (
     NodeView,
     RoundHooks,
     SimulationResult,
-    build_reverse_ports,
     run_local,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "SimulationResult",
     "run_local",
     "CSREngine",
-    "build_reverse_ports",
     "Charge",
     "RoundLedger",
     "log_star",

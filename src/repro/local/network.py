@@ -24,6 +24,7 @@ correlating nodes.
 
 from __future__ import annotations
 
+import collections.abc
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -43,42 +44,65 @@ __all__ = [
     "RoundHooks",
     "run_local",
     "SimulationResult",
-    "build_reverse_ports",
     "csr_arrays",
     "csr_rows",
 ]
 
 
-class Adjacency(tuple):
+class Adjacency(collections.abc.Sequence):
     """An immutable adjacency list that carries its int64 CSR arrays.
 
-    A tuple of tuple rows plus read-only ``offsets`` and ``dst_node``
-    arrays (the :func:`csr_rows` layout).  Packing any sequence of rows
-    flattens it once; :meth:`from_csr` builds the rows from the arrays.
-    Rows are tuples, so the arrays cannot go stale.  It compares as the
-    tuple of its rows, and a pickle round trip keeps the read-only arrays.
+    Read-only ``offsets`` and ``dst_node`` arrays (the :func:`csr_rows`
+    layout) and the tuple rows they spell.  ``Adjacency(rows)`` flattens
+    the rows once; :meth:`from_csr` adopts the arrays and builds the rows
+    on the first row access (indexing, iteration, ``==``, hashing), which
+    the array readers never make.  Rows are tuples, so the arrays cannot
+    go stale.  It compares and hashes as the tuple of its rows and pickles
+    through its arrays.
     """
 
     offsets = property(lambda self: self._offsets, doc="Read-only int64 row offsets.")
     dst_node = property(lambda self: self._dst, doc="Read-only int64 slot targets.")
 
-    def __new__(cls, rows: Sequence[Sequence[int]] = ()):
-        self = super().__new__(cls, map(tuple, rows))
-        self._offsets, self._dst = _flatten(self)
+    def __init__(self, rows: Sequence[Sequence[int]] = ()):
+        self._rows = tuple(map(tuple, rows))
+        self._offsets, self._dst = _flatten(self._rows)
         self._offsets.flags.writeable = self._dst.flags.writeable = False
-        return self
 
     @classmethod
     def from_csr(cls, offsets: np.ndarray, dst: np.ndarray) -> "Adjacency":
         """The adjacency whose row ``i`` is ``dst[offsets[i]:offsets[i+1]]``
         as python ints; the int64 arrays are made read-only and kept, not
-        copied or validated."""
-        offsets, dst = np.asarray(offsets, dtype=np.int64), np.asarray(dst, dtype=np.int64)
-        nbrs, bounds = dst.tolist(), offsets.tolist()
-        self = super().__new__(cls, [tuple(nbrs[s:e]) for s, e in zip(bounds, bounds[1:])])
-        offsets.flags.writeable = dst.flags.writeable = False
-        self._offsets, self._dst = offsets, dst
+        copied or validated, and the rows are built on first access."""
+        self = cls.__new__(cls)
+        self._offsets, self._dst = np.asarray(offsets, np.int64), np.asarray(dst, np.int64)
+        self._offsets.flags.writeable = self._dst.flags.writeable = False
         return self
+
+    @cached_property
+    def _rows(self) -> Tuple[Tuple[int, ...], ...]:
+        nbrs, bounds = self._dst.tolist(), self._offsets.tolist()
+        return tuple([tuple(nbrs[s:e]) for s, e in zip(bounds, bounds[1:])])
+
+    def __len__(self) -> int:
+        return self._offsets.shape[0] - 1
+
+    def __getitem__(self, i):
+        return self._rows[i]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __eq__(self, other):
+        if isinstance(other, Adjacency):
+            other = other._rows
+        return self._rows == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._rows)
+
+    def __repr__(self) -> str:
+        return f"Adjacency({self._rows!r})"
 
     def __reduce__(self):
         return type(self).from_csr, (self._offsets, self._dst)
@@ -127,16 +151,19 @@ class Network:
         an :class:`Adjacency`.
     ids:
         Unique identifiers (the LOCAL model's O(log n)-bit names).  Defaults
-        to the node indices.
+        to the node indices, built on first read (``uid_array`` is ``arange(n)``).
 
     Validation also packs the graph into read-only int64 CSR arrays: the
     ports of node ``i`` occupy slots ``offsets[i]:offsets[i+1]``, and slot
     ``k`` leads to node ``dst_node[k]`` (both the adjacency's own), arriving
-    there on port ``dst_port[k]``.  One stable sort of the slot keys
-    ``owner*n + dst`` and one of the reversed keys ``dst*n + owner`` check
-    symmetry (with multiplicities) and pair the k-th ``(u, v)`` slot with
-    the k-th ``(v, u)`` slot — the :func:`build_reverse_ports` rule.  A
-    self-loop slot is its own pair.
+    there on port ``dst_port[k]``.  The slot keys ``owner*n + dst`` and the
+    reversed keys ``dst*n + owner``, each stably sorted, must agree
+    (symmetry with multiplicities), and the k-th ``(u, v)`` slot pairs with
+    the k-th ``(v, u)`` slot; a self-loop slot is its own pair.  Slots are
+    numbered in owner order, so the stable order of the reversed keys is
+    that of ``dst`` alone, found by radix passes over 16-bit digits (one up
+    to n = 65,536); the forward keys keep ``argsort``, which is O(m) on the
+    sorted rows the generators emit.
     """
 
     def __init__(self, adjacency: Sequence[Sequence[int]], ids: Optional[Sequence[int]] = None):
@@ -153,7 +180,7 @@ class Network:
         rkey = dst * n + owner
         del owner  # each m-sized temporary goes once read: they set the memory peak
         order = np.argsort(key, kind="stable")
-        rorder = np.argsort(rkey, kind="stable")
+        rorder = _stable_argsort_below(dst, n)
         key = key[order]
         rkey = rkey[rorder]
         mismatch = np.flatnonzero(key != rkey)
@@ -174,11 +201,17 @@ class Network:
         self.dst_port.flags.writeable = False
 
         if ids is None:
-            self.ids: Tuple[int, ...] = tuple(range(n))  # unique ints already
+            self.uid_array = np.arange(n, dtype=np.int64)
+            self.uid_array.flags.writeable = False
         else:
             require(len(ids) == n, "ids must have one entry per node")
             require(len(set(ids)) == n, "ids must be unique")
             self.ids = tuple(int(x) for x in ids)
+
+    @cached_property
+    def ids(self) -> Tuple[int, ...]:
+        """The default uids, the node indices."""
+        return tuple(range(self.n))
 
     @property
     def n(self) -> int:
@@ -187,18 +220,15 @@ class Network:
 
     @cached_property
     def uid_array(self) -> np.ndarray:
-        """``ids`` as a read-only int64 array, built on first use.
-
-        Fault models rebind on every Las-Vegas attempt; they share this one
-        array instead of converting the id tuple per binding.
-        """
+        """``ids`` as a read-only int64 array, built once (on first use for
+        given ids) and shared by every fault binding of every attempt."""
         uids = np.asarray(self.ids, dtype=np.int64)
         uids.flags.writeable = False
         return uids
 
     def degree(self, i: int) -> int:
         """Degree (number of ports) of node ``i``."""
-        return len(self.adjacency[i])
+        return int(self.offsets[i + 1] - self.offsets[i])
 
     @classmethod
     def from_bipartite(cls, inst, ids: Optional[Sequence[int]] = None) -> "Network":
@@ -209,6 +239,16 @@ class Network:
         link (one port on each side).
         """
         return cls(inst.adjacency(), ids=ids)
+
+
+def _stable_argsort_below(keys: np.ndarray, n: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of int64 ``keys`` in ``[0, n)``
+    by least-significant-digit passes over 16-bit digits; numpy's stable
+    sort of ``uint16`` is a radix sort, so each pass is O(m)."""
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    for shift in range(16, (n - 1).bit_length(), 16):
+        order = order[np.argsort((keys[order] >> shift).astype(np.uint16), kind="stable")]
+    return order
 
 
 @dataclass
@@ -313,30 +353,6 @@ class SimulationResult:
         return [v.output for v in self.views]
 
 
-def build_reverse_ports(adjacency: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Port tables: ``reverse_port[i][p]`` is the counterpart's port.
-
-    If node ``i`` lists ``j`` at port ``p`` then ``j`` lists ``i`` at port
-    ``reverse_port[i][p]``.  Multi-edges are matched in order of appearance:
-    the k-th occurrence of ``j`` in ``adjacency[i]`` pairs with the k-th
-    occurrence of ``i`` in ``adjacency[j]``; :class:`Network` packs its
-    ``dst_port`` array by the same rule.
-    """
-    n = len(adjacency)
-    reverse_port: List[List[int]] = [[-1] * len(adjacency[i]) for i in range(n)]
-    cursor: Dict[Tuple[int, int], List[int]] = {}
-    for i in range(n):
-        for p, j in enumerate(adjacency[i]):
-            cursor.setdefault((j, i), []).append(p)
-    taken: Dict[Tuple[int, int], int] = {}
-    for i in range(n):
-        for p, j in enumerate(adjacency[i]):
-            k = taken.get((i, j), 0)
-            taken[(i, j)] = k + 1
-            reverse_port[i][p] = cursor[(i, j)][k]
-    return reverse_port
-
-
 def run_local(
     network: Network,
     algorithm: LocalAlgorithm,
@@ -373,18 +389,20 @@ def run_local(
     """
     require(max_rounds >= 0, f"max_rounds must be >= 0, got {max_rounds}")
     n = network.n
-    reverse_port = build_reverse_ports(network.adjacency)
+    # Node i's port p leads to node rows[i][p], which hears it on port back[i][p].
+    spans = list(zip(network.offsets.tolist(), network.offsets[1:].tolist()))
+    dst_node, dst_port = network.dst_node.tolist(), network.dst_port.tolist()
+    rows, back = [dst_node[s:e] for s, e in spans], [dst_port[s:e] for s, e in spans]
 
     clock = CoinClock()
     coins = NodeCoins.for_nodes(seed, network.ids, clock)
     views = [
-        NodeView(index=i, uid=network.ids[i], degree=network.degree(i), n=n, rng=coins[i])
+        NodeView(index=i, uid=network.ids[i], degree=len(rows[i]), n=n, rng=coins[i])
         for i in range(n)
     ]
     for view in views:
         algorithm.init(view)
 
-    adjacency = network.adjacency
     rounds = 0
     for round_no in range(1, max_rounds + 1):
         if all(v.halted for v in views):
@@ -396,7 +414,7 @@ def run_local(
         for i, view in enumerate(views):
             if view.halted:
                 continue
-            row, back = adjacency[i], reverse_port[i]
+            row, ports = rows[i], back[i]
             for port, message in algorithm.send(view, round_no).items():
                 if not 0 <= port < len(row):
                     raise ValueError(f"node {i} sent on invalid port {port}")
@@ -404,7 +422,7 @@ def run_local(
                     if not hooks.deliver(round_no, i, port):
                         continue
                     message = hooks.transform(round_no, i, port, message)
-                inboxes[row[port]][back[port]] = message
+                inboxes[row[port]][ports[port]] = message
         for view, inbox in zip(views, inboxes):
             if not view.halted:
                 algorithm.receive(view, round_no, inbox)

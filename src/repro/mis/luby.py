@@ -25,8 +25,9 @@ from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.local.ledger import RoundLedger
+from repro.local.dense import _segment_or, luby_mis_dense
 from repro.local.engine import CSREngine
+from repro.local.ledger import RoundLedger
 from repro.local.network import LocalAlgorithm, Network, NodeView, csr_rows, run_local
 from repro.utils.validation import require, require_nodes
 
@@ -106,8 +107,6 @@ def luby_mis(
     if engine is None:
         engine = CSREngine(Network(adjacency))
     if method == "dense":
-        from repro.local.dense import luby_mis_dense
-
         result = luby_mis_dense(engine, seed=seed, max_rounds=max_rounds)
         mis = set(np.flatnonzero(result.in_mis).tolist())
     else:
@@ -125,8 +124,6 @@ def is_mis(adjacency: Sequence[Sequence[int]], mis: Set[int]) -> bool:
     ``adjacency`` is read by :func:`~repro.local.network.csr_rows`.
     Raises ``ValueError`` if ``mis`` names a node outside ``range(n)``.
     """
-    from repro.local.dense import _segment_or
-
     offsets, dst = csr_rows(adjacency)
     n = offsets.shape[0] - 1
     ids = np.fromiter(mis, dtype=np.int64, count=len(mis))

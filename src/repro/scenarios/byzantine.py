@@ -26,6 +26,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
+import numpy as np
+
 from repro.local.network import Network
 from repro.scenarios.base import Perturbation
 from repro.scenarios.faults import _BoundCrash, _BoundSlotCoins
@@ -104,8 +106,6 @@ class CorrelatedCrash(Perturbation):
             start = min(int(u * blocks), blocks - 1) * count
             victims = range(start, min(start + count, n))
             return _BoundCrash(tuple(victims), self.at_round)
-        import numpy as np  # lazy, like the fault-coin kernels
-
         u = keyed_u01_array(fault_seed, "crash-ball", network.uid_array)
         centers = np.argsort(u, kind="stable")
         victims: list = []

@@ -11,7 +11,7 @@ keep their port numbering; links come and go underneath).
 Edges are identified by canonical keys ``(min uid, max uid, k)`` where
 ``k`` is the multi-edge occurrence index under the simulator's
 order-of-appearance pairing rule
-(:func:`~repro.local.network.build_reverse_ports`) — both endpoints of a
+(:class:`~repro.local.network.Network`'s ``dst_port``) — both endpoints of a
 parallel edge derive the same key, so up/down decisions are symmetric per
 edge, never per direction.  The integer triple keys the fault coin
 (:func:`~repro.utils.rng.keyed_u01`), which vectorizes to one hash-kernel

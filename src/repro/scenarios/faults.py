@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+import numpy as np
+
 from repro.local.network import Network
 from repro.scenarios.base import BoundPerturbation, Perturbation
 from repro.utils.rng import keyed_u01, keyed_u01_array, keyed_u01_slots, slot_prefix
@@ -74,8 +76,6 @@ def lowest_coins(u, count: int):
     entries of ``u``, ties broken by index, in ascending index order: the
     set the first ``count`` entries of a stable argsort hold, found by one
     ``np.partition`` threshold in O(n) instead of an O(n log n) sort."""
-    import numpy as np  # lazy, like the fault-coin kernels
-
     threshold = np.partition(u, count - 1)[count - 1]
     below = u < threshold
     ties = np.flatnonzero(u == threshold)[: count - int(np.count_nonzero(below))]
@@ -99,8 +99,6 @@ class _BoundCrash(BoundPerturbation):
         if round_no != self.at_round or not self.victims:
             return None
         if self._victim_mask is None:
-            import numpy as np
-
             mask = np.zeros(n, dtype=bool)
             mask[list(self.victims)] = True
             self._victim_mask = mask
@@ -219,8 +217,6 @@ class _BoundMute(BoundPerturbation):
     def delivers_mask(self, round_no: int, senders, ports):
         if round_no > self.until_round or not self.victims:
             return None
-        import numpy as np
-
         if self._victim_arr is None:
             self._victim_arr = np.array(sorted(self.victims), dtype=np.int64)
         return ~np.isin(senders, self._victim_arr)

@@ -45,10 +45,15 @@ guarantee applies to settling schedules.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.bipartite.instance import BLUE, RED
+from repro.local.dense import _ragged_slots, _segment_or, _segment_sum
+from repro.scenarios.contracts import splitting_violations
 from repro.utils.rng import keyed_u01_array
 
 __all__ = [
@@ -142,10 +147,6 @@ def luby_repair(
     exact (the steady delivery mask *is* the final surviving edge set) and
     a stable state has zero contract violations.
     """
-    import numpy as np
-
-    from repro.local.dense import _segment_or
-
     offsets, dst_node, _ = engine.dense_arrays()
     nbr = dst_node
     owner = engine.slot_layout()[0]
@@ -245,8 +246,6 @@ def _extracted(out, partner, low_view, idx=slice(None)):
 def _per_node(owner, mask, n):
     """Per-node count of a slot mask (a weighted bincount, so the
     irregular masked slots are never gathered)."""
-    import numpy as np
-
     return np.bincount(owner, weights=mask, minlength=n).astype(np.int64)
 
 
@@ -318,11 +317,6 @@ def sinkless_repair(
     the surviving node count, as in
     :func:`~repro.local.dense.sinkless_trial_dense`.
     """
-    import time
-
-    import numpy as np
-
-    from repro.local.dense import _ragged_slots
 
     trace = tracer is not None and tracer.enabled
     views = _slot_views(engine)
@@ -471,11 +465,6 @@ def splitting_repair(
     counted the contract on the entry state passes the count as
     ``violations``, and the first probe is not run again.
     """
-    import numpy as np
-
-    from repro.local.dense import _segment_or, _segment_sum
-    from repro.scenarios.contracts import splitting_violations
-
     offsets, dst_node, _ = engine.dense_arrays()
     uid = engine.network.uid_array
 

@@ -1,10 +1,13 @@
-"""The packed adjacency: tuple rows that carry their int64 CSR arrays.
+"""The packed adjacency: rows that carry their int64 CSR arrays.
 
 The generators return an :class:`~repro.local.network.Adjacency`, and a
-:class:`~repro.local.network.Network` and the verifiers read its arrays
-instead of flattening the rows again.  These tests pin that the carried
-arrays are exactly the flattening of the rows, that either form of a graph
-packs and verifies the same, and that the rows and arrays cannot change.
+:class:`~repro.local.network.Network`, the dense kernels and the verifiers
+read its arrays instead of flattening the rows again.  A generated graph
+is built from its arrays, and its tuple rows are made only when a row is
+first read.  These tests pin that the carried arrays are exactly the
+flattening of the rows, that either form of a graph packs and verifies the
+same, that the rows and arrays cannot change, and that building, solving,
+verifying and pickling a generated graph never builds its rows.
 """
 
 import pickle
@@ -14,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps.splitting import uniform_splitting
 from repro.bipartite.generators import (
     configuration_model_regular,
     random_sparse_graph,
@@ -24,8 +28,8 @@ from repro.core.problems import UniformSplittingSpec
 from repro.core.verifiers import uniform_splitting_violations
 from repro.local import Adjacency, CSREngine, Network
 from repro.local.network import csr_arrays, csr_rows
-from repro.mis.luby import is_mis
-from repro.orientation.sinkless import is_sinkless, sinks
+from repro.mis.luby import is_mis, luby_mis
+from repro.orientation.sinkless import is_sinkless, run_trial_and_fix, sinks
 from repro.scenarios import all_scenarios
 
 EXAMPLES = settings(max_examples=60, deadline=None)
@@ -155,6 +159,40 @@ def test_pickle_keeps_the_type_and_the_read_only_arrays(rows):
     back = pickle.loads(pickle.dumps(adj))
     assert type(back) is Adjacency and back == adj
     assert_carries_its_rows(back)
+
+
+def test_a_generated_graph_is_solved_and_verified_without_its_rows(monkeypatch):
+    def no_rows(self):
+        raise AssertionError("the tuple rows were built")
+
+    monkeypatch.setattr(Adjacency, "_rows", property(no_rows))
+    adj = random_sparse_graph(300, 8.0, seed=4)
+    engine = CSREngine(Network(adj))
+    mis, _ = luby_mis(adj, seed=1, method="dense", engine=engine)
+    assert is_mis(adj, mis)
+    orientation, _ = run_trial_and_fix(adj, min_degree=2, seed=1, method="dense", engine=engine)
+    assert is_sinkless(adj, orientation, 2)
+    spec = UniformSplittingSpec(eps=0.45, min_constrained_degree=8)
+    partition = uniform_splitting(adj, spec, method="dense", seed=1, engine=engine)
+    assert uniform_splitting_violations(adj, partition, spec) == []
+    back = pickle.loads(pickle.dumps(adj))
+    assert type(back) is Adjacency and len(back) == len(adj) == 300
+    assert back.offsets.tolist() == adj.offsets.tolist()
+    assert back.dst_node.tolist() == adj.dst_node.tolist()
+    monkeypatch.undo()
+    assert back == adj and hash(back) == hash(tuple(adj))
+
+
+def test_compares_and_hashes_as_the_tuple_of_its_rows():
+    rows = ((1, 1, 2), (0, 0), (0, 2, 2))
+    eager, lazy = Adjacency(rows), Adjacency.from_csr(*csr_rows(rows))
+    for adj in (eager, lazy):
+        assert adj == rows and rows == adj and adj != [list(r) for r in rows]
+        assert hash(adj) == hash(rows) and tuple(adj) == rows and list(adj) == list(rows)
+        assert adj[1] == (0, 0) and adj[-1] == (0, 2, 2) and adj[:2] == rows[:2]
+        assert len(adj) == 3 and (0, 0) in adj
+    assert eager == lazy and {eager: 1}[lazy] == 1
+    assert not isinstance(eager, tuple) and repr(eager) == f"Adjacency({rows!r})"
 
 
 def outcome(fn, *args):

@@ -1,13 +1,13 @@
 """Tests for the synchronous LOCAL simulator."""
 
-from typing import Dict
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bipartite import BipartiteInstance
-from repro.local import LocalAlgorithm, Network, NodeView, build_reverse_ports, run_local
+from repro.local import LocalAlgorithm, Network, NodeView, run_local
 from tests.conftest import cycle_graph, path_graph
 
 
@@ -55,6 +55,30 @@ class EchoPorts(LocalAlgorithm):
         view.state["seen"] = dict(inbox)
         view.output = dict(inbox)
         view.halted = True
+
+
+def build_reverse_ports(adjacency: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Reference port tables: ``reverse_port[i][p]`` is the counterpart's port.
+
+    If node ``i`` lists ``j`` at port ``p`` then ``j`` lists ``i`` at port
+    ``reverse_port[i][p]``.  Multi-edges are matched in order of appearance:
+    the k-th occurrence of ``j`` in ``adjacency[i]`` pairs with the k-th
+    occurrence of ``i`` in ``adjacency[j]``.  The oracle of
+    :class:`Network`'s ``dst_port``.
+    """
+    n = len(adjacency)
+    reverse_port: List[List[int]] = [[-1] * len(adjacency[i]) for i in range(n)]
+    cursor: Dict[Tuple[int, int], List[int]] = {}
+    for i in range(n):
+        for p, j in enumerate(adjacency[i]):
+            cursor.setdefault((j, i), []).append(p)
+    taken: Dict[Tuple[int, int], int] = {}
+    for i in range(n):
+        for p, j in enumerate(adjacency[i]):
+            k = taken.get((i, j), 0)
+            taken[(i, j)] = k + 1
+            reverse_port[i][p] = cursor[(i, j)][k]
+    return reverse_port
 
 
 def packed_from_reverse_ports(adjacency):
@@ -156,6 +180,14 @@ class TestNetwork:
                     b.corrupts_mask(1, net.dst_node, net.dst_port)
                 assert b.network.uid_array is uids
 
+    def test_default_ids_are_built_on_first_read(self):
+        net = Network(path_graph(3))
+        assert "ids" not in vars(net)
+        assert net.uid_array.tolist() == [0, 1, 2] and net.uid_array.dtype == np.int64
+        with pytest.raises(ValueError):
+            net.uid_array[0] = 1
+        assert net.ids == (0, 1, 2) and all(type(x) is int for x in net.ids)
+
     def test_degree(self):
         net = Network(path_graph(3))
         assert [net.degree(i) for i in range(3)] == [1, 2, 1]
@@ -169,6 +201,49 @@ class TestNetwork:
     def test_multi_edge_ports(self):
         net = Network([[1, 1], [0, 0]])
         assert net.degree(0) == 2
+
+
+def unsorted_cycle(n):
+    """A cycle on ``n`` nodes plus a parallel ``(0, n-1)`` edge and a
+    self-loop at ``n-1``, with rows out of sorted order."""
+    rows = [[(i + 1) % n, (i - 1) % n] if i % 3 else [(i - 1) % n, (i + 1) % n]
+            for i in range(n)]
+    if n:
+        rows[0].insert(0, n - 1)
+        rows[n - 1][1:1] = [n - 1, 0]
+    return rows
+
+
+BIG = 70_001  # above 2**16: the partner sort needs its second digit pass
+BIG_CYCLE = unsorted_cycle(BIG)
+
+
+class TestPartnerSort:
+    """``dst_port`` is paired by stable radix passes over 16-bit digits of
+    ``dst``: one pass up to n = 65,536, a second one above it."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 65_536, 65_537, BIG])
+    def test_pack_matches_reverse_port_tables(self, n):
+        rows = BIG_CYCLE if n == BIG else unsorted_cycle(n)
+        net = Network(rows)
+        offsets, dst_node, dst_port = packed_from_reverse_ports(rows)
+        assert net.offsets.tolist() == offsets
+        assert net.dst_node.tolist() == dst_node
+        assert net.dst_port.tolist() == dst_port
+
+    @pytest.mark.parametrize("node, edit, message", [
+        (68_000, lambda row: row + [3], "asymmetric adjacency between nodes 3 and 68000"),
+        (69_999, lambda row: row + [2], "asymmetric adjacency between nodes 2 and 69999"),
+        (0, lambda row: row + [BIG - 1], "asymmetric adjacency between nodes 0 and 70000"),
+        (BIG - 1, lambda row: row[:-1], "asymmetric adjacency between nodes 69999 and 70000"),
+        (67_000, lambda row: row + [BIG], "node 67000 lists out-of-range neighbor 70001"),
+        (1, lambda row: row + [-1], "node 1 lists out-of-range neighbor -1"),
+    ], ids=["extra", "extra-high", "one-more-copy", "lost-copy", "above-n", "negative"])
+    def test_large_graph_errors_name_the_first_bad_pair(self, node, edit, message):
+        rows = list(BIG_CYCLE)
+        rows[node] = edit(rows[node])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Network(rows)
 
 
 class TestRunLocal:

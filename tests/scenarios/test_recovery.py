@@ -244,6 +244,7 @@ class TestRunScenarioRecover:
         # The repair reuses the runner's violations_before_recovery count:
         # one count before, one probe per two-round phase, one final count.
         import repro.scenarios.contracts as contracts
+        import repro.scenarios.recovery as recovery
         import repro.scenarios.run as run
 
         calls, count = [], contracts.splitting_violations
@@ -254,6 +255,7 @@ class TestRunScenarioRecover:
 
         monkeypatch.setattr(contracts, "splitting_violations", counting)
         monkeypatch.setattr(run, "splitting_violations", counting)
+        monkeypatch.setattr(recovery, "splitting_violations", counting)
         m = run_scenario("splitting/byzantine", n=600, seed=4, backend="dense", recover=True)
         assert m["violations_before_recovery"] > 0 and m["repair_rounds"] > 0
         assert len(calls) == 2 + m["repair_rounds"] // 2

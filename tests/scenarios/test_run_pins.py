@@ -19,7 +19,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.local import BACKENDS
+from repro.local import BACKENDS, Adjacency
 from repro.scenarios import run_scenario, scenario_names
 
 PINS = {
@@ -51,7 +51,7 @@ def _canon(x):
         return (tag, tuple((k, _canon(v)) for k, v in x.items()))
     if isinstance(x, (set, frozenset)):
         return (tag, tuple(sorted(_canon(v) for v in x)))
-    if isinstance(x, (list, tuple)):
+    if isinstance(x, (list, tuple, Adjacency)):
         return (tag, tuple(_canon(v) for v in x))
     if dataclasses.is_dataclass(x):
         return (tag, _canon(dataclasses.asdict(x)))
